@@ -166,15 +166,16 @@ fn golden_syscall_ret_checked() {
 #[test]
 fn golden_frame_kind_exhaustive() {
     let bad = "const K_PING: u8 = 9;\nfn dispatch(kind: u8) -> u32 {\n    match kind {\n        K_PING => 1,\n        _ => 0,\n    }\n}\n";
+    // The worker loop's file: the whole `shard/` directory is in scope.
     expect_one(
-        "crates/runtime/src/shard.rs",
+        "crates/cholesky/src/shard/worker.rs",
         bad,
         "frame-kind-exhaustive",
         5,
     );
 
     let ok = "const K_PING: u8 = 9;\nfn dispatch(kind: u8) -> u32 {\n    match kind {\n        K_PING => 1,\n        // xgs-lint: allow(frame-kind-exhaustive): forward-compat fallthrough, unknown frames are dropped by design\n        _ => 0,\n    }\n}\n";
-    expect_allowed("crates/runtime/src/shard.rs", ok);
+    expect_allowed("crates/cholesky/src/shard/worker.rs", ok);
 }
 
 /// Run the workspace lock-graph pass over in-memory fixture files.
@@ -296,6 +297,7 @@ fn golden_clean_file_is_clean() {
         "crates/core/src/x.rs",
         "crates/server/src/server.rs",
         "crates/runtime/src/shard.rs",
+        "crates/cholesky/src/shard/worker.rs",
     ] {
         let lint = lint_file(path, src.as_bytes());
         assert_eq!(lint.findings, vec![]);

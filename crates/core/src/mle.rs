@@ -30,8 +30,7 @@ pub struct FitOptions {
     /// Worker threads per likelihood evaluation (1 = sequential engine).
     pub workers: usize,
     /// When set, every factorization fans out to worker *processes* via
-    /// this backend (overrides `workers`) — a spawn-per-run `ShardRunner`
-    /// or the persistent `xgs-fleet` supervisor.
+    /// this backend (overrides `workers`) — the `xgs-fleet` supervisor.
     pub shard: Option<Arc<dyn ShardBackend>>,
 }
 

@@ -1,16 +1,18 @@
-//! Elastic shard fleet: the supervisor behind the warm sharded engine.
+//! Elastic shard fleet: the supervisor that runs every sharded
+//! factorization.
 //!
-//! [`ShardRunner`](xgs_cholesky::ShardRunner) is spawn-per-run: every
-//! factorization pays a full fleet spawn, and any worker death fails the
-//! job. The [`Supervisor`] here replaces that with a *registration*
-//! model over the same frame protocol:
+//! `xgs-cholesky`'s coordinator drives workers over connections it is
+//! handed; the [`Supervisor`] here is what starts, admits and owns those
+//! workers — the one [`ShardBackend`], and `FleetState::launch` the one
+//! place a worker comes into existence. It is a *registration* model over
+//! the shard frame protocol:
 //!
 //! * Workers dial the supervisor's listener (`worker --connect <addr>`)
 //!   and register with a `JOIN` frame advertising capabilities (cores,
 //!   supported precisions, protocol version); the supervisor answers
 //!   with `ASSIGN` carrying a fleet member id and the active/standby
-//!   role. Admission is [`xgs_cholesky::admit_worker`] — the same
-//!   handshake every other acceptor uses, so the protocol cannot drift.
+//!   role. Admission is [`xgs_cholesky::admit_worker`] for launched and
+//!   dialed-in workers alike, so the protocol cannot drift.
 //! * The first `p * q` members form the factorization grid; members
 //!   beyond it are **standbys**, registered and warm but idle.
 //! * Liveness: during a run the coordinator's deadline'd reads detect
@@ -23,9 +25,12 @@
 //!   from the last published tile versions. The recovery plan is
 //!   validated by `xgs-analysis` before a single frame is sent, and the
 //!   recovered factor stays bitwise-equal to the sequential one.
-//! * Runs are **persistent** ([`ShardOptions::persistent`]): no
-//!   `SHUTDOWN`/`BYE` teardown, sockets stay open, and the same fleet
-//!   serves the next factorization after a state-resetting `HELLO`.
+//! * The fleet stays **warm** between runs: a run ends with a
+//!   `HEARTBEAT` census instead of a teardown, sockets stay open, and
+//!   the same members serve the next factorization after a
+//!   state-resetting `HELLO`. A one-shot run is a supervisor with zero
+//!   standbys dropped at scope exit: dropping it closes every socket and
+//!   reaps every child.
 //!
 //! Fleet lifecycle lands in the shared metrics schema: the engine
 //! already records `worker_death` / `panel_replay` / `standby_promote`
@@ -177,9 +182,8 @@ struct Inner {
 }
 
 /// The elastic fleet supervisor. Owns the registration listener, the
-/// member pool, and a monitor thread; implements [`ShardBackend`] so
-/// `FactorEngine::Sharded` and the prediction server route through a
-/// persistent warm fleet instead of paying spawn per factorization.
+/// member pool, and a monitor thread; implements [`ShardBackend`], which
+/// is how `FactorEngine::Sharded` and the prediction server reach it.
 #[derive(Debug)]
 pub struct Supervisor {
     inner: Arc<Inner>,
@@ -300,7 +304,6 @@ impl ShardBackend for Supervisor {
 
         let mut opts = ShardOptions::for_workers(inner.cfg.workers);
         opts.deadline = inner.cfg.deadline;
-        opts.persistent = true;
         let mut source = FleetSource {
             inner,
             pool: &mut pool,
@@ -386,8 +389,8 @@ impl FleetState {
         Ok(())
     }
 
-    /// Launch one worker (per [`Launch`]) and admit it through the
-    /// shared `JOIN`/`ASSIGN` handshake.
+    /// Launch one worker (per [`Launch`]) and admit it. The one place a
+    /// worker is started: initial fill, refill, and mid-run respawn.
     fn launch(&mut self, inner: &Inner, standby: bool) -> Result<Member, ShardError> {
         let cfg = &inner.cfg;
         let mut child = match &cfg.launch {
@@ -421,10 +424,23 @@ impl FleetState {
                 None
             }
         };
-        let mut stream = accept_within(inner, cfg.spawn_deadline, child.as_mut())?;
+        let stream = accept_within(inner, cfg.spawn_deadline, child.as_mut())?;
+        self.admit(stream, child, standby, cfg.spawn_deadline)
+    }
+
+    /// Register the worker on `stream` under the next member id: the
+    /// shared `JOIN`/`ASSIGN` handshake, for launched and dialed-in
+    /// workers alike.
+    fn admit(
+        &mut self,
+        mut stream: TcpStream,
+        child: Option<Child>,
+        standby: bool,
+        deadline: Duration,
+    ) -> Result<Member, ShardError> {
         let id = self.next_id;
         self.next_id += 1;
-        let info = admit_worker(&mut stream, id, standby, cfg.spawn_deadline)?;
+        let info = admit_worker(&mut stream, id, standby, deadline)?;
         self.joins += 1;
         Ok(Member {
             id,
@@ -440,23 +456,13 @@ impl FleetState {
     fn admit_dialins(&mut self, inner: &Inner) {
         loop {
             match inner.listener.accept() {
-                Ok((mut stream, _)) => {
+                Ok((stream, _)) => {
                     let _ = stream.set_nonblocking(false);
-                    let id = self.next_id;
-                    self.next_id += 1;
                     // A stranger that never completes the handshake (or
                     // speaks an old protocol) is turned away; the
                     // connection drops on the Err path here.
-                    if let Ok(info) =
-                        admit_worker(&mut stream, id, true, inner.cfg.heartbeat_timeout)
-                    {
-                        self.joins += 1;
-                        self.standbys.push_back(Member {
-                            id,
-                            stream,
-                            child: None,
-                            info,
-                        });
+                    if let Ok(m) = self.admit(stream, None, true, inner.cfg.heartbeat_timeout) {
+                        self.standbys.push_back(m);
                     }
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}

@@ -212,10 +212,8 @@ pub fn project_with_metrics(cfg: &ScaleConfig) -> (Projection, Option<MetricsRep
     // Closed-form frame census of the sharded protocol under this
     // profile's formats: a real sharded run of the same grid must measure
     // exactly these TILE frames/bytes when formats are static
-    // (`metrics_diff --assert-wire-equal tile`). The warm variant, because
-    // the CLI's `--shards` runs on the persistent fleet: the drain rides a
-    // HEARTBEAT exchange and no SHUTDOWN/BYE frames cross the wire.
-    metrics.wire = xgs_cholesky::project_wire_census_warm(&profile, cfg.n, cfg.nb, cfg.nodes);
+    // (`metrics_diff --assert-wire-equal tile`).
+    metrics.wire = xgs_cholesky::project_wire_census(&profile, cfg.n, cfg.nb, cfg.nodes);
     let fp = footprint_bytes(&profile);
     let nominal = {
         let n = cfg.n as f64;
@@ -488,14 +486,9 @@ mod tests {
             let (_, metrics) = project_with_metrics(&c);
             let m = metrics.expect("event engine produces metrics");
             let kinds: Vec<&str> = m.wire.iter().map(|w| w.kind).collect();
-            for k in ["hello", "tile", "task", "done", "heartbeat"] {
-                assert!(kinds.contains(&k), "missing frame kind {k} in {kinds:?}");
-            }
-            // Warm-fleet projection: the drain is a HEARTBEAT exchange,
-            // never a SHUTDOWN/BYE teardown.
-            for k in ["shutdown", "bye"] {
-                assert!(!kinds.contains(&k), "stale frame kind {k} in {kinds:?}");
-            }
+            // Exactly the kinds a run moves; the end-of-run census is a
+            // HEARTBEAT exchange.
+            assert_eq!(kinds, ["hello", "tile", "task", "done", "heartbeat"]);
             let t = m.wire.iter().find(|w| w.kind == "tile").unwrap();
             assert!(t.frames > 0 && t.bytes > 0);
             (t.frames, t.bytes)

@@ -402,8 +402,6 @@ impl MetricsReport {
                 "tile",
                 "task",
                 "done",
-                "shutdown",
-                "bye",
                 "join",
                 "heartbeat",
                 "assign",

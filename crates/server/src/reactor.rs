@@ -27,7 +27,8 @@
 //!   5 s patience as the threaded path) so the close is a FIN, not a RST.
 //!
 //! Health counters (`ready_event`, `wakeup`, `partial_write`,
-//! `open_conns_hwm`) are flushed into [`ServerMetrics`] once per loop
+//! `open_conns_hwm`) are flushed into
+//! [`ServerMetrics`](crate::server::ServerMetrics) once per loop
 //! iteration; see the metrics docs in `server.rs`.
 
 use std::collections::HashMap;

@@ -159,13 +159,14 @@ proptest! {
         seed in 0u64..10_000,
         shards in 1usize..7,
     ) {
-        // The multi-process backend (here: in-process worker loops over
-        // real loopback sockets, same wire protocol as separate
-        // processes) must reproduce the sequential factor bit for bit on
-        // random Matérn problems — every tile grid vs process grid
-        // combination, including the 1×1 grid and more workers than
+        // The multi-process backend (here: a fleet of in-process worker
+        // loops over real loopback sockets, same wire protocol as
+        // separate processes) must reproduce the sequential factor bit
+        // for bit on random Matérn problems — every tile grid vs process
+        // grid combination, including the 1×1 grid and more workers than
         // tiles (nb = 85 gives a 2×2 tile grid; shards ≥ 5 then idle).
-        use xgs_cholesky::{spawn_local_workers, ShardOptions, TiledFactor};
+        use xgs_cholesky::{ShardBackend, TiledFactor};
+        use xgs_fleet::{FleetConfig, Supervisor};
         let mut rng = StdRng::seed_from_u64(seed);
         let mut locs = jittered_grid(160, &mut rng);
         morton_order(&mut locs);
@@ -185,13 +186,8 @@ proptest! {
         seq.factorize_seq().unwrap();
 
         let mut sharded = TiledFactor::from_matrix(generate());
-        let (streams, handles) = spawn_local_workers(shards).unwrap();
-        let rep = sharded
-            .factorize_sharded(streams, &ShardOptions::for_workers(shards))
-            .unwrap();
-        for h in handles {
-            h.join().unwrap().unwrap();
-        }
+        let fleet = Supervisor::start(FleetConfig::threads(shards)).unwrap();
+        let rep = fleet.factorize(&mut sharded).unwrap();
 
         let (a, b) = (seq.to_dense_lower(), sharded.to_dense_lower());
         for (x, y) in a.as_slice().iter().zip(b.as_slice()) {

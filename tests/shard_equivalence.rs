@@ -8,10 +8,12 @@
 //! served through a `--shards` server must be checksum-identical to an
 //! unsharded server, and a lost or wedged worker must surface as a clean
 //! error within the deadline — never a hang, never a poisoned registry.
+//! Every fleet here is an `xgs-fleet` `Supervisor`: scoped to one
+//! factorization it is the spawn-per-run configuration, kept across
+//! several it is the warm one.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
-use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -19,7 +21,7 @@ use exageostat_rs::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use xgs_cholesky::{
-    spawn_workers, ShardBackend, ShardError, ShardOptions, ShardRunner, TiledFactor,
+    NoReplacement, ShardBackend, ShardError, ShardOptions, ShardReport, TiledFactor,
 };
 use xgs_fleet::{FleetConfig, Supervisor};
 use xgs_server::{loadgen, LoadgenConfig, ModelRegistry, ServerConfig};
@@ -51,13 +53,17 @@ fn assert_bitwise_equal(a: &Matrix, b: &Matrix, context: &str) {
 }
 
 /// The tentpole guarantee: for several problem sizes, tile grids and
-/// process grids — square, rectangular, and more workers than tiles — a
-/// factorization fanned out over worker *processes* reproduces the
-/// sequential single-process factor bit for bit, and executes exactly the
-/// full DAG's task census.
+/// process grids — a single worker, square, rectangular, and more workers
+/// than tiles — a factorization fanned out over worker *processes*
+/// reproduces the sequential single-process factor bit for bit, and
+/// executes exactly the full DAG's task census. Each fleet has no
+/// standbys and is dropped at scope exit — spawn-per-run — and must leave
+/// no worker process behind.
 #[test]
 fn sharded_factor_is_bitwise_equal_across_process_grids() {
     let shapes: &[(usize, usize, usize, Variant)] = &[
+        (200, 50, 1, Variant::DenseF64), // 4x4 tiles on a 1x1 grid: no forwards at all
+        (200, 64, 2, Variant::MpDense),  // mixed precision on a 1x2 grid
         (300, 50, 4, Variant::DenseF64), // 6x6 tiles on a 2x2 grid
         (260, 64, 3, Variant::MpDense),  // mixed precision on a 1x3 grid
         (150, 40, 6, Variant::DenseF64), // 4x4 tiles on a 2x3 grid
@@ -69,11 +75,15 @@ fn sharded_factor_is_bitwise_equal_across_process_grids() {
         reference.factorize_seq().unwrap();
 
         let mut sharded = TiledFactor::from_matrix(matrix(n, nb, 11, variant));
-        let mut fleet = spawn_workers(Path::new(EXE), shards, Duration::from_secs(30))
+        let fleet = Supervisor::start(FleetConfig::process(EXE.into(), shards))
             .unwrap_or_else(|e| panic!("{context}: spawn failed: {e}"));
-        let rep = sharded
-            .factorize_sharded(fleet.take_streams(), &ShardOptions::for_workers(shards))
+        let addr = fleet.addr().to_string();
+        let rep = fleet
+            .factorize(&mut sharded)
             .unwrap_or_else(|e| panic!("{context}: sharded factorization failed: {e}"));
+        assert_eq!(procs_mentioning(&addr), shards, "{context}: fleet size");
+        drop(fleet);
+        assert_eq!(procs_mentioning(&addr), 0, "{context}: orphan workers");
 
         assert_bitwise_equal(
             &reference.to_dense_lower(),
@@ -228,87 +238,76 @@ fn sharded_server_predictions_are_checksum_identical_to_unsharded() {
     };
 
     let unsharded = run_one(None);
-    let sharded = run_one(Some(Arc::new(ShardRunner::new(EXE.into(), 2))));
+    let fleet = Supervisor::start(FleetConfig::process(EXE.into(), 2)).unwrap();
+    let sharded = run_one(Some(Arc::new(fleet)));
     assert_eq!(
         unsharded, sharded,
         "sharded factorization changed served predictions"
     );
 }
 
-/// Fault injection: SIGKILL a worker and prove the coordinator answers
-/// with a clean error well within the deadline, and that a fresh fleet
-/// afterwards is unaffected (one factorization's crash cannot poison the
-/// next).
+/// Fault injection with no replacement available (no standbys, respawn
+/// off): a worker SIGKILLed before the first frame, then one that
+/// SIGKILLs itself mid-flight, must each fail the run with a clean error
+/// well within the deadline — and the *same* supervisor must then refill
+/// its grid and factorize bitwise-equal (one factorization's crash cannot
+/// poison the next).
 #[test]
-fn killed_worker_fails_cleanly_within_deadline() {
-    let shards = 4;
+fn death_with_no_replacement_fails_within_deadline_and_the_fleet_recovers() {
     let deadline = Duration::from_secs(30);
-
-    // Kill before the first frame: the coordinator must detect the lost
-    // worker during the run, not block until the deadline.
-    let mut fleet = spawn_workers(Path::new(EXE), shards, Duration::from_secs(30)).unwrap();
-    let streams = fleet.take_streams();
-    fleet.kill_worker(2).unwrap();
-    let mut f = TiledFactor::from_matrix(matrix(300, 50, 13, Variant::DenseF64));
-    let opts = ShardOptions {
-        deadline,
-        ..ShardOptions::for_workers(shards)
+    let mut cfg = FleetConfig::process(EXE.into(), 4);
+    cfg.respawn = false;
+    cfg.deadline = deadline;
+    cfg.heartbeat_every = Duration::from_secs(3600); // the kill beats the monitor
+                                                     // Members 0..3 are the first grid, 4..7 the second, 8..11 the third.
+    cfg.env = vec![(
+        "XGS_CHAOS_ABORT".to_string(),
+        "member=5,tasks=3".to_string(),
+    )];
+    let fleet = Supervisor::start(cfg).unwrap();
+    let addr = fleet.addr().to_string();
+    let expect_clean_failure = |what: &str| {
+        let mut f = TiledFactor::from_matrix(matrix(300, 50, 13, Variant::DenseF64));
+        let t0 = Instant::now();
+        let err = fleet
+            .factorize(&mut f)
+            .expect_err("a dead worker cannot produce a factor");
+        assert!(
+            matches!(
+                err,
+                ShardError::WorkerLost { .. } | ShardError::Timeout { .. }
+            ),
+            "{what}: unexpected error class: {err}"
+        );
+        assert!(
+            t0.elapsed() < deadline,
+            "{what}: took {:?}, deadline {deadline:?}",
+            t0.elapsed()
+        );
     };
-    let t0 = Instant::now();
-    let err = f
-        .factorize_sharded(streams, &opts)
-        .expect_err("a dead worker cannot produce a factor");
-    assert!(
-        matches!(
-            err,
-            ShardError::WorkerLost { .. } | ShardError::Timeout { .. }
-        ),
-        "unexpected error class: {err}"
-    );
-    assert!(
-        t0.elapsed() < deadline,
-        "took {:?}, deadline {deadline:?}",
-        t0.elapsed()
-    );
 
-    // Kill mid-flight on a second fleet: either the coordinator aborts
-    // cleanly, or (if the run already finished) the factor is still exact.
-    let mut fleet = spawn_workers(Path::new(EXE), shards, Duration::from_secs(30)).unwrap();
-    let streams = fleet.take_streams();
-    let opts2 = opts;
-    let handle = std::thread::spawn(move || {
-        let mut f = TiledFactor::from_matrix(matrix(600, 40, 13, Variant::DenseF64));
-        let res = f.factorize_sharded(streams, &opts2);
-        (res, f)
-    });
-    std::thread::sleep(Duration::from_millis(5));
-    fleet.kill_worker(1).unwrap();
-    let t1 = Instant::now();
-    let (res, f) = handle.join().unwrap();
-    assert!(
-        t1.elapsed() < deadline,
-        "mid-flight kill stalled the coordinator for {:?}",
-        t1.elapsed()
-    );
-    if res.is_ok() {
-        let mut reference = TiledFactor::from_matrix(matrix(600, 40, 13, Variant::DenseF64));
-        reference.factorize_seq().unwrap();
-        assert_bitwise_equal(&reference.to_dense_lower(), &f.to_dense_lower(), "survivor");
-    }
+    // Killed before the first frame: the coordinator must detect the lost
+    // worker during the run, not block until the deadline.
+    assert!(fleet.kill_member(2), "grid member 2 must exist");
+    expect_clean_failure("idle kill");
+    // The refilled grid's member 5 dies on its fourth TASK, mid-panel.
+    expect_clean_failure("mid-flight kill");
 
-    // Recovery: a fresh fleet after both crashes still matches sequential.
+    // Recovery: the third grid on the same supervisor matches sequential.
     let mut reference = TiledFactor::from_matrix(matrix(200, 50, 14, Variant::DenseF64));
     reference.factorize_seq().unwrap();
     let mut again = TiledFactor::from_matrix(matrix(200, 50, 14, Variant::DenseF64));
-    let mut fleet = spawn_workers(Path::new(EXE), shards, Duration::from_secs(30)).unwrap();
-    again
-        .factorize_sharded(fleet.take_streams(), &opts)
-        .expect("fresh fleet after a crash");
+    let rep = fleet
+        .factorize(&mut again)
+        .expect("refilled fleet after two crashes");
     assert_bitwise_equal(
         &reference.to_dense_lower(),
         &again.to_dense_lower(),
         "recovery",
     );
+    assert_eq!(event_count(&rep, "worker_death"), 0, "recovery");
+    drop(fleet);
+    assert_eq!(procs_mentioning(&addr), 0, "orphan workers");
 }
 
 /// Count live processes whose command line mentions `needle` — the
@@ -332,7 +331,7 @@ fn procs_mentioning(needle: &str) -> usize {
     n
 }
 
-fn event_count(rep: &xgs_cholesky::ShardReport, kind: &str) -> u64 {
+fn event_count(rep: &ShardReport, kind: &str) -> u64 {
     rep.metrics
         .kernels
         .iter()
@@ -502,11 +501,10 @@ fn half_written_tile_frame_times_out_instead_of_hanging() {
         deadline: Duration::from_secs(2),
         validate: false,
         precheck: true,
-        persistent: false,
     };
     let t0 = Instant::now();
     let err = f
-        .factorize_sharded(vec![conn], &opts)
+        .factorize_elastic(&mut vec![conn], &opts, &mut NoReplacement)
         .expect_err("a truncated frame cannot complete a factorization");
     assert!(
         matches!(
@@ -522,16 +520,35 @@ fn half_written_tile_frame_times_out_instead_of_hanging() {
     );
 }
 
-/// A sharded server whose worker executable cannot start answers `load`
-/// with `ok:false` and keeps serving: the registry is never poisoned by a
-/// failed factorization.
+/// A backend whose every factorization fails the way a fleet with a
+/// broken worker executable does.
+#[derive(Debug)]
+struct BrokenBackend;
+
+impl ShardBackend for BrokenBackend {
+    fn factorize(&self, _f: &mut TiledFactor) -> Result<ShardReport, ShardError> {
+        Err(ShardError::Spawn(
+            "/nonexistent/xgs-worker: not found".into(),
+        ))
+    }
+
+    fn describe(&self) -> String {
+        "broken".into()
+    }
+}
+
+/// A worker executable that cannot start fails the fleet launch with
+/// `Spawn`, before any server could be handed the backend; and a server
+/// whose backend fails answers `load` with `ok:false` and keeps serving:
+/// the registry is never poisoned by a failed factorization.
 #[test]
 fn sharded_server_survives_a_broken_worker_executable() {
+    let err = Supervisor::start(FleetConfig::process("/nonexistent/xgs-worker".into(), 2))
+        .expect_err("a missing worker executable cannot form a fleet");
+    assert!(matches!(err, ShardError::Spawn(_)), "got {err}");
+
     let cfg = ServerConfig {
-        shard: Some(Arc::new(ShardRunner::new(
-            "/nonexistent/xgs-worker".into(),
-            2,
-        ))),
+        shard: Some(Arc::new(BrokenBackend)),
         ..Default::default()
     };
     let handle = xgs_server::serve(&cfg, Arc::new(ModelRegistry::new())).unwrap();
