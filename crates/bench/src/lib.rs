@@ -1,9 +1,9 @@
 //! Shared helpers for the benchmark harness.
 //!
 //! Each paper table/figure has a dedicated binary in `src/bin/` (see
-//! DESIGN.md's experiment index); the microbenchmarks live in `benches/`.
-//! Binaries honour a few environment variables so the full campaign can be
-//! scaled to the machine at hand:
+//! DESIGN.md's experiment index); speed is measured by the repo benchmark
+//! (`examples/benchmark/`), not here. Binaries honour a few environment
+//! variables so the full campaign can be scaled to the machine at hand:
 //!
 //! * `XGS_REPS` — replicate count for the Fig. 6 boxplots (default 25;
 //!   paper: 100),

@@ -6,8 +6,8 @@
 //!
 //! Two execution paths share the same BLAS semantics:
 //!
-//! * [`gemm_naive`] — the original axpy/dot loop nest, kept as the oracle
-//!   and as the small-problem path (no packing overhead).
+//! * the naive path — the original axpy/dot loop nest, kept as the test
+//!   oracle and as the small-problem path (no packing overhead).
 //! * the cache-blocked path — BLIS-style `NC/KC/MC` loop blocking around an
 //!   `MR x NR` register microkernel over zero-padded packed micro-panels.
 //!   The generic microkernel is an 8-wide `mul_add` accumulator unroll that
@@ -139,9 +139,10 @@ pub fn gemm<T: Real>(
 }
 
 /// The original unblocked loop nest with full BLAS semantics — the test
-/// oracle for the blocked path and the small-problem fast path.
+/// oracle for the blocked path.
+#[cfg(test)]
 #[allow(clippy::too_many_arguments)]
-pub fn gemm_naive<T: Real>(
+pub(crate) fn gemm_naive<T: Real>(
     transa: Trans,
     transb: Trans,
     m: usize,

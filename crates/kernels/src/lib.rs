@@ -27,15 +27,12 @@ pub use convert::{
     demote_f32_to_f16, demote_f64_to_f16, demote_f64_to_f32, promote_f16_to_f32,
     promote_f16_to_f64, promote_f32_to_f64,
 };
-pub use gemm::{gemm, gemm_naive, gemm_notrans, shgemm, Trans};
+pub use gemm::{gemm, gemm_notrans, shgemm, Trans};
 pub use half::Half;
-pub use potrf::{potrf, potrf_unblocked, PotrfError};
+pub use potrf::{potrf, PotrfError};
 pub use precision::Precision;
-pub use syrk::{syrk_lower_notrans, syrk_lower_notrans_naive};
-pub use trsm::{
-    trsm_left_lower_notrans, trsm_left_lower_notrans_unblocked, trsm_left_lower_trans,
-    trsm_left_lower_trans_unblocked, trsm_right_lower_trans, trsm_right_lower_trans_unblocked,
-};
+pub use syrk::syrk_lower_notrans;
+pub use trsm::{trsm_left_lower_notrans, trsm_left_lower_trans, trsm_right_lower_trans};
 
 /// A real scalar type usable by the generic kernels (FP64 or FP32).
 ///

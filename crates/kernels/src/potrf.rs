@@ -83,8 +83,9 @@ pub fn potrf<T: Real>(n: usize, a: &mut [T], lda: usize) -> Result<(), PotrfErro
 }
 
 /// Unblocked right-looking factorization — the reference the blocked path
-/// is tested against, and its diagonal-block solver.
-pub fn potrf_unblocked<T: Real>(n: usize, a: &mut [T], lda: usize) -> Result<(), PotrfError> {
+/// is tested against.
+#[cfg(test)]
+fn potrf_unblocked<T: Real>(n: usize, a: &mut [T], lda: usize) -> Result<(), PotrfError> {
     assert!(lda >= n.max(1));
     if n > 0 {
         assert!(a.len() >= lda * (n - 1) + n);

@@ -70,8 +70,9 @@ pub fn syrk_lower_notrans<T: Real>(
 
 /// Unblocked reference: the original column loop with full semantics —
 /// the oracle the blocked path is tested against.
+#[cfg(test)]
 #[allow(clippy::too_many_arguments)]
-pub fn syrk_lower_notrans_naive<T: Real>(
+fn syrk_lower_notrans_naive<T: Real>(
     n: usize,
     k: usize,
     alpha: T,

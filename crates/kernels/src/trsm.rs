@@ -93,7 +93,7 @@ pub fn trsm_right_lower_trans<T: Real>(
 
 /// Unblocked reference for [`trsm_right_lower_trans`] (also the
 /// diagonal-block solver of the blocked path).
-pub fn trsm_right_lower_trans_unblocked<T: Real>(
+fn trsm_right_lower_trans_unblocked<T: Real>(
     m: usize,
     n: usize,
     alpha: T,
@@ -197,7 +197,7 @@ pub fn trsm_left_lower_notrans<T: Real>(
 }
 
 /// Unblocked reference for [`trsm_left_lower_notrans`].
-pub fn trsm_left_lower_notrans_unblocked<T: Real>(
+fn trsm_left_lower_notrans_unblocked<T: Real>(
     m: usize,
     n: usize,
     alpha: T,
@@ -289,7 +289,7 @@ pub fn trsm_left_lower_trans<T: Real>(
 }
 
 /// Unblocked reference for [`trsm_left_lower_trans`].
-pub fn trsm_left_lower_trans_unblocked<T: Real>(
+fn trsm_left_lower_trans_unblocked<T: Real>(
     m: usize,
     n: usize,
     alpha: T,

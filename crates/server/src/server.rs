@@ -7,6 +7,12 @@
 //! invariants (every accepted request answered, bounded lines, deadlines,
 //! shedding) — proven by running the adversarial suite against both.
 //!
+//! Both stay because each wins a measured workload (EXPERIMENTS.md,
+//! "Serving frontends"): threaded by 32 % on the benchmark's
+//! two-connection `serve` workload, the reactor at 10,000 connections,
+//! where threaded runs out of threads. Threaded is the default; see
+//! [`Frontend`] for why a user-set flag still makes the choice.
+//!
 //! Threaded frontend layout:
 //!
 //! * **acceptor** — owns the listener, spawns one handler thread per
@@ -64,17 +70,28 @@ use crate::registry::{build_plan_from_request, ModelRegistry};
 pub const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// Which connection-handling frontend [`serve`] boots. Both speak the
-/// identical wire protocol; the choice is an operational one (threads per
-/// connection vs. one event loop for tens of thousands of connections).
+/// identical wire protocol and answer bitwise-identically
+/// (`tests/frontend_equivalence.rs`); they differ in what they cost, and
+/// each wins one side (EXPERIMENTS.md, "Serving frontends"). The server
+/// cannot see at boot how many connections will come, so the caller
+/// picks — a wart, to be removed by making the reactor as fast as
+/// threaded on a few connections and deleting the latter.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum Frontend {
-    /// One handler + one writer thread per connection (the original
-    /// layout; robust, simple, ~2 threads per client).
+    /// One handler + one writer thread per connection. The default: on
+    /// the benchmark's `serve` workload (2 connections) it sustains ~110k
+    /// light requests/s against the reactor's ~75k. Two threads per
+    /// client is also its limit: a 10,000-connection soak exhausts the
+    /// process's threads.
     #[default]
     Threaded,
     /// A single epoll event loop multiplexing every connection on
     /// nonblocking sockets ([`crate::reactor`]); solver threads hand
-    /// completions back through an eventfd-woken hub.
+    /// completions back through an eventfd-woken hub. Holds 10,000
+    /// connections with every request answered, and peaks ~15 MB lower
+    /// than threaded on the `serve` workload; but every reply crosses
+    /// the one loop thread, which is what holds it to ~75k requests/s
+    /// when only two connections carry the load.
     Reactor,
 }
 
@@ -97,7 +114,10 @@ impl std::str::FromStr for Frontend {
 pub struct ServerConfig {
     /// Bind address; port 0 picks a free port (see [`ServerHandle::addr`]).
     pub addr: String,
-    /// Connection frontend (threaded vs. epoll reactor).
+    /// Connection frontend. Default [`Frontend::Threaded`], the faster
+    /// one at the connection counts the benchmark and the CLI examples
+    /// use; set [`Frontend::Reactor`] when thousands of clients connect
+    /// (see [`Frontend`] for the measurements behind both statements).
     pub frontend: Frontend,
     /// Batch-solver threads.
     pub solvers: usize,

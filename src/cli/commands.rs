@@ -85,7 +85,8 @@ COMMANDS:
   serve     long-lived prediction service with a cached factor
             --data <csv> --theta <θ,..> [--kernel ...] [--variant ...] [--tile <nb>]
             [--name <model>] [--addr <host:port>] [--solvers <k>] [--max-batch <points>]
-            [--frontend threaded|reactor]  (thread-per-connection vs epoll event loop)
+            [--frontend threaded|reactor]  (default threaded: fastest at a few connections;
+                                            reactor: one epoll loop for thousands)
             [--queue-points <budget>]  (shed predicts past this backlog)
             [--max-models <k>] [--model-ttl <seconds>]  (registry LRU/TTL eviction)
             [--shards <k>] [--standbys <k>]  (persistent warm worker fleet)
