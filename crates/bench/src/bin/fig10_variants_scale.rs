@@ -12,6 +12,7 @@
 //! ```
 
 use xgs_perfmodel::{project, Correlation, Projection, ScaleConfig, SolverVariant};
+use xgs_runtime::JsonValue;
 
 struct Row {
     correlation: &'static str,
@@ -23,14 +24,14 @@ struct Row {
 
 impl Row {
     fn to_json(&self) -> String {
-        format!(
-            "{{\"correlation\":\"{}\",\"n\":{},\"nodes\":{},\"variant\":\"{}\",\"projection\":{}}}",
-            self.correlation,
-            self.n,
-            self.nodes,
-            self.variant,
-            self.projection.to_json()
-        )
+        JsonValue::object([
+            ("correlation", self.correlation.into()),
+            ("n", self.n.into()),
+            ("nodes", self.nodes.into()),
+            ("variant", self.variant.into()),
+            ("projection", self.projection.to_json_value()),
+        ])
+        .to_json_string()
     }
 }
 

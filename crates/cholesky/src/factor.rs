@@ -156,7 +156,8 @@ impl TiledFactor {
     /// Task-parallel factorization on the dynamic runtime.
     ///
     /// Builds the dataflow DAG (same dependence structure PaRSEC derives
-    /// from its PTG) and executes it on `workers` threads. Returns the
+    /// from its PTG) and executes it with `workers` worker loops on the
+    /// shared pool (`xgs_runtime::execute_opts`). Returns the
     /// execution report alongside the factorization result.
     pub fn factorize_parallel(
         self: &Arc<Self>,

@@ -32,7 +32,7 @@ pub struct McmcOptions {
     /// (0 disables adaptation).
     pub adapt_every: usize,
     pub seed: u64,
-    /// Worker threads per likelihood evaluation.
+    /// Worker loops per likelihood evaluation, run on the shared pool.
     pub workers: usize,
 }
 

@@ -18,7 +18,8 @@ use xgs_tile::{KernelTimeModel, SymTileMatrix, TlrConfig};
 pub enum FactorEngine {
     /// In-process, single-threaded reference loop.
     Sequential,
-    /// In-process task runtime on this many threads (0 = all cores).
+    /// In-process task runtime with this many worker loops on the shared
+    /// pool (0 = one per core).
     Threads(usize),
     /// Multi-process 2D block-cyclic sharding on the backend's fleet:
     /// the `xgs-fleet` supervisor keeps its workers warm between

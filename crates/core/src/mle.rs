@@ -27,7 +27,8 @@ pub struct FitOptions {
     pub optimizer: FitOptimizer,
     /// Starting parameter vector (natural space); family default if `None`.
     pub start: Option<Vec<f64>>,
-    /// Worker threads per likelihood evaluation (1 = sequential engine).
+    /// Worker loops per likelihood evaluation, run on the shared pool
+    /// (1 = sequential engine).
     pub workers: usize,
     /// When set, every factorization fans out to worker *processes* via
     /// this backend (overrides `workers`) — the `xgs-fleet` supervisor.

@@ -15,7 +15,7 @@ use crate::a64fx::{A64fxKernelModel, A64fxNode};
 use crate::profiles::{Correlation, TileFormatProfile};
 use xgs_cholesky::dag::{cholesky_dag, DagOptions, TileMetaSource};
 use xgs_kernels::Precision;
-use xgs_runtime::{simulate, simulate_with_metrics, MetricsReport};
+use xgs_runtime::{simulate, simulate_with_metrics, JsonValue, MetricsReport};
 use xgs_tile::KernelTimeModel;
 
 /// Which solver variant to project (mirrors `xgs_tile::Variant` but owned
@@ -100,7 +100,7 @@ impl ScaleConfig {
 }
 
 /// Projection outcome (serializable for downstream plotting via
-/// [`Projection::to_json`]).
+/// [`Projection::to_json_value`]).
 #[derive(Clone, Copy, Debug)]
 pub struct Projection {
     pub nt: usize,
@@ -120,22 +120,18 @@ pub struct Projection {
 }
 
 impl Projection {
-    /// One JSON object (no trailing newline); the benches embed this in
-    /// their machine-readable result dumps.
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"nt\":{},\"makespan\":{},\"flops\":{},\"footprint_bytes\":{},",
-                "\"fits_in_memory\":{},\"event_simulated\":{},\"efficiency\":{}}}"
-            ),
-            self.nt,
-            self.makespan,
-            self.flops,
-            self.footprint_bytes,
-            self.fits_in_memory,
-            self.event_simulated,
-            self.efficiency
-        )
+    /// One JSON object; the benches embed this in their machine-readable
+    /// result dumps.
+    pub fn to_json_value(&self) -> JsonValue {
+        JsonValue::object([
+            ("nt", self.nt.into()),
+            ("makespan", self.makespan.into()),
+            ("flops", self.flops.into()),
+            ("footprint_bytes", self.footprint_bytes.into()),
+            ("fits_in_memory", self.fits_in_memory.into()),
+            ("event_simulated", self.event_simulated.into()),
+            ("efficiency", self.efficiency.into()),
+        ])
     }
 }
 

@@ -1,13 +1,14 @@
-//! A small hand-rolled JSON reader.
+//! A small hand-rolled JSON reader and writer.
 //!
-//! The workspace ships no external dependencies, so all machine-readable
-//! output is hand-written JSON ([`crate::metrics::MetricsReport::to_json`],
-//! [`crate::stats::chrome_trace_json`], the bench result dumps). This
-//! module adds the matching *reader*: the `xgs-server` wire protocol and
-//! the `metrics-diff` tool both parse with it. It is a strict recursive-
-//! descent parser over the JSON grammar (RFC 8259) minus one liberty:
-//! numbers are parsed as `f64` only, which every producer in this
-//! repository satisfies.
+//! The workspace ships no external dependencies, so machine-readable
+//! output is built as a [`JsonValue`] and written by
+//! [`JsonValue::to_json_string`] — the metrics, loadgen, projection and
+//! bench result dumps all go through it, so string escaping and the
+//! non-finite → `null` rule live in one place. The *reader* is a strict
+//! recursive-descent parser over the JSON grammar (RFC 8259) minus one
+//! liberty: numbers are parsed as `f64` only, which every producer in this
+//! repository satisfies. The `xgs-server` wire protocol and the
+//! `metrics-diff` tool parse with it.
 
 use std::collections::BTreeMap;
 
@@ -23,7 +24,48 @@ pub enum JsonValue {
     Object(BTreeMap<String, JsonValue>),
 }
 
+impl From<f64> for JsonValue {
+    fn from(n: f64) -> JsonValue {
+        JsonValue::Number(n)
+    }
+}
+
+/// Counts are written as JSON numbers (exact up to 2^53).
+impl From<u64> for JsonValue {
+    fn from(n: u64) -> JsonValue {
+        JsonValue::Number(n as f64)
+    }
+}
+
+impl From<usize> for JsonValue {
+    fn from(n: usize) -> JsonValue {
+        JsonValue::Number(n as f64)
+    }
+}
+
+impl From<bool> for JsonValue {
+    fn from(b: bool) -> JsonValue {
+        JsonValue::Bool(b)
+    }
+}
+
+impl From<&str> for JsonValue {
+    fn from(s: &str) -> JsonValue {
+        JsonValue::String(s.to_string())
+    }
+}
+
 impl JsonValue {
+    /// An object from `(key, value)` pairs — the writers' constructor.
+    pub fn object<const N: usize>(members: [(&str, JsonValue); N]) -> JsonValue {
+        JsonValue::Object(
+            members
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        )
+    }
+
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             JsonValue::Number(n) => Some(*n),

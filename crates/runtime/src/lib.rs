@@ -9,8 +9,10 @@
 //! * [`graph::TaskGraph`] — tasks declare read/write accesses on abstract
 //!   data handles; dependencies (RAW/WAR/WAW) are inferred in insertion
 //!   order, exactly like a superscalar/dataflow runtime unrolling a DAG.
-//! * [`exec`] — a multi-worker executor with critical-path priorities and
-//!   per-worker execution traces (busy time, task counts, imbalance).
+//! * [`exec`] — the DAG executor: a critical-path priority heap drained by
+//!   worker loops that run on the shared `rayon` pool (no threads of its
+//!   own), with per-loop execution traces (busy time, task counts,
+//!   imbalance).
 //! * [`convert`] — global counters for the on-demand precision conversions
 //!   ("PaRSEC will move and convert on-the-fly the operands ... to match
 //!   the precision at the receiver side").
@@ -33,10 +35,7 @@ pub use convert::{conversion_counts, count_conversion, reset_conversion_counts, 
 pub use distsim::{
     block_cyclic_owner, simulate, simulate_with_metrics, MachineSpec, SimResult, SimTask,
 };
-pub use exec::{
-    execute, execute_opts, execute_with_policy, precheck_env_default, ExecOptions, ExecReport,
-    SchedPolicy,
-};
+pub use exec::{execute, execute_opts, precheck_env_default, ExecOptions, ExecReport};
 pub use graph::{Access, AccessMode, DataId, TaskGraph, TaskId};
 pub use json::{escape_json, parse_json, JsonError, JsonValue};
 pub use metrics::{

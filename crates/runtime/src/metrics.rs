@@ -253,115 +253,95 @@ impl MetricsReport {
     }
 
     /// Serialize to a JSON object (schema documented in the repository
-    /// README under "Metrics JSON"). Hand-rolled like
-    /// [`crate::stats::chrome_trace_json`]; all values are finite.
+    /// README under "Metrics JSON"), written by
+    /// [`JsonValue::to_json_string`](crate::json::JsonValue::to_json_string):
+    /// a non-finite value reads `null`, never `NaN`.
     pub fn to_json(&self) -> String {
-        let kernels = self
-            .kernels
-            .iter()
-            .map(|k| {
-                let hist = k
-                    .histogram
-                    .buckets
-                    .iter()
-                    .map(u64::to_string)
-                    .collect::<Vec<_>>()
-                    .join(",");
-                format!(
-                    concat!(
-                        "{{\"kind\":\"{}\",\"count\":{},\"total_seconds\":{},",
-                        "\"mean_seconds\":{},\"min_seconds\":{},\"max_seconds\":{},",
-                        "\"histogram_log2us\":[{}]}}"
-                    ),
-                    k.kind,
-                    k.count,
-                    k.total_seconds,
-                    k.mean_seconds(),
-                    if k.count == 0 { 0.0 } else { k.min_seconds },
-                    k.max_seconds,
-                    hist
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",");
-        let workers = self
-            .worker_stats
-            .iter()
-            .enumerate()
-            .map(|(w, s)| {
-                format!(
-                    "{{\"worker\":{},\"busy_seconds\":{},\"tasks\":{},\"parks\":{}}}",
-                    w, s.busy_seconds, s.tasks, s.parks
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",");
-        let wire = self
-            .wire
-            .iter()
-            .map(|w| {
-                format!(
-                    "{{\"kind\":\"{}\",\"frames\":{},\"bytes\":{}}}",
-                    w.kind, w.frames, w.bytes
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",");
+        use crate::json::JsonValue as J;
+        let kernels = self.kernels.iter().map(|k| {
+            J::object([
+                ("kind", k.kind.into()),
+                ("count", k.count.into()),
+                ("total_seconds", k.total_seconds.into()),
+                ("mean_seconds", k.mean_seconds().into()),
+                (
+                    "min_seconds",
+                    if k.count == 0 { 0.0 } else { k.min_seconds }.into(),
+                ),
+                ("max_seconds", k.max_seconds.into()),
+                (
+                    "histogram_log2us",
+                    J::Array(k.histogram.buckets.iter().map(|&b| b.into()).collect()),
+                ),
+            ])
+        });
+        let workers = self.worker_stats.iter().enumerate().map(|(w, s)| {
+            J::object([
+                ("worker", w.into()),
+                ("busy_seconds", s.busy_seconds.into()),
+                ("tasks", s.tasks.into()),
+                ("parks", s.parks.into()),
+            ])
+        });
+        let wire = self.wire.iter().map(|w| {
+            J::object([
+                ("kind", w.kind.into()),
+                ("frames", w.frames.into()),
+                ("bytes", w.bytes.into()),
+            ])
+        });
         let c = &self.conversions;
-        let validation = match &self.validation {
-            Some(v) => format!(
-                concat!(
-                    "{{\"edges_checked\":{},\"raw_edges\":{},",
-                    "\"war_edges\":{},\"waw_edges\":{},\"edges_skipped\":{}}}"
-                ),
-                v.edges_checked, v.raw_edges, v.war_edges, v.waw_edges, v.edges_skipped
+        let validation = self.validation.as_ref().map_or(J::Null, |v| {
+            J::object([
+                ("edges_checked", v.edges_checked.into()),
+                ("raw_edges", v.raw_edges.into()),
+                ("war_edges", v.war_edges.into()),
+                ("waw_edges", v.waw_edges.into()),
+                ("edges_skipped", v.edges_skipped.into()),
+            ])
+        });
+        let pool = self.pool.as_ref().map_or(J::Null, |p| {
+            J::object([
+                ("workers", p.workers.into()),
+                ("jobs", p.jobs.into()),
+                ("inline_jobs", p.inline_jobs.into()),
+                ("steals", p.steals.into()),
+                ("parks", p.parks.into()),
+            ])
+        });
+        J::object([
+            ("wall_seconds", self.wall_seconds.into()),
+            ("tasks", self.tasks.into()),
+            ("workers", self.workers.into()),
+            ("kernels", J::Array(kernels.collect())),
+            (
+                "queue_depth",
+                J::object([
+                    ("samples", self.queue_depth.samples.into()),
+                    ("max", self.queue_depth.max.into()),
+                    ("mean", self.queue_depth.mean().into()),
+                ]),
             ),
-            None => "null".to_string(),
-        };
-        let pool = match &self.pool {
-            Some(p) => format!(
-                concat!(
-                    "{{\"workers\":{},\"jobs\":{},\"inline_jobs\":{},",
-                    "\"steals\":{},\"parks\":{}}}"
-                ),
-                p.workers, p.jobs, p.inline_jobs, p.steals, p.parks
+            ("worker_stats", J::Array(workers.collect())),
+            (
+                "conversions",
+                J::object([
+                    ("f64_to_f32", c.f64_to_f32.into()),
+                    ("f64_to_f16", c.f64_to_f16.into()),
+                    ("f32_to_f64", c.f32_to_f64.into()),
+                    ("f32_to_f16", c.f32_to_f16.into()),
+                    ("f16_to_f32", c.f16_to_f32.into()),
+                    ("f16_to_f64", c.f16_to_f64.into()),
+                    ("total", c.total().into()),
+                    ("demotions", c.demotions().into()),
+                    ("promotions", c.promotions().into()),
+                ]),
             ),
-            None => "null".to_string(),
-        };
-        format!(
-            concat!(
-                "{{\"wall_seconds\":{},\"tasks\":{},\"workers\":{},",
-                "\"kernels\":[{}],",
-                "\"queue_depth\":{{\"samples\":{},\"max\":{},\"mean\":{}}},",
-                "\"worker_stats\":[{}],",
-                "\"conversions\":{{\"f64_to_f32\":{},\"f64_to_f16\":{},\"f32_to_f64\":{},",
-                "\"f32_to_f16\":{},\"f16_to_f32\":{},\"f16_to_f64\":{},\"total\":{},",
-                "\"demotions\":{},\"promotions\":{}}},",
-                "\"wire\":[{}],",
-                "\"validation\":{},",
-                "\"pool\":{}}}"
-            ),
-            self.wall_seconds,
-            self.tasks,
-            self.workers,
-            kernels,
-            self.queue_depth.samples,
-            self.queue_depth.max,
-            self.queue_depth.mean(),
-            workers,
-            c.f64_to_f32,
-            c.f64_to_f16,
-            c.f32_to_f64,
-            c.f32_to_f16,
-            c.f16_to_f32,
-            c.f16_to_f64,
-            c.total(),
-            c.demotions(),
-            c.promotions(),
-            wire,
-            validation,
-            pool
-        )
+            ("wire", J::Array(wire.collect())),
+            ("validation", validation),
+            ("pool", pool),
+        ])
+        .to_json_string()
     }
 
     /// Parse a report back from its [`MetricsReport::to_json`] export.
@@ -568,6 +548,15 @@ mod tests {
         assert!(!json.contains("NaN"));
         assert!(!json.contains("inf"));
         assert!(json.contains("\"min_seconds\":0"));
+        // A non-finite value that does reach the writer stays valid JSON,
+        // and a kind with a quote in it is escaped, so the reader accepts
+        // both.
+        m.wall_seconds = f64::NAN;
+        m.kernels.push(KernelStats::new("a\"b"));
+        let json = m.to_json();
+        assert!(json.contains("\"wall_seconds\":null"), "{json}");
+        let back = MetricsReport::from_json(&json).expect("own export parses");
+        assert_eq!(back.kernels[1].kind, "a\"b");
     }
 
     #[test]

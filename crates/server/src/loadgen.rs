@@ -130,8 +130,8 @@ pub struct LoadgenReport {
     pub connect_failures: usize,
     /// Most connections simultaneously established (open-loop mode).
     pub peak_conns: usize,
-    /// The server's metrics JSON, fetched after the request phase.
-    pub server_metrics: Option<String>,
+    /// The server's metrics document, fetched after the request phase.
+    pub server_metrics: Option<JsonValue>,
 }
 
 impl LoadgenReport {
@@ -167,31 +167,29 @@ impl LoadgenReport {
     /// embedded verbatim under `"server"` (same schema as every other
     /// `--metrics` export, so `metrics_diff` can digest it).
     pub fn to_json(&self) -> String {
-        let loadgen = format!(
-            concat!(
-                "{{\"sent\":{},\"errors\":{},\"shed\":{},\"expired\":{},",
-                "\"elapsed_seconds\":{},\"throughput_rps\":{},",
-                "\"p50_ms\":{},\"p95_ms\":{},\"p99_ms\":{},\"max_ms\":{},",
-                "\"connect_failures\":{},\"peak_conns\":{},\"checksum\":\"{:016x}\"}}"
+        let loadgen = JsonValue::object([
+            ("sent", self.sent.into()),
+            ("errors", self.errors.into()),
+            ("shed", self.shed.into()),
+            ("expired", self.expired.into()),
+            ("elapsed_seconds", self.elapsed.into()),
+            ("throughput_rps", self.throughput.into()),
+            ("p50_ms", self.p50_ms.into()),
+            ("p95_ms", self.p95_ms.into()),
+            ("p99_ms", self.p99_ms.into()),
+            ("max_ms", self.max_ms.into()),
+            ("connect_failures", self.connect_failures.into()),
+            ("peak_conns", self.peak_conns.into()),
+            (
+                "checksum",
+                JsonValue::String(format!("{:016x}", self.checksum)),
             ),
-            self.sent,
-            self.errors,
-            self.shed,
-            self.expired,
-            self.elapsed,
-            self.throughput,
-            self.p50_ms,
-            self.p95_ms,
-            self.p99_ms,
-            self.max_ms,
-            self.connect_failures,
-            self.peak_conns,
-            self.checksum
-        );
+        ]);
         match &self.server_metrics {
-            Some(m) => format!("{{\"loadgen\":{loadgen},\"server\":{m}}}"),
-            None => format!("{{\"loadgen\":{loadgen}}}"),
+            Some(m) => JsonValue::object([("loadgen", loadgen), ("server", m.clone())]),
+            None => JsonValue::object([("loadgen", loadgen)]),
         }
+        .to_json_string()
     }
 }
 
@@ -366,7 +364,7 @@ fn run_conn(cfg: &LoadgenConfig, conn_id: usize, share: usize, interval: Duratio
 
 /// Post-run control traffic on a fresh connection: fetch the server's
 /// metrics export and, when configured, ask it to drain.
-fn fetch_metrics_and_shutdown(cfg: &LoadgenConfig) -> Option<String> {
+fn fetch_metrics_and_shutdown(cfg: &LoadgenConfig) -> Option<JsonValue> {
     let mut server_metrics = None;
     if let Ok(mut ctl) = connect_with_retry(&cfg.addr, Duration::from_secs(2)) {
         if let Ok(clone) = ctl.try_clone() {
@@ -375,7 +373,7 @@ fn fetch_metrics_and_shutdown(cfg: &LoadgenConfig) -> Option<String> {
                 let mut line = String::new();
                 if reader.read_line(&mut line).is_ok() {
                     if let Ok(v) = parse_json(&line) {
-                        server_metrics = v.get("metrics").map(|m| m.to_json_string());
+                        server_metrics = v.get("metrics").cloned();
                     }
                 }
             }
@@ -712,7 +710,7 @@ mod tests {
             checksum: 0xdeadbeef,
             connect_failures: 3,
             peak_conns: 7,
-            server_metrics: Some("{\"tasks\":10}".to_string()),
+            server_metrics: Some(parse_json("{\"tasks\":10}").unwrap()),
         };
         let v = parse_json(&r.to_json()).unwrap();
         assert_eq!(

@@ -1,5 +1,5 @@
-//! Inspecting the dynamic runtime: execution traces, load balance, and
-//! scheduler policy comparison on a real MP+TLR factorization DAG.
+//! Inspecting the dynamic runtime: execution traces and load balance on a
+//! real MP+TLR factorization DAG.
 //!
 //! Writes a Chrome-Tracing JSON (`target/cholesky_trace.json`, loadable in
 //! `chrome://tracing` or Perfetto) and prints the per-kernel time budget —
@@ -15,7 +15,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 use xgs_cholesky::TiledFactor;
-use xgs_runtime::{chrome_trace_json, execute_with_policy, kind_summary, SchedPolicy};
+use xgs_runtime::{chrome_trace_json, execute, kind_summary};
 
 fn build_matrix() -> SymTileMatrix {
     let mut rng = StdRng::seed_from_u64(12);
@@ -93,7 +93,7 @@ fn main() {
             }
         }
     }
-    let traced = execute_with_policy(graph, 0, true, SchedPolicy::Priority);
+    let traced = execute(graph, 0, true);
     println!("\nper-kernel budget (synthetic costs):");
     for (kind, count, total) in kind_summary(&traced.trace) {
         println!("  {kind:<6} x{count:<5} {total:>8.3}s total");
@@ -105,59 +105,6 @@ fn main() {
         "wrote Chrome trace to {path} ({} events)",
         traced.trace.len()
     );
-
-    // --- scheduler policy comparison ---------------------------------------
-    println!("\nscheduler policies on the same DAG (wall seconds):");
-    for policy in [SchedPolicy::Priority, SchedPolicy::Fifo, SchedPolicy::Lifo] {
-        let mut g = TaskGraph::new();
-        for k in 0..nt {
-            let d = |i: usize, j: usize| DataId((i * nt + j) as u64);
-            g.insert(
-                "potrf",
-                vec![Access::write(d(k, k))],
-                (nt - k) as i64 * 4 + 3,
-                0.0,
-                || {
-                    std::hint::black_box(busy_work(40_000));
-                },
-            );
-            for i in k + 1..nt {
-                g.insert(
-                    "trsm",
-                    vec![Access::read(d(k, k)), Access::write(d(i, k))],
-                    (nt - k) as i64 * 4 + 2,
-                    0.0,
-                    || {
-                        std::hint::black_box(busy_work(60_000));
-                    },
-                );
-            }
-            for i in k + 1..nt {
-                for j in k + 1..=i {
-                    let kind = if i == j { "syrk" } else { "gemm" };
-                    g.insert(
-                        kind,
-                        vec![
-                            Access::read(d(i, k)),
-                            Access::read(d(j, k)),
-                            Access::write(d(i, j)),
-                        ],
-                        (nt - k) as i64 * 4,
-                        0.0,
-                        || {
-                            std::hint::black_box(busy_work(80_000));
-                        },
-                    );
-                }
-            }
-        }
-        let r = execute_with_policy(g, 0, false, policy);
-        println!(
-            "  {policy:?}: {:.3}s (efficiency {:.0}%)",
-            r.wall_seconds,
-            r.efficiency() * 100.0
-        );
-    }
 }
 
 /// Deterministic spin work (stands in for a kernel of known cost).

@@ -8,7 +8,9 @@
 //! chunk index. These tests pin that contract for the three rayon call
 //! sites — covariance assembly (`par_chunks_mut`), tile generation
 //! (`par_iter().map().collect()`), and PSO particle evaluation — plus a
-//! full fit on top of all three.
+//! full fit on top of all three, whose parallel factorizations run their
+//! worker loops on that same pool (nested under the PSO fan-out, they
+//! share its threads instead of adding their own).
 
 use exageostat_rs::core::PsoOptions;
 use exageostat_rs::covariance::covariance_matrix;
@@ -16,6 +18,8 @@ use exageostat_rs::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rayon::ThreadPoolBuilder;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// Run `f` with the thread-local pool forced to `threads` workers.
 fn with_pool<R>(threads: usize, f: impl FnOnce() -> R) -> R {
@@ -83,6 +87,39 @@ fn pso_objective_fanout_is_bitwise_identical_across_pool_sizes() {
 }
 
 #[test]
+fn executions_nested_under_pso_share_the_pool() {
+    // Every particle runs a 4-loop graph execution. On a 3-thread pool at
+    // most 4 threads (the pool's and the installing one) can be inside
+    // task closures at any moment, however many executions are in flight.
+    let inside = Arc::new(AtomicUsize::new(0));
+    let high_water = Arc::new(AtomicUsize::new(0));
+    let obj = |x: &[f64]| -> f64 {
+        let mut g = TaskGraph::new();
+        for i in 0..32u64 {
+            let (inside, high_water) = (inside.clone(), high_water.clone());
+            g.insert("probe", vec![Access::write(DataId(i))], 0, 0.0, move || {
+                let now = inside.fetch_add(1, Ordering::SeqCst) + 1;
+                high_water.fetch_max(now, Ordering::SeqCst);
+                // Hold the slot long enough for siblings to overlap.
+                std::thread::sleep(std::time::Duration::from_micros(200));
+                inside.fetch_sub(1, Ordering::SeqCst);
+            });
+        }
+        xgs_runtime::execute(g, 4, false);
+        x.iter().map(|v| v * v).sum()
+    };
+    let opts = PsoOptions {
+        particles: 12,
+        iterations: 3,
+        parallel: true,
+        ..PsoOptions::default()
+    };
+    with_pool(3, || particle_swarm(obj, &[(-1.0, 1.0); 2], &opts));
+    let peak = high_water.load(Ordering::SeqCst);
+    assert!((1..=4).contains(&peak), "{peak} threads inside tasks");
+}
+
+#[test]
 fn tile_cholesky_factor_is_bitwise_identical_across_pool_sizes() {
     let (locs, _) = dataset(600, 21);
     let kernel = Matern::new(MaternParams::new(1.1, 0.08, 0.5));
@@ -119,9 +156,10 @@ fn full_fit_is_bitwise_identical_across_pool_sizes() {
         mem_factor: 1.0,
     };
     let cfg = TlrConfig::new(Variant::DenseF64, 64);
-    let run = |threads: usize| {
+    let run = |threads: usize, workers: usize| {
         with_pool(threads, || {
             let opts = FitOptions {
+                workers,
                 optimizer: exageostat_rs::core::mle::FitOptimizer::ParticleSwarm(PsoOptions {
                     particles: 6,
                     iterations: 4,
@@ -133,11 +171,14 @@ fn full_fit_is_bitwise_identical_across_pool_sizes() {
             fit(ModelFamily::MaternSpace, &locs, &z, &cfg, &model, &opts)
         })
     };
-    let one = run(1);
-    let many = run(4);
-    assert_eq!(one.llh.to_bits(), many.llh.to_bits());
-    for (a, b) in one.theta.iter().zip(&many.theta) {
-        assert_eq!(a.to_bits(), b.to_bits());
+    // workers = 4 nests a 4-loop factorization under every PSO particle.
+    for workers in [1, 4] {
+        let one = run(1, workers);
+        let many = run(4, workers);
+        assert_eq!(one.llh.to_bits(), many.llh.to_bits());
+        for (a, b) in one.theta.iter().zip(&many.theta) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
+        assert_eq!(one.evals, many.evals);
     }
-    assert_eq!(one.evals, many.evals);
 }
