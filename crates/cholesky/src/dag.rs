@@ -8,6 +8,7 @@
 //! owner of its written tile, and remote reads ship the stored tile payload
 //! (at its stored precision — the conversion happens at the receiver).
 
+use crate::task::{tasks, Kernel, Task};
 use std::collections::HashMap;
 use xgs_kernels::Precision;
 use xgs_runtime::{block_cyclic_owner, SimTask};
@@ -64,155 +65,91 @@ pub(crate) fn lr_precision(p: Precision) -> Precision {
     }
 }
 
+/// Modeled single-core time of task `t` on `nb x nb` tiles in `meta`'s
+/// formats.
+fn task_cost(meta: &dyn TileMetaSource, model: &dyn KernelTimeModel, nb: usize, t: Task) -> f64 {
+    let (k, i, j) = (t.k as usize, t.i as usize, t.j as usize);
+    match t.kind {
+        // POTRF on the FP64 diagonal: nb^3/3 flops = 1/6 of a dense GEMM.
+        Kernel::Potrf => model.dense_gemm_time(nb, Precision::F64) / 6.0,
+        Kernel::Trsm if meta.is_dense(i, k) => model.dense_trsm_time(nb, meta.precision(i, k)),
+        Kernel::Trsm => {
+            model.tlr_trsm_time(nb, meta.rank(i, k), lr_precision(meta.precision(i, k)))
+        }
+        // SYRK into the FP64 diagonal.
+        Kernel::Syrk if meta.is_dense(i, k) => 0.5 * model.dense_gemm_time(nb, Precision::F64),
+        Kernel::Syrk => 0.5 * model.tlr_gemm_time(nb, meta.rank(i, k), Precision::F64),
+        // GEMM led by C_ij's format.
+        Kernel::Gemm if meta.is_dense(i, j) => model.dense_gemm_time(nb, meta.precision(i, j)),
+        Kernel::Gemm => {
+            // Product rank is bounded by the smaller LR operand (dense x
+            // LR stays at the LR operand's rank); the rounded addition
+            // works at max(product, C) rank.
+            let operand_rank = |r: usize| {
+                if meta.is_dense(r, k) {
+                    nb
+                } else {
+                    meta.rank(r, k)
+                }
+            };
+            let r_prod = operand_rank(i).min(operand_rank(j));
+            if r_prod >= nb {
+                // Dense x dense into a low-rank tile: full GEMM plus a
+                // compression of comparable cost.
+                2.0 * model.dense_gemm_time(nb, Precision::F64)
+            } else {
+                let r = r_prod.max(meta.rank(i, j)).min(nb);
+                model.tlr_gemm_time(nb, r, lr_precision(meta.precision(i, j)))
+            }
+        }
+    }
+}
+
 /// Build the simulation DAG. Returns tasks in topological order plus
 /// stats.
 pub fn cholesky_dag(meta: &dyn TileMetaSource, opts: &DagOptions) -> (Vec<SimTask>, DagStats) {
-    let nt = opts.nt;
-    let nb = opts.nb;
-    let model = opts.model;
-    let owner = |i: usize, j: usize| block_cyclic_owner(i, j, opts.grid_p, opts.grid_q);
+    let (nt, nb) = (opts.nt, opts.nb);
+    let owner =
+        |(i, j): (u32, u32)| block_cyclic_owner(i as usize, j as usize, opts.grid_p, opts.grid_q);
 
-    let mut tasks: Vec<SimTask> = Vec::with_capacity(nt * (nt + 1) * (nt + 2) / 6);
-    let mut last_writer: HashMap<(usize, usize), usize> = HashMap::new();
+    let mut sim: Vec<SimTask> = Vec::with_capacity(nt * (nt + 1) * (nt + 2) / 6);
+    let mut last_writer: HashMap<(u32, u32), usize> = HashMap::new();
     let mut total_cost = 0.0f64;
 
-    let push = |tasks: &mut Vec<SimTask>,
-                last_writer: &mut HashMap<(usize, usize), usize>,
-                kind: &'static str,
-                cost: f64,
-                write: (usize, usize),
-                reads: &[(usize, usize)],
-                total_cost: &mut f64| {
-        let own = owner(write.0, write.1);
-        let mut preds: Vec<(usize, f64)> = Vec::with_capacity(reads.len() + 1);
-        if let Some(&w) = last_writer.get(&write) {
-            preds.push((w, 0.0)); // same owner by construction
-        }
-        for &(ri, rj) in reads {
-            if let Some(&w) = last_writer.get(&(ri, rj)) {
-                let bytes = if owner(ri, rj) == own {
-                    0.0
-                } else {
-                    tile_bytes(meta, nb, ri, rj)
-                };
-                preds.push((w, bytes));
-            } else if owner(ri, rj) != own {
-                // Unwritten (original) tile still needs shipping; model as a
-                // zero-cost virtual producer at time 0 — i.e. just latency +
-                // bytes handled by attaching to task 0 is wrong, so instead
-                // fold it into nothing: generation is not on the critical
-                // path in the paper's single-iteration timing.
-            }
-        }
-        let id = tasks.len();
-        tasks.push(SimTask {
-            kind,
+    for t in tasks(nt) {
+        let write = t.written();
+        let own = owner(write);
+        // The tile's previous writer (same owner by construction), then
+        // the producer of each tile read — a POTRF or TRSM of this step,
+        // so it always exists; a remote read ships the tile.
+        let mut preds: Vec<(usize, f64)> = Vec::with_capacity(3);
+        preds.extend(last_writer.get(&write).map(|&w| (w, 0.0)));
+        preds.extend(t.reads().map(|read| {
+            let bytes = if owner(read) == own {
+                0.0
+            } else {
+                tile_bytes(meta, nb, read.0 as usize, read.1 as usize)
+            };
+            (last_writer[&read], bytes)
+        }));
+        let cost = task_cost(meta, opts.model, nb, t);
+        last_writer.insert(write, sim.len());
+        sim.push(SimTask {
+            kind: t.kind.name(),
             cost,
             owner: own,
             preds,
         });
-        last_writer.insert(write, id);
-        *total_cost += cost;
-        id
-    };
-
-    for k in 0..nt {
-        // POTRF on the FP64 diagonal: nb^3/3 flops = 1/6 of a dense GEMM.
-        let c_potrf = model.dense_gemm_time(nb, Precision::F64) / 6.0;
-        push(
-            &mut tasks,
-            &mut last_writer,
-            "potrf",
-            c_potrf,
-            (k, k),
-            &[],
-            &mut total_cost,
-        );
-
-        for i in k + 1..nt {
-            let c = if meta.is_dense(i, k) {
-                model.dense_trsm_time(nb, meta.precision(i, k))
-            } else {
-                model.tlr_trsm_time(nb, meta.rank(i, k), lr_precision(meta.precision(i, k)))
-            };
-            push(
-                &mut tasks,
-                &mut last_writer,
-                "trsm",
-                c,
-                (i, k),
-                &[(k, k)],
-                &mut total_cost,
-            );
-        }
-
-        for i in k + 1..nt {
-            for j in k + 1..=i {
-                if i == j {
-                    // SYRK into the FP64 diagonal.
-                    let c = if meta.is_dense(i, k) {
-                        0.5 * model.dense_gemm_time(nb, Precision::F64)
-                    } else {
-                        0.5 * model.tlr_gemm_time(nb, meta.rank(i, k), Precision::F64)
-                    };
-                    push(
-                        &mut tasks,
-                        &mut last_writer,
-                        "syrk",
-                        c,
-                        (i, i),
-                        &[(i, k)],
-                        &mut total_cost,
-                    );
-                } else {
-                    // GEMM led by C_ij's format.
-                    let c = if meta.is_dense(i, j) {
-                        model.dense_gemm_time(nb, meta.precision(i, j))
-                    } else {
-                        // Product rank is bounded by the smaller LR operand
-                        // (dense x LR stays at the LR operand's rank); the
-                        // rounded addition works at max(product, C) rank.
-                        let ra = if meta.is_dense(i, k) {
-                            nb
-                        } else {
-                            meta.rank(i, k)
-                        };
-                        let rb = if meta.is_dense(j, k) {
-                            nb
-                        } else {
-                            meta.rank(j, k)
-                        };
-                        let r_prod = ra.min(rb);
-                        if r_prod >= nb {
-                            // Dense x dense into a low-rank tile: full GEMM
-                            // plus a compression of comparable cost.
-                            2.0 * model.dense_gemm_time(nb, Precision::F64)
-                        } else {
-                            let r = r_prod.max(meta.rank(i, j)).min(nb);
-                            model.tlr_gemm_time(nb, r, lr_precision(meta.precision(i, j)))
-                        }
-                    };
-                    push(
-                        &mut tasks,
-                        &mut last_writer,
-                        "gemm",
-                        c,
-                        (i, j),
-                        &[(i, k), (j, k)],
-                        &mut total_cost,
-                    );
-                }
-            }
-        }
+        total_cost += cost;
     }
 
     let n = (nt * nb) as f64;
     let stats = DagStats {
-        tasks: tasks.len(),
+        tasks: sim.len(),
         total_cost,
         nominal_flops: n * n * n / 3.0,
     };
-    (tasks, stats)
+    (sim, stats)
 }
 
 /// Uniform metadata: everything dense at one precision (the dense-FP64 and

@@ -1,8 +1,8 @@
 //! The tiled factorization object and its two execution engines.
 
-use crate::kernels::{gemm_update, potrf_diag, syrk_diag, trsm_panel};
+use crate::task::{tasks, Task};
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicI64, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use xgs_runtime::{execute_opts, Access, DataId, ExecOptions, ExecReport, TaskGraph};
 use xgs_tile::{SymTileMatrix, Tile, TileLayout};
@@ -117,40 +117,37 @@ impl TiledFactor {
         full
     }
 
+    /// Per-task access list over the stored tiles: the reads in
+    /// kernel-argument order, then the write. What the task graph orders
+    /// by and the hazard validator re-derives edges from.
+    pub(crate) fn accesses(&self, t: Task) -> Vec<Access> {
+        let data =
+            |(i, j): (u32, u32)| DataId(self.layout.stored_index(i as usize, j as usize) as u64);
+        let mut acc: Vec<Access> = t.reads().map(|r| Access::read(data(r))).collect();
+        acc.push(Access::write(data(t.written())));
+        acc
+    }
+
+    /// Run one task against the stored tiles: lock what it reads and what
+    /// it writes, then [`Task::run`]. A POTRF failure comes back as the
+    /// global pivot index.
+    pub(crate) fn run(&self, t: Task) -> Result<(), FactorError> {
+        let stored = |(i, j): (u32, u32)| self.layout.stored_index(i as usize, j as usize);
+        let reads: Vec<_> = t.reads().map(|r| self.tiles[stored(r)].lock()).collect();
+        let operands: Vec<&Tile> = reads.iter().map(|guard| &**guard).collect();
+        let written = stored(t.written());
+        // xgs-lint: allow(lock-cycle): the caller's order (sequential loop or DAG) gives this task exclusive access to its tiles; stored_index is injective and written() is never among reads(), so the locks are distinct and uncontended
+        let mut target = self.tiles[written].lock();
+        t.run(&mut target, &operands, self.tols[written])
+            .map_err(|e| FactorError::NotPositiveDefinite {
+                pivot: self.layout.tile_range(t.k as usize).start + e.pivot,
+            })
+    }
+
     /// Sequential right-looking tile Cholesky (the numerically-correct
     /// insertion order of Algorithm 1).
     pub fn factorize_seq(&mut self) -> Result<(), FactorError> {
-        let nt = self.nt();
-        for k in 0..nt {
-            {
-                let mut diag = self.tiles[self.layout.stored_index(k, k)].lock();
-                potrf_diag(&mut diag).map_err(|e| FactorError::NotPositiveDefinite {
-                    pivot: self.layout.tile_range(k).start + e.pivot,
-                })?;
-            }
-            for i in k + 1..nt {
-                let diag = self.tiles[self.layout.stored_index(k, k)].lock();
-                // xgs-lint: allow(lock-cycle): single sequential thread holds two tiles of one array; stored_index is injective so the pair is distinct and uncontended
-                let mut panel = self.tiles[self.layout.stored_index(i, k)].lock();
-                trsm_panel(&diag, &mut panel);
-            }
-            for i in k + 1..nt {
-                for j in k + 1..=i {
-                    if i == j {
-                        let a = self.tiles[self.layout.stored_index(i, k)].lock();
-                        let mut c = self.tiles[self.layout.stored_index(i, i)].lock();
-                        syrk_diag(&a, &mut c);
-                    } else {
-                        let a = self.tiles[self.layout.stored_index(i, k)].lock();
-                        let b = self.tiles[self.layout.stored_index(j, k)].lock();
-                        let mut c = self.tiles[self.layout.stored_index(i, j)].lock();
-                        let tol = self.tols[self.layout.stored_index(i, j)];
-                        gemm_update(&a, &b, &mut c, tol);
-                    }
-                }
-            }
-        }
-        Ok(())
+        tasks(self.nt()).try_for_each(|t| self.run(t))
     }
 
     /// Task-parallel factorization on the dynamic runtime.
@@ -169,8 +166,7 @@ impl TiledFactor {
     }
 
     /// [`factorize_parallel`](TiledFactor::factorize_parallel) with explicit
-    /// runtime options (tracing, scheduling policy, schedule validation,
-    /// metrics).
+    /// runtime options (tracing, schedule validation, precheck, metrics).
     pub fn factorize_parallel_opts(
         self: &Arc<Self>,
         workers: usize,
@@ -178,113 +174,28 @@ impl TiledFactor {
     ) -> (Result<(), FactorError>, ExecReport) {
         let nt = self.nt();
         let mut g = TaskGraph::new();
-        let data = |i: usize, j: usize| DataId(self.layout.stored_index(i, j) as u64);
-        // First failed pivot (global index), or -1.
-        let failed = Arc::new(AtomicI64::new(-1));
+        // Earliest failed pivot (global index); `usize::MAX` while none.
+        let failed = Arc::new(AtomicUsize::new(usize::MAX));
 
-        for k in 0..nt {
-            let prio_base = ((nt - k) as i64) << 8;
-            {
-                let me = Arc::clone(self);
-                let failed = Arc::clone(&failed);
-                g.insert_at(
-                    "potrf",
-                    (k as u32, k as u32),
-                    vec![Access::write(data(k, k))],
-                    prio_base + 3,
-                    0.0,
-                    move || {
-                        if failed.load(Ordering::Acquire) >= 0 {
-                            return;
-                        }
-                        let idx = me.layout.stored_index(k, k);
-                        let mut diag = me.tiles[idx].lock();
-                        if let Err(e) = potrf_diag(&mut diag) {
-                            let pivot = (me.layout.tile_range(k).start + e.pivot) as i64;
-                            // Keep the earliest pivot for determinism.
-                            let mut cur = failed.load(Ordering::Acquire);
-                            loop {
-                                if cur >= 0 && cur <= pivot {
-                                    break;
-                                }
-                                match failed.compare_exchange(
-                                    cur,
-                                    pivot,
-                                    Ordering::AcqRel,
-                                    Ordering::Acquire,
-                                ) {
-                                    Ok(_) => break,
-                                    Err(c) => cur = c,
-                                }
-                            }
-                        }
-                    },
-                );
-            }
-            for i in k + 1..nt {
-                let me = Arc::clone(self);
-                let failed = Arc::clone(&failed);
-                g.insert_at(
-                    "trsm",
-                    (i as u32, k as u32),
-                    vec![Access::read(data(k, k)), Access::write(data(i, k))],
-                    prio_base + 2,
-                    0.0,
-                    move || {
-                        if failed.load(Ordering::Acquire) >= 0 {
-                            return;
-                        }
-                        let diag = me.tiles[me.layout.stored_index(k, k)].lock();
-                        let mut panel = me.tiles[me.layout.stored_index(i, k)].lock();
-                        trsm_panel(&diag, &mut panel);
-                    },
-                );
-            }
-            for i in k + 1..nt {
-                for j in k + 1..=i {
-                    let me = Arc::clone(self);
-                    let failed = Arc::clone(&failed);
-                    if i == j {
-                        g.insert_at(
-                            "syrk",
-                            (i as u32, i as u32),
-                            vec![Access::read(data(i, k)), Access::write(data(i, i))],
-                            prio_base + 1,
-                            0.0,
-                            move || {
-                                if failed.load(Ordering::Acquire) >= 0 {
-                                    return;
-                                }
-                                let a = me.tiles[me.layout.stored_index(i, k)].lock();
-                                let mut c = me.tiles[me.layout.stored_index(i, i)].lock();
-                                syrk_diag(&a, &mut c);
-                            },
-                        );
-                    } else {
-                        g.insert_at(
-                            "gemm",
-                            (i as u32, j as u32),
-                            vec![
-                                Access::read(data(i, k)),
-                                Access::read(data(j, k)),
-                                Access::write(data(i, j)),
-                            ],
-                            prio_base,
-                            0.0,
-                            move || {
-                                if failed.load(Ordering::Acquire) >= 0 {
-                                    return;
-                                }
-                                let a = me.tiles[me.layout.stored_index(i, k)].lock();
-                                let b = me.tiles[me.layout.stored_index(j, k)].lock();
-                                let mut c = me.tiles[me.layout.stored_index(i, j)].lock();
-                                let tol = me.tols[me.layout.stored_index(i, j)];
-                                gemm_update(&a, &b, &mut c, tol);
-                            },
-                        );
+        for t in tasks(nt) {
+            let me = Arc::clone(self);
+            let failed = Arc::clone(&failed);
+            g.insert_at(
+                t.kind.name(),
+                t.written(),
+                self.accesses(t),
+                t.priority(nt),
+                0.0,
+                move || {
+                    if failed.load(Ordering::Acquire) != usize::MAX {
+                        return;
                     }
-                }
-            }
+                    if let Err(FactorError::NotPositiveDefinite { pivot }) = me.run(t) {
+                        // Keep the earliest pivot for determinism.
+                        failed.fetch_min(pivot, Ordering::AcqRel);
+                    }
+                },
+            );
         }
 
         // Static gate ahead of thread spawn: the built DAG's per-kernel
@@ -298,8 +209,8 @@ impl TiledFactor {
 
         let report = execute_opts(g, workers, opts);
         let res = match failed.load(Ordering::Acquire) {
-            p if p >= 0 => Err(FactorError::NotPositiveDefinite { pivot: p as usize }),
-            _ => Ok(()),
+            usize::MAX => Ok(()),
+            pivot => Err(FactorError::NotPositiveDefinite { pivot }),
         };
         (res, report)
     }

@@ -10,15 +10,21 @@
 //!   `V` factor; GEMM products stay low-rank and are *rounded* back to the
 //!   target accuracy after each update).
 //!
-//! Both a sequential reference loop and a task-graph execution on
-//! `xgs-runtime` are provided; they produce bitwise-identical tiles because
-//! the runtime enforces the sequential semantics of the DAG.
+//! The algorithm is written once, in [`task`]: the loop nest
+//! ([`task::tasks`]), each task's tiles and priority, and the one dispatch
+//! onto [`kernels`] ([`task::Task::run`]). Everything else reads it — the
+//! sequential reference ([`TiledFactor::factorize_seq`]), the task-graph
+//! engine on `xgs-runtime` ([`TiledFactor::factorize_parallel`]), the
+//! multi-process [`shard`] plan and worker, and the simulator skeleton
+//! ([`cholesky_dag`]) — so all of them apply the same kernels to each
+//! tile in the same order and produce bitwise-identical factors.
 
 pub mod dag;
 pub mod factor;
 pub mod kernels;
 pub mod shard;
 pub mod solve;
+pub mod task;
 
 pub use dag::{cholesky_dag, DagOptions, DagStats};
 pub use factor::{FactorError, TiledFactor};

@@ -4,12 +4,13 @@
 use super::plan::{build_shard_plan, canonical_tasks, Step, TaskMeta};
 use super::proto::{
     count_wire_conversion, decode_done, decode_heartbeat, decode_tile_header, encode_heartbeat,
-    encode_hello, encode_task, encode_tile_frame, DoneFrame, TaskFrame, WireCensus, WireTask,
+    encode_hello, encode_task, encode_tile_frame, DoneFrame, TaskFrame, WireCensus,
     DONE_PAYLOAD_BYTES, HEARTBEAT_ECHO_BYTES, K_DONE, K_HEARTBEAT, K_HELLO, K_TASK, K_TILE,
 };
 use super::recover::{recover, RecoveryCtx, ReplacementSource};
 use super::{ShardError, ShardOptions, ShardReport};
 use crate::factor::{FactorError, TiledFactor};
+use crate::task::Kernel;
 use std::collections::HashMap;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -117,7 +118,7 @@ pub(super) struct Drive {
     completed_once: Vec<bool>,
     pub done_count: usize,
     seq: u64,
-    /// Per-kernel timings, indexed by [`WireTask`].
+    /// Per-kernel timings, indexed by [`Kernel`].
     kernels: [KernelStats; 4],
     /// Fleet lifecycle events, indexed by the `EV_*` constants.
     pub events: [KernelStats; 3],
@@ -139,12 +140,6 @@ pub(super) struct Drive {
 
 impl Drive {
     fn new(tasks: usize, workers: usize) -> Drive {
-        let kinds = [
-            WireTask::Potrf,
-            WireTask::Trsm,
-            WireTask::Syrk,
-            WireTask::Gemm,
-        ];
         Drive {
             tiles: HashMap::new(),
             order: vec![TaskOrder::default(); tasks],
@@ -152,7 +147,7 @@ impl Drive {
             completed_once: vec![false; tasks],
             done_count: 0,
             seq: 0,
-            kernels: kinds.map(|k| KernelStats::new(k.name())),
+            kernels: Kernel::ALL.map(|k| KernelStats::new(k.name())),
             events: [
                 KernelStats::new("worker_death"),
                 KernelStats::new("panel_replay"),

@@ -21,8 +21,13 @@
 //! what we hand to the same hazard-edge validator that checks the
 //! shared-memory executor.
 //!
-//! Per-tile kernel invocation order is identical to
-//! [`TiledFactor::factorize_seq`], so the sharded factor is **bitwise**
+//! The tasks, their order and their kernels are [`crate::task`]'s — the
+//! plan numbers [`panel_tasks`](crate::task::panel_tasks) and adds what
+//! only the wire needs (seeds, forwards, barriers, publish flags), a
+//! `TASK` frame carries a [`Task`](crate::task::Task), and the worker
+//! executes it with [`Task::run`](crate::task::Task::run) — so per-tile
+//! kernel invocation order is identical to
+//! [`TiledFactor::factorize_seq`] and the sharded factor is **bitwise**
 //! equal to the single-process one (asserted by `tests/shard_equivalence`).
 //!
 //! There is one way to run a sharded factorization: a fleet of registered
@@ -68,7 +73,8 @@
 //! stream, so the recovered factor stays bitwise-equal to sequential.
 //!
 //! Layout: `proto` (frame vocabulary and codecs), `plan` (the one step
-//! sequence and everything derived from it), `worker` (handshake and
+//! sequence — `crate::task`'s walk plus the wire's seeds, forwards and
+//! barriers — and everything derived from it), `worker` (handshake and
 //! worker loop), `coordinator` (drive loop), `recover` (replay).
 
 mod coordinator;

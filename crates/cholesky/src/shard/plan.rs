@@ -8,15 +8,16 @@
 //! same sequence by construction.
 
 use super::proto::{
-    tile_wire_frame_bytes, TaskCoord, WireCensus, WireTask, DONE_PAYLOAD_BYTES,
-    HEARTBEAT_ECHO_BYTES, HEARTBEAT_PING_BYTES, HELLO_PAYLOAD_BYTES, K_DONE, K_HEARTBEAT, K_HELLO,
-    K_TASK, K_TILE, TASK_PAYLOAD_BYTES, TILE_COORD_BYTES,
+    tile_wire_frame_bytes, WireCensus, DONE_PAYLOAD_BYTES, HEARTBEAT_ECHO_BYTES,
+    HEARTBEAT_PING_BYTES, HELLO_PAYLOAD_BYTES, K_DONE, K_HEARTBEAT, K_HELLO, K_TASK, K_TILE,
+    TASK_PAYLOAD_BYTES, TILE_COORD_BYTES,
 };
 use crate::dag::TileMetaSource;
 use crate::factor::TiledFactor;
+use crate::task::{panel_tasks, Kernel, Task};
 use std::collections::HashMap;
 use xgs_runtime::shard::FRAME_HEADER_BYTES;
-use xgs_runtime::{block_cyclic_owner, Access, DataId, WireStats};
+use xgs_runtime::{block_cyclic_owner, Access, WireStats};
 use xgs_tile::wire::encoded_len;
 use xgs_tile::TileLayout;
 
@@ -49,11 +50,7 @@ pub(super) enum Step {
     /// Dispatch task `id` (canonical order) to the owner of the tile it
     /// writes; `publish` asks the worker to send that tile back — the
     /// write is the tile's final one.
-    Task {
-        id: usize,
-        at: TaskCoord,
-        publish: bool,
-    },
+    Task { id: usize, at: Task, publish: bool },
     /// Process events until tasks `from..to` are done (or a pivot failed):
     /// what follows forwards tiles those tasks publish.
     Barrier {
@@ -85,41 +82,36 @@ pub(super) fn steps(nt: usize, p: usize, q: usize) -> impl Iterator<Item = Step>
     seeds.chain(panels)
 }
 
-/// Step `k` of [`steps`], numbering its tasks from `*next_id`.
+/// Step `k` of [`steps`]: [`panel_tasks`] numbered from `*next_id`, with
+/// the barriers and forwards the wire needs between its three phases.
 fn panel_steps(k: usize, nt: usize, p: usize, q: usize, next_id: &mut usize) -> Vec<Step> {
     // Ids of this step's POTRF and (one past) its last TRSM.
     let potrf = *next_id;
     let trsm_end = potrf + (nt - k);
     let mut out = Vec::new();
-    let mut task = |out: &mut Vec<Step>, kind: WireTask, i: usize, j: usize, publish: bool| {
-        let (k, i, j) = (k as u32, i as u32, j as u32);
-        let at = TaskCoord { kind, k, i, j };
-        out.push(Step::Task {
-            id: *next_id,
-            at,
-            publish,
-        });
+    // POTRF and TRSM publish: their write is the tile's final one (and
+    // the step's operand); the trailing update's is not.
+    let mut tasks = panel_tasks(nt, k).map(|at| {
+        let id = *next_id;
         *next_id += 1;
-    };
+        let publish = matches!(at.kind, Kernel::Potrf | Kernel::Trsm);
+        Step::Task { id, at, publish }
+    });
     let forward = |out: &mut Vec<Step>, i: usize, targets: Vec<usize>| {
         let (i, j) = (i as u32, k as u32);
         out.extend(targets.into_iter().map(|to| Step::Forward { i, j, to }));
     };
 
-    // POTRF(k): publish always — its output is both the step's operand
-    // and the final value of the diagonal tile.
-    task(&mut out, WireTask::Potrf, k, k, true);
+    out.extend(tasks.by_ref().take(1));
     out.push(Step::Barrier {
         phase: "potrf",
         from: potrf,
         to: potrf + 1,
     });
     // Forward L_kk to every *other* owner of a TRSM in this panel, then
-    // release the TRSMs (publish: a panel tile's final write).
+    // release the TRSMs.
     forward(&mut out, k, kk_forward_targets(k, nt, p, q));
-    for i in k + 1..nt {
-        task(&mut out, WireTask::Trsm, i, k, true);
-    }
+    out.extend(tasks.by_ref().take(trsm_end - potrf - 1));
     if trsm_end > potrf + 1 {
         out.push(Step::Barrier {
             phase: "trsm",
@@ -135,16 +127,7 @@ fn panel_steps(k: usize, nt: usize, p: usize, q: usize, next_id: &mut usize) -> 
     // Release the trailing update; no barrier — the next step's POTRF is
     // ordered behind these on its owner's FIFO stream, and their DONEs
     // drain while later steps run.
-    for i in k + 1..nt {
-        for j in k + 1..=i {
-            let kind = if i == j {
-                WireTask::Syrk
-            } else {
-                WireTask::Gemm
-            };
-            task(&mut out, kind, i, j, false);
-        }
-    }
+    out.extend(tasks);
     out
 }
 
@@ -177,7 +160,7 @@ fn panel_forward_targets(k: usize, r: usize, nt: usize, p: usize, q: usize) -> V
 
 /// One task of the canonical right-looking DAG, in insertion order.
 pub(super) struct TaskMeta {
-    pub at: TaskCoord,
+    pub at: Task,
     pub owner: usize,
     pub tol: f64,
 }
@@ -213,17 +196,11 @@ pub(super) fn canonical_tasks(f: &TiledFactor, p: usize, q: usize) -> CanonicalT
             at,
             owner: block_cyclic_owner(written.0 as usize, written.1 as usize, p, q),
             tol: match at.kind {
-                WireTask::Gemm => f.tols[stored(written)],
-                WireTask::Potrf | WireTask::Trsm | WireTask::Syrk => 0.0,
+                Kernel::Gemm => f.tols[stored(written)],
+                Kernel::Potrf | Kernel::Trsm | Kernel::Syrk => 0.0,
             },
         });
-        let mut acc: Vec<Access> = at
-            .reads()
-            .into_iter()
-            .map(|t| Access::read(DataId(stored(t) as u64)))
-            .collect();
-        acc.push(Access::write(DataId(stored(written) as u64)));
-        out.accesses.push(acc);
+        out.accesses.push(f.accesses(at));
         if publish {
             out.publisher.insert(written, id);
         }
@@ -310,7 +287,7 @@ pub(super) fn build_shard_plan(
                 tasks.push(PlanTask {
                     kind: m.at.kind.name(),
                     owner: m.owner,
-                    reads: m.at.reads().into_iter().map(at).collect(),
+                    reads: m.at.reads().map(at).collect(),
                     write,
                     publish,
                     publish_bytes: if publish { frame(write) } else { 0 },

@@ -8,6 +8,7 @@
 //! fields it knows (the forward-compatibility rule).
 
 use crate::dag::{lr_precision, TileMetaSource};
+use crate::task::{Kernel, Task};
 use xgs_kernels::Precision;
 use xgs_runtime::shard::{FrameError, WireReader, WireWriter, FRAME_HEADER_BYTES};
 use xgs_runtime::{count_conversion, WireStats};
@@ -151,64 +152,10 @@ pub(super) fn check_version(peer: &str, me: &str, version: u8) -> Result<(), Str
     ))
 }
 
-/// The wire task kinds, decoded once so every later dispatch is an
-/// exhaustive enum match (the `frame-kind-exhaustive` lint rule).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(super) enum WireTask {
-    Potrf = 0,
-    Trsm = 1,
-    Syrk = 2,
-    Gemm = 3,
-}
-
-impl WireTask {
-    fn from_wire(kind: u8) -> Result<WireTask, FrameError> {
-        match kind {
-            0 => Ok(WireTask::Potrf),
-            1 => Ok(WireTask::Trsm),
-            2 => Ok(WireTask::Syrk),
-            3 => Ok(WireTask::Gemm),
-            _unknown => Err(FrameError::Malformed("unknown task kind")),
-        }
-    }
-
-    /// Kernel name, the key of the metrics rows and of `xgs-analysis`.
-    pub(super) fn name(self) -> &'static str {
-        ["potrf", "trsm", "syrk", "gemm"][self as usize]
-    }
-}
-
-/// One task of the right-looking DAG: step `k`, tile coordinates as the
-/// TASK frame carries them (`POTRF`: `i = j = k`; `TRSM`: `j = k`;
-/// `SYRK`: `j = i`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(super) struct TaskCoord {
-    pub kind: WireTask,
-    pub k: u32,
-    pub i: u32,
-    pub j: u32,
-}
-
-impl TaskCoord {
-    /// The tile the task updates in place.
-    pub(super) fn written(&self) -> (u32, u32) {
-        match self.kind {
-            WireTask::Potrf => (self.k, self.k),
-            WireTask::Trsm => (self.i, self.k),
-            WireTask::Syrk => (self.i, self.i),
-            WireTask::Gemm => (self.i, self.j),
-        }
-    }
-
-    /// The tiles the task reads, in kernel-argument order.
-    pub(super) fn reads(&self) -> Vec<(u32, u32)> {
-        match self.kind {
-            WireTask::Potrf => Vec::new(),
-            WireTask::Trsm => vec![(self.k, self.k)],
-            WireTask::Syrk => vec![(self.i, self.k)],
-            WireTask::Gemm => vec![(self.i, self.k), (self.j, self.k)],
-        }
-    }
+/// Decode a task kind byte once, so every later dispatch is an
+/// exhaustive match on [`Kernel`] (the `frame-kind-exhaustive` lint rule).
+fn kernel_from_wire(kind: u8) -> Result<Kernel, FrameError> {
+    Kernel::from_wire(kind).ok_or(FrameError::Malformed("unknown task kind"))
 }
 
 /// What a worker needs from `HELLO`. The grid fields (`worker_id, p, q,
@@ -261,7 +208,7 @@ pub(super) fn encode_tile_frame(i: u32, j: u32, body: impl FnOnce(&mut Vec<u8>))
 
 pub(super) struct TaskFrame {
     pub id: u64,
-    pub at: TaskCoord,
+    pub at: Task,
     pub tol: f64,
     pub publish: bool,
 }
@@ -280,12 +227,12 @@ pub(super) fn encode_task(t: &TaskFrame) -> Vec<u8> {
 
 pub(super) fn decode_task(payload: &[u8]) -> Result<TaskFrame, FrameError> {
     let mut r = WireReader::new(payload);
-    let kind = WireTask::from_wire(r.get_u8()?)?;
+    let kind = kernel_from_wire(r.get_u8()?)?;
     let id = r.get_u64()?;
     let (k, i, j) = (r.get_u32()?, r.get_u32()?, r.get_u32()?);
     Ok(TaskFrame {
         id,
-        at: TaskCoord { kind, k, i, j },
+        at: Task { kind, k, i, j },
         tol: r.get_f64()?,
         publish: r.get_u8()? != 0,
     })
@@ -293,7 +240,7 @@ pub(super) fn decode_task(payload: &[u8]) -> Result<TaskFrame, FrameError> {
 
 pub(super) struct DoneFrame {
     pub task_id: u64,
-    pub kind: WireTask,
+    pub kind: Kernel,
     /// `false`: `POTRF` hit a non-positive pivot at tile-local `pivot`.
     pub ok: bool,
     pub pivot: u64,
@@ -314,7 +261,7 @@ pub(super) fn decode_done(payload: &[u8]) -> Result<DoneFrame, FrameError> {
     let mut r = WireReader::new(payload);
     Ok(DoneFrame {
         task_id: r.get_u64()?,
-        kind: WireTask::from_wire(r.get_u8()?)?,
+        kind: kernel_from_wire(r.get_u8()?)?,
         ok: r.get_u8()? != 0,
         pivot: r.get_u64()?,
         elapsed: r.get_f64()?,
@@ -400,8 +347,8 @@ mod tests {
         let h = decode_hello(&hello).unwrap();
         assert_eq!((h.version, h.nb), (PROTO_VERSION, 64));
 
-        let at = TaskCoord {
-            kind: WireTask::Gemm,
+        let at = Task {
+            kind: Kernel::Gemm,
             k: 1,
             i: 3,
             j: 2,
@@ -415,17 +362,33 @@ mod tests {
         assert_eq!(task.len(), TASK_PAYLOAD_BYTES);
         let t = decode_task(&task).unwrap();
         assert_eq!((t.id, t.at, t.tol, t.publish), (17, at, 1e-8, true));
+        // The kind byte is the `Kernel` discriminant: 0-3, nothing else.
+        for (byte, kind) in Kernel::ALL.into_iter().enumerate() {
+            let mut frame = encode_task(&TaskFrame {
+                id: 17,
+                at: Task { kind, ..at },
+                tol: 1e-8,
+                publish: true,
+            });
+            assert_eq!(frame[0], byte as u8);
+            assert_eq!(decode_task(&frame).unwrap().at.kind, kind);
+            frame[0] = 4;
+            assert!(matches!(
+                decode_task(&frame),
+                Err(FrameError::Malformed("unknown task kind"))
+            ));
+        }
 
         let done = encode_done(&DoneFrame {
             task_id: 17,
-            kind: WireTask::Potrf,
+            kind: Kernel::Potrf,
             ok: false,
             pivot: 5,
             elapsed: 0.25,
         });
         assert_eq!(done.len(), DONE_PAYLOAD_BYTES);
         let d = decode_done(&done).unwrap();
-        assert_eq!((d.task_id, d.kind, d.ok), (17, WireTask::Potrf, false));
+        assert_eq!((d.task_id, d.kind, d.ok), (17, Kernel::Potrf, false));
         assert_eq!((d.pivot, d.elapsed), (5, 0.25));
 
         let a = decode_assign(&encode_assign(9, true)).unwrap();

@@ -4,9 +4,10 @@
 
 use super::coordinator::{reader_thread, Event};
 use super::plan::{build_shard_plan, canonical_tasks, steps, Step};
-use super::proto::{WireTask, K_ASSIGN, K_HEARTBEAT, K_HELLO, K_JOIN};
+use super::proto::{K_ASSIGN, K_HEARTBEAT, K_HELLO, K_JOIN};
 use super::*;
 use crate::dag::UniformMeta;
+use crate::task::Kernel;
 use rand::SeedableRng;
 use std::io;
 use std::net::{TcpListener, TcpStream};
@@ -277,7 +278,7 @@ fn shard_plan_misplaced_task_rejected() {
     let t = canon
         .meta
         .iter()
-        .position(|m| m.at.kind == WireTask::Trsm)
+        .position(|m| m.at.kind == Kernel::Trsm)
         .expect("nt > 1 has TRSMs");
     canon.meta[t].owner = (canon.meta[t].owner + 1) % 4;
     let plan = build_shard_plan(&f, &canon.meta, 2, 2);

@@ -5,11 +5,10 @@
 use super::proto::{
     check_version, count_wire_conversion, decode_assign, decode_heartbeat, decode_hello,
     decode_join, decode_task, decode_tile_header, encode_assign, encode_done, encode_heartbeat,
-    encode_join, encode_tile_frame, DoneFrame, JoinInfo, WireTask, K_ASSIGN, K_DONE, K_HEARTBEAT,
-    K_HELLO, K_JOIN, K_TASK, K_TILE, PROTO_VERSION,
+    encode_join, encode_tile_frame, DoneFrame, JoinInfo, K_ASSIGN, K_DONE, K_HEARTBEAT, K_HELLO,
+    K_JOIN, K_TASK, K_TILE, PROTO_VERSION,
 };
 use super::ShardError;
-use crate::kernels::{gemm_update, potrf_diag, syrk_diag, trsm_panel};
 use std::collections::HashMap;
 use std::io;
 use std::net::TcpStream;
@@ -214,11 +213,14 @@ pub fn worker_loop_with(mut stream: TcpStream, opts: WorkerOptions) -> io::Resul
                 let mut target = store
                     .remove(&written)
                     .ok_or_else(|| proto_err("task targets a tile this worker does not hold"))?;
-                let operand = |key: (u32, u32)| {
-                    store
-                        .get(&key)
-                        .ok_or_else(|| proto_err("task operand missing from worker store"))
-                };
+                let operands = at
+                    .reads()
+                    .map(|key| {
+                        store
+                            .get(&key)
+                            .ok_or_else(|| proto_err("task operand missing from worker store"))
+                    })
+                    .collect::<io::Result<Vec<&Tile>>>()?;
 
                 let t0 = Instant::now();
                 let mut done = DoneFrame {
@@ -228,21 +230,9 @@ pub fn worker_loop_with(mut stream: TcpStream, opts: WorkerOptions) -> io::Resul
                     pivot: 0,
                     elapsed: 0.0,
                 };
-                match at.kind {
-                    WireTask::Potrf => {
-                        if let Err(e) = potrf_diag(&mut target) {
-                            done.ok = false;
-                            done.pivot = e.pivot as u64;
-                        }
-                    }
-                    WireTask::Trsm => trsm_panel(operand((at.k, at.k))?, &mut target),
-                    WireTask::Syrk => syrk_diag(operand((at.i, at.k))?, &mut target),
-                    WireTask::Gemm => gemm_update(
-                        operand((at.i, at.k))?,
-                        operand((at.j, at.k))?,
-                        &mut target,
-                        task.tol,
-                    ),
+                if let Err(e) = at.run(&mut target, &operands, task.tol) {
+                    done.ok = false;
+                    done.pivot = e.pivot as u64;
                 }
                 done.elapsed = t0.elapsed().as_secs_f64();
 

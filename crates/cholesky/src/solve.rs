@@ -86,14 +86,21 @@ fn apply_tile(
 ) {
     match &t.storage {
         TileStorage::Dense(m) => {
-            for c in 0..nrhs {
-                for col in 0..src_len {
+            // Column-outer: one tile column serves every right-hand side
+            // while it sits in L1. Each entry of `x` still takes its
+            // updates in ascending `col` order, so the result is bitwise
+            // that of solving the columns one by one.
+            let rows = m.rows();
+            for col in 0..src_len {
+                let mcol = m.col(col);
+                for c in 0..nrhs {
                     let xv = x[c * n + src + col];
                     if xv == 0.0 {
                         continue;
                     }
-                    for row in 0..m.rows() {
-                        x[c * n + dst + row] -= m[(row, col)] * xv;
+                    let out = &mut x[c * n + dst..c * n + dst + rows];
+                    for (o, a) in out.iter_mut().zip(mcol) {
+                        *o -= a * xv;
                     }
                 }
             }

@@ -384,5 +384,11 @@ mod tests {
         assert!(eaca <= tol * 20.0, "ACA err {eaca} vs tol {tol}");
         // Ranks in the same ballpark.
         assert!(aca_lr.rank() <= svd_lr.rank() + 4);
+        // The randomized compressor certifies its own residual and still
+        // finds the low rank.
+        let (u, v, rank) = crate::rsvd_adaptive(&a, tol, 7);
+        let ersvd = a.add_scaled(-1.0, &u.matmul_t(&v)).norm_fro();
+        assert!(ersvd <= tol * 1.01, "RSVD err {ersvd} vs tol {tol}");
+        assert!(rank < 32 && rank <= svd_lr.rank() + 4, "RSVD rank {rank}");
     }
 }

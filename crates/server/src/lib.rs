@@ -55,4 +55,4 @@ pub mod server;
 pub use loadgen::{connect_with_retry, LoadgenConfig, LoadgenReport};
 pub use protocol::{parse_request, Envelope, LoadRequest, ParseFailure, PredictRequest, Request};
 pub use registry::{build_plan, build_plan_engine, ModelRegistry};
-pub use server::{serve, Frontend, ServerConfig, ServerHandle, MAX_LINE_BYTES};
+pub use server::{serve, Frontend, ServerConfig, ServerHandle, MAX_LINE_BYTES, MAX_TILES_PER_SIDE};

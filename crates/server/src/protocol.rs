@@ -15,6 +15,7 @@
 //! `"deadline_ms"`: a per-request time budget after which the server
 //! answers with a timeout error instead of running the solve.
 
+use crate::server::MAX_TILES_PER_SIDE;
 use xgs_core::ModelFamily;
 use xgs_covariance::Location;
 use xgs_runtime::{escape_json, parse_json, JsonValue};
@@ -250,6 +251,18 @@ fn parse_load(obj: &std::collections::BTreeMap<String, JsonValue>) -> Result<Req
         .map(|t| t.as_usize().ok_or("'tile' must be a non-negative integer"))
         .transpose()?
         .unwrap_or(0);
+    let per_side = if tile > 0 {
+        locs.len().div_ceil(tile)
+    } else {
+        0
+    };
+    if per_side > MAX_TILES_PER_SIDE {
+        return Err(format!(
+            "'tile' {tile} cuts {} points into {per_side} tiles per side, the limit is \
+             {MAX_TILES_PER_SIDE}",
+            locs.len()
+        ));
+    }
     Ok(Request::Load(LoadRequest {
         name,
         family,

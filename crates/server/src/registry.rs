@@ -176,13 +176,9 @@ pub fn build_plan_engine(
     z: &[f64],
     engine: &FactorEngine,
 ) -> Result<(Arc<PredictionPlan>, f64), String> {
-    if theta.len() != family.n_params() {
-        return Err(format!(
-            "theta needs {} values, got {}",
-            family.n_params(),
-            theta.len()
-        ));
-    }
+    family
+        .check_domain(theta)
+        .map_err(|e| format!("theta {e}"))?;
     let n = locs.len();
     let nb = if tile == 0 {
         (n / 10).clamp(32, 512)

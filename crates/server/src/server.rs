@@ -69,6 +69,15 @@ use crate::registry::{build_plan_from_request, ModelRegistry};
 /// answered with one error and disconnected (OOM guard).
 pub const MAX_LINE_BYTES: usize = 1 << 20;
 
+/// Most tiles per side a `load` may ask for with an explicit `"tile"`.
+/// The factorization builds a task per tile triple — `nt³/6`, 45,760 at
+/// this limit — so a `"tile":1` beside a few thousand points (a line far
+/// below [`MAX_LINE_BYTES`]) would ask for hundreds of millions of task
+/// closures; it is answered `ok:false` at parse time instead (OOM guard).
+/// An omitted `"tile"` picks `n/10` clamped to 32..=512, ten tiles per
+/// side for any n up to 5,120.
+pub const MAX_TILES_PER_SIDE: usize = 64;
+
 /// Which connection-handling frontend [`serve`] boots. Both speak the
 /// identical wire protocol and answer bitwise-identically
 /// (`tests/frontend_equivalence.rs`); they differ in what they cost, and

@@ -40,17 +40,6 @@ impl Variant {
     }
 }
 
-/// Low-rank compressor selection.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Compressor {
-    /// Truncated one-sided-Jacobi SVD: the accuracy oracle.
-    Svd,
-    /// Adaptive cross approximation + rounding: the production path.
-    Aca,
-    /// Adaptive randomized SVD (Halko et al.) — HiCMA's RSVD option.
-    Rsvd,
-}
-
 /// Configuration of the tiled representation.
 #[derive(Clone, Copy, Debug)]
 pub struct TlrConfig {
@@ -64,7 +53,6 @@ pub struct TlrConfig {
     pub band_size_dense: Option<usize>,
     /// Allow FP16 storage for far-field tiles.
     pub allow_fp16: bool,
-    pub compressor: Compressor,
     /// Precision assignment scheme (adaptive norm rule by default; the
     /// band scheme of the paper's Fig. 2(c) is available for ablations).
     pub precision_rule: PrecisionRule,
@@ -79,7 +67,6 @@ impl TlrConfig {
             tlr_tolerance: 1e-8,
             band_size_dense: None,
             allow_fp16: true,
-            compressor: Compressor::Aca,
             precision_rule: PrecisionRule::AdaptiveNorm,
         }
     }
@@ -146,18 +133,7 @@ impl SymTileMatrix {
                     if i == j {
                         return None; // diagonal always dense
                     }
-                    let tol = tol_of(norm);
-                    let lr = match config.compressor {
-                        Compressor::Svd => LowRank::compress_svd(block, tol),
-                        Compressor::Aca => LowRank::compress_aca(block, tol),
-                        Compressor::Rsvd => {
-                            // Seed per tile for reproducibility across runs.
-                            let seed = (i as u64) << 32 | j as u64;
-                            let (u, v, _r) = xgs_linalg::rsvd_adaptive(block, tol, seed);
-                            LowRank { u, v }
-                        }
-                    };
-                    Some(lr)
+                    Some(LowRank::compress_aca(block, tol_of(norm)))
                 })
                 .collect(),
             _ => vec![None; blocks.len()],
@@ -452,29 +428,6 @@ mod tests {
         let ft = tlr.footprint_bytes();
         assert!(fm < fd, "MP {fm} !< dense {fd}");
         assert!(ft < fm, "TLR {ft} !< MP {fm}");
-    }
-
-    #[test]
-    fn all_compressors_agree_on_reconstruction() {
-        let (kernel, locs) = setup(1024, 0.01);
-        let exact = xgs_covariance::covariance_matrix(&kernel, &locs);
-        let model = tlr_friendly_model();
-        let mut errs = Vec::new();
-        for compressor in [Compressor::Svd, Compressor::Aca, Compressor::Rsvd] {
-            let mut cfg = TlrConfig::new(Variant::MpDenseTlr, 32);
-            cfg.compressor = compressor;
-            let m = SymTileMatrix::generate(&kernel, &locs, cfg, &model);
-            let err = m.to_dense().add_scaled(-1.0, &exact).norm_fro() / exact.norm_fro();
-            errs.push((compressor, err));
-            assert!(err < 1e-6, "{compressor:?} err {err}");
-        }
-        // And they all actually produced low-rank tiles.
-        let mut cfg = TlrConfig::new(Variant::MpDenseTlr, 32);
-        cfg.compressor = Compressor::Rsvd;
-        let m = SymTileMatrix::generate(&kernel, &locs, cfg, &model);
-        let c = m.census();
-        assert!(c.lr_f32 + c.lr_f64 > 0, "RSVD produced no LR tiles: {c:?}");
-        let _ = errs;
     }
 
     #[test]

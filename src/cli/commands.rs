@@ -120,16 +120,12 @@ fn parse_family(args: &Args) -> Result<ModelFamily, CmdError> {
     }
 }
 
-/// Validate a user-supplied parameter vector against the family's arity.
-fn check_theta_len(family: ModelFamily, theta: &[f64], flag: &str) -> Result<(), CmdError> {
-    if theta.len() != family.n_params() {
-        return Err(CmdError::Arg(ArgError(format!(
-            "--{flag} expects {} values for this kernel, got {}",
-            family.n_params(),
-            theta.len()
-        ))));
-    }
-    Ok(())
+/// Validate a user-supplied parameter vector against the family's arity
+/// and parameter domain.
+fn check_theta(family: ModelFamily, theta: &[f64], flag: &str) -> Result<(), CmdError> {
+    family
+        .check_domain(theta)
+        .map_err(|e| CmdError::Arg(ArgError(format!("--{flag} {e}"))))
 }
 
 fn parse_variant(args: &Args) -> Result<Variant, CmdError> {
@@ -239,7 +235,7 @@ pub fn cmd_simulate(args: &Args) -> Result<String, CmdError> {
     let theta = args
         .f64_list("params")?
         .ok_or_else(|| ArgError("missing required flag --params".to_string()))?;
-    check_theta_len(family, &theta, "params")?;
+    check_theta(family, &theta, "params")?;
     let out = args.require("out")?;
 
     let mut rng = StdRng::seed_from_u64(seed);
@@ -303,7 +299,7 @@ pub fn cmd_fit(args: &Args) -> Result<String, CmdError> {
     };
     let start = args.f64_list("start")?;
     if let Some(st) = &start {
-        check_theta_len(family, st, "start")?;
+        check_theta(family, st, "start")?;
     }
     let opts = FitOptions {
         optimizer,
@@ -377,7 +373,7 @@ pub fn cmd_predict(args: &Args) -> Result<String, CmdError> {
     let theta = args
         .f64_list("theta")?
         .ok_or_else(|| ArgError("missing required flag --theta".to_string()))?;
-    check_theta_len(family, &theta, "theta")?;
+    check_theta(family, &theta, "theta")?;
     let cfg = tile_config(args, variant, train.locs.len())?;
     let model = cli_model(cfg.tile_size);
     let kernel = family.kernel(&theta);
@@ -430,7 +426,7 @@ pub fn cmd_maps(args: &Args) -> Result<String, CmdError> {
     let theta = args
         .f64_list("theta")?
         .ok_or_else(|| ArgError("missing required flag --theta".to_string()))?;
-    check_theta_len(family, &theta, "theta")?;
+    check_theta(family, &theta, "theta")?;
     let cfg = tile_config(args, variant, ds.locs.len())?;
     let model = cli_model(cfg.tile_size);
     let kernel: Box<dyn CovarianceKernel> = family.kernel(&theta);
@@ -523,7 +519,7 @@ pub fn cmd_serve(args: &Args) -> Result<String, CmdError> {
     let theta = args
         .f64_list("theta")?
         .ok_or_else(|| ArgError("missing required flag --theta".to_string()))?;
-    check_theta_len(family, &theta, "theta")?;
+    check_theta(family, &theta, "theta")?;
     let cfg = tile_config(args, variant, ds.locs.len())?;
     let name = args.str_or("name", "default");
     let n = ds.locs.len();
@@ -600,7 +596,7 @@ pub fn cmd_bayes(args: &Args) -> Result<String, CmdError> {
     let start = args
         .f64_list("start")?
         .ok_or_else(|| ArgError("missing required flag --start".to_string()))?;
-    check_theta_len(family, &start, "start")?;
+    check_theta(family, &start, "start")?;
     let cfg = tile_config(args, variant, ds.locs.len())?;
     let model = cli_model(cfg.tile_size);
     let opts = McmcOptions {

@@ -186,13 +186,67 @@ fn hostile_clients_get_errors_not_a_dead_server(frontend: Frontend) {
     std::thread::sleep(Duration::from_millis(50));
     assert_alive(addr);
 
+    // (g) `load` lines the factorization cannot take: θ outside the
+    // kernel's domain (a panic inside the load thread would strand the
+    // connection and the drain) and a tile size asking for 1,500 tiles
+    // per side (5.6e8 tasks). Each is one `ok:false` naming the culprit,
+    // on a connection that keeps answering.
+    {
+        let (mut s, mut r) = connect(addr);
+        s.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
+        let matern = |theta: &str| {
+            format!(
+                "{{\"op\":\"load\",\"name\":\"bad\",\"theta\":{theta},\
+                 \"locs\":[[0.1,0.2],[0.3,0.4]],\"z\":[0.1,0.2]}}"
+            )
+        };
+        let gneiting = "{\"op\":\"load\",\"name\":\"bad\",\"kernel\":\"gneiting\",\
+             \"theta\":[1,0.5,1,0.3,0.9,1.5],\"locs\":[[0.1,0.2,0],[0.3,0.4,1]],\"z\":[0.1,0.2]}"
+            .to_string();
+        let locs: Vec<String> = (0..1500)
+            .map(|i| {
+                format!(
+                    "[{:.4},{:.4}]",
+                    (i % 40) as f64 / 40.0,
+                    (i / 40) as f64 / 40.0
+                )
+            })
+            .collect();
+        let tile_one = format!(
+            "{{\"op\":\"load\",\"name\":\"bad\",\"theta\":[1,0.1,0.5],\"tile\":1,\
+             \"locs\":[{}],\"z\":[{}]}}",
+            locs.join(","),
+            vec!["0.1"; 1500].join(",")
+        );
+        for (line, culprit) in [
+            (matern("[-1,0.1,0.5]"), "variance"),
+            (matern("[1,0,0.5]"), "range"),
+            (gneiting, "nonsep-param"),
+            (tile_one, "tiles per side"),
+        ] {
+            let v = roundtrip(&mut s, &mut r, &line);
+            assert_eq!(v.get("ok").unwrap().as_bool(), Some(false), "{v:?}");
+            let error = v.get("error").unwrap().as_str().unwrap();
+            assert!(error.contains(culprit), "{error}");
+            let pong = roundtrip(&mut s, &mut r, "{\"op\":\"ping\"}");
+            assert_eq!(pong.get("ok").unwrap().as_bool(), Some(true));
+        }
+    }
+
     // The whole corpus is visible in the error census, and a clean drain
-    // still works afterwards.
+    // still works afterwards — bounded, so a stranded connection fails
+    // the test instead of hanging it.
     let (mut s, mut r) = connect(addr);
     let m = roundtrip(&mut s, &mut r, "{\"op\":\"metrics\"}");
     assert!(m.get("metrics").is_some());
     handle.shutdown();
-    let report = handle.join();
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(handle.join());
+    });
+    let report = rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("server did not drain after the hostile corpus");
     assert!(report.tasks >= 8, "census too small: {}", report.tasks);
 }
 
