@@ -96,18 +96,18 @@ fn golden_bounded_read_only() {
 
 #[test]
 fn golden_no_unjustified_unsafe() {
-    // The fixture sits in the audited gemm module with a SAFETY comment,
+    // The fixture sits in the audited simd module with a SAFETY comment,
     // so only the missing allow is on trial here.
     let bad = "pub fn deref(p: *const u8) -> u8 {\n    // SAFETY: caller contract guarantees p is valid for reads.\n    unsafe { *p }\n}\n";
     expect_one(
-        "crates/kernels/src/gemm.rs",
+        "crates/kernels/src/simd.rs",
         bad,
         "no-unjustified-unsafe",
         3,
     );
 
     let ok = "pub fn deref(p: *const u8) -> u8 {\n    // SAFETY: caller contract guarantees p is valid for reads.\n    // xgs-lint: allow(no-unjustified-unsafe): caller contract guarantees p is valid for reads\n    unsafe { *p }\n}\n";
-    expect_allowed("crates/kernels/src/gemm.rs", ok);
+    expect_allowed("crates/kernels/src/simd.rs", ok);
 }
 
 #[test]
@@ -116,7 +116,7 @@ fn golden_safety_comment_required() {
     // the code: the SAFETY comment is its own obligation.
     let bad = "pub fn deref(p: *const u8) -> u8 {\n    // xgs-lint: allow(no-unjustified-unsafe): caller contract guarantees p is valid\n    unsafe { *p }\n}\n";
     expect_one(
-        "crates/kernels/src/gemm.rs",
+        "crates/kernels/src/simd.rs",
         bad,
         "safety-comment-required",
         3,
@@ -124,7 +124,7 @@ fn golden_safety_comment_required() {
 
     // The fix is the comment itself, not an allow.
     let ok = "pub fn deref(p: *const u8) -> u8 {\n    // SAFETY: caller contract guarantees p is valid for reads.\n    // xgs-lint: allow(no-unjustified-unsafe): caller contract guarantees p is valid\n    unsafe { *p }\n}\n";
-    expect_allowed("crates/kernels/src/gemm.rs", ok);
+    expect_allowed("crates/kernels/src/simd.rs", ok);
 }
 
 #[test]
@@ -270,7 +270,7 @@ fn golden_unjustified_allow_is_a_finding() {
     // An allow with no justification suppresses nothing and is itself
     // reported, so the original finding also survives.
     let src = "pub fn deref(p: *const u8) -> u8 {\n    // SAFETY: caller contract guarantees p is valid for reads.\n    // xgs-lint: allow(no-unjustified-unsafe)\n    unsafe { *p }\n}\n";
-    let lint = lint_file("crates/kernels/src/gemm.rs", src.as_bytes());
+    let lint = lint_file("crates/kernels/src/simd.rs", src.as_bytes());
     let mut rules: Vec<&str> = lint.findings.iter().map(|f| f.rule).collect();
     rules.sort_unstable();
     assert_eq!(rules, vec!["no-unjustified-unsafe", "unjustified-allow"]);

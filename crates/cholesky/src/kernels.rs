@@ -3,21 +3,20 @@
 //! Each kernel follows Algorithm 1's operand convention: the *written* tile
 //! is the precision lead (`+`), and every other operand is converted on
 //! demand to the execution precision (`*`), with conversions recorded in
-//! the global counters. Execution precisions:
-//!
-//! * FP64 tile → `f64` kernel;
-//! * FP32 tile → operands demoted to `f32`, `f32` kernel;
-//! * FP16 tile → operands *trimmed to binary16*, promoted exactly to
-//!   `f32`, `f32` kernel (SHGEMM semantics), result rounded back through
-//!   binary16.
+//! the global counters. Tiles are f64-backed, so the dense kernels hand
+//! borrowed payloads and the receiver's precision to `xgs_kernels::mixed`,
+//! which runs FP64 as is, FP32 on demoted operands, and FP16 on operands
+//! trimmed through binary16 with FP32 accumulation (SHGEMM semantics) —
+//! converting while it packs and rounding the result through the
+//! receiver's format as it writes back. Nothing is cloned, allocated or
+//! re-rounded per task here.
 //!
 //! Low-rank kernels run FP64/FP32 only (the paper's TLR path) and keep the
 //! HiCMA shapes: TRSM solves against the `V` factor; GEMM forms low-rank
 //! products and adds them with QR+SVD rounding.
 
-use xgs_kernels::{
-    gemm, syrk_lower_notrans, trsm_left_lower_notrans, trsm_right_lower_trans, Precision, Trans,
-};
+use std::borrow::Cow;
+use xgs_kernels::{gemm, mixed, syrk_lower_notrans, Precision, Trans};
 use xgs_linalg::{LowRank, Matrix};
 use xgs_runtime::count_conversion;
 use xgs_tile::{Tile, TileStorage};
@@ -49,18 +48,6 @@ fn compute_precision(p: Precision) -> Precision {
     }
 }
 
-/// Demote-then-run helper: executes `op` on `f32` copies of the matrices,
-/// writing the result back to the `f64`-backed target buffer.
-fn to_f32_buf(m: &Matrix) -> Vec<f32> {
-    m.as_slice().iter().map(|&x| x as f32).collect()
-}
-
-fn from_f32_buf(buf: &[f32], m: &mut Matrix) {
-    for (dst, &src) in m.as_mut_slice().iter_mut().zip(buf) {
-        *dst = src as f64;
-    }
-}
-
 /// `TRSM`: `A_ik <- A_ik * L_kk^{-T}` where `L_kk` is the factored diagonal
 /// tile (dense FP64) and `A_ik` the panel tile in any format.
 pub fn trsm_panel(l_kk: &Tile, a_ik: &mut Tile) {
@@ -72,51 +59,20 @@ pub fn trsm_panel(l_kk: &Tile, a_ik: &mut Tile) {
     match &mut a_ik.storage {
         TileStorage::Dense(a) => {
             let m = a.rows();
-            match compute_precision(p) {
-                Precision::F64 => {
-                    trsm_right_lower_trans(m, n, 1.0, l.as_slice(), n, a.as_mut_slice(), m);
-                }
-                _ => {
-                    // Convert the FP64 triangle down to the lead precision.
-                    count_conversion(Precision::F64, p, (n * n) as u64);
-                    let mut lf = to_f32_buf(l);
-                    let mut af = to_f32_buf(a);
-                    if p == Precision::F16 {
-                        // Trim operands through binary16 (SH semantics).
-                        trim_f32_through_f16(&mut lf);
-                        trim_f32_through_f16(&mut af);
-                    }
-                    trsm_right_lower_trans(m, n, 1.0f32, &lf, n, &mut af, m);
-                    from_f32_buf(&af, a);
-                }
-            }
+            // The FP64 triangle converts down to the lead precision.
+            count_conversion(Precision::F64, p, (n * n) as u64);
+            mixed::trsm_right_lower_trans(p, m, n, l.as_slice(), n, a.as_mut_slice(), m);
         }
         TileStorage::LowRank(lr) => {
-            // (U V^T) L^{-T} = U (L^{-1} V)^T: only V is touched.
+            // (U V^T) L^{-T} = U (L^{-1} V)^T: only V is touched, so only
+            // V needs rounding back through `p` (the kernel does it).
             let k = lr.rank();
             if k == 0 {
                 return;
             }
-            match compute_precision(p) {
-                Precision::F64 => {
-                    trsm_left_lower_notrans(n, k, 1.0, l.as_slice(), n, lr.v.as_mut_slice(), n);
-                }
-                _ => {
-                    count_conversion(Precision::F64, Precision::F32, (n * n) as u64);
-                    let lf = to_f32_buf(l);
-                    let mut vf = to_f32_buf(&lr.v);
-                    trsm_left_lower_notrans(n, k, 1.0f32, &lf, n, &mut vf, n);
-                    from_f32_buf(&vf, &mut lr.v);
-                }
-            }
+            count_conversion(Precision::F64, compute_precision(p), (n * n) as u64);
+            mixed::trsm_left_lower_notrans(p, n, k, l.as_slice(), n, lr.v.as_mut_slice(), n);
         }
-    }
-    a_ik.enforce_precision();
-}
-
-fn trim_f32_through_f16(buf: &mut [f32]) {
-    for x in buf.iter_mut() {
-        *x = xgs_kernels::Half::from_f32(*x).to_f32();
     }
 }
 
@@ -175,111 +131,72 @@ pub fn syrk_diag(a_ik: &Tile, c_ii: &mut Tile) {
 /// tile (frozen at generation).
 pub fn gemm_update(a_ik: &Tile, b_jk: &Tile, c_ij: &mut Tile, tol: f64) {
     let p = c_ij.precision;
+    note_operand_conversion(a_ik, p);
+    note_operand_conversion(b_jk, p);
     match &mut c_ij.storage {
-        TileStorage::Dense(c) => {
-            gemm_into_dense(a_ik, b_jk, c, p);
-        }
+        TileStorage::Dense(c) => gemm_into_dense(a_ik, b_jk, c, p),
         TileStorage::LowRank(c_lr) => {
             // Form the product as a low-rank object, then rounded-add.
             let prod: LowRank = match (&a_ik.storage, &b_jk.storage) {
-                (TileStorage::LowRank(a), TileStorage::LowRank(b)) => {
-                    note_operand_conversion(a_ik, p);
-                    note_operand_conversion(b_jk, p);
-                    a.matmul_lr_transposed(b)
-                }
-                (TileStorage::LowRank(a), TileStorage::Dense(b)) => {
-                    note_operand_conversion(a_ik, p);
-                    note_operand_conversion(b_jk, p);
-                    // (U V^T) B^T = U (B V)^T.
-                    LowRank {
-                        u: a.u.clone(),
-                        v: b.matmul(&a.v),
-                    }
-                }
-                (TileStorage::Dense(a), TileStorage::LowRank(b)) => {
-                    note_operand_conversion(a_ik, p);
-                    note_operand_conversion(b_jk, p);
-                    // A (U V^T)^T = A V U^T = (A V) U^T.
-                    LowRank {
-                        u: a.matmul(&b.v),
-                        v: b.u.clone(),
-                    }
-                }
+                (TileStorage::LowRank(a), TileStorage::LowRank(b)) => a.matmul_lr_transposed(b),
+                // (U V^T) B^T = U (B V)^T.
+                (TileStorage::LowRank(a), TileStorage::Dense(b)) => LowRank {
+                    u: a.u.clone(),
+                    v: b.matmul(&a.v),
+                },
+                // A (U V^T)^T = A V U^T = (A V) U^T.
+                (TileStorage::Dense(a), TileStorage::LowRank(b)) => LowRank {
+                    u: a.matmul(&b.v),
+                    v: b.u.clone(),
+                },
+                // Dense x dense hitting a low-rank tile: form the dense
+                // product and compress at the tile tolerance (rare; only
+                // when the structure rule reverted both panel tiles).
                 (TileStorage::Dense(a), TileStorage::Dense(b)) => {
-                    // Dense x dense hitting a low-rank tile: form the dense
-                    // product and compress at the tile tolerance (rare; only
-                    // when the structure rule reverted both panel tiles).
-                    note_operand_conversion(a_ik, p);
-                    note_operand_conversion(b_jk, p);
-                    let prod = a.matmul_t(b);
-                    LowRank::compress_svd(&prod, tol)
+                    LowRank::compress_svd(&a.matmul_t(b), tol)
                 }
             };
             *c_lr = c_lr.add_rounded(-1.0, &prod, tol);
+            c_ij.enforce_precision();
         }
     }
-    c_ij.enforce_precision();
 }
 
-/// Dense-receiver GEMM in the receiver's precision.
+/// The logical dense value of an operand tile: the payload itself when it
+/// is dense, the reconstruction when it is low-rank.
 ///
 /// Low-rank operands are deliberately *materialized* rather than applied as
 /// `U (B V)^T` fast paths: precision emulation trims/demotes the logical
 /// tile value the kernel consumes, and the materialized block is exactly
 /// that value. (A production port on real low-precision hardware would use
 /// the factored forms; here fidelity of the rounding semantics wins.)
+fn dense_value(t: &Tile) -> Cow<'_, Matrix> {
+    match &t.storage {
+        TileStorage::Dense(m) => Cow::Borrowed(m),
+        TileStorage::LowRank(lr) => Cow::Owned(lr.reconstruct()),
+    }
+}
+
+/// Dense-receiver GEMM in the receiver's precision.
 fn gemm_into_dense(a_ik: &Tile, b_jk: &Tile, c: &mut Matrix, p: Precision) {
     let (m, n) = c.shape();
-    // Materialize operands densely (low-rank operands reconstruct).
-    let a = a_ik.to_dense();
-    let b = b_jk.to_dense();
-    let k = a.cols();
-    note_operand_conversion(a_ik, p);
-    note_operand_conversion(b_jk, p);
-    match compute_precision(p) {
-        Precision::F64 => {
-            gemm(
-                Trans::No,
-                Trans::Yes,
-                m,
-                n,
-                k,
-                -1.0,
-                a.as_slice(),
-                m,
-                b.as_slice(),
-                n,
-                1.0,
-                c.as_mut_slice(),
-                m,
-            );
-        }
-        _ => {
-            let mut af = to_f32_buf(&a);
-            let mut bf = to_f32_buf(&b);
-            let mut cf = to_f32_buf(c);
-            if p == Precision::F16 {
-                trim_f32_through_f16(&mut af);
-                trim_f32_through_f16(&mut bf);
-            }
-            gemm(
-                Trans::No,
-                Trans::Yes,
-                m,
-                n,
-                k,
-                -1.0f32,
-                &af,
-                m,
-                &bf,
-                n,
-                1.0f32,
-                &mut cf,
-                m,
-            );
-            from_f32_buf(&cf, c);
-        }
-    }
+    let a = dense_value(a_ik);
+    let b = dense_value(b_jk);
+    mixed::gemm(
+        p,
+        Trans::No,
+        Trans::Yes,
+        m,
+        n,
+        a.cols(),
+        -1.0,
+        a.as_slice(),
+        m,
+        b.as_slice(),
+        n,
+        c.as_mut_slice(),
+        m,
+    );
 }
 
 /// Record the on-demand conversion of an operand tile into the receiver's
@@ -302,6 +219,7 @@ fn note_operand_conversion(operand: &Tile, receiver: Precision) {
 mod tests {
     use super::*;
     use xgs_kernels::convert::round_through;
+    use xgs_kernels::{trsm_left_lower_notrans, trsm_right_lower_trans, Half};
     use xgs_tile::Tile;
 
     fn rnd(rows: usize, cols: usize, seed: u64) -> Matrix {
@@ -479,5 +397,172 @@ mod tests {
         let c = xgs_runtime::conversion_counts();
         assert!(c.f64_to_f32 >= 36, "A should be demoted: {c:?}");
         assert!(c.f16_to_f32 >= 36, "B should be promoted: {c:?}");
+    }
+
+    // ---- The composed path the fused kernels replaced, kept as the oracle:
+    // clone the operands, demote, trim through the software binary16, run
+    // the f32 kernel, copy back, re-round the whole tile.
+
+    fn to_f32_buf(m: &Matrix) -> Vec<f32> {
+        m.as_slice().iter().map(|&x| x as f32).collect()
+    }
+
+    fn from_f32_buf(buf: &[f32], m: &mut Matrix) {
+        for (dst, &src) in m.as_mut_slice().iter_mut().zip(buf) {
+            *dst = src as f64;
+        }
+    }
+
+    fn trim_f32_through_f16(buf: &mut [f32]) {
+        for x in buf.iter_mut() {
+            *x = Half::from_f32(*x).to_f32();
+        }
+    }
+
+    fn trsm_panel_composed(l_kk: &Tile, a_ik: &mut Tile) {
+        let l = l_kk.to_dense();
+        let n = l.rows();
+        let p = a_ik.precision;
+        match &mut a_ik.storage {
+            TileStorage::Dense(a) => {
+                let m = a.rows();
+                if p == Precision::F64 {
+                    trsm_right_lower_trans(m, n, 1.0, l.as_slice(), n, a.as_mut_slice(), m);
+                } else {
+                    let mut lf = to_f32_buf(&l);
+                    let mut af = to_f32_buf(a);
+                    if p == Precision::F16 {
+                        trim_f32_through_f16(&mut lf);
+                        trim_f32_through_f16(&mut af);
+                    }
+                    trsm_right_lower_trans(m, n, 1.0f32, &lf, n, &mut af, m);
+                    from_f32_buf(&af, a);
+                }
+            }
+            TileStorage::LowRank(lr) => {
+                let k = lr.rank();
+                if p == Precision::F64 {
+                    trsm_left_lower_notrans(n, k, 1.0, l.as_slice(), n, lr.v.as_mut_slice(), n);
+                } else {
+                    let lf = to_f32_buf(&l);
+                    let mut vf = to_f32_buf(&lr.v);
+                    trsm_left_lower_notrans(n, k, 1.0f32, &lf, n, &mut vf, n);
+                    from_f32_buf(&vf, &mut lr.v);
+                }
+            }
+        }
+        a_ik.enforce_precision();
+    }
+
+    fn gemm_update_composed(a_ik: &Tile, b_jk: &Tile, c_ij: &mut Tile) {
+        let p = c_ij.precision;
+        let TileStorage::Dense(c) = &mut c_ij.storage else {
+            panic!("the oracle covers dense receivers");
+        };
+        let (m, n) = c.shape();
+        let a = a_ik.to_dense();
+        let b = b_jk.to_dense();
+        let k = a.cols();
+        let mut af = to_f32_buf(&a);
+        let mut bf = to_f32_buf(&b);
+        let mut cf = to_f32_buf(c);
+        if p == Precision::F16 {
+            trim_f32_through_f16(&mut af);
+            trim_f32_through_f16(&mut bf);
+        }
+        gemm(
+            Trans::No,
+            Trans::Yes,
+            m,
+            n,
+            k,
+            -1.0f32,
+            &af,
+            m,
+            &bf,
+            n,
+            1.0f32,
+            &mut cf,
+            m,
+        );
+        from_f32_buf(&cf, c);
+        c_ij.enforce_precision();
+    }
+
+    const ALL: [Precision; 3] = [Precision::F64, Precision::F32, Precision::F16];
+
+    /// Bit patterns, so that `-0.0` vs `0.0` or a NaN cannot hide.
+    fn bits(t: &Tile) -> Vec<u64> {
+        let (u, v) = match &t.storage {
+            TileStorage::Dense(m) => (m.as_slice(), &[][..]),
+            TileStorage::LowRank(lr) => (lr.u.as_slice(), lr.v.as_slice()),
+        };
+        u.iter().chain(v).map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn fused_gemm_update_is_bitwise_the_composed_path() {
+        // (m, n, k): naive path, blocked path with every edge panel, and
+        // k beyond one KC block (the FP16 re-round must wait for the last).
+        for &(m, n, k) in &[(20, 17, 19), (70, 50, 60), (100, 100, 100), (12, 10, 300)] {
+            for receiver in [Precision::F32, Precision::F16] {
+                for pa in ALL {
+                    for pb in ALL {
+                        for lowrank in [false, true] {
+                            let operand = |rows: usize, p: Precision, seed: u64| {
+                                if lowrank {
+                                    let lr = LowRank {
+                                        u: rnd(rows, 3, seed),
+                                        v: rnd(k, 3, seed + 1),
+                                    };
+                                    Tile::low_rank(lr, p)
+                                } else {
+                                    Tile::dense(rnd(rows, k, seed), p)
+                                }
+                            };
+                            let ta = operand(m, pa, 40);
+                            let tb = operand(n, pb, 50);
+                            let mut fused = Tile::dense(rnd(m, n, 60), receiver);
+                            let mut composed = fused.clone();
+                            gemm_update(&ta, &tb, &mut fused, 1e-12);
+                            gemm_update_composed(&ta, &tb, &mut composed);
+                            assert_eq!(
+                                bits(&fused),
+                                bits(&composed),
+                                "({m},{n},{k}) {receiver:?} <- {pa:?} x {pb:?}, low-rank {lowrank}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fused_trsm_panel_is_bitwise_the_composed_path() {
+        // Triangle orders on both sides of the kernels' NB = 64.
+        for &(m, n) in &[(9, 20), (64, 64), (80, 100)] {
+            let mut lkk = spd_tile(n, 70);
+            potrf_diag(&mut lkk).unwrap();
+            for p in ALL {
+                let dense = Tile::dense(rnd(m, n, 71), p);
+                let lr = LowRank {
+                    u: rnd(m, 4, 72),
+                    v: rnd(n, 4, 73),
+                };
+                for tile in [dense, Tile::low_rank(lr, p)] {
+                    let mut fused = tile.clone();
+                    let mut composed = tile;
+                    trsm_panel(&lkk, &mut fused);
+                    trsm_panel_composed(&lkk, &mut composed);
+                    assert_eq!(
+                        bits(&fused),
+                        bits(&composed),
+                        "({m},{n}) {p:?}, dense {}",
+                        fused.is_dense()
+                    );
+                }
+            }
+        }
     }
 }

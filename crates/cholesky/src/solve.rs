@@ -8,7 +8,17 @@
 
 use crate::factor::TiledFactor;
 use xgs_kernels::{trsm_left_lower_notrans, trsm_left_lower_trans};
-use xgs_tile::TileStorage;
+use xgs_linalg::Matrix;
+use xgs_tile::{Tile, TileStorage};
+
+/// The factored diagonal tile's payload, borrowed (diagonal tiles are
+/// always dense FP64).
+fn diag(t: &Tile) -> &Matrix {
+    let TileStorage::Dense(l) = &t.storage else {
+        panic!("diagonal tiles are always dense");
+    };
+    l
+}
 
 /// `log det(A) = 2 Σ log L_kk[i,i]` from the factored diagonal tiles.
 pub fn logdet(f: &TiledFactor) -> f64 {
@@ -16,7 +26,7 @@ pub fn logdet(f: &TiledFactor) -> f64 {
     let mut acc = 0.0;
     for k in 0..nt {
         acc += f.with_tile(k, k, |t| {
-            let d = t.to_dense();
+            let d = diag(t);
             (0..d.rows()).map(|i| d[(i, i)].ln()).sum::<f64>()
         });
     }
@@ -43,7 +53,7 @@ pub fn solve_lower(f: &TiledFactor, x: &mut [f64], nrhs: usize) {
         // (ldb = n walks from column to column). Each column is solved
         // independently, so this is bitwise identical to a per-column loop.
         f.with_tile(j, j, |t| {
-            let l = t.to_dense();
+            let l = diag(t);
             let m = l.rows();
             trsm_left_lower_notrans(m, nrhs, 1.0, l.as_slice(), m, &mut x[rj.start..], n);
         });
@@ -66,7 +76,7 @@ pub fn solve_lower_transpose(f: &TiledFactor, x: &mut [f64], nrhs: usize) {
             });
         }
         f.with_tile(j, j, |t| {
-            let l = t.to_dense();
+            let l = diag(t);
             let m = l.rows();
             trsm_left_lower_trans(m, nrhs, 1.0, l.as_slice(), m, &mut x[rj.start..], n);
         });
@@ -76,7 +86,7 @@ pub fn solve_lower_transpose(f: &TiledFactor, x: &mut [f64], nrhs: usize) {
 /// `x[dst..] -= T * x[src..]` for a stored tile `T` (rows at `dst`, cols at
 /// `src`).
 fn apply_tile(
-    t: &xgs_tile::Tile,
+    t: &Tile,
     x: &mut [f64],
     n: usize,
     nrhs: usize,
@@ -137,7 +147,7 @@ fn apply_tile(
 
 /// `x[dst..] -= T^T * x[src..]`.
 fn apply_tile_transpose(
-    t: &xgs_tile::Tile,
+    t: &Tile,
     x: &mut [f64],
     n: usize,
     nrhs: usize,

@@ -1,6 +1,6 @@
 //! Maximum likelihood fitting: the modeling phase of the paper.
 
-use crate::likelihood::{log_likelihood_engine, FactorEngine};
+use crate::likelihood::{log_likelihood_engine, FactorEngine, LikelihoodReport};
 use crate::model::ModelFamily;
 use crate::optimizer::neldermead::{nelder_mead, NelderMeadOptions};
 use crate::optimizer::pso::{particle_swarm, PsoOptions};
@@ -8,9 +8,9 @@ use crate::optimizer::transform::{forward_all, inverse_all};
 use parking_lot::Mutex;
 use std::sync::Arc;
 use xgs_cholesky::{ShardBackend, ShardError};
-use xgs_covariance::Location;
+use xgs_covariance::{CovarianceKernel, Location};
 use xgs_runtime::MetricsReport;
-use xgs_tile::{KernelTimeModel, TlrConfig};
+use xgs_tile::{KernelTimeModel, TlrConfig, Variant};
 
 /// Optimizer selection for [`fit`].
 #[derive(Clone, Debug)]
@@ -63,6 +63,52 @@ pub struct FitResult {
     /// optimization; `None` when every evaluation used the sequential
     /// engine (`workers == 1`).
     pub metrics: Option<MetricsReport>,
+    /// Evaluations whose approximated (MP / MP+TLR) factorization lost
+    /// positive definiteness and were re-evaluated once at dense FP64.
+    pub pd_retries: usize,
+    /// Evaluations that were not positive definite at dense FP64 either
+    /// (retried or dense to begin with): the objective saw `+∞`.
+    pub pd_failures: usize,
+}
+
+/// What the objective accumulates across evaluations (PSO may evaluate
+/// from several threads).
+#[derive(Default)]
+struct Outcomes {
+    factorizations: usize,
+    metrics: Option<MetricsReport>,
+    pd_retries: usize,
+    pd_failures: usize,
+}
+
+/// One likelihood evaluation with the one defined answer to loss of
+/// positive definiteness: an approximated variant whose factorization
+/// fails is re-evaluated once with every tile dense FP64 (the limit case
+/// of the band rule), and both outcomes are counted. A θ that is not
+/// positive definite at FP64 either is outside the model; the caller maps
+/// that error to `+∞`.
+fn evaluate_with_pd_fallback(
+    kernel: &dyn CovarianceKernel,
+    locs: &[Location],
+    z: &[f64],
+    cfg: &TlrConfig,
+    model: &dyn KernelTimeModel,
+    engine: &FactorEngine,
+    outcomes: &Mutex<Outcomes>,
+) -> Result<LikelihoodReport, ShardError> {
+    let mut result = log_likelihood_engine(kernel, locs, z, cfg, model, engine);
+    if matches!(result, Err(ShardError::Factor(_))) && cfg.variant != Variant::DenseF64 {
+        outcomes.lock().pd_retries += 1;
+        let dense = TlrConfig {
+            variant: Variant::DenseF64,
+            ..*cfg
+        };
+        result = log_likelihood_engine(kernel, locs, z, &dense, model, engine);
+    }
+    if matches!(result, Err(ShardError::Factor(_))) {
+        outcomes.lock().pd_failures += 1;
+    }
+    result
 }
 
 /// Family-specific default starting point.
@@ -97,25 +143,24 @@ pub fn fit(
         None => FactorEngine::from_workers(opts.workers),
     };
 
-    // Per-factorization runtime metrics, merged across every evaluation
-    // the optimizer makes (PSO may evaluate from several threads).
-    let accum: Mutex<(usize, Option<MetricsReport>)> = Mutex::new((0, None));
+    let outcomes = Mutex::new(Outcomes::default());
     let objective = |y: &[f64]| -> f64 {
         let theta = inverse_all(&transforms, y);
         let kernel = family.kernel(&theta);
-        match log_likelihood_engine(kernel.as_ref(), locs, z, cfg, model, &engine) {
+        match evaluate_with_pd_fallback(kernel.as_ref(), locs, z, cfg, model, &engine, &outcomes) {
             Ok(r) => {
                 if let Some(m) = r.exec.as_ref().and_then(|e| e.metrics.as_ref()) {
-                    let mut acc = accum.lock();
-                    acc.0 += 1;
-                    match acc.1.as_mut() {
+                    let mut acc = outcomes.lock();
+                    acc.factorizations += 1;
+                    match acc.metrics.as_mut() {
                         Some(total) => total.merge(m),
-                        None => acc.1 = Some(m.clone()),
+                        None => acc.metrics = Some(m.clone()),
                     }
                 }
                 -r.llh
             }
-            // Loss of positive definiteness = out-of-model region.
+            // Not positive definite even at FP64 = out-of-model region
+            // (counted in `pd_failures`).
             Err(ShardError::Factor(_)) => f64::INFINITY,
             // Infrastructure failure (worker lost, timeout): also an
             // unusable evaluation, but loudly distinguishable in logs.
@@ -140,7 +185,12 @@ pub fn fit(
             (inverse_all(&transforms, &r.x), -r.f, r.evals, true)
         }
     };
-    let (factorizations, mut metrics) = accum.into_inner();
+    let Outcomes {
+        factorizations,
+        mut metrics,
+        pd_retries,
+        pd_failures,
+    } = outcomes.into_inner();
     // Attribute the fit's share of the shared work-stealing pool (covariance
     // assembly, PSO fan-out, blocked kernels) to the merged report.
     let pool = rayon::global_pool_stats().since(&pool_before);
@@ -162,6 +212,8 @@ pub fn fit(
         converged,
         factorizations,
         metrics,
+        pd_retries,
+        pd_failures,
     }
 }
 
@@ -343,5 +395,135 @@ mod tests {
         let b = fit(ModelFamily::MaternSpace, &locs, &z, &cfg, &model, &opts);
         assert_eq!(a.theta, b.theta);
         assert!(a.llh.is_finite());
+    }
+
+    // ---- Loss of positive definiteness under approximation.
+
+    use xgs_covariance::WithNugget;
+    use xgs_tile::PrecisionRule;
+
+    /// The two approximations pushed past what a strongly correlated field
+    /// tolerates: FP16 from the second off-diagonal on (the band scheme,
+    /// which ignores tile norms), and TLR at a 1e-2 threshold.
+    fn aggressive_configs() -> [TlrConfig; 2] {
+        let mut mp = TlrConfig::new(Variant::MpDense, 50);
+        mp.precision_rule = PrecisionRule::Band {
+            f64_band: 1,
+            f32_band: 2,
+        };
+        let mut tlr = TlrConfig::new(Variant::MpDenseTlr, 50);
+        tlr.tlr_tolerance = 1e-2;
+        tlr.band_size_dense = Some(1);
+        [mp, tlr]
+    }
+
+    fn evaluate(
+        kernel: &dyn CovarianceKernel,
+        locs: &[Location],
+        cfg: &TlrConfig,
+    ) -> (Result<f64, ShardError>, usize, usize) {
+        let z = vec![0.1; locs.len()];
+        let outcomes = Mutex::new(Outcomes::default());
+        let r = evaluate_with_pd_fallback(
+            kernel,
+            locs,
+            &z,
+            cfg,
+            &FlopKernelModel::default(),
+            &FactorEngine::Sequential,
+            &outcomes,
+        )
+        .map(|r| r.llh);
+        let o = outcomes.into_inner();
+        (r, o.pd_retries, o.pd_failures)
+    }
+
+    #[test]
+    fn lost_positive_definiteness_falls_back_to_fp64_once_and_is_counted() {
+        let (locs, _) = data(400, MaternParams::new(1.0, 0.1, 0.5), 5);
+        let dense = TlrConfig::new(Variant::DenseF64, 50);
+        // Strong correlation x small nugget: the approximated factorization
+        // fails, the FP64 one does not, and the answer is the FP64 one.
+        for range in [0.3, 1.0] {
+            for nugget in [1e-4, 1e-6, 0.0] {
+                let kernel =
+                    WithNugget::new(Matern::new(MaternParams::new(1.0, range, 1.5)), nugget);
+                let (reference, retries, failures) = evaluate(&kernel, &locs, &dense);
+                assert_eq!((retries, failures), (0, 0), "FP64 is positive definite");
+                let reference = reference.unwrap();
+                for cfg in aggressive_configs() {
+                    let case = format!("range {range}, nugget {nugget}, {:?}", cfg.variant);
+                    assert!(
+                        log_likelihood_engine(
+                            &kernel,
+                            &locs,
+                            &[0.1; 400],
+                            &cfg,
+                            &FlopKernelModel::default(),
+                            &FactorEngine::Sequential
+                        )
+                        .is_err(),
+                        "{case}: the approximation should lose PD here"
+                    );
+                    let (llh, retries, failures) = evaluate(&kernel, &locs, &cfg);
+                    assert_eq!((retries, failures), (1, 0), "{case}");
+                    assert_eq!(llh.unwrap().to_bits(), reference.to_bits(), "{case}");
+                }
+            }
+        }
+        // A nugget large enough for the approximation: no retry.
+        let kernel = WithNugget::new(Matern::new(MaternParams::new(1.0, 0.3, 0.5)), 1e-2);
+        for cfg in aggressive_configs() {
+            let (llh, retries, failures) = evaluate(&kernel, &locs, &cfg);
+            assert!(llh.is_ok());
+            assert_eq!((retries, failures), (0, 0), "{:?}", cfg.variant);
+        }
+    }
+
+    #[test]
+    fn not_positive_definite_at_fp64_either_is_a_counted_failure() {
+        // Every site twice and no nugget: exactly singular.
+        let (mut locs, _) = data(200, MaternParams::new(1.0, 0.1, 0.5), 6);
+        locs.extend_from_within(..);
+        let kernel = Matern::new(MaternParams::new(1.0, 0.3, 1.5));
+        for cfg in aggressive_configs() {
+            let (llh, retries, failures) = evaluate(&kernel, &locs, &cfg);
+            assert!(matches!(llh, Err(ShardError::Factor(_))));
+            assert_eq!((retries, failures), (1, 1), "{:?}", cfg.variant);
+        }
+        // Dense to begin with: nothing to fall back to, still counted.
+        let dense = TlrConfig::new(Variant::DenseF64, 50);
+        let (llh, retries, failures) = evaluate(&kernel, &locs, &dense);
+        assert!(matches!(llh, Err(ShardError::Factor(_))));
+        assert_eq!((retries, failures), (0, 1));
+    }
+
+    #[test]
+    fn fit_reports_pd_retries_instead_of_walking_on_infinity() {
+        // A smooth, strongly correlated start where the band scheme's FP16
+        // tiles lose PD: every evaluation is answered at FP64, so the fit
+        // is the dense fit, and says how it got there.
+        let (locs, z) = data(400, MaternParams::new(1.0, 0.3, 1.5), 5);
+        let [mp, _] = aggressive_configs();
+        let opts = FitOptions {
+            optimizer: FitOptimizer::NelderMead(NelderMeadOptions {
+                max_evals: 12,
+                f_tol: 1e-5,
+                initial_step: 0.1,
+            }),
+            start: Some(vec![1.0, 0.3, 1.5]),
+            workers: 1,
+            shard: None,
+        };
+        let model = FlopKernelModel::default();
+        let r = fit(ModelFamily::MaternSpace, &locs, &z, &mp, &model, &opts);
+        assert!(r.llh.is_finite());
+        assert_eq!(r.pd_failures, 0);
+        let dense = TlrConfig::new(Variant::DenseF64, 50);
+        let d = fit(ModelFamily::MaternSpace, &locs, &z, &dense, &model, &opts);
+        assert_eq!((d.pd_retries, d.pd_failures), (0, 0));
+        assert_eq!(r.pd_retries, r.evals);
+        assert_eq!(r.theta, d.theta);
+        assert_eq!(r.llh.to_bits(), d.llh.to_bits());
     }
 }

@@ -6,6 +6,7 @@
 //! counts how often they run.
 
 use crate::half::Half;
+use crate::simd;
 
 /// Demote an FP64 buffer to FP32 (round-to-nearest-even).
 pub fn demote_f64_to_f32(src: &[f64], dst: &mut [f32]) {
@@ -59,21 +60,21 @@ pub fn promote_f16_to_f64(src: &[Half], dst: &mut [f64]) {
 /// operation applied when the adaptive rule decides a tile can live in
 /// `f32`/`f16`. Values come back as `f64` but carry the low-precision
 /// rounding error, which is how the simulation-facing code observes
-/// precision loss without templating everything on element type.
+/// precision loss without templating everything on element type. Runs
+/// through the crate's SIMD seam (`vcvtpd2ps`, F16C), bitwise-neutrally.
 pub fn round_through(buf: &mut [f64], precision: crate::Precision) {
-    match precision {
-        crate::Precision::F64 => {}
-        crate::Precision::F32 => {
-            for x in buf.iter_mut() {
-                *x = (*x as f32) as f64;
+    simd::dispatch(
+        #[inline(always)]
+        |s| match precision {
+            crate::Precision::F64 => {}
+            crate::Precision::F32 => {
+                for x in buf.iter_mut() {
+                    *x = (*x as f32) as f64;
+                }
             }
-        }
-        crate::Precision::F16 => {
-            for x in buf.iter_mut() {
-                *x = Half::from_f64(*x).to_f64();
-            }
-        }
-    }
+            crate::Precision::F16 => crate::mixed::round_through_half(s, buf),
+        },
+    )
 }
 
 #[cfg(test)]

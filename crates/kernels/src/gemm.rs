@@ -1,20 +1,28 @@
 //! General matrix-matrix multiply: `C <- alpha * op(A) * op(B) + beta * C`.
 //!
 //! Column-major with explicit leading dimensions, like BLAS `xGEMM`. The
-//! FP64/FP32 path is generic over [`Real`]; the FP16 path ([`shgemm`]) trims
-//! operands to binary16 and accumulates in FP32 (the paper's SHGEMM).
+//! FP64/FP32 entry point ([`gemm`]) is generic over [`Real`]; [`shgemm`]
+//! reads binary16 operands and accumulates in FP32 (the paper's SHGEMM);
+//! [`crate::mixed`] runs FP32 on the f64-backed tiles of the mixed-
+//! precision Cholesky. All of them are one engine fed three ways (the
+//! crate-private `Feed`): the operand element type is converted to the
+//! compute type *while it is packed*, and the write-back converts into C's
+//! storage type, so no caller materializes a converted copy.
 //!
-//! Two execution paths share the same BLAS semantics:
+//! Two loop nests share the same BLAS semantics:
 //!
 //! * the naive path — the original axpy/dot loop nest, kept as the test
 //!   oracle and as the small-problem path (no packing overhead).
 //! * the cache-blocked path — BLIS-style `NC/KC/MC` loop blocking around an
-//!   `MR x NR` register microkernel over zero-padded packed micro-panels.
-//!   The generic microkernel is an 8-wide `mul_add` accumulator unroll that
-//!   autovectorizes under `-C target-cpu=native`; on x86-64 with AVX2+FMA an
-//!   explicit `std::arch` f64x4 microkernel is selected at runtime. Both
-//!   compute fused multiply-adds in the identical order, so the runtime
-//!   selection never changes results bitwise.
+//!   `MR x NR` register microkernel over zero-padded packed micro-panels;
+//!   the pack buffers belong to the worker thread and are reused across
+//!   calls. The register tile is per precision (f64 8×4, f32 16×4).
+//!
+//! The whole call — `beta` scaling, packing, microkernel, `alpha`
+//! write-back — runs through the crate's AVX2+FMA seam (`simd.rs`),
+//! selected once per call. Both sides of the seam compute the same fused
+//! multiply-adds in the same order, so the selection never changes a
+//! result bitwise.
 //!
 //! **Determinism contract**: for a fixed `(m, k)` and fixed inputs, every
 //! output column is computed by the exact same arithmetic regardless of `n`
@@ -24,7 +32,9 @@
 //! blocked kernel.
 
 use crate::half::Half;
+use crate::simd::{self, Avx2, Micro, ACC, NR};
 use crate::Real;
+use std::marker::PhantomData;
 
 /// Transposition flag for a GEMM operand.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -33,12 +43,10 @@ pub enum Trans {
     Yes,
 }
 
-/// Microkernel register tile: `MR x NR` accumulators.
-const MR: usize = 8;
-const NR: usize = 4;
 /// Loop blocking: a `KC`-deep slice of the inner dimension is packed once
 /// and reused across the whole `MC x NC` block of C (packed A panel:
 /// `MC x KC` ≈ L2-resident, packed B panel: `KC x NC` ≈ L3-resident).
+/// `MC` is a multiple of every precision's register-tile height.
 const KC: usize = 256;
 const MC: usize = 128;
 const NC: usize = 512;
@@ -49,18 +57,134 @@ const NC: usize = 512;
 /// one call (see the module-level determinism contract).
 const BLOCK_MIN_MK: usize = 48 * 48;
 
+/// One way of feeding the engine: what the operands are stored as, what
+/// the kernel computes in, and what C is stored as. Every conversion is
+/// per element and exact or correctly rounded, so a feed computes what
+/// "convert the operands, run [`gemm`] in `T`, convert C back" computes,
+/// bit for bit, without the copies.
+pub(crate) trait Feed {
+    /// Compute type.
+    type T: Real;
+    /// Operand storage.
+    type Src: Copy;
+    /// Storage of C: the compute type or a wider one, so [`read`] and
+    /// [`write`] are exact.
+    type Dst: Real;
+    /// Whether operands need converting at all; `false` lets the naive
+    /// loops read them in place.
+    const CONVERTS: bool = true;
+
+    /// One operand element in the compute type.
+    fn get(x: Self::Src) -> Self::T;
+
+    /// `dst[i] = get(src[i])` over a contiguous run; overridden where the
+    /// seam has a vector conversion.
+    #[inline(always)]
+    fn load(_simd: Option<Avx2>, src: &[Self::Src], dst: &mut [Self::T]) {
+        load_each::<Self>(src, dst);
+    }
+
+    /// The `rows x cols` operand at `src` (leading dimension `ld`) as a
+    /// compute-type matrix for the naive loops: converted into `scratch`
+    /// unless it already is one.
+    #[inline(always)]
+    fn operand<'a>(
+        simd: Option<Avx2>,
+        src: &'a [Self::Src],
+        rows: usize,
+        cols: usize,
+        ld: usize,
+        scratch: &'a mut [Self::T],
+    ) -> (&'a [Self::T], usize) {
+        for j in 0..cols {
+            let col = &mut scratch[j * rows..j * rows + rows];
+            Self::load(simd, &src[j * ld..j * ld + rows], col);
+        }
+        (scratch, rows.max(1))
+    }
+
+    /// Storage rounding of a finished run of C (FP16 receivers).
+    #[inline(always)]
+    fn finish(_simd: Option<Avx2>, _c: &mut [Self::Dst]) {}
+}
+
+/// The scalar form of [`Feed::load`].
+#[inline(always)]
+pub(crate) fn load_each<F: Feed + ?Sized>(src: &[F::Src], dst: &mut [F::T]) {
+    for (d, s) in dst.iter_mut().zip(src) {
+        *d = F::get(*s);
+    }
+}
+
+/// An element of C in the compute type.
+#[inline(always)]
+fn read<F: Feed>(c: F::Dst) -> F::T {
+    F::T::from_f64(c.to_f64())
+}
+
+/// A computed element in C's storage type.
+#[inline(always)]
+fn write<F: Feed>(v: F::T) -> F::Dst {
+    F::Dst::from_f64(v.to_f64())
+}
+
+/// Operands and C already in the compute type: [`gemm`].
+pub(crate) struct Same<T>(PhantomData<T>);
+
+impl<T: Real> Feed for Same<T> {
+    type T = T;
+    type Src = T;
+    type Dst = T;
+    const CONVERTS: bool = false;
+    #[inline(always)]
+    fn get(x: T) -> T {
+        x
+    }
+    #[inline(always)]
+    fn operand<'a>(
+        _simd: Option<Avx2>,
+        src: &'a [T],
+        _rows: usize,
+        _cols: usize,
+        ld: usize,
+        _scratch: &'a mut [T],
+    ) -> (&'a [T], usize) {
+        (src, ld)
+    }
+}
+
+/// Binary16 operands promoted (exactly) while packing, FP32 C: [`shgemm`].
+struct FromHalf;
+
+impl Feed for FromHalf {
+    type T = f32;
+    type Src = Half;
+    type Dst = f32;
+    #[inline(always)]
+    fn get(x: Half) -> f32 {
+        x.to_f32()
+    }
+    #[inline(always)]
+    fn load(simd: Option<Avx2>, src: &[Half], dst: &mut [f32]) {
+        match simd {
+            Some(s) => s.promote_half(src, dst),
+            None => load_each::<Self>(src, dst),
+        }
+    }
+}
+
 #[allow(clippy::too_many_arguments)]
-fn check_dims<T: Real>(
+fn check_dims(
     transa: Trans,
     transb: Trans,
     m: usize,
     n: usize,
     k: usize,
-    a: &[T],
+    a_len: usize,
     lda: usize,
-    b: &[T],
+    b_len: usize,
     ldb: usize,
-    c: &[T],
+    c_len: usize,
     ldc: usize,
 ) {
     let (a_rows, a_cols) = match transa {
@@ -75,17 +199,18 @@ fn check_dims<T: Real>(
     assert!(ldb >= b_rows.max(1), "ldb {ldb} < rows of B {b_rows}");
     assert!(ldc >= m.max(1), "ldc {ldc} < m {m}");
     if a_cols > 0 && a_rows > 0 {
-        assert!(a.len() >= lda * (a_cols - 1) + a_rows);
+        assert!(a_len >= lda * (a_cols - 1) + a_rows);
     }
     if b_cols > 0 && b_rows > 0 {
-        assert!(b.len() >= ldb * (b_cols - 1) + b_rows);
+        assert!(b_len >= ldb * (b_cols - 1) + b_rows);
     }
     if n > 0 {
-        assert!(c.len() >= ldc * (n - 1) + m);
+        assert!(c_len >= ldc * (n - 1) + m);
     }
 }
 
 /// `C <- beta * C` over the `m x n` window (beta == 0 overwrites NaN too).
+#[inline(always)]
 fn scale_beta<T: Real>(m: usize, n: usize, beta: T, c: &mut [T], ldc: usize) {
     if beta == T::ONE {
         return;
@@ -126,15 +251,71 @@ pub fn gemm<T: Real>(
     c: &mut [T],
     ldc: usize,
 ) {
-    check_dims(transa, transb, m, n, k, a, lda, b, ldb, c, ldc);
-    scale_beta(m, n, beta, c, ldc);
-    if k == 0 || m == 0 || n == 0 || alpha == T::ZERO {
-        return;
-    }
+    gemm_fed::<Same<T>>(transa, transb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
+}
+
+/// `C <- beta * C`, then `C += alpha * op(A) * op(B)` through feed `F`:
+/// bounds checks, this thread's pack buffers, one trip through the seam.
+/// `beta` scales C's storage directly, so a feed whose C is not stored in
+/// the compute type passes one.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn gemm_fed<F: Feed>(
+    transa: Trans,
+    transb: Trans,
+    m: usize,
+    n: usize,
+    k: usize,
+    alpha: F::T,
+    a: &[F::Src],
+    lda: usize,
+    b: &[F::Src],
+    ldb: usize,
+    beta: F::Dst,
+    c: &mut [F::Dst],
+    ldc: usize,
+) {
+    check_dims(
+        transa,
+        transb,
+        m,
+        n,
+        k,
+        a.len(),
+        lda,
+        b.len(),
+        ldb,
+        c.len(),
+        ldc,
+    );
+    let (alen, blen) = pack_lens::<F>(m, n, k);
+    F::T::with_pack_bufs(alen, blen, |apack, bpack| {
+        simd::dispatch(
+            #[inline(always)]
+            |s| {
+                scale_beta(m, n, beta, c, ldc);
+                gemm_core::<F>(
+                    s, transa, transb, m, n, k, alpha, a, lda, b, ldb, c, ldc, apack, bpack,
+                )
+            },
+        )
+    })
+}
+
+/// Pack-buffer lengths [`gemm_core`] needs for this shape: the blocked
+/// path's two panels, or the naive path's converted operands (nothing for
+/// a feed that borrows them).
+fn pack_lens<F: Feed>(m: usize, n: usize, k: usize) -> (usize, usize) {
     if m * k >= BLOCK_MIN_MK {
-        gemm_core_blocked(transa, transb, m, n, k, alpha, a, lda, b, ldb, c, ldc);
+        let mr = <F::T as Micro>::MR;
+        let kc = KC.min(k);
+        (
+            MC.min(m).div_ceil(mr) * mr * kc,
+            NC.min(n).div_ceil(NR) * NR * kc,
+        )
+    } else if F::CONVERTS {
+        (m * k, k * n)
     } else {
-        gemm_core_naive(transa, transb, m, n, k, alpha, a, lda, b, ldb, c, ldc);
+        (0, 0)
     }
 }
 
@@ -157,251 +338,253 @@ pub(crate) fn gemm_naive<T: Real>(
     c: &mut [T],
     ldc: usize,
 ) {
-    check_dims(transa, transb, m, n, k, a, lda, b, ldb, c, ldc);
+    check_dims(
+        transa,
+        transb,
+        m,
+        n,
+        k,
+        a.len(),
+        lda,
+        b.len(),
+        ldb,
+        c.len(),
+        ldc,
+    );
     scale_beta(m, n, beta, c, ldc);
     if k == 0 || m == 0 || n == 0 || alpha == T::ZERO {
         return;
     }
-    gemm_core_naive(transa, transb, m, n, k, alpha, a, lda, b, ldb, c, ldc);
+    gemm_core_naive::<Same<T>>(
+        None,
+        transa,
+        transb,
+        m,
+        n,
+        k,
+        alpha,
+        a,
+        lda,
+        b,
+        ldb,
+        c,
+        ldc,
+        &mut [],
+        &mut [],
+    );
 }
 
-/// Unblocked update `C += alpha * op(A) * op(B)` (beta already applied).
+/// `C += alpha * op(A) * op(B)` (beta already applied): the path choice.
+#[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn gemm_core_naive<T: Real>(
+pub(crate) fn gemm_core<F: Feed>(
+    simd: Option<Avx2>,
     transa: Trans,
     transb: Trans,
     m: usize,
     n: usize,
     k: usize,
-    alpha: T,
-    a: &[T],
+    alpha: F::T,
+    a: &[F::Src],
     lda: usize,
-    b: &[T],
+    b: &[F::Src],
     ldb: usize,
-    c: &mut [T],
+    c: &mut [F::Dst],
     ldc: usize,
+    apack: &mut [F::T],
+    bpack: &mut [F::T],
 ) {
-    match (transa, transb) {
-        (Trans::No, Trans::No) => {
-            // C[:,j] += alpha * A[:,l] * B[l,j] — pure axpy over columns,
-            // vectorizes along m.
-            for j in 0..n {
+    if k == 0 || m == 0 || n == 0 || alpha == F::T::ZERO {
+        return;
+    }
+    if m * k >= BLOCK_MIN_MK {
+        gemm_core_blocked::<F>(
+            simd, transa, transb, m, n, k, alpha, a, lda, b, ldb, c, ldc, apack, bpack,
+        );
+    } else {
+        gemm_core_naive::<F>(
+            simd, transa, transb, m, n, k, alpha, a, lda, b, ldb, c, ldc, apack, bpack,
+        );
+    }
+}
+
+/// Unblocked update `C += alpha * op(A) * op(B)` (beta already applied).
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn gemm_core_naive<F: Feed>(
+    simd: Option<Avx2>,
+    transa: Trans,
+    transb: Trans,
+    m: usize,
+    n: usize,
+    k: usize,
+    alpha: F::T,
+    a: &[F::Src],
+    lda: usize,
+    b: &[F::Src],
+    ldb: usize,
+    c: &mut [F::Dst],
+    ldc: usize,
+    ascratch: &mut [F::T],
+    bscratch: &mut [F::T],
+) {
+    let (a_rows, a_cols) = match transa {
+        Trans::No => (m, k),
+        Trans::Yes => (k, m),
+    };
+    let (b_rows, b_cols) = match transb {
+        Trans::No => (k, n),
+        Trans::Yes => (n, k),
+    };
+    let (a, lda) = F::operand(simd, a, a_rows, a_cols, lda, ascratch);
+    let (b, ldb) = F::operand(simd, b, b_rows, b_cols, ldb, bscratch);
+    for j in 0..n {
+        let ccol = &mut c[j * ldc..j * ldc + m];
+        match transa {
+            // C[:,j] += alpha * A[:,l] * op(B)[l,j] — pure axpy over
+            // columns of A and C, vectorizes along m.
+            Trans::No => {
                 for l in 0..k {
-                    let blj = alpha * b[l + j * ldb];
-                    if blj == T::ZERO {
+                    let blj = alpha
+                        * match transb {
+                            Trans::No => b[l + j * ldb],
+                            Trans::Yes => b[j + l * ldb],
+                        };
+                    if blj == F::T::ZERO {
                         continue;
                     }
                     let acol = &a[l * lda..l * lda + m];
-                    let ccol = &mut c[j * ldc..j * ldc + m];
                     for (ci, ai) in ccol.iter_mut().zip(acol) {
-                        *ci = ai.mul_add(blj, *ci);
+                        *ci = write::<F>(ai.mul_add(blj, read::<F>(*ci)));
                     }
                 }
             }
-        }
-        (Trans::No, Trans::Yes) => {
-            // C[:,j] += alpha * A[:,l] * B[j,l]; B accessed row-wise but the
-            // inner loop still streams columns of A and C.
-            for j in 0..n {
-                for l in 0..k {
-                    let blj = alpha * b[j + l * ldb];
-                    if blj == T::ZERO {
-                        continue;
-                    }
-                    let acol = &a[l * lda..l * lda + m];
-                    let ccol = &mut c[j * ldc..j * ldc + m];
-                    for (ci, ai) in ccol.iter_mut().zip(acol) {
-                        *ci = ai.mul_add(blj, *ci);
-                    }
-                }
-            }
-        }
-        (Trans::Yes, Trans::No) => {
-            // C[i,j] += alpha * dot(A[:,i], B[:,j]) — dot products down
-            // contiguous columns.
-            for j in 0..n {
-                let bcol = &b[j * ldb..j * ldb + k];
-                for i in 0..m {
+            // C[i,j] += alpha * dot(A[:,i], op(B)[:,j]) — dot products
+            // down contiguous columns of A.
+            Trans::Yes => {
+                for (i, ci) in ccol.iter_mut().enumerate() {
                     let acol = &a[i * lda..i * lda + k];
-                    let mut s = T::ZERO;
-                    for (ai, bi) in acol.iter().zip(bcol) {
-                        s = ai.mul_add(*bi, s);
+                    let mut s = F::T::ZERO;
+                    match transb {
+                        Trans::No => {
+                            for (ai, bi) in acol.iter().zip(&b[j * ldb..j * ldb + k]) {
+                                s = ai.mul_add(*bi, s);
+                            }
+                        }
+                        Trans::Yes => {
+                            for (l, ai) in acol.iter().enumerate() {
+                                s = ai.mul_add(b[j + l * ldb], s);
+                            }
+                        }
                     }
-                    c[i + j * ldc] += alpha * s;
+                    *ci = write::<F>(read::<F>(*ci) + alpha * s);
                 }
             }
         }
-        (Trans::Yes, Trans::Yes) => {
-            // C[i,j] += alpha * sum_l A[l,i] * B[j,l].
-            for j in 0..n {
-                for i in 0..m {
-                    let acol = &a[i * lda..i * lda + k];
-                    let mut s = T::ZERO;
-                    for (l, ai) in acol.iter().enumerate() {
-                        s = ai.mul_add(b[j + l * ldb], s);
-                    }
-                    c[i + j * ldc] += alpha * s;
-                }
-            }
-        }
+        F::finish(simd, ccol);
     }
 }
 
 /// Pack `op(A)[ic.., pc..]` (`mc x kc`) into row micro-panels of height
 /// `MR`: panel `p` holds rows `p*MR..(p+1)*MR` stored column-by-column
 /// (`apack[p*MR*kc + l*MR + r]`), rows past `mc` zero-padded so the
-/// microkernel never branches on the row edge.
+/// microkernel never branches on the row edge. Elements are converted to
+/// the compute type on the way in.
+#[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn pack_a<T: Real>(
+fn pack_a<F: Feed>(
+    simd: Option<Avx2>,
     transa: Trans,
     mc: usize,
     kc: usize,
-    a: &[T],
+    a: &[F::Src],
     lda: usize,
     ic: usize,
     pc: usize,
-    apack: &mut [T],
+    apack: &mut [F::T],
 ) {
-    let panels = mc.div_ceil(MR);
-    for p in 0..panels {
-        let base = p * MR * kc;
+    let mr = <F::T as Micro>::MR;
+    for p in 0..mc.div_ceil(mr) {
+        let rows = mr.min(mc - p * mr);
+        let row0 = ic + p * mr;
         for l in 0..kc {
-            for r in 0..MR {
-                let row = p * MR + r;
-                apack[base + l * MR + r] = if row < mc {
-                    match transa {
-                        Trans::No => a[(ic + row) + (pc + l) * lda],
-                        Trans::Yes => a[(pc + l) + (ic + row) * lda],
+            let dst = &mut apack[p * mr * kc + l * mr..][..mr];
+            match transa {
+                // A full panel's run has the register tile's constant
+                // length, which is what lets the conversion unroll.
+                Trans::No if rows == mr => {
+                    F::load(simd, &a[row0 + (pc + l) * lda..][..mr], dst);
+                }
+                Trans::No => {
+                    let at = row0 + (pc + l) * lda;
+                    F::load(simd, &a[at..at + rows], &mut dst[..rows]);
+                }
+                Trans::Yes => {
+                    for (r, d) in dst[..rows].iter_mut().enumerate() {
+                        *d = F::get(a[(pc + l) + (row0 + r) * lda]);
                     }
-                } else {
-                    T::ZERO
-                };
+                }
             }
+            dst[rows..].fill(F::T::ZERO);
         }
     }
 }
 
 /// Pack `op(B)[pc.., jc..]` (`kc x nc`) into column micro-panels of width
 /// `NR` (`bpack[q*NR*kc + l*NR + c]`), columns past `nc` zero-padded.
+#[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn pack_b<T: Real>(
+fn pack_b<F: Feed>(
+    simd: Option<Avx2>,
     transb: Trans,
     kc: usize,
     nc: usize,
-    b: &[T],
+    b: &[F::Src],
     ldb: usize,
     pc: usize,
     jc: usize,
-    bpack: &mut [T],
+    bpack: &mut [F::T],
 ) {
-    let panels = nc.div_ceil(NR);
-    for q in 0..panels {
-        let base = q * NR * kc;
+    for q in 0..nc.div_ceil(NR) {
+        let cols = NR.min(nc - q * NR);
+        let col0 = jc + q * NR;
         for l in 0..kc {
-            for col in 0..NR {
-                let j = q * NR + col;
-                bpack[base + l * NR + col] = if j < nc {
-                    match transb {
-                        Trans::No => b[(pc + l) + (jc + j) * ldb],
-                        Trans::Yes => b[(jc + j) + (pc + l) * ldb],
+            let dst = &mut bpack[q * NR * kc + l * NR..][..NR];
+            match transb {
+                Trans::No => {
+                    for (col, d) in dst[..cols].iter_mut().enumerate() {
+                        *d = F::get(b[(pc + l) + (col0 + col) * ldb]);
                     }
-                } else {
-                    T::ZERO
-                };
+                }
+                Trans::Yes if cols == NR => {
+                    F::load(simd, &b[col0 + (pc + l) * ldb..][..NR], dst);
+                }
+                Trans::Yes => {
+                    let at = col0 + (pc + l) * ldb;
+                    F::load(simd, &b[at..at + cols], &mut dst[..cols]);
+                }
             }
+            dst[cols..].fill(F::T::ZERO);
         }
     }
 }
 
 /// Generic `MR x NR` microkernel: `acc[c][r] += ap[l][r] * bp[l][c]` over
-/// `l`, one fused multiply-add per element per step. The `MR`-wide inner
-/// unroll over a contiguous packed panel autovectorizes (vfmadd under
-/// `-C target-cpu=native`); the explicit AVX2 kernel below performs the
-/// identical operations in the identical order.
+/// `l`, one fused multiply-add per element per step — the plain side of
+/// the seam; the AVX2 register tiles perform the identical operations in
+/// the identical order.
 #[inline(always)]
-fn microkernel<T: Real>(kc: usize, ap: &[T], bp: &[T], acc: &mut [[T; MR]; NR]) {
+fn microkernel<T: Real>(kc: usize, ap: &[T], bp: &[T], acc: &mut [T; ACC]) {
+    let mr = T::MR;
     for l in 0..kc {
-        let av = &ap[l * MR..l * MR + MR];
+        let av = &ap[l * mr..l * mr + mr];
         let bv = &bp[l * NR..l * NR + NR];
-        for (col, bc) in acc.iter_mut().zip(bv) {
+        for (col, bc) in acc.chunks_exact_mut(mr).zip(bv) {
             for (accr, ar) in col.iter_mut().zip(av) {
                 *accr = ar.mul_add(*bc, *accr);
             }
         }
     }
-}
-
-#[cfg(target_arch = "x86_64")]
-mod avx {
-    use super::{MR, NR};
-    use std::arch::x86_64::*;
-    use std::sync::OnceLock;
-
-    /// Runtime AVX2+FMA probe, cached after the first call.
-    pub(super) fn available() -> bool {
-        static HAVE: OnceLock<bool> = OnceLock::new();
-        *HAVE.get_or_init(|| is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma"))
-    }
-
-    /// f64x4 microkernel: rows 0..4 and 4..8 of each accumulator column are
-    /// one `__m256d` each, updated with `vfmadd231pd` per `l` — the same
-    /// fused operation, in the same order, as the generic kernel, so the
-    /// two are bitwise interchangeable.
-    ///
-    /// # Safety
-    /// Caller must ensure AVX2+FMA are available ([`available`]) and that
-    /// `ap`/`bp` hold at least `kc * MR` / `kc * NR` elements.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    // xgs-lint: allow(no-unjustified-unsafe): target_feature fn; callers check avx::available() and slice lengths per the Safety contract
-    pub(super) unsafe fn microkernel_f64(
-        kc: usize,
-        ap: &[f64],
-        bp: &[f64],
-        acc: &mut [[f64; MR]; NR],
-    ) {
-        debug_assert!(ap.len() >= kc * MR && bp.len() >= kc * NR);
-        let mut lo = [_mm256_setzero_pd(); NR];
-        let mut hi = [_mm256_setzero_pd(); NR];
-        let ap = ap.as_ptr();
-        let bp = bp.as_ptr();
-        for l in 0..kc {
-            let a_lo = _mm256_loadu_pd(ap.add(l * MR));
-            let a_hi = _mm256_loadu_pd(ap.add(l * MR + 4));
-            for c in 0..NR {
-                let b = _mm256_broadcast_sd(&*bp.add(l * NR + c));
-                lo[c] = _mm256_fmadd_pd(a_lo, b, lo[c]);
-                hi[c] = _mm256_fmadd_pd(a_hi, b, hi[c]);
-            }
-        }
-        for c in 0..NR {
-            _mm256_storeu_pd(acc[c].as_mut_ptr(), lo[c]);
-            _mm256_storeu_pd(acc[c].as_mut_ptr().add(4), hi[c]);
-        }
-    }
-}
-
-/// Run the microkernel for one register tile, dispatching to the AVX2 f64
-/// kernel when the CPU has it (bitwise-identical to the generic one).
-#[inline(always)]
-fn run_microkernel<T: Real>(kc: usize, ap: &[T], bp: &[T], acc: &mut [[T; MR]; NR]) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        use std::any::TypeId;
-        if TypeId::of::<T>() == TypeId::of::<f64>() && avx::available() {
-            // SAFETY: T is exactly f64 (TypeId match on 'static types), so
-            // these are plain same-type reborrows; AVX2+FMA presence was
-            // just checked.
-            // xgs-lint: allow(no-unjustified-unsafe): same-type reborrow proven by TypeId equality; feature presence checked one line up
-            unsafe {
-                let ap64 = std::slice::from_raw_parts(ap.as_ptr() as *const f64, ap.len());
-                let bp64 = std::slice::from_raw_parts(bp.as_ptr() as *const f64, bp.len());
-                let acc64 = &mut *(acc as *mut [[T; MR]; NR] as *mut [[f64; MR]; NR]);
-                avx::microkernel_f64(kc, ap64, bp64, acc64);
-            }
-            return;
-        }
-    }
-    microkernel(kc, ap, bp, acc);
 }
 
 /// Cache-blocked update `C += alpha * op(A) * op(B)` (beta already
@@ -411,48 +594,58 @@ fn run_microkernel<T: Real>(kc: usize, ap: &[T], bp: &[T], acc: &mut [[T; MR]; N
 /// Per-column arithmetic depends only on `(m, k)` and the column's data:
 /// the `pc` loop fixes the k-summation grouping from `KC` alone, and a
 /// column's register-tile membership never changes what is accumulated
-/// into it — which keeps batched and singleton calls bitwise identical.
+/// into it — which keeps batched and singleton calls bitwise identical,
+/// and makes the register-tile height invisible in the result.
+#[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn gemm_core_blocked<T: Real>(
+fn gemm_core_blocked<F: Feed>(
+    simd: Option<Avx2>,
     transa: Trans,
     transb: Trans,
     m: usize,
     n: usize,
     k: usize,
-    alpha: T,
-    a: &[T],
+    alpha: F::T,
+    a: &[F::Src],
     lda: usize,
-    b: &[T],
+    b: &[F::Src],
     ldb: usize,
-    c: &mut [T],
+    c: &mut [F::Dst],
     ldc: usize,
+    apack: &mut [F::T],
+    bpack: &mut [F::T],
 ) {
-    let kc_max = KC.min(k);
-    let mut apack = vec![T::ZERO; MC.min(m).div_ceil(MR) * MR * kc_max];
-    let mut bpack = vec![T::ZERO; NC.min(n).div_ceil(NR) * NR * kc_max];
+    let mr_full = <F::T as Micro>::MR;
     for jc in (0..n).step_by(NC) {
         let nc = NC.min(n - jc);
         for pc in (0..k).step_by(KC) {
             let kc = KC.min(k - pc);
-            pack_b(transb, kc, nc, b, ldb, pc, jc, &mut bpack);
+            let last = pc + kc == k;
+            pack_b::<F>(simd, transb, kc, nc, b, ldb, pc, jc, bpack);
             for ic in (0..m).step_by(MC) {
                 let mc = MC.min(m - ic);
-                pack_a(transa, mc, kc, a, lda, ic, pc, &mut apack);
+                pack_a::<F>(simd, transa, mc, kc, a, lda, ic, pc, apack);
                 for jr in (0..nc).step_by(NR) {
                     let nr = NR.min(nc - jr);
                     let bp = &bpack[(jr / NR) * NR * kc..][..NR * kc];
-                    for ir in (0..mc).step_by(MR) {
-                        let mr = MR.min(mc - ir);
-                        let ap = &apack[(ir / MR) * MR * kc..][..MR * kc];
-                        let mut acc = [[T::ZERO; MR]; NR];
-                        run_microkernel(kc, ap, bp, &mut acc);
+                    for ir in (0..mc).step_by(mr_full) {
+                        let mr = mr_full.min(mc - ir);
+                        let ap = &apack[(ir / mr_full) * mr_full * kc..][..mr_full * kc];
+                        let mut acc = [F::T::ZERO; ACC];
+                        match simd {
+                            Some(s) => F::T::microkernel_avx2(s, kc, ap, bp, &mut acc),
+                            None => microkernel(kc, ap, bp, &mut acc),
+                        }
                         // Write back only the real rows/cols; padded lanes
                         // hold exact zeros and are dropped.
-                        for (cq, col) in acc.iter().enumerate().take(nr) {
+                        for (cq, col) in acc.chunks_exact(mr_full).enumerate().take(nr) {
                             let cbase = (jc + jr + cq) * ldc + ic + ir;
                             let ccol = &mut c[cbase..cbase + mr];
                             for (ci, acci) in ccol.iter_mut().zip(col) {
-                                *ci = acci.mul_add(alpha, *ci);
+                                *ci = write::<F>(acci.mul_add(alpha, read::<F>(*ci)));
+                            }
+                            if last {
+                                F::finish(simd, ccol);
                             }
                         }
                     }
@@ -500,8 +693,10 @@ pub fn gemm_notrans<T: Real>(
 /// `a_il * b_lj` is computed on the exact `f32` values of the halves and
 /// accumulated in `f32`, reproducing the mixed-precision HGEMM-with-FP32-
 /// accumulation the paper obtains from BLIS on A64FX (Fig. 8) and from
-/// trimmed SGEMM on Shaheen II. The promoted panels run through the same
-/// blocked [`gemm`] as the FP32 path.
+/// trimmed SGEMM on Shaheen II. The halves are promoted as they are packed
+/// (`vcvtph2ps` where the seam is open) into the FP32 register tile's own
+/// panels — "call an SGEMM BLAS routine to accumulate in FP32" without a
+/// promoted copy of either operand.
 #[allow(clippy::too_many_arguments)]
 pub fn shgemm(
     transa: Trans,
@@ -518,33 +713,59 @@ pub fn shgemm(
     c: &mut [f32],
     ldc: usize,
 ) {
-    // Promote operand panels once (exact), then run the f32 kernel. This is
-    // precisely "call an SGEMM BLAS routine to accumulate in FP32".
-    let (a_rows, a_cols) = match transa {
-        Trans::No => (m, k),
-        Trans::Yes => (k, m),
-    };
-    let (b_rows, b_cols) = match transb {
-        Trans::No => (k, n),
-        Trans::Yes => (n, k),
-    };
-    let af = Half::promote_panel(a, a_rows, a_cols, lda);
-    let bf = Half::promote_panel(b, b_rows, b_cols, ldb);
-    gemm(
-        transa,
-        transb,
-        m,
-        n,
-        k,
-        alpha,
-        &af,
-        a_rows.max(1),
-        &bf,
-        b_rows.max(1),
-        beta,
-        c,
-        ldc,
+    gemm_fed::<FromHalf>(transa, transb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
+}
+
+/// `C += alpha * op(A) * op(B)` through feed `F` on each side of the seam
+/// — plain code, then the AVX2+FMA+F16C region — for the bitwise
+/// plain == SIMD tests. `None` when the CPU has no fast side.
+#[cfg(test)]
+#[allow(clippy::too_many_arguments, clippy::type_complexity)]
+pub(crate) fn on_both_sides_of_the_seam<F: Feed>(
+    transa: Trans,
+    transb: Trans,
+    m: usize,
+    n: usize,
+    k: usize,
+    alpha: F::T,
+    a: &[F::Src],
+    lda: usize,
+    b: &[F::Src],
+    ldb: usize,
+    c: &[F::Dst],
+    ldc: usize,
+) -> Option<(Vec<F::Dst>, Vec<F::Dst>)> {
+    let s = Avx2::detect()?;
+    let (alen, blen) = pack_lens::<F>(m, n, k);
+    let (mut apack, mut bpack) = (vec![F::T::ZERO; alen], vec![F::T::ZERO; blen]);
+    let (mut plain, mut fast) = (c.to_vec(), c.to_vec());
+    gemm_core::<F>(
+        None, transa, transb, m, n, k, alpha, a, lda, b, ldb, &mut plain, ldc, &mut apack,
+        &mut bpack,
     );
+    s.run(
+        #[inline(always)]
+        || {
+            gemm_core::<F>(
+                Some(s),
+                transa,
+                transb,
+                m,
+                n,
+                k,
+                alpha,
+                a,
+                lda,
+                b,
+                ldb,
+                &mut fast,
+                ldc,
+                &mut apack,
+                &mut bpack,
+            )
+        },
+    );
+    Some((plain, fast))
 }
 
 #[cfg(test)]
@@ -1055,5 +1276,57 @@ mod tests {
             m,
         );
         assert_eq!(c, cref);
+    }
+
+    const TRANSPOSES: [(Trans, Trans); 4] = [
+        (Trans::No, Trans::No),
+        (Trans::No, Trans::Yes),
+        (Trans::Yes, Trans::No),
+        (Trans::Yes, Trans::Yes),
+    ];
+
+    /// Plain == AVX2 register tile, bit for bit, for feed `F` on shapes
+    /// far from multiples of MR/NR/KC/MC (every edge panel, two KC
+    /// blocks) and on one below the blocked path.
+    fn seam_is_bitwise_invisible<F: Feed>(
+        src: impl Fn(f64) -> F::Src,
+        dst: impl Fn(f64) -> F::Dst,
+    ) {
+        for &(m, n, k) in &[(131, 67, 259), (130, 3, 300), (97, 129, 49), (13, 7, 9)] {
+            for (ta, tb) in TRANSPOSES {
+                let (ar, ac) = if ta == Trans::No { (m, k) } else { (k, m) };
+                let (br, bc) = if tb == Trans::No { (k, n) } else { (n, k) };
+                let (lda, ldb, ldc) = (ar + 3, br + 1, m + 2);
+                let a: Vec<F::Src> = fill(lda * ac, 70).into_iter().map(&src).collect();
+                let b: Vec<F::Src> = fill(ldb * bc, 71).into_iter().map(&src).collect();
+                let c: Vec<F::Dst> = fill(ldc * n, 72).into_iter().map(&dst).collect();
+                let alpha = F::T::from_f64(-0.75);
+                let Some((plain, fast)) = on_both_sides_of_the_seam::<F>(
+                    ta, tb, m, n, k, alpha, &a, lda, &b, ldb, &c, ldc,
+                ) else {
+                    return; // no fast side on this CPU
+                };
+                let bits =
+                    |v: &[F::Dst]| v.iter().map(|x| x.to_f64().to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&plain), bits(&fast), "{ta:?} {tb:?} ({m},{n},{k})");
+                assert_ne!(bits(&plain), bits(&c), "the update did something");
+            }
+        }
+    }
+
+    #[test]
+    fn avx2_register_tile_is_bitwise_the_generic_one_f64() {
+        seam_is_bitwise_invisible::<Same<f64>>(|x| x, |x| x);
+    }
+
+    #[test]
+    fn avx2_register_tile_is_bitwise_the_generic_one_f32() {
+        seam_is_bitwise_invisible::<Same<f32>>(|x| x as f32, |x| x as f32);
+    }
+
+    #[test]
+    fn f16c_packing_is_bitwise_the_software_promotion() {
+        // Scaled so that subnormal halves are packed too.
+        seam_is_bitwise_invisible::<FromHalf>(|x| Half::from_f64(x * 1e-4), |x| x as f32);
     }
 }

@@ -26,7 +26,9 @@ impl Half {
 
     /// Convert an `f32` to binary16 with round-to-nearest-even, overflow to
     /// infinity, and gradual underflow to subnormals — bit-exact with the
-    /// hardware conversion on A64FX / x86 F16C.
+    /// hardware conversion on A64FX / x86 F16C (`simd.rs` tests every
+    /// binary16, every rounding boundary and a million random patterns
+    /// against `vcvtps2ph`/`vcvtph2ps`).
     #[inline]
     pub fn from_f32(x: f32) -> Half {
         let bits = x.to_bits();
@@ -95,8 +97,10 @@ impl Half {
         let exp = (h >> 10) & 0x1F;
         let frac = h & 0x03FF;
         let bits = if exp == 0x1F {
-            // Inf/NaN.
-            sign | 0x7F80_0000 | (frac << 13)
+            // Inf/NaN; a NaN comes out quiet, as the hardware conversion
+            // (and `from_f32`) leaves it.
+            let quiet = if frac != 0 { 0x0040_0000 } else { 0 };
+            sign | 0x7F80_0000 | quiet | (frac << 13)
         } else if exp != 0 {
             // Normal.
             sign | ((exp + 112) << 23) | (frac << 13)
@@ -140,23 +144,6 @@ impl Half {
     #[inline]
     pub fn is_finite(self) -> bool {
         (self.0 & 0x7C00) != 0x7C00
-    }
-
-    /// Promote a column-major `rows x cols` panel with leading dimension
-    /// `ld` to a dense (leading dimension `rows`) contiguous `f32` buffer.
-    /// Exact — every binary16 is representable in `f32`. This is the bulk
-    /// conversion feeding [`crate::gemm::shgemm`]'s FP32-accumulating
-    /// blocked kernel.
-    pub fn promote_panel(src: &[Half], rows: usize, cols: usize, ld: usize) -> Vec<f32> {
-        let mut out = vec![0f32; rows * cols.max(1)];
-        for j in 0..cols {
-            let s = &src[j * ld..j * ld + rows];
-            let d = &mut out[j * rows..j * rows + rows];
-            for (di, hi) in d.iter_mut().zip(s) {
-                *di = hi.to_f32();
-            }
-        }
-        out
     }
 }
 

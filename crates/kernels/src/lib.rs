@@ -18,8 +18,10 @@
 pub mod convert;
 pub mod gemm;
 pub mod half;
+pub mod mixed;
 pub mod potrf;
 pub mod precision;
+mod simd;
 pub mod syrk;
 pub mod trsm;
 
@@ -41,8 +43,12 @@ pub use trsm::{trsm_left_lower_notrans, trsm_left_lower_trans, trsm_right_lower_
 /// "pure f16" arithmetic anywhere, mirroring the paper's observation that
 /// Fugaku's pure-FP16 HGEMM is unusable for MLE and FP32 accumulation is
 /// required.
+///
+/// Sealed: the packed GEMM needs a register tile and pack buffers per
+/// precision, which only this crate provides.
 pub trait Real:
-    Copy
+    simd::Micro
+    + Copy
     + Send
     + Sync
     + PartialOrd

@@ -6,8 +6,10 @@
 //! blocked — unblocked diagonal factor, [`trsm_right_lower_trans`] panel
 //! solve, [`syrk_lower_notrans`] trailing update — so the O(n³) bulk of a
 //! large factorization flows through the cache-blocked GEMM microkernels
-//! instead of the column-at-a-time loop.
+//! instead of the column-at-a-time loop. A call runs through the crate's
+//! AVX2+FMA seam (`simd.rs`) once; bitwise-neutral.
 
+use crate::simd;
 use crate::syrk::syrk_lower_notrans;
 use crate::trsm::trsm_right_lower_trans;
 use crate::Real;
@@ -43,6 +45,17 @@ pub fn potrf<T: Real>(n: usize, a: &mut [T], lda: usize) -> Result<(), PotrfErro
     if n > 0 {
         assert!(a.len() >= lda * (n - 1) + n);
     }
+    simd::dispatch(
+        #[inline(always)]
+        |_| potrf_blocked(n, a, lda),
+    )
+}
+
+/// [`potrf`] after its bounds checks; `#[inline(always)]`, like
+/// [`potrf_core`], so that both compile on whichever side of the seam
+/// their caller is.
+#[inline(always)]
+fn potrf_blocked<T: Real>(n: usize, a: &mut [T], lda: usize) -> Result<(), PotrfError> {
     if n <= NB {
         return potrf_core(n, a, lda);
     }
@@ -93,6 +106,7 @@ fn potrf_unblocked<T: Real>(n: usize, a: &mut [T], lda: usize) -> Result<(), Pot
     potrf_core(n, a, lda)
 }
 
+#[inline(always)]
 fn potrf_core<T: Real>(n: usize, a: &mut [T], lda: usize) -> Result<(), PotrfError> {
     for j in 0..n {
         // d = A[j,j] - sum_{p<j} L[j,p]^2
@@ -365,5 +379,43 @@ mod tests {
                 assert!((a32[i + j * n] as f64 - ref64[i + j * n]).abs() < 1e-3);
             }
         }
+    }
+
+    /// The unblocked loop on each side of the seam, bit for bit, in
+    /// precision `T`, at orders straddling `NB`.
+    fn core_is_bitwise_the_same_through_the_seam<T: Real>() {
+        let Some(s) = simd::Avx2::detect() else {
+            return; // no fast side on this CPU
+        };
+        for n in [1, 7, NB - 1, NB, NB + 1, 100] {
+            let lda = n + 3;
+            let mut a = vec![T::ZERO; lda * n];
+            let dense = spd(n, n as u64);
+            for j in 0..n {
+                for i in 0..n {
+                    a[i + j * lda] = T::from_f64(dense[i + j * n]);
+                }
+            }
+            let mut plain = a.clone();
+            let mut fast = a;
+            potrf_core(n, &mut plain, lda).unwrap();
+            s.run(
+                #[inline(always)]
+                || potrf_core(n, &mut fast, lda),
+            )
+            .unwrap();
+            let bits = |v: &[T]| v.iter().map(|x| x.to_f64().to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&plain), bits(&fast), "order {n}");
+        }
+    }
+
+    #[test]
+    fn seam_is_bitwise_invisible_f64() {
+        core_is_bitwise_the_same_through_the_seam::<f64>();
+    }
+
+    #[test]
+    fn seam_is_bitwise_invisible_f32() {
+        core_is_bitwise_the_same_through_the_seam::<f32>();
     }
 }

@@ -9,9 +9,11 @@
 //! column loop, and every block strictly below the diagonal is a plain
 //! rectangular `A_i * A_j^T` product routed through the cache-blocked
 //! [`gemm`] — so SYRK inherits the packed microkernel for the bulk of its
-//! flops while the strict upper triangle stays untouched.
+//! flops while the strict upper triangle stays untouched. A call runs
+//! through the crate's AVX2+FMA seam (`simd.rs`) once; bitwise-neutral.
 
 use crate::gemm::{gemm, Trans};
+use crate::simd;
 use crate::Real;
 
 /// Diagonal-block width of the blocked path; below-or-at this order the
@@ -24,6 +26,27 @@ const NB: usize = 64;
 /// * The strict upper triangle of `C` is left untouched.
 #[allow(clippy::too_many_arguments)]
 pub fn syrk_lower_notrans<T: Real>(
+    n: usize,
+    k: usize,
+    alpha: T,
+    a: &[T],
+    lda: usize,
+    beta: T,
+    c: &mut [T],
+    ldc: usize,
+) {
+    simd::dispatch(
+        #[inline(always)]
+        |_| syrk_blocked(n, k, alpha, a, lda, beta, c, ldc),
+    )
+}
+
+/// [`syrk_lower_notrans`] inside the seam; `#[inline(always)]`, like the
+/// helpers below, so that they compile on whichever side of it their
+/// caller is.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn syrk_blocked<T: Real>(
     n: usize,
     k: usize,
     alpha: T,
@@ -89,6 +112,7 @@ fn syrk_lower_notrans_naive<T: Real>(
     syrk_core(n, k, alpha, a, lda, c, ldc);
 }
 
+#[inline(always)]
 fn check_and_scale<T: Real>(
     n: usize,
     k: usize,
@@ -122,6 +146,7 @@ fn check_and_scale<T: Real>(
 
 /// Column-j of the update: `C[j.., j] += alpha * A[j.., l] * A[j, l]`
 /// (beta already applied by the caller).
+#[inline(always)]
 fn syrk_core<T: Real>(n: usize, k: usize, alpha: T, a: &[T], lda: usize, c: &mut [T], ldc: usize) {
     for j in 0..n {
         for l in 0..k {
@@ -249,5 +274,37 @@ mod tests {
         for i in 0..n {
             assert!(c[i + i * n] >= 0.0);
         }
+    }
+
+    /// The unblocked column loop on each side of the seam, bit for bit,
+    /// in precision `T`, at orders straddling `NB`.
+    fn core_is_bitwise_the_same_through_the_seam<T: Real>() {
+        let Some(s) = simd::Avx2::detect() else {
+            return; // no fast side on this CPU
+        };
+        for (n, k) in [(1, 5), (NB - 1, 40), (NB, 64), (NB + 1, 9), (100, 100)] {
+            let (lda, ldc) = (n + 2, n + 5);
+            let a: Vec<T> = fill(lda * k, 90).into_iter().map(T::from_f64).collect();
+            let c: Vec<T> = fill(ldc * n, 91).into_iter().map(T::from_f64).collect();
+            let alpha = T::from_f64(-1.0);
+            let (mut plain, mut fast) = (c.clone(), c);
+            syrk_core(n, k, alpha, &a, lda, &mut plain, ldc);
+            s.run(
+                #[inline(always)]
+                || syrk_core(n, k, alpha, &a, lda, &mut fast, ldc),
+            );
+            let bits = |v: &[T]| v.iter().map(|x| x.to_f64().to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&plain), bits(&fast), "({n},{k})");
+        }
+    }
+
+    #[test]
+    fn seam_is_bitwise_invisible_f64() {
+        core_is_bitwise_the_same_through_the_seam::<f64>();
+    }
+
+    #[test]
+    fn seam_is_bitwise_invisible_f32() {
+        core_is_bitwise_the_same_through_the_seam::<f32>();
     }
 }

@@ -17,14 +17,21 @@
 //! right-hand-side column is processed independently, so a batched
 //! multi-RHS solve stays bitwise identical to solving each column alone
 //! (the server's batched==singleton guarantee).
+//!
+//! Each solve runs through the crate's AVX2+FMA seam (`simd.rs`) once per
+//! call: the public function checks bounds and dispatches, and everything
+//! below it is `#[inline(always)]` so that it compiles on whichever side
+//! of the seam its caller is. Bitwise-neutral.
 
 use crate::gemm::{gemm, Trans};
+use crate::simd;
 use crate::Real;
 
 /// Diagonal-block order of the blocked solves; at or below this the
 /// unblocked substitution runs directly.
 const NB: usize = 64;
 
+#[inline(always)]
 fn scale<T: Real>(m: usize, n: usize, alpha: T, b: &mut [T], ldb: usize) {
     if alpha == T::ONE {
         return;
@@ -52,6 +59,23 @@ pub fn trsm_right_lower_trans<T: Real>(
         assert!(l.len() >= ldl * (n - 1) + n);
         assert!(b.len() >= ldb * (n - 1) + m);
     }
+    simd::dispatch(
+        #[inline(always)]
+        |_| trsm_right_lower_trans_blocked(m, n, alpha, l, ldl, b, ldb),
+    )
+}
+
+/// [`trsm_right_lower_trans`] after its bounds checks.
+#[inline(always)]
+fn trsm_right_lower_trans_blocked<T: Real>(
+    m: usize,
+    n: usize,
+    alpha: T,
+    l: &[T],
+    ldl: usize,
+    b: &mut [T],
+    ldb: usize,
+) {
     if n <= NB {
         return trsm_right_lower_trans_unblocked(m, n, alpha, l, ldl, b, ldb);
     }
@@ -93,6 +117,7 @@ pub fn trsm_right_lower_trans<T: Real>(
 
 /// Unblocked reference for [`trsm_right_lower_trans`] (also the
 /// diagonal-block solver of the blocked path).
+#[inline(always)]
 fn trsm_right_lower_trans_unblocked<T: Real>(
     m: usize,
     n: usize,
@@ -155,6 +180,23 @@ pub fn trsm_left_lower_notrans<T: Real>(
         assert!(l.len() >= ldl * (m - 1) + m);
         assert!(b.len() >= ldb * (n - 1) + m);
     }
+    simd::dispatch(
+        #[inline(always)]
+        |_| trsm_left_lower_notrans_blocked(m, n, alpha, l, ldl, b, ldb),
+    )
+}
+
+/// [`trsm_left_lower_notrans`] after its bounds checks.
+#[inline(always)]
+fn trsm_left_lower_notrans_blocked<T: Real>(
+    m: usize,
+    n: usize,
+    alpha: T,
+    l: &[T],
+    ldl: usize,
+    b: &mut [T],
+    ldb: usize,
+) {
     if m <= NB {
         return trsm_left_lower_notrans_unblocked(m, n, alpha, l, ldl, b, ldb);
     }
@@ -197,6 +239,7 @@ pub fn trsm_left_lower_notrans<T: Real>(
 }
 
 /// Unblocked reference for [`trsm_left_lower_notrans`].
+#[inline(always)]
 fn trsm_left_lower_notrans_unblocked<T: Real>(
     m: usize,
     n: usize,
@@ -251,6 +294,23 @@ pub fn trsm_left_lower_trans<T: Real>(
         assert!(l.len() >= ldl * (m - 1) + m);
         assert!(b.len() >= ldb * (n - 1) + m);
     }
+    simd::dispatch(
+        #[inline(always)]
+        |_| trsm_left_lower_trans_blocked(m, n, alpha, l, ldl, b, ldb),
+    )
+}
+
+/// [`trsm_left_lower_trans`] after its bounds checks.
+#[inline(always)]
+fn trsm_left_lower_trans_blocked<T: Real>(
+    m: usize,
+    n: usize,
+    alpha: T,
+    l: &[T],
+    ldl: usize,
+    b: &mut [T],
+    ldb: usize,
+) {
     if m <= NB {
         return trsm_left_lower_trans_unblocked(m, n, alpha, l, ldl, b, ldb);
     }
@@ -289,6 +349,7 @@ pub fn trsm_left_lower_trans<T: Real>(
 }
 
 /// Unblocked reference for [`trsm_left_lower_trans`].
+#[inline(always)]
 fn trsm_left_lower_trans_unblocked<T: Real>(
     m: usize,
     n: usize,
@@ -570,5 +631,76 @@ mod tests {
         for (xi, ti) in xtrue.iter().zip(&tmp) {
             assert!((xi - ti).abs() < 1e-10);
         }
+    }
+
+    /// One unblocked substitution on each side of the seam, bit for bit,
+    /// in precision `T`, at triangle orders straddling `NB`. `solve` must
+    /// be an `#[inline(always)]` closure (not a function pointer), or the
+    /// fast side would run code compiled for the plain one.
+    fn unblocked_solve_is_bitwise_the_same_through_the_seam<T: Real>(
+        name: &str,
+        right: bool,
+        solve: impl Fn(usize, usize, T, &[T], usize, &mut [T], usize),
+    ) {
+        let Some(s) = simd::Avx2::detect() else {
+            return; // no fast side on this CPU
+        };
+        for order in [1, 7, NB - 1, NB, NB + 1, 100] {
+            let other = 37;
+            let (m, n) = if right {
+                (other, order)
+            } else {
+                (order, other)
+            };
+            let (ldl, ldb) = (order + 3, m + 2);
+            let mut l = vec![T::ZERO; ldl * order];
+            let dense = lower(order, order as u64);
+            for j in 0..order {
+                for i in 0..order {
+                    l[i + j * ldl] = T::from_f64(dense[i + j * order]);
+                }
+            }
+            let b: Vec<T> = fill(ldb * n, 95).into_iter().map(T::from_f64).collect();
+            let alpha = T::from_f64(0.75);
+            let (mut plain, mut fast) = (b.clone(), b);
+            solve(m, n, alpha, &l, ldl, &mut plain, ldb);
+            s.run(
+                #[inline(always)]
+                || solve(m, n, alpha, &l, ldl, &mut fast, ldb),
+            );
+            let bits = |v: &[T]| v.iter().map(|x| x.to_f64().to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&plain), bits(&fast), "{name}, order {order}");
+        }
+    }
+
+    fn unblocked_solves_are_bitwise_the_same_through_the_seam<T: Real>() {
+        unblocked_solve_is_bitwise_the_same_through_the_seam::<T>(
+            "right_lower_trans",
+            true,
+            #[inline(always)]
+            |m, n, al, l, ldl, b, ldb| trsm_right_lower_trans_unblocked(m, n, al, l, ldl, b, ldb),
+        );
+        unblocked_solve_is_bitwise_the_same_through_the_seam::<T>(
+            "left_lower_notrans",
+            false,
+            #[inline(always)]
+            |m, n, al, l, ldl, b, ldb| trsm_left_lower_notrans_unblocked(m, n, al, l, ldl, b, ldb),
+        );
+        unblocked_solve_is_bitwise_the_same_through_the_seam::<T>(
+            "left_lower_trans",
+            false,
+            #[inline(always)]
+            |m, n, al, l, ldl, b, ldb| trsm_left_lower_trans_unblocked(m, n, al, l, ldl, b, ldb),
+        );
+    }
+
+    #[test]
+    fn seam_is_bitwise_invisible_f64() {
+        unblocked_solves_are_bitwise_the_same_through_the_seam::<f64>();
+    }
+
+    #[test]
+    fn seam_is_bitwise_invisible_f32() {
+        unblocked_solves_are_bitwise_the_same_through_the_seam::<f32>();
     }
 }

@@ -62,6 +62,30 @@ impl ConversionCounts {
         self.f32_to_f64 + self.f16_to_f32 + self.f16_to_f64
     }
 
+    /// Bytes each direction moved, under its JSON name: every element is
+    /// read once in the source format and written once in the target's.
+    /// (The solver converts while it packs its operands, so there is no
+    /// separate pass to time; bytes are the cost that can be stated.)
+    pub fn bytes(&self) -> [(&'static str, u64); 6] {
+        use Precision::{F16, F32, F64};
+        let moved = |elements: u64, from: Precision, to: Precision| {
+            elements * (from.bytes() + to.bytes()) as u64
+        };
+        [
+            ("f64_to_f32", moved(self.f64_to_f32, F64, F32)),
+            ("f64_to_f16", moved(self.f64_to_f16, F64, F16)),
+            ("f32_to_f64", moved(self.f32_to_f64, F32, F64)),
+            ("f32_to_f16", moved(self.f32_to_f16, F32, F16)),
+            ("f16_to_f32", moved(self.f16_to_f32, F16, F32)),
+            ("f16_to_f64", moved(self.f16_to_f64, F16, F64)),
+        ]
+    }
+
+    /// Sum of [`ConversionCounts::bytes`].
+    pub fn total_bytes(&self) -> u64 {
+        self.bytes().iter().map(|(_, b)| b).sum()
+    }
+
     /// Counter growth since `baseline` (a snapshot taken earlier in the
     /// same process). Saturating, so a [`reset_conversion_counts`]
     /// between the snapshots yields zeros rather than wrap-around.
@@ -115,6 +139,10 @@ mod tests {
         assert_eq!(c.total(), 107);
         assert_eq!(c.demotions(), 100);
         assert_eq!(c.promotions(), 7);
+        // 100 x (8 + 4) bytes one way, 7 x (2 + 8) the other.
+        assert_eq!(c.bytes()[0], ("f64_to_f32", 1200));
+        assert_eq!(c.bytes()[5], ("f16_to_f64", 70));
+        assert_eq!(c.total_bytes(), 1270);
         reset_conversion_counts();
         assert_eq!(conversion_counts().total(), 0);
     }

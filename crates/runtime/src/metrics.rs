@@ -335,6 +335,16 @@ impl MetricsReport {
                     ("total", c.total().into()),
                     ("demotions", c.demotions().into()),
                     ("promotions", c.promotions().into()),
+                    (
+                        "bytes",
+                        J::Object(
+                            c.bytes()
+                                .into_iter()
+                                .chain([("total", c.total_bytes())])
+                                .map(|(k, b)| (k.to_string(), b.into()))
+                                .collect(),
+                        ),
+                    ),
                 ]),
             ),
             ("wire", J::Array(wire.collect())),

@@ -343,6 +343,19 @@ pub fn cmd_fit(args: &Args) -> Result<String, CmdError> {
             }
         ));
     }
+    if let Some(c) = r.metrics.as_ref().map(|m| m.conversions) {
+        out.push_str(&format!(
+            "  conversions        = {} elements ({} demoted, {} promoted), {} bytes\n",
+            c.total(),
+            c.demotions(),
+            c.promotions(),
+            c.total_bytes()
+        ));
+    }
+    out.push_str(&format!(
+        "  lost PD            = {} evaluations retried at FP64, {} not positive definite there either\n",
+        r.pd_retries, r.pd_failures
+    ));
     write_metrics(args, r.metrics.as_ref(), &mut out)?;
     if args.bool("se") {
         match xgs_core::fisher_information(
