@@ -39,9 +39,9 @@
 //! `--assert-checksum-equal` compares the `loadgen.checksum` field of two
 //! **loadgen** report files (the order-independent FNV fold over every
 //! response payload). Two replays of the same seeded stream must agree —
-//! this is how CI proves the threaded and reactor frontends return
-//! bitwise-identical predictions. Exit code 1 when the checksums differ
-//! or either file lacks one.
+//! this is how CI proves a server that batches requests and one that
+//! solves each alone return bitwise-identical predictions. Exit code 1
+//! when the checksums differ or either file lacks one.
 
 use std::fmt::Write as _;
 use std::io::Write as _;

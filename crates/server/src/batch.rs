@@ -15,13 +15,13 @@
 //!   backlog reaches it, [`BatchQueue::push`] refuses new work so the
 //!   handler can shed the request with a `retry_after_ms` hint instead of
 //!   queueing unboundedly ([`PushError::Overloaded`]).
-//! * **Out-of-order delivery** — jobs carry a [`Responder`] that routes
-//!   the *formatted* response line (id attached) to the connection's
-//!   writer thread, so answers flow back whenever their batch completes,
-//!   independent of request order on the connection.
+//! * **Out-of-order delivery** — jobs carry a [`Responder`] that posts
+//!   the *formatted* response line (id attached) to the event loop's
+//!   [`CompletionHub`] under the connection's key, so answers flow back
+//!   whenever their batch completes, independent of request order on the
+//!   connection.
 
 use std::collections::VecDeque;
-use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -30,9 +30,11 @@ use xgs_core::PredictionPlan;
 use xgs_covariance::Location;
 
 use crate::protocol::{predict_response, with_id};
+use crate::reactor::CompletionHub;
 
 /// One response line headed back to a connection, paired with the request
-/// arrival time (the writer records end-to-end latency) and an error flag.
+/// arrival time (the event loop records end-to-end latency as it drains
+/// the hub) and an error flag.
 pub(crate) struct Reply {
     /// Complete response line, id already attached, no trailing newline.
     pub line: String,
@@ -42,41 +44,18 @@ pub(crate) struct Reply {
     pub err: bool,
 }
 
-/// Where finished [`Reply`]s go — the frontend-specific half of response
-/// routing. The threaded frontend hands replies to the connection's
-/// dedicated writer thread over an mpsc channel; the reactor frontend
-/// posts them to the event loop's completion hub (tagged with the
-/// connection key) and wakes the loop via the poller's eventfd.
-#[derive(Clone)]
-pub(crate) enum ReplySink {
-    Thread(mpsc::Sender<Reply>),
-    Reactor {
-        hub: Arc<crate::reactor::CompletionHub>,
-        conn: u64,
-    },
-}
-
-impl ReplySink {
-    /// Deliver one finished reply. A vanished receiver (threaded) or a
-    /// closed-and-reaped connection (reactor) means the client hung up
-    /// mid-flight; the reactor hub still records the reply for latency
-    /// and drain accounting, matching the threaded writer loop.
-    pub fn send(&self, reply: Reply) {
-        match self {
-            ReplySink::Thread(tx) => {
-                let _ = tx.send(reply);
-            }
-            ReplySink::Reactor { hub, conn } => hub.push(*conn, reply),
-        }
-    }
-}
-
-/// Where a job's answer goes: the owning connection's reply sink.
-/// Consuming `send` enforces exactly-one-response per accepted request.
+/// Where a request's answer goes: the completion hub, under the owning
+/// connection's key. Solver and `load` threads never touch a socket; the
+/// hub wakes the event loop, which owns them all. Consuming `send`
+/// enforces exactly-one-response per accepted request. A connection that
+/// hung up mid-flight still has its reply pushed, so the loop records it
+/// for latency and drain accounting.
 pub(crate) struct Responder {
     /// Serialized id to echo (`None` = request carried no id).
     pub id: Option<String>,
-    pub tx: ReplySink,
+    pub hub: Arc<CompletionHub>,
+    /// Poll key of the connection the request arrived on.
+    pub conn: usize,
     pub t0: Instant,
 }
 
@@ -84,11 +63,14 @@ impl Responder {
     /// Send a response body (a JSON object literal).
     pub fn send(self, body: String, err: bool) {
         let line = with_id(self.id.as_deref(), body);
-        self.tx.send(Reply {
-            line,
-            t0: self.t0,
-            err,
-        });
+        self.hub.push(
+            self.conn,
+            Reply {
+                line,
+                t0: self.t0,
+                err,
+            },
+        );
     }
 }
 
@@ -294,41 +276,42 @@ mod tests {
         .0
     }
 
+    /// A job whose reply lands on `hub` under connection key `conn`.
     fn job(
+        hub: &Arc<CompletionHub>,
+        conn: usize,
         plan: &Arc<PredictionPlan>,
         model: &str,
         points: Vec<Location>,
         uncertainty: bool,
-    ) -> (Job, mpsc::Receiver<Reply>) {
-        let (tx, rx) = mpsc::channel();
+    ) -> Job {
         let now = Instant::now();
-        (
-            Job {
-                model: model.to_string(),
-                plan: plan.clone(),
-                points,
-                uncertainty,
-                enqueued: now,
-                deadline: None,
-                resp: Responder {
-                    id: None,
-                    tx: ReplySink::Thread(tx),
-                    t0: now,
-                },
+        Job {
+            model: model.to_string(),
+            plan: plan.clone(),
+            points,
+            uncertainty,
+            enqueued: now,
+            deadline: None,
+            resp: Responder {
+                id: None,
+                hub: hub.clone(),
+                conn,
+                t0: now,
             },
-            rx,
-        )
+        }
     }
 
     #[test]
     fn pop_batch_coalesces_only_matching_jobs() {
         let plan = test_plan();
         let q = BatchQueue::new(1 << 16);
+        let hub = CompletionHub::new().unwrap();
         let pts = |x: f64| vec![Location::new(x, 0.5)];
-        let (j1, _r1) = job(&plan, "a", pts(0.1), false);
-        let (j2, _r2) = job(&plan, "b", pts(0.2), false);
-        let (j3, _r3) = job(&plan, "a", pts(0.3), false);
-        let (j4, _r4) = job(&plan, "a", pts(0.4), true); // different key
+        let j1 = job(&hub, 1, &plan, "a", pts(0.1), false);
+        let j2 = job(&hub, 1, &plan, "b", pts(0.2), false);
+        let j3 = job(&hub, 1, &plan, "a", pts(0.3), false);
+        let j4 = job(&hub, 1, &plan, "a", pts(0.4), true); // different key
         for j in [j1, j2, j3, j4] {
             assert!(q.push(j).is_ok());
         }
@@ -347,7 +330,7 @@ mod tests {
 
         q.close();
         assert!(q.pop_batch(1024).is_none());
-        let (j5, _r5) = job(&plan, "a", pts(0.5), false);
+        let j5 = job(&hub, 1, &plan, "a", pts(0.5), false);
         assert!(
             matches!(q.push(j5), Err((_, PushError::Closed))),
             "closed queue refuses work"
@@ -358,16 +341,10 @@ mod tests {
     fn max_points_caps_a_batch() {
         let plan = test_plan();
         let q = BatchQueue::new(1 << 16);
-        let mut rxs = Vec::new();
+        let hub = CompletionHub::new().unwrap();
         for i in 0..6 {
-            let (j, r) = job(
-                &plan,
-                "m",
-                vec![Location::new(0.1 * i as f64, 0.5); 4],
-                false,
-            );
-            assert!(q.push(j).is_ok());
-            rxs.push(r);
+            let points = vec![Location::new(0.1 * i as f64, 0.5); 4];
+            assert!(q.push(job(&hub, 1, &plan, "m", points, false)).is_ok());
         }
         // First pop stops adding once >= 8 points are gathered.
         let (batch, _) = q.pop_batch(8).unwrap();
@@ -379,19 +356,16 @@ mod tests {
     fn points_budget_sheds_past_the_cap() {
         let plan = test_plan();
         let q = BatchQueue::new(10);
-        let mk = |n: usize| job(&plan, "m", vec![Location::new(0.3, 0.5); n], false);
+        let hub = CompletionHub::new().unwrap();
+        let mk = |n: usize| job(&hub, 1, &plan, "m", vec![Location::new(0.3, 0.5); n], false);
 
         // 4 + 4 fills to 8 < 10; the third push finds 8 < 10 and is
         // accepted (budget is a threshold, not a hard ceiling)…
-        let (j1, _r1) = mk(4);
-        let (j2, _r2) = mk(4);
-        let (j3, _r3) = mk(4);
-        assert!(q.push(j1).is_ok() && q.push(j2).is_ok() && q.push(j3).is_ok());
+        assert!(q.push(mk(4)).is_ok() && q.push(mk(4)).is_ok() && q.push(mk(4)).is_ok());
         assert_eq!(q.queued_points(), 12);
         // …and now the backlog ≥ budget: even a 1-point job is refused,
         // with the backlog size attached for the retry hint.
-        let (j4, _r4) = mk(1);
-        match q.push(j4) {
+        match q.push(mk(1)) {
             Err((job, PushError::Overloaded { queued_points })) => {
                 assert_eq!(queued_points, 12);
                 assert_eq!(job.points.len(), 1, "job handed back intact");
@@ -402,14 +376,12 @@ mod tests {
         let (batch, _) = q.pop_batch(1 << 16).unwrap();
         assert_eq!(batch.len(), 3);
         assert_eq!(q.queued_points(), 0);
-        let (j5, _r5) = mk(1);
-        assert!(q.push(j5).is_ok());
+        assert!(q.push(mk(1)).is_ok());
 
         // An empty queue accepts even a request larger than the budget
         // (it could otherwise never run).
         let q2 = BatchQueue::new(4);
-        let (big, _rb) = mk(64);
-        assert!(q2.push(big).is_ok());
+        assert!(q2.push(mk(64)).is_ok());
     }
 
     #[test]
@@ -421,20 +393,22 @@ mod tests {
         // Reference: one flat query.
         let reference = plan.query(&points, true);
 
-        let mut jobs = Vec::new();
-        let mut rxs = Vec::new();
-        for chunk in points.chunks(3) {
-            let (j, r) = job(&plan, "m", chunk.to_vec(), true);
-            jobs.push(j);
-            rxs.push(r);
-        }
+        // One connection key per request, so each reply is told apart.
+        let hub = CompletionHub::new().unwrap();
+        let jobs: Vec<Job> = points
+            .chunks(3)
+            .enumerate()
+            .map(|(conn, chunk)| job(&hub, conn, &plan, "m", chunk.to_vec(), true))
+            .collect();
         let (total, secs, wait) = solve_batch(jobs);
         assert_eq!(total, 9);
         assert!(secs >= 0.0 && wait >= 0.0);
+        let mut replies = hub.drain();
+        replies.sort_by_key(|(conn, _)| *conn);
+        assert_eq!(replies.len(), 3, "one reply per job");
         let mut got_mean = Vec::new();
         let mut got_unc = Vec::new();
-        for rx in rxs {
-            let reply = rx.recv().unwrap();
+        for (_, reply) in replies {
             assert!(!reply.err);
             let v = parse_json(&reply.line).unwrap();
             let batch = v.get("batch").unwrap();

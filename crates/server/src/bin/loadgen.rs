@@ -15,8 +15,8 @@
 //! overload drill in which shed responses (`retry_after_ms`) are expected.
 //! `--connections N` switches to open-loop mode: one epoll-driven thread
 //! holds N concurrent connections (ignoring `--conns`), ramping connects in
-//! batches and counting-and-retrying failures — the concurrency soak for
-//! the reactor frontend.
+//! batches and counting-and-retrying failures — the server's concurrency
+//! soak.
 //!
 //! Exit status: 0 when every request succeeded (shed responses count as
 //! failures unless `--overload`, deadline expiries unless `--deadline-ms`),

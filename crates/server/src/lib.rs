@@ -11,19 +11,18 @@
 //!
 //! Requests may carry a client-assigned `"id"` (echoed in the response)
 //! and a `"deadline_ms"`; responses complete out of order, so a slow
-//! `predict` never blocks a `ping` on the same connection. Two frontends
-//! implement the connection handling behind one protocol
-//! ([`server::Frontend`]): the original thread-per-connection layout, and
-//! an epoll [`reactor`] that multiplexes every socket from one event
-//! loop. The batch queue carries a points budget:
-//! past it, `predict` is shed with a `retry_after_ms` hint instead of
-//! queueing unboundedly, and request lines / JSON nesting are hard-capped
-//! so hostile clients cannot exhaust memory or the stack.
+//! `predict` never blocks a `ping` on the same connection. One epoll
+//! event loop ([`reactor`]) owns every socket; solver threads hand
+//! finished replies back to it and never touch one. The batch queue
+//! carries a points budget: past it, `predict` is shed with a
+//! `retry_after_ms` hint instead of queueing unboundedly, and request
+//! lines / JSON nesting are hard-capped so hostile clients cannot exhaust
+//! memory or the stack.
 //!
-//! Everything is dependency-free `std::net` + threads; JSON goes through
-//! the hand-rolled reader/writers in `xgs-runtime`. See the repository
-//! README ("Prediction service protocol") for the wire grammar and the
-//! `loadgen` binary for a replay client.
+//! Everything is `std::net`, threads and the in-tree `polling` shim; JSON
+//! goes through the hand-rolled reader/writers in `xgs-runtime`. See the
+//! repository README ("Prediction service protocol") for the wire grammar
+//! and the `loadgen` binary for a replay client.
 //!
 //! # Lock order
 //!
@@ -55,4 +54,4 @@ pub mod server;
 pub use loadgen::{connect_with_retry, LoadgenConfig, LoadgenReport};
 pub use protocol::{parse_request, Envelope, LoadRequest, ParseFailure, PredictRequest, Request};
 pub use registry::{build_plan, build_plan_engine, ModelRegistry};
-pub use server::{serve, Frontend, ServerConfig, ServerHandle, MAX_LINE_BYTES, MAX_TILES_PER_SIDE};
+pub use server::{serve, ServerConfig, ServerHandle, MAX_LINE_BYTES, MAX_TILES_PER_SIDE};

@@ -23,12 +23,12 @@
 //! * **Closed loop** (default): `conns` worker threads, each a pipelined
 //!   blocking connection with up to `concurrency_per_conn` in flight.
 //! * **Open loop** (`connections > 0`): one thread multiplexes that many
-//!   nonblocking sockets through the same epoll shim the server's reactor
-//!   uses, connecting in ramped batches. Connect failures (`EMFILE`,
+//!   nonblocking sockets through the same epoll shim the server's event
+//!   loop uses, connecting in ramped batches. Connect failures (`EMFILE`,
 //!   `ECONNREFUSED` from a full backlog, timeouts) are counted and
 //!   retried until the connect budget runs out — a high-concurrency run
 //!   reports instead of aborting. This is the mode that proves the
-//!   reactor frontend holds 10k+ concurrent connections.
+//!   server holds 10k+ concurrent connections.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
@@ -77,7 +77,7 @@ pub struct LoadgenConfig {
     /// from a single epoll-driven thread (ignoring `conns` and
     /// `concurrency_per_conn`), spreading `requests` across them. Extra
     /// connections beyond the request count sit idle but open — the
-    /// concurrency soak the reactor frontend is gated on.
+    /// concurrency soak the server is gated on.
     pub connections: usize,
 }
 

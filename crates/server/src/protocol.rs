@@ -341,6 +341,8 @@ pub fn models_response(models: &[(String, usize)]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use xgs_runtime::json::MAX_JSON_DEPTH;
 
     fn req(line: &str) -> Result<Request, String> {
         parse_request(line).map(|e| e.req).map_err(|f| f.error)
@@ -483,6 +485,114 @@ mod tests {
         let mean = v.get("mean").unwrap().as_array().unwrap();
         for (a, b) in xs.iter().zip(mean) {
             assert_eq!(a.to_bits(), b.as_f64().unwrap().to_bits());
+        }
+    }
+
+    /// One valid line per op, the shapes the event loop sees all day.
+    const VALID_LINES: [&str; 5] = [
+        "{\"op\":\"ping\",\"id\":\"p-1\"}",
+        "{\"id\":2,\"op\":\"models\"}",
+        "{\"op\":\"metrics\",\"id\":3}",
+        "{\"id\":4,\"op\":\"load\",\"name\":\"a\",\"theta\":[1.0,0.1,0.5],\"variant\":\"mp\",\
+         \"tile\":32,\"locs\":[[0.0,0.0],[1.0,1.0]],\"z\":[0.5,-0.5]}",
+        "{\"id\":5,\"op\":\"predict\",\"model\":\"m\",\"points\":[[0.1,0.2],[0.3,0.4,0.5]],\
+         \"uncertainty\":true,\"deadline_ms\":250}",
+    ];
+
+    /// Numbers a hostile client spells where a count or a coordinate
+    /// belongs: huge, negative, fractional, non-finite after parsing, and
+    /// the non-JSON spellings of NaN and infinity.
+    const HOSTILE_NUMBERS: [&str; 12] = [
+        "1e999",
+        "-1e999",
+        "18446744073709551616",
+        "-1",
+        "-0",
+        "0.5",
+        "1e-400",
+        "NaN",
+        "nan",
+        "Infinity",
+        "-inf",
+        "99999999999999999999999999999999999999999",
+    ];
+
+    #[test]
+    fn every_prefix_of_a_valid_line_parses_or_fails_cleanly() {
+        for line in VALID_LINES {
+            assert!(parse_request(line).is_ok(), "{line}");
+            for cut in 0..line.len() {
+                // A torn line is an error, never a panic — and never a
+                // request: nothing shorter than the whole object closes it.
+                assert!(parse_request(&line[..cut]).is_err(), "{}", &line[..cut]);
+            }
+        }
+    }
+
+    #[test]
+    fn nesting_past_the_depth_cap_is_an_error_wherever_it_sits() {
+        let deep = "[".repeat(MAX_JSON_DEPTH + 1);
+        for line in [
+            deep.clone(),
+            format!("{{\"op\":\"ping\",\"id\":{deep}"),
+            format!("{{\"op\":\"predict\",\"points\":{deep}"),
+            format!("{{\"op\":\"load\",\"theta\":{deep}"),
+            "{\"a\":".repeat(MAX_JSON_DEPTH + 1),
+        ] {
+            let f = parse_request(&line).unwrap_err();
+            assert!(f.error.contains("nesting"), "{}", f.error);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        // Totality over hostile bytes: whatever arrives between two
+        // newlines, `parse_request` returns — the event loop has no
+        // thread to lose to a panic.
+        #[test]
+        fn parse_request_is_total_over_byte_soup(
+            bytes in proptest::collection::vec(0u32..256, 96),
+            len in 0usize..97,
+            splice in 0usize..VALID_LINES.len(),
+            at in 0usize..64,
+        ) {
+            let soup: Vec<u8> = bytes[..len].iter().map(|&b| b as u8).collect();
+            let _ = parse_request(&String::from_utf8_lossy(&soup));
+            // The same soup dropped into the middle of a valid line.
+            let line = VALID_LINES[splice].as_bytes();
+            let at = at.min(line.len());
+            let spliced = [&line[..at], &soup[..], &line[at..]].concat();
+            let _ = parse_request(&String::from_utf8_lossy(&spliced));
+        }
+
+        // A hostile number in any numeric field is an answer, not a
+        // panic, and the id that parsed rides on it either way.
+        #[test]
+        fn hostile_numbers_keep_the_id(
+            id in 0u64..1_000_000,
+            number in 0usize..HOSTILE_NUMBERS.len(),
+            field in 0usize..6,
+        ) {
+            let x = HOSTILE_NUMBERS[number];
+            let line = match field {
+                0 => format!("{{\"id\":{id},\"op\":\"predict\",\"points\":[[{x},0.5]]}}"),
+                1 => format!("{{\"id\":{id},\"op\":\"predict\",\"points\":[[0.5,0.5]],\"deadline_ms\":{x}}}"),
+                2 => format!("{{\"id\":{id},\"op\":\"load\",\"theta\":[1.0,0.1,0.5],\"tile\":{x},\
+                              \"locs\":[[0.0,0.0],[1.0,1.0]],\"z\":[0.5,-0.5]}}"),
+                3 => format!("{{\"id\":{id},\"op\":\"load\",\"theta\":[{x},0.1,0.5],\
+                              \"locs\":[[0.0,0.0]],\"z\":[0.5]}}"),
+                4 => format!("{{\"id\":{id},\"op\":\"load\",\"theta\":[1.0,0.1,0.5],\
+                              \"locs\":[[0.0,{x}]],\"z\":[{x}]}}"),
+                _ => format!("{{\"id\":{id},\"op\":\"predict\",\"points\":{x}}}"),
+            };
+            let echoed = match parse_request(&line) {
+                Ok(e) => e.id,
+                // Not JSON at all (`NaN`, `Infinity`): no id could be read.
+                Err(f) if f.error.starts_with("bad JSON") => Some(id.to_string()),
+                Err(f) => f.id,
+            };
+            prop_assert!(echoed == Some(id.to_string()), "{} lost its id", line);
         }
     }
 }

@@ -1,30 +1,33 @@
-//! The epoll frontend: every connection multiplexed from one event loop.
+//! The server's one frontend: every connection multiplexed from one epoll
+//! event loop.
 //!
 //! One thread owns the listener and all connection sockets (nonblocking),
 //! parked in `epoll_wait` via the `polling` shim. Readiness events drive
-//! bounded line-buffered reads (same 1 MiB cap and discard-to-EOL
-//! semantics as the threaded frontend), request dispatch through
+//! bounded line-buffered reads, request dispatch through
 //! [`handle_request`], and per-connection outbound queues drained on
-//! writability. Solver threads never touch a socket: a finished
+//! writability. Solver and `load` threads never touch a socket: a finished
 //! [`Reply`] goes to the [`CompletionHub`], which wakes the loop through
-//! the poller's eventfd; the loop drains the hub, records latency, and
-//! queues the bytes on the owning connection.
+//! the poller's eventfd; the loop drains the hub, records latency, queues
+//! the bytes on the owning connections, and flushes each connection it
+//! touched once — a pipelining client's replies leave in one `write`, not
+//! one per reply.
 //!
-//! Invariants carried over from the threaded frontend, restated as event
-//! bookkeeping:
+//! The service's invariants, as event bookkeeping:
 //!
 //! * **Every accepted request is answered** — each dispatched line bumps
 //!   the connection's `pending` count; every hub reply decrements it; a
 //!   connection is reaped only at `pending == 0` with its outbound queue
 //!   flushed (or its socket dead — then replies are still drained and
-//!   recorded, exactly like the threaded writer after a hangup).
+//!   recorded). The loop returns only when the shutdown flag is up and no
+//!   connection is left, so its thread's exit *is* the drain.
 //! * **Bounded buffers** — inbound partial lines are capped at
 //!   [`MAX_LINE_BYTES`]; the outbound queue is capped at
 //!   [`ServerConfig::max_conn_outbound`], past which the socket of a
 //!   client that stopped reading is closed instead of buffering forever.
 //! * **Clean close after an oversized line** — one error response, then
-//!   inbound bytes are discarded until the newline (bounded by the same
-//!   5 s patience as the threaded path) so the close is a FIN, not a RST.
+//!   inbound bytes are discarded until the newline (with bounded
+//!   patience) so the close is a FIN, not a RST that could destroy the
+//!   error response in flight.
 //!
 //! Health counters (`ready_event`, `wakeup`, `partial_write`,
 //! `open_conns_hwm`) are flushed into
@@ -33,7 +36,7 @@
 
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -41,17 +44,16 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 use polling::{Event, Events, Poller};
 
-use crate::batch::{Reply, ReplySink};
+use crate::batch::Reply;
 use crate::protocol::error_response;
 use crate::server::{handle_request, ServerConfig, Shared, MAX_LINE_BYTES};
 
 /// Poll key of the listening socket; connections get keys from 1 up.
 const LISTENER_KEY: usize = 0;
 
-/// Upper bound on one `epoll_wait` nap, so the shutdown flag (which can
-/// rise without any socket event, e.g. via [`crate::ServerHandle`]) is
-/// observed promptly — the reactor's analogue of the threaded frontend's
-/// `READ_POLL` read timeout.
+/// Upper bound on one `epoll_wait` nap, so `reap` meets its discard
+/// deadlines without a socket event. Completions and shutdown do not wait
+/// for it: both wake the loop through the hub.
 const WAIT_TIMEOUT: Duration = Duration::from_millis(50);
 
 /// Read syscall granularity. Level-triggered polling re-reports leftover
@@ -67,16 +69,16 @@ const READ_CHUNK: usize = 64 * 1024;
 const READ_BUDGET: usize = 4 * READ_CHUNK;
 
 /// How long a connection may dribble out an oversized line before the
-/// reactor stops waiting for the newline and closes anyway (mirrors
-/// `discard_rest_of_line`'s patience budget).
+/// reactor stops waiting for the newline and closes anyway.
 const DISCARD_PATIENCE: Duration = Duration::from_secs(5);
 
 /// Where solver threads (and spawned `load` threads) hand finished
-/// replies back to the event loop. `push` is called from any thread;
-/// `drain` only from the reactor.
+/// replies back to the event loop, each under its connection's poll key.
+/// `push` and `wake` are called from any thread; `drain` only from the
+/// reactor (and unit tests standing in for it).
 pub(crate) struct CompletionHub {
-    done: Mutex<Vec<(u64, Reply)>>,
-    poller: Arc<Poller>,
+    done: Mutex<Vec<(usize, Reply)>>,
+    poller: Poller,
     /// eventfd notifies issued (the `wakeup` metric). Only the
     /// empty→nonempty transition notifies, so a burst of completions
     /// between two loop iterations costs one wakeup.
@@ -88,7 +90,22 @@ pub(crate) struct CompletionHub {
 }
 
 impl CompletionHub {
-    pub(crate) fn push(&self, conn: u64, reply: Reply) {
+    pub(crate) fn new() -> std::io::Result<Arc<CompletionHub>> {
+        Ok(Arc::new(CompletionHub {
+            done: Mutex::new(Vec::new()),
+            poller: Poller::new()?,
+            notifies: AtomicU64::new(0),
+            race_key: xgs_runtime::race::new_scope(),
+        }))
+    }
+
+    /// Interrupt the loop's `epoll_wait` with nothing to drain (the
+    /// shutdown flag rose).
+    pub(crate) fn wake(&self) {
+        let _ = self.poller.notify();
+    }
+
+    pub(crate) fn push(&self, conn: usize, reply: Reply) {
         let was_empty = {
             let mut q = self.done.lock();
             let was_empty = q.is_empty();
@@ -98,11 +115,11 @@ impl CompletionHub {
         xgs_runtime::race::release(xgs_runtime::race::SPACE_HUB, self.race_key, 0);
         if was_empty {
             self.notifies.fetch_add(1, Ordering::Relaxed);
-            let _ = self.poller.notify();
+            self.wake();
         }
     }
 
-    fn drain(&self) -> Vec<(u64, Reply)> {
+    pub(crate) fn drain(&self) -> Vec<(usize, Reply)> {
         xgs_runtime::race::acquire(xgs_runtime::race::SPACE_HUB, self.race_key, 0);
         std::mem::take(&mut *self.done.lock())
     }
@@ -144,15 +161,11 @@ impl Conn {
     }
 }
 
-/// The epoll frontend. Built on the `serve` thread (so bind/register
-/// errors surface from [`crate::serve`]), then moved into its event-loop
-/// thread, which takes the place of the threaded frontend's acceptor.
+/// The event loop. Built on the `serve` thread (so register errors
+/// surface from [`crate::serve`]), then moved into its own thread.
 pub(crate) struct Reactor {
     shared: Arc<Shared>,
     listener: TcpListener,
-    /// The server's own address (for `shutdown`-op plumbing).
-    addr: SocketAddr,
-    poller: Arc<Poller>,
     hub: Arc<CompletionHub>,
     max_conn_outbound: usize,
     conns: HashMap<usize, Conn>,
@@ -170,23 +183,14 @@ impl Reactor {
     pub(crate) fn bind(
         shared: Arc<Shared>,
         listener: TcpListener,
-        addr: SocketAddr,
         config: &ServerConfig,
     ) -> std::io::Result<Reactor> {
         listener.set_nonblocking(true)?;
-        let poller = Arc::new(Poller::new()?);
-        poller.add(&listener, Event::readable(LISTENER_KEY))?;
-        let hub = Arc::new(CompletionHub {
-            done: Mutex::new(Vec::new()),
-            poller: poller.clone(),
-            notifies: AtomicU64::new(0),
-            race_key: xgs_runtime::race::new_scope(),
-        });
+        let hub = shared.hub.clone();
+        hub.poller.add(&listener, Event::readable(LISTENER_KEY))?;
         Ok(Reactor {
             shared,
             listener,
-            addr,
-            poller,
             hub,
             max_conn_outbound: config.max_conn_outbound.max(1),
             conns: HashMap::new(),
@@ -200,13 +204,12 @@ impl Reactor {
     }
 
     /// The event loop. Returns after shutdown once every connection has
-    /// drained — the same postcondition the threaded acceptor + handler
-    /// threads reach, so [`crate::ServerHandle::join`] works unchanged.
+    /// drained, which is what [`crate::ServerHandle::join`] waits for.
     pub(crate) fn run(mut self) {
         let mut events = Events::new();
         let mut chunk = vec![0u8; READ_CHUNK];
         loop {
-            match self.poller.wait(&mut events, Some(WAIT_TIMEOUT)) {
+            match self.hub.poller.wait(&mut events, Some(WAIT_TIMEOUT)) {
                 Ok(_) => {}
                 Err(_) => {
                     // epoll itself failing is unrecoverable; drain what we
@@ -218,7 +221,7 @@ impl Reactor {
             let shutting_down = self.shared.shutdown.load(Ordering::SeqCst);
             if shutting_down && self.accepting {
                 self.accepting = false;
-                let _ = self.poller.delete(&self.listener);
+                let _ = self.hub.poller.delete(&self.listener);
             }
 
             for ev in events.iter() {
@@ -262,10 +265,9 @@ impl Reactor {
                     let _ = stream.set_nodelay(true);
                     let key = self.next_key;
                     self.next_key += 1;
-                    if self.poller.add(&stream, Event::readable(key)).is_err() {
+                    if self.hub.poller.add(&stream, Event::readable(key)).is_err() {
                         continue;
                     }
-                    self.shared.open_conns.fetch_add(1, Ordering::AcqRel);
                     self.conns.insert(
                         key,
                         Conn {
@@ -315,8 +317,7 @@ impl Reactor {
                     if let Some(conn) = self.conns.get_mut(&key) {
                         conn.peer_eof = true;
                         // A partial line at FIN has no newline and never
-                        // will: dropped, same as the threaded bounded
-                        // reader.
+                        // will: dropped.
                         conn.inbuf.clear();
                         self.update_interest(key);
                     }
@@ -396,20 +397,19 @@ impl Reactor {
 
     /// One error response, then discard-to-EOL mode (bounded patience).
     fn reject_oversized(&mut self, key: usize) {
-        let sink = ReplySink::Reactor {
-            hub: self.hub.clone(),
-            conn: key as u64,
-        };
         if let Some(conn) = self.conns.get_mut(&key) {
             conn.pending += 1;
             conn.inbuf = Vec::new();
             conn.discarding = Some(Instant::now() + DISCARD_PATIENCE);
         }
-        sink.send(Reply {
-            line: error_response(&format!("request line exceeds {MAX_LINE_BYTES} bytes")),
-            t0: Instant::now(),
-            err: true,
-        });
+        self.hub.push(
+            key,
+            Reply {
+                line: error_response(&format!("request line exceeds {MAX_LINE_BYTES} bytes")),
+                t0: Instant::now(),
+                err: true,
+            },
+        );
     }
 
     fn dispatch_line(&mut self, key: usize, raw: &[u8]) {
@@ -426,17 +426,13 @@ impl Reactor {
         if let Some(conn) = self.conns.get_mut(&key) {
             conn.pending += 1;
         }
-        let sink = ReplySink::Reactor {
-            hub: self.hub.clone(),
-            conn: key as u64,
-        };
-        handle_request(&self.shared, &line, self.addr, Instant::now(), &sink);
+        handle_request(&self.shared, &line, Instant::now(), key);
     }
 
     /// Move hub completions onto their connections' outbound queues,
     /// recording latency and the error census for every reply — including
-    /// replies whose connection died, which is exactly what the threaded
-    /// writer loop does after a hangup.
+    /// replies whose connection died — then flush each connection that
+    /// got bytes, once.
     fn drain_completions(&mut self) {
         let replies = self.hub.drain();
         if replies.is_empty() {
@@ -448,8 +444,8 @@ impl Reactor {
                 m.record_reply(reply.t0.elapsed().as_secs_f64(), reply.err);
             }
         }
-        for (conn_id, reply) in replies {
-            let key = conn_id as usize;
+        let mut touched: Vec<usize> = Vec::new();
+        for (key, reply) in replies {
             let Some(conn) = self.conns.get_mut(&key) else {
                 continue;
             };
@@ -460,12 +456,27 @@ impl Reactor {
             conn.out.reserve(reply.line.len() + 1);
             conn.out.extend_from_slice(reply.line.as_bytes());
             conn.out.push(b'\n');
-            if conn.unsent() > self.max_conn_outbound {
+            if conn.unsent() <= self.max_conn_outbound {
+                touched.push(key);
+                continue;
+            }
+            // Over the cap: the socket has its say before the verdict, so
+            // the cap measures what the client left unread, not how many
+            // replies one drain happened to carry.
+            self.write_ready(key);
+            if self
+                .conns
+                .get(&key)
+                .is_some_and(|c| !c.dead && c.unsent() > self.max_conn_outbound)
+            {
                 // The client stopped reading; responses are piling up.
                 // Cut the socket instead of buffering unboundedly.
                 self.kill(key);
-                continue;
             }
+        }
+        touched.sort_unstable();
+        touched.dedup();
+        for key in touched {
             self.write_ready(key);
         }
     }
@@ -533,7 +544,7 @@ impl Reactor {
             readable: want.0,
             writable: want.1,
         };
-        if self.poller.modify(&conn.stream, ev).is_ok() {
+        if self.hub.poller.modify(&conn.stream, ev).is_ok() {
             conn.interest = want;
         }
     }
@@ -544,7 +555,7 @@ impl Reactor {
         if let Some(conn) = self.conns.get_mut(&key) {
             if !conn.dead {
                 conn.dead = true;
-                let _ = self.poller.delete(&conn.stream);
+                let _ = self.hub.poller.delete(&conn.stream);
                 let _ = conn.stream.shutdown(Shutdown::Both);
                 conn.out.clear();
                 conn.out_head = 0;
@@ -575,9 +586,8 @@ impl Reactor {
         for key in closing {
             if let Some(conn) = self.conns.remove(&key) {
                 if !conn.dead {
-                    let _ = self.poller.delete(&conn.stream);
+                    let _ = self.hub.poller.delete(&conn.stream);
                 }
-                self.shared.open_conns.fetch_sub(1, Ordering::AcqRel);
             }
         }
         // Draining-but-not-closable conns may still need interest updates

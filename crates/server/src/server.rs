@@ -1,55 +1,41 @@
 //! The TCP prediction server.
 //!
-//! Two interchangeable connection frontends sit in front of one solver
-//! pool ([`Frontend`]): the thread-per-connection layout below, and the
-//! single-threaded epoll event loop in [`crate::reactor`]. Both speak the
-//! same protocol, share [`handle_request`] dispatch, and uphold the same
-//! invariants (every accepted request answered, bounded lines, deadlines,
-//! shedding) — proven by running the adversarial suite against both.
+//! One frontend sits in front of one solver pool:
 //!
-//! Both stay because each wins a measured workload (EXPERIMENTS.md,
-//! "Serving frontends"): threaded by 32 % on the benchmark's
-//! two-connection `serve` workload, the reactor at 10,000 connections,
-//! where threaded runs out of threads. Threaded is the default; see
-//! [`Frontend`] for why a user-set flag still makes the choice.
-//!
-//! Threaded frontend layout:
-//!
-//! * **acceptor** — owns the listener, spawns one handler thread per
-//!   connection, exits when the shutdown flag rises (a self-connection
-//!   unblocks `accept`).
-//! * **connection handlers** — read newline-delimited JSON requests with a
-//!   short read timeout so they observe shutdown between requests. Request
-//!   lines are length-capped ([`MAX_LINE_BYTES`]): a client streaming bytes
-//!   without a newline gets one error response and a closed connection
-//!   instead of an unbounded buffer. `predict` submits a
-//!   [`Job`](crate::batch::Job) to the batch queue *without blocking*;
-//!   everything else is answered inline.
-//! * **per-connection writers** — each connection owns a writer thread fed
-//!   by a channel; responses are written in completion order, so one slow
-//!   `predict` never head-of-line-blocks a `ping` or `metrics` on the same
-//!   connection. Clients that pipeline requests tag them with `"id"`s to
-//!   correlate the out-of-order responses.
+//! * **event loop** ([`crate::reactor`]) — one thread owns the listener
+//!   and every connection socket. It reads newline-delimited JSON
+//!   requests, length-capped ([`MAX_LINE_BYTES`]): a client streaming
+//!   bytes without a newline gets one error response and a closed
+//!   connection instead of an unbounded buffer. Each line goes through
+//!   [`handle_request`]: `predict` submits a [`Job`](crate::batch::Job) to
+//!   the batch queue *without blocking*, `load` factorizes on its own
+//!   thread (at most [`MAX_LOADS_IN_FLIGHT`] at a time), everything else
+//!   is answered on the spot.
 //! * **solvers** — pop coalesced batches off the shared queue, answer jobs
 //!   whose `deadline_ms` already expired with a timeout error, and run one
 //!   multi-RHS query per batch against the cached factor.
 //!
+//! Every response returns to the loop through the completion hub and is
+//! written in completion order, so one slow `predict` never
+//! head-of-line-blocks a `ping` or `metrics` on the same connection.
+//! Clients that pipeline requests tag them with `"id"`s to correlate the
+//! out-of-order responses.
+//!
 //! Overload protection: the batch queue carries a points budget
 //! ([`ServerConfig::max_queued_points`]); once the backlog reaches it,
 //! `predict` is answered immediately with
-//! `{"ok":false,…,"retry_after_ms":…}` instead of queueing unboundedly.
+//! `{"ok":false,…,"retry_after_ms":…}` instead of queueing unboundedly,
+//! and a `load` past the in-flight cap is refused the same way.
 //!
 //! Graceful shutdown (`{"op":"shutdown"}` or [`ServerHandle::shutdown`])
-//! drains: the acceptor stops first, handlers finish their in-flight
-//! request and join their writer (which flushes every response the
-//! connection is still owed), and only then is the queue closed so solvers
-//! exit after the last batch. No request that was acknowledged into the
-//! queue is dropped.
+//! drains: the loop stops accepting and reading, keeps every connection
+//! until the responses it is owed are flushed, and exits; only then is
+//! the queue closed so solvers exit after the last batch. No request that
+//! was acknowledged into the queue is dropped.
 
-use std::io::{BufRead, BufReader, ErrorKind, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -58,10 +44,11 @@ use xgs_cholesky::ShardBackend;
 use xgs_core::FactorEngine;
 use xgs_runtime::{KernelStats, MetricsReport, QueueDepthStats, WorkerStats};
 
-use crate::batch::{solve_batch, BatchQueue, Job, PushError, Reply, ReplySink, Responder};
+use crate::batch::{solve_batch, BatchQueue, Job, PushError, Responder};
 use crate::protocol::{
-    error_response, load_response, models_response, parse_request, shed_response, with_id, Request,
+    error_response, load_response, models_response, parse_request, shed_response, Request,
 };
+use crate::reactor::{CompletionHub, Reactor};
 use crate::registry::{build_plan_from_request, ModelRegistry};
 
 /// Hard cap on one request line. Newline-delimited JSON with coordinates
@@ -78,56 +65,18 @@ pub const MAX_LINE_BYTES: usize = 1 << 20;
 /// side for any n up to 5,120.
 pub const MAX_TILES_PER_SIDE: usize = 64;
 
-/// Which connection-handling frontend [`serve`] boots. Both speak the
-/// identical wire protocol and answer bitwise-identically
-/// (`tests/frontend_equivalence.rs`); they differ in what they cost, and
-/// each wins one side (EXPERIMENTS.md, "Serving frontends"). The server
-/// cannot see at boot how many connections will come, so the caller
-/// picks — a wart, to be removed by making the reactor as fast as
-/// threaded on a few connections and deleting the latter.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum Frontend {
-    /// One handler + one writer thread per connection. The default: on
-    /// the benchmark's `serve` workload (2 connections) it sustains ~110k
-    /// light requests/s against the reactor's ~75k. Two threads per
-    /// client is also its limit: a 10,000-connection soak exhausts the
-    /// process's threads.
-    #[default]
-    Threaded,
-    /// A single epoll event loop multiplexing every connection on
-    /// nonblocking sockets ([`crate::reactor`]); solver threads hand
-    /// completions back through an eventfd-woken hub. Holds 10,000
-    /// connections with every request answered, and peaks ~15 MB lower
-    /// than threaded on the `serve` workload; but every reply crosses
-    /// the one loop thread, which is what holds it to ~75k requests/s
-    /// when only two connections carry the load.
-    Reactor,
-}
-
-impl std::str::FromStr for Frontend {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Frontend, String> {
-        match s {
-            "threaded" => Ok(Frontend::Threaded),
-            "reactor" => Ok(Frontend::Reactor),
-            other => Err(format!(
-                "unknown frontend '{other}' (expected 'threaded' or 'reactor')"
-            )),
-        }
-    }
-}
+/// Most `load` factorizations running at once. Each runs on its own
+/// thread (the event loop must not block for seconds) and fans out on the
+/// shared compute pool, so more of them in flight add memory and threads,
+/// not speed; a `load` past the cap is refused with a `retry_after_ms`
+/// hint like an over-budget `predict`.
+pub const MAX_LOADS_IN_FLIGHT: usize = 4;
 
 /// Tuning knobs of [`serve`].
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
     /// Bind address; port 0 picks a free port (see [`ServerHandle::addr`]).
     pub addr: String,
-    /// Connection frontend. Default [`Frontend::Threaded`], the faster
-    /// one at the connection counts the benchmark and the CLI examples
-    /// use; set [`Frontend::Reactor`] when thousands of clients connect
-    /// (see [`Frontend`] for the measurements behind both statements).
-    pub frontend: Frontend,
     /// Batch-solver threads.
     pub solvers: usize,
     /// Coalescing stops adding requests once a batch reaches this many
@@ -143,11 +92,9 @@ pub struct ServerConfig {
     /// supervisor here: one persistent warm fleet across every `load`,
     /// instead of paying a fresh fleet spawn per factorization.
     pub shard: Option<Arc<dyn ShardBackend>>,
-    /// Reactor only: per-connection outbound queue cap in bytes. A client
-    /// that stops reading while responses accumulate past this budget has
-    /// its socket closed (the threaded frontend's `WRITE_TIMEOUT`
-    /// equivalent — there a blocked writer thread absorbs the backpressure,
-    /// here the buffer is explicit and must be bounded).
+    /// Per-connection outbound queue cap in bytes. A client that stops
+    /// reading while responses accumulate past this budget has its socket
+    /// closed instead of the server buffering for it without bound.
     pub max_conn_outbound: usize,
 }
 
@@ -155,7 +102,6 @@ impl Default for ServerConfig {
     fn default() -> ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:0".to_string(),
-            frontend: Frontend::Threaded,
             solvers: 2,
             max_batch_points: 4096,
             max_queued_points: 1 << 16,
@@ -164,15 +110,6 @@ impl Default for ServerConfig {
         }
     }
 }
-
-/// How long connection handlers block on a read before re-checking the
-/// shutdown flag.
-const READ_POLL: Duration = Duration::from_millis(100);
-
-/// Writer-side guard against clients that stop reading (slow loris on the
-/// response path): a blocked write fails after this long and the writer
-/// switches to draining without the socket.
-const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Server-side counters, exported as the shared [`MetricsReport`] JSON
 /// schema so `metrics_diff` can compare service runs with factorization
@@ -184,12 +121,12 @@ const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
 /// (requests expired at dequeue, the "duration" being how late they were),
 /// `evict` (registry evictions, count only).
 ///
-/// Reactor-frontend runs additionally export count-only kinds:
-/// `ready_event` (epoll readiness events processed), `wakeup` (eventfd
-/// notifies from solver completions), `partial_write` (flushes that hit
-/// `EAGAIN` with bytes still queued), `open_conns_hwm` (high-water mark of
-/// concurrently open connections). All four stay zero — and are therefore
-/// omitted from the report — under the threaded frontend.
+/// The event loop additionally exports count-only kinds: `ready_event`
+/// (epoll readiness events processed), `wakeup` (eventfd notifies from
+/// solver completions), `partial_write` (flushes that hit `EAGAIN` with
+/// bytes still queued), `open_conns_hwm` (high-water mark of concurrently
+/// open connections). A kind whose count is zero is omitted from the
+/// report.
 pub(crate) struct ServerMetrics {
     started: Instant,
     request: KernelStats,
@@ -233,8 +170,8 @@ impl ServerMetrics {
     }
 
     /// Record one finished response: end-to-end latency plus the error
-    /// census. Called by the threaded writer loop and the reactor's
-    /// completion drain — the two places replies funnel through.
+    /// census. Called by the event loop's completion drain, the one place
+    /// every reply funnels through.
     pub(crate) fn record_reply(&mut self, seconds: f64, err: bool) {
         self.request.record(seconds);
         if err {
@@ -282,11 +219,14 @@ pub(crate) struct Shared {
     registry: Arc<ModelRegistry>,
     queue: BatchQueue,
     pub(crate) shutdown: AtomicBool,
-    pub(crate) open_conns: AtomicUsize,
+    /// Where every reply goes, and what wakes the event loop.
+    pub(crate) hub: Arc<CompletionHub>,
     pub(crate) metrics: Mutex<ServerMetrics>,
     max_batch_points: usize,
     /// Engine for `load`-request factorizations (sharded when configured).
     load_engine: FactorEngine,
+    /// `load` factorizations running now (≤ [`MAX_LOADS_IN_FLIGHT`]).
+    loads_in_flight: AtomicUsize,
 }
 
 impl Shared {
@@ -301,7 +241,7 @@ impl Shared {
 pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    acceptor: Option<JoinHandle<()>>,
+    event_loop: JoinHandle<()>,
     solvers: Vec<JoinHandle<()>>,
 }
 
@@ -319,35 +259,27 @@ impl ServerHandle {
     /// Raise the shutdown flag (idempotent, non-blocking). In-flight
     /// requests still complete; use [`ServerHandle::join`] to wait.
     pub fn shutdown(&self) {
-        request_shutdown(&self.shared, self.addr);
+        request_shutdown(&self.shared);
     }
 
-    /// Wait for the full drain: acceptor gone, every connection closed,
-    /// queue empty, solvers exited. Returns the final metrics report.
-    pub fn join(mut self) -> MetricsReport {
-        if let Some(a) = self.acceptor.take() {
-            let _ = a.join();
-        }
-        // Handlers finish their in-flight request and exit within one
-        // read-poll interval of the flag rising; their enqueued jobs must
-        // stay servable until then (a handler only counts as closed after
-        // its writer flushed every owed response), so the queue closes
-        // only after the last connection is gone.
-        while self.shared.open_conns.load(Ordering::Acquire) > 0 {
-            std::thread::sleep(Duration::from_millis(5));
-        }
+    /// Wait for the full drain: every connection closed, queue empty,
+    /// solvers exited. Returns the final metrics report.
+    pub fn join(self) -> MetricsReport {
+        // The loop exits once the flag is up and the last connection has
+        // been flushed everything it is owed; enqueued jobs must stay
+        // servable until then, so the queue closes only afterwards.
+        let _ = self.event_loop.join();
         self.shared.queue.close();
-        for s in self.solvers.drain(..) {
+        for s in self.solvers {
             let _ = s.join();
         }
         self.shared.report()
     }
 }
 
-pub(crate) fn request_shutdown(shared: &Shared, addr: SocketAddr) {
+fn request_shutdown(shared: &Shared) {
     if !shared.shutdown.swap(true, Ordering::SeqCst) {
-        // Unblock the acceptor's blocking accept().
-        let _ = TcpStream::connect(addr);
+        shared.hub.wake();
     }
 }
 
@@ -360,52 +292,30 @@ pub fn serve(config: &ServerConfig, registry: Arc<ModelRegistry>) -> std::io::Re
         registry,
         queue: BatchQueue::new(config.max_queued_points),
         shutdown: AtomicBool::new(false),
-        open_conns: AtomicUsize::new(0),
+        hub: CompletionHub::new()?,
         metrics: Mutex::new(ServerMetrics::new(solvers)),
         max_batch_points: config.max_batch_points.max(1),
         load_engine: match &config.shard {
             Some(backend) => FactorEngine::Sharded(backend.clone()),
             None => FactorEngine::from_workers(0),
         },
+        loads_in_flight: AtomicUsize::new(0),
     });
 
-    let mut solver_handles = Vec::with_capacity(solvers);
-    for id in 0..solvers {
-        let shared = shared.clone();
-        solver_handles.push(std::thread::spawn(move || solver_loop(&shared, id)));
-    }
-
-    // Both frontends park their I/O thread in the `acceptor` slot; `join`
-    // does not care which one it is (reactor exit implies every connection
-    // drained, same as the acceptor + open_conns handshake).
-    let acceptor = match config.frontend {
-        Frontend::Threaded => {
+    // Everything fallible happens before the first thread starts.
+    let reactor = Reactor::bind(shared.clone(), listener, config)?;
+    let solver_handles = (0..solvers)
+        .map(|id| {
             let shared = shared.clone();
-            std::thread::spawn(move || {
-                for stream in listener.incoming() {
-                    if shared.shutdown.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let Ok(stream) = stream else { continue };
-                    let shared = shared.clone();
-                    shared.open_conns.fetch_add(1, Ordering::AcqRel);
-                    std::thread::spawn(move || {
-                        handle_connection(&shared, stream, addr);
-                        shared.open_conns.fetch_sub(1, Ordering::AcqRel);
-                    });
-                }
-            })
-        }
-        Frontend::Reactor => {
-            let reactor = crate::reactor::Reactor::bind(shared.clone(), listener, addr, config)?;
-            std::thread::spawn(move || reactor.run())
-        }
-    };
+            std::thread::spawn(move || solver_loop(&shared, id))
+        })
+        .collect();
+    let event_loop = std::thread::spawn(move || reactor.run());
 
     Ok(ServerHandle {
         addr,
         shared,
-        acceptor: Some(acceptor),
+        event_loop,
         solvers: solver_handles,
     })
 }
@@ -449,181 +359,6 @@ fn solver_loop(shared: &Shared, id: usize) {
     }
 }
 
-/// Outcome of one bounded line read.
-enum LineRead {
-    /// A complete line is in the buffer (newline stripped).
-    Line,
-    /// Clean end of stream, or shutdown/socket error — close silently.
-    Closed,
-    /// The line exceeded [`MAX_LINE_BYTES`] before a newline arrived.
-    TooLong,
-}
-
-/// Read one newline-terminated line into `buf` without ever holding more
-/// than [`MAX_LINE_BYTES`] + one `BufReader` block. Spins on the read
-/// timeout so shutdown is observed mid-line too.
-fn read_bounded_line(
-    shared: &Shared,
-    reader: &mut BufReader<TcpStream>,
-    buf: &mut Vec<u8>,
-) -> LineRead {
-    loop {
-        enum Step {
-            Consumed(usize),
-            Done(usize, LineRead),
-        }
-        let step = match reader.fill_buf() {
-            Ok([]) => return LineRead::Closed,
-            Ok(available) => match available.iter().position(|&b| b == b'\n') {
-                Some(pos) if buf.len() + pos > MAX_LINE_BYTES => {
-                    Step::Done(pos + 1, LineRead::TooLong)
-                }
-                Some(pos) => {
-                    buf.extend_from_slice(&available[..pos]);
-                    Step::Done(pos + 1, LineRead::Line)
-                }
-                None if buf.len() + available.len() > MAX_LINE_BYTES => {
-                    Step::Done(available.len(), LineRead::TooLong)
-                }
-                None => {
-                    buf.extend_from_slice(available);
-                    Step::Consumed(available.len())
-                }
-            },
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                // Timed out mid-line: bytes read so far stay in `buf`.
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return LineRead::Closed;
-                }
-                continue;
-            }
-            Err(_) => return LineRead::Closed,
-        };
-        match step {
-            Step::Consumed(n) => reader.consume(n),
-            Step::Done(n, result) => {
-                reader.consume(n);
-                return result;
-            }
-        }
-    }
-}
-
-/// Consume and drop input until the current line ends, the peer hangs up,
-/// or a patience budget runs out. Used before closing on an oversized
-/// line; never buffers what it reads.
-fn discard_rest_of_line(reader: &mut BufReader<TcpStream>) {
-    let t0 = Instant::now();
-    while t0.elapsed() < Duration::from_secs(5) {
-        match reader.fill_buf() {
-            Ok([]) => return,
-            Ok(available) => {
-                let newline = available.iter().position(|&b| b == b'\n');
-                let n = newline.map_or(available.len(), |p| p + 1);
-                reader.consume(n);
-                if newline.is_some() {
-                    return;
-                }
-            }
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => continue,
-            Err(_) => return,
-        }
-    }
-}
-
-/// Drain the response channel onto the socket, recording each response's
-/// end-to-end latency. Runs until every sender (the handler plus any
-/// still-queued jobs) is gone, so joining the writer proves the connection
-/// is owed nothing.
-fn writer_loop(shared: &Shared, mut stream: TcpStream, rx: mpsc::Receiver<Reply>) {
-    let mut socket_dead = false;
-    for reply in rx {
-        shared
-            .metrics
-            .lock()
-            .record_reply(reply.t0.elapsed().as_secs_f64(), reply.err);
-        if !socket_dead
-            && stream
-                .write_all(reply.line.as_bytes())
-                .and_then(|_| stream.write_all(b"\n"))
-                .is_err()
-        {
-            // Client hung up (or stopped reading past the write timeout):
-            // keep draining so queued jobs are still accounted for and
-            // their responders never block.
-            socket_dead = true;
-        }
-    }
-}
-
-fn handle_connection(shared: &Arc<Shared>, stream: TcpStream, addr: SocketAddr) {
-    let _ = stream.set_read_timeout(Some(READ_POLL));
-    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
-    let _ = stream.set_nodelay(true);
-    let writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let (tx, rx) = mpsc::channel::<Reply>();
-    let writer_thread = {
-        let shared = shared.clone();
-        std::thread::spawn(move || writer_loop(&shared, writer, rx))
-    };
-    let sink = ReplySink::Thread(tx.clone());
-    let mut reader = BufReader::new(stream);
-    let mut buf: Vec<u8> = Vec::new();
-    loop {
-        buf.clear();
-        match read_bounded_line(shared, &mut reader, &mut buf) {
-            LineRead::Closed => break,
-            LineRead::TooLong => {
-                // One error, then hang up: the line has no parseable
-                // request (and possibly no end).
-                let _ = tx.send(Reply {
-                    line: error_response(&format!("request line exceeds {MAX_LINE_BYTES} bytes")),
-                    t0: Instant::now(),
-                    err: true,
-                });
-                // Closing with unread bytes in the receive queue would turn
-                // the close into a reset that can destroy the error response
-                // in flight. Discard the rest of the line (O(1) memory,
-                // bounded time) so the close is a clean FIN.
-                discard_rest_of_line(&mut reader);
-                break;
-            }
-            LineRead::Line => {}
-        }
-        if buf.last() == Some(&b'\r') {
-            buf.pop();
-        }
-        // Invalid UTF-8 (binary garbage) turns into replacement characters
-        // that fail JSON parsing — answered as a bad request, not a crash.
-        let line = String::from_utf8_lossy(&buf);
-        if line.trim().is_empty() {
-            continue;
-        }
-        handle_request(shared, &line, addr, Instant::now(), &sink);
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-    }
-    // Joining the writer keeps the connection "open" (for the drain
-    // accounting) until every response it is owed has been flushed. Both
-    // sender handles must drop first — the writer drains until the last
-    // one (here or inside a still-queued job's responder) is gone.
-    drop(sink);
-    drop(tx);
-    let _ = writer_thread.join();
-}
-
-fn send_reply(sink: &ReplySink, id: Option<&str>, body: String, t0: Instant, err: bool) {
-    sink.send(Reply {
-        line: with_id(id, body),
-        t0,
-        err,
-    });
-}
-
 /// Estimate how long until the backlog has drained, from the observed
 /// solve throughput (falls back to 0.5 ms/point before any history).
 fn retry_after_ms(m: &ServerMetrics, queued_points: usize) -> u64 {
@@ -638,74 +373,72 @@ fn retry_after_ms(m: &ServerMetrics, queued_points: usize) -> u64 {
     ((queued_points as f64 * per_point_seconds * 1e3).ceil() as u64).clamp(1, 10_000)
 }
 
-/// Parse and dispatch one request line, routing the response (or the
-/// eventual solver response) through `sink`. Frontend-agnostic: the
-/// threaded frontend calls this from the connection's handler thread, the
-/// reactor from the event loop. The one asymmetry is `load` — a
-/// factorization blocks for seconds, which a handler thread can afford but
-/// the event loop cannot, so under a reactor sink it runs on a spawned
-/// thread that answers through its own sink clone.
-pub(crate) fn handle_request(
-    shared: &Arc<Shared>,
-    line: &str,
-    addr: SocketAddr,
-    t0: Instant,
-    sink: &ReplySink,
-) {
+/// What a refused `load` is told to wait: the mean factorization time seen
+/// so far (1 s before any history).
+fn load_retry_after_ms(m: &ServerMetrics) -> u64 {
+    let seconds = if m.load.count > 0 {
+        m.load.mean_seconds()
+    } else {
+        1.0
+    };
+    ((seconds * 1e3).ceil() as u64).clamp(1, 10_000)
+}
+
+/// Refuse a request before it costs anything: one `shed` row, one response
+/// carrying the retry hint.
+fn shed(shared: &Shared, resp: Responder, retry_after: impl FnOnce(&ServerMetrics) -> u64) {
+    let retry = {
+        let mut m = shared.metrics.lock();
+        let retry = retry_after(&m);
+        m.shed.record(retry as f64 * 1e-3);
+        retry
+    };
+    resp.send(shed_response(retry), true);
+}
+
+/// Parse and dispatch one request line that arrived on connection `conn`
+/// at `t0`. Called from the event loop, so nothing here blocks: exactly
+/// one response goes to the completion hub, now or — for an accepted
+/// `predict` or `load` — when a solver or the load's thread finishes. The
+/// loop keeps the connection's pending count raised until then, so the
+/// drain invariant holds across the thread hop.
+pub(crate) fn handle_request(shared: &Arc<Shared>, line: &str, t0: Instant, conn: usize) {
+    let responder = |id: Option<String>| Responder {
+        id,
+        hub: shared.hub.clone(),
+        conn,
+        t0,
+    };
     let envelope = match parse_request(line) {
         Ok(e) => e,
-        Err(f) => {
-            send_reply(sink, f.id.as_deref(), error_response(&f.error), t0, true);
-            return;
-        }
+        Err(f) => return responder(f.id).send(error_response(&f.error), true),
     };
-    let id = envelope.id;
+    let resp = responder(envelope.id);
     match envelope.req {
         Request::Ping => {
             let up = shared.metrics.lock().started.elapsed().as_secs_f64();
-            send_reply(
-                sink,
-                id.as_deref(),
-                format!("{{\"ok\":true,\"uptime_seconds\":{up}}}"),
-                t0,
-                false,
-            );
+            resp.send(format!("{{\"ok\":true,\"uptime_seconds\":{up}}}"), false);
         }
-        Request::Models => send_reply(
-            sink,
-            id.as_deref(),
-            models_response(&shared.registry.list()),
-            t0,
-            false,
-        ),
-        Request::Metrics => send_reply(
-            sink,
-            id.as_deref(),
+        Request::Models => resp.send(models_response(&shared.registry.list()), false),
+        Request::Metrics => resp.send(
             format!("{{\"ok\":true,\"metrics\":{}}}", shared.report().to_json()),
-            t0,
             false,
         ),
         Request::Shutdown => {
-            request_shutdown(shared, addr);
-            send_reply(
-                sink,
-                id.as_deref(),
-                "{\"ok\":true,\"draining\":true}".to_string(),
-                t0,
-                false,
-            );
+            request_shutdown(shared);
+            resp.send("{\"ok\":true,\"draining\":true}".to_string(), false);
         }
         Request::Load(load) => {
+            if shared.loads_in_flight.fetch_add(1, Ordering::Relaxed) >= MAX_LOADS_IN_FLIGHT {
+                shared.loads_in_flight.fetch_sub(1, Ordering::Relaxed);
+                return shed(shared, resp, load_retry_after_ms);
+            }
             let shared = shared.clone();
-            // A factorization blocks for seconds; the event loop must not.
-            // The reactor sink keeps the connection's pending count raised
-            // until the spawned load answers, so the drain invariant is
-            // unaffected by the thread hop.
-            let spawn = matches!(sink, ReplySink::Reactor { .. });
-            let sink = sink.clone();
-            let run_load = move || {
+            std::thread::spawn(move || {
                 let t_load = Instant::now();
-                match build_plan_from_request(&load, &shared.load_engine) {
+                let built = build_plan_from_request(&load, &shared.load_engine);
+                shared.loads_in_flight.fetch_sub(1, Ordering::Relaxed);
+                match built {
                     Ok((plan, llh)) => {
                         let n = plan.n_train();
                         shared.registry.insert(&load.name, plan);
@@ -714,28 +447,16 @@ pub(crate) fn handle_request(
                             .lock()
                             .load
                             .record(t_load.elapsed().as_secs_f64());
-                        send_reply(
-                            &sink,
-                            id.as_deref(),
-                            load_response(&load.name, n, llh),
-                            t0,
-                            false,
-                        );
+                        resp.send(load_response(&load.name, n, llh), false);
                     }
-                    Err(e) => send_reply(&sink, id.as_deref(), error_response(&e), t0, true),
+                    Err(e) => resp.send(error_response(&e), true),
                 }
-            };
-            if spawn {
-                std::thread::spawn(run_load);
-            } else {
-                run_load();
-            }
+            });
         }
         Request::Predict(p) => {
             let Some(plan) = shared.registry.get(&p.model) else {
                 let msg = format!("unknown model '{}'", p.model);
-                send_reply(sink, id.as_deref(), error_response(&msg), t0, true);
-                return;
+                return resp.send(error_response(&msg), true);
             };
             let deadline = p.deadline_ms.map(|ms| t0 + Duration::from_millis(ms));
             let job = Job {
@@ -745,25 +466,15 @@ pub(crate) fn handle_request(
                 uncertainty: p.uncertainty,
                 enqueued: Instant::now(),
                 deadline,
-                resp: Responder {
-                    id,
-                    tx: sink.clone(),
-                    t0,
-                },
+                resp,
             };
-            // Accepted jobs are answered by a solver through the writer
-            // channel; refused jobs are answered right here. Either way
-            // exactly one response goes out.
+            // Accepted jobs are answered by a solver; refused jobs are
+            // answered right here. Either way exactly one response goes
+            // out.
             match shared.queue.push(job) {
                 Ok(()) => {}
                 Err((job, PushError::Overloaded { queued_points })) => {
-                    let retry = {
-                        let mut m = shared.metrics.lock();
-                        let retry = retry_after_ms(&m, queued_points);
-                        m.shed.record(retry as f64 * 1e-3);
-                        retry
-                    };
-                    job.resp.send(shed_response(retry), true);
+                    shed(shared, job.resp, |m| retry_after_ms(m, queued_points));
                 }
                 Err((job, PushError::Closed)) => {
                     job.resp
@@ -777,6 +488,9 @@ pub(crate) fn handle_request(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::TcpStream;
+
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use xgs_core::{simulate_field, ModelFamily};
@@ -967,5 +681,9 @@ mod tests {
         let hint = retry_after_ms(&m, 1000);
         assert!((500..=501).contains(&hint), "{hint}");
         assert_eq!(retry_after_ms(&m, usize::MAX / 2), 10_000, "upper clamp");
+        // A refused `load` waits one mean factorization (1 s unseen).
+        assert_eq!(load_retry_after_ms(&m), 1000);
+        m.load.record(0.25);
+        assert_eq!(load_retry_after_ms(&m), 250);
     }
 }

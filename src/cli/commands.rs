@@ -85,8 +85,6 @@ COMMANDS:
   serve     long-lived prediction service with a cached factor
             --data <csv> --theta <θ,..> [--kernel ...] [--variant ...] [--tile <nb>]
             [--name <model>] [--addr <host:port>] [--solvers <k>] [--max-batch <points>]
-            [--frontend threaded|reactor]  (default threaded: fastest at a few connections;
-                                            reactor: one epoll loop for thousands)
             [--queue-points <budget>]  (shed predicts past this backlog)
             [--max-models <k>] [--model-ttl <seconds>]  (registry LRU/TTL eviction)
             [--shards <k>] [--standbys <k>]  (persistent warm worker fleet)
@@ -555,13 +553,8 @@ pub fn cmd_serve(args: &Args) -> Result<String, CmdError> {
     ));
     registry.insert(&name, plan);
 
-    let frontend: xgs_server::Frontend = args
-        .str_or("frontend", "threaded")
-        .parse()
-        .map_err(|e: String| ArgError(format!("--frontend: {e}")))?;
     let server_cfg = xgs_server::ServerConfig {
         addr: args.str_or("addr", "127.0.0.1:4741"),
-        frontend,
         solvers: args.usize_or("solvers", 2)?,
         max_batch_points: args.usize_or("max-batch", 4096)?,
         max_queued_points: args.usize_or("queue-points", 1 << 16)?,

@@ -76,7 +76,7 @@ pub mod prelude {
         project, project_with_metrics, Correlation, ScaleConfig, SolverVariant,
     };
     pub use xgs_runtime::{execute, parse_json, Access, DataId, JsonValue, TaskGraph};
-    pub use xgs_server::{serve, Frontend, LoadgenConfig, ModelRegistry, ServerConfig};
+    pub use xgs_server::{serve, LoadgenConfig, ModelRegistry, ServerConfig};
     pub use xgs_tile::{
         decision_heatmap, FlopKernelModel, KernelTimeModel, SymTileMatrix, TlrConfig, Variant,
     };

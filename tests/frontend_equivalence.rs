@@ -1,16 +1,19 @@
-//! Property test: the two server frontends (thread-per-connection and
-//! epoll reactor) are observationally equivalent. For random batches of
-//! id-tagged predict requests, pipelined in random per-frontend
-//! interleavings over one connection, both frontends must answer every id
-//! exactly once, and per-id payloads (mean and uncertainty vectors) must
-//! be **bitwise** identical — batching, out-of-order completion, and the
-//! choice of frontend never change results.
+//! Property test: the server's frontend is observationally equivalent to
+//! calling the model directly. For random batches of id-tagged predict
+//! requests, pipelined in a random interleaving over one connection, the
+//! server must answer every id exactly once, and per-id payloads (mean
+//! and uncertainty vectors) must be **bitwise** what a direct
+//! [`PredictionPlan::query`] on the same plan returns — the wire, the
+//! batching and out-of-order completion never change results.
 //!
-//! A second server pair runs with a one-point queue budget, so shedding
-//! is exercised: which ids get shed is timing-dependent and may differ
-//! between frontends, but every id is still answered exactly once, shed
-//! responses always carry a `retry_after_ms` hint, and ids that succeed
-//! on both frontends still agree bit-for-bit.
+//! A second server runs with a one-point queue budget, so shedding is
+//! exercised: which ids get shed is timing-dependent, but every id is
+//! still answered exactly once, shed responses always carry a
+//! `retry_after_ms` hint, and ids that succeed still equal the direct
+//! answer bit for bit.
+//!
+//! A last case pins the coalesced flush: a burst of `ping`s written in
+//! one `write_all` comes back as that many distinct ids.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -23,11 +26,12 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use xgs_runtime::parse_json;
 
-/// Both frontends over ONE shared model registry, so any payload
-/// difference is the frontend's fault, not the model's.
+/// Two servers over ONE plan, which is also the oracle: any payload
+/// difference is the server's fault, not the model's.
 struct Servers {
-    plain: [SocketAddr; 2],
-    shedding: [SocketAddr; 2],
+    plan: Arc<PredictionPlan>,
+    plain: SocketAddr,
+    shedding: SocketAddr,
 }
 
 static SERVERS: OnceLock<Servers> = OnceLock::new();
@@ -49,11 +53,10 @@ fn servers() -> &'static Servers {
         )
         .unwrap();
         let registry = Arc::new(ModelRegistry::new());
-        registry.insert("default", plan);
+        registry.insert("default", plan.clone());
 
-        let start = |frontend: Frontend, max_queued_points: usize| -> SocketAddr {
+        let start = |max_queued_points: usize| -> SocketAddr {
             let cfg = ServerConfig {
-                frontend,
                 max_queued_points,
                 ..ServerConfig::default()
             };
@@ -64,15 +67,23 @@ fn servers() -> &'static Servers {
             std::mem::forget(handle);
             addr
         };
-        let default_budget = ServerConfig::default().max_queued_points;
         Servers {
-            plain: [
-                start(Frontend::Threaded, default_budget),
-                start(Frontend::Reactor, default_budget),
-            ],
-            shedding: [start(Frontend::Threaded, 1), start(Frontend::Reactor, 1)],
+            plan,
+            plain: start(ServerConfig::default().max_queued_points),
+            shedding: start(1),
         }
     })
+}
+
+/// What a direct query of the plan answers for one request.
+fn direct(plan: &PredictionPlan, points: &[(f64, f64)]) -> Outcome {
+    let locs: Vec<Location> = points.iter().map(|&(x, y)| Location::new(x, y)).collect();
+    let result = plan.query(&locs, true);
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect();
+    Outcome::Ok {
+        mean: bits(&result.mean),
+        uncertainty: bits(result.uncertainty.as_deref().expect("asked for")),
+    }
 }
 
 /// One answered request: `Ok` carries the IEEE bit patterns of the mean
@@ -189,13 +200,14 @@ proptest! {
     ) {
         let requests = carve_requests(n, &sizes, &coords);
         let s = servers();
-        let threaded = run_interleaving(s.plain[0], &requests, seed_a);
-        let reactor = run_interleaving(s.plain[1], &requests, seed_b);
-        for (id, (t, r)) in threaded.iter().zip(&reactor).enumerate() {
-            // No shedding under the default budget: both succeed, and the
-            // payloads agree to the last bit.
-            prop_assert!(matches!(t, Outcome::Ok { .. }), "threaded shed id {}", id);
-            prop_assert_eq!(t, r);
+        // Two interleavings of the same requests: no shedding under the
+        // default budget, so every id succeeds either way, and the
+        // payloads equal the direct answer to the last bit.
+        for seed in [seed_a, seed_b] {
+            let served = run_interleaving(s.plain, &requests, seed);
+            for (id, got) in served.iter().enumerate() {
+                prop_assert!(*got == direct(&s.plan, &requests[id]), "id {} differs", id);
+            }
         }
     }
 
@@ -209,16 +221,43 @@ proptest! {
     ) {
         let requests = carve_requests(n, &sizes, &coords);
         let s = servers();
-        // run_interleaving already asserts the core liveness property:
-        // every id answered exactly once, shed or not.
-        let threaded = run_interleaving(s.shedding[0], &requests, seed_a);
-        let reactor = run_interleaving(s.shedding[1], &requests, seed_b);
-        for (t, r) in threaded.iter().zip(&reactor) {
-            // WHICH ids are shed is timing-dependent and may differ, but
-            // ids that succeed on both frontends must agree bitwise.
-            if let (Outcome::Ok { .. }, Outcome::Ok { .. }) = (t, r) {
-                prop_assert_eq!(t, r);
+        for seed in [seed_a, seed_b] {
+            // run_interleaving already asserts the core liveness
+            // property: every id answered exactly once, shed (with a
+            // retry hint) or not.
+            let served = run_interleaving(s.shedding, &requests, seed);
+            for (id, got) in served.iter().enumerate() {
+                // WHICH ids are shed is timing-dependent, but an id that
+                // succeeds must equal the direct answer bitwise.
+                if matches!(got, Outcome::Ok { .. }) {
+                    prop_assert!(*got == direct(&s.plan, &requests[id]), "id {} differs", id);
+                }
             }
         }
     }
+}
+
+/// The event loop flushes a connection once per drain, however many
+/// replies the drain holds for it: 512 `ping`s that arrive in one
+/// `write_all` come back as 512 lines with 512 distinct ids.
+#[test]
+fn a_burst_of_pings_in_one_write_is_answered_id_for_id() {
+    const BURST: usize = 512;
+    let mut stream = TcpStream::connect(servers().plain).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let burst: String = (0..BURST)
+        .map(|id| format!("{{\"op\":\"ping\",\"id\":{id}}}\n"))
+        .collect();
+    stream.write_all(burst.as_bytes()).unwrap();
+    let mut seen = vec![false; BURST];
+    for _ in 0..BURST {
+        let mut line = String::new();
+        assert!(reader.read_line(&mut line).unwrap() > 0, "server hung up");
+        let v = parse_json(&line).unwrap();
+        assert_eq!(v.get("ok").unwrap().as_bool(), Some(true), "{line}");
+        let id = v.get("id").unwrap().as_usize().unwrap();
+        assert!(!seen[id], "duplicate response for id {id}");
+        seen[id] = true;
+    }
+    assert!(seen.iter().all(|&s| s), "every ping answered");
 }

@@ -1,11 +1,10 @@
-//! Adversarial scenarios specific to the epoll reactor frontend: abuses
-//! that only exist because one event loop owns every socket — outbound
+//! Adversarial scenarios aimed at the event loop's own bookkeeping: abuses
+//! that only exist because one thread owns every socket — outbound
 //! backpressure from a client that never reads, half-close mid-line
 //! during a pipelined burst, and a mass of idle connections that must not
 //! degrade service on the active one.
 //!
-//! The shared hostile-client corpus (which runs against BOTH frontends)
-//! lives in `server_adversarial.rs`.
+//! The hostile-client corpus lives in `server_adversarial.rs`.
 
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpStream};
@@ -18,7 +17,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use xgs_runtime::parse_json;
 
-/// 150-site Matérn model under a reactor-frontend server.
+/// 150-site Matérn model under a server with the given knobs.
 fn started_reactor(cfg: ServerConfig) -> exageostat_rs::server::ServerHandle {
     let mut rng = StdRng::seed_from_u64(404);
     let locs = jittered_grid(150, &mut rng);
@@ -36,14 +35,7 @@ fn started_reactor(cfg: ServerConfig) -> exageostat_rs::server::ServerHandle {
     .unwrap();
     let registry = Arc::new(ModelRegistry::new());
     registry.insert("default", plan);
-    serve(
-        &ServerConfig {
-            frontend: Frontend::Reactor,
-            ..cfg
-        },
-        registry,
-    )
-    .expect("bind loopback")
+    serve(&cfg, registry).expect("bind loopback")
 }
 
 fn assert_alive(addr: std::net::SocketAddr) {

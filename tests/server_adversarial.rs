@@ -8,14 +8,13 @@
 //! answered** — misbehaving clients get one error (or a closed socket),
 //! never a wedged or crashed service.
 //!
-//! Every scenario runs against BOTH frontends — the thread-per-connection
-//! layout and the epoll reactor — through one parameterized harness, so
-//! the wire-visible contract cannot drift between them. Reactor-only
-//! scenarios (outbound backpressure, mass idle connections) live in
+//! Abuses of the event loop's own bookkeeping (outbound backpressure,
+//! half-close mid-line, mass idle connections) live in
 //! `reactor_adversarial.rs`.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -46,14 +45,6 @@ fn started_server(cfg: ServerConfig) -> exageostat_rs::server::ServerHandle {
     serve(&cfg, registry).expect("bind loopback")
 }
 
-/// Default config for one frontend under test.
-fn cfg_for(frontend: Frontend) -> ServerConfig {
-    ServerConfig {
-        frontend,
-        ..ServerConfig::default()
-    }
-}
-
 fn connect(addr: std::net::SocketAddr) -> (TcpStream, BufReader<TcpStream>) {
     let stream = TcpStream::connect(addr).unwrap();
     let reader = BufReader::new(stream.try_clone().unwrap());
@@ -80,8 +71,10 @@ fn assert_alive(addr: std::net::SocketAddr) {
     assert_eq!(pong.get("ok").unwrap().as_bool(), Some(true));
 }
 
-fn hostile_clients_get_errors_not_a_dead_server(frontend: Frontend) {
-    let handle = started_server(cfg_for(frontend));
+/// Hostile clients get errors, not a dead server.
+#[test]
+fn hostile_clients_reactor() {
+    let handle = started_server(ServerConfig::default());
     let addr = handle.addr();
 
     // (a) Oversized request line: one error response, then disconnect —
@@ -250,23 +243,15 @@ fn hostile_clients_get_errors_not_a_dead_server(frontend: Frontend) {
     assert!(report.tasks >= 8, "census too small: {}", report.tasks);
 }
 
+/// A `ping` is not blocked behind queued `predict`s.
 #[test]
-fn hostile_clients_threaded() {
-    hostile_clients_get_errors_not_a_dead_server(Frontend::Threaded);
-}
-
-#[test]
-fn hostile_clients_reactor() {
-    hostile_clients_get_errors_not_a_dead_server(Frontend::Reactor);
-}
-
-fn ping_is_not_blocked_behind_queued_predicts(frontend: Frontend) {
+fn ping_overtakes_predicts_reactor() {
     // One solver and small batches: the predict backlog stays queued long
     // enough for the ping to overtake it.
     let handle = started_server(ServerConfig {
         solvers: 1,
         max_batch_points: 64,
-        ..cfg_for(frontend)
+        ..ServerConfig::default()
     });
     let (mut s, mut r) = connect(handle.addr());
 
@@ -318,18 +303,10 @@ fn ping_is_not_blocked_behind_queued_predicts(frontend: Frontend) {
     handle.join();
 }
 
+/// Expired deadlines are answered, not dropped.
 #[test]
-fn ping_overtakes_predicts_threaded() {
-    ping_is_not_blocked_behind_queued_predicts(Frontend::Threaded);
-}
-
-#[test]
-fn ping_overtakes_predicts_reactor() {
-    ping_is_not_blocked_behind_queued_predicts(Frontend::Reactor);
-}
-
-fn expired_deadlines_are_answered_not_dropped(frontend: Frontend) {
-    let handle = started_server(cfg_for(frontend));
+fn expired_deadlines_reactor() {
+    let handle = started_server(ServerConfig::default());
     let (mut s, mut r) = connect(handle.addr());
 
     // deadline_ms:0 is already expired by the time a solver dequeues it —
@@ -376,23 +353,15 @@ fn expired_deadlines_are_answered_not_dropped(frontend: Frontend) {
     handle.join();
 }
 
+/// Overload sheds with a retry hint and still answers everything.
 #[test]
-fn expired_deadlines_threaded() {
-    expired_deadlines_are_answered_not_dropped(Frontend::Threaded);
-}
-
-#[test]
-fn expired_deadlines_reactor() {
-    expired_deadlines_are_answered_not_dropped(Frontend::Reactor);
-}
-
-fn overload_sheds_with_a_retry_hint_and_answers_everything(frontend: Frontend) {
+fn overload_sheds_reactor() {
     // A one-point budget: the moment anything is queued, further predicts
     // are shed.
     let handle = started_server(ServerConfig {
         solvers: 1,
         max_queued_points: 1,
-        ..cfg_for(frontend)
+        ..ServerConfig::default()
     });
     let (mut s, mut r) = connect(handle.addr());
 
@@ -436,18 +405,10 @@ fn overload_sheds_with_a_retry_hint_and_answers_everything(frontend: Frontend) {
     handle.join();
 }
 
+/// A slow-loris writer cannot stall other clients.
 #[test]
-fn overload_sheds_threaded() {
-    overload_sheds_with_a_retry_hint_and_answers_everything(Frontend::Threaded);
-}
-
-#[test]
-fn overload_sheds_reactor() {
-    overload_sheds_with_a_retry_hint_and_answers_everything(Frontend::Reactor);
-}
-
-fn slow_loris_writer_cannot_stall_other_clients(frontend: Frontend) {
-    let handle = started_server(cfg_for(frontend));
+fn slow_loris_reactor() {
+    let handle = started_server(ServerConfig::default());
     let addr = handle.addr();
 
     // A client dribbling one byte at a time holds its own connection open…
@@ -478,21 +439,13 @@ fn slow_loris_writer_cannot_stall_other_clients(frontend: Frontend) {
     handle.join();
 }
 
+/// `loadgen` survives a mid-run shutdown.
 #[test]
-fn slow_loris_threaded() {
-    slow_loris_writer_cannot_stall_other_clients(Frontend::Threaded);
-}
-
-#[test]
-fn slow_loris_reactor() {
-    slow_loris_writer_cannot_stall_other_clients(Frontend::Reactor);
-}
-
-fn loadgen_survives_a_mid_run_shutdown(frontend: Frontend) {
+fn loadgen_mid_run_shutdown_reactor() {
     // Kill the server while the generator is mid-stream: loadgen must
     // report failures, not panic (exercised through the public API the
     // binary wraps).
-    let handle = started_server(cfg_for(frontend));
+    let handle = started_server(ServerConfig::default());
     let addr = handle.addr().to_string();
 
     let gen = {
@@ -529,12 +482,103 @@ fn loadgen_survives_a_mid_run_shutdown(frontend: Frontend) {
     );
 }
 
-#[test]
-fn loadgen_mid_run_shutdown_threaded() {
-    loadgen_survives_a_mid_run_shutdown(Frontend::Threaded);
+fn os_threads() -> usize {
+    let status = std::fs::read_to_string("/proc/self/status").expect("procfs");
+    let line = status
+        .lines()
+        .find(|l| l.starts_with("Threads:"))
+        .expect("Threads: row");
+    line["Threads:".len()..].trim().parse().expect("a count")
 }
 
+/// One connection pipelining `load`s gets a bounded number of
+/// factorizing threads, not one each: the rest are refused with a retry
+/// hint, every id is answered once, and other clients are served
+/// meanwhile.
 #[test]
-fn loadgen_mid_run_shutdown_reactor() {
-    loadgen_survives_a_mid_run_shutdown(Frontend::Reactor);
+#[cfg(target_os = "linux")]
+fn pipelined_loads_are_bounded_reactor() {
+    let handle = started_server(ServerConfig::default());
+    let addr = handle.addr();
+
+    // 500 sites at an explicit tile of 32: slow enough (tens of ms) that
+    // the burst below is all in the server before the first one finishes.
+    let mut rng = StdRng::seed_from_u64(606);
+    let locs = jittered_grid(500, &mut rng);
+    let locs_json: Vec<String> = locs.iter().map(|l| format!("[{},{}]", l.x, l.y)).collect();
+    let z_json: Vec<String> = locs
+        .iter()
+        .map(|l| format!("{}", (7.0 * l.x).sin() + (5.0 * l.y).cos()))
+        .collect();
+    let n_loads = 64;
+    let burst: String = (0..n_loads)
+        .map(|id| {
+            format!(
+                "{{\"op\":\"load\",\"id\":{id},\"name\":\"burst\",\"theta\":[1.0,0.1,0.5],\
+                 \"variant\":\"dense\",\"tile\":32,\"locs\":[{}],\"z\":[{}]}}\n",
+                locs_json.join(","),
+                z_json.join(",")
+            )
+        })
+        .collect();
+
+    // The process's thread count, sampled for as long as the loads run.
+    // Other tests of this binary start threads too (servers of three,
+    // loadgen's connections), hence a bound well above the cap — and well
+    // below the 64 a thread per `load` would add.
+    let before = os_threads();
+    let peak = Arc::new(AtomicUsize::new(before));
+    let done = Arc::new(AtomicBool::new(false));
+    let sampler = {
+        let (peak, done) = (peak.clone(), done.clone());
+        std::thread::spawn(move || {
+            while !done.load(Ordering::Relaxed) {
+                peak.fetch_max(os_threads(), Ordering::Relaxed);
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        })
+    };
+
+    let (mut s, mut r) = connect(addr);
+    s.set_read_timeout(Some(Duration::from_secs(120))).unwrap();
+    s.write_all(burst.as_bytes()).unwrap();
+
+    // A second connection is served while the loads are in flight.
+    assert_alive(addr);
+
+    let (mut ok, mut shed) = (0usize, 0usize);
+    let mut seen = vec![false; n_loads];
+    for _ in 0..n_loads {
+        let mut line = String::new();
+        assert!(r.read_line(&mut line).unwrap() > 0, "server hung up");
+        let v = parse_json(&line).unwrap();
+        let id = v.get("id").unwrap().as_usize().unwrap();
+        assert!(!seen[id], "duplicate response for id {id}");
+        seen[id] = true;
+        if v.get("ok").unwrap().as_bool() == Some(true) {
+            assert_eq!(v.get("n_train").unwrap().as_usize(), Some(500));
+            ok += 1;
+        } else {
+            let hint = v
+                .get("retry_after_ms")
+                .and_then(|h| h.as_usize())
+                .unwrap_or_else(|| panic!("refused load without retry hint: {line}"));
+            assert!((1..=10_000).contains(&hint));
+            shed += 1;
+        }
+    }
+    done.store(true, Ordering::Relaxed);
+    sampler.join().unwrap();
+    assert_eq!(ok + shed, n_loads);
+    assert!(ok >= 1, "no load served");
+    assert!(shed >= 1, "64 pipelined loads and none refused");
+    let grew = peak.load(Ordering::Relaxed).saturating_sub(before);
+    assert!(grew < 40, "{grew} threads appeared under a burst of loads");
+
+    let m = roundtrip(&mut s, &mut r, "{\"op\":\"metrics\"}");
+    let metrics = m.get("metrics").unwrap().to_json_string();
+    assert!(metrics.contains("\"shed\""), "{metrics}");
+
+    handle.shutdown();
+    handle.join();
 }
