@@ -4,7 +4,9 @@
 //! Assembly fans out per-column chunks across the shared work-stealing
 //! pool (`rayon::par_chunks_mut`), and the blocked
 //! entry point [`cov_block`] is what the tile layer calls to generate one
-//! tile at a time without ever materializing the full matrix.
+//! tile at a time without ever materializing the full matrix. Both fill a
+//! column per [`CovarianceKernel::cov_column`] call, so a `&dyn` kernel is
+//! dispatched once per column and its entry loop is compiled per kernel.
 
 use crate::locations::Location;
 use crate::matern::Matern;
@@ -20,6 +22,14 @@ pub trait CovarianceKernel: Send + Sync {
     /// Covariance between two sites.
     fn cov(&self, a: &Location, b: &Location) -> f64;
 
+    /// One column of a covariance block: `out[i] = cov(rows[i], col)`,
+    /// bit for bit.
+    fn cov_column(&self, rows: &[Location], col: &Location, out: &mut [f64]) {
+        for (o, r) in out.iter_mut().zip(rows) {
+            *o = self.cov(r, col);
+        }
+    }
+
     /// Marginal variance `C(s, s) = σ²`.
     fn variance(&self) -> f64;
 
@@ -32,6 +42,18 @@ impl CovarianceKernel for Matern {
     #[inline]
     fn cov(&self, a: &Location, b: &Location) -> f64 {
         self.cov_at_distance(a.dist_space(b))
+    }
+
+    /// Two passes, distances then the correlation in place: half the time
+    /// per entry of the default body (EXPERIMENTS.md "Assembly at table
+    /// speed").
+    fn cov_column(&self, rows: &[Location], col: &Location, out: &mut [f64]) {
+        for (o, r) in out.iter_mut().zip(rows) {
+            *o = r.dist_space(col);
+        }
+        for o in out.iter_mut() {
+            *o = self.cov_at_distance(*o);
+        }
     }
 
     fn variance(&self) -> f64 {
@@ -63,12 +85,9 @@ impl CovarianceKernel for GneitingSpaceTime {
 pub fn covariance_matrix(kernel: &dyn CovarianceKernel, locs: &[Location]) -> Matrix {
     let n = locs.len();
     let mut data = vec![0.0f64; n * n];
-    data.par_chunks_mut(n).enumerate().for_each(|(j, col)| {
-        let lj = &locs[j];
-        for (i, out) in col.iter_mut().enumerate() {
-            *out = kernel.cov(&locs[i], lj);
-        }
-    });
+    data.par_chunks_mut(n)
+        .enumerate()
+        .for_each(|(j, col)| kernel.cov_column(locs, &locs[j], col));
     Matrix::from_vec(n, n, data)
 }
 
@@ -79,10 +98,9 @@ pub fn cov_block(kernel: &dyn CovarianceKernel, rows: &[Location], cols: &[Locat
     let m = rows.len();
     let n = cols.len();
     let mut data = vec![0.0f64; m * n];
-    for (j, cj) in cols.iter().enumerate() {
-        let col = &mut data[j * m..(j + 1) * m];
-        for (out, ri) in col.iter_mut().zip(rows) {
-            *out = kernel.cov(ri, cj);
+    if m > 0 {
+        for (col, cj) in data.chunks_exact_mut(m).zip(cols) {
+            kernel.cov_column(rows, cj, col);
         }
     }
     Matrix::from_vec(m, n, data)
@@ -141,6 +159,44 @@ mod tests {
         for j in 0..15 {
             for i in 0..10 {
                 assert_eq!(block[(i, j)], full[(10 + i, 25 + j)]);
+            }
+        }
+    }
+
+    #[test]
+    fn column_assembly_is_entrywise_cov_for_every_kernel() {
+        use crate::kernels_extra::{GeneralizedCauchy, PoweredExponential, WithNugget};
+        // Wide enough that the general-ν Matérn meets t <= 2, several table
+        // panels and coincident sites (rows and cols overlap).
+        let mut space = locs(90, 6);
+        for l in &mut space {
+            (l.x, l.y) = (l.x * 3.0, l.y * 3.0);
+        }
+        let st = crate::locations::spacetime_grid(&space[..30], 3);
+        let general = Matern::new(MaternParams::new(0.67, 0.17, 0.44));
+        let kernels: [(&dyn CovarianceKernel, &[Location]); 6] = [
+            (&general, &space),
+            (&Matern::new(MaternParams::new(1.0, 0.15, 1.5)), &space),
+            (&WithNugget::new(general, 0.1), &space),
+            (&PoweredExponential::new(1.3, 0.2, 1.7), &space),
+            (&GeneralizedCauchy::new(1.0, 0.2, 1.5, 0.8), &space),
+            (
+                &GneitingSpaceTime::new(SpaceTimeParams::new(1.0, 0.3, 0.8, 0.5, 0.9, 0.5)),
+                &st,
+            ),
+        ];
+        for (k, (kernel, ls)) in kernels.into_iter().enumerate() {
+            let (rows, cols) = (&ls[10..70], &ls[40..90]);
+            let block = cov_block(kernel, rows, cols);
+            for (j, cj) in cols.iter().enumerate() {
+                for (i, ri) in rows.iter().enumerate() {
+                    let want = kernel.cov(ri, cj);
+                    assert_eq!(
+                        block[(i, j)].to_bits(),
+                        want.to_bits(),
+                        "kernel {k} ({i},{j})"
+                    );
+                }
             }
         }
     }

@@ -8,9 +8,19 @@
 //! Accuracy is ~1e-13 relative over the ranges the Matérn kernel uses, and
 //! the test suite cross-checks against the integral representation
 //! `K_nu(x) = ∫_0^∞ exp(-x cosh t) cosh(nu t) dt`.
+//!
+//! [`bessel_k`] is the scalar reference. Covariance assembly does not call
+//! it per entry: [`crate::matern::MaternCorrelation`] hoists the per-order
+//! pieces (`Temme`, `split_order`, `recur_up`) and reads the `x > 2` range
+//! from a table that `steed_cf2` fills once per order.
 
 const EPS: f64 = 1e-16;
-const MAX_ITER: usize = 20_000;
+/// Temme's terms fall like `(x/2)^{2i} / (i!)²`: 13 iterations at `x = 2`,
+/// fewer below.
+const TEMME_MAX_ITER: usize = 32;
+/// CF2 needs the most iterations just above `x = 2` — 81 there, for every
+/// `|mu| <= 1/2` — and fewer as `x` grows.
+const CF2_MAX_ITER: usize = 128;
 
 /// Natural log of the gamma function (Lanczos approximation, g = 7, n = 9),
 /// valid for `x > 0` with ~1e-13 relative accuracy.
@@ -51,45 +61,17 @@ pub fn gamma(x: f64) -> f64 {
     }
 }
 
-/// Temme's auxiliary gammas for `|mu| <= 1/2`:
-/// `gam1 = (1/Γ(1-mu) - 1/Γ(1+mu)) / (2 mu)` (limit `-γ_E` at 0),
-/// `gam2 = (1/Γ(1-mu) + 1/Γ(1+mu)) / 2`,
-/// plus `gampl = 1/Γ(1+mu)` and `gammi = 1/Γ(1-mu)`.
-fn temme_gammas(mu: f64) -> (f64, f64, f64, f64) {
-    const EULER: f64 = 0.5772156649015329;
-    let gampl = 1.0 / gamma(1.0 + mu);
-    let gammi = 1.0 / gamma(1.0 - mu);
-    let gam1 = if mu.abs() < 1e-7 {
-        // Series: (gammi - gampl)/(2mu) = -γ + O(mu^2); the O(mu^2) term is
-        // below 1e-14 here.
-        -EULER
-    } else {
-        (gammi - gampl) / (2.0 * mu)
-    };
-    let gam2 = 0.5 * (gammi + gampl);
-    (gam1, gam2, gampl, gammi)
+/// Split `nu = n + mu` with integer `n >= 0` and `|mu| <= 1/2`.
+pub(crate) fn split_order(nu: f64) -> (usize, f64) {
+    let n = (nu + 0.5).floor() as usize;
+    (n, nu - n as f64)
 }
 
-/// `K_nu(x)` for `nu >= 0`, `x > 0`.
-///
-/// Returns `f64::INFINITY` as `x -> 0+` (the true singular limit) and 0 for
-/// very large `x` (underflow).
-pub fn bessel_k(nu: f64, x: f64) -> f64 {
-    assert!(nu >= 0.0, "order must be nonnegative (K_-nu = K_nu anyway)");
-    assert!(x > 0.0, "argument must be positive");
-
-    // Split nu = n + mu with integer n >= 0 and |mu| <= 1/2.
-    let n = (nu + 0.5).floor() as usize;
-    let mu = nu - n as f64;
-
-    let (mut k_mu, mut k_mu1) = if x <= 2.0 {
-        temme_series(mu, x)
-    } else {
-        steed_cf2(mu, x)
-    };
-
-    // Upward recurrence: K_{v+1}(x) = K_{v-1}(x) + (2v/x) K_v(x).
-    let xi2 = 2.0 / x;
+/// `n` steps of the upward recurrence `K_{v+1} = K_{v-1} + (2v/x) K_v` from
+/// the pair at orders `(mu, mu + 1)`, with `xi2 = 2/x`: returns the value at
+/// order `mu + n`. Linear, so it carries any common scaling of the pair.
+#[inline]
+pub(crate) fn recur_up(mu: f64, n: usize, xi2: f64, mut k_mu: f64, mut k_mu1: f64) -> f64 {
     let mut v = mu;
     for _ in 0..n {
         let next = (v + 1.0) * xi2 * k_mu1 + k_mu;
@@ -100,52 +82,110 @@ pub fn bessel_k(nu: f64, x: f64) -> f64 {
     k_mu
 }
 
-/// Temme's series for `K_mu(x)` and `K_{mu+1}(x)`, `|mu| <= 1/2`, `x <= 2`.
-fn temme_series(mu: f64, x: f64) -> (f64, f64) {
-    let pi = std::f64::consts::PI;
-    let x2 = 0.5 * x;
-    let pimu = pi * mu;
-    let fact = if pimu.abs() < EPS {
-        1.0
+/// `K_nu(x)` for `nu >= 0`, `x > 0`.
+///
+/// Returns `f64::INFINITY` as `x -> 0+` (the true singular limit) and 0 for
+/// very large `x` (underflow).
+pub fn bessel_k(nu: f64, x: f64) -> f64 {
+    assert!(nu >= 0.0, "order must be nonnegative (K_-nu = K_nu anyway)");
+    assert!(x > 0.0, "argument must be positive");
+
+    let (n, mu) = split_order(nu);
+    let (k_mu, k_mu1) = if x <= 2.0 {
+        Temme::new(mu).series(x)
     } else {
-        pimu / pimu.sin()
+        let (g_mu, g_mu1) = steed_cf2(mu, x);
+        let scale = (std::f64::consts::PI / (2.0 * x)).sqrt() * (-x).exp();
+        (scale * g_mu, scale * g_mu1)
     };
-    let d = -x2.ln();
-    let e = mu * d;
-    let fact2 = if e.abs() < EPS { 1.0 } else { e.sinh() / e };
-    let (gam1, gam2, gampl, gammi) = temme_gammas(mu);
-    let mut ff = fact * (gam1 * e.cosh() + gam2 * fact2 * d);
-    let mut sum = ff;
-    let e_exp = e.exp();
-    let mut p = 0.5 * e_exp / gampl;
-    let mut q = 0.5 / (e_exp * gammi);
-    let mut c = 1.0;
-    let dd = x2 * x2;
-    let mut sum1 = p;
-    let mut converged = false;
-    for i in 1..=MAX_ITER {
-        let fi = i as f64;
-        ff = (fi * ff + p + q) / (fi * fi - mu * mu);
-        c *= dd / fi;
-        p /= fi - mu;
-        q /= fi + mu;
-        let del = c * ff;
-        sum += del;
-        let del1 = c * (p - fi * ff);
-        sum1 += del1;
-        if del.abs() < sum.abs() * EPS {
-            converged = true;
-            break;
-        }
-    }
-    debug_assert!(converged, "Temme series failed to converge");
-    (sum, sum1 * 2.0 / x)
+    recur_up(mu, n, 2.0 / x, k_mu, k_mu1)
 }
 
-/// Steed's continued fraction CF2 for `K_mu(x)` and `K_{mu+1}(x)`,
-/// `|mu| <= 1/2`, `x > 2`.
-fn steed_cf2(mu: f64, x: f64) -> (f64, f64) {
-    let pi = std::f64::consts::PI;
+/// The constants of Temme's series that depend on the order alone, for
+/// `|mu| <= 1/2`: `gam1 = (1/Γ(1-mu) - 1/Γ(1+mu)) / (2 mu)` (limit `-γ_E`
+/// at 0), `gam2 = (1/Γ(1-mu) + 1/Γ(1+mu)) / 2`, `gampl = 1/Γ(1+mu)`,
+/// `gammi = 1/Γ(1-mu)` and `fact = πmu / sin πmu`. Two `Γ` evaluations and
+/// a `sin`: a caller evaluating one order many times keeps the struct.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Temme {
+    mu: f64,
+    fact: f64,
+    gam1: f64,
+    gam2: f64,
+    gampl: f64,
+    gammi: f64,
+}
+
+impl Temme {
+    pub(crate) fn new(mu: f64) -> Temme {
+        const EULER: f64 = 0.5772156649015329;
+        let pimu = std::f64::consts::PI * mu;
+        let fact = if pimu.abs() < EPS {
+            1.0
+        } else {
+            pimu / pimu.sin()
+        };
+        let gampl = 1.0 / gamma(1.0 + mu);
+        let gammi = 1.0 / gamma(1.0 - mu);
+        let gam1 = if mu.abs() < 1e-7 {
+            // Series: (gammi - gampl)/(2mu) = -γ + O(mu^2); the O(mu^2) term is
+            // below 1e-14 here.
+            -EULER
+        } else {
+            (gammi - gampl) / (2.0 * mu)
+        };
+        let gam2 = 0.5 * (gammi + gampl);
+        Temme {
+            mu,
+            fact,
+            gam1,
+            gam2,
+            gampl,
+            gammi,
+        }
+    }
+
+    /// Temme's series for `K_mu(x)` and `K_{mu+1}(x)`, `0 < x <= 2`. NaN if
+    /// the series has not converged within its bound (an `x` far outside
+    /// the domain).
+    pub(crate) fn series(&self, x: f64) -> (f64, f64) {
+        let mu = self.mu;
+        let x2 = 0.5 * x;
+        let d = -x2.ln();
+        let e = mu * d;
+        let fact2 = if e.abs() < EPS { 1.0 } else { e.sinh() / e };
+        let mut ff = self.fact * (self.gam1 * e.cosh() + self.gam2 * fact2 * d);
+        let mut sum = ff;
+        let e_exp = e.exp();
+        let mut p = 0.5 * e_exp / self.gampl;
+        let mut q = 0.5 / (e_exp * self.gammi);
+        let mut c = 1.0;
+        let dd = x2 * x2;
+        let mut sum1 = p;
+        for i in 1..=TEMME_MAX_ITER {
+            let fi = i as f64;
+            ff = (fi * ff + p + q) / (fi * fi - mu * mu);
+            c *= dd / fi;
+            p /= fi - mu;
+            q /= fi + mu;
+            let del = c * ff;
+            sum += del;
+            let del1 = c * (p - fi * ff);
+            sum1 += del1;
+            if del.abs() < sum.abs() * EPS {
+                return (sum, sum1 * 2.0 / x);
+            }
+        }
+        (f64::NAN, f64::NAN)
+    }
+}
+
+/// Steed's continued fraction CF2 for the *scaled* pair
+/// `g_v(x) = sqrt(2x/π) e^x K_v(x)` at `v = mu` and `v = mu + 1`,
+/// `|mu| <= 1/2`, `x > 2`. The scaling keeps the pair O(1) however large
+/// `x` is (`g_v -> 1`). NaN if the fraction has not converged within its
+/// bound (an `x` well below the domain).
+pub(crate) fn steed_cf2(mu: f64, x: f64) -> (f64, f64) {
     let mut b = 2.0 * (1.0 + x);
     let mut d = 1.0 / b;
     let mut h = d;
@@ -157,8 +197,7 @@ fn steed_cf2(mu: f64, x: f64) -> (f64, f64) {
     let mut c = a1;
     let mut a = -a1;
     let mut s = 1.0 + q * delh;
-    let mut converged = false;
-    for i in 2..=MAX_ITER {
+    for i in 2..=CF2_MAX_ITER {
         let fi = i as f64;
         a -= 2.0 * (fi - 1.0);
         c = -a * c / fi;
@@ -173,15 +212,11 @@ fn steed_cf2(mu: f64, x: f64) -> (f64, f64) {
         let dels = q * delh;
         s += dels;
         if (dels / s).abs() < EPS {
-            converged = true;
-            break;
+            let g_mu = 1.0 / s;
+            return (g_mu, g_mu * (mu + x + 0.5 - a1 * h) / x);
         }
     }
-    debug_assert!(converged, "CF2 failed to converge");
-    let h = a1 * h;
-    let k_mu = (pi / (2.0 * x)).sqrt() * (-x).exp() / s;
-    let k_mu1 = k_mu * (mu + x + 0.5 - h) / x;
-    (k_mu, k_mu1)
+    (f64::NAN, f64::NAN)
 }
 
 #[cfg(test)]
@@ -308,6 +343,38 @@ mod tests {
         assert!((ln_gamma(0.5) - 0.5 * std::f64::consts::PI.ln()).abs() < 1e-13);
         // Γ(1/3) = 2.678938534707747
         assert!((gamma(1.0 / 3.0) - 2.678938534707747).abs() < 1e-12);
+    }
+
+    #[test]
+    fn both_expansions_converge_within_their_bounds_over_their_domains() {
+        // Non-convergence is NaN (in release too), so finite here is the
+        // statement that the iteration bounds cover the domains.
+        for i in 0..=200 {
+            let mu = -0.5 + i as f64 / 200.0;
+            let temme = Temme::new(mu);
+            for j in 0..400 {
+                // x in (2, 1e3], densest just above 2 where CF2 is slowest.
+                let x = 2.0 + 998.0 * ((j + 1) as f64 / 400.0).powi(6);
+                let (g, g1) = steed_cf2(mu, x);
+                assert!(g.is_finite() && g1.is_finite(), "CF2 mu={mu} x={x}");
+                // x in (0, 2], down to 1e-150 (K_{mu+1} ~ x^{-3/2} overflows
+                // not far below).
+                let x = 2.0 * 10f64.powf(-150.0 * j as f64 / 400.0);
+                let (k, k1) = temme.series(x);
+                assert!(k.is_finite() && k1.is_finite(), "Temme mu={mu} x={x}");
+            }
+            let next_up = f64::from_bits(2.0f64.to_bits() + 1);
+            assert!(steed_cf2(mu, next_up).0.is_finite(), "CF2 mu={mu} at 2+ulp");
+        }
+    }
+
+    #[test]
+    fn non_convergence_is_nan_not_a_half_summed_value() {
+        // Far outside their domains both expansions need more iterations
+        // than their bounds allow.
+        for (k, k1) in [steed_cf2(0.3, 0.05), Temme::new(0.3).series(60.0)] {
+            assert!(k.is_nan() && k1.is_nan(), "{k}, {k1}");
+        }
     }
 
     #[test]

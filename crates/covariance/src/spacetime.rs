@@ -10,7 +10,7 @@
 //! `β > 0` couples them — the case the paper's Table II finds (`β ≈ 0.186`)
 //! and argues is more realistic.
 
-use crate::matern::{matern_correlation_with_coef, matern_ln_coef};
+use crate::matern::MaternCorrelation;
 
 /// Parameter vector of the space–time model — the six estimands of the
 /// paper's Table II.
@@ -70,19 +70,19 @@ impl SpaceTimeParams {
     }
 }
 
-/// The Gneiting space–time kernel (Matérn prefactor cached, see
-/// [`crate::matern::Matern`]).
+/// The Gneiting space–time kernel; holds the per-ν Matérn evaluator like
+/// [`crate::matern::Matern`].
 #[derive(Clone, Copy, Debug)]
 pub struct GneitingSpaceTime {
     pub params: SpaceTimeParams,
-    ln_coef: f64,
+    corr: MaternCorrelation,
 }
 
 impl GneitingSpaceTime {
     pub fn new(params: SpaceTimeParams) -> GneitingSpaceTime {
         GneitingSpaceTime {
             params,
-            ln_coef: matern_ln_coef(params.smoothness_space),
+            corr: MaternCorrelation::new(params.smoothness_space),
         }
     }
 
@@ -91,7 +91,7 @@ impl GneitingSpaceTime {
         let p = &self.params;
         let psi = p.range_time * u.abs().powf(2.0 * p.smoothness_time.min(1.0)) + 1.0;
         let scaled_h = h / (p.range_space * psi.powf(0.5 * p.beta));
-        p.sigma2 / psi * matern_correlation_with_coef(p.smoothness_space, self.ln_coef, scaled_h)
+        p.sigma2 / psi * self.corr.eval(scaled_h)
     }
 }
 

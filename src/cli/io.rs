@@ -59,13 +59,17 @@ pub fn read_dataset<R: BufRead>(reader: R) -> Result<Dataset, IoError> {
             continue;
         }
         let fields: Vec<&str> = line.split(',').collect();
+        // `f64::from_str` accepts `nan` and `inf`; no coordinate or value
+        // downstream can be either.
         let get = |idx: usize| -> Result<f64, IoError> {
             fields
                 .get(idx)
                 .ok_or_else(|| IoError::Format(format!("line {}: missing column", lineno + 2)))?
                 .trim()
                 .parse()
-                .map_err(|_| IoError::Format(format!("line {}: bad number", lineno + 2)))
+                .ok()
+                .filter(|v: &f64| v.is_finite())
+                .ok_or_else(|| IoError::Format(format!("line {}: bad number", lineno + 2)))
         };
         let x = get(x_idx)?;
         let y = get(y_idx)?;
@@ -181,12 +185,22 @@ mod tests {
 
     #[test]
     fn reports_bad_rows_with_line_numbers() {
-        let csv = "x,y,z\n0.1,0.2,1.0\n0.3,oops,2.0\n";
-        let err = read_dataset(std::io::Cursor::new(csv)).unwrap_err();
-        match err {
-            IoError::Format(m) => assert!(m.contains("line 3"), "{m}"),
-            other => panic!("wrong error {other}"),
+        // Not a number, and the non-finite spellings `f64::from_str` takes.
+        for bad in [
+            "0.3,oops,2.0",
+            "nan,0.2,2.0",
+            "0.3,inf,2.0",
+            "0.3,0.2,-Infinity",
+        ] {
+            let csv = format!("x,y,z\n0.1,0.2,1.0\n{bad}\n");
+            let err = read_dataset(std::io::Cursor::new(csv)).unwrap_err();
+            match err {
+                IoError::Format(m) => assert!(m.contains("line 3"), "{bad}: {m}"),
+                other => panic!("{bad}: wrong error {other}"),
+            }
         }
+        let err = read_dataset(std::io::Cursor::new("x,y,t\n1,2,NaN\n")).unwrap_err();
+        assert!(matches!(err, IoError::Format(m) if m.contains("line 2")));
     }
 
     #[test]
