@@ -73,7 +73,10 @@ pub(crate) fn query_batch(
             for (bj, uj) in u[start..end].iter_mut().enumerate() {
                 let col = &x[bj * n..(bj + 1) * n];
                 let reduction: f64 = col.iter().map(|v| v * v).sum();
-                *uj = (sigma2 - reduction).max(0.0);
+                // Clamp rounding below zero, but keep a NaN: `f64::max`
+                // would turn it into a variance claiming certainty.
+                let var = sigma2 - reduction;
+                *uj = if var < 0.0 { 0.0 } else { var };
             }
         }
         start = end;
@@ -306,6 +309,32 @@ mod tests {
         // Far point: essentially no information -> variance ~ sigma^2, mean ~ 0.
         assert!((u[1] - 1.0).abs() < 1e-3);
         assert!(pred.mean[1].abs() < 1e-3);
+    }
+
+    #[test]
+    fn a_nan_prediction_keeps_a_nan_variance() {
+        // A finite point whose distances overflow to infinity: the
+        // covariances, hence the mean, are NaN, and so must the variance
+        // be — not a clamped 0 that claims certainty.
+        let (kernel, tr, ztr, _te, _zte, f) = setup(260, 30, MaternParams::new(1.0, 0.2, 1.5));
+        let plan = PredictionPlan::new(Arc::new(kernel), Arc::from(tr), &ztr, Arc::new(f));
+        let q = plan.query(
+            &[Location::new(1e200, 1e200), Location::new(0.5, 0.5)],
+            true,
+        );
+        let u = q.uncertainty.unwrap();
+        assert!(
+            q.mean[0].is_nan() && u[0].is_nan(),
+            "{} ± {}",
+            q.mean[0],
+            u[0]
+        );
+        assert!(
+            q.mean[1].is_finite() && u[1] >= 0.0,
+            "{} ± {}",
+            q.mean[1],
+            u[1]
+        );
     }
 
     #[test]

@@ -16,7 +16,11 @@
 //! * the cache-blocked path — BLIS-style `NC/KC/MC` loop blocking around an
 //!   `MR x NR` register microkernel over zero-padded packed micro-panels;
 //!   the pack buffers belong to the worker thread and are reused across
-//!   calls. The register tile is per precision (f64 8×4, f32 16×4).
+//!   calls. The register tile is per precision (f64 8×4, f32 16×4). Fewer
+//!   than `NR` columns skip the packing and run the same per-column
+//!   arithmetic straight off the operands (the column path): a one-column
+//!   solve would otherwise pack all of `op(A)` and pad the register tile
+//!   with three zero columns.
 //!
 //! The whole call — `beta` scaling, packing, microkernel, `alpha`
 //! write-back — runs through the crate's AVX2+FMA seam (`simd.rs`),
@@ -25,11 +29,12 @@
 //! result bitwise.
 //!
 //! **Determinism contract**: for a fixed `(m, k)` and fixed inputs, every
-//! output column is computed by the exact same arithmetic regardless of `n`
-//! — path dispatch deliberately ignores `n`, and the blocked path processes
-//! each column independently. This is what keeps the server's batched
-//! multi-RHS solves bitwise identical to singleton solves on top of a
-//! blocked kernel.
+//! output column is computed by the exact same arithmetic regardless of `n`.
+//! `(m, k)` choose between the naive and the blocked arithmetic; `n` may
+//! only choose between paths whose per-column arithmetic is identical (the
+//! packed and the column path), and every path processes each column
+//! independently. This is what keeps the server's batched multi-RHS solves
+//! bitwise identical to singleton solves on top of a blocked kernel.
 
 use crate::half::Half;
 use crate::simd::{self, Avx2, Micro, ACC, NR};
@@ -52,10 +57,14 @@ const MC: usize = 128;
 const NC: usize = 512;
 
 /// Below this `m * k` footprint the packed panels cannot be amortized and
-/// the naive loop nest wins. Dispatch looks only at `m` and `k` — never `n`
-/// — so per-column arithmetic is independent of how many columns ride in
-/// one call (see the module-level determinism contract).
+/// the naive loop nest wins. The arithmetic is chosen from `m` and `k` only
+/// — never `n` — so per-column results are independent of how many columns
+/// ride in one call (see the module-level determinism contract).
 const BLOCK_MIN_MK: usize = 48 * 48;
+
+/// Column path, `op(A)` transposed: rows of C whose dot-product chains run
+/// side by side so that their fused multiply-adds overlap.
+const DOT_ROWS: usize = 8;
 
 /// One way of feeding the engine: what the operands are stored as, what
 /// the kernel computes in, and what C is stored as. Every conversion is
@@ -85,8 +94,9 @@ pub(crate) trait Feed {
     }
 
     /// The `rows x cols` operand at `src` (leading dimension `ld`) as a
-    /// compute-type matrix for the naive loops: converted into `scratch`
-    /// unless it already is one.
+    /// compute-type matrix for the loops that read operands unpacked (the
+    /// naive and the column path): converted into `scratch` unless it
+    /// already is one.
     #[inline(always)]
     fn operand<'a>(
         simd: Option<Avx2>,
@@ -302,10 +312,13 @@ pub(crate) fn gemm_fed<F: Feed>(
 }
 
 /// Pack-buffer lengths [`gemm_core`] needs for this shape: the blocked
-/// path's two panels, or the naive path's converted operands (nothing for
-/// a feed that borrows them).
+/// path's two panels, the column path's converted operand pieces, or the
+/// naive path's converted operands (nothing for a feed that borrows them).
 fn pack_lens<F: Feed>(m: usize, n: usize, k: usize) -> (usize, usize) {
-    if m * k >= BLOCK_MIN_MK {
+    if m * k >= BLOCK_MIN_MK && n < NR {
+        let kc = KC.min(k);
+        ((2 * m).max(DOT_ROWS * kc), kc)
+    } else if m * k >= BLOCK_MIN_MK {
         let mr = <F::T as Micro>::MR;
         let kc = KC.min(k);
         (
@@ -397,7 +410,11 @@ pub(crate) fn gemm_core<F: Feed>(
     if k == 0 || m == 0 || n == 0 || alpha == F::T::ZERO {
         return;
     }
-    if m * k >= BLOCK_MIN_MK {
+    if m * k >= BLOCK_MIN_MK && n < NR {
+        gemm_core_columns::<F>(
+            simd, transa, transb, m, n, k, alpha, a, lda, b, ldb, c, ldc, apack, bpack,
+        );
+    } else if m * k >= BLOCK_MIN_MK {
         gemm_core_blocked::<F>(
             simd, transa, transb, m, n, k, alpha, a, lda, b, ldb, c, ldc, apack, bpack,
         );
@@ -641,9 +658,7 @@ fn gemm_core_blocked<F: Feed>(
                         for (cq, col) in acc.chunks_exact(mr_full).enumerate().take(nr) {
                             let cbase = (jc + jr + cq) * ldc + ic + ir;
                             let ccol = &mut c[cbase..cbase + mr];
-                            for (ci, acci) in ccol.iter_mut().zip(col) {
-                                *ci = write::<F>(acci.mul_add(alpha, read::<F>(*ci)));
-                            }
+                            write_back::<F>(alpha, col, ccol);
                             if last {
                                 F::finish(simd, ccol);
                             }
@@ -652,6 +667,122 @@ fn gemm_core_blocked<F: Feed>(
                 }
             }
         }
+    }
+}
+
+/// The blocked path's arithmetic for fewer than `NR` columns, without
+/// packing: per column and `KC` slice an accumulator started from zero,
+/// one fused multiply-add per `l` in ascending order, the write-back
+/// `c = fma(acc, alpha, c)`, and `F::finish` after the last slice — what
+/// the register tile does to each of its columns, so a column comes out
+/// bit for bit as it would from [`gemm_core_blocked`].
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn gemm_core_columns<F: Feed>(
+    simd: Option<Avx2>,
+    transa: Trans,
+    transb: Trans,
+    m: usize,
+    n: usize,
+    k: usize,
+    alpha: F::T,
+    a: &[F::Src],
+    lda: usize,
+    b: &[F::Src],
+    ldb: usize,
+    c: &mut [F::Dst],
+    ldc: usize,
+    ascratch: &mut [F::T],
+    bscratch: &mut [F::T],
+) {
+    for j in 0..n {
+        let ccol = &mut c[j * ldc..j * ldc + m];
+        for pc in (0..k).step_by(KC) {
+            let kc = KC.min(k - pc);
+            let bj = &mut bscratch[..kc];
+            match transb {
+                Trans::No => F::load(simd, &b[pc + j * ldb..][..kc], bj),
+                Trans::Yes => {
+                    for (l, d) in bj.iter_mut().enumerate() {
+                        *d = F::get(b[j + (pc + l) * ldb]);
+                    }
+                }
+            }
+            match transa {
+                // op(A)'s columns are A's: one axpy per `l` down a whole
+                // column into `acc`, so A streams through once, in order.
+                Trans::No => {
+                    let (acc, conv) = ascratch[..2 * m].split_at_mut(m);
+                    acc.fill(F::T::ZERO);
+                    for (l, bl) in bj.iter().enumerate() {
+                        let (acol, _) = F::operand(simd, &a[(pc + l) * lda..], m, 1, lda, conv);
+                        for (s, av) in acc.iter_mut().zip(&acol[..m]) {
+                            *s = av.mul_add(*bl, *s);
+                        }
+                    }
+                    write_back::<F>(alpha, acc, ccol);
+                }
+                // op(A)'s rows are A's columns: one dot product per row of
+                // C, `DOT_ROWS` of them interleaved.
+                Trans::Yes => {
+                    let full = m - m % DOT_ROWS;
+                    for r0 in (0..full).step_by(DOT_ROWS) {
+                        column_dots::<F, DOT_ROWS>(
+                            simd,
+                            r0,
+                            &a[pc..],
+                            lda,
+                            bj,
+                            alpha,
+                            ccol,
+                            ascratch,
+                        );
+                    }
+                    for r0 in full..m {
+                        column_dots::<F, 1>(simd, r0, &a[pc..], lda, bj, alpha, ccol, ascratch);
+                    }
+                }
+            }
+            if pc + kc == k {
+                F::finish(simd, ccol);
+            }
+        }
+    }
+}
+
+/// `ccol[r0..r0 + R] = fma(dot(A[.., r0 + i], bj), alpha, ccol)` for a
+/// transposed `op(A)` whose `KC` slice starts at `a`: `R` independent
+/// chains, each in ascending `l` from zero.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn column_dots<F: Feed, const R: usize>(
+    simd: Option<Avx2>,
+    r0: usize,
+    a: &[F::Src],
+    lda: usize,
+    bj: &[F::T],
+    alpha: F::T,
+    ccol: &mut [F::Dst],
+    scratch: &mut [F::T],
+) {
+    let kc = bj.len();
+    let (arows, ld) = F::operand(simd, &a[r0 * lda..], kc, R, lda, scratch);
+    let arows: [&[F::T]; R] = std::array::from_fn(|i| &arows[i * ld..i * ld + kc]);
+    let mut acc = [F::T::ZERO; R];
+    for (l, bl) in bj.iter().enumerate() {
+        for (s, arow) in acc.iter_mut().zip(&arows) {
+            *s = arow[l].mul_add(*bl, *s);
+        }
+    }
+    write_back::<F>(alpha, &acc, &mut ccol[r0..r0 + R]);
+}
+
+/// `c = fma(acc, alpha, c)` in C's storage type: the register tile's
+/// write-back.
+#[inline(always)]
+fn write_back<F: Feed>(alpha: F::T, acc: &[F::T], c: &mut [F::Dst]) {
+    for (ci, s) in c.iter_mut().zip(acc) {
+        *ci = write::<F>(s.mul_add(alpha, read::<F>(*ci)));
     }
 }
 
@@ -769,7 +900,7 @@ pub(crate) fn on_both_sides_of_the_seam<F: Feed>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     /// Unoptimized triple loop used as the oracle.
@@ -927,49 +1058,96 @@ mod tests {
         }
     }
 
+    /// The determinism contract for feed `F`: on blocked-class shapes (one
+    /// `KC` slice, and three with a ragged last one), every column of an
+    /// 11-column call — the packed path — equals bit for bit the same
+    /// column computed in calls of 1 to 5 columns and alone, which below
+    /// `NR` take the column path; and each call gives the same bits on
+    /// both sides of the seam.
+    pub(crate) fn per_column_is_independent_of_n<F: Feed>(
+        src: impl Fn(f64) -> F::Src,
+        dst: impl Fn(f64) -> F::Dst,
+    ) {
+        const WIDE: usize = 11;
+        let bits = |v: &[F::Dst]| v.iter().map(|x| x.to_f64().to_bits()).collect::<Vec<_>>();
+        for &(m, k) in &[(96, 100), (37, 600)] {
+            assert!(
+                m * k >= super::BLOCK_MIN_MK,
+                "must take a blocked-class path"
+            );
+            for (ta, tb) in TRANSPOSES {
+                let (ar, ac) = if ta == Trans::No { (m, k) } else { (k, m) };
+                let (br, bc) = if tb == Trans::No {
+                    (k, WIDE)
+                } else {
+                    (WIDE, k)
+                };
+                let (lda, ldb, ldc) = (ar + 3, br + 1, m + 2);
+                let a: Vec<F::Src> = fill(lda * ac, 90).into_iter().map(&src).collect();
+                let b: Vec<F::Src> = fill(ldb * bc, 91).into_iter().map(&src).collect();
+                let c: Vec<F::Dst> = fill(ldc * WIDE, 92).into_iter().map(&dst).collect();
+                let alpha = F::T::from_f64(-0.75);
+                let update = |n: usize, b: &[F::Src], c: &[F::Dst]| {
+                    let c = &c[..ldc * (n - 1) + m];
+                    match on_both_sides_of_the_seam::<F>(
+                        ta, tb, m, n, k, alpha, &a, lda, b, ldb, c, ldc,
+                    ) {
+                        Some((plain, fast)) => {
+                            assert_eq!(bits(&plain), bits(&fast), "{ta:?} {tb:?} ({m},{n},{k})");
+                            plain
+                        }
+                        None => {
+                            let mut plain = c.to_vec();
+                            gemm_fed::<F>(
+                                ta,
+                                tb,
+                                m,
+                                n,
+                                k,
+                                alpha,
+                                &a,
+                                lda,
+                                b,
+                                ldb,
+                                F::Dst::ONE,
+                                &mut plain,
+                                ldc,
+                            );
+                            plain
+                        }
+                    }
+                };
+                let wide = bits(&update(WIDE, &b, &c));
+                for n in 1..=5 {
+                    let narrow = bits(&update(n, &b, &c));
+                    assert_eq!(
+                        narrow,
+                        wide[..narrow.len()],
+                        "{ta:?} {tb:?} ({m},{k}) n = {n}"
+                    );
+                }
+                for j in 0..WIDE {
+                    let bj = if tb == Trans::No {
+                        &b[j * ldb..]
+                    } else {
+                        &b[j..]
+                    };
+                    let alone = bits(&update(1, bj, &c[j * ldc..]));
+                    assert_eq!(
+                        alone,
+                        wide[j * ldc..j * ldc + m],
+                        "{ta:?} {tb:?} ({m},{k}) column {j}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn blocked_per_column_is_independent_of_n() {
-        // The determinism contract: column j of a wide call must be
-        // bitwise identical to a single-column call on that column.
-        let (m, n, k) = (96, 11, 100);
-        assert!(m * k >= super::BLOCK_MIN_MK);
-        let a = fill(m * k, 50);
-        let b = fill(k * n, 51);
-        let mut wide = vec![0f64; m * n];
-        gemm(
-            Trans::No,
-            Trans::No,
-            m,
-            n,
-            k,
-            1.0,
-            &a,
-            m,
-            &b,
-            k,
-            0.0,
-            &mut wide,
-            m,
-        );
-        for j in 0..n {
-            let mut single = vec![0f64; m];
-            gemm(
-                Trans::No,
-                Trans::No,
-                m,
-                1,
-                k,
-                1.0,
-                &a,
-                m,
-                &b[j * k..j * k + k],
-                k,
-                0.0,
-                &mut single,
-                m,
-            );
-            assert_eq!(&wide[j * m..(j + 1) * m], &single[..], "column {j}");
-        }
+        per_column_is_independent_of_n::<Same<f64>>(|x| x, |x| x);
+        per_column_is_independent_of_n::<Same<f32>>(|x| x as f32, |x| x as f32);
+        per_column_is_independent_of_n::<FromHalf>(Half::from_f64, |x| x as f32);
     }
 
     #[test]

@@ -235,6 +235,7 @@ fn solve_f32(
 mod tests {
     use super::*;
     use crate::gemm::on_both_sides_of_the_seam;
+    use crate::gemm::tests::per_column_is_independent_of_n;
 
     fn fill(n: usize, seed: u64) -> Vec<f64> {
         let mut state = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
@@ -296,5 +297,12 @@ mod tests {
     #[test]
     fn f16c_trimming_pack_and_write_back_are_bitwise_the_software_ones() {
         seam_is_bitwise_invisible::<Trimmed>(Precision::F16);
+    }
+
+    #[test]
+    fn mixed_feeds_per_column_are_independent_of_n() {
+        let half = |x: f64| crate::Half::from_f64(x).to_f64();
+        per_column_is_independent_of_n::<Demoted>(|x| x, |x| x as f32 as f64);
+        per_column_is_independent_of_n::<Trimmed>(|x| x, half);
     }
 }

@@ -12,9 +12,10 @@
 //!
 //! Each has a blocked path that solves `NB`-order diagonal blocks with the
 //! unblocked substitution and pushes the rank-`NB` cross-block updates
-//! through the cache-blocked [`gemm`]. Dispatch depends only on the
-//! triangle's order — never on the number of right-hand sides — and every
-//! right-hand-side column is processed independently, so a batched
+//! through the cache-blocked [`gemm`]. The blocking depends only on the
+//! triangle's order, the substitutions process every right-hand-side
+//! column independently, and [`gemm`] lets the number of columns choose
+//! only between paths that compute a column identically. So a batched
 //! multi-RHS solve stays bitwise identical to solving each column alone
 //! (the server's batched==singleton guarantee).
 //!

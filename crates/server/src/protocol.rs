@@ -300,7 +300,17 @@ pub fn shed_response(retry_after_ms: u64) -> String {
 fn join_f64(xs: &[f64]) -> String {
     // `{}` (shortest round-trip formatting) keeps the wire value bit-exact
     // when the client parses it back — the smoke tests checksum on this.
-    xs.iter().map(f64::to_string).collect::<Vec<_>>().join(",")
+    // JSON has no NaN or infinity: those go out as `null`.
+    xs.iter()
+        .map(|x| {
+            if x.is_finite() {
+                x.to_string()
+            } else {
+                "null".to_string()
+            }
+        })
+        .collect::<Vec<_>>()
+        .join(",")
 }
 
 /// Successful predict response.

@@ -149,6 +149,19 @@ fn hostile_clients_reactor() {
             "{v:?}"
         );
         assert_eq!(v.get("id").unwrap().as_str(), Some("nan1"));
+        // Finite coordinates whose distances overflow are accepted, and
+        // the NaN answer goes out as JSON `null` for the mean *and* the
+        // variance — never a variance of 0 claiming certainty.
+        let v = roundtrip(
+            &mut s,
+            &mut r,
+            "{\"op\":\"predict\",\"points\":[[1e200,1e200],[0.5,0.5]],\"uncertainty\":true}",
+        );
+        assert_eq!(v.get("ok").unwrap().as_bool(), Some(true), "{v:?}");
+        let (mean, var) = (v.get("mean").unwrap(), v.get("uncertainty").unwrap());
+        assert!(mean.as_array().unwrap()[0].is_null(), "{v:?}");
+        assert!(var.as_array().unwrap()[0].is_null(), "{v:?}");
+        assert!(var.as_array().unwrap()[1].as_f64().unwrap() > 0.0, "{v:?}");
     }
 
     // (d) Binary garbage (invalid UTF-8): a parse error, not a panic.
