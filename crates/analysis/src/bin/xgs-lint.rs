@@ -17,7 +17,7 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use xgs_analysis::lockgraph::analyze_files;
-use xgs_analysis::rules::{lint_file, report_json, report_sarif, Finding, RULES};
+use xgs_analysis::rules::{lint_files, report_json, report_sarif, Finding, RULES};
 
 fn main() -> ExitCode {
     let mut format = "text".to_string();
@@ -63,20 +63,19 @@ fn main() -> ExitCode {
         paths.sort();
     }
 
-    let mut findings: Vec<Finding> = Vec::new();
-    let mut allows = 0usize;
     let mut sources: Vec<(String, Vec<u8>)> = Vec::new();
     for path in &paths {
         let Ok(src) = std::fs::read(path) else {
             eprintln!("xgs-lint: cannot read {}", path.display());
             return ExitCode::from(2);
         };
-        let rel = workspace_relative(&root, path);
-        let lint = lint_file(&rel, &src);
-        allows += lint.justified_allows;
-        findings.extend(lint.findings);
-        sources.push((rel, src));
+        sources.push((workspace_relative(&root, path), src));
     }
+    // Linted together, so a file's out-of-line `#[cfg(test)] mod name;`
+    // marks the file it names as test code.
+    let lint = lint_files(&sources);
+    let allows = lint.justified_allows;
+    let mut findings: Vec<Finding> = lint.findings;
 
     // The lock graph is a whole-workspace property: it only exists once
     // every file's acquisitions and calls are on the table.

@@ -35,4 +35,6 @@ pub use dag::{
     ShardPlan,
 };
 pub use lockgraph::{analyze_files, Analysis, Cycle, Site};
-pub use rules::{lint_file, lint_source, report_json, report_sarif, FileLint, Finding, RULES};
+pub use rules::{
+    lint_file, lint_files, lint_source, report_json, report_sarif, FileLint, Finding, RULES,
+};

@@ -161,11 +161,37 @@ pub fn lint_source(path: &str, src: &[u8]) -> Vec<Finding> {
 /// Lint one source file. `path` must be workspace-relative with `/`
 /// separators — the path-scoped rules key off it.
 pub fn lint_file(path: &str, src: &[u8]) -> FileLint {
+    lint_file_as(path, src, false)
+}
+
+/// Lint a set of files together, as the `xgs-lint` walk does. A pre-pass
+/// finds every out-of-line `#[cfg(test)] mod name;` declaration, and the
+/// file it names is linted as test code throughout — what an inline
+/// `#[cfg(test)] mod name { … }` gets from its attribute.
+pub fn lint_files(sources: &[(String, Vec<u8>)]) -> FileLint {
+    let test_files = out_of_line_test_modules(sources);
+    let mut all = FileLint {
+        findings: Vec::new(),
+        justified_allows: 0,
+    };
+    for (path, src) in sources {
+        let lint = lint_file_as(path, src, test_files.contains(path));
+        all.findings.extend(lint.findings);
+        all.justified_allows += lint.justified_allows;
+    }
+    all
+}
+
+fn lint_file_as(path: &str, src: &[u8], test_file: bool) -> FileLint {
     let toks = lex(src);
     let idx = LineIndex::new(src);
     let sig = sig_tokens(src, &toks);
     let allows = parse_allows(src, &toks, &idx);
-    let tests = test_regions(&sig);
+    let tests = if test_file {
+        vec![(0, src.len())]
+    } else {
+        test_regions(&sig)
+    };
     let in_test = |off: usize| tests.iter().any(|&(s, e)| off >= s && off < e);
 
     let mut raw = Vec::new();
@@ -357,21 +383,22 @@ fn json_string(v: &str, out: &mut String) {
 // ---------------------------------------------------------------- scoping
 
 /// Every file of the `xgs-cholesky` shard stack (`shard/worker.rs`,
-/// `shard/coordinator.rs`, ...) except its out-of-line `#[cfg(test)] mod
-/// tests;`, whose attribute sits in `mod.rs` where [`test_regions`]
-/// cannot see it.
+/// `shard/coordinator.rs`, ...).
 fn cholesky_shard(path: &str) -> bool {
-    path.contains("crates/cholesky/src/shard/") && !path.ends_with("/tests.rs")
+    path.contains("crates/cholesky/src/shard/")
 }
 
 /// Files whose request-handling / frame paths must be panic-free and use
-/// bounded reads: the server's request pipeline plus both shard layers.
+/// bounded reads: the server's request pipeline, its load generator
+/// (which promises never to panic on server misbehaviour), and both shard
+/// layers.
 fn network_scoped(path: &str) -> bool {
     path.ends_with("crates/server/src/server.rs")
         || path.ends_with("crates/server/src/reactor.rs")
         || path.ends_with("crates/server/src/batch.rs")
         || path.ends_with("crates/server/src/registry.rs")
         || path.ends_with("crates/server/src/protocol.rs")
+        || path.ends_with("crates/server/src/loadgen.rs")
         || path.ends_with("crates/runtime/src/shard.rs")
         || cholesky_shard(path)
         || path.ends_with("crates/fleet/src/lib.rs")
@@ -552,6 +579,37 @@ pub(crate) fn test_regions(sig: &[Sig<'_>]) -> Vec<(usize, usize)> {
         i = j.max(i) + 1;
     }
     regions
+}
+
+/// The files out-of-line `#[cfg(test)] mod name;` declarations name:
+/// `name.rs` or `name/mod.rs` in the declaring file's directory when it
+/// is a `mod.rs`/`lib.rs`/`main.rs`, else in the directory named after
+/// the declaring file.
+fn out_of_line_test_modules(sources: &[(String, Vec<u8>)]) -> Vec<String> {
+    let mut files = Vec::new();
+    for (path, src) in sources {
+        let sig = sig_tokens(src, &lex(src));
+        for w in 0..sig.len() {
+            if !starts_with_seq(&sig[w..], &[b"#", b"[", b"cfg", b"(", b"test", b")", b"]"]) {
+                continue;
+            }
+            let [m, name, semi, ..] = &sig[w + 7..] else {
+                continue;
+            };
+            if !(m.is_ident(b"mod") && name.kind == TokenKind::Ident && semi.is_punct(b';')) {
+                continue;
+            }
+            let (dir, file) = path.rsplit_once('/').unwrap_or(("", path));
+            let base = match file {
+                "mod.rs" | "lib.rs" | "main.rs" => dir.to_string(),
+                _ => format!("{dir}/{}", file.trim_end_matches(".rs")),
+            };
+            let name = String::from_utf8_lossy(name.text);
+            files.push(format!("{base}/{name}.rs"));
+            files.push(format!("{base}/{name}/mod.rs"));
+        }
+    }
+    files
 }
 
 fn starts_with_seq(sig: &[Sig<'_>], seq: &[&[u8]]) -> bool {
@@ -1220,8 +1278,19 @@ mod tests {
             rules_hit("crates/cholesky/src/shard/coordinator.rs", bad),
             ["no-heartbeat-in-hot-loop"]
         );
-        // The stack's out-of-line test module is not a network path.
-        assert!(rules_hit("crates/cholesky/src/shard/tests.rs", bad).is_empty());
+        // The stack's out-of-line test module, declared
+        // `#[cfg(test)] mod tests;` in its `mod.rs`, is test code.
+        let stack = [
+            (
+                "crates/cholesky/src/shard/mod.rs".to_string(),
+                b"#[cfg(test)]\nmod tests;\n".to_vec(),
+            ),
+            (
+                "crates/cholesky/src/shard/tests.rs".to_string(),
+                bad.as_bytes().to_vec(),
+            ),
+        ];
+        assert!(lint_files(&stack).findings.is_empty());
         // Heartbeats from their own (drain/monitor) loop: fine.
         let good = "fn f(co: &mut C) { for id in order { co.send(w, K_TASK, &t); } for w in 0..n { co.send(w, K_HEARTBEAT, &hb); } }";
         assert!(rules_hit("crates/cholesky/src/shard/worker.rs", good).is_empty());

@@ -6,7 +6,7 @@
 //! this test file itself stays quiet — the rule engine only matches
 //! identifier tokens, never literal or comment contents.
 
-use xgs_analysis::{analyze_files, lint_file, RULES};
+use xgs_analysis::{analyze_files, lint_file, lint_files, RULES};
 
 /// Assert `src` at `path` yields exactly one finding of `rule` on `line`.
 fn expect_one(path: &str, src: &str, rule: &str, line: usize) {
@@ -83,6 +83,33 @@ fn golden_no_panic_skips_test_modules() {
     let src = "#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() {\n        Some(1u32).unwrap();\n    }\n}\n";
     let lint = lint_file("crates/server/src/server.rs", src.as_bytes());
     assert_eq!(lint.findings, vec![], "unwrap in tests is fine");
+}
+
+#[test]
+fn golden_out_of_line_test_module() {
+    // A network-scoped directory whose `mod.rs` declares its test module
+    // out of line. With the attribute, the declared file is test code, as
+    // an inline `#[cfg(test)] mod` is; without it, the same file is
+    // network code and its helper's unwrap is a finding.
+    let tests = "use super::*;\n#[test]\nfn t() {\n    decode(&[]).unwrap();\n}\nfn helper(x: Option<u8>) -> u8 {\n    x.unwrap()\n}\n";
+    let stack = |decl: &str| {
+        [
+            ("crates/cholesky/src/shard/mod.rs", decl),
+            ("crates/cholesky/src/shard/tests.rs", tests),
+        ]
+        .map(|(p, s)| (p.to_string(), s.as_bytes().to_vec()))
+    };
+    let lint = lint_files(&stack("mod worker;\n#[cfg(test)]\nmod tests;\n"));
+    assert_eq!(lint.findings, vec![], "declared test module is test code");
+
+    let lint = lint_files(&stack("mod worker;\nmod tests;\n"));
+    assert_eq!(lint.findings.len(), 1, "{:#?}", lint.findings);
+    let f = &lint.findings[0];
+    assert_eq!(f.rule, "no-panic-in-network-path");
+    assert_eq!(
+        (f.path.as_str(), f.line),
+        ("crates/cholesky/src/shard/tests.rs", 7)
+    );
 }
 
 #[test]

@@ -14,7 +14,7 @@
 
 use xgs_bench::{env_usize, quartiles, sites};
 use xgs_core::mle::FitOptimizer;
-use xgs_core::{fit, FitOptions, ModelFamily, NelderMeadOptions};
+use xgs_core::{fit, FactorEngine, FitOptions, ModelFamily, NelderMeadOptions};
 use xgs_covariance::{Matern, MaternParams};
 use xgs_tile::{TlrConfig, Variant};
 
@@ -55,8 +55,7 @@ fn main() {
                         initial_step: 0.35,
                     }),
                     start: Some(vec![truth.sigma2, truth.range, truth.smoothness]),
-                    workers,
-                    shard: None,
+                    engine: FactorEngine::from_workers(workers),
                 };
                 let r = fit(ModelFamily::MaternSpace, &locs, &z, &cfg, &model, &opts);
                 for (k, v) in r.theta.iter().enumerate() {

@@ -13,7 +13,9 @@
 
 use xgs_bench::env_usize;
 use xgs_core::mle::FitOptimizer;
-use xgs_core::{run_pipeline, FitOptions, ModelFamily, NelderMeadOptions, PipelineConfig};
+use xgs_core::{
+    run_pipeline, FactorEngine, FitOptions, ModelFamily, NelderMeadOptions, PipelineConfig,
+};
 use xgs_tile::Variant;
 
 fn main() {
@@ -34,8 +36,7 @@ fn main() {
                 initial_step: 0.3,
             }),
             start: Some(vec![1.0, 0.5, 0.5]),
-            workers: env_usize("XGS_WORKERS", 0),
-            shard: None,
+            engine: FactorEngine::from_workers(env_usize("XGS_WORKERS", 0)),
         },
         seed: 20040101,
     };

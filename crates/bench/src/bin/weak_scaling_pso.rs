@@ -20,7 +20,7 @@
 
 use xgs_bench::{env_usize, sites, timed};
 use xgs_core::mle::{FitOptimizer, FitOptions};
-use xgs_core::{fit, ModelFamily, PsoOptions};
+use xgs_core::{fit, FactorEngine, ModelFamily, PsoOptions};
 use xgs_covariance::{Matern, MaternParams};
 use xgs_perfmodel::{project, Correlation, ScaleConfig, SolverVariant};
 use xgs_tile::{TlrConfig, Variant};
@@ -47,8 +47,7 @@ fn main() {
                 ..Default::default()
             }),
             start: Some(vec![1.0, 0.4, 0.5]),
-            workers: 1,
-            shard: None,
+            engine: FactorEngine::Sequential,
         };
         let (r, secs) = timed(|| fit(ModelFamily::MaternSpace, &locs, &z, &cfg, &model, &opts));
         println!(

@@ -6,8 +6,7 @@ use crate::optimizer::neldermead::{nelder_mead, NelderMeadOptions};
 use crate::optimizer::pso::{particle_swarm, PsoOptions};
 use crate::optimizer::transform::{forward_all, inverse_all};
 use parking_lot::Mutex;
-use std::sync::Arc;
-use xgs_cholesky::{ShardBackend, ShardError};
+use xgs_cholesky::ShardError;
 use xgs_covariance::{CovarianceKernel, Location};
 use xgs_runtime::MetricsReport;
 use xgs_tile::{KernelTimeModel, TlrConfig, Variant};
@@ -27,12 +26,10 @@ pub struct FitOptions {
     pub optimizer: FitOptimizer,
     /// Starting parameter vector (natural space); family default if `None`.
     pub start: Option<Vec<f64>>,
-    /// Worker loops per likelihood evaluation, run on the shared pool
-    /// (1 = sequential engine).
-    pub workers: usize,
-    /// When set, every factorization fans out to worker *processes* via
-    /// this backend (overrides `workers`) — the `xgs-fleet` supervisor.
-    pub shard: Option<Arc<dyn ShardBackend>>,
+    /// What factorizes Σ(θ) at every evaluation: the sequential loop, the
+    /// task runtime on the shared pool, or worker *processes* of an
+    /// `xgs-fleet` supervisor.
+    pub engine: FactorEngine,
 }
 
 impl Default for FitOptions {
@@ -40,8 +37,7 @@ impl Default for FitOptions {
         FitOptions {
             optimizer: FitOptimizer::NelderMead(NelderMeadOptions::default()),
             start: None,
-            workers: 1,
-            shard: None,
+            engine: FactorEngine::Sequential,
         }
     }
 }
@@ -61,7 +57,7 @@ pub struct FitResult {
     pub factorizations: usize,
     /// Runtime metrics merged over every factorization of the
     /// optimization; `None` when every evaluation used the sequential
-    /// engine (`workers == 1`).
+    /// engine.
     pub metrics: Option<MetricsReport>,
     /// Evaluations whose approximated (MP / MP+TLR) factorization lost
     /// positive definiteness and were re-evaluated once at dense FP64.
@@ -138,16 +134,12 @@ pub fn fit(
     assert_eq!(start_nat.len(), family.n_params());
     let start = forward_all(&transforms, &start_nat);
 
-    let engine = match &opts.shard {
-        Some(backend) => FactorEngine::Sharded(Arc::clone(backend)),
-        None => FactorEngine::from_workers(opts.workers),
-    };
-
+    let engine = &opts.engine;
     let outcomes = Mutex::new(Outcomes::default());
     let objective = |y: &[f64]| -> f64 {
         let theta = inverse_all(&transforms, y);
         let kernel = family.kernel(&theta);
-        match evaluate_with_pd_fallback(kernel.as_ref(), locs, z, cfg, model, &engine, &outcomes) {
+        match evaluate_with_pd_fallback(kernel.as_ref(), locs, z, cfg, model, engine, &outcomes) {
             Ok(r) => {
                 if let Some(m) = r.exec.as_ref().and_then(|e| e.metrics.as_ref()) {
                     let mut acc = outcomes.lock();
@@ -248,8 +240,7 @@ mod tests {
                 initial_step: 0.4,
             }),
             start: Some(vec![0.8, 0.15, 0.7]),
-            workers: 1,
-            shard: None,
+            engine: FactorEngine::Sequential,
         };
         let r = fit(
             ModelFamily::MaternSpace,
@@ -297,8 +288,7 @@ mod tests {
                 initial_step: 0.4,
             }),
             start: Some(start),
-            workers: 1,
-            shard: None,
+            engine: FactorEngine::Sequential,
         };
         let r = fit(ModelFamily::MaternSpace, &locs, &z, &cfg, &model, &opts);
         assert!(r.llh > start_llh, "{} should beat {}", r.llh, start_llh);
@@ -316,8 +306,7 @@ mod tests {
                 initial_step: 0.3,
             }),
             start: Some(vec![1.0, 0.1, 0.5]),
-            workers: 2,
-            shard: None,
+            engine: FactorEngine::Threads(2),
         };
         let r = fit(
             ModelFamily::MaternSpace,
@@ -358,8 +347,7 @@ mod tests {
                 initial_step: 0.3,
             }),
             start: Some(vec![1.0, 0.1, 0.5]),
-            workers: 1,
-            shard: None,
+            engine: FactorEngine::Sequential,
         };
         let r = fit(
             ModelFamily::MaternSpace,
@@ -388,8 +376,7 @@ mod tests {
         let opts = FitOptions {
             optimizer: FitOptimizer::ParticleSwarm(pso),
             start: Some(vec![1.0, 0.1, 0.5]),
-            workers: 1,
-            shard: None,
+            engine: FactorEngine::Sequential,
         };
         let a = fit(ModelFamily::MaternSpace, &locs, &z, &cfg, &model, &opts);
         let b = fit(ModelFamily::MaternSpace, &locs, &z, &cfg, &model, &opts);
@@ -512,8 +499,7 @@ mod tests {
                 initial_step: 0.1,
             }),
             start: Some(vec![1.0, 0.3, 1.5]),
-            workers: 1,
-            shard: None,
+            engine: FactorEngine::Sequential,
         };
         let model = FlopKernelModel::default();
         let r = fit(ModelFamily::MaternSpace, &locs, &z, &mp, &model, &opts);

@@ -6,7 +6,7 @@
 //! `θ̂`, log-likelihood, MSPE, and memory footprint — the columns the paper
 //! tabulates to show the adaptive approximations match dense FP64.
 
-use crate::likelihood::log_likelihood;
+use crate::likelihood::log_likelihood_engine;
 use crate::mle::{fit, FitOptions, FitResult};
 use crate::model::ModelFamily;
 use crate::predict::{krige, mspe};
@@ -145,13 +145,13 @@ pub fn run_pipeline(cfg: &PipelineConfig, model: &dyn KernelTimeModel) -> Pipeli
 
         // Refactorize at the estimate for prediction + footprint report.
         let kernel = cfg.family.kernel(&fit_res.theta);
-        let llh_rep = log_likelihood(
+        let llh_rep = log_likelihood_engine(
             kernel.as_ref(),
             &train_locs,
             &z_train,
             &tile_cfg,
             model,
-            cfg.fit.workers,
+            &cfg.fit.engine,
         )
         .expect("estimate must be inside the SPD region");
         let pred = krige(
@@ -181,6 +181,7 @@ pub fn run_pipeline(cfg: &PipelineConfig, model: &dyn KernelTimeModel) -> Pipeli
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::likelihood::FactorEngine;
     use crate::mle::FitOptimizer;
     use crate::optimizer::neldermead::NelderMeadOptions;
     use xgs_tile::FlopKernelModel;
@@ -193,8 +194,7 @@ mod tests {
                 initial_step: 0.3,
             }),
             start: None,
-            workers: 1,
-            shard: None,
+            engine: FactorEngine::Sequential,
         }
     }
 
@@ -258,8 +258,7 @@ mod tests {
                     f_tol: 1e-3,
                     initial_step: 0.2,
                 }),
-                workers: 1,
-                shard: None,
+                engine: FactorEngine::Sequential,
             },
             seed: 6,
         };

@@ -6,23 +6,24 @@
 //!     --addr 127.0.0.1:4741 --requests 1000 --conns 8 --points 16 \
 //!     [--rate 500] [--uncertainty] [--model default] [--seed 1] \
 //!     [--concurrency-per-conn 8] [--deadline-ms 250] [--overload] \
-//!     [--connections 10000] [--metrics out.json] [--shutdown]
+//!     [--metrics out.json] [--shutdown]
 //! ```
 //!
-//! `--concurrency-per-conn` pipelines that many requests per connection
-//! (responses are correlated by id, so out-of-order completion is fine);
-//! `--deadline-ms` attaches a per-request deadline; `--overload` runs an
-//! overload drill in which shed responses (`retry_after_ms`) are expected.
-//! `--connections N` switches to open-loop mode: one epoll-driven thread
-//! holds N concurrent connections (ignoring `--conns`), ramping connects in
-//! batches and counting-and-retrying failures — the server's concurrency
-//! soak.
+//! One epoll-driven thread holds all `--conns` connections (10,000 is the
+//! server's concurrency soak), ramping connects in batches and counting
+//! and retrying failures. `--concurrency-per-conn` pipelines that many
+//! requests per connection (responses are correlated by id, so
+//! out-of-order completion is fine); `--rate` spreads the stream over
+//! time; `--deadline-ms` attaches a per-request deadline; `--overload`
+//! runs an overload drill in which shed responses (`retry_after_ms`) are
+//! expected.
 //!
 //! Exit status: 0 when every request succeeded (shed responses count as
 //! failures unless `--overload`, deadline expiries unless `--deadline-ms`),
-//! 1 otherwise — CI smoke tests rely on this. `--shutdown` sends
-//! `{"op":"shutdown"}` at the end so a scripted server drains and exits
-//! cleanly.
+//! 1 otherwise — including a server that never accepted a connection — and
+//! 2 for a usage error or an unresolvable address. CI smoke tests rely on
+//! this. `--shutdown` sends `{"op":"shutdown"}` at the end so a scripted
+//! server drains and exits cleanly.
 
 use std::process::ExitCode;
 use std::time::Duration;
@@ -81,11 +82,6 @@ fn parse_args(argv: &[String]) -> Result<(loadgen::LoadgenConfig, Option<String>
                 cfg.deadline_ms = value("deadline-ms")?
                     .parse()
                     .map_err(|e| format!("--deadline-ms: {e}"))?
-            }
-            "--connections" => {
-                cfg.connections = value("connections")?
-                    .parse()
-                    .map_err(|e| format!("--connections: {e}"))?
             }
             "--uncertainty" => cfg.uncertainty = true,
             "--overload" => cfg.overload = true,

@@ -1,36 +1,36 @@
 //! Synthetic query-stream load generator for the prediction service.
 //!
 //! Replays a deterministic stream of predict requests against a running
-//! server from `conns` parallel connections, optionally throttled to a
-//! target aggregate rate, and reports throughput plus latency percentiles.
-//! Every request carries an `"id"` and each connection keeps up to
+//! server from `conns` connections, optionally throttled to a target
+//! aggregate rate, and reports throughput plus latency percentiles. Every
+//! request carries an `"id"` and each connection keeps up to
 //! `concurrency_per_conn` requests in flight, correlating the server's
 //! out-of-order responses by id — so the generator doubles as an exerciser
 //! of the server's connection multiplexing.
 //!
+//! One thread drives every connection: nonblocking sockets multiplexed
+//! through the same epoll shim the server's event loop uses, connected in
+//! ramped batches. Connect failures (`EMFILE`, `ECONNREFUSED` from a full
+//! backlog or a server still binding, timeouts) are counted and retried
+//! until `connect_timeout` runs out, after which the slot's requests are
+//! written off as errors — a run against 10k+ connections, or against no
+//! server at all, reports instead of aborting.
+//!
 //! Every successful response's mean vector is folded into an
 //! order-independent checksum (per-request FNV hashes combined with XOR),
-//! so two runs with the same seed against the same model must produce the
-//! same checksum — the smoke tests use this to prove that neither batching
-//! nor out-of-order completion ever changes results.
+//! so two runs with the same seed and `conns` against the same model must
+//! produce the same checksum whatever the pipelining depth — the smoke
+//! tests use this to prove that neither batching nor out-of-order
+//! completion ever changes results.
 //!
 //! The generator never panics on server misbehaviour: refused (shed),
 //! expired (deadline) and failed requests are counted separately and the
-//! binary turns unexpected ones into a nonzero exit.
-//!
-//! Two drive modes:
-//!
-//! * **Closed loop** (default): `conns` worker threads, each a pipelined
-//!   blocking connection with up to `concurrency_per_conn` in flight.
-//! * **Open loop** (`connections > 0`): one thread multiplexes that many
-//!   nonblocking sockets through the same epoll shim the server's event
-//!   loop uses, connecting in ramped batches. Connect failures (`EMFILE`,
-//!   `ECONNREFUSED` from a full backlog, timeouts) are counted and
-//!   retried until the connect budget runs out — a high-concurrency run
-//!   reports instead of aborting. This is the mode that proves the
-//!   server holds 10k+ concurrent connections.
+//! binary turns unexpected ones into a nonzero exit. A reply that cannot
+//! be attributed, or a reply line longer than four times the server's
+//! [`MAX_LINE_BYTES`], fails its connection's remaining requests.
 
-use std::collections::{HashMap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
@@ -39,6 +39,8 @@ use polling::{Event, Events, Poller};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use xgs_runtime::{parse_json, JsonValue};
+
+use crate::server::MAX_LINE_BYTES;
 
 /// Load-generation parameters.
 #[derive(Clone, Debug)]
@@ -49,11 +51,15 @@ pub struct LoadgenConfig {
     pub model: String,
     /// Total predict requests across all connections.
     pub requests: usize,
-    /// Parallel connections.
+    /// Concurrent connections, all held open until the run ends. Requests
+    /// are split evenly; connections beyond the request count sit idle but
+    /// open — the concurrency soak the server is gated on.
     pub conns: usize,
     /// Points per predict request.
     pub points: usize,
-    /// Aggregate target rate, requests/second (0 = unthrottled).
+    /// Aggregate target rate, requests/second (0 = unthrottled). Request
+    /// `i` of the stream is due `(i + 1) / rate` seconds after the start,
+    /// so each connection sends `conns / rate` apart.
     pub rate: f64,
     /// Ask for kriging variance too.
     pub uncertainty: bool,
@@ -61,7 +67,7 @@ pub struct LoadgenConfig {
     pub seed: u64,
     /// Query locations are uniform in `[0, domain]²`.
     pub domain: f64,
-    /// How long to retry the initial connection (covers server startup).
+    /// How long to retry connecting (covers server startup).
     pub connect_timeout: Duration,
     /// Send `{"op":"shutdown"}` after the run (for scripted smoke tests).
     pub shutdown: bool,
@@ -73,12 +79,6 @@ pub struct LoadgenConfig {
     /// Overload drill: shed responses (`retry_after_ms`) are expected and
     /// do not fail the run.
     pub overload: bool,
-    /// Open-loop mode: when > 0, hold this many concurrent connections
-    /// from a single epoll-driven thread (ignoring `conns` and
-    /// `concurrency_per_conn`), spreading `requests` across them. Extra
-    /// connections beyond the request count sit idle but open — the
-    /// concurrency soak the server is gated on.
-    pub connections: usize,
 }
 
 impl Default for LoadgenConfig {
@@ -98,7 +98,6 @@ impl Default for LoadgenConfig {
             concurrency_per_conn: 1,
             deadline_ms: 0,
             overload: false,
-            connections: 0,
         }
     }
 }
@@ -109,7 +108,7 @@ pub struct LoadgenReport {
     /// Requests answered `ok:true`.
     pub sent: usize,
     /// Hard failures: transport errors, disconnects, malformed or
-    /// unclassifiable error responses.
+    /// unclassifiable error responses, connections never established.
     pub errors: usize,
     /// Requests refused with a `retry_after_ms` hint (overload shedding).
     pub shed: usize,
@@ -125,10 +124,10 @@ pub struct LoadgenReport {
     pub max_ms: f64,
     /// Order-independent checksum over all response means (and variances).
     pub checksum: u64,
-    /// Failed connect attempts that were retried (open-loop mode; always 0
-    /// in closed-loop mode, whose per-worker retry loop has no counter).
+    /// Failed connect attempts (each retried until the connect budget ran
+    /// out).
     pub connect_failures: usize,
-    /// Most connections simultaneously established (open-loop mode).
+    /// Most connections simultaneously established.
     pub peak_conns: usize,
     /// The server's metrics document, fetched after the request phase.
     pub server_metrics: Option<JsonValue>,
@@ -137,17 +136,10 @@ pub struct LoadgenReport {
 impl LoadgenReport {
     /// Human-oriented multi-line summary.
     pub fn summary(&self) -> String {
-        let open_loop = if self.peak_conns > 0 {
-            format!(
-                " | {} peak conns, {} connect retries",
-                self.peak_conns, self.connect_failures
-            )
-        } else {
-            String::new()
-        };
         format!(
             "{} requests in {:.2}s: {:.0} req/s | latency p50 {:.2} ms, p95 {:.2} ms, \
-             p99 {:.2} ms, max {:.2} ms | {} errors, {} shed, {} expired | checksum {:016x}{}",
+             p99 {:.2} ms, max {:.2} ms | {} errors, {} shed, {} expired | checksum {:016x} \
+             | {} peak conns, {} connect retries",
             self.sent,
             self.elapsed,
             self.throughput,
@@ -159,7 +151,8 @@ impl LoadgenReport {
             self.shed,
             self.expired,
             self.checksum,
-            open_loop
+            self.peak_conns,
+            self.connect_failures
         )
     }
 
@@ -207,6 +200,20 @@ pub fn connect_with_retry(addr: &str, timeout: Duration) -> Result<TcpStream, St
     }
 }
 
+/// Longest reply line the generator buffers: four times the longest
+/// request line the server accepts, ample for any predict reply (whose
+/// bytes per point are about a request's) or metrics document. A longer
+/// line fails its connection instead of growing a buffer without bound.
+const MAX_REPLY_BYTES: usize = 4 * MAX_LINE_BYTES;
+
+/// Connect attempts per ramp tick. Matched to typical listener backlogs so
+/// a tick cannot by itself overflow the accept queue it is also racing the
+/// server to drain.
+const RAMP_BATCH: usize = 128;
+
+/// Longest `epoll_wait` nap; it paces connect retries.
+const MAX_WAIT: Duration = Duration::from_millis(20);
+
 /// FNV-1a over the IEEE bits of a float sequence.
 fn hash_bits(acc: u64, x: f64) -> u64 {
     (acc ^ x.to_bits()).wrapping_mul(0x100000001b3)
@@ -235,7 +242,7 @@ fn build_request(cfg: &LoadgenConfig, rng: &mut StdRng, seq: usize) -> String {
     )
 }
 
-/// Per-connection tally, merged across workers after the join.
+/// The run's census, folded over every connection.
 #[derive(Default)]
 struct Tally {
     latencies_ms: Vec<f64>,
@@ -246,9 +253,15 @@ struct Tally {
 }
 
 impl Tally {
+    /// Requests accounted for: every attributed response lands in exactly
+    /// one bucket, and so does every request written off.
+    fn settled(&self) -> usize {
+        self.latencies_ms.len() + self.errors + self.shed + self.expired
+    }
+
     /// Classify one attributed response (its send time already looked up)
     /// into the ok/shed/expired/error census, folding successful results
-    /// into the latency list and checksum. Shared by both drive modes.
+    /// into the latency list and checksum.
     fn record(&mut self, v: &JsonValue, t_send: Instant) {
         if v.get("ok").and_then(|o| o.as_bool()) == Some(true) {
             let mut h = 0xcbf29ce484222325u64;
@@ -283,111 +296,39 @@ impl Tally {
     }
 }
 
-/// One pipelined connection: keep up to `window` requests in flight,
-/// correlate out-of-order responses by id. Any transport failure fails the
-/// connection's remaining requests — never the process.
-fn run_conn(cfg: &LoadgenConfig, conn_id: usize, share: usize, interval: Duration) -> Tally {
-    let mut tally = Tally {
-        latencies_ms: Vec::with_capacity(share),
-        ..Tally::default()
-    };
-    let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(7919 * conn_id as u64));
-    let window = cfg.concurrency_per_conn.max(1);
-
-    let Ok(mut stream) = connect_with_retry(&cfg.addr, cfg.connect_timeout) else {
-        tally.errors += share;
-        return tally;
-    };
-    let mut reader = match stream.try_clone() {
-        Ok(s) => BufReader::new(s),
-        Err(_) => {
-            tally.errors += share;
-            return tally;
-        }
-    };
-
-    let mut pending: HashMap<usize, Instant> = HashMap::new();
-    let mut sent = 0usize;
-    let mut done = 0usize;
-    let mut next_send = Instant::now();
-    while done < share {
-        let due = interval.is_zero() || Instant::now() >= next_send;
-        if sent < share && pending.len() < window && due {
-            let request = build_request(cfg, &mut rng, sent);
-            if stream.write_all(request.as_bytes()).is_err() {
-                tally.errors += share - done;
-                return tally;
-            }
-            pending.insert(sent, Instant::now());
-            sent += 1;
-            if !interval.is_zero() {
-                next_send += interval;
-            }
-            continue;
-        }
-        if pending.is_empty() {
-            // Throttled with nothing in flight: wait out the interval.
-            let now = Instant::now();
-            if now < next_send {
-                std::thread::sleep(next_send - now);
-            }
-            continue;
-        }
-        let mut line = String::new();
-        match reader.read_line(&mut line) {
-            Ok(n) if n > 0 => {}
-            _ => {
-                // Disconnect or socket error: everything outstanding fails.
-                tally.errors += share - done;
-                return tally;
-            }
-        }
-        let Ok(v) = parse_json(&line) else {
-            tally.errors += share - done;
-            return tally;
-        };
-        let Some(t_send) = v
-            .get("id")
-            .and_then(|i| i.as_usize())
-            .and_then(|seq| pending.remove(&seq))
-        else {
-            // A response we cannot attribute means the stream is out of
-            // sync; abandon the connection rather than guess.
-            tally.errors += share - done;
-            return tally;
-        };
-        done += 1;
-        tally.record(&v, t_send);
+/// One reply line from a blocking stream, read through a
+/// [`MAX_REPLY_BYTES`] cap; `None` on EOF, error, an over-long line or one
+/// that is not JSON.
+fn read_reply(reader: &mut impl BufRead) -> Option<JsonValue> {
+    let mut line = Vec::new();
+    reader
+        .take(MAX_REPLY_BYTES as u64 + 1)
+        .read_until(b'\n', &mut line)
+        .ok()?;
+    if line.pop() != Some(b'\n') {
+        return None;
     }
-    tally
+    parse_json(std::str::from_utf8(&line).ok()?).ok()
 }
 
 /// Post-run control traffic on a fresh connection: fetch the server's
 /// metrics export and, when configured, ask it to drain.
 fn fetch_metrics_and_shutdown(cfg: &LoadgenConfig) -> Option<JsonValue> {
-    let mut server_metrics = None;
-    if let Ok(mut ctl) = connect_with_retry(&cfg.addr, Duration::from_secs(2)) {
-        if let Ok(clone) = ctl.try_clone() {
-            let mut reader = BufReader::new(clone);
-            if ctl.write_all(b"{\"op\":\"metrics\"}\n").is_ok() {
-                let mut line = String::new();
-                if reader.read_line(&mut line).is_ok() {
-                    if let Ok(v) = parse_json(&line) {
-                        server_metrics = v.get("metrics").cloned();
-                    }
-                }
-            }
-            if cfg.shutdown {
-                let _ = ctl.write_all(b"{\"op\":\"shutdown\"}\n");
-                let mut line = String::new();
-                let _ = reader.read_line(&mut line);
-            }
-        }
+    let ctl = connect_with_retry(&cfg.addr, Duration::from_secs(2)).ok()?;
+    let mut reader = BufReader::new(&ctl);
+    let server_metrics = (&ctl)
+        .write_all(b"{\"op\":\"metrics\"}\n")
+        .ok()
+        .and_then(|()| read_reply(&mut reader))
+        .and_then(|v| v.get("metrics").cloned());
+    if cfg.shutdown {
+        let _ = (&ctl).write_all(b"{\"op\":\"shutdown\"}\n");
+        let _ = read_reply(&mut reader);
     }
     server_metrics
 }
 
-/// Latency percentiles + report assembly shared by both drive modes.
+/// Latency percentiles + report assembly.
 fn build_report(
     cfg: &LoadgenConfig,
     mut tally: Tally,
@@ -427,96 +368,134 @@ fn build_report(
     }
 }
 
-/// Run the full load-generation session.
-pub fn run(cfg: &LoadgenConfig) -> Result<LoadgenReport, String> {
-    if cfg.connections > 0 {
-        return run_open_loop(cfg);
-    }
-    let conns = cfg.conns.max(1);
-    // Fail fast (and wait for a booting server) before spawning workers.
-    drop(connect_with_retry(&cfg.addr, cfg.connect_timeout)?);
-
-    let per_conn_interval = if cfg.rate > 0.0 {
-        Duration::from_secs_f64(conns as f64 / cfg.rate)
-    } else {
-        Duration::ZERO
-    };
-
-    let t0 = Instant::now();
-    let mut workers = Vec::new();
-    for conn_id in 0..conns {
-        let cfg = cfg.clone();
-        // Requests are split evenly; the first `requests % conns`
-        // connections take one extra.
-        let share = cfg.requests / conns + usize::from(conn_id < cfg.requests % conns);
-        let worker = std::thread::spawn(move || run_conn(&cfg, conn_id, share, per_conn_interval));
-        workers.push((share, worker));
-    }
-
-    let mut total = Tally::default();
-    for (share, w) in workers {
-        match w.join() {
-            Ok(t) => {
-                total.latencies_ms.extend(t.latencies_ms);
-                total.errors += t.errors;
-                total.shed += t.shed;
-                total.expired += t.expired;
-                total.checksum ^= t.checksum;
-            }
-            // A panicked worker answered nothing: its whole share failed.
-            Err(_) => total.errors += share,
-        }
-    }
-    let elapsed = t0.elapsed().as_secs_f64();
-    Ok(build_report(cfg, total, elapsed, 0, 0))
-}
-
-/// Connect attempts per ramp tick in open-loop mode. Matched to typical
-/// listener backlogs so a tick cannot by itself overflow the accept queue
-/// it is also racing the server to drain.
-const RAMP_BATCH: usize = 128;
-
-/// One open-loop connection: nonblocking socket, queue of unsent request
-/// lines, in-flight send times keyed by id.
-struct OpenConn {
+/// One connection: its slot's request stream, the request bytes not yet
+/// written, and the send times of the requests in flight, keyed by id.
+struct Conn {
     stream: TcpStream,
+    /// Connection index: seeds the request stream and places it in the
+    /// aggregate schedule.
+    slot: usize,
+    rng: StdRng,
+    /// Requests this connection owes the run, built so far, and answered.
+    share: usize,
+    built: usize,
+    answered: usize,
+    /// Built request bytes; `out_head` marks the written prefix.
+    out: Vec<u8>,
+    out_head: usize,
+    /// Bytes of the current (incomplete) reply line.
     rbuf: Vec<u8>,
-    /// Request lines not yet (fully) written; the front one is written
-    /// from offset `woff`.
-    unsent: VecDeque<(usize, Vec<u8>)>,
-    woff: usize,
     pending: HashMap<usize, Instant>,
-    /// Requests this connection still owes the tally (unsent + pending).
-    outstanding: usize,
+    /// Write interest registered with the poller, so `epoll_ctl` runs
+    /// only when it changes.
+    writing: bool,
+    /// A wake-up for the next due time sits in the timer heap.
+    timed: bool,
 }
 
-impl OpenConn {
-    /// Flush queued request lines. Returns false when the socket died.
-    fn flush(&mut self) -> bool {
-        while let Some((id, bytes)) = self.unsent.front() {
-            match self.stream.write(&bytes[self.woff..]) {
-                Ok(0) => return false,
-                Ok(n) => {
-                    self.woff += n;
-                    if self.woff == bytes.len() {
-                        self.pending.insert(*id, Instant::now());
-                        self.unsent.pop_front();
-                        self.woff = 0;
+impl Conn {
+    /// Build every request the window and the clock allow now and write
+    /// what the socket takes. Returns false when the socket died.
+    fn pump(
+        &mut self,
+        cfg: &LoadgenConfig,
+        t0: Instant,
+        poller: &Poller,
+        timers: &mut BinaryHeap<Reverse<(Instant, usize)>>,
+    ) -> bool {
+        let now = Instant::now();
+        while self.built < self.share && self.pending.len() < cfg.concurrency_per_conn.max(1) {
+            if cfg.rate > 0.0 {
+                let i = self.built * cfg.conns.max(1) + self.slot;
+                let due = t0 + Duration::from_secs_f64((i + 1) as f64 / cfg.rate);
+                if due > now {
+                    if !self.timed {
+                        self.timed = true;
+                        timers.push(Reverse((due, self.slot)));
                     }
+                    break;
                 }
+            }
+            let line = build_request(cfg, &mut self.rng, self.built);
+            self.out.extend_from_slice(line.as_bytes());
+            self.pending.insert(self.built, now);
+            self.built += 1;
+        }
+        while self.out_head < self.out.len() {
+            match self.stream.write(&self.out[self.out_head..]) {
+                Ok(0) => return false,
+                Ok(n) => self.out_head += n,
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                 Err(_) => return false,
             }
         }
+        if self.out_head == self.out.len() {
+            self.out.clear();
+            self.out_head = 0;
+        }
+        let want = !self.out.is_empty();
+        if want != self.writing {
+            let ev = Event {
+                key: self.slot,
+                readable: true,
+                writable: want,
+            };
+            if poller.modify(&self.stream, ev).is_err() {
+                return false;
+            }
+            self.writing = want;
+        }
         true
+    }
+
+    /// Read until the socket would block, recording every complete reply.
+    /// Returns false when the connection failed: EOF, a socket error, a
+    /// reply that is not JSON or names no request in flight, or a line
+    /// past [`MAX_REPLY_BYTES`].
+    fn receive(&mut self, chunk: &mut [u8], tally: &mut Tally) -> bool {
+        loop {
+            let n = match self.stream.read(chunk) {
+                Ok(0) => return false,
+                Ok(n) => n,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return true,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(_) => return false,
+            };
+            for piece in chunk[..n].split_inclusive(|&b| b == b'\n') {
+                self.rbuf.extend_from_slice(piece);
+                if self.rbuf.len() > MAX_REPLY_BYTES {
+                    return false;
+                }
+                if self.rbuf.last() != Some(&b'\n') {
+                    continue;
+                }
+                let reply = std::str::from_utf8(&self.rbuf[..self.rbuf.len() - 1])
+                    .ok()
+                    .and_then(|line| parse_json(line).ok());
+                let sent_at = reply.as_ref().and_then(|v| {
+                    let seq = v.get("id")?.as_usize()?;
+                    self.pending.remove(&seq)
+                });
+                // A reply we cannot attribute means the stream is out of
+                // sync: abandon the connection rather than guess.
+                let (Some(v), Some(t_send)) = (reply, sent_at) else {
+                    return false;
+                };
+                tally.record(&v, t_send);
+                self.answered += 1;
+                self.rbuf.clear();
+            }
+        }
     }
 }
 
-/// The open-loop engine: every connection multiplexed from this thread
-/// through the `polling` epoll shim, mirroring the server's reactor.
-fn run_open_loop(cfg: &LoadgenConfig) -> Result<LoadgenReport, String> {
-    let n_conns = cfg.connections;
+/// Run the full load-generation session: every connection multiplexed
+/// from this thread through the `polling` epoll shim, mirroring the
+/// server's event loop. `Err` only for an unresolvable address or an epoll
+/// setup failure; an unreachable server is a report full of errors.
+pub fn run(cfg: &LoadgenConfig) -> Result<LoadgenReport, String> {
+    let n_conns = cfg.conns.max(1);
     let addr: SocketAddr = cfg
         .addr
         .to_socket_addrs()
@@ -529,151 +508,99 @@ fn run_open_loop(cfg: &LoadgenConfig) -> Result<LoadgenReport, String> {
     let mut connect_failures = 0usize;
     let mut peak_conns = 0usize;
 
-    // Slots still to connect (their index decides the request share) and
-    // established connections, keyed by slot for poller events.
+    // Slots still to connect and established connections, keyed by slot
+    // (the poll key). The first `requests % conns` slots take one extra
+    // request.
     let mut to_connect: VecDeque<usize> = (0..n_conns).collect();
-    let mut conns: HashMap<usize, OpenConn> = HashMap::new();
+    let mut conns: HashMap<usize, Conn> = HashMap::new();
     let share = |slot: usize| cfg.requests / n_conns + usize::from(slot < cfg.requests % n_conns);
-    let connect_deadline = Instant::now() + cfg.connect_timeout;
-    let mut answered = 0usize; // responses attributed or written off
-    let total_requests = cfg.requests;
+    // Throttled connections waiting for their next due time.
+    let mut timers: BinaryHeap<Reverse<(Instant, usize)>> = BinaryHeap::new();
+    let mut ready: Vec<usize> = Vec::new();
+    let mut dead: Vec<usize> = Vec::new();
+    let mut chunk = vec![0u8; 64 * 1024];
 
     let t0 = Instant::now();
-    let mut chunk = vec![0u8; 64 * 1024];
-    while answered < total_requests || !to_connect.is_empty() {
+    let connect_deadline = t0 + cfg.connect_timeout;
+    while tally.settled() < cfg.requests || !to_connect.is_empty() {
         // Ramp: a bounded batch of connect attempts per iteration, each
-        // failure counted and the slot requeued until the budget is spent.
-        let mut attempts = RAMP_BATCH.min(to_connect.len());
-        while attempts > 0 {
-            attempts -= 1;
+        // failure counted and the slot requeued until the budget is spent;
+        // then the slot's share is written off — report, don't abort.
+        for _ in 0..RAMP_BATCH.min(to_connect.len()) {
             let Some(slot) = to_connect.pop_front() else {
                 break;
             };
-            match TcpStream::connect_timeout(&addr, Duration::from_millis(250)) {
-                Ok(stream) => {
-                    if stream.set_nonblocking(true).is_err()
-                        || poller.add(&stream, Event::all(slot)).is_err()
-                    {
-                        connect_failures += 1;
-                        to_connect.push_back(slot);
-                        continue;
-                    }
-                    let _ = stream.set_nodelay(true);
-                    let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(7919 * slot as u64));
-                    let unsent: VecDeque<(usize, Vec<u8>)> = (0..share(slot))
-                        .map(|seq| (seq, build_request(cfg, &mut rng, seq).into_bytes()))
-                        .collect();
-                    let outstanding = unsent.len();
-                    conns.insert(
-                        slot,
-                        OpenConn {
-                            stream,
-                            rbuf: Vec::new(),
-                            unsent,
-                            woff: 0,
-                            pending: HashMap::new(),
-                            outstanding,
-                        },
-                    );
-                    peak_conns = peak_conns.max(conns.len());
+            let opened = TcpStream::connect_timeout(&addr, Duration::from_millis(250))
+                .ok()
+                .filter(|s| s.set_nonblocking(true).is_ok())
+                .filter(|s| poller.add(s, Event::readable(slot)).is_ok());
+            let Some(stream) = opened else {
+                connect_failures += 1;
+                if Instant::now() >= connect_deadline {
+                    tally.errors += share(slot);
+                } else {
+                    to_connect.push_back(slot);
                 }
-                // EMFILE, ECONNREFUSED (full backlog), timeout: count,
-                // retry until the connect budget runs out, then write the
-                // slot's share off as errors — report, don't abort.
-                Err(_) => {
-                    connect_failures += 1;
-                    if Instant::now() >= connect_deadline {
-                        tally.errors += share(slot);
-                        answered += share(slot);
-                    } else {
-                        to_connect.push_back(slot);
-                    }
-                }
+                continue;
+            };
+            let _ = stream.set_nodelay(true);
+            let conn = Conn {
+                stream,
+                slot,
+                rng: StdRng::seed_from_u64(cfg.seed.wrapping_add(7919 * slot as u64)),
+                share: share(slot),
+                built: 0,
+                answered: 0,
+                out: Vec::new(),
+                out_head: 0,
+                rbuf: Vec::new(),
+                pending: HashMap::new(),
+                writing: false,
+                timed: false,
+            };
+            conns.insert(slot, conn);
+            peak_conns = peak_conns.max(conns.len());
+            ready.push(slot);
+        }
+        let now = Instant::now();
+        while let Some(&Reverse((due, slot))) = timers.peek() {
+            if due > now {
+                break;
+            }
+            timers.pop();
+            if let Some(conn) = conns.get_mut(&slot) {
+                conn.timed = false;
+                ready.push(slot);
             }
         }
-        if answered >= total_requests && to_connect.is_empty() {
-            break;
-        }
-        if conns.is_empty() && to_connect.is_empty() {
-            break;
+        for slot in ready.drain(..) {
+            if conns
+                .get_mut(&slot)
+                .is_some_and(|c| !c.pump(cfg, t0, &poller, &mut timers))
+            {
+                dead.push(slot);
+            }
         }
 
-        let _ = poller.wait(&mut events, Some(Duration::from_millis(20)));
-        let mut dead: Vec<usize> = Vec::new();
+        let wait = timers.peek().map_or(MAX_WAIT, |Reverse((due, _))| {
+            due.saturating_duration_since(Instant::now()).min(MAX_WAIT)
+        });
+        let _ = poller.wait(&mut events, Some(wait));
         for ev in events.iter() {
             let Some(conn) = conns.get_mut(&ev.key) else {
                 continue;
             };
-            if ev.writable && !conn.flush() {
+            let alive = (!ev.readable || conn.receive(&mut chunk, &mut tally))
+                && conn.pump(cfg, t0, &poller, &mut timers);
+            if !alive {
                 dead.push(ev.key);
-                continue;
-            }
-            if ev.readable {
-                let mut conn_dead = false;
-                loop {
-                    match conn.stream.read(&mut chunk) {
-                        Ok(0) => {
-                            conn_dead = true;
-                            break;
-                        }
-                        Ok(n) => {
-                            conn.rbuf.extend_from_slice(&chunk[..n]);
-                            while let Some(p) = conn.rbuf.iter().position(|&b| b == b'\n') {
-                                let line: Vec<u8> = conn.rbuf.drain(..=p).collect();
-                                let Ok(v) =
-                                    parse_json(&String::from_utf8_lossy(&line[..line.len() - 1]))
-                                else {
-                                    tally.errors += 1;
-                                    answered += 1;
-                                    conn.outstanding = conn.outstanding.saturating_sub(1);
-                                    continue;
-                                };
-                                let Some(t_send) = v
-                                    .get("id")
-                                    .and_then(|i| i.as_usize())
-                                    .and_then(|seq| conn.pending.remove(&seq))
-                                else {
-                                    tally.errors += 1;
-                                    answered += 1;
-                                    conn.outstanding = conn.outstanding.saturating_sub(1);
-                                    continue;
-                                };
-                                tally.record(&v, t_send);
-                                answered += 1;
-                                conn.outstanding -= 1;
-                            }
-                        }
-                        Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                        Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                        Err(_) => {
-                            conn_dead = true;
-                            break;
-                        }
-                    }
-                }
-                if conn_dead {
-                    dead.push(ev.key);
-                }
             }
         }
-        for key in dead {
-            if let Some(conn) = conns.remove(&key) {
+        for slot in dead.drain(..) {
+            if let Some(conn) = conns.remove(&slot) {
                 let _ = poller.delete(&conn.stream);
-                // Everything unanswered on a dead socket is an error.
-                tally.errors += conn.outstanding;
-                answered += conn.outstanding;
-            }
-        }
-        // Drop write interest on fully-sent connections so idle sockets
-        // stop reporting writability (which would busy-spin the loop).
-        let fully_sent: Vec<usize> = conns
-            .iter()
-            .filter(|(_, c)| c.unsent.is_empty())
-            .map(|(k, _)| *k)
-            .collect();
-        for key in fully_sent {
-            if let Some(conn) = conns.get(&key) {
-                let _ = poller.modify(&conn.stream, Event::readable(key));
+                // Everything this connection still owed is an error.
+                tally.errors += conn.share - conn.answered;
             }
         }
     }
@@ -746,7 +673,7 @@ mod tests {
         let cfg = LoadgenConfig {
             addr: "127.0.0.1:1".to_string(),
             requests: 6,
-            connections: 3,
+            conns: 3,
             connect_timeout: Duration::from_millis(150),
             ..LoadgenConfig::default()
         };
@@ -755,6 +682,89 @@ mod tests {
         assert_eq!(report.errors, 6);
         assert!(report.connect_failures >= 3, "{}", report.connect_failures);
         assert_eq!(report.peak_conns, 0);
+    }
+
+    #[test]
+    fn reply_without_newline_fails_the_connection() {
+        // A server that answers every connection with one endless line:
+        // past MAX_REPLY_BYTES the connection's requests are written off
+        // instead of buffered without bound, and the control connection's
+        // capped read gives up the same way.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let spammer = std::thread::spawn(move || {
+            // The request connection, then the metrics fetch.
+            for stream in listener.incoming().take(2) {
+                let mut stream = stream.unwrap();
+                let junk = vec![b'x'; 64 * 1024];
+                while stream.write_all(&junk).is_ok() {}
+            }
+        });
+        let report = run(&LoadgenConfig {
+            addr,
+            requests: 3,
+            conns: 1,
+            connect_timeout: Duration::from_secs(5),
+            ..LoadgenConfig::default()
+        })
+        .expect("a misbehaving server is reported, not an Err");
+        assert_eq!((report.sent, report.errors), (0, 3), "{}", report.summary());
+        assert!(report.server_metrics.is_none());
+        spammer.join().unwrap();
+    }
+
+    #[test]
+    fn window_holds_on_every_connection() {
+        // A fake server that answers a connection only once it has gone
+        // quiet for 20 ms: the largest burst it reads is what the client
+        // keeps in flight. Connections are served one after the other;
+        // the second one's window waits in its socket buffer meanwhile.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let server = std::thread::spawn(move || {
+            let mut widest = 0;
+            for stream in listener.incoming().take(2) {
+                let stream = stream.unwrap();
+                stream
+                    .set_read_timeout(Some(Duration::from_millis(20)))
+                    .unwrap();
+                let mut reader = BufReader::new(&stream);
+                let (mut answered, mut line) = (0, String::new());
+                while answered < 6 {
+                    let mut ids = Vec::new();
+                    while reader.read_line(&mut line).is_ok_and(|n| n > 0) {
+                        ids.push(parse_json(&line).unwrap().get("id").unwrap().as_usize());
+                        line.clear();
+                    }
+                    widest = ids.len().max(widest);
+                    for id in ids {
+                        let reply = format!("{{\"ok\":true,\"id\":{},\"mean\":[]}}\n", id.unwrap());
+                        (&stream).write_all(reply.as_bytes()).unwrap();
+                        answered += 1;
+                    }
+                }
+            }
+            widest
+        });
+        let report = run(&LoadgenConfig {
+            addr,
+            requests: 12,
+            conns: 2,
+            concurrency_per_conn: 3,
+            connect_timeout: Duration::from_secs(5),
+            ..LoadgenConfig::default()
+        })
+        .unwrap();
+        assert_eq!(
+            (report.sent, report.errors),
+            (12, 0),
+            "{}",
+            report.summary()
+        );
+        assert!(
+            server.join().unwrap() <= 3,
+            "more than the window in flight"
+        );
     }
 
     #[test]

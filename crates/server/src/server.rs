@@ -40,7 +40,6 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
-use xgs_cholesky::ShardBackend;
 use xgs_core::FactorEngine;
 use xgs_runtime::{KernelStats, MetricsReport, QueueDepthStats, WorkerStats};
 
@@ -87,11 +86,12 @@ pub struct ServerConfig {
     /// further `predict`s are shed with a `retry_after_ms` hint instead of
     /// queued.
     pub max_queued_points: usize,
-    /// When set, `load` requests factorize on this multi-process backend
-    /// instead of in-process threads. The CLI passes the `xgs-fleet`
-    /// supervisor here: one persistent warm fleet across every `load`,
-    /// instead of paying a fresh fleet spawn per factorization.
-    pub shard: Option<Arc<dyn ShardBackend>>,
+    /// What factorizes a `load` request's Σ(θ): by default the task
+    /// runtime on the shared pool. The CLI passes the engine it built the
+    /// first model with — with `--shards`, the `xgs-fleet` supervisor: one
+    /// persistent warm fleet across every `load`, instead of paying a
+    /// fresh fleet spawn per factorization.
+    pub engine: FactorEngine,
     /// Per-connection outbound queue cap in bytes. A client that stops
     /// reading while responses accumulate past this budget has its socket
     /// closed instead of the server buffering for it without bound.
@@ -105,7 +105,7 @@ impl Default for ServerConfig {
             solvers: 2,
             max_batch_points: 4096,
             max_queued_points: 1 << 16,
-            shard: None,
+            engine: FactorEngine::Threads(0),
             max_conn_outbound: 8 << 20,
         }
     }
@@ -223,7 +223,7 @@ pub(crate) struct Shared {
     pub(crate) hub: Arc<CompletionHub>,
     pub(crate) metrics: Mutex<ServerMetrics>,
     max_batch_points: usize,
-    /// Engine for `load`-request factorizations (sharded when configured).
+    /// Engine for `load`-request factorizations ([`ServerConfig::engine`]).
     load_engine: FactorEngine,
     /// `load` factorizations running now (≤ [`MAX_LOADS_IN_FLIGHT`]).
     loads_in_flight: AtomicUsize,
@@ -295,10 +295,7 @@ pub fn serve(config: &ServerConfig, registry: Arc<ModelRegistry>) -> std::io::Re
         hub: CompletionHub::new()?,
         metrics: Mutex::new(ServerMetrics::new(solvers)),
         max_batch_points: config.max_batch_points.max(1),
-        load_engine: match &config.shard {
-            Some(backend) => FactorEngine::Sharded(backend.clone()),
-            None => FactorEngine::from_workers(0),
-        },
+        load_engine: config.engine.clone(),
         loads_in_flight: AtomicUsize::new(0),
     });
 

@@ -14,7 +14,7 @@
 //! ```
 
 use exageostat_rs::core::mle::FitOptimizer;
-use exageostat_rs::core::NelderMeadOptions;
+use exageostat_rs::core::{FactorEngine, NelderMeadOptions};
 use exageostat_rs::prelude::*;
 
 fn main() {
@@ -41,8 +41,7 @@ fn main() {
                 initial_step: 0.35,
             }),
             start: Some(vec![1.0, 0.1, 0.5]),
-            workers: 0, // all cores through the task runtime
-            shard: None,
+            engine: FactorEngine::Threads(0), // all cores through the task runtime
         },
         seed: 20040101, // the paper's dataset date: January 1st, 2004
     };

@@ -12,7 +12,7 @@
 //! ```
 
 use exageostat_rs::core::mle::FitOptimizer;
-use exageostat_rs::core::NelderMeadOptions;
+use exageostat_rs::core::{FactorEngine, NelderMeadOptions};
 use exageostat_rs::prelude::*;
 
 fn main() {
@@ -35,8 +35,7 @@ fn main() {
                 initial_step: 0.3,
             }),
             start: Some(truth.clone()),
-            workers: 0,
-            shard: None,
+            engine: FactorEngine::Threads(0),
         },
         seed: 2021, // the paper's target year
     };

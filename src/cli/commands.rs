@@ -200,7 +200,7 @@ fn shard_backend(args: &Args) -> Result<Option<Arc<dyn ShardBackend>>, CmdError>
     }
 }
 
-/// Engine selection shared by `predict` and `serve`: sharded when
+/// Engine selection shared by `fit`, `predict` and `serve`: sharded when
 /// `--shards` is set, otherwise the `--workers` convention.
 fn factor_engine(args: &Args) -> Result<FactorEngine, CmdError> {
     Ok(match shard_backend(args)? {
@@ -277,7 +277,6 @@ pub fn cmd_fit(args: &Args) -> Result<String, CmdError> {
     let model = cli_model(cfg.tile_size);
 
     let max_evals = args.usize_or("max-evals", 200)?;
-    let workers = args.usize_or("workers", 0)?;
     let optimizer = match args.str_or("optimizer", "nm").as_str() {
         "nm" => FitOptimizer::NelderMead(NelderMeadOptions {
             max_evals,
@@ -302,8 +301,7 @@ pub fn cmd_fit(args: &Args) -> Result<String, CmdError> {
     let opts = FitOptions {
         optimizer,
         start,
-        workers,
-        shard: shard_backend(args)?,
+        engine: factor_engine(args)?,
     };
 
     let (r, secs) = {
@@ -356,6 +354,7 @@ pub fn cmd_fit(args: &Args) -> Result<String, CmdError> {
     ));
     write_metrics(args, r.metrics.as_ref(), &mut out)?;
     if args.bool("se") {
+        let workers = args.usize_or("workers", 0)?;
         match xgs_core::fisher_information(
             family, &ds.locs, z, &cfg, &model, &r.theta, 5e-3, workers,
         ) {
@@ -535,11 +534,7 @@ pub fn cmd_serve(args: &Args) -> Result<String, CmdError> {
     let name = args.str_or("name", "default");
     let n = ds.locs.len();
 
-    let shard = shard_backend(args)?;
-    let engine = match &shard {
-        Some(backend) => FactorEngine::Sharded(Arc::clone(backend)),
-        None => FactorEngine::from_workers(args.usize_or("workers", 0)?),
-    };
+    let engine = factor_engine(args)?;
     let (plan, llh) =
         xgs_server::build_plan_engine(family, &theta, variant, cfg.tile_size, ds.locs, z, &engine)
             .map_err(CmdError::Run)?;
@@ -558,7 +553,7 @@ pub fn cmd_serve(args: &Args) -> Result<String, CmdError> {
         solvers: args.usize_or("solvers", 2)?,
         max_batch_points: args.usize_or("max-batch", 4096)?,
         max_queued_points: args.usize_or("queue-points", 1 << 16)?,
-        shard,
+        engine,
         ..xgs_server::ServerConfig::default()
     };
     let handle = xgs_server::serve(&server_cfg, registry)

@@ -2,6 +2,7 @@
 //! through every layer of the stack (kernels → linalg → covariance → tile
 //! → runtime → cholesky → core).
 
+use exageostat_rs::core::FactorEngine;
 use exageostat_rs::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -86,8 +87,7 @@ fn mle_recovers_parameters_with_adaptive_solver() {
                 initial_step: 0.35,
             },
         ),
-        workers: 0,
-        shard: None,
+        engine: FactorEngine::Threads(0),
     };
     let r = fit(
         ModelFamily::MaternSpace,

@@ -12,7 +12,7 @@
 //! worker loops on that same pool (nested under the PSO fan-out, they
 //! share its threads instead of adding their own).
 
-use exageostat_rs::core::PsoOptions;
+use exageostat_rs::core::{FactorEngine, PsoOptions};
 use exageostat_rs::covariance::covariance_matrix;
 use exageostat_rs::prelude::*;
 use rand::rngs::StdRng;
@@ -159,7 +159,7 @@ fn full_fit_is_bitwise_identical_across_pool_sizes() {
     let run = |threads: usize, workers: usize| {
         with_pool(threads, || {
             let opts = FitOptions {
-                workers,
+                engine: FactorEngine::from_workers(workers),
                 optimizer: exageostat_rs::core::mle::FitOptimizer::ParticleSwarm(PsoOptions {
                     particles: 6,
                     iterations: 4,

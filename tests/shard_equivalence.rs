@@ -17,6 +17,7 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use exageostat_rs::core::FactorEngine;
 use exageostat_rs::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -211,9 +212,9 @@ fn sharded_server_predictions_are_checksum_identical_to_unsharded() {
          \"variant\":\"dense\",\"tile\":48,\"locs\":[{locs_json}],\"z\":[{z_json}]}}"
     );
 
-    let run_one = |shard: Option<Arc<dyn ShardBackend>>| -> u64 {
+    let run_one = |engine: FactorEngine| -> u64 {
         let cfg = ServerConfig {
-            shard,
+            engine,
             ..Default::default()
         };
         let handle = xgs_server::serve(&cfg, Arc::new(ModelRegistry::new())).unwrap();
@@ -237,9 +238,9 @@ fn sharded_server_predictions_are_checksum_identical_to_unsharded() {
         report.checksum
     };
 
-    let unsharded = run_one(None);
+    let unsharded = run_one(FactorEngine::Threads(0));
     let fleet = Supervisor::start(FleetConfig::process(EXE.into(), 2)).unwrap();
-    let sharded = run_one(Some(Arc::new(fleet)));
+    let sharded = run_one(FactorEngine::Sharded(Arc::new(fleet)));
     assert_eq!(
         unsharded, sharded,
         "sharded factorization changed served predictions"
@@ -548,7 +549,7 @@ fn sharded_server_survives_a_broken_worker_executable() {
     assert!(matches!(err, ShardError::Spawn(_)), "got {err}");
 
     let cfg = ServerConfig {
-        shard: Some(Arc::new(BrokenBackend)),
+        engine: FactorEngine::Sharded(Arc::new(BrokenBackend)),
         ..Default::default()
     };
     let handle = xgs_server::serve(&cfg, Arc::new(ModelRegistry::new())).unwrap();
