@@ -17,14 +17,14 @@
 use xgs_bench::{env_usize, sites, timed};
 use xgs_cholesky::TiledFactor;
 use xgs_covariance::{covariance_matrix, Matern, MaternParams};
-use xgs_tile::{PrecisionRule, SymTileMatrix, TlrConfig, Variant};
+use xgs_tile::{FlopKernelModel, PrecisionRule, SymTileMatrix, TlrConfig, Variant};
 
 fn precision_rule_panel(n: usize) {
     println!("-- ablation 1: adaptive norm rule vs band rule (n = {n}, tile 64) --");
     let locs = sites(n, 14.0, 3);
     let kernel = Matern::new(MaternParams::new(0.67, 0.17, 0.44));
     let exact = covariance_matrix(&kernel, &locs);
-    let model = xgs_bench::demo_model();
+    let model = FlopKernelModel::for_tile(64);
     println!(
         "{:>24} | {:>12} {:>14} {:>12}",
         "rule", "footprint", "storage err", "factor ok"
@@ -62,7 +62,7 @@ fn tolerance_panel(n: usize) {
     let locs = sites(n, 14.0, 5);
     let kernel = Matern::new(MaternParams::new(0.67, 0.17, 0.44));
     let exact = covariance_matrix(&kernel, &locs);
-    let model = xgs_bench::demo_model();
+    let model = FlopKernelModel::for_tile(64);
     println!(
         "{:>10} | {:>12} {:>14} {:>10}",
         "tol", "footprint", "matrix err", "max rank"
@@ -88,13 +88,13 @@ fn tile_size_panel(n: usize) {
     println!("-- ablation 3: tile size sweep (n = {n}, MP+dense/TLR) --");
     let locs = sites(n, 14.0, 7);
     let kernel = Matern::new(MaternParams::new(0.67, 0.17, 0.44));
-    let model = xgs_bench::demo_model();
     println!(
         "{:>6} {:>5} | {:>12} {:>12} {:>12}",
         "nb", "NT", "generate (s)", "factor (s)", "footprint"
     );
     for nb in [32usize, 48, 64, 96, 128] {
         let cfg = TlrConfig::new(Variant::MpDenseTlr, nb);
+        let model = FlopKernelModel::for_tile(nb);
         let (m, gen_s) = timed(|| SymTileMatrix::generate(&kernel, &locs, cfg, &model));
         let fp = m.footprint_bytes();
         let nt = m.nt();

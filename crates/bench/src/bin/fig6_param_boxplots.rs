@@ -16,7 +16,7 @@ use xgs_bench::{env_usize, quartiles, sites};
 use xgs_core::mle::FitOptimizer;
 use xgs_core::{fit, FactorEngine, FitOptions, ModelFamily, NelderMeadOptions};
 use xgs_covariance::{Matern, MaternParams};
-use xgs_tile::{TlrConfig, Variant};
+use xgs_tile::{FlopKernelModel, TlrConfig, Variant};
 
 fn main() {
     let reps = env_usize("XGS_REPS", 25);
@@ -25,8 +25,8 @@ fn main() {
     // Domain widened so the adaptive decisions engage at reduced n (see
     // DESIGN.md §2 and the pipeline's domain_size note).
     let domain = 4.0;
-    // TLR-friendly model at demo tile sizes (see table1 binary note).
-    let model = xgs_bench::demo_model();
+    let nb = (n / 6).max(32);
+    let model = FlopKernelModel::for_tile(nb);
     let variants = [Variant::DenseF64, Variant::MpDense, Variant::MpDenseTlr];
 
     println!("Fig. 6 reproduction: {reps} synthetic datasets x {n} locations (paper: 100 x 50K)\n");
@@ -43,7 +43,7 @@ fn main() {
             "variant", "parameter", "q1", "median", "q3"
         );
         for variant in variants {
-            let cfg = TlrConfig::new(variant, (n / 6).max(32));
+            let cfg = TlrConfig::new(variant, nb);
             let mut est: Vec<Vec<f64>> = vec![Vec::new(); 3];
             for rep in 0..reps {
                 let locs = sites(n, domain, 1000 + rep as u64);

@@ -15,7 +15,7 @@
 //! ```
 
 use xgs_bench::{random_buffer, timed};
-use xgs_kernels::{demote_f64_to_f16, gemm, gemm_flops, shgemm, Half, Trans};
+use xgs_kernels::{gemm, gemm_flops, shgemm, Half, Trans};
 
 fn main() {
     println!("GEMM throughput on this machine (column: Gflop/s, best of 3)\n");
@@ -28,10 +28,8 @@ fn main() {
         let b64 = random_buffer(n * n, 2);
         let a32: Vec<f32> = a64.iter().map(|&x| x as f32).collect();
         let b32: Vec<f32> = b64.iter().map(|&x| x as f32).collect();
-        let mut a16 = vec![Half::ZERO; n * n];
-        let mut b16 = vec![Half::ZERO; n * n];
-        demote_f64_to_f16(&a64, &mut a16);
-        demote_f64_to_f16(&b64, &mut b16);
+        let a16: Vec<Half> = a64.iter().map(|&x| Half::from_f64(x)).collect();
+        let b16: Vec<Half> = b64.iter().map(|&x| Half::from_f64(x)).collect();
         let flops = gemm_flops(n, n, n);
 
         let mut c64 = vec![0f64; n * n];

@@ -18,7 +18,7 @@
 use xgs_bench::{env_usize, sites};
 use xgs_covariance::{Matern, MaternParams};
 use xgs_perfmodel::{footprint_bytes, Correlation, TileFormatProfile};
-use xgs_tile::{decision_heatmap, SymTileMatrix, TlrConfig, Variant};
+use xgs_tile::{decision_heatmap, FlopKernelModel, SymTileMatrix, TlrConfig, Variant};
 
 fn paper_scale_panel() {
     let nt = 1_000_000usize.div_ceil(2700);
@@ -68,9 +68,9 @@ fn measured_panel() {
     let n = env_usize("XGS_N", 2048);
     let nb = 64;
     let locs = sites(n, 1.0, 9);
-    // Demo-size tiles need the TLR-friendly kernel-time model; see the
-    // decision_maps example for why (crossover scales with nb).
-    let model = xgs_bench::demo_model();
+    // The model for demo-size tiles drops the TLR memory-bound penalty;
+    // see the decision_maps example for why (crossover scales with nb).
+    let model = FlopKernelModel::for_tile(nb);
     println!(
         "-- measured maps: n = {n}, tile {nb} (glyphs: D/s/h dense 64/32/16, L/l low-rank) --"
     );

@@ -16,7 +16,7 @@ use xgs_core::mle::FitOptimizer;
 use xgs_core::{
     run_pipeline, FactorEngine, FitOptions, ModelFamily, NelderMeadOptions, PipelineConfig,
 };
-use xgs_tile::Variant;
+use xgs_tile::{FlopKernelModel, Variant};
 
 fn main() {
     let n = env_usize("XGS_N", 720);
@@ -47,12 +47,9 @@ fn main() {
         cfg.n_train, cfg.n_test, cfg.time_slots
     );
     println!("truth θ = {truth:?}\n");
-    // Demo-size tiles: the calibrated A64FX model's TLR crossover (~nb/13.5)
-    // would keep every small tile dense, which is correct for the hardware
-    // but hides the TLR machinery at reduced scale; drop the memory-bound
-    // penalty so the structure decision engages (paper-scale studies use the
-    // calibrated model in xgs-perfmodel).
-    let model = xgs_bench::demo_model();
+    // The CLI's kernel-time model at this tile size: at demo-size tiles it
+    // drops the memory-bound TLR penalty so the structure decision engages.
+    let model = FlopKernelModel::for_tile(cfg.tile_size);
     let report = run_pipeline(&cfg, &model);
     println!("{}", report.render(ModelFamily::GneitingSpaceTime));
     println!("paper Table II (for reference):");

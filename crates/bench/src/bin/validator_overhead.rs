@@ -17,11 +17,11 @@
 //! XGS_N=4000 XGS_REPS=5 cargo run -p xgs-bench --release --bin validator_overhead
 //! ```
 
-use xgs_bench::{demo_model, env_usize, quartiles, sites, timed};
+use xgs_bench::{env_usize, quartiles, sites, timed};
 use xgs_cholesky::TiledFactor;
 use xgs_covariance::{Matern, MaternParams};
 use xgs_runtime::ExecOptions;
-use xgs_tile::{SymTileMatrix, TlrConfig, Variant};
+use xgs_tile::{FlopKernelModel, SymTileMatrix, TlrConfig, Variant};
 
 fn main() {
     let n = env_usize("XGS_N", 3000);
@@ -37,7 +37,7 @@ fn main() {
 
     let locs = sites(n, 14.0, 3);
     let kernel = Matern::new(MaternParams::new(0.67, 0.17, 0.44));
-    let model = demo_model();
+    let model = FlopKernelModel::for_tile(nb);
     let base = ExecOptions {
         validate: false,
         precheck: false,

@@ -23,15 +23,15 @@ use xgs_core::mle::{FitOptimizer, FitOptions};
 use xgs_core::{fit, FactorEngine, ModelFamily, PsoOptions};
 use xgs_covariance::{Matern, MaternParams};
 use xgs_perfmodel::{project, Correlation, ScaleConfig, SolverVariant};
-use xgs_tile::{TlrConfig, Variant};
+use xgs_tile::{FlopKernelModel, TlrConfig, Variant};
 
 fn main() {
     let n = env_usize("XGS_N", 400);
     let locs = sites(n, 4.0, 21);
     let truth = MaternParams::new(1.0, 0.4, 0.5);
     let z = xgs_core::simulate_field(&Matern::new(truth), &locs, 3);
-    let model = xgs_bench::demo_model();
     let cfg = TlrConfig::new(Variant::MpDenseTlr, (n / 6).max(32));
+    let model = FlopKernelModel::for_tile(cfg.tile_size);
 
     println!("-- measured: PSO training on this machine (n = {n}) --");
     println!(

@@ -83,17 +83,6 @@ pub fn quartiles(xs: &mut [f64]) -> (f64, f64, f64) {
     (q(0.25), q(0.5), q(0.75))
 }
 
-/// The kernel-time model for demo-scale tile sizes: drops the memory-bound
-/// TLR penalty so the structure decision engages below tile ~512 (the
-/// calibrated A64FX crossover ~nb/13.5 correctly rejects TLR for small
-/// tiles; see DESIGN.md §5a).
-pub fn demo_model() -> xgs_tile::FlopKernelModel {
-    xgs_tile::FlopKernelModel {
-        dense_rate: 45.0e9,
-        mem_factor: 1.0,
-    }
-}
-
 /// Wall-time a closure, returning (result, seconds).
 pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     let t = std::time::Instant::now();

@@ -21,8 +21,8 @@ use xgs_runtime::{block_cyclic_owner, Access, WireStats};
 use xgs_tile::wire::encoded_len;
 use xgs_tile::TileLayout;
 
-/// Largest near-square factorization of `workers`: the same `p <= sqrt(w)`
-/// rule as `xgs-perfmodel`'s `process_grid`, so a sharded run and a
+/// Largest near-square factorization of `workers` (`p <= sqrt(w)`). It is
+/// also `xgs-perfmodel`'s process grid, so a sharded run and a
 /// `scale --nodes` projection of the same worker count land on the same
 /// `p x q` grid (that equality is what lets `metrics_diff` compare their
 /// per-worker task counts).

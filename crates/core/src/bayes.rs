@@ -10,12 +10,13 @@
 //! (log / logit), i.e. the standard weakly-informative reference choice
 //! for positive / unit-interval parameters.
 
-use crate::likelihood::log_likelihood;
+use crate::likelihood::{log_likelihood_engine, FactorEngine};
 use crate::model::ModelFamily;
 use crate::optimizer::transform::{forward_all, inverse_all};
 use crate::synthetic::standard_normal;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use xgs_cholesky::ShardError;
 use xgs_covariance::Location;
 use xgs_tile::{KernelTimeModel, TlrConfig};
 
@@ -32,8 +33,8 @@ pub struct McmcOptions {
     /// (0 disables adaptation).
     pub adapt_every: usize,
     pub seed: u64,
-    /// Worker loops per likelihood evaluation, run on the shared pool.
-    pub workers: usize,
+    /// What factorizes Σ(θ) at every posterior evaluation.
+    pub engine: FactorEngine,
 }
 
 impl Default for McmcOptions {
@@ -44,7 +45,7 @@ impl Default for McmcOptions {
             step: 0.12,
             adapt_every: 50,
             seed: 0xBA7E5,
-            workers: 1,
+            engine: FactorEngine::Sequential,
         }
     }
 }
@@ -68,7 +69,9 @@ pub struct McmcResult {
 ///
 /// `start` is a natural-space initialization (the MLE is the classical
 /// choice). Returns an error message when the chain cannot initialize
-/// (non-SPD covariance at `start`).
+/// (non-SPD covariance at `start`) or the engine fails for a reason other
+/// than a non-SPD proposal (a lost shard worker, say), which would
+/// otherwise read as a rejection.
 pub fn posterior_sample(
     family: ModelFamily,
     locs: &[Location],
@@ -83,17 +86,18 @@ pub fn posterior_sample(
     let dim = start.len();
     let mut rng = StdRng::seed_from_u64(opts.seed);
 
-    let loglik = |y: &[f64]| -> f64 {
+    let loglik = |y: &[f64]| -> Result<f64, String> {
         let theta = inverse_all(&transforms, y);
         let kernel = family.kernel(&theta);
-        match log_likelihood(kernel.as_ref(), locs, z, cfg, model, opts.workers) {
-            Ok(r) => r.llh,
-            Err(_) => f64::NEG_INFINITY,
+        match log_likelihood_engine(kernel.as_ref(), locs, z, cfg, model, &opts.engine) {
+            Ok(r) => Ok(r.llh),
+            Err(ShardError::Factor(_)) => Ok(f64::NEG_INFINITY),
+            Err(e) => Err(format!("likelihood evaluation failed: {e}")),
         }
     };
 
     let mut current = forward_all(&transforms, start);
-    let mut current_ll = loglik(&current);
+    let mut current_ll = loglik(&current)?;
     if !current_ll.is_finite() {
         return Err("initial parameters give a non-positive-definite covariance".to_string());
     }
@@ -109,7 +113,7 @@ pub fn posterior_sample(
             .iter()
             .map(|&c| c + step * standard_normal(&mut rng))
             .collect();
-        let prop_ll = loglik(&proposal);
+        let prop_ll = loglik(&proposal)?;
         let accept = prop_ll - current_ll >= rng.random_range(0.0f64..1.0).ln();
         if accept {
             current = proposal;

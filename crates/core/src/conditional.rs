@@ -24,7 +24,7 @@ use xgs_covariance::{CovarianceKernel, Location};
 /// Draw `n_draws` conditional realizations at `test_locs`.
 ///
 /// `factor` must be the Cholesky factor of the training covariance under
-/// `kernel` (the object [`crate::likelihood::log_likelihood`] returns).
+/// `kernel` (the object [`crate::likelihood::log_likelihood_engine`] returns).
 /// Each draw costs one unconditional joint simulation plus one kriging
 /// pass. Returns one `Vec<f64>` per draw.
 ///
@@ -75,7 +75,7 @@ pub fn conditional_simulation(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::likelihood::log_likelihood;
+    use crate::likelihood::{log_likelihood_engine, FactorEngine};
     use crate::predict::krige;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -96,13 +96,13 @@ mod tests {
         let z = simulate_field(&kernel, &locs, 10);
         let (train, test) = locs.split_at(240);
         let cfg = TlrConfig::new(Variant::DenseF64, 60);
-        let rep = log_likelihood(
+        let rep = log_likelihood_engine(
             &kernel,
             train,
             &z[..240],
             &cfg,
             &FlopKernelModel::default(),
-            1,
+            &FactorEngine::Sequential,
         )
         .unwrap();
         (

@@ -8,7 +8,7 @@
 //! adaptive solver — and the covariance is mapped back to natural space by
 //! the delta method.
 
-use crate::likelihood::log_likelihood;
+use crate::likelihood::{log_likelihood_engine, FactorEngine};
 use crate::model::ModelFamily;
 use crate::optimizer::transform::{forward_all, inverse_all};
 use xgs_covariance::Location;
@@ -26,7 +26,9 @@ pub struct FisherReport {
     pub covariance: Matrix,
 }
 
-/// Compute observed-information standard errors at `theta_hat`.
+/// Compute observed-information standard errors at `theta_hat`, every
+/// evaluation factorized on `engine` (a fit's own engine, so `fit --se`
+/// differentiates where it fitted).
 ///
 /// `h` is the central-difference step in transformed coordinates (1e-3 to
 /// 1e-2 is reasonable: the llh is smooth but each evaluation carries
@@ -42,7 +44,7 @@ pub fn fisher_information(
     model: &dyn KernelTimeModel,
     theta_hat: &[f64],
     h: f64,
-    workers: usize,
+    engine: &FactorEngine,
 ) -> Result<FisherReport, String> {
     let transforms = family.transforms();
     let dim = theta_hat.len();
@@ -52,7 +54,7 @@ pub fn fisher_information(
     let nll = |y: &[f64]| -> Result<f64, String> {
         let theta = inverse_all(&transforms, y);
         let kernel = family.kernel(&theta);
-        log_likelihood(kernel.as_ref(), locs, z, cfg, model, workers)
+        log_likelihood_engine(kernel.as_ref(), locs, z, cfg, model, engine)
             .map(|r| -r.llh)
             .map_err(|e| format!("likelihood failed during differencing: {e}"))
     };
@@ -163,7 +165,7 @@ mod tests {
             &model,
             &mle.theta,
             5e-3,
-            1,
+            &FactorEngine::Sequential,
         )
         .unwrap();
         assert_eq!(rep.std_errors.len(), 3);
@@ -196,7 +198,7 @@ mod tests {
             &FlopKernelModel::default(),
             &[30.0, 5.0, 3.0],
             1e-2,
-            1,
+            &FactorEngine::Sequential,
         );
         // Either it fails with the PD message or produces finite output —
         // but never panics. (Both outcomes are legitimate numerically.)
@@ -219,7 +221,7 @@ mod tests {
                 &model,
                 &[1.0, 0.1, 0.5],
                 5e-3,
-                1,
+                &FactorEngine::Sequential,
             )
             .map(|r| r.std_errors[0])
         };
@@ -227,5 +229,74 @@ mod tests {
         if let (Ok(s), Ok(l)) = (small, large) {
             assert!(l < s, "SE must shrink with n: {l} !< {s}");
         }
+    }
+
+    /// A shard backend that factorizes in-process with the sequential
+    /// loop and counts how often it is reached.
+    #[derive(Debug, Default)]
+    struct CountingBackend(std::sync::atomic::AtomicUsize);
+
+    impl xgs_cholesky::ShardBackend for CountingBackend {
+        fn factorize(
+            &self,
+            f: &mut xgs_cholesky::TiledFactor,
+        ) -> Result<xgs_cholesky::ShardReport, xgs_cholesky::ShardError> {
+            self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            f.factorize_seq()?;
+            Ok(xgs_cholesky::ShardReport {
+                metrics: Default::default(),
+                worker_tasks: Vec::new(),
+            })
+        }
+
+        fn describe(&self) -> String {
+            "counting".into()
+        }
+    }
+
+    #[test]
+    fn every_evaluation_runs_on_the_callers_engine() {
+        use crate::bayes::{posterior_sample, McmcOptions};
+        use std::sync::atomic::Ordering;
+        use std::sync::Arc;
+        let (locs, z) = data(150);
+        let cfg = TlrConfig::new(Variant::DenseF64, 50);
+        let model = FlopKernelModel::default();
+        let theta = [1.0, 0.1, 0.5];
+        let backend = Arc::new(CountingBackend::default());
+        let sharded = FactorEngine::Sharded(backend.clone());
+        let se = |engine: &FactorEngine| {
+            let family = ModelFamily::MaternSpace;
+            fisher_information(family, &locs, &z, &cfg, &model, &theta, 5e-3, engine)
+                .unwrap()
+                .std_errors
+        };
+
+        let (want, got) = (se(&FactorEngine::Sequential), se(&sharded));
+        // f(θ̂), two per diagonal entry, four per off-diagonal pair.
+        let d = theta.len();
+        assert_eq!(
+            backend.0.load(Ordering::Relaxed),
+            1 + 2 * d + 2 * d * (d - 1)
+        );
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&want));
+
+        backend.0.store(0, Ordering::Relaxed);
+        let opts = |engine: FactorEngine| McmcOptions {
+            iterations: 12,
+            burn_in: 4,
+            engine,
+            ..Default::default()
+        };
+        let chain = |engine| {
+            let family = ModelFamily::MaternSpace;
+            posterior_sample(family, &locs, &z, &cfg, &model, &theta, &opts(engine)).unwrap()
+        };
+        let (want, got) = (chain(FactorEngine::Sequential), chain(sharded));
+        // The start, then one proposal per iteration.
+        assert_eq!(backend.0.load(Ordering::Relaxed), 1 + 12);
+        assert_eq!(got.samples, want.samples);
+        assert_eq!(got.llh_trace, want.llh_trace);
     }
 }

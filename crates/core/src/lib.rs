@@ -35,7 +35,7 @@ pub mod synthetic;
 pub use bayes::{posterior_sample, McmcOptions, McmcResult};
 pub use conditional::conditional_simulation;
 pub use fisher::{fisher_information, FisherReport};
-pub use likelihood::{log_likelihood, log_likelihood_engine, FactorEngine, LikelihoodReport};
+pub use likelihood::{log_likelihood_engine, FactorEngine, LikelihoodReport};
 pub use mle::{fit, FitOptions, FitResult};
 pub use model::ModelFamily;
 pub use optimizer::neldermead::{nelder_mead, NelderMeadOptions, NelderMeadResult};

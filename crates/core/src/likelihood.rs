@@ -8,7 +8,7 @@
 //! quadratic form `‖L^{-1}Z‖²`.
 
 use std::sync::Arc;
-use xgs_cholesky::{logdet, solve_lower, FactorError, ShardBackend, ShardError, TiledFactor};
+use xgs_cholesky::{logdet, solve_lower, ShardBackend, ShardError, TiledFactor};
 use xgs_covariance::{CovarianceKernel, Location};
 use xgs_runtime::ExecReport;
 use xgs_tile::{KernelTimeModel, SymTileMatrix, TlrConfig};
@@ -28,8 +28,9 @@ pub enum FactorEngine {
 }
 
 impl FactorEngine {
-    /// The historical `workers` convention: 1 = sequential, anything else
-    /// is the threaded runtime.
+    /// The one worker-count convention (`--workers`, `build_plan`,
+    /// `XGS_WORKERS`): 1 = sequential, anything else is the threaded
+    /// runtime (0 = one worker loop per core).
     pub fn from_workers(workers: usize) -> FactorEngine {
         if workers == 1 {
             FactorEngine::Sequential
@@ -58,37 +59,10 @@ pub struct LikelihoodReport {
     pub dense_footprint_bytes: usize,
 }
 
-/// Evaluate the log-likelihood.
-///
-/// `workers = 1` uses the sequential engine; `workers > 1` (or 0 = all
-/// cores) schedules the factorization on the dynamic runtime. For the
-/// multi-process backend use [`log_likelihood_engine`].
-pub fn log_likelihood(
-    kernel: &dyn CovarianceKernel,
-    locs: &[Location],
-    z: &[f64],
-    cfg: &TlrConfig,
-    model: &dyn KernelTimeModel,
-    workers: usize,
-) -> Result<LikelihoodReport, FactorError> {
-    log_likelihood_engine(
-        kernel,
-        locs,
-        z,
-        cfg,
-        model,
-        &FactorEngine::from_workers(workers),
-    )
-    .map_err(|e| match e {
-        ShardError::Factor(f) => f,
-        // In-process engines only fail numerically.
-        other => panic!("in-process engine returned a shard error: {other}"),
-    })
-}
-
-/// [`log_likelihood`] on an explicit [`FactorEngine`]. Every engine
-/// produces bitwise-identical factors; they differ only in where the tile
-/// kernels run and in what the [`ExecReport`] observes.
+/// Evaluate the log-likelihood with Σ(θ) factorized on `engine`. Every
+/// engine produces bitwise-identical factors; they differ only in where
+/// the tile kernels run and in what the [`ExecReport`] observes. The
+/// in-process engines fail only numerically ([`ShardError::Factor`]).
 pub fn log_likelihood_engine(
     kernel: &dyn CovarianceKernel,
     locs: &[Location],
@@ -163,6 +137,8 @@ mod tests {
     use xgs_covariance::{jittered_grid, morton_order, Matern, MaternParams};
     use xgs_tile::{FlopKernelModel, Variant};
 
+    const SEQ: &FactorEngine = &FactorEngine::Sequential;
+
     fn setup(n: usize) -> (Matern, Vec<Location>, Vec<f64>) {
         let mut rng = StdRng::seed_from_u64(5);
         let mut locs = jittered_grid(n, &mut rng);
@@ -197,7 +173,8 @@ mod tests {
     fn dense_f64_matches_oracle() {
         let (kernel, locs, z) = setup(200);
         let cfg = TlrConfig::new(Variant::DenseF64, 64);
-        let r = log_likelihood(&kernel, &locs, &z, &cfg, &FlopKernelModel::default(), 1).unwrap();
+        let r = log_likelihood_engine(&kernel, &locs, &z, &cfg, &FlopKernelModel::default(), SEQ)
+            .unwrap();
         let oracle = llh_oracle(&kernel, &locs, &z);
         assert!(
             (r.llh - oracle).abs() < 1e-6 * oracle.abs().max(1.0),
@@ -212,8 +189,10 @@ mod tests {
         let (kernel, locs, z) = setup(240);
         let cfg = TlrConfig::new(Variant::MpDense, 60);
         let model = FlopKernelModel::default();
-        let seq = log_likelihood(&kernel, &locs, &z, &cfg, &model, 1).unwrap();
-        let par = log_likelihood(&kernel, &locs, &z, &cfg, &model, 4).unwrap();
+        let seq = log_likelihood_engine(&kernel, &locs, &z, &cfg, &model, SEQ).unwrap();
+        let par =
+            log_likelihood_engine(&kernel, &locs, &z, &cfg, &model, &FactorEngine::Threads(4))
+                .unwrap();
         assert_eq!(seq.llh, par.llh, "engines must agree bitwise");
         let exec = par.exec.expect("parallel engine reports");
         // The runtime's observability layer rides along: metrics always,
@@ -234,18 +213,18 @@ mod tests {
             dense_rate: 45.0e9,
             mem_factor: 1.0,
         };
-        let exact = log_likelihood(
+        let exact = log_likelihood_engine(
             &kernel,
             &locs,
             &z,
             &TlrConfig::new(Variant::DenseF64, 50),
             &model,
-            1,
+            SEQ,
         )
         .unwrap();
         for variant in [Variant::MpDense, Variant::MpDenseTlr] {
-            let r = log_likelihood(&kernel, &locs, &z, &TlrConfig::new(variant, 50), &model, 1)
-                .unwrap();
+            let cfg = TlrConfig::new(variant, 50);
+            let r = log_likelihood_engine(&kernel, &locs, &z, &cfg, &model, SEQ).unwrap();
             let drift = (r.llh - exact.llh).abs() / exact.llh.abs();
             assert!(drift < 1e-4, "{variant:?} drifted {drift}");
         }
@@ -255,7 +234,8 @@ mod tests {
     fn quad_and_logdet_decompose_llh() {
         let (kernel, locs, z) = setup(150);
         let cfg = TlrConfig::new(Variant::DenseF64, 50);
-        let r = log_likelihood(&kernel, &locs, &z, &cfg, &FlopKernelModel::default(), 1).unwrap();
+        let r = log_likelihood_engine(&kernel, &locs, &z, &cfg, &FlopKernelModel::default(), SEQ)
+            .unwrap();
         let n = locs.len() as f64;
         let recomposed =
             -0.5 * n * (2.0 * std::f64::consts::PI).ln() - 0.5 * r.logdet - 0.5 * r.quad;

@@ -277,9 +277,16 @@ mod tests {
         let start = vec![2.0, 0.05, 1.5];
         let start_llh = {
             let k = ModelFamily::MaternSpace.kernel(&start);
-            crate::likelihood::log_likelihood(k.as_ref(), &locs, &z, &cfg, &model, 1)
-                .unwrap()
-                .llh
+            log_likelihood_engine(
+                k.as_ref(),
+                &locs,
+                &z,
+                &cfg,
+                &model,
+                &FactorEngine::Sequential,
+            )
+            .unwrap()
+            .llh
         };
         let opts = FitOptions {
             optimizer: FitOptimizer::NelderMead(NelderMeadOptions {

@@ -105,7 +105,7 @@ pub struct PredictionPlan {
 impl PredictionPlan {
     /// Build the plan: one pair of triangular solves for the weights; the
     /// factor itself must already be computed (e.g. by
-    /// [`crate::likelihood::log_likelihood`]).
+    /// [`crate::likelihood::log_likelihood_engine`]).
     pub fn new(
         kernel: Arc<dyn CovarianceKernel>,
         train_locs: Arc<[Location]>,

@@ -25,10 +25,6 @@ mod simd;
 pub mod syrk;
 pub mod trsm;
 
-pub use convert::{
-    demote_f32_to_f16, demote_f64_to_f16, demote_f64_to_f32, promote_f16_to_f32,
-    promote_f16_to_f64, promote_f32_to_f64,
-};
 pub use gemm::{gemm, gemm_notrans, shgemm, Trans};
 pub use half::Half;
 pub use potrf::{potrf, PotrfError};

@@ -14,6 +14,7 @@
 use crate::a64fx::{A64fxKernelModel, A64fxNode};
 use crate::profiles::{Correlation, TileFormatProfile};
 use xgs_cholesky::dag::{cholesky_dag, DagOptions, TileMetaSource};
+use xgs_cholesky::grid_shape;
 use xgs_kernels::Precision;
 use xgs_runtime::{simulate, simulate_with_metrics, JsonValue, MetricsReport};
 use xgs_tile::KernelTimeModel;
@@ -194,7 +195,7 @@ pub fn project_with_metrics(cfg: &ScaleConfig) -> (Projection, Option<MetricsRep
         return (project(cfg), None);
     }
     let profile = cfg.profile();
-    let (p, q) = process_grid(cfg.nodes);
+    let (p, q) = grid_shape(cfg.nodes);
     let opts = DagOptions {
         nt,
         nb: cfg.nb,
@@ -227,16 +228,8 @@ pub fn project_with_metrics(cfg: &ScaleConfig) -> (Projection, Option<MetricsRep
     (projection, Some(metrics))
 }
 
-fn process_grid(nodes: usize) -> (usize, usize) {
-    let mut p = (nodes as f64).sqrt() as usize;
-    while p > 1 && !nodes.is_multiple_of(p) {
-        p -= 1;
-    }
-    (p.max(1), nodes / p.max(1))
-}
-
 fn event_makespan(cfg: &ScaleConfig, profile: &TileFormatProfile, nt: usize) -> (f64, f64) {
-    let (p, q) = process_grid(cfg.nodes);
+    let (p, q) = grid_shape(cfg.nodes);
     let opts = DagOptions {
         nt,
         nb: cfg.nb,
@@ -345,7 +338,7 @@ mod tests {
     #[test]
     fn process_grid_factors_exactly() {
         for nodes in [1, 2, 16, 1024, 2048, 48384] {
-            let (p, q) = process_grid(nodes);
+            let (p, q) = grid_shape(nodes);
             assert_eq!(p * q, nodes, "grid for {nodes}");
             assert!(p <= q);
         }

@@ -66,7 +66,8 @@ pub struct LoadRequest {
     pub family: ModelFamily,
     pub theta: Vec<f64>,
     pub variant: Variant,
-    /// Tile size; 0 picks the CLI's default heuristic.
+    /// Tile size; 0 picks [`xgs_tile::TlrConfig::default_tile_size`], as
+    /// the CLI does.
     pub tile: usize,
     pub locs: Vec<Location>,
     pub z: Vec<f64>,

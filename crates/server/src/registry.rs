@@ -142,7 +142,9 @@ impl ModelRegistry {
 /// Factorize Σ(θ) for a dataset and wrap everything a query needs into a
 /// cached [`PredictionPlan`]. Returns the plan and the log-likelihood at θ
 /// (a cheap by-product of the factorization, reported to the client as a
-/// sanity check on the loaded model). `workers = 0` lets the runtime pick.
+/// sanity check on the loaded model). `tile = 0` picks
+/// [`TlrConfig::default_tile_size`]; `workers` follows
+/// [`FactorEngine::from_workers`].
 pub fn build_plan(
     family: ModelFamily,
     theta: &[f64],
@@ -152,26 +154,28 @@ pub fn build_plan(
     z: &[f64],
     workers: usize,
 ) -> Result<(Arc<PredictionPlan>, f64), String> {
+    let cfg = load_config(variant, tile, locs.len());
     build_plan_engine(
         family,
         theta,
-        variant,
-        tile,
+        &cfg,
         locs,
         z,
         &FactorEngine::from_workers(workers),
     )
 }
 
-/// [`build_plan`] on an explicit [`FactorEngine`] — the sharded engine fans
-/// the factorization out to worker processes. Any engine failure
-/// (indefinite Σ, lost worker, deadline) maps to an `Err(String)` so the
-/// caller answers `ok:false` and never caches a half-built plan.
+/// [`build_plan`] under the caller's full [`TlrConfig`] (precision rule
+/// included) on an explicit [`FactorEngine`] — the sharded engine fans
+/// the factorization out to worker processes. The structure decision uses
+/// [`FlopKernelModel::for_tile`], as every other entry point does. Any
+/// engine failure (indefinite Σ, lost worker, deadline) maps to an
+/// `Err(String)` so the caller answers `ok:false` and never caches a
+/// half-built plan.
 pub fn build_plan_engine(
     family: ModelFamily,
     theta: &[f64],
-    variant: Variant,
-    tile: usize,
+    cfg: &TlrConfig,
     locs: Vec<Location>,
     z: &[f64],
     engine: &FactorEngine,
@@ -179,16 +183,9 @@ pub fn build_plan_engine(
     family
         .check_domain(theta)
         .map_err(|e| format!("theta {e}"))?;
-    let n = locs.len();
-    let nb = if tile == 0 {
-        (n / 10).clamp(32, 512)
-    } else {
-        tile
-    };
-    let cfg = TlrConfig::new(variant, nb);
-    let model = FlopKernelModel::default();
+    let model = FlopKernelModel::for_tile(cfg.tile_size);
     let kernel: Arc<dyn xgs_covariance::CovarianceKernel> = Arc::from(family.kernel(theta));
-    let rep = log_likelihood_engine(kernel.as_ref(), &locs, z, &cfg, &model, engine)
+    let rep = log_likelihood_engine(kernel.as_ref(), &locs, z, cfg, &model, engine)
         .map_err(|e| format!("factorization failed: {e}"))?;
     let plan = PredictionPlan::new(kernel, Arc::from(locs), z, rep.factor);
     Ok((Arc::new(plan), rep.llh))
@@ -202,12 +199,21 @@ pub fn build_plan_from_request(
     build_plan_engine(
         req.family,
         &req.theta,
-        req.variant,
-        req.tile,
+        &load_config(req.variant, req.tile, req.locs.len()),
         req.locs.clone(),
         &req.z,
         engine,
     )
+}
+
+/// The tiled representation of a `load`: the variant's paper defaults,
+/// with `tile = 0` meaning the default tile for `n` sites.
+fn load_config(variant: Variant, tile: usize, n: usize) -> TlrConfig {
+    let nb = match tile {
+        0 => TlrConfig::default_tile_size(n),
+        nb => nb,
+    };
+    TlrConfig::new(variant, nb)
 }
 
 #[cfg(test)]

@@ -60,8 +60,8 @@ pub const MAX_LINE_BYTES: usize = 1 << 20;
 /// this limit — so a `"tile":1` beside a few thousand points (a line far
 /// below [`MAX_LINE_BYTES`]) would ask for hundreds of millions of task
 /// closures; it is answered `ok:false` at parse time instead (OOM guard).
-/// An omitted `"tile"` picks `n/10` clamped to 32..=512, ten tiles per
-/// side for any n up to 5,120.
+/// An omitted `"tile"` picks [`xgs_tile::TlrConfig::default_tile_size`]
+/// (`n/10` clamped to 32..=512), ten tiles per side for any n up to 5,120.
 pub const MAX_TILES_PER_SIDE: usize = 64;
 
 /// Most `load` factorizations running at once. Each runs on its own

@@ -151,6 +151,25 @@ impl Default for FlopKernelModel {
     }
 }
 
+impl FlopKernelModel {
+    /// The model every entry point (CLI, server, paper drivers, examples)
+    /// hands the structure decision for tile size `nb`. From `nb` = 512 on
+    /// it is the A64FX calibration of [`FlopKernelModel::default`]; below,
+    /// the memory-bound TLR penalty is dropped, because the calibrated
+    /// crossover (rank ≈ nb/13.5) would keep every demo-size tile dense and
+    /// hide the TLR machinery (DESIGN.md §5a "Demo-scale regimes").
+    pub fn for_tile(nb: usize) -> FlopKernelModel {
+        if nb >= 512 {
+            FlopKernelModel::default()
+        } else {
+            FlopKernelModel {
+                dense_rate: 45.0e9,
+                mem_factor: 1.0,
+            }
+        }
+    }
+}
+
 impl KernelTimeModel for FlopKernelModel {
     fn dense_gemm_time(&self, nb: usize, precision: Precision) -> f64 {
         let flops = 2.0 * (nb as f64).powi(3);
@@ -335,6 +354,22 @@ mod tests {
         }
         let k0 = crossover.expect("crossover must exist");
         assert!(k0 > 16 && k0 < nb, "crossover {k0} out of plausible range");
+    }
+
+    #[test]
+    fn tile_model_switches_to_the_calibration_at_512() {
+        let calibrated = FlopKernelModel::default();
+        for nb in [32, 100, 511] {
+            let m = FlopKernelModel::for_tile(nb);
+            assert_eq!((m.dense_rate, m.mem_factor), (calibrated.dense_rate, 1.0));
+        }
+        for nb in [512, 2700] {
+            let m = FlopKernelModel::for_tile(nb);
+            assert_eq!(
+                (m.dense_rate, m.mem_factor),
+                (calibrated.dense_rate, calibrated.mem_factor)
+            );
+        }
     }
 
     #[test]

@@ -70,6 +70,12 @@ impl TlrConfig {
             precision_rule: PrecisionRule::AdaptiveNorm,
         }
     }
+
+    /// The tile size used when the caller names none: about ten tiles per
+    /// side, clamped to 32..=512.
+    pub fn default_tile_size(n: usize) -> usize {
+        (n / 10).clamp(32, 512)
+    }
 }
 
 /// Symmetric positive definite tiled matrix (lower triangle stored).

@@ -21,12 +21,9 @@ fn main() {
     // Demo tiles are 64 wide (the paper uses 2700, where the calibrated
     // A64FX model yields the Fig. 5 crossover at rank ~200 = nb/13.5). At
     // nb = 64 that crossover is rank ~5, which no real covariance tile
-    // beats, so for the illustration we drop the TLR memory-bound penalty;
-    // paper-scale maps use the calibrated model (see the fig9 bench).
-    let model = FlopKernelModel {
-        dense_rate: 45.0e9,
-        mem_factor: 1.0,
-    };
+    // beats, so the model for this tile size drops the TLR memory-bound
+    // penalty; paper-scale maps use the calibrated model (see the fig9 bench).
+    let model = FlopKernelModel::for_tile(nb);
 
     for (label, range) in [("weak (a=0.01)", 0.01), ("strong (a=0.3)", 0.3)] {
         let kernel = Matern::new(MaternParams::new(1.0, range, 0.5));

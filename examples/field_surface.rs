@@ -27,8 +27,9 @@ fn main() {
 
     // Factor the training covariance once with the adaptive solver.
     let cfg = TlrConfig::new(Variant::MpDense, 100);
-    let model = FlopKernelModel::default();
-    let rep = log_likelihood(&kernel, &obs, &z, &cfg, &model, 0).unwrap();
+    let model = FlopKernelModel::for_tile(cfg.tile_size);
+    let rep =
+        log_likelihood_engine(&kernel, &obs, &z, &cfg, &model, &FactorEngine::Threads(0)).unwrap();
 
     // Regular 40x40 prediction grid.
     let g = 40usize;

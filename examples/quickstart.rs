@@ -23,7 +23,7 @@ fn main() {
 
     // --- 2. Maximum likelihood with the adaptive solver. ------------------
     let cfg = TlrConfig::new(Variant::MpDenseTlr, 100);
-    let model = FlopKernelModel::default();
+    let model = FlopKernelModel::for_tile(cfg.tile_size);
     let fit_opts = FitOptions::default();
     let result = fit(
         ModelFamily::MaternSpace,
@@ -40,8 +40,15 @@ fn main() {
 
     // --- 3. Prediction at the 100 held-out sites. --------------------------
     let kernel = ModelFamily::MaternSpace.kernel(&result.theta);
-    let report = log_likelihood(kernel.as_ref(), &locs[..800], &z[..800], &cfg, &model, 0)
-        .expect("estimate is SPD");
+    let report = log_likelihood_engine(
+        kernel.as_ref(),
+        &locs[..800],
+        &z[..800],
+        &cfg,
+        &model,
+        &fit_opts.engine,
+    )
+    .expect("estimate is SPD");
     let pred = krige(
         kernel.as_ref(),
         &locs[..800],

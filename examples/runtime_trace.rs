@@ -26,15 +26,12 @@ fn build_matrix() -> SymTileMatrix {
     }
     morton_order(&mut locs);
     let kernel = Matern::new(MaternParams::new(1.0, 0.17, 0.5));
-    let model = FlopKernelModel {
-        dense_rate: 45.0e9,
-        mem_factor: 1.0,
-    };
+    let cfg = TlrConfig::new(Variant::MpDenseTlr, 64);
     SymTileMatrix::generate(
         &kernel,
         &locs,
-        TlrConfig::new(Variant::MpDenseTlr, 64),
-        &model,
+        cfg,
+        &FlopKernelModel::for_tile(cfg.tile_size),
     )
 }
 

@@ -46,15 +46,9 @@ fn main() {
     );
     println!("non-separable Gneiting model, truth θ = {truth:?}\n");
 
-    // Demo-size tiles: the calibrated A64FX model's TLR crossover (~nb/13.5)
-    // would keep every small tile dense, which is correct for the hardware
-    // but hides the TLR machinery at reduced scale; drop the memory-bound
-    // penalty so the structure decision engages (paper-scale studies use the
-    // calibrated model in xgs-perfmodel).
-    let model = FlopKernelModel {
-        dense_rate: 45.0e9,
-        mem_factor: 1.0,
-    };
+    // The CLI's kernel-time model at this tile size: at demo-size tiles it
+    // drops the memory-bound TLR penalty so the structure decision engages.
+    let model = FlopKernelModel::for_tile(cfg.tile_size);
     let report = run_pipeline(&cfg, &model);
     println!("{}", report.render(ModelFamily::GneitingSpaceTime));
 

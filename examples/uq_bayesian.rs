@@ -26,7 +26,7 @@ fn main() {
 
     // 1. MLE as the chain start.
     let cfg = TlrConfig::new(Variant::MpDense, 80);
-    let model = FlopKernelModel::default();
+    let model = FlopKernelModel::for_tile(cfg.tile_size);
     let mle = fit(
         ModelFamily::MaternSpace,
         &locs,
@@ -47,7 +47,7 @@ fn main() {
     let opts = McmcOptions {
         iterations: 400,
         burn_in: 100,
-        workers: 0,
+        engine: FactorEngine::Threads(0),
         ..Default::default()
     };
     let post = posterior_sample(

@@ -138,7 +138,7 @@ fn parse_variant(args: &Args) -> Result<Variant, CmdError> {
 }
 
 fn tile_config(args: &Args, variant: Variant, n: usize) -> Result<TlrConfig, CmdError> {
-    let nb = args.usize_or("tile", (n / 10).clamp(32, 512))?;
+    let nb = args.usize_or("tile", TlrConfig::default_tile_size(n))?;
     let mut cfg = TlrConfig::new(variant, nb);
     match args.str_or("precision-rule", "adaptive").as_str() {
         "adaptive" => {}
@@ -200,27 +200,13 @@ fn shard_backend(args: &Args) -> Result<Option<Arc<dyn ShardBackend>>, CmdError>
     }
 }
 
-/// Engine selection shared by `fit`, `predict` and `serve`: sharded when
-/// `--shards` is set, otherwise the `--workers` convention.
+/// Engine selection shared by `fit`, `predict`, `serve` and `bayes`:
+/// sharded when `--shards` is set, otherwise the `--workers` convention.
 fn factor_engine(args: &Args) -> Result<FactorEngine, CmdError> {
     Ok(match shard_backend(args)? {
         Some(backend) => FactorEngine::Sharded(backend),
         None => FactorEngine::from_workers(args.usize_or("workers", 0)?),
     })
-}
-
-/// The kernel-time model used by the CLI: TLR-friendly at small tiles,
-/// calibrated behaviour at paper-scale tiles (the penalty only matters for
-/// the structure decision, see DESIGN.md).
-fn cli_model(nb: usize) -> FlopKernelModel {
-    if nb >= 512 {
-        FlopKernelModel::default()
-    } else {
-        FlopKernelModel {
-            dense_rate: 45.0e9,
-            mem_factor: 1.0,
-        }
-    }
 }
 
 /// `simulate` — synthesize a dataset and write it to CSV.
@@ -274,7 +260,7 @@ pub fn cmd_fit(args: &Args) -> Result<String, CmdError> {
         ds.z.as_ref()
             .ok_or_else(|| CmdError::Run("dataset has no 'z' column to fit".into()))?;
     let cfg = tile_config(args, variant, ds.locs.len())?;
-    let model = cli_model(cfg.tile_size);
+    let model = FlopKernelModel::for_tile(cfg.tile_size);
 
     let max_evals = args.usize_or("max-evals", 200)?;
     let optimizer = match args.str_or("optimizer", "nm").as_str() {
@@ -354,9 +340,15 @@ pub fn cmd_fit(args: &Args) -> Result<String, CmdError> {
     ));
     write_metrics(args, r.metrics.as_ref(), &mut out)?;
     if args.bool("se") {
-        let workers = args.usize_or("workers", 0)?;
         match xgs_core::fisher_information(
-            family, &ds.locs, z, &cfg, &model, &r.theta, 5e-3, workers,
+            family,
+            &ds.locs,
+            z,
+            &cfg,
+            &model,
+            &r.theta,
+            5e-3,
+            &opts.engine,
         ) {
             Ok(fi) => {
                 out.push_str("observed-information standard errors (95% Wald CI):\n");
@@ -385,7 +377,7 @@ pub fn cmd_predict(args: &Args) -> Result<String, CmdError> {
         .ok_or_else(|| ArgError("missing required flag --theta".to_string()))?;
     check_theta(family, &theta, "theta")?;
     let cfg = tile_config(args, variant, train.locs.len())?;
-    let model = cli_model(cfg.tile_size);
+    let model = FlopKernelModel::for_tile(cfg.tile_size);
     let kernel = family.kernel(&theta);
 
     let engine = factor_engine(args)?;
@@ -438,7 +430,7 @@ pub fn cmd_maps(args: &Args) -> Result<String, CmdError> {
         .ok_or_else(|| ArgError("missing required flag --theta".to_string()))?;
     check_theta(family, &theta, "theta")?;
     let cfg = tile_config(args, variant, ds.locs.len())?;
-    let model = cli_model(cfg.tile_size);
+    let model = FlopKernelModel::for_tile(cfg.tile_size);
     let kernel: Box<dyn CovarianceKernel> = family.kernel(&theta);
     let m = SymTileMatrix::generate(kernel.as_ref(), &ds.locs, cfg, &model);
     let map = decision_heatmap(&m);
@@ -535,9 +527,8 @@ pub fn cmd_serve(args: &Args) -> Result<String, CmdError> {
     let n = ds.locs.len();
 
     let engine = factor_engine(args)?;
-    let (plan, llh) =
-        xgs_server::build_plan_engine(family, &theta, variant, cfg.tile_size, ds.locs, z, &engine)
-            .map_err(CmdError::Run)?;
+    let (plan, llh) = xgs_server::build_plan_engine(family, &theta, &cfg, ds.locs, z, &engine)
+        .map_err(CmdError::Run)?;
     let ttl = match args.f64_or("model-ttl", 0.0)? {
         t if t > 0.0 => Some(std::time::Duration::from_secs_f64(t)),
         _ => None,
@@ -599,12 +590,12 @@ pub fn cmd_bayes(args: &Args) -> Result<String, CmdError> {
         .ok_or_else(|| ArgError("missing required flag --start".to_string()))?;
     check_theta(family, &start, "start")?;
     let cfg = tile_config(args, variant, ds.locs.len())?;
-    let model = cli_model(cfg.tile_size);
+    let model = FlopKernelModel::for_tile(cfg.tile_size);
     let opts = McmcOptions {
         iterations: args.usize_or("iterations", 500)?,
         burn_in: args.usize_or("burn-in", 100)?,
         seed: args.usize_or("seed", 0xBA7E5)? as u64,
-        workers: args.usize_or("workers", 0)?,
+        engine: factor_engine(args)?,
         ..Default::default()
     };
     let r = posterior_sample(family, &ds.locs, z, &cfg, &model, &start, &opts)
@@ -764,6 +755,129 @@ mod tests {
             .unwrap();
         // 40 predicts + loadgen's metrics fetch + shutdown op.
         assert!(m.tasks >= 42, "served {} requests", m.tasks);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// One request line to a `serve` on `addr`, retried until the server
+    /// has factored its first model and accepts; the reply as JSON.
+    fn request(addr: &str, line: &str) -> xgs_runtime::JsonValue {
+        use std::io::{BufRead, BufReader, Write};
+        use std::time::{Duration, Instant};
+        let deadline = Instant::now() + Duration::from_secs(120);
+        let mut stream = loop {
+            match std::net::TcpStream::connect(addr) {
+                Ok(s) => break s,
+                Err(_) if Instant::now() < deadline => {
+                    std::thread::sleep(Duration::from_millis(20))
+                }
+                Err(e) => panic!("serve never accepted on {addr}: {e}"),
+            }
+        };
+        writeln!(stream, "{line}").unwrap();
+        let mut reply = String::new();
+        BufReader::new(stream).read_line(&mut reply).unwrap();
+        let v = xgs_runtime::parse_json(&reply).unwrap();
+        assert_eq!(v.get("ok").and_then(|o| o.as_bool()), Some(true), "{reply}");
+        v
+    }
+
+    fn floats(v: &xgs_runtime::JsonValue, key: &str) -> Vec<f64> {
+        let items = v.get(key).and_then(|a| a.as_array()).unwrap();
+        items.iter().map(|x| x.as_f64().unwrap()).collect()
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// `predict` and `serve` factor Σ(θ) the same way — one tile rule, one
+    /// kernel-time model, the caller's precision rule — so a served
+    /// prediction is bitwise the one `predict` writes, and a `load` of the
+    /// same data reports `predict`'s likelihood. CSV and the wire both
+    /// print shortest round-trip floats, so bits compare.
+    #[test]
+    fn serve_and_predict_factor_the_same_model() {
+        let dir = std::env::temp_dir().join(format!("xgs-parity-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+        let (data, targets, out) = (path("data.csv"), path("targets.csv"), path("pred.csv"));
+        for (n, seed, file) in [(600, 21, &data), (40, 22, &targets)] {
+            run(&argv(&format!(
+                "simulate --n {n} --domain 8 --params 1.0,0.1,0.5 --seed {seed} --out {file}"
+            )))
+            .unwrap();
+        }
+        let train = io::load(&data).unwrap();
+        let coords = |locs: &[xgs_covariance::Location]| {
+            let pts: Vec<String> = locs.iter().map(|l| format!("[{},{}]", l.x, l.y)).collect();
+            pts.join(",")
+        };
+        let points = coords(&io::load(&targets).unwrap().locs);
+        let z: Vec<String> = train.z.unwrap().iter().map(f64::to_string).collect();
+        let reload = format!(
+            "{{\"op\":\"load\",\"name\":\"again\",\"variant\":\"mp-tlr\",\
+             \"theta\":[1.0,0.1,0.5],\"locs\":[{}],\"z\":[{}]}}",
+            coords(&train.locs),
+            z.join(",")
+        );
+
+        for (row, flags) in [
+            "--variant mp-tlr",
+            "--variant mp --precision-rule band --f64-band 1 --f32-band 1",
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let printed = run(&argv(&format!(
+                "predict --data {data} --targets {targets} --theta 1.0,0.1,0.5 {flags} \
+                 --uncertainty --out {out}"
+            )))
+            .unwrap();
+            let llh = printed.split("llh at θ: ").nth(1).unwrap();
+            let llh = llh.split(')').next().unwrap().to_string();
+            let csv: Vec<Vec<f64>> = std::fs::read_to_string(&out)
+                .unwrap()
+                .lines()
+                .skip(1)
+                .map(|l| l.split(',').map(|v| v.parse().unwrap()).collect())
+                .collect();
+            let want_mean: Vec<f64> = csv.iter().map(|r| r[2]).collect();
+            let want_var: Vec<f64> = csv.iter().map(|r| r[3]).collect();
+
+            let port = 21000 + 2 * (std::process::id() % 5000) as usize + row;
+            let addr = format!("127.0.0.1:{port}");
+            let server = {
+                let cmd = format!(
+                    "serve --data {data} --theta 1.0,0.1,0.5 {flags} --addr {addr} --solvers 1"
+                );
+                std::thread::spawn(move || run(&argv(&cmd)))
+            };
+            let predict = |model: &str| {
+                let reply = request(
+                    &addr,
+                    &format!(
+                        "{{\"op\":\"predict\",\"model\":\"{model}\",\"points\":[{points}],\
+                         \"uncertainty\":true}}"
+                    ),
+                );
+                (floats(&reply, "mean"), floats(&reply, "uncertainty"))
+            };
+            let (mean, var) = predict("default");
+            assert_eq!(bits(&mean), bits(&want_mean), "{flags}: means");
+            assert_eq!(bits(&var), bits(&want_var), "{flags}: variances");
+            if row == 0 {
+                // The same data as a `load` with the tile left to the server.
+                let loaded = request(&addr, &reload);
+                let loaded_llh = loaded.get("llh").and_then(|l| l.as_f64()).unwrap();
+                assert_eq!(format!("{loaded_llh:.4}"), llh, "{flags}: load llh");
+                let (mean, var) = predict("again");
+                assert_eq!(bits(&mean), bits(&want_mean), "{flags}: loaded means");
+                assert_eq!(bits(&var), bits(&want_var), "{flags}: loaded variances");
+            }
+            request(&addr, "{\"op\":\"shutdown\"}");
+            let drained = server.join().unwrap().unwrap();
+            assert!(drained.contains("server drained"), "{drained}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

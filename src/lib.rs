@@ -22,8 +22,9 @@
 //! // 2. Evaluate the Gaussian log-likelihood through the adaptive
 //! //    mixed-precision + TLR tile Cholesky.
 //! let cfg = TlrConfig::new(Variant::MpDenseTlr, 100);
-//! let model = FlopKernelModel::default();
-//! let report = log_likelihood(&truth, &locs, &z, &cfg, &model, 1).unwrap();
+//! let model = FlopKernelModel::for_tile(cfg.tile_size);
+//! let engine = FactorEngine::Sequential;
+//! let report = log_likelihood_engine(&truth, &locs, &z, &cfg, &model, &engine).unwrap();
 //! assert!(report.llh.is_finite());
 //!
 //! // 3. Krige held-out points with uncertainty, reusing the factor.
@@ -61,9 +62,9 @@ pub use xgs_tile as tile;
 pub mod prelude {
     pub use xgs_cholesky::{logdet, solve_lower, solve_lower_transpose, TiledFactor};
     pub use xgs_core::{
-        fit, krige, log_likelihood, mspe, nelder_mead, particle_swarm, run_pipeline,
-        simulate_field, simulate_fields, solve_weights, FitOptions, ModelFamily, PipelineConfig,
-        PredictionPlan,
+        fit, krige, log_likelihood_engine, mspe, nelder_mead, particle_swarm, run_pipeline,
+        simulate_field, simulate_fields, solve_weights, FactorEngine, FitOptions, ModelFamily,
+        PipelineConfig, PredictionPlan,
     };
     pub use xgs_covariance::{
         bessel_k, jittered_grid, matern_correlation, morton_order, spacetime_grid,

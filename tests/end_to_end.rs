@@ -38,7 +38,9 @@ fn three_variants_agree_on_likelihood_and_prediction() {
     let mut errs = Vec::new();
     for variant in [Variant::DenseF64, Variant::MpDense, Variant::MpDenseTlr] {
         let cfg = TlrConfig::new(variant, 75);
-        let rep = log_likelihood(&kernel, train, ztr, &cfg, &model, 0).unwrap();
+        let rep =
+            log_likelihood_engine(&kernel, train, ztr, &cfg, &model, &FactorEngine::Threads(0))
+                .unwrap();
         let pred = krige(&kernel, train, ztr, &rep.factor, test, false);
         llhs.push(rep.llh);
         errs.push(mspe(&pred.mean, zte));
@@ -64,8 +66,10 @@ fn parallel_runtime_bitwise_matches_sequential_through_full_pipeline() {
     let kernel = Matern::new(truth);
     let cfg = TlrConfig::new(Variant::MpDenseTlr, 50);
     let model = tlr_model();
-    let seq = log_likelihood(&kernel, &locs, &z, &cfg, &model, 1).unwrap();
-    let par = log_likelihood(&kernel, &locs, &z, &cfg, &model, 6).unwrap();
+    let seq =
+        log_likelihood_engine(&kernel, &locs, &z, &cfg, &model, &FactorEngine::Sequential).unwrap();
+    let par =
+        log_likelihood_engine(&kernel, &locs, &z, &cfg, &model, &FactorEngine::Threads(6)).unwrap();
     assert_eq!(seq.llh, par.llh);
     assert_eq!(seq.logdet, par.logdet);
     assert_eq!(seq.quad, par.quad);
@@ -119,7 +123,15 @@ fn spacetime_model_fits_and_predicts() {
     let (train, test) = locs.split_at(480);
     let (ztr, zte) = z.split_at(480);
     let cfg = TlrConfig::new(Variant::MpDense, 60);
-    let rep = log_likelihood(&kernel, train, ztr, &cfg, &tlr_model(), 0).unwrap();
+    let rep = log_likelihood_engine(
+        &kernel,
+        train,
+        ztr,
+        &cfg,
+        &tlr_model(),
+        &FactorEngine::Threads(0),
+    )
+    .unwrap();
     assert!(rep.llh.is_finite());
     let pred = krige(&kernel, train, ztr, &rep.factor, test, true);
     let err = mspe(&pred.mean, zte);
@@ -140,7 +152,15 @@ fn conversion_counters_observe_mixed_precision_traffic() {
     let kernel = Matern::new(truth);
     xgs_runtime::reset_conversion_counts();
     let cfg = TlrConfig::new(Variant::MpDense, 32);
-    let _ = log_likelihood(&kernel, &locs, &z, &cfg, &tlr_model(), 1).unwrap();
+    let _ = log_likelihood_engine(
+        &kernel,
+        &locs,
+        &z,
+        &cfg,
+        &tlr_model(),
+        &FactorEngine::Sequential,
+    )
+    .unwrap();
     let counts = xgs_runtime::conversion_counts();
     assert!(
         counts.total() > 0,
@@ -193,6 +213,13 @@ fn factorization_failure_surfaces_as_error_not_panic() {
     let kernel = Matern::new(MaternParams::new(1.0, 0.1, 0.5));
     let z = vec![0.0; dup.len()];
     let cfg = TlrConfig::new(Variant::DenseF64, 100);
-    let res = log_likelihood(&kernel, &dup, &z, &cfg, &tlr_model(), 1);
+    let res = log_likelihood_engine(
+        &kernel,
+        &dup,
+        &z,
+        &cfg,
+        &tlr_model(),
+        &FactorEngine::Sequential,
+    );
     assert!(res.is_err(), "singular covariance must fail cleanly");
 }

@@ -172,7 +172,7 @@ proptest! {
         let kernel = Matern::new(MaternParams::new(sigma2, range, nu));
         let z = simulate_field(&kernel, &locs, seed);
         let cfg = TlrConfig::new(Variant::DenseF64, 64);
-        let got = log_likelihood(&kernel, &locs, &z, &cfg, &FlopKernelModel::default(), 1)
+        let got = log_likelihood_engine(&kernel, &locs, &z, &cfg, &FlopKernelModel::default(), &FactorEngine::Sequential)
             .unwrap()
             .llh;
 
