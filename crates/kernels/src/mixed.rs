@@ -16,6 +16,23 @@
 //! their tiles and nothing is allocated per call. Element by element the
 //! arithmetic is that of "copy, demote, trim, run the `f32` kernel, copy
 //! back, round", which the Cholesky crate keeps as a test oracle.
+//!
+//! **Flush contract.** The `f32` region — the FP32/FP16 arms of [`gemm`]
+//! and the solve both TRSMs share — runs under flush-to-zero with
+//! denormals-are-zero (`simd::flush_to_zero`, MXCSR on x86-64), the
+//! caller's mode restored on return and on unwind. Far-field covariances
+//! of 1e-13…1e-36 demoted to `f32` have products below `f32::MIN_POSITIVE`,
+//! and each FMA that writes a subnormal takes a microcode assist; flushed,
+//! such a product, a demoted operand or a receiver entry below the normal
+//! range is zero. So an FP32/FP16 receiver never holds an `f32` subnormal,
+//! and results differ from gradual underflow only where an `f32`
+//! intermediate was subnormal (FP16 receivers, whose operands binary16
+//! already rounds to zero that far down, do not change at all). Zeroing
+//! small operands while packing would not do: two normal `1e-20` operands
+//! already make a subnormal product. The FP64 arms, and every kernel
+//! outside this module (`xgs_kernels::gemm::<f32>` included), keep IEEE
+//! gradual underflow. Every engine calls these same kernels on whatever
+//! thread runs the task, so the flush never tells two engines apart.
 
 use crate::gemm::{gemm_fed, load_each, Feed, Trans};
 use crate::simd::{self, Avx2};
@@ -73,7 +90,7 @@ pub(crate) fn round_through_half(simd: Option<Avx2>, buf: &mut [f64]) {
 }
 
 /// `C <- C + alpha * op(A) * op(B)` at the precision `storage` of the
-/// receiver `C`.
+/// receiver `C`; FP32/FP16 receivers under flush-to-zero.
 #[allow(clippy::too_many_arguments)]
 pub fn gemm(
     storage: Precision,
@@ -92,36 +109,40 @@ pub fn gemm(
 ) {
     match storage {
         Precision::F64 => crate::gemm(transa, transb, m, n, k, alpha, a, lda, b, ldb, 1.0, c, ldc),
-        Precision::F32 => gemm_fed::<Demoted>(
-            transa,
-            transb,
-            m,
-            n,
-            k,
-            alpha as f32,
-            a,
-            lda,
-            b,
-            ldb,
-            1.0,
-            c,
-            ldc,
-        ),
-        Precision::F16 => gemm_fed::<Trimmed>(
-            transa,
-            transb,
-            m,
-            n,
-            k,
-            alpha as f32,
-            a,
-            lda,
-            b,
-            ldb,
-            1.0,
-            c,
-            ldc,
-        ),
+        Precision::F32 => simd::flush_to_zero(|| {
+            gemm_fed::<Demoted>(
+                transa,
+                transb,
+                m,
+                n,
+                k,
+                alpha as f32,
+                a,
+                lda,
+                b,
+                ldb,
+                1.0,
+                c,
+                ldc,
+            )
+        }),
+        Precision::F16 => simd::flush_to_zero(|| {
+            gemm_fed::<Trimmed>(
+                transa,
+                transb,
+                m,
+                n,
+                k,
+                alpha as f32,
+                a,
+                lda,
+                b,
+                ldb,
+                1.0,
+                c,
+                ldc,
+            )
+        }),
     }
 }
 
@@ -172,8 +193,9 @@ pub fn trsm_left_lower_notrans(
 /// Demote the order-`order` triangle `l` and the `rows x cols` panel `b`
 /// into this worker's scratch (trimming through binary16 when `trim`), run
 /// `solve` on the dense `f32` copies, and widen the panel back into `b`
-/// (rounding through binary16 when `round16`). The scratch is grow-only
-/// and separate from GEMM's pack buffers, which `solve` uses.
+/// (rounding through binary16 when `round16`), all under flush-to-zero.
+/// The scratch is grow-only and separate from GEMM's pack buffers, which
+/// `solve` uses.
 #[allow(clippy::too_many_arguments)]
 fn solve_f32(
     trim: bool,
@@ -194,40 +216,42 @@ fn solve_f32(
     if order == 0 || rows == 0 || cols == 0 {
         return;
     }
-    SCRATCH.with(|scratch| {
-        let mut scratch = scratch.borrow_mut();
-        let need = order * order + rows * cols;
-        if scratch.len() < need {
-            scratch.resize(need, 0.0);
-        }
-        let (lf, bf) = scratch[..need].split_at_mut(order * order);
-        simd::dispatch(
-            #[inline(always)]
-            |s| {
-                if trim {
-                    Trimmed::operand(s, l, order, order, ldl, lf);
-                    Trimmed::operand(s, b, rows, cols, ldb, bf);
-                } else {
-                    Demoted::operand(s, l, order, order, ldl, lf);
-                    Demoted::operand(s, b, rows, cols, ldb, bf);
-                }
-            },
-        );
-        solve(lf, bf);
-        simd::dispatch(
-            #[inline(always)]
-            |s| {
-                for (bcol, fcol) in b.chunks_mut(ldb).zip(bf.chunks_exact(rows)) {
-                    let bcol = &mut bcol[..rows];
-                    for (d, x) in bcol.iter_mut().zip(fcol) {
-                        *d = *x as f64;
+    simd::flush_to_zero(|| {
+        SCRATCH.with(|scratch| {
+            let mut scratch = scratch.borrow_mut();
+            let need = order * order + rows * cols;
+            if scratch.len() < need {
+                scratch.resize(need, 0.0);
+            }
+            let (lf, bf) = scratch[..need].split_at_mut(order * order);
+            simd::dispatch(
+                #[inline(always)]
+                |s| {
+                    if trim {
+                        Trimmed::operand(s, l, order, order, ldl, lf);
+                        Trimmed::operand(s, b, rows, cols, ldb, bf);
+                    } else {
+                        Demoted::operand(s, l, order, order, ldl, lf);
+                        Demoted::operand(s, b, rows, cols, ldb, bf);
                     }
-                    if round16 {
-                        round_through_half(s, bcol);
+                },
+            );
+            solve(lf, bf);
+            simd::dispatch(
+                #[inline(always)]
+                |s| {
+                    for (bcol, fcol) in b.chunks_mut(ldb).zip(bf.chunks_exact(rows)) {
+                        let bcol = &mut bcol[..rows];
+                        for (d, x) in bcol.iter_mut().zip(fcol) {
+                            *d = *x as f64;
+                        }
+                        if round16 {
+                            round_through_half(s, bcol);
+                        }
                     }
-                }
-            },
-        );
+                },
+            );
+        })
     });
 }
 
@@ -249,43 +273,98 @@ mod tests {
             .collect()
     }
 
+    fn scaled(seed: u64, len: usize, by: f64) -> Vec<f64> {
+        fill(len, seed).into_iter().map(|x| x * by).collect()
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
     /// The conversions fused into packing and write-back — `vcvtpd2ps`,
     /// F16C — against their scalar and software forms, through the whole
-    /// kernel: blocked with edge panels and two KC blocks, and naive.
+    /// kernel: blocked with edge panels and two KC blocks, and naive. Both
+    /// sides run under flush-to-zero, as [`gemm`] runs them, and equal what
+    /// [`gemm`] computes. Operands come O(1) and scaled by 1e-20, where
+    /// every product is below `f32::MIN_POSITIVE`, against a C of O(1)
+    /// values and one of 1e-37 values (some f32 subnormals as stored):
+    /// then no receiver entry is subnormal, and on the O(1) C the update
+    /// changes nothing. This pins the flush on any CPU.
     fn seam_is_bitwise_invisible<F: Feed<T = f32, Src = f64, Dst = f64>>(storage: Precision) {
         for &(m, n, k) in &[(131, 67, 259), (100, 100, 100), (12, 10, 300), (13, 7, 9)] {
             let (lda, ldb, ldc) = (m + 3, n + 1, m + 2);
-            let a = fill(lda * k, 80);
-            let b = fill(ldb * k, 81);
-            // C holds values of its storage format, as a tile does.
-            let mut c = fill(ldc * n, 82);
-            crate::convert::round_through(&mut c, storage);
-            let Some((plain, fast)) = on_both_sides_of_the_seam::<F>(
-                Trans::No,
-                Trans::Yes,
-                m,
-                n,
-                k,
-                -1.0,
-                &a,
-                lda,
-                &b,
-                ldb,
-                &c,
-                ldc,
-            ) else {
-                return; // no fast side on this CPU
-            };
-            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&plain), bits(&fast), "{storage:?} ({m},{n},{k})");
-            // The receiver's invariant survives the update.
-            let mut again = fast.clone();
-            crate::convert::round_through(&mut again, storage);
-            assert_eq!(
-                bits(&again),
-                bits(&fast),
-                "{storage:?} result not representable"
-            );
+            for (by, c_by) in [(1.0, 1.0), (1e-20, 1.0), (1e-20, 1e-37)] {
+                let a = scaled(80, lda * k, by);
+                let b = scaled(81, ldb * k, by);
+                // C holds values of its storage format, as a tile does.
+                let mut c = scaled(82, ldc * n, c_by);
+                crate::convert::round_through(&mut c, storage);
+                let context = format!("{storage:?} ({m},{n},{k}) operands x{by:e}, C x{c_by:e}");
+                let mut public = c.clone();
+                gemm(
+                    storage,
+                    Trans::No,
+                    Trans::Yes,
+                    m,
+                    n,
+                    k,
+                    -1.0,
+                    &a,
+                    lda,
+                    &b,
+                    ldb,
+                    &mut public,
+                    ldc,
+                );
+                let sides = simd::flush_to_zero(|| {
+                    on_both_sides_of_the_seam::<F>(
+                        Trans::No,
+                        Trans::Yes,
+                        m,
+                        n,
+                        k,
+                        -1.0,
+                        &a,
+                        lda,
+                        &b,
+                        ldb,
+                        &c,
+                        ldc,
+                    )
+                });
+                // `None`: no fast side on this CPU.
+                if let Some((plain, fast)) = sides {
+                    assert_eq!(bits(&plain), bits(&fast), "{context}");
+                    assert_eq!(
+                        bits(&fast),
+                        bits(&public),
+                        "{context}: not what gemm computes"
+                    );
+                }
+                // The receiver's invariant survives the update.
+                let mut again = public.clone();
+                crate::convert::round_through(&mut again, storage);
+                assert_eq!(
+                    bits(&again),
+                    bits(&public),
+                    "{context}: result not representable"
+                );
+                for (j, col) in public.chunks(ldc).enumerate() {
+                    for (i, x) in col[..m].iter().enumerate() {
+                        assert!(
+                            !(*x as f32).is_subnormal(),
+                            "{context}: C[{i},{j}] = {x:e} is an f32 subnormal"
+                        );
+                    }
+                }
+                if by < 1.0 && c_by == 1.0 {
+                    assert_eq!(
+                        bits(&public),
+                        bits(&c),
+                        "{context}: underflowed products moved C"
+                    );
+                }
+            }
         }
     }
 
@@ -304,5 +383,122 @@ mod tests {
         let half = |x: f64| crate::Half::from_f64(x).to_f64();
         per_column_is_independent_of_n::<Demoted>(|x| x, |x| x as f32 as f64);
         per_column_is_independent_of_n::<Trimmed>(|x| x, half);
+    }
+
+    /// The flush ends with the f32 region. After `gemm` (FP32, FP16) and
+    /// both TRSMs (FP32) return, this thread has gradual underflow again,
+    /// in `f32` and in an f64 `crate::gemm` whose results are f64
+    /// subnormals: it computes the bits of a thread that never flushed.
+    /// The TRSMs, on right-hand sides whose solutions lie mostly in f32's
+    /// subnormal range, show they ran flushed.
+    #[test]
+    fn f32_region_leaves_the_caller_with_gradual_underflow() {
+        let n = 60;
+        let (a, b) = (scaled(1, n * n, 1e-160), scaled(2, n * n, 1e-160));
+        let f64_gemm = move || {
+            let mut c = vec![0.0; n * n];
+            crate::gemm(
+                Trans::No,
+                Trans::Yes,
+                n,
+                n,
+                n,
+                1.0,
+                &a,
+                n,
+                &b,
+                n,
+                0.0,
+                &mut c,
+                n,
+            );
+            c
+        };
+        let unflushed = std::thread::spawn(f64_gemm.clone()).join().unwrap();
+        assert!(
+            unflushed.iter().any(|x| x.is_subnormal()),
+            "f64 products must underflow"
+        );
+
+        let mut c = fill(n * n, 3);
+        for storage in [Precision::F32, Precision::F16] {
+            gemm(
+                storage,
+                Trans::No,
+                Trans::Yes,
+                n,
+                n,
+                n,
+                -1.0,
+                &fill(n * n, 4),
+                n,
+                &fill(n * n, 5),
+                n,
+                &mut c,
+                n,
+            );
+        }
+        let mut l = fill(n * n, 6);
+        for j in 0..n {
+            l[j + j * n] = n as f64;
+        }
+        let mut right = scaled(7, n * n, 1e-37);
+        trsm_right_lower_trans(Precision::F32, n, n, &l, n, &mut right, n);
+        let mut left = scaled(8, n * n, 1e-37);
+        trsm_left_lower_notrans(Precision::F32, n, n, &l, n, &mut left, n);
+        for x in right.iter().chain(&left) {
+            assert!(!(*x as f32).is_subnormal(), "TRSM left {x:e} unflushed");
+        }
+
+        let half_min = std::hint::black_box(f32::MIN_POSITIVE) / 2.0;
+        assert_eq!(half_min.to_bits(), 0x0040_0000, "f32 flushed after return");
+        assert_eq!(
+            bits(&f64_gemm()),
+            bits(&unflushed),
+            "f64 flushed after return"
+        );
+    }
+
+    /// The tripwire for a lost flush: an FP32 update whose every product is
+    /// an f32 subnormal runs within 4× of the same update on O(1) operands,
+    /// best of 20 each, interleaved. Under gradual underflow each such FMA
+    /// takes a microcode assist on x86 and the ratio is about 130; on a CPU
+    /// without the assist it passes either way. Release only, where the
+    /// kernel runs at speed.
+    #[cfg(not(debug_assertions))]
+    #[test]
+    fn subnormal_products_cost_what_normal_ones_cost() {
+        use std::time::{Duration, Instant};
+        let n = 100;
+        let time = |by: f64| {
+            let (a, b) = (scaled(90, n * n, by), scaled(91, n * n, by));
+            let mut c = vec![0.0; n * n];
+            let start = Instant::now();
+            gemm(
+                Precision::F32,
+                Trans::No,
+                Trans::Yes,
+                n,
+                n,
+                n,
+                -1.0,
+                &a,
+                n,
+                &b,
+                n,
+                &mut c,
+                n,
+            );
+            start.elapsed()
+        };
+        let (mut normal, mut subnormal) = (Duration::MAX, Duration::MAX);
+        for _ in 0..20 {
+            normal = normal.min(time(1.0));
+            subnormal = subnormal.min(time(1e-20));
+        }
+        assert!(
+            subnormal <= normal * 4,
+            "1e-20-scaled operands took {subnormal:?}, O(1) ones {normal:?}"
+        );
     }
 }

@@ -19,6 +19,10 @@
 //! baseline features it was compiled with), and closures handed to
 //! [`dispatch`]/[`Avx2::run`] carry the same attribute.
 //!
+//! The other piece of machine state a kernel may need is the FP control
+//! register: [`flush_to_zero`] runs the mixed-precision f32 region with
+//! subnormals flushed, and puts the caller's mode back.
+//!
 //! All of the crate's `unsafe` lives in this file.
 
 use crate::half::Half;
@@ -108,6 +112,32 @@ pub fn dispatch<R>(body: impl FnOnce(Option<Avx2>) -> R) -> R {
     }
 }
 
+/// Run `body` with flush-to-zero and denormals-are-zero set for the
+/// calling thread: every subnormal operand reads as zero and every
+/// subnormal result is written as zero, in `f32` and `f64` alike. The
+/// caller's mode comes back when `body` returns or unwinds, so nothing
+/// outside `body` sees the flush. Off x86-64 it only calls `body`.
+///
+/// An f32 FMA whose result is subnormal takes a microcode assist on x86
+/// (about 130× the cost of a normal one in the packed GEMM), and zeroing
+/// small operands cannot avoid it: two normal `1e-20` operands already
+/// make a subnormal product. So the flag must be the control register's.
+///
+/// Out of line, so that none of the caller's arithmetic shares a function
+/// with the two register writes; `body` is an out-of-line call between
+/// them (see `x86::Mxcsr::write` for why that keeps its arithmetic inside).
+#[inline(never)]
+pub fn flush_to_zero<R>(body: impl FnOnce() -> R) -> R {
+    #[cfg(target_arch = "x86_64")]
+    let _restore = x86::Mxcsr::flush();
+    out_of_line(body)
+}
+
+#[inline(never)]
+fn out_of_line<R>(body: impl FnOnce() -> R) -> R {
+    body()
+}
+
 /// Software binary16 round trip of one `f32` — what F16C does eight at a
 /// time, and the tail of every vector loop below.
 #[inline(always)]
@@ -188,6 +218,67 @@ mod x86 {
             // SAFETY: features proven by `self`; the loop stays in `buf`.
             // xgs-lint: allow(no-unjustified-unsafe): token-guarded target_feature call on one in-bounds slice
             unsafe { round_through_half(buf) }
+        }
+    }
+
+    /// The caller's MXCSR, written back on drop — on return and on unwind.
+    pub struct Mxcsr(u32);
+
+    impl Mxcsr {
+        /// Flush-to-zero (bit 15) and denormals-are-zero (bit 6).
+        const FTZ_DAZ: u32 = 1 << 15 | 1 << 6;
+
+        /// Set FTZ and DAZ on this thread; the returned guard restores.
+        #[inline(always)]
+        pub fn flush() -> Mxcsr {
+            let saved = Mxcsr::read();
+            Mxcsr::write(saved | Mxcsr::FTZ_DAZ);
+            Mxcsr(saved)
+        }
+
+        #[inline(always)]
+        fn read() -> u32 {
+            let mut csr = 0u32;
+            // SAFETY: `stmxcsr` stores the 4-byte register into `csr`, a
+            // live, aligned local; it touches nothing else.
+            // xgs-lint: allow(no-unjustified-unsafe): asm store of MXCSR into a local; _mm_getcsr is deprecated for asm
+            unsafe {
+                std::arch::asm!(
+                    "stmxcsr [{}]",
+                    in(reg) std::ptr::addr_of_mut!(csr),
+                    options(nostack, preserves_flags),
+                )
+            };
+            csr
+        }
+
+        #[inline(always)]
+        fn write(csr: u32) {
+            // SAFETY: `ldmxcsr` loads 4 bytes from `csr`, a live local. The
+            // value is one `stmxcsr` produced, with at most FTZ and DAZ
+            // added — bits every x86-64 CPU implements — so no reserved bit
+            // is set and the load cannot fault. The changed mode is seen
+            // only by the code between the two writes, which
+            // `flush_to_zero` makes one `#[inline(never)]` call: the
+            // compiler cannot move that call's operand loads above the
+            // first `asm!` nor its stores below the second, because an
+            // `asm!` without `nomem` may read and write any memory, and no
+            // FP operation of the caller is in the same function. So no FP
+            // operation crosses the boundary in either direction.
+            // xgs-lint: allow(no-unjustified-unsafe): asm load of MXCSR from a local; _mm_setcsr is deprecated for asm
+            unsafe {
+                std::arch::asm!(
+                    "ldmxcsr [{}]",
+                    in(reg) std::ptr::addr_of!(csr),
+                    options(nostack, preserves_flags),
+                )
+            };
+        }
+    }
+
+    impl Drop for Mxcsr {
+        fn drop(&mut self) {
+            Mxcsr::write(self.0);
         }
     }
 
@@ -337,6 +428,32 @@ impl Avx2 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::hint::black_box;
+
+    /// Half the smallest normal `f32`: `0x0040_0000` under gradual
+    /// underflow, zero under flush-to-zero.
+    fn half_min_positive() -> f32 {
+        black_box(f32::MIN_POSITIVE) / 2.0
+    }
+
+    #[test]
+    fn flush_to_zero_holds_inside_its_body_only() {
+        let gradual = f32::from_bits(0x0040_0000);
+        assert_eq!(half_min_positive(), gradual);
+        let inside = flush_to_zero(half_min_positive);
+        let flushed = if cfg!(target_arch = "x86_64") {
+            0.0
+        } else {
+            gradual
+        };
+        assert_eq!(inside.to_bits(), flushed.to_bits());
+        assert_eq!(half_min_positive(), gradual, "restored on return");
+        let unwound = std::panic::catch_unwind(|| {
+            flush_to_zero(|| std::panic::resume_unwind(Box::new("out of the region")))
+        });
+        assert!(unwound.is_err());
+        assert_eq!(half_min_positive(), gradual, "restored on unwind");
+    }
 
     /// `f32 -> binary16 -> f32` both ways over `xs`, bit for bit. With
     /// `vcvtph2ps` shown equal to `Half::to_f32` on every binary16 (and

@@ -21,6 +21,8 @@ use rayon::ThreadPoolBuilder;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
+mod common;
+
 /// Run `f` with the thread-local pool forced to `threads` workers.
 fn with_pool<R>(threads: usize, f: impl FnOnce() -> R) -> R {
     ThreadPoolBuilder::new()
@@ -145,6 +147,25 @@ fn tile_cholesky_factor_is_bitwise_identical_across_pool_sizes() {
     };
     let one = factor(1);
     let many = factor(4);
+    assert_eq!(one.as_slice(), many.as_slice());
+
+    // The benchmark's far field in MpDense, factored by `threads` worker
+    // loops on the same pool: its FP32 tasks run flushed on whichever
+    // thread picks them up.
+    let far_factor = |threads: usize| {
+        with_pool(threads, || {
+            let m = common::far_field_matrix(400, 50, 11, Variant::MpDense);
+            let f = Arc::new(TiledFactor::from_matrix(m));
+            f.factorize_parallel(threads).0.expect("SPD");
+            assert!(
+                common::subnormal_f32_updates(&f) > 0,
+                "no FP32 update reaches the subnormal range"
+            );
+            f.to_dense_lower()
+        })
+    };
+    let one = far_factor(1);
+    let many = far_factor(4);
     assert_eq!(one.as_slice(), many.as_slice());
 }
 

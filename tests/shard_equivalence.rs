@@ -27,7 +27,18 @@ use xgs_cholesky::{
 use xgs_fleet::{FleetConfig, Supervisor};
 use xgs_server::{loadgen, LoadgenConfig, ModelRegistry, ServerConfig};
 
+mod common;
+
 const EXE: &str = env!("CARGO_BIN_EXE_exageostat");
+
+/// Where a row's sites lie.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Sites {
+    /// The unit square at θ = (1, 0.1, 0.5): every f32 product is normal.
+    Unit,
+    /// The benchmark's far field (`common`): FP32 updates flush.
+    Far,
+}
 
 fn matrix(n: usize, nb: usize, seed: u64, variant: Variant) -> SymTileMatrix {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -59,23 +70,36 @@ fn assert_bitwise_equal(a: &Matrix, b: &Matrix, context: &str) {
 /// reproduces the sequential single-process factor bit for bit, and
 /// executes exactly the full DAG's task census. Each fleet has no
 /// standbys and is dropped at scope exit — spawn-per-run — and must leave
-/// no worker process behind.
+/// no worker process behind. The far-field row's FP32 tasks run flushed
+/// in whichever worker process owns them.
 #[test]
 fn sharded_factor_is_bitwise_equal_across_process_grids() {
-    let shapes: &[(usize, usize, usize, Variant)] = &[
-        (200, 50, 1, Variant::DenseF64), // 4x4 tiles on a 1x1 grid: no forwards at all
-        (200, 64, 2, Variant::MpDense),  // mixed precision on a 1x2 grid
-        (300, 50, 4, Variant::DenseF64), // 6x6 tiles on a 2x2 grid
-        (260, 64, 3, Variant::MpDense),  // mixed precision on a 1x3 grid
-        (150, 40, 6, Variant::DenseF64), // 4x4 tiles on a 2x3 grid
-        (130, 70, 4, Variant::MpDense),  // 2x2 tiles on a 2x2 grid: some workers idle
+    use Sites::{Far, Unit};
+    let shapes: &[(usize, usize, usize, Variant, Sites)] = &[
+        (200, 50, 1, Variant::DenseF64, Unit), // 4x4 tiles on a 1x1 grid: no forwards at all
+        (200, 64, 2, Variant::MpDense, Unit),  // mixed precision on a 1x2 grid
+        (300, 50, 4, Variant::DenseF64, Unit), // 6x6 tiles on a 2x2 grid
+        (260, 64, 3, Variant::MpDense, Unit),  // mixed precision on a 1x3 grid
+        (150, 40, 6, Variant::DenseF64, Unit), // 4x4 tiles on a 2x3 grid
+        (130, 70, 4, Variant::MpDense, Unit),  // 2x2 tiles on a 2x2 grid: some workers idle
+        (400, 50, 4, Variant::MpDense, Far),   // far field on a 2x2 grid: subnormal f32 products
     ];
-    for &(n, nb, shards, variant) in shapes {
-        let context = format!("n={n} nb={nb} shards={shards} {variant:?}");
-        let mut reference = TiledFactor::from_matrix(matrix(n, nb, 11, variant));
+    for &(n, nb, shards, variant, sites) in shapes {
+        let context = format!("n={n} nb={nb} shards={shards} {variant:?} {sites:?}");
+        let generate = |seed| match sites {
+            Unit => matrix(n, nb, seed, variant),
+            Far => common::far_field_matrix(n, nb, seed, variant),
+        };
+        let mut reference = TiledFactor::from_matrix(generate(11));
         reference.factorize_seq().unwrap();
+        if sites == Far {
+            assert!(
+                common::subnormal_f32_updates(&reference) > 0,
+                "{context}: no FP32 update reaches the subnormal range"
+            );
+        }
 
-        let mut sharded = TiledFactor::from_matrix(matrix(n, nb, 11, variant));
+        let mut sharded = TiledFactor::from_matrix(generate(11));
         let fleet = Supervisor::start(FleetConfig::process(EXE.into(), shards))
             .unwrap_or_else(|e| panic!("{context}: spawn failed: {e}"));
         let addr = fleet.addr().to_string();
