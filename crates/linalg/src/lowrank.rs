@@ -22,7 +22,9 @@ pub struct LowRank {
 
 impl LowRank {
     /// Compress a dense block to absolute Frobenius tolerance `tol` using
-    /// the SVD oracle.
+    /// the SVD oracle: the minimal rank at `tol` (Eckart–Young), at the
+    /// cost of a one-sided Jacobi SVD of the whole block. No program path
+    /// calls it; tests hold the production compressors against it.
     pub fn compress_svd(a: &Matrix, tol: f64) -> LowRank {
         let (u, v, _k) = truncated_svd(a, tol);
         LowRank { u, v }
