@@ -29,7 +29,7 @@ pub use gemm::{gemm, gemm_notrans, shgemm, Trans};
 pub use half::Half;
 pub use potrf::{potrf, PotrfError};
 pub use precision::Precision;
-pub use simd::{dispatch, Avx2};
+pub use simd::{dispatch, dot_lanes, gram_lanes, Avx2};
 pub use syrk::syrk_lower_notrans;
 pub use trsm::{trsm_left_lower_notrans, trsm_left_lower_trans, trsm_right_lower_trans};
 

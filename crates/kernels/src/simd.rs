@@ -1,6 +1,10 @@
 //! The one AVX2+FMA(+F16C) seam under every kernel of this crate — and,
 //! re-exported as `xgs_kernels::dispatch`, under `xgs-covariance`'s Matérn
-//! column evaluator, so that no other crate needs `unsafe` to vectorize.
+//! column evaluator and `xgs-linalg`'s QR and Jacobi sweeps, so that no
+//! other crate needs `unsafe` to vectorize. Their four-lane reductions,
+//! which the auto-vectorizer splits into two-lane halves, are
+//! [`Avx2::dot_f64`] and [`Avx2::gram_f64`] here, beside their plain
+//! twins [`dot_lanes`] and [`gram_lanes`].
 //!
 //! The repo is built with default `RUSTFLAGS`, so outside this seam every
 //! `mul_add` is a call to libm's `fma`/`fmaf` and nothing vectorizes
@@ -221,6 +225,31 @@ mod x86 {
             // xgs-lint: allow(no-unjustified-unsafe): token-guarded target_feature call on one in-bounds slice
             unsafe { round_through_half(buf) }
         }
+
+        /// `Σ x[i] y[i]` four lanes wide: lane `l` sums, in ascending
+        /// `i`, the products at `i ≡ l (mod 4)` of the 4-aligned body; the
+        /// lanes fold as `(l0 + l2) + (l1 + l3)`, then the tail's products
+        /// are added in ascending `i`. A multiply and an add per product,
+        /// never fused: [`dot_lanes`](super::dot_lanes) is the same
+        /// operations in the same order, so both give the same bits.
+        #[inline(always)]
+        pub fn dot_f64(self, x: &[f64], y: &[f64]) -> f64 {
+            assert_eq!(x.len(), y.len());
+            // SAFETY: features proven by `self`; equal lengths asserted.
+            // xgs-lint: allow(no-unjustified-unsafe): token-guarded target_feature call; slice lengths asserted equal
+            unsafe { dot_f64(x, y) }
+        }
+
+        /// `[x·x, y·y, x·y]` in one pass, each summed like
+        /// [`dot_f64`](Self::dot_f64); [`gram_lanes`](super::gram_lanes)
+        /// is its plain twin.
+        #[inline(always)]
+        pub fn gram_f64(self, x: &[f64], y: &[f64]) -> [f64; 3] {
+            assert_eq!(x.len(), y.len());
+            // SAFETY: features proven by `self`; equal lengths asserted.
+            // xgs-lint: allow(no-unjustified-unsafe): token-guarded target_feature call; slice lengths asserted equal
+            unsafe { gram_f64(x, y) }
+        }
     }
 
     /// The caller's MXCSR, written back on drop — on return and on unwind.
@@ -398,6 +427,112 @@ mod x86 {
             *x = super::trim(*x as f32) as f64;
         }
     }
+
+    /// `(l0 + l2) + (l1 + l3)` of one `__m256d`: the high half added to
+    /// the low, then the two sums.
+    ///
+    /// # Safety
+    /// AVX2 present.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    // xgs-lint: allow(no-unjustified-unsafe): target_feature fn, called only by dot_f64 and gram_f64 below
+    unsafe fn fold(acc: __m256d) -> f64 {
+        let pair = _mm_add_pd(_mm256_castpd256_pd128(acc), _mm256_extractf128_pd::<1>(acc));
+        _mm_cvtsd_f64(pair) + _mm_cvtsd_f64(_mm_unpackhi_pd(pair, pair))
+    }
+
+    /// # Safety
+    /// AVX2 present; `x.len() == y.len()`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    // xgs-lint: allow(no-unjustified-unsafe): target_feature fn, reached only through the token method that asserts the lengths
+    unsafe fn dot_f64(x: &[f64], y: &[f64]) -> f64 {
+        let body = x.len() - x.len() % 4;
+        let mut acc = _mm256_setzero_pd();
+        for i in (0..body).step_by(4) {
+            let (a, b) = (
+                _mm256_loadu_pd(x.as_ptr().add(i)),
+                _mm256_loadu_pd(y.as_ptr().add(i)),
+            );
+            acc = _mm256_add_pd(acc, _mm256_mul_pd(a, b));
+        }
+        let mut sum = fold(acc);
+        for i in body..x.len() {
+            sum += x[i] * y[i];
+        }
+        sum
+    }
+
+    /// # Safety
+    /// AVX2 present; `x.len() == y.len()`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    // xgs-lint: allow(no-unjustified-unsafe): target_feature fn, reached only through the token method that asserts the lengths
+    unsafe fn gram_f64(x: &[f64], y: &[f64]) -> [f64; 3] {
+        let body = x.len() - x.len() % 4;
+        let mut acc = [_mm256_setzero_pd(); 3];
+        for i in (0..body).step_by(4) {
+            let (a, b) = (
+                _mm256_loadu_pd(x.as_ptr().add(i)),
+                _mm256_loadu_pd(y.as_ptr().add(i)),
+            );
+            acc[0] = _mm256_add_pd(acc[0], _mm256_mul_pd(a, a));
+            acc[1] = _mm256_add_pd(acc[1], _mm256_mul_pd(b, b));
+            acc[2] = _mm256_add_pd(acc[2], _mm256_mul_pd(a, b));
+        }
+        let mut sums = [fold(acc[0]), fold(acc[1]), fold(acc[2])];
+        for i in body..x.len() {
+            let (a, b) = (x[i], y[i]);
+            sums[0] += a * a;
+            sums[1] += b * b;
+            sums[2] += a * b;
+        }
+        sums
+    }
+}
+
+/// The plain side of [`Avx2::dot_f64`]: four scalar lanes, folded and
+/// tailed in the same order, so the two agree bit for bit.
+#[inline(always)]
+pub fn dot_lanes(x: &[f64], y: &[f64]) -> f64 {
+    assert_eq!(x.len(), y.len());
+    let body = x.len() - x.len() % 4;
+    let mut acc = [0.0f64; 4];
+    for i in (0..body).step_by(4) {
+        for l in 0..4 {
+            acc[l] += x[i + l] * y[i + l];
+        }
+    }
+    let mut sum = (acc[0] + acc[2]) + (acc[1] + acc[3]);
+    for i in body..x.len() {
+        sum += x[i] * y[i];
+    }
+    sum
+}
+
+/// The plain side of [`Avx2::gram_f64`]: `[x·x, y·y, x·y]`, each summed
+/// like [`dot_lanes`].
+#[inline(always)]
+pub fn gram_lanes(x: &[f64], y: &[f64]) -> [f64; 3] {
+    assert_eq!(x.len(), y.len());
+    let body = x.len() - x.len() % 4;
+    let mut acc = [[0.0f64; 4]; 3];
+    for i in (0..body).step_by(4) {
+        for l in 0..4 {
+            let (a, b) = (x[i + l], y[i + l]);
+            acc[0][l] += a * a;
+            acc[1][l] += b * b;
+            acc[2][l] += a * b;
+        }
+    }
+    let mut sums = acc.map(|a| (a[0] + a[2]) + (a[1] + a[3]));
+    for i in body..x.len() {
+        let (a, b) = (x[i], y[i]);
+        sums[0] += a * a;
+        sums[1] += b * b;
+        sums[2] += a * b;
+    }
+    sums
 }
 
 /// Off x86-64 nothing makes an [`Avx2`], so only `detect` has a body worth
@@ -423,6 +558,12 @@ impl Avx2 {
         unreachable!("no Avx2 token off x86-64")
     }
     pub fn round_through_half(self, _: &mut [f64]) {
+        unreachable!("no Avx2 token off x86-64")
+    }
+    pub fn dot_f64(self, _: &[f64], _: &[f64]) -> f64 {
+        unreachable!("no Avx2 token off x86-64")
+    }
+    pub fn gram_f64(self, _: &[f64], _: &[f64]) -> [f64; 3] {
         unreachable!("no Avx2 token off x86-64")
     }
 }
@@ -570,5 +711,46 @@ mod tests {
             })
             .collect();
         assert_trim_agrees(simd, &random);
+    }
+
+    #[test]
+    fn dot_and_gram_lanes_are_bitwise_the_avx2_side() {
+        let Some(simd) = Avx2::detect() else {
+            return; // no fast side on this CPU
+        };
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            // Mixed magnitudes, so that the order of the additions shows.
+            let mantissa = (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5;
+            mantissa * 2f64.powi((state % 61) as i32 - 30)
+        };
+        for len in (0..=41).chain([100, 257]) {
+            let x: Vec<f64> = (0..len).map(|_| next()).collect();
+            let y: Vec<f64> = (0..len).map(|_| next()).collect();
+            assert_eq!(
+                simd.dot_f64(&x, &y).to_bits(),
+                dot_lanes(&x, &y).to_bits(),
+                "dot, len {len}"
+            );
+            let (fast, plain) = (simd.gram_f64(&x, &y), gram_lanes(&x, &y));
+            assert_eq!(
+                fast.map(f64::to_bits),
+                plain.map(f64::to_bits),
+                "gram, len {len}"
+            );
+            assert_eq!(
+                plain[2].to_bits(),
+                dot_lanes(&x, &y).to_bits(),
+                "gram's x·y, len {len}"
+            );
+            assert_eq!(
+                plain[0].to_bits(),
+                dot_lanes(&x, &x).to_bits(),
+                "gram's x·x, len {len}"
+            );
+        }
     }
 }

@@ -1,9 +1,10 @@
 //! LAPACK-like dense layer on top of the raw kernels.
 //!
 //! Provides the owned column-major [`Matrix`] type plus the numerical tools
-//! the tile-low-rank (TLR) machinery needs: Householder QR, one-sided Jacobi
-//! SVD, adaptive cross approximation (ACA), low-rank factor algebra with
-//! QR-based recompression ("rounding"), and a reference dense Cholesky.
+//! the tile-low-rank (TLR) machinery needs: in-place Householder QR with
+//! `Q` applied implicitly, one-sided Jacobi SVD, adaptive cross
+//! approximation (ACA), low-rank factor algebra with QR-based
+//! recompression ("rounding"), and a reference dense Cholesky.
 //!
 //! Everything here is FP64: precision emulation happens one level up, in the
 //! tile storage (`xgs-tile`), by rounding buffers *through* FP32/FP16 — the

@@ -5,9 +5,15 @@
 //! addition*: sums of low-rank terms are recompressed back to the target
 //! accuracy with the classical QR+SVD rounding, which is what keeps ranks —
 //! and therefore the memory footprint the paper's Fig. 9 reports — bounded.
+//!
+//! The rounding of `U V^T` (`k` stacked columns) factors both factors in
+//! place (`U = Q_u R_u`, `V = Q_v R_v`), takes the SVD of the small core
+//! `R_u R_v^T`, truncates it, and maps the kept singular vectors back
+//! through the QRs' implicit `Q`s: no thin `Q` is ever formed, and the
+//! Frobenius norm needs only the two `R`s.
 
 use crate::matrix::Matrix;
-use crate::qr::householder_qr;
+use crate::qr::HouseholderQr;
 use crate::svd::{jacobi_svd, truncated_svd};
 use xgs_kernels::trsm_left_lower_notrans;
 
@@ -70,14 +76,14 @@ impl LowRank {
     }
 
     /// Frobenius norm of `U V^T` without reconstruction:
-    /// `||U V^T||_F = ||Ru Rv^T||_F` via small QRs.
+    /// `||U V^T||_F = ||Ru Rv^T||_F` via the `R`s of two small QRs.
     pub fn norm_fro(&self) -> f64 {
         if self.rank() == 0 {
             return 0.0;
         }
-        let qu = householder_qr(&self.u);
-        let qv = householder_qr(&self.v);
-        qu.r.matmul_t(&qv.r).norm_fro()
+        let ru = HouseholderQr::factor(self.u.clone()).r();
+        let rv = HouseholderQr::factor(self.v.clone()).r();
+        ru.matmul_t(&rv).norm_fro()
     }
 
     /// Storage in scalar elements (what the memory-footprint accounting
@@ -86,30 +92,14 @@ impl LowRank {
         self.rank() * (self.rows() + self.cols())
     }
 
-    /// Rounding / recompression: re-orthogonalize both factors and truncate
-    /// the small core to tolerance `tol` (absolute Frobenius).
+    /// Rounding / recompression: QR-factor both factors and truncate the
+    /// small core to tolerance `tol` (absolute Frobenius). Total over empty
+    /// shapes: a factor with no rows rounds to rank 0.
     pub fn recompress(&self, tol: f64) -> LowRank {
-        let k = self.rank();
-        if k == 0 {
+        if self.rank() == 0 {
             return self.clone();
         }
-        let qu = householder_qr(&self.u);
-        let qv = householder_qr(&self.v);
-        let core = qu.r.matmul_t(&qv.r); // k x k
-        let svd = jacobi_svd(&core);
-        let r = svd.rank_for_tolerance(tol);
-        let mut uc = svd.u.truncate_cols(r);
-        for j in 0..r {
-            let sj = svd.s[j];
-            for x in uc.col_mut(j) {
-                *x *= sj;
-            }
-        }
-        let vc = svd.v.truncate_cols(r);
-        LowRank {
-            u: qu.q.matmul(&uc),
-            v: qv.q.matmul(&vc),
-        }
+        round(self.u.clone(), self.v.clone(), tol)
     }
 
     /// Rounded addition `self + alpha * other`, recompressed to `tol`.
@@ -122,19 +112,11 @@ impl LowRank {
         if self.rank() == 0 {
             let mut u = other.u.clone();
             u.scale(alpha);
-            return LowRank {
-                u,
-                v: other.v.clone(),
-            }
-            .recompress(tol);
+            return round(u, other.v.clone(), tol);
         }
         let mut ou = other.u.clone();
         ou.scale(alpha);
-        let stacked = LowRank {
-            u: self.u.hcat(&ou),
-            v: self.v.hcat(&other.v),
-        };
-        stacked.recompress(tol)
+        round(self.u.hcat(&ou), self.v.hcat(&other.v), tol)
     }
 
     /// `(U V^T) * B` for dense `B` — stays low-rank with the same `U`.
@@ -222,6 +204,27 @@ impl LowRank {
             c.as_mut_slice(),
             self.rows().max(1),
         );
+    }
+}
+
+/// The rounding of `U V^T`, consuming the factors it overwrites. The core
+/// `R_u R_v^T` is `min(m, k) x min(n, k)`: square unless a factor is wider
+/// than it is tall.
+fn round(u: Matrix, v: Matrix, tol: f64) -> LowRank {
+    let qu = HouseholderQr::factor(u);
+    let qv = HouseholderQr::factor(v);
+    let svd = jacobi_svd(&qu.r().matmul_t(&qv.r()));
+    let r = svd.rank_for_tolerance(tol);
+    let mut uc = svd.u.truncate_cols(r);
+    for j in 0..r {
+        let sj = svd.s[j];
+        for x in uc.col_mut(j) {
+            *x *= sj;
+        }
+    }
+    LowRank {
+        u: qu.apply_q(&uc),
+        v: qv.apply_q(&svd.v.truncate_cols(r)),
     }
 }
 
@@ -392,5 +395,166 @@ mod tests {
         let ersvd = a.add_scaled(-1.0, &u.matmul_t(&v)).norm_fro();
         assert!(ersvd <= tol * 1.01, "RSVD err {ersvd} vs tol {tol}");
         assert!(rank < 32 && rank <= svd_lr.rank() + 4, "RSVD rank {rank}");
+    }
+
+    /// The rounding this module replaced, kept as the oracle: explicit thin
+    /// `Q`s, the square core's SVD preconditioned by a third explicit-`Q`
+    /// QR, and the kept singular vectors multiplied by the explicit `Q`s.
+    fn oracle_recompress(lr: &LowRank, tol: f64) -> LowRank {
+        use crate::qr::tests::explicit_q_qr;
+        let qu = explicit_q_qr(&lr.u);
+        let qv = explicit_q_qr(&lr.v);
+        let core = qu.r.matmul_t(&qv.r);
+        let svd = if core.rows() == core.cols() {
+            let pre = explicit_q_qr(&core);
+            let svd = jacobi_svd(&pre.r);
+            crate::svd::Svd {
+                u: pre.q.matmul(&svd.u),
+                ..svd
+            }
+        } else {
+            jacobi_svd(&core)
+        };
+        let r = svd.rank_for_tolerance(tol);
+        let mut uc = svd.u.truncate_cols(r);
+        for j in 0..r {
+            let sj = svd.s[j];
+            for x in uc.col_mut(j) {
+                *x *= sj;
+            }
+        }
+        LowRank {
+            u: qu.q.matmul(&uc),
+            v: qv.q.matmul(&svd.v.truncate_cols(r)),
+        }
+    }
+
+    /// `U` scaled by a decaying spectrum, so that rounding truncates.
+    fn decaying(m: usize, n: usize, k: usize, seed: u64) -> LowRank {
+        let mut lr = lowrank(m, n, k, seed);
+        for j in 0..k {
+            let d = 10f64.powf(-(j as f64) / 3.0);
+            for x in lr.u.col_mut(j) {
+                *x *= d;
+            }
+        }
+        lr
+    }
+
+    /// `||U V^T - U' V'^T||_F <= tol + c eps ||U V^T||_F`, a rank no larger
+    /// than the oracle's, and the oracle within the same bound.
+    fn assert_rounds_like_the_oracle(lr: &LowRank, tol: f64, label: &str) {
+        let dense = lr.reconstruct();
+        let slack = 100.0 * f64::EPSILON * dense.norm_fro();
+        let got = lr.recompress(tol);
+        let want = oracle_recompress(lr, tol);
+        assert_eq!((got.rows(), got.cols()), (lr.rows(), lr.cols()), "{label}");
+        let err = dense.add_scaled(-1.0, &got.reconstruct()).norm_fro();
+        assert!(
+            err <= tol + slack,
+            "{label}: err {err} > tol {tol} + {slack}"
+        );
+        let oracle_err = dense.add_scaled(-1.0, &want.reconstruct()).norm_fro();
+        assert!(
+            oracle_err <= tol + slack,
+            "{label}: oracle err {oracle_err}"
+        );
+        assert!(
+            got.rank() <= want.rank(),
+            "{label}: rank {} > oracle's {}",
+            got.rank(),
+            want.rank()
+        );
+    }
+
+    #[test]
+    fn rounding_matches_the_oracle_on_stacked_shapes() {
+        for k in 1..=40 {
+            let lr = decaying(100, 100, k, 1000 + k as u64);
+            let norm = lr.reconstruct().norm_fro();
+            for rel in [1e-8, 1e-3] {
+                assert_rounds_like_the_oracle(&lr, rel * norm, &format!("100x{k} at {rel}"));
+            }
+        }
+    }
+
+    #[test]
+    fn rounding_matches_the_oracle_on_wide_factors() {
+        // More stacked columns than rows: the core is not square.
+        for (m, n, k) in [(10, 100, 40), (100, 10, 40), (7, 9, 12), (3, 3, 3)] {
+            let lr = decaying(m, n, k, 2000 + k as u64);
+            let norm = lr.reconstruct().norm_fro();
+            assert_rounds_like_the_oracle(&lr, 1e-8 * norm, &format!("{m}x{n} rank {k}"));
+            assert!(lr.recompress(1e-12 * norm).rank() <= m.min(n));
+        }
+    }
+
+    #[test]
+    fn rounding_handles_duplicated_and_zero_columns() {
+        let base = lowrank(100, 80, 6, 3000);
+        let dup = LowRank {
+            u: base.u.hcat(&base.u),
+            v: base.v.hcat(&base.v),
+        };
+        let norm = dup.reconstruct().norm_fro();
+        assert_rounds_like_the_oracle(&dup, 1e-10 * norm, "duplicated");
+        assert_eq!(dup.recompress(1e-10 * norm).rank(), 6);
+
+        let zeros = LowRank {
+            u: base.u.hcat(&Matrix::zeros(100, 3)),
+            v: base.v.hcat(&rnd(80, 3, 3001)),
+        };
+        assert_rounds_like_the_oracle(&zeros, 1e-10 * norm, "zero columns");
+        assert_eq!(zeros.recompress(1e-10 * norm).rank(), 6);
+
+        let all_zero = LowRank {
+            u: Matrix::zeros(100, 4),
+            v: rnd(80, 4, 3002),
+        };
+        assert_eq!(all_zero.recompress(1e-12).rank(), 0);
+        assert_eq!(all_zero.norm_fro(), 0.0);
+    }
+
+    #[test]
+    fn exactly_rank_deficient_sums() {
+        let a = lowrank(100, 90, 8, 4000);
+        let norm = a.reconstruct().norm_fro();
+        // a - a is zero: nothing survives any positive tolerance.
+        let zero = a.add_rounded(-1.0, &a, 1e-12 * norm);
+        assert_eq!(zero.rank(), 0, "a - a kept rank {}", zero.rank());
+        // a + a and a + 2a stay rank 8.
+        let twice = a.add_rounded(1.0, &a, 1e-12 * norm);
+        assert_eq!(twice.rank(), 8);
+        let mut expect = a.reconstruct();
+        expect.scale(2.0);
+        assert!(expect.add_scaled(-1.0, &twice.reconstruct()).norm_fro() <= 1e-12 * norm * 3.0);
+        let thrice = twice.add_rounded(1.0, &a, 1e-12 * norm);
+        assert_eq!(thrice.rank(), 8);
+    }
+
+    #[test]
+    fn rounding_is_total_over_empty_shapes() {
+        // Rank > 0 factors of a 0 x n, m x 0 or 0 x 0 block: the value is
+        // empty, so the rounding keeps nothing.
+        for (m, n) in [(0, 5), (5, 0), (0, 0)] {
+            let lr = LowRank {
+                u: Matrix::zeros(m, 3),
+                v: Matrix::zeros(n, 3),
+            };
+            let r = lr.recompress(1e-12);
+            assert_eq!((r.rows(), r.cols(), r.rank()), (m, n, 0), "{m}x{n}");
+            assert_eq!(lr.norm_fro(), 0.0);
+            let sum = lr.add_rounded(1.0, &lr, 1e-12);
+            assert_eq!((sum.rows(), sum.cols(), sum.rank()), (m, n, 0), "{m}x{n}");
+        }
+    }
+
+    #[test]
+    fn norm_from_the_rs_matches_dense_on_stacked_shapes() {
+        for k in [1, 7, 16, 32, 40] {
+            let lr = decaying(100, 100, k, 5000 + k as u64);
+            let dense = lr.reconstruct().norm_fro();
+            assert!((lr.norm_fro() - dense).abs() <= 1e-13 * dense, "rank {k}");
+        }
     }
 }

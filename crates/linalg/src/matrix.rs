@@ -118,6 +118,9 @@ impl Matrix {
     pub fn matmul(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.rows, "inner dimension mismatch");
         let mut c = Matrix::zeros(self.rows, other.cols);
+        if c.data.is_empty() {
+            return c; // gemm wants a leading dimension >= 1 of a non-empty C
+        }
         gemm(
             Trans::No,
             Trans::No,
@@ -140,6 +143,9 @@ impl Matrix {
     pub fn t_matmul(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.rows, other.rows, "inner dimension mismatch");
         let mut c = Matrix::zeros(self.cols, other.cols);
+        if c.data.is_empty() {
+            return c; // gemm wants a leading dimension >= 1 of a non-empty C
+        }
         gemm(
             Trans::Yes,
             Trans::No,
@@ -162,6 +168,9 @@ impl Matrix {
     pub fn matmul_t(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.cols, "inner dimension mismatch");
         let mut c = Matrix::zeros(self.rows, other.rows);
+        if c.data.is_empty() {
+            return c; // gemm wants a leading dimension >= 1 of a non-empty C
+        }
         gemm(
             Trans::No,
             Trans::Yes,
@@ -318,13 +327,6 @@ pub fn norm2_scaled(x: &[f64]) -> f64 {
         }
     }
     scale * ssq.sqrt()
-}
-
-/// Dot product of two slices.
-#[inline]
-pub fn dot(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
 #[cfg(test)]

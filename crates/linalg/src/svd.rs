@@ -3,10 +3,16 @@
 //! One-sided Jacobi is simple, numerically robust, and plenty fast for the
 //! tile sizes TLR compression works on (tens to a few hundred); it is the
 //! oracle against which the faster ACA compressor is validated, and the
-//! engine of the low-rank recompression ("rounding") step.
+//! engine of the low-rank recompression ("rounding") step, whose input on
+//! TLR tiles is a square core a few dozen columns wide. A square input is
+//! rotated as it is; a tall one is reduced to its `R` first, and `U` comes
+//! back through the QR's implicit `Q`. Each column pair's three Gram
+//! entries come from one four-lane pass, and the sweeps run on the AVX2
+//! side of [`xgs_kernels::dispatch`] (bitwise the plain side).
 
-use crate::matrix::{dot, norm2_scaled, Matrix};
-use crate::qr::householder_qr;
+use crate::matrix::{norm2_scaled, Matrix};
+use crate::qr::HouseholderQr;
+use xgs_kernels::{dispatch, gram_lanes, Avx2};
 
 /// Thin SVD: `A (m x n) = U (m x k) * diag(s) * V^T (k x n)`, `k = min(m,n)`,
 /// singular values sorted descending.
@@ -50,8 +56,8 @@ impl Svd {
 
 /// One-sided Jacobi SVD.
 ///
-/// For tall matrices a QR preconditioning step reduces the work to an
-/// `n x n` problem. Sweeps rotate column pairs until all off-diagonal
+/// A tall input is QR-preconditioned to an `n x n` problem; a square one
+/// is rotated directly. Sweeps rotate column pairs until all off-diagonal
 /// Gram entries are negligible.
 pub fn jacobi_svd(a: &Matrix) -> Svd {
     let (m, n) = a.shape();
@@ -72,43 +78,18 @@ pub fn jacobi_svd(a: &Matrix) -> Svd {
         };
     }
 
-    // QR preconditioning: A = Q R, SVD of R (n x n), U = Q * U_r.
-    let qr = householder_qr(a);
-    let mut w = qr.r.clone(); // n x n working copy, columns become U*S
+    // Tall: A = Q R, SVD of R (n x n), U = Q * U_r. Square: SVD of A.
+    let qr = (m > n).then(|| HouseholderQr::factor(a.clone()));
+    // n x n working copy, columns become U*S.
+    let mut w = match &qr {
+        Some(qr) => qr.r(),
+        None => a.clone(),
+    };
     let mut v = Matrix::identity(n);
-
-    let eps = f64::EPSILON;
-    let max_sweeps = 60;
-    for _sweep in 0..max_sweeps {
-        let mut off = 0.0f64;
-        for p in 0..n {
-            for q in (p + 1)..n {
-                // Gram entries of columns p, q.
-                let (app, aqq, apq) = {
-                    let cp = w.col(p);
-                    let cq = w.col(q);
-                    (dot(cp, cp), dot(cq, cq), dot(cp, cq))
-                };
-                let denom = (app * aqq).sqrt();
-                if denom > 0.0 {
-                    off = off.max(apq.abs() / denom);
-                }
-                if apq.abs() <= eps * denom || denom == 0.0 {
-                    continue;
-                }
-                // Jacobi rotation zeroing the (p,q) Gram entry.
-                let zeta = (aqq - app) / (2.0 * apq);
-                let t = zeta.signum() / (zeta.abs() + (1.0 + zeta * zeta).sqrt());
-                let c = 1.0 / (1.0 + t * t).sqrt();
-                let s = c * t;
-                rotate_cols(&mut w, p, q, c, s);
-                rotate_cols(&mut v, p, q, c, s);
-            }
-        }
-        if off <= eps * 8.0 {
-            break;
-        }
-    }
+    dispatch(
+        #[inline(always)]
+        |simd| sweeps(simd, &mut w, &mut v),
+    );
 
     // Column norms are the singular values; normalize to get U_r.
     let mut order: Vec<usize> = (0..n).collect();
@@ -131,12 +112,54 @@ pub fn jacobi_svd(a: &Matrix) -> Svd {
     }
 
     Svd {
-        u: qr.q.matmul(&ur),
+        u: match qr {
+            Some(qr) => qr.apply_q(&ur),
+            None => ur,
+        },
         s,
         v: vs,
     }
 }
 
+/// Jacobi sweeps over the columns of the square `w`, the rotations
+/// accumulated into `v`.
+#[inline(always)]
+fn sweeps(simd: Option<Avx2>, w: &mut Matrix, v: &mut Matrix) {
+    let n = w.cols();
+    let eps = f64::EPSILON;
+    let max_sweeps = 60;
+    for _sweep in 0..max_sweeps {
+        let mut off = 0.0f64;
+        for p in 0..n {
+            for q in (p + 1)..n {
+                // Gram entries of columns p, q, in one pass.
+                let [app, aqq, apq] = match simd {
+                    Some(s) => s.gram_f64(w.col(p), w.col(q)),
+                    None => gram_lanes(w.col(p), w.col(q)),
+                };
+                let denom = (app * aqq).sqrt();
+                if denom > 0.0 {
+                    off = off.max(apq.abs() / denom);
+                }
+                if apq.abs() <= eps * denom || denom == 0.0 {
+                    continue;
+                }
+                // Jacobi rotation zeroing the (p,q) Gram entry.
+                let zeta = (aqq - app) / (2.0 * apq);
+                let t = zeta.signum() / (zeta.abs() + (1.0 + zeta * zeta).sqrt());
+                let c = 1.0 / (1.0 + t * t).sqrt();
+                let s = c * t;
+                rotate_cols(w, p, q, c, s);
+                rotate_cols(v, p, q, c, s);
+            }
+        }
+        if off <= eps * 8.0 {
+            break;
+        }
+    }
+}
+
+#[inline(always)]
 fn rotate_cols(m: &mut Matrix, p: usize, q: usize, c: f64, s: f64) {
     let rows = m.rows();
     let (pc, qc) = {
@@ -300,5 +323,48 @@ mod tests {
         // sqrt(1+4) ~ 2.236
         assert_eq!(svd.rank_for_tolerance(2.3), 1);
         assert_eq!(svd.rank_for_tolerance(100.0), 0);
+    }
+
+    #[test]
+    fn square_input_matches_the_preconditioned_route() {
+        // The square path rotates A itself; the old one rotated A's R and
+        // mapped U back through Q. Same singular values, both orthonormal.
+        for (n, seed) in [(1, 20), (5, 21), (17, 22), (32, 23)] {
+            let a = rnd(n, n, seed);
+            let direct = jacobi_svd(&a);
+            let qr = crate::householder_qr(&a);
+            let via_r = jacobi_svd(&qr.r);
+            for (x, y) in direct.s.iter().zip(&via_r.s) {
+                assert!((x - y).abs() <= 1e-13 * direct.s[0], "n {n}: {x} vs {y}");
+            }
+            let r = direct.reconstruct();
+            for (x, y) in r.as_slice().iter().zip(a.as_slice()) {
+                assert!((x - y).abs() < 1e-12, "n {n}");
+            }
+            let utu = direct.u.t_matmul(&direct.u);
+            for (x, y) in utu.as_slice().iter().zip(Matrix::identity(n).as_slice()) {
+                assert!((x - y).abs() < 1e-12, "n {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn seam_is_bitwise_invisible() {
+        let Some(simd) = xgs_kernels::Avx2::detect() else {
+            return; // no fast side on this CPU
+        };
+        for (n, seed) in [(1, 30), (2, 31), (5, 32), (17, 33), (32, 34), (41, 35)] {
+            let a = rnd(n, n, seed);
+            let (mut w_plain, mut v_plain) = (a.clone(), Matrix::identity(n));
+            let (mut w_fast, mut v_fast) = (a.clone(), Matrix::identity(n));
+            sweeps(None, &mut w_plain, &mut v_plain);
+            simd.run(
+                #[inline(always)]
+                || sweeps(Some(simd), &mut w_fast, &mut v_fast),
+            );
+            let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&w_plain), bits(&w_fast), "w, n {n}");
+            assert_eq!(bits(&v_plain), bits(&v_fast), "v, n {n}");
+        }
     }
 }
