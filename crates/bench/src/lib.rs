@@ -1,38 +1,11 @@
-//! Shared helpers for the benchmark harness.
-//!
-//! Each paper table/figure has a dedicated binary in `src/bin/` (see
-//! DESIGN.md's experiment index); speed is measured by the repo benchmark
-//! (`examples/benchmark/`), not here. Binaries honour a few environment
-//! variables so the full campaign can be scaled to the machine at hand:
-//!
-//! * `XGS_REPS` — replicate count for the Fig. 6 boxplots (default 25;
-//!   paper: 100),
-//! * `XGS_N` — location count for the locally-executed accuracy studies
-//!   (default 1000),
-//! * `XGS_WORKERS` — worker threads for parallel factorization (default:
-//!   all cores).
+//! Shared helpers for the paper driver (`src/bin/xgs-paper/`, one
+//! subcommand per table and figure; see DESIGN.md's experiment index).
+//! Speed is measured by the repo benchmark (`examples/benchmark/`), not
+//! here.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use xgs_covariance::{jittered_grid, morton_order, Location};
-
-/// Environment-variable override with default.
-pub fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-/// `--metrics <path>` from the binary's own argv (bench binaries take no
-/// other arguments), with `XGS_METRICS=<path>` as the env-style spelling.
-pub fn metrics_path() -> Option<String> {
-    let argv: Vec<String> = std::env::args().collect();
-    argv.iter()
-        .position(|a| a == "--metrics")
-        .and_then(|i| argv.get(i + 1).cloned())
-        .or_else(|| std::env::var("XGS_METRICS").ok())
-}
 
 /// Write a runtime metrics report as JSON, with a console note.
 pub fn write_metrics(path: &str, report: &xgs_runtime::MetricsReport) {
@@ -90,6 +63,13 @@ pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     (r, t.elapsed().as_secs_f64())
 }
 
+/// Best wall time of three runs of a closure, in seconds.
+pub fn best_of_3(mut f: impl FnMut()) -> f64 {
+    (0..3)
+        .map(|_| timed(&mut f).1)
+        .fold(f64::INFINITY, f64::min)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -101,11 +81,6 @@ mod tests {
         assert_eq!(q2, 3.0);
         assert_eq!(q1, 2.0);
         assert_eq!(q3, 4.0);
-    }
-
-    #[test]
-    fn env_default_used_when_unset() {
-        assert_eq!(env_usize("XGS_DOES_NOT_EXIST_X", 7), 7);
     }
 
     #[test]
