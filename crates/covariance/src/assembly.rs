@@ -24,6 +24,12 @@ pub trait CovarianceKernel: Send + Sync {
 
     /// One column of a covariance block: `out[i] = cov(rows[i], col)`,
     /// bit for bit.
+    ///
+    /// The value must also be symmetric bit for bit, `cov(a, b) ==
+    /// cov(b, a)`, and must not depend on where a site sits in `rows`: TLR
+    /// generation reads row `i` of the block `rows x cols` as
+    /// `cov_column(cols, &rows[i])`, and partial-pivot ACA relies on the
+    /// row and the column of a pivot agreeing there.
     fn cov_column(&self, rows: &[Location], col: &Location, out: &mut [f64]) {
         for (o, r) in out.iter_mut().zip(rows) {
             *o = self.cov(r, col);
@@ -214,6 +220,56 @@ mod tests {
                         want.to_bits(),
                         "kernel {k} ({i},{j})"
                     );
+                }
+            }
+            // A column over scattered rows (what TLR generation reads for
+            // the entries it samples): each entry is the block's.
+            for (j, cj) in cols.iter().enumerate() {
+                let picked: Vec<usize> = (j % 3..rows.len()).step_by(3 + j % 4).collect();
+                let gathered: Vec<Location> = picked.iter().map(|&i| rows[i]).collect();
+                let mut out = vec![0.0; picked.len()];
+                kernel.cov_column(&gathered, cj, &mut out);
+                for (&i, x) in picked.iter().zip(&out) {
+                    assert_eq!(
+                        x.to_bits(),
+                        block[(i, j)].to_bits(),
+                        "kernel {k} gathered ({i},{j})"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_row_read_as_a_column_is_the_blocks_row_bit_for_bit() {
+        use crate::kernels_extra::{GeneralizedCauchy, PoweredExponential, WithNugget};
+        // Rows and columns overlap (coincident sites, where the nugget
+        // lands), and 37 rows / 29 columns leave partial vector groups.
+        let mut space = locs(80, 7);
+        for l in &mut space {
+            (l.x, l.y) = (l.x * 3.0, l.y * 3.0);
+        }
+        let st = crate::locations::spacetime_grid(&space[..27], 3);
+        let general = Matern::new(MaternParams::new(0.67, 0.17, 0.44));
+        let kernels: [(&dyn CovarianceKernel, &[Location]); 6] = [
+            (&general, &space),
+            (&Matern::new(MaternParams::new(1.0, 0.15, 2.5)), &space),
+            (&WithNugget::new(general, 0.1), &space),
+            (&PoweredExponential::new(1.3, 0.2, 1.7), &space),
+            (&GeneralizedCauchy::new(1.0, 0.2, 1.5, 0.8), &space),
+            (
+                &GneitingSpaceTime::new(SpaceTimeParams::new(1.0, 0.3, 0.8, 0.5, 0.9, 0.5)),
+                &st,
+            ),
+        ];
+        for (k, (kernel, ls)) in kernels.into_iter().enumerate() {
+            let (rows, cols) = (&ls[5..42], &ls[30..59]);
+            let block = cov_block(kernel, rows, cols);
+            let mut row = vec![0.0; cols.len()];
+            for (i, ri) in rows.iter().enumerate() {
+                kernel.cov_column(cols, ri, &mut row);
+                for (j, x) in row.iter().enumerate() {
+                    assert_eq!(x.to_bits(), block[(i, j)].to_bits(), "kernel {k} ({i},{j})");
                 }
             }
         }

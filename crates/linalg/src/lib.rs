@@ -18,7 +18,7 @@ pub mod qr;
 pub mod rsvd;
 pub mod svd;
 
-pub use aca::aca;
+pub use aca::{aca, aca_partial, BlockEntries};
 pub use cholesky::{cholesky_in_place, cholesky_logdet, cholesky_solve, CholeskyError};
 pub use lowrank::LowRank;
 pub use matrix::Matrix;

@@ -36,12 +36,55 @@ impl LowRank {
         LowRank { u, v }
     }
 
-    /// Compress with ACA followed by a rounding pass (the production path).
+    /// Compress a dense block with full-pivot ACA followed by a rounding
+    /// pass. No program path calls it (tile generation calls
+    /// [`LowRank::compress_partial`]); the repository benchmark's
+    /// `linalg.aca_*` rows time it.
     pub fn compress_aca(a: &Matrix, tol: f64) -> LowRank {
         let (u, v) = crate::aca::aca(a, tol, a.rows().min(a.cols()));
         let lr = LowRank { u, v };
         // ACA overshoots rank slightly; round back to the target.
         lr.recompress(tol)
+    }
+
+    /// Compress a dense block to absolute `tol` when it takes fewer than
+    /// `max_rank` crosses: full-pivot ACA to an eighth of `tol` on the
+    /// explicit residual, then one rounding with the rest, so
+    /// `||A - U V^T||_F <= tol` holds outright. `None` when ACA reaches
+    /// `max_rank` crosses below `min(m, n)`, since full pivoting cannot say
+    /// whether its last cross met the tolerance.
+    pub fn compress_full(a: &Matrix, tol: f64, max_rank: usize) -> Option<LowRank> {
+        let limit = max_rank.min(a.rows().min(a.cols()));
+        let (u, v) = crate::aca::aca(a, ACA_SHARE * tol, limit);
+        if u.cols() == limit && limit < a.rows().min(a.cols()) {
+            return None;
+        }
+        Some(LowRank { u, v }.recompress((1.0 - ACA_SHARE) * tol))
+    }
+
+    /// Compress an `m x n` block known only through its entries (see
+    /// [`crate::aca::aca_partial`] for `max_rank`) to `rel_tol`
+    /// of its own Frobenius norm: partial-pivot ACA to an eighth of that
+    /// budget, then one rounding with the rest.
+    ///
+    /// Returns the rounded factors and `||U V^T||_F` of the crosses before
+    /// truncation (the root sum of squares of the rounding core's singular
+    /// values), or `None` when ACA takes `max_rank` crosses above the
+    /// rounding's tolerance first.
+    pub fn compress_partial(
+        m: usize,
+        n: usize,
+        a: &mut impl crate::aca::BlockEntries,
+        rel_tol: f64,
+        max_rank: usize,
+    ) -> Option<(LowRank, f64)> {
+        let round_tol = (1.0 - ACA_SHARE) * rel_tol;
+        let cap = (round_tol, max_rank);
+        let (u, v) = crate::aca::aca_partial(m, n, a, ACA_SHARE * rel_tol, cap)?;
+        if u.cols() == 0 {
+            return Some((LowRank { u, v }, 0.0));
+        }
+        Some(round_to(u, v, |norm| round_tol * norm))
     }
 
     /// Exact zero block of the given shape (rank 0).
@@ -207,14 +250,27 @@ impl LowRank {
     }
 }
 
+/// The share of [`LowRank::compress_partial`]'s and
+/// [`LowRank::compress_full`]'s tolerance their crosses may leave as
+/// residual; the rounding truncates with the rest, so the two errors add up
+/// to at most the whole.
+const ACA_SHARE: f64 = 0.125;
+
 /// The rounding of `U V^T`, consuming the factors it overwrites. The core
 /// `R_u R_v^T` is `min(m, k) x min(n, k)`: square unless a factor is wider
 /// than it is tall.
 fn round(u: Matrix, v: Matrix, tol: f64) -> LowRank {
+    round_to(u, v, |_| tol).0
+}
+
+/// [`round`] with the absolute tolerance a function of `||U V^T||_F`, which
+/// the core's singular values give for free; returns that norm too.
+fn round_to(u: Matrix, v: Matrix, tol_of: impl FnOnce(f64) -> f64) -> (LowRank, f64) {
     let qu = HouseholderQr::factor(u);
     let qv = HouseholderQr::factor(v);
     let svd = jacobi_svd(&qu.r().matmul_t(&qv.r()));
-    let r = svd.rank_for_tolerance(tol);
+    let norm = svd.s.iter().map(|s| s * s).sum::<f64>().sqrt();
+    let r = svd.rank_for_tolerance(tol_of(norm));
     let mut uc = svd.u.truncate_cols(r);
     for j in 0..r {
         let sj = svd.s[j];
@@ -222,10 +278,11 @@ fn round(u: Matrix, v: Matrix, tol: f64) -> LowRank {
             *x *= sj;
         }
     }
-    LowRank {
+    let lr = LowRank {
         u: qu.apply_q(&uc),
         v: qv.apply_q(&svd.v.truncate_cols(r)),
-    }
+    };
+    (lr, norm)
 }
 
 #[cfg(test)]
@@ -556,5 +613,40 @@ mod tests {
             let dense = lr.reconstruct().norm_fro();
             assert!((lr.norm_fro() - dense).abs() <= 1e-13 * dense, "rank {k}");
         }
+    }
+
+    #[test]
+    fn partial_compression_rounds_within_its_tolerance() {
+        let a = Matrix::from_fn(100, 90, |i, j| {
+            1.0 / (1.0 + (i as f64 / 100.0 - 3.0 - j as f64 / 90.0).abs())
+        });
+        let norm = a.norm_fro();
+        for rel in [1e-6, 1e-8, 1e-10] {
+            let (lr, crosses_norm) =
+                LowRank::compress_partial(100, 90, &mut a.clone(), rel, 90).unwrap();
+            let err = a.add_scaled(-1.0, &lr.reconstruct()).norm_fro();
+            assert!(err <= rel * norm, "at {rel}: err {err}");
+            // The norm the §VI-C rule reads is the tile's within the bound.
+            assert!((crosses_norm - norm).abs() <= rel * norm, "at {rel}");
+            // The rounding keeps at most two more than the minimal rank.
+            let minimal = LowRank::compress_svd(&a, rel * norm).rank();
+            assert!(
+                lr.rank() <= minimal + 2,
+                "at {rel}: {} vs {minimal}",
+                lr.rank()
+            );
+        }
+        // Past the cap: no tile.
+        assert!(LowRank::compress_partial(100, 90, &mut a.clone(), 1e-10, 3).is_none());
+        // The dense twin holds the same bound outright, and the same cap.
+        for rel in [1e-6, 1e-8, 1e-10] {
+            let lr = LowRank::compress_full(&a, rel * norm, 90).unwrap();
+            let err = a.add_scaled(-1.0, &lr.reconstruct()).norm_fro();
+            assert!(err <= rel * norm, "full at {rel}: err {err}");
+        }
+        assert!(LowRank::compress_full(&a, 1e-10 * norm, 3).is_none());
+        // An all-zero block is rank 0 with norm 0.
+        let (z, zn) = LowRank::compress_partial(10, 8, &mut Matrix::zeros(10, 8), 1e-8, 8).unwrap();
+        assert_eq!((z.rank(), zn), (0, 0.0));
     }
 }

@@ -213,6 +213,22 @@ pub fn tile_prefers_dense(
     dense <= tlr
 }
 
+/// Algorithm 2's crossover for `nb`-wide tiles: the largest rank at which
+/// [`tile_prefers_dense`] still keeps a tile low-rank in some precision
+/// (`nb` when it always does). Past it no tile is stored low-rank, so TLR
+/// generation stops compressing there.
+pub fn crossover_rank(model: &dyn KernelTimeModel, nb: usize) -> usize {
+    [Precision::F64, Precision::F32, Precision::F16]
+        .into_iter()
+        .map(|p| {
+            (1..=nb)
+                .find(|&k| tile_prefers_dense(model, nb, k, p))
+                .map_or(nb, |k| k - 1)
+        })
+        .max()
+        .unwrap_or(nb)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -369,6 +385,22 @@ mod tests {
                 (m.dense_rate, m.mem_factor),
                 (calibrated.dense_rate, calibrated.mem_factor)
             );
+        }
+    }
+
+    #[test]
+    fn crossover_rank_is_the_last_low_rank_win() {
+        // The benchmark's and the CLI's model at its `field` tile size.
+        let m = FlopKernelModel::for_tile(100);
+        assert_eq!(crossover_rank(&m, 100), 23);
+        for nb in [32, 100, 512] {
+            let m = FlopKernelModel::for_tile(nb);
+            let k = crossover_rank(&m, nb);
+            assert!(!tile_prefers_dense(&m, nb, k, Precision::F64), "nb {nb}");
+            assert!(tile_prefers_dense(&m, nb, k + 1, Precision::F64), "nb {nb}");
+            for p in [Precision::F32, Precision::F16] {
+                assert!(tile_prefers_dense(&m, nb, k + 1, p), "nb {nb} {p:?}");
+            }
         }
     }
 
