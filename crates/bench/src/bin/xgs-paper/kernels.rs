@@ -70,7 +70,7 @@ fn measured_panel(nb: usize) {
 }
 
 fn modeled_panel() {
-    let model = A64fxKernelModel::default();
+    let model = A64fxKernelModel;
     let nb = 2700;
     println!("-- modeled A64FX core, tile size {nb} (the paper's Fig. 5 setting) --");
     println!(
@@ -101,7 +101,7 @@ fn modeled_panel() {
 fn band_tuning_panel() {
     // Algorithm 2 on a synthetic rank profile (high near the diagonal,
     // decaying geometrically) at the paper's tile size.
-    let model = A64fxKernelModel::default();
+    let model = A64fxKernelModel;
     let nt = 371; // 1M / 2700
     let nb = 2700;
     println!("-- Algorithm 2: auto-tuned band_size_dense at tile {nb}, NT {nt} --");

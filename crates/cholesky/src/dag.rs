@@ -56,26 +56,21 @@ fn tile_bytes(meta: &dyn TileMetaSource, nb: usize, i: usize, j: usize) -> f64 {
     crate::shard::tile_wire_frame_bytes(meta, nb, nb, i, j) as f64
 }
 
-/// Effective TLR compute precision (no FP16 low-rank path).
-pub(crate) fn lr_precision(p: Precision) -> Precision {
-    if p == Precision::F16 {
-        Precision::F32
-    } else {
-        p
-    }
-}
-
 /// Modeled single-core time of task `t` on `nb x nb` tiles in `meta`'s
-/// formats.
-fn task_cost(meta: &dyn TileMetaSource, model: &dyn KernelTimeModel, nb: usize, t: Task) -> f64 {
+/// formats: the one price of a task, for the event replay of
+/// [`cholesky_dag`] and for `xgs-perfmodel`'s closed-form engine alike.
+pub fn task_cost(
+    meta: &dyn TileMetaSource,
+    model: &dyn KernelTimeModel,
+    nb: usize,
+    t: Task,
+) -> f64 {
     let (k, i, j) = (t.k as usize, t.i as usize, t.j as usize);
     match t.kind {
         // POTRF on the FP64 diagonal: nb^3/3 flops = 1/6 of a dense GEMM.
         Kernel::Potrf => model.dense_gemm_time(nb, Precision::F64) / 6.0,
         Kernel::Trsm if meta.is_dense(i, k) => model.dense_trsm_time(nb, meta.precision(i, k)),
-        Kernel::Trsm => {
-            model.tlr_trsm_time(nb, meta.rank(i, k), lr_precision(meta.precision(i, k)))
-        }
+        Kernel::Trsm => model.tlr_trsm_time(nb, meta.rank(i, k), meta.precision(i, k).low_rank()),
         // SYRK into the FP64 diagonal.
         Kernel::Syrk if meta.is_dense(i, k) => 0.5 * model.dense_gemm_time(nb, Precision::F64),
         Kernel::Syrk => 0.5 * model.tlr_gemm_time(nb, meta.rank(i, k), Precision::F64),
@@ -99,7 +94,7 @@ fn task_cost(meta: &dyn TileMetaSource, model: &dyn KernelTimeModel, nb: usize, 
                 2.0 * model.dense_gemm_time(nb, Precision::F64)
             } else {
                 let r = r_prod.max(meta.rank(i, j)).min(nb);
-                model.tlr_gemm_time(nb, r, lr_precision(meta.precision(i, j)))
+                model.tlr_gemm_time(nb, r, meta.precision(i, j).low_rank())
             }
         }
     }

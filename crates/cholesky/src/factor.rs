@@ -185,7 +185,6 @@ impl TiledFactor {
                 t.written(),
                 self.accesses(t),
                 t.priority(nt),
-                0.0,
                 move || {
                     if failed.load(Ordering::Acquire) != usize::MAX {
                         return;

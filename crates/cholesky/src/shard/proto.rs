@@ -7,7 +7,7 @@
 //! value or a [`FrameError`], never panics, and ignores bytes past the
 //! fields it knows (the forward-compatibility rule).
 
-use crate::dag::{lr_precision, TileMetaSource};
+use crate::dag::TileMetaSource;
 use crate::task::{Kernel, Task};
 use xgs_kernels::Precision;
 use xgs_runtime::shard::{FrameError, WireReader, WireWriter, FRAME_HEADER_BYTES};
@@ -118,7 +118,7 @@ pub fn tile_wire_frame_bytes(
         dense_payload_len(rows, cols, meta.precision(i, j))
     } else {
         let rank = meta.rank(i, j).min(rows.min(cols));
-        low_rank_payload_len(rows, cols, rank, lr_precision(meta.precision(i, j)))
+        low_rank_payload_len(rows, cols, rank, meta.precision(i, j).low_rank())
     };
     (FRAME_HEADER_BYTES + TILE_COORD_BYTES + body) as u64
 }

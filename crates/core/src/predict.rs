@@ -138,25 +138,6 @@ impl PredictionPlan {
         )
     }
 
-    /// Query with externally supplied weights (same factor/locations) —
-    /// the reuse hook for conditional simulation's per-draw residuals.
-    pub fn query_with_weights(
-        &self,
-        w: &[f64],
-        test_locs: &[Location],
-        with_uncertainty: bool,
-    ) -> PredictionResult {
-        assert_eq!(w.len(), self.train_locs.len());
-        query_batch(
-            self.kernel.as_ref(),
-            &self.train_locs,
-            w,
-            &self.factor,
-            test_locs,
-            with_uncertainty,
-        )
-    }
-
     pub fn n_train(&self) -> usize {
         self.train_locs.len()
     }
@@ -375,22 +356,6 @@ mod tests {
                 batched.uncertainty.as_ref().unwrap()[j].to_bits()
             );
         }
-    }
-
-    #[test]
-    fn query_with_weights_reuses_the_factor() {
-        let (kernel, tr, ztr, te, _zte, f) = setup(260, 30, MaternParams::new(1.0, 0.2, 1.5));
-        let factor = Arc::new(f);
-        let expect = krige(&kernel, &tr, &ztr, &factor, &te, false);
-        let plan = PredictionPlan::new(
-            Arc::new(kernel),
-            Arc::from(tr),
-            &vec![0.0; ztr.len()],
-            factor.clone(),
-        );
-        let w = solve_weights(&factor, &ztr);
-        let got = plan.query_with_weights(&w, &te, false);
-        assert_eq!(got.mean, expect.mean);
     }
 
     #[test]

@@ -41,20 +41,6 @@ impl Location {
     pub fn lag_time(&self, other: &Location) -> f64 {
         (self.t - other.t).abs()
     }
-
-    /// Great-circle distance in kilometres, treating `x` as longitude and
-    /// `y` as latitude in degrees (haversine on a 6371 km sphere) — the
-    /// distance metric ExaGeoStat offers for geographic datasets like the
-    /// paper's basin/Central-Asia regions.
-    pub fn dist_great_circle_km(&self, other: &Location) -> f64 {
-        const R_EARTH_KM: f64 = 6371.0;
-        let (lat1, lon1) = (self.y.to_radians(), self.x.to_radians());
-        let (lat2, lon2) = (other.y.to_radians(), other.x.to_radians());
-        let dlat = lat2 - lat1;
-        let dlon = lon2 - lon1;
-        let a = (dlat / 2.0).sin().powi(2) + lat1.cos() * lat2.cos() * (dlon / 2.0).sin().powi(2);
-        2.0 * R_EARTH_KM * a.sqrt().min(1.0).asin()
-    }
 }
 
 /// ExaGeoStat's synthetic design: an `m x m` grid (`m = ceil(sqrt(n))`)
@@ -246,27 +232,6 @@ mod tests {
             .filter(|w| (w[0].t - w[1].t).abs() > 2.0)
             .count();
         assert!(jumps < st.len() / 10, "too many large time jumps: {jumps}");
-    }
-
-    #[test]
-    fn great_circle_known_distances() {
-        // One degree of latitude ~ 111.2 km anywhere.
-        let a = Location::new(0.0, 0.0);
-        let b = Location::new(0.0, 1.0);
-        let d = a.dist_great_circle_km(&b);
-        assert!((d - 111.2).abs() < 0.3, "{d}");
-        // One degree of longitude at 60N is half that.
-        let c = Location::new(0.0, 60.0);
-        let e = Location::new(1.0, 60.0);
-        let d2 = c.dist_great_circle_km(&e);
-        assert!((d2 - 55.6).abs() < 0.3, "{d2}");
-        // Symmetry and identity.
-        assert_eq!(a.dist_great_circle_km(&b), b.dist_great_circle_km(&a));
-        assert_eq!(a.dist_great_circle_km(&a), 0.0);
-        // Antipodal: half the circumference ~ 20015 km.
-        let p = Location::new(0.0, 0.0);
-        let q = Location::new(180.0, 0.0);
-        assert!((p.dist_great_circle_km(&q) - 20015.0).abs() < 5.0);
     }
 
     #[test]

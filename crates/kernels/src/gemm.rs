@@ -786,38 +786,6 @@ fn write_back<F: Feed>(alpha: F::T, acc: &[F::T], c: &mut [F::Dst]) {
     }
 }
 
-/// Convenience wrapper for the common `C <- beta*C + alpha*A*B` case.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_notrans<T: Real>(
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: T,
-    a: &[T],
-    lda: usize,
-    b: &[T],
-    ldb: usize,
-    beta: T,
-    c: &mut [T],
-    ldc: usize,
-) {
-    gemm(
-        Trans::No,
-        Trans::No,
-        m,
-        n,
-        k,
-        alpha,
-        a,
-        lda,
-        b,
-        ldb,
-        beta,
-        c,
-        ldc,
-    )
-}
-
 /// SHGEMM: `C(f32) <- alpha * op(f16(A)) * op(f16(B)) + beta * C`.
 ///
 /// Operands arrive already trimmed to binary16 tiles; every product

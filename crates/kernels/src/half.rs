@@ -137,11 +137,6 @@ impl Half {
     }
 
     #[inline]
-    pub fn is_infinite(self) -> bool {
-        (self.0 & 0x7FFF) == 0x7C00
-    }
-
-    #[inline]
     pub fn is_finite(self) -> bool {
         (self.0 & 0x7C00) != 0x7C00
     }
@@ -207,10 +202,10 @@ mod tests {
 
     #[test]
     fn overflow_goes_to_infinity() {
-        assert!(Half::from_f32(1.0e6).is_infinite());
+        assert_eq!(Half::from_f32(1.0e6), Half::INFINITY);
         assert_eq!(Half::from_f32(-1.0e6), Half::NEG_INFINITY);
         // 65520 is the rounding boundary: ties-to-even rounds to infinity.
-        assert!(Half::from_f32(65520.0).is_infinite());
+        assert_eq!(Half::from_f32(65520.0), Half::INFINITY);
         assert_eq!(Half::from_f32(65519.0).0, 0x7BFF);
     }
 

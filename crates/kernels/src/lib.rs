@@ -25,7 +25,7 @@ mod simd;
 pub mod syrk;
 pub mod trsm;
 
-pub use gemm::{gemm, gemm_notrans, shgemm, Trans};
+pub use gemm::{gemm, shgemm, Trans};
 pub use half::Half;
 pub use potrf::{potrf, PotrfError};
 pub use precision::Precision;

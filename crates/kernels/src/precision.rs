@@ -64,6 +64,17 @@ impl Precision {
         }
     }
 
+    /// The precision a low-rank tile of this precision is stored and
+    /// computed in: the paper's TLR path is FP64/FP32 only, so FP16 maps to
+    /// FP32. The one place that rule is written.
+    #[inline]
+    pub fn low_rank(self) -> Precision {
+        match self {
+            Precision::F16 => Precision::F32,
+            other => other,
+        }
+    }
+
     /// The lower of two precisions.
     #[inline]
     pub fn min(self, other: Precision) -> Precision {
@@ -121,5 +132,12 @@ mod tests {
         assert_eq!(Precision::F16.bytes(), 2);
         assert_eq!(Precision::F64.speedup_vs_f64(), 1.0);
         assert!(Precision::F16.speedup_vs_f64() > Precision::F32.speedup_vs_f64());
+    }
+
+    #[test]
+    fn low_rank_is_never_fp16() {
+        assert_eq!(Precision::F16.low_rank(), Precision::F32);
+        assert_eq!(Precision::F32.low_rank(), Precision::F32);
+        assert_eq!(Precision::F64.low_rank(), Precision::F64);
     }
 }

@@ -162,25 +162,6 @@ impl LowRank {
         round(self.u.hcat(&ou), self.v.hcat(&other.v), tol)
     }
 
-    /// `(U V^T) * B` for dense `B` — stays low-rank with the same `U`.
-    pub fn matmul_dense(&self, b: &Matrix) -> LowRank {
-        assert_eq!(self.cols(), b.rows());
-        // (U V^T) B = U (B^T V)^T.
-        LowRank {
-            u: self.u.clone(),
-            v: b.t_matmul(&self.v),
-        }
-    }
-
-    /// `A * (U V^T)` for dense `A` — stays low-rank with the same `V`.
-    pub fn dense_matmul(a: &Matrix, lr: &LowRank) -> LowRank {
-        assert_eq!(a.cols(), lr.rows());
-        LowRank {
-            u: a.matmul(&lr.u),
-            v: lr.v.clone(),
-        }
-    }
-
     /// `(U1 V1^T) * (U2 V2^T)^T = U1 (V1^T V2) U2^T` — low-rank times
     /// transposed low-rank, the core product of the TLR GEMM in the Cholesky
     /// trailing update (`C -= A_ik * A_jk^T`).
@@ -222,31 +203,6 @@ impl LowRank {
             return;
         }
         trsm_left_lower_notrans(n, k, 1.0, l.as_slice(), n, self.v.as_mut_slice(), n);
-    }
-
-    /// `A - U V^T` applied to a dense accumulator in place:
-    /// `c -= alpha * U V^T` (used when a low-rank update hits a dense tile).
-    pub fn subtract_from_dense(&self, alpha: f64, c: &mut Matrix) {
-        assert_eq!(c.shape(), (self.rows(), self.cols()));
-        let k = self.rank();
-        if k == 0 {
-            return;
-        }
-        xgs_kernels::gemm(
-            xgs_kernels::Trans::No,
-            xgs_kernels::Trans::Yes,
-            self.rows(),
-            self.cols(),
-            k,
-            -alpha,
-            self.u.as_slice(),
-            self.rows().max(1),
-            self.v.as_slice(),
-            self.cols().max(1),
-            1.0,
-            c.as_mut_slice(),
-            self.rows().max(1),
-        );
     }
 }
 
@@ -366,20 +322,6 @@ mod tests {
     #[test]
     fn products_match_dense_oracle() {
         let a = lowrank(9, 7, 2, 6);
-        let b = rnd(7, 5, 7);
-        assert_close(
-            &a.matmul_dense(&b).reconstruct(),
-            &a.reconstruct().matmul(&b),
-            1e-10,
-        );
-
-        let c = rnd(4, 9, 8);
-        assert_close(
-            &LowRank::dense_matmul(&c, &a).reconstruct(),
-            &c.matmul(&a.reconstruct()),
-            1e-10,
-        );
-
         let d = lowrank(6, 7, 3, 9);
         assert_close(
             &a.matmul_lr_transposed(&d).reconstruct(),
@@ -421,15 +363,6 @@ mod tests {
             10,
         );
         assert_close(&lr.reconstruct(), &oracle, 1e-9);
-    }
-
-    #[test]
-    fn subtract_from_dense_matches() {
-        let lr = lowrank(7, 6, 2, 14);
-        let mut c = rnd(7, 6, 15);
-        let expect = c.add_scaled(-1.5, &lr.reconstruct());
-        lr.subtract_from_dense(1.5, &mut c);
-        assert_close(&c, &expect, 1e-10);
     }
 
     #[test]

@@ -229,12 +229,6 @@ impl Matrix {
         }
     }
 
-    /// Copy of the sub-block of size `nrows x ncols` starting at `(r0, c0)`.
-    pub fn submatrix(&self, r0: usize, c0: usize, nrows: usize, ncols: usize) -> Matrix {
-        assert!(r0 + nrows <= self.rows && c0 + ncols <= self.cols);
-        Matrix::from_fn(nrows, ncols, |i, j| self[(r0 + i, c0 + j)])
-    }
-
     /// Keep only the first `k` columns.
     #[must_use]
     pub fn truncate_cols(mut self, k: usize) -> Matrix {
@@ -254,18 +248,6 @@ impl Matrix {
             rows: self.rows,
             cols: self.cols + other.cols,
             data,
-        }
-    }
-
-    /// Mirror the lower triangle onto the upper (for symmetric matrices kept
-    /// lower-only).
-    pub fn symmetrize_from_lower(&mut self) {
-        assert_eq!(self.rows, self.cols);
-        for j in 0..self.cols {
-            for i in j + 1..self.rows {
-                let v = self[(i, j)];
-                self[(j, i)] = v;
-            }
         }
     }
 }
@@ -398,14 +380,6 @@ mod tests {
     }
 
     #[test]
-    fn submatrix_extracts_block() {
-        let m = Matrix::from_fn(6, 6, |i, j| (10 * i + j) as f64);
-        let s = m.submatrix(2, 3, 2, 2);
-        assert_eq!(s[(0, 0)], 23.0);
-        assert_eq!(s[(1, 1)], 34.0);
-    }
-
-    #[test]
     fn hcat_and_truncate() {
         let a = Matrix::from_fn(3, 2, |i, j| (i + j) as f64);
         let b = Matrix::from_fn(3, 1, |i, _| i as f64 * 7.0);
@@ -415,19 +389,5 @@ mod tests {
         let t = c.truncate_cols(2);
         assert_eq!(t.shape(), (3, 2));
         assert_eq!(t[(1, 1)], 2.0);
-    }
-
-    #[test]
-    fn symmetrize_mirrors_lower() {
-        let mut m = Matrix::from_fn(3, 3, |i, j| {
-            if i >= j {
-                (i + 1) as f64 * (j + 1) as f64
-            } else {
-                0.0
-            }
-        });
-        m.symmetrize_from_lower();
-        assert_eq!(m[(0, 2)], m[(2, 0)]);
-        assert_eq!(m[(1, 2)], m[(2, 1)]);
     }
 }

@@ -40,23 +40,20 @@ pub struct A64fxNode {
     pub net_latency: f64,
 }
 
-impl Default for A64fxNode {
-    fn default() -> A64fxNode {
-        A64fxNode {
-            cores: 48,
-            peak_f64: 3.072e12,
-            sustained: 0.65,
-            mem_bandwidth: 1.024e12,
-            mem_capacity: 32.0e9,
-            net_bandwidth: 6.8e9,
-            net_latency: 0.7e-6,
-        }
-    }
-}
-
 impl A64fxNode {
+    /// A Fugaku node at the paper's operating point.
+    pub const FUGAKU: A64fxNode = A64fxNode {
+        cores: 48,
+        peak_f64: 3.072e12,
+        sustained: 0.65,
+        mem_bandwidth: 1.024e12,
+        mem_capacity: 32.0e9,
+        net_bandwidth: 6.8e9,
+        net_latency: 0.7e-6,
+    };
+
     /// Effective FP64 rate of one core, flop/s.
-    pub fn core_rate_f64(&self) -> f64 {
+    pub const fn core_rate_f64(&self) -> f64 {
         self.peak_f64 * self.sustained / self.cores as f64
     }
 
@@ -73,33 +70,24 @@ impl A64fxNode {
 
 /// Kernel time model calibrated to the A64FX operating points.
 #[derive(Clone, Copy, Debug)]
-pub struct A64fxKernelModel {
-    /// Effective per-core FP64 flop rate for compute-bound dense kernels.
-    pub dense_rate: f64,
-    /// Per-flop penalty of memory-bound TLR kernels (calibrated to the
-    /// Fig. 5 crossover: rank ~200 at tile 2700).
-    pub mem_factor: f64,
-    /// FP16 compute speedup vs FP64. 2.0 = the paper's SGEMM fallback;
-    /// 4.0 = hypothetical native HGEMM-with-FP32-accumulation hardware.
-    pub fp16_speedup: f64,
-}
-
-impl Default for A64fxKernelModel {
-    fn default() -> A64fxKernelModel {
-        A64fxKernelModel {
-            dense_rate: A64fxNode::default().core_rate_f64(),
-            mem_factor: 9.0,
-            fp16_speedup: 2.0,
-        }
-    }
-}
+pub struct A64fxKernelModel;
 
 impl A64fxKernelModel {
-    fn speedup(&self, p: Precision) -> f64 {
+    /// Effective per-core FP64 flop rate for compute-bound dense kernels:
+    /// the sustained rate of one [`A64fxNode::FUGAKU`] core.
+    const DENSE_RATE: f64 = A64fxNode::FUGAKU.core_rate_f64();
+    /// Per-flop penalty of memory-bound TLR kernels (calibrated to the
+    /// Fig. 5 crossover: rank ~200 at tile 2700).
+    const MEM_FACTOR: f64 = 9.0;
+    /// FP16 compute speedup vs FP64: the paper's SGEMM fallback, FP16
+    /// storage computed at the FP32 rate.
+    const FP16_SPEEDUP: f64 = 2.0;
+
+    fn speedup(p: Precision) -> f64 {
         match p {
             Precision::F64 => 1.0,
             Precision::F32 => 2.0,
-            Precision::F16 => self.fp16_speedup,
+            Precision::F16 => Self::FP16_SPEEDUP,
         }
     }
 }
@@ -107,7 +95,7 @@ impl A64fxKernelModel {
 impl KernelTimeModel for A64fxKernelModel {
     fn dense_gemm_time(&self, nb: usize, precision: Precision) -> f64 {
         let flops = 2.0 * (nb as f64).powi(3);
-        flops / (self.dense_rate * self.speedup(precision))
+        flops / (Self::DENSE_RATE * Self::speedup(precision))
     }
 
     fn tlr_gemm_time(&self, nb: usize, rank: usize, precision: Precision) -> f64 {
@@ -115,12 +103,7 @@ impl KernelTimeModel for A64fxKernelModel {
         let k = (rank.max(1)) as f64;
         // LR product + QR/SVD rounding of the 2k-wide stacked factors.
         let flops = 36.0 * nb * k * k + 36.0 * k * k * k;
-        let p = if precision == Precision::F16 {
-            Precision::F32
-        } else {
-            precision
-        };
-        flops * self.mem_factor / (self.dense_rate * self.speedup(p))
+        flops * Self::MEM_FACTOR / (Self::DENSE_RATE * Self::speedup(precision.low_rank()))
     }
 }
 
@@ -130,7 +113,7 @@ mod tests {
 
     #[test]
     fn sustained_core_rate_matches_paper_operating_point() {
-        let node = A64fxNode::default();
+        let node = A64fxNode::FUGAKU;
         // 3.072 Tflop/s * 0.65 / 48 cores ~ 41.6 Gflop/s per core.
         let r = node.core_rate_f64();
         assert!((r - 41.6e9).abs() < 0.5e9, "core rate {r:.3e}");
@@ -138,7 +121,7 @@ mod tests {
 
     #[test]
     fn fig5_crossover_is_near_rank_200_at_tile_2700() {
-        let m = A64fxKernelModel::default();
+        let m = A64fxKernelModel;
         let nb = 2700;
         let dense = m.dense_gemm_time(nb, Precision::F64);
         // Find the rank where TLR GEMM time crosses dense GEMM time.
@@ -159,7 +142,7 @@ mod tests {
     fn ratio_curve_decays_with_rank_like_fig5() {
         // Fig. 5's right axis: dense/TLR time ratio falls monotonically
         // with rank, >>1 at small ranks.
-        let m = A64fxKernelModel::default();
+        let m = A64fxKernelModel;
         let nb = 2700;
         let dense = m.dense_gemm_time(nb, Precision::F64);
         let ratio = |k: usize| dense / m.tlr_gemm_time(nb, k, Precision::F64);
@@ -171,25 +154,16 @@ mod tests {
 
     #[test]
     fn fp16_fallback_matches_fp32_rate() {
-        let m = A64fxKernelModel::default();
+        let m = A64fxKernelModel;
         assert_eq!(
             m.dense_gemm_time(512, Precision::F16),
             m.dense_gemm_time(512, Precision::F32)
-        );
-        // Hypothetical native hardware doubles it again.
-        let native = A64fxKernelModel {
-            fp16_speedup: 4.0,
-            ..m
-        };
-        assert!(
-            native.dense_gemm_time(512, Precision::F16)
-                < native.dense_gemm_time(512, Precision::F32)
         );
     }
 
     #[test]
     fn machine_spec_export() {
-        let spec = A64fxNode::default().machine(1024);
+        let spec = A64fxNode::FUGAKU.machine(1024);
         assert_eq!(spec.nodes, 1024);
         assert_eq!(spec.cores_per_node, 48);
     }

@@ -6,7 +6,7 @@ use crate::a64fx::{A64fxNode, FUGAKU_FULL_NODES};
 /// Render the performance-attributes table (paper §II) for this
 /// reproduction, annotating the substitutions.
 pub fn performance_attributes() -> String {
-    let node = A64fxNode::default();
+    let node = A64fxNode::FUGAKU;
     let cores = FUGAKU_FULL_NODES * node.cores;
     format!(
         "Performance Attributes               | This reproduction\n\

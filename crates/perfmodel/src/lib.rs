@@ -18,7 +18,7 @@ pub mod scale;
 
 pub use a64fx::{A64fxKernelModel, A64fxNode, FUGAKU_FULL_NODES};
 pub use attributes::performance_attributes;
-pub use profiles::{Correlation, ProfileMeta, TileFormatProfile};
+pub use profiles::{Correlation, TileFormatProfile};
 pub use scale::{
     footprint_bytes, project, project_with_metrics, Projection, ScaleConfig, SolverVariant,
 };

@@ -126,21 +126,20 @@ impl TileMetaSource for TileFormatProfile {
             return Precision::F64;
         }
         let u = self.u(i, j);
-        if u < self.u_f64 {
+        let p = if u < self.u_f64 {
             Precision::F64
         } else if u < self.u_f32 {
             Precision::F32
-        } else if self.tlr && !self.is_dense(i, j) {
-            // No FP16 low-rank tiles.
-            Precision::F32
         } else {
             Precision::F16
+        };
+        if self.is_dense(i, j) {
+            p
+        } else {
+            p.low_rank()
         }
     }
 }
-
-/// Convenience alias used by the scale driver.
-pub type ProfileMeta = TileFormatProfile;
 
 #[cfg(test)]
 mod tests {

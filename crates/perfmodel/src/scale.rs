@@ -1,10 +1,11 @@
 //! Paper-scale projection of the three Cholesky variants.
 //!
-//! Two engines share the same tile-format metadata and kernel model:
+//! Two engines share the same tile-format metadata and the same per-task
+//! price, [`task_cost`] on the [`A64fxKernelModel`]:
 //!
 //! * **event** — builds the real tile-Cholesky DAG (`xgs-cholesky::dag`)
 //!   and replays it in the discrete-event simulator; exact scheduling
-//!   behaviour, O(NT^3) tasks, used up to `event_sim_max_nt`.
+//!   behaviour, O(NT^3) tasks, used up to NT = 160.
 //! * **analytic** — closed-form total work (O(NT^2) summation over
 //!   sub-diagonal multiplicities) and the diagonal-chain critical path;
 //!   `makespan ≈ max(work / (nodes · cores), critical_path) · overhead`,
@@ -13,11 +14,17 @@
 
 use crate::a64fx::{A64fxKernelModel, A64fxNode};
 use crate::profiles::{Correlation, TileFormatProfile};
-use xgs_cholesky::dag::{cholesky_dag, DagOptions, TileMetaSource};
+use xgs_cholesky::dag::{cholesky_dag, task_cost, DagOptions, TileMetaSource};
 use xgs_cholesky::grid_shape;
+use xgs_cholesky::task::{Kernel, Task};
 use xgs_kernels::Precision;
-use xgs_runtime::{simulate, simulate_with_metrics, JsonValue, MetricsReport};
-use xgs_tile::KernelTimeModel;
+use xgs_runtime::{simulate_with_metrics, JsonValue, MetricsReport};
+
+/// Largest NT routed to the event simulator (above: analytic).
+const EVENT_SIM_MAX_NT: usize = 160;
+
+/// The modeled machine node.
+const NODE: A64fxNode = A64fxNode::FUGAKU;
 
 /// Which solver variant to project (mirrors `xgs_tile::Variant` but owned
 /// here so the projector has no dependency on generated matrices).
@@ -41,7 +48,7 @@ impl SolverVariant {
     }
 }
 
-/// Scale experiment configuration.
+/// Scale experiment configuration, on [`A64fxNode::FUGAKU`] nodes.
 #[derive(Clone, Copy, Debug)]
 pub struct ScaleConfig {
     /// Matrix dimension (number of locations).
@@ -51,10 +58,6 @@ pub struct ScaleConfig {
     pub nodes: usize,
     pub correlation: Correlation,
     pub variant: SolverVariant,
-    pub node: A64fxNode,
-    pub model: A64fxKernelModel,
-    /// Largest NT routed to the event simulator (above: analytic).
-    pub event_sim_max_nt: usize,
 }
 
 impl ScaleConfig {
@@ -71,9 +74,6 @@ impl ScaleConfig {
             nodes,
             correlation,
             variant,
-            node: A64fxNode::default(),
-            model: A64fxKernelModel::default(),
-            event_sim_max_nt: 160,
         }
     }
 
@@ -121,6 +121,25 @@ pub struct Projection {
 }
 
 impl Projection {
+    fn new(
+        cfg: &ScaleConfig,
+        profile: &TileFormatProfile,
+        (makespan, efficiency): (f64, f64),
+        event_simulated: bool,
+    ) -> Projection {
+        let fp = footprint_bytes(profile);
+        let n = cfg.n as f64;
+        Projection {
+            nt: profile.nt,
+            makespan,
+            flops: n * n * n / 3.0 / makespan,
+            footprint_bytes: fp,
+            fits_in_memory: fp <= NODE.mem_capacity * cfg.nodes as f64,
+            event_simulated,
+            efficiency,
+        }
+    }
+
     /// One JSON object; the benches embed this in their machine-readable
     /// result dumps.
     pub fn to_json_value(&self) -> JsonValue {
@@ -156,32 +175,10 @@ pub fn footprint_bytes(meta: &TileFormatProfile) -> f64 {
     total
 }
 
-/// Project one configuration.
+/// Project one configuration: the event engine up to NT = 160, the
+/// analytic one above.
 pub fn project(cfg: &ScaleConfig) -> Projection {
-    let nt = cfg.n.div_ceil(cfg.nb);
-    let profile = cfg.profile();
-    let fp = footprint_bytes(&profile);
-    let fits = fp <= cfg.node.mem_capacity * cfg.nodes as f64;
-    let nominal = {
-        let n = cfg.n as f64;
-        n * n * n / 3.0
-    };
-
-    let (makespan, efficiency) = if nt <= cfg.event_sim_max_nt {
-        event_makespan(cfg, &profile, nt)
-    } else {
-        analytic_makespan(cfg, &profile, nt)
-    };
-
-    Projection {
-        nt,
-        makespan,
-        flops: nominal / makespan,
-        footprint_bytes: fp,
-        fits_in_memory: fits,
-        event_simulated: nt <= cfg.event_sim_max_nt,
-        efficiency,
-    }
+    run_engine(cfg).0
 }
 
 /// [`project`], additionally returning the per-kernel census of the event
@@ -190,57 +187,44 @@ pub fn project(cfg: &ScaleConfig) -> Projection {
 /// a projection against a measured run). `None` when the configuration is
 /// routed to the analytic engine, which has no task-level breakdown.
 pub fn project_with_metrics(cfg: &ScaleConfig) -> (Projection, Option<MetricsReport>) {
-    let nt = cfg.n.div_ceil(cfg.nb);
-    if nt > cfg.event_sim_max_nt {
-        return (project(cfg), None);
+    let (p, mut metrics) = run_engine(cfg);
+    if let Some(m) = &mut metrics {
+        // Closed-form frame census of the sharded protocol under this
+        // profile's formats: a real sharded run of the same grid must
+        // measure exactly these TILE frames/bytes when formats are static
+        // (`metrics_diff --assert-wire-equal tile`).
+        m.wire = xgs_cholesky::project_wire_census(&cfg.profile(), cfg.n, cfg.nb, cfg.nodes);
     }
-    let profile = cfg.profile();
-    let (p, q) = grid_shape(cfg.nodes);
-    let opts = DagOptions {
-        nt,
-        nb: cfg.nb,
-        grid_p: p,
-        grid_q: q,
-        model: &cfg.model,
-    };
-    let (tasks, _stats) = cholesky_dag(&profile, &opts);
-    let machine = cfg.node.machine(p * q);
-    let (r, mut metrics) = simulate_with_metrics(&tasks, &machine);
-    // Closed-form frame census of the sharded protocol under this
-    // profile's formats: a real sharded run of the same grid must measure
-    // exactly these TILE frames/bytes when formats are static
-    // (`metrics_diff --assert-wire-equal tile`).
-    metrics.wire = xgs_cholesky::project_wire_census(&profile, cfg.n, cfg.nb, cfg.nodes);
-    let fp = footprint_bytes(&profile);
-    let nominal = {
-        let n = cfg.n as f64;
-        n * n * n / 3.0
-    };
-    let projection = Projection {
-        nt,
-        makespan: r.makespan,
-        flops: nominal / r.makespan,
-        footprint_bytes: fp,
-        fits_in_memory: fp <= cfg.node.mem_capacity * cfg.nodes as f64,
-        event_simulated: true,
-        efficiency: r.efficiency,
-    };
-    (projection, Some(metrics))
+    (p, metrics)
 }
 
-fn event_makespan(cfg: &ScaleConfig, profile: &TileFormatProfile, nt: usize) -> (f64, f64) {
+/// The one projection path: the engine `cfg`'s NT routes to, with the
+/// event engine's kernel census.
+fn run_engine(cfg: &ScaleConfig) -> (Projection, Option<MetricsReport>) {
+    let profile = cfg.profile();
+    if profile.nt > EVENT_SIM_MAX_NT {
+        let p = Projection::new(cfg, &profile, analytic_makespan(cfg, &profile), false);
+        return (p, None);
+    }
+    let (makespan, efficiency, metrics) = event_makespan(cfg, &profile);
+    let p = Projection::new(cfg, &profile, (makespan, efficiency), true);
+    (p, Some(metrics))
+}
+
+/// Replay the DAG in the event simulator: makespan, efficiency and the
+/// per-kernel census.
+fn event_makespan(cfg: &ScaleConfig, profile: &TileFormatProfile) -> (f64, f64, MetricsReport) {
     let (p, q) = grid_shape(cfg.nodes);
     let opts = DagOptions {
-        nt,
+        nt: profile.nt,
         nb: cfg.nb,
         grid_p: p,
         grid_q: q,
-        model: &cfg.model,
+        model: &A64fxKernelModel,
     };
     let (tasks, _stats) = cholesky_dag(profile, &opts);
-    let machine = cfg.node.machine(p * q);
-    let r = simulate(&tasks, &machine);
-    (r.makespan, r.efficiency)
+    let (r, metrics) = simulate_with_metrics(&tasks, &NODE.machine(p * q));
+    (r.makespan, r.efficiency, metrics)
 }
 
 /// Overhead factor of the analytic estimate over the ideal
@@ -249,77 +233,71 @@ fn event_makespan(cfg: &ScaleConfig, profile: &TileFormatProfile, nt: usize) -> 
 /// handoff size).
 const ANALYTIC_OVERHEAD: f64 = 1.12;
 
-fn analytic_makespan(cfg: &ScaleConfig, meta: &TileFormatProfile, nt: usize) -> (f64, f64) {
-    let model = &cfg.model;
-    let nb = cfg.nb;
-    let lrp = |p: Precision| {
-        if p == Precision::F16 {
-            Precision::F32
-        } else {
-            p
-        }
+/// Closed-form total work of the DAG [`cholesky_dag`] builds over `meta`
+/// (the sum of its [`task_cost`]s) and its diagonal-chain critical path,
+/// seconds. Formats depend only on the tile distance `|i - j|`, so one
+/// representative task at `k = 0` prices each (kind, distances) class.
+fn analytic_work(profile: &TileFormatProfile) -> (f64, f64) {
+    let (nt, nb) = (profile.nt, profile.nb);
+    let meta = ByDistance::new(profile);
+    let cost = |kind, i: usize, j: usize| {
+        let t = Task {
+            kind,
+            k: 0,
+            i: i as u32,
+            j: j as u32,
+        };
+        task_cost(&meta, &A64fxKernelModel, nb, t)
     };
+    let trsm_cost = |d: usize| cost(Kernel::Trsm, d, 0);
+    let syrk_cost = |d: usize| cost(Kernel::Syrk, d, d);
 
-    // Representative per-sub-diagonal kernel costs.
-    let trsm_cost = |d: usize| -> f64 {
-        let (i, j) = (d, 0);
-        if meta.is_dense(i, j) {
-            model.dense_trsm_time(nb, meta.precision(i, j))
-        } else {
-            model.tlr_trsm_time(nb, meta.rank(i, j), lrp(meta.precision(i, j)))
-        }
-    };
-    let syrk_cost = |d: usize| -> f64 {
-        let (i, j) = (d, 0);
-        if meta.is_dense(i, j) {
-            0.5 * model.dense_gemm_time(nb, Precision::F64)
-        } else {
-            0.5 * model.tlr_gemm_time(nb, meta.rank(i, j), Precision::F64)
-        }
-    };
-    // GEMM(i,j,k): C at distance b = i-j, A at a = i-k, B at a-b = j-k.
-    let gemm_cost = |b: usize, a: usize| -> f64 {
-        let c_dense = meta.is_dense(b, 0);
-        if c_dense {
-            model.dense_gemm_time(nb, meta.precision(b, 0))
-        } else {
-            let ra = if meta.is_dense(a, 0) {
-                nb
-            } else {
-                meta.rank(a, 0)
-            };
-            let rb = if meta.is_dense(a - b, 0) {
-                nb
-            } else {
-                meta.rank(a - b, 0)
-            };
-            let r_prod = ra.min(rb);
-            if r_prod >= nb {
-                2.0 * model.dense_gemm_time(nb, Precision::F64)
-            } else {
-                let r = r_prod.max(meta.rank(b, 0)).min(nb);
-                model.tlr_gemm_time(nb, r, lrp(meta.precision(b, 0)))
-            }
-        }
-    };
-
-    let c_potrf = model.dense_gemm_time(nb, Precision::F64) / 6.0;
+    let c_potrf = cost(Kernel::Potrf, 0, 0);
     let mut work = nt as f64 * c_potrf;
     for d in 1..nt {
         let count = (nt - d) as f64;
         work += count * (trsm_cost(d) + syrk_cost(d));
     }
+    // GEMM(i,j,k): C at distance b = i-j, A at a = i-k, B at a-b = j-k.
     for a in 2..nt {
         let count = (nt - a) as f64;
         for b in 1..a {
-            work += count * gemm_cost(b, a);
+            work += count * cost(Kernel::Gemm, a, a - b);
         }
     }
 
     // Critical path: the diagonal chain potrf -> trsm(d=1) -> syrk(d=1).
     let cp = nt as f64 * (c_potrf + trsm_cost(1.min(nt - 1)) + syrk_cost(1.min(nt - 1)));
+    (work, cp)
+}
 
-    let cores = (cfg.nodes * cfg.node.cores) as f64;
+/// A profile's formats tabulated by tile distance `|i - j|`, which is all
+/// they depend on, so the O(NT^2) GEMM sum looks each format up instead of
+/// re-evaluating the profile's rank model (an `exp` per call).
+struct ByDistance(Vec<(bool, usize, Precision)>);
+
+impl ByDistance {
+    fn new(meta: &TileFormatProfile) -> ByDistance {
+        let format = |d| (meta.is_dense(d, 0), meta.rank(d, 0), meta.precision(d, 0));
+        ByDistance((0..meta.nt).map(format).collect())
+    }
+}
+
+impl TileMetaSource for ByDistance {
+    fn is_dense(&self, i: usize, j: usize) -> bool {
+        self.0[i.abs_diff(j)].0
+    }
+    fn rank(&self, i: usize, j: usize) -> usize {
+        self.0[i.abs_diff(j)].1
+    }
+    fn precision(&self, i: usize, j: usize) -> Precision {
+        self.0[i.abs_diff(j)].2
+    }
+}
+
+fn analytic_makespan(cfg: &ScaleConfig, meta: &TileFormatProfile) -> (f64, f64) {
+    let (work, cp) = analytic_work(meta);
+    let cores = (cfg.nodes * NODE.cores) as f64;
     let makespan = (work / cores).max(cp) * ANALYTIC_OVERHEAD;
     (makespan, work / (makespan * cores))
 }
@@ -425,20 +403,57 @@ mod tests {
     #[test]
     fn event_and_analytic_engines_agree_at_handoff() {
         // Same configuration through both engines near the handoff NT.
-        let mut c = cfg(150 * 800, 256, Correlation::Medium, SolverVariant::DenseF64);
-        c.event_sim_max_nt = 160; // event
-        let ev = project(&c);
-        assert!(ev.event_simulated);
-        c.event_sim_max_nt = 10; // force analytic
-        let an = project(&c);
-        assert!(!an.event_simulated);
-        let ratio = ev.makespan / an.makespan;
+        let c = cfg(150 * 800, 256, Correlation::Medium, SolverVariant::DenseF64);
+        assert!(project(&c).event_simulated);
+        let (ev, _, _) = event_makespan(&c, &c.profile());
+        let (an, _) = analytic_makespan(&c, &c.profile());
+        let ratio = ev / an;
         assert!(
             (0.7..1.4).contains(&ratio),
-            "engines disagree: event {} vs analytic {}",
-            ev.makespan,
-            an.makespan
+            "engines disagree: event {ev} vs analytic {an}"
         );
+    }
+
+    #[test]
+    fn analytic_work_is_the_dag_total_cost() {
+        // The closed form sums the same task prices the event engine
+        // replays, so it must equal the DAG's total to rounding.
+        let variants = [
+            SolverVariant::DenseF64,
+            SolverVariant::DenseF32,
+            SolverVariant::MpDense,
+            SolverVariant::MpDenseTlr,
+        ];
+        let corrs = [
+            Correlation::Weak,
+            Correlation::Medium,
+            Correlation::Strong,
+            Correlation::SpaceTimeStrong,
+        ];
+        for v in variants {
+            for c in corrs {
+                for nt in [1, 2, 3, 17, 40] {
+                    let profile = cfg(nt * 800, 16, c, v).profile();
+                    let opts = DagOptions {
+                        nt,
+                        nb: 800,
+                        grid_p: 4,
+                        grid_q: 4,
+                        model: &A64fxKernelModel,
+                    };
+                    let (_, stats) = cholesky_dag(&profile, &opts);
+                    let (work, _) = analytic_work(&profile);
+                    let rel = (work - stats.total_cost).abs() / stats.total_cost;
+                    assert!(
+                        rel <= 1e-12,
+                        "{} {} NT {nt}: analytic {work} vs DAG {}",
+                        v.name(),
+                        c.name(),
+                        stats.total_cost
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -461,8 +476,12 @@ mod tests {
         assert_eq!(proj.makespan, p2.makespan);
 
         // Analytic route yields no census.
-        let mut big = c;
-        big.event_sim_max_nt = 10;
+        let big = cfg(
+            (EVENT_SIM_MAX_NT + 1) * 800,
+            16,
+            Correlation::Medium,
+            SolverVariant::MpDense,
+        );
         let (pa, ma) = project_with_metrics(&big);
         assert!(!pa.event_simulated);
         assert!(ma.is_none());

@@ -936,14 +936,7 @@ mod tests {
     #[test]
     fn coords_flow_into_the_trace() {
         let mut g = TaskGraph::new();
-        g.insert_at(
-            "potrf",
-            (2, 2),
-            vec![Access::write(DataId(0))],
-            0,
-            0.0,
-            || {},
-        );
+        g.insert_at("potrf", (2, 2), vec![Access::write(DataId(0))], 0, || {});
         g.insert("aux", vec![Access::write(DataId(1))], 0, 0.0, || {});
         let r = execute(g, 1, true);
         let potrf = r.trace.iter().find(|e| e.kind == "potrf").unwrap();

@@ -60,9 +60,7 @@ pub(crate) struct TaskNode {
     pub n_deps: usize,
     /// Scheduling priority (higher runs earlier among ready tasks).
     pub priority: i64,
-    /// Estimated cost (seconds) for simulation / priority refinement.
-    pub cost: f64,
-    /// Accesses, kept for the distributed simulator's communication model.
+    /// Accesses, kept for the schedule validator.
     pub accesses: Vec<Access>,
 }
 
@@ -91,18 +89,18 @@ impl TaskGraph {
     }
 
     /// Insert a task. `priority` breaks ties among ready tasks (the tile
-    /// Cholesky uses panel depth so the critical path advances first);
-    /// `cost` is the modeled execution time used by the distributed
-    /// simulator (ignored by the shared-memory executor).
+    /// Cholesky uses panel depth so the critical path advances first).
+    /// `_cost` is unused: the distributed simulator prices its own DAG
+    /// (`xgs_cholesky::dag`).
     pub fn insert(
         &mut self,
         kind: &'static str,
         accesses: Vec<Access>,
         priority: i64,
-        cost: f64,
+        _cost: f64,
         closure: impl FnOnce() + Send + 'static,
     ) -> TaskId {
-        self.insert_task(kind, None, accesses, priority, cost, closure)
+        self.insert_task(kind, None, accesses, priority, closure)
     }
 
     /// [`insert`](TaskGraph::insert) for a kernel acting on tile `(i, j)`;
@@ -114,10 +112,9 @@ impl TaskGraph {
         coords: (u32, u32),
         accesses: Vec<Access>,
         priority: i64,
-        cost: f64,
         closure: impl FnOnce() + Send + 'static,
     ) -> TaskId {
-        self.insert_task(kind, Some(coords), accesses, priority, cost, closure)
+        self.insert_task(kind, Some(coords), accesses, priority, closure)
     }
 
     fn insert_task(
@@ -126,7 +123,6 @@ impl TaskGraph {
         coords: Option<(u32, u32)>,
         accesses: Vec<Access>,
         priority: i64,
-        cost: f64,
         closure: impl FnOnce() + Send + 'static,
     ) -> TaskId {
         let id = TaskId(self.tasks.len());
@@ -181,7 +177,6 @@ impl TaskGraph {
             dependents: Vec::new(),
             n_deps,
             priority,
-            cost,
             accesses,
         });
         id
@@ -191,80 +186,6 @@ impl TaskGraph {
     /// for static checks such as the Cholesky kernel census.
     pub fn task_kinds(&self) -> impl Iterator<Item = &'static str> + '_ {
         self.tasks.iter().map(|t| t.kind)
-    }
-
-    /// Longest path length (in tasks) — a lower bound on parallel steps.
-    pub fn critical_path_len(&self) -> usize {
-        let n = self.tasks.len();
-        let mut depth = vec![0usize; n];
-        let mut best = 0;
-        // Tasks are in topological (insertion) order by construction.
-        for i in 0..n {
-            let d = depth[i] + 1;
-            best = best.max(d);
-            for &TaskId(s) in &self.tasks[i].dependents {
-                depth[s] = depth[s].max(d);
-            }
-        }
-        best
-    }
-
-    /// Critical path weighted by task cost (seconds).
-    pub fn critical_path_cost(&self) -> f64 {
-        let n = self.tasks.len();
-        let mut depth = vec![0f64; n];
-        let mut best = 0.0f64;
-        for i in 0..n {
-            let d = depth[i] + self.tasks[i].cost;
-            best = best.max(d);
-            for &TaskId(s) in &self.tasks[i].dependents {
-                depth[s] = depth[s].max(d);
-            }
-        }
-        best
-    }
-
-    /// Total modeled work (sum of costs).
-    pub fn total_cost(&self) -> f64 {
-        self.tasks.iter().map(|t| t.cost).sum()
-    }
-
-    /// Render the DAG in Graphviz dot format (small graphs / debugging;
-    /// node labels are `kind#id`, colored per kind).
-    pub fn to_dot(&self) -> String {
-        let color = |kind: &str| match kind {
-            "potrf" => "#d62728",
-            "trsm" => "#1f77b4",
-            "syrk" => "#2ca02c",
-            "gemm" => "#9467bd",
-            _ => "#7f7f7f",
-        };
-        let mut out = String::from(
-            "digraph tasks {\n  rankdir=TB;\n  node [style=filled, fontcolor=white];\n",
-        );
-        for (i, t) in self.tasks.iter().enumerate() {
-            out.push_str(&format!(
-                "  t{i} [label=\"{}#{i}\", fillcolor=\"{}\"];\n",
-                t.kind,
-                color(t.kind)
-            ));
-        }
-        for (i, t) in self.tasks.iter().enumerate() {
-            for &TaskId(s) in &t.dependents {
-                out.push_str(&format!("  t{i} -> t{s};\n"));
-            }
-        }
-        out.push_str("}\n");
-        out
-    }
-
-    /// Export the structural skeleton for the distributed simulator:
-    /// `(kind, cost, accesses, dependents)` per task in topological order.
-    pub fn skeleton(&self) -> Vec<(&'static str, f64, Vec<Access>, Vec<TaskId>)> {
-        self.tasks
-            .iter()
-            .map(|t| (t.kind, t.cost, t.accesses.clone(), t.dependents.clone()))
-            .collect()
     }
 }
 
@@ -320,36 +241,6 @@ mod tests {
     }
 
     #[test]
-    fn critical_path_of_a_chain_and_a_fan() {
-        let mut g = TaskGraph::new();
-        let a = DataId(1);
-        for _ in 0..5 {
-            g.insert("chain", vec![Access::write(a)], 0, 1.0, noop);
-        }
-        assert_eq!(g.critical_path_len(), 5);
-        assert_eq!(g.critical_path_cost(), 5.0);
-        // A fan of independent tasks doesn't extend the path.
-        for i in 0..10 {
-            g.insert("fan", vec![Access::write(DataId(100 + i))], 0, 1.0, noop);
-        }
-        assert_eq!(g.critical_path_len(), 5);
-        assert_eq!(g.total_cost(), 15.0);
-    }
-
-    #[test]
-    fn dot_export_contains_nodes_and_edges() {
-        let mut g = TaskGraph::new();
-        let a = DataId(1);
-        g.insert("potrf", vec![Access::write(a)], 0, 0.0, noop);
-        g.insert("trsm", vec![Access::read(a)], 0, 0.0, noop);
-        let dot = g.to_dot();
-        assert!(dot.starts_with("digraph"));
-        assert!(dot.contains("potrf#0"));
-        assert!(dot.contains("t0 -> t1;"));
-        assert!(dot.trim_end().ends_with('}'));
-    }
-
-    #[test]
     fn cholesky_like_dag_shape() {
         // 3x3 tile Cholesky: potrf(0), trsm(1,0), trsm(2,0), syrk(1,1),
         // gemm(2,1), syrk(2,2), potrf(1), ... — verify the DAG depth matches
@@ -394,10 +285,15 @@ mod tests {
                 }
             }
         }
-        // Critical path of 3x3 tile Cholesky:
-        // potrf0 -> trsm(1,0) -> syrk(1) -> potrf1 -> trsm(2,1) -> syrk(2)
-        // -> potrf2 = 7 with the gemm inserted: potrf0,trsm10,gemm21? The
-        // known depth for nt=3 with this kernel set is 7.
-        assert_eq!(g.critical_path_len(), 7);
+        // Critical path of 3x3 tile Cholesky: potrf0 -> trsm(1,0) ->
+        // syrk(1) -> potrf1 -> trsm(2,1) -> syrk(2) -> potrf2 = 7 tasks.
+        // Tasks are in topological (insertion) order.
+        let mut depth = vec![1usize; g.tasks.len()];
+        for i in 0..g.tasks.len() {
+            for &TaskId(s) in &g.tasks[i].dependents {
+                depth[s] = depth[s].max(depth[i] + 1);
+            }
+        }
+        assert_eq!(depth.iter().max(), Some(&7));
     }
 }

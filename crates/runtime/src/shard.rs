@@ -211,17 +211,6 @@ impl WireWriter {
     pub fn put_f64(&mut self, v: f64) {
         self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
     }
-
-    pub fn put_f64s(&mut self, vs: &[f64]) {
-        self.buf.reserve(vs.len() * 8);
-        for &v in vs {
-            self.put_f64(v);
-        }
-    }
-
-    pub fn put_bytes(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
 }
 
 /// Little-endian payload cursor; every getter fails cleanly on truncation
@@ -265,20 +254,6 @@ impl<'a> WireReader<'a> {
 
     pub fn get_f64(&mut self) -> Result<f64, FrameError> {
         Ok(f64::from_bits(self.get_u64()?))
-    }
-
-    pub fn get_f64s(&mut self, n: usize) -> Result<Vec<f64>, FrameError> {
-        let bytes = self.take(n.checked_mul(8).ok_or(FrameError::Malformed(
-            "element count overflows payload length",
-        ))?)?;
-        Ok(bytes
-            .chunks_exact(8)
-            .map(|c| {
-                f64::from_bits(u64::from_le_bytes([
-                    c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7],
-                ]))
-            })
-            .collect())
     }
 
     /// Bytes not yet consumed.
@@ -401,14 +376,18 @@ mod tests {
         w.put_u64(u64::MAX - 1);
         w.put_f64(-0.0);
         w.put_f64(f64::MIN_POSITIVE);
-        w.put_f64s(&[1.5, -2.25, 3.125]);
+        for v in [1.5, -2.25, 3.125] {
+            w.put_f64(v);
+        }
         let mut r = WireReader::new(&w.buf);
         assert_eq!(r.get_u8().unwrap(), 9);
         assert_eq!(r.get_u32().unwrap(), 0xDEAD_BEEF);
         assert_eq!(r.get_u64().unwrap(), u64::MAX - 1);
         assert_eq!(r.get_f64().unwrap().to_bits(), (-0.0f64).to_bits());
         assert_eq!(r.get_f64().unwrap(), f64::MIN_POSITIVE);
-        assert_eq!(r.get_f64s(3).unwrap(), vec![1.5, -2.25, 3.125]);
+        for v in [1.5, -2.25, 3.125] {
+            assert_eq!(r.get_f64().unwrap(), v);
+        }
         assert_eq!(r.remaining(), 0);
         assert!(matches!(r.get_u8(), Err(FrameError::Malformed(_))));
     }
@@ -420,7 +399,7 @@ mod tests {
         let mut r = WireReader::new(&w.buf);
         assert!(r.get_u64().is_err());
         let mut r = WireReader::new(&w.buf);
-        assert!(r.get_f64s(100).is_err());
+        assert!(r.get_f64().is_err());
     }
 
     #[test]

@@ -251,11 +251,6 @@ impl ServerHandle {
         self.addr
     }
 
-    /// Snapshot of the server metrics as the shared JSON schema.
-    pub fn metrics_json(&self) -> String {
-        self.shared.report().to_json()
-    }
-
     /// Raise the shutdown flag (idempotent, non-blocking). In-flight
     /// requests still complete; use [`ServerHandle::join`] to wait.
     pub fn shutdown(&self) {

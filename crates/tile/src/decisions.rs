@@ -184,11 +184,7 @@ impl KernelTimeModel for FlopKernelModel {
         // 32 nb k^2 .. keep leading terms) + small SVD (O(k^3)).
         let flops = 6.0 * nb * k * k + 36.0 * k * k * k + 30.0 * nb * k * k;
         // TLR runs memory-bound: no FP16 and a mem_factor penalty.
-        let p = match precision {
-            Precision::F16 => Precision::F32,
-            other => other,
-        };
-        flops * self.mem_factor / (self.dense_rate * p.speedup_vs_f64())
+        flops * self.mem_factor / (self.dense_rate * precision.low_rank().speedup_vs_f64())
     }
 }
 
@@ -196,7 +192,8 @@ impl KernelTimeModel for FlopKernelModel {
 ///
 /// Compares the modeled TRSM+GEMM time of the tile over the factorization
 /// in both formats (the paper's Algorithm 2 aggregates exactly these two
-/// kernels) at the tile's assigned precision.
+/// kernels) at the tile's assigned precision, the low-rank side at
+/// [`Precision::low_rank`] of it.
 pub fn tile_prefers_dense(
     model: &dyn KernelTimeModel,
     nb: usize,
@@ -204,11 +201,7 @@ pub fn tile_prefers_dense(
     precision: Precision,
 ) -> bool {
     let dense = model.dense_gemm_time(nb, precision) + model.dense_trsm_time(nb, precision);
-    // TLR never runs in FP16 (paper: low-rank path is FP64/FP32).
-    let p = match precision {
-        Precision::F16 => Precision::F32,
-        other => other,
-    };
+    let p = precision.low_rank();
     let tlr = model.tlr_gemm_time(nb, rank, p) + model.tlr_trsm_time(nb, rank, p);
     dense <= tlr
 }

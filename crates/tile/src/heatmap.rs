@@ -25,16 +25,6 @@ impl Cell {
             Cell::LowRankF32 => 'l',
         }
     }
-
-    pub fn label(self) -> &'static str {
-        match self {
-            Cell::DenseF64 => "dense fp64",
-            Cell::DenseF32 => "dense fp32",
-            Cell::DenseF16 => "dense fp16",
-            Cell::LowRankF64 => "low-rank fp64",
-            Cell::LowRankF32 => "low-rank fp32",
-        }
-    }
 }
 
 /// The full `NT x NT` decision map of a tiled matrix (lower triangle
@@ -43,8 +33,6 @@ pub struct DecisionMap {
     pub nt: usize,
     /// Row-major `nt * nt` cells.
     pub cells: Vec<Cell>,
-    /// Ranks of low-rank tiles (usize::MAX where dense), same layout.
-    pub ranks: Vec<usize>,
     pub footprint_bytes: usize,
     pub dense_f64_footprint_bytes: usize,
 }
@@ -53,7 +41,6 @@ pub struct DecisionMap {
 pub fn decision_heatmap(m: &SymTileMatrix) -> DecisionMap {
     let nt = m.nt();
     let mut cells = vec![Cell::DenseF64; nt * nt];
-    let mut ranks = vec![usize::MAX; nt * nt];
     for j in 0..nt {
         for i in j..nt {
             let t = m.tile(i, j);
@@ -64,17 +51,13 @@ pub fn decision_heatmap(m: &SymTileMatrix) -> DecisionMap {
                 (TileStorage::LowRank(_), Precision::F64) => Cell::LowRankF64,
                 (TileStorage::LowRank(_), _) => Cell::LowRankF32,
             };
-            let r = t.rank().unwrap_or(usize::MAX);
             cells[i * nt + j] = cell;
             cells[j * nt + i] = cell;
-            ranks[i * nt + j] = r;
-            ranks[j * nt + i] = r;
         }
     }
     DecisionMap {
         nt,
         cells,
-        ranks,
         footprint_bytes: m.footprint_bytes(),
         dense_f64_footprint_bytes: m.dense_f64_footprint_bytes(),
     }
@@ -100,24 +83,6 @@ impl DecisionMap {
             mf_dense,
             100.0 * (1.0 - self.footprint_bytes as f64 / self.dense_f64_footprint_bytes as f64)
         ));
-        out
-    }
-
-    /// CSV rendering (`i,j,structure,precision,rank`).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("i,j,kind,rank\n");
-        for i in 0..self.nt {
-            for j in 0..self.nt {
-                let c = self.cells[i * self.nt + j];
-                let r = self.ranks[i * self.nt + j];
-                let rank = if r == usize::MAX {
-                    String::from("dense")
-                } else {
-                    r.to_string()
-                };
-                out.push_str(&format!("{i},{j},{},{rank}\n", c.label().replace(' ', "-")));
-            }
-        }
         out
     }
 
@@ -179,15 +144,6 @@ mod tests {
         assert!(s.contains("memory footprint"));
         // One line of nt glyphs per row.
         assert_eq!(s.lines().next().unwrap().len(), map.nt);
-    }
-
-    #[test]
-    fn csv_has_header_and_all_cells() {
-        let m = build(Variant::MpDenseTlr);
-        let map = decision_heatmap(&m);
-        let csv = map.to_csv();
-        assert_eq!(csv.lines().count(), 1 + map.nt * map.nt);
-        assert!(csv.starts_with("i,j,kind,rank"));
     }
 
     #[test]

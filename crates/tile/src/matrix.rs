@@ -272,15 +272,7 @@ impl SymTileMatrix {
             .zip(precisions)
             .zip(keep)
             .map(|((g, precision), keep)| match g.tile {
-                // TLR path: FP64/FP32 only (no FP16 low-rank).
-                Payload::LowRank(lr) if keep => {
-                    let p = if precision == Precision::F16 {
-                        Precision::F32
-                    } else {
-                        precision
-                    };
-                    Tile::low_rank(lr, p)
-                }
+                Payload::LowRank(lr) if keep => Tile::low_rank(lr, precision.low_rank()),
                 Payload::LowRank(_) => Tile::dense(formed.next().expect("formed above"), precision),
                 Payload::Dense(b) => Tile::dense(b, precision),
             })
@@ -313,11 +305,6 @@ impl SymTileMatrix {
     /// Borrow stored tile `(i, j)`, `i >= j`.
     pub fn tile(&self, i: usize, j: usize) -> &Tile {
         &self.tiles[self.layout.stored_index(i, j)]
-    }
-
-    pub fn tile_mut(&mut self, i: usize, j: usize) -> &mut Tile {
-        let idx = self.layout.stored_index(i, j);
-        &mut self.tiles[idx]
     }
 
     /// Total storage footprint in bytes under the assigned formats.

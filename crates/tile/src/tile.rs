@@ -114,12 +114,6 @@ impl Tile {
             }
         }
     }
-
-    /// Exact error the precision assignment introduced on construction
-    /// would incur on `original` (testing/diagnostics).
-    pub fn storage_error_vs(&self, original: &Matrix) -> f64 {
-        original.add_scaled(-1.0, &self.to_dense()).norm_fro()
-    }
 }
 
 #[cfg(test)]
@@ -140,7 +134,7 @@ mod tests {
     fn dense_f64_tile_is_lossless() {
         let a = rnd(10, 10, 1);
         let t = Tile::dense(a.clone(), Precision::F64);
-        assert_eq!(t.storage_error_vs(&a), 0.0);
+        assert_eq!(t.to_dense(), a);
         assert_eq!(t.footprint_bytes(), 10 * 10 * 8);
     }
 
@@ -148,7 +142,7 @@ mod tests {
     fn dense_f16_tile_loses_within_unit_roundoff() {
         let a = rnd(16, 16, 2);
         let t = Tile::dense(a.clone(), Precision::F16);
-        let err = t.storage_error_vs(&a);
+        let err = a.add_scaled(-1.0, &t.to_dense()).norm_fro();
         assert!(err > 0.0);
         // Elementwise |err| <= u16 * |a| implies Frobenius bound.
         assert!(err <= Precision::F16.unit_roundoff() * a.norm_fro() * 1.01);

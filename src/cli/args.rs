@@ -48,6 +48,11 @@ impl Args {
         Ok(Args { command, flags })
     }
 
+    /// Every flag given, without its `--`.
+    pub fn flags(&self) -> impl Iterator<Item = &str> {
+        self.flags.keys().map(String::as_str)
+    }
+
     pub fn get(&self, key: &str) -> Option<&str> {
         self.flags.get(key).map(String::as_str)
     }

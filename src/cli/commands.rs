@@ -66,7 +66,8 @@ COMMANDS:
   fit       maximum-likelihood estimation
             --data <csv> [--kernel matern|gneiting] [--variant dense|mp|mp-tlr]
             [--tile <nb>] [--start <θ,..>] [--max-evals <k>]
-            [--optimizer nm|pso] [--workers <w>] [--precision-rule adaptive|band]
+            [--optimizer nm|pso] [--particles <k>] [--workers <w>]
+            [--precision-rule adaptive|band] [--f64-band <k>] [--f32-band <k>]
             [--shards <k>]  (factorize on a warm fleet of k workers, see README)
             [--standbys <k>]  (warm spare workers promoted on death)
             [--se]  (append observed-information standard errors)
@@ -74,30 +75,39 @@ COMMANDS:
   predict   kriging at target sites
             --data <csv> --targets <csv> --theta <θ,..> [--kernel ...]
             [--variant ...] [--tile <nb>] [--uncertainty] [--out <csv>]
+            [--precision-rule ...] [--f64-band <k>] [--f32-band <k>] [--workers <w>]
             [--shards <k>] [--standbys <k>]  (warm worker fleet)
             [--metrics <json>]  (write the factorization's runtime metrics)
   maps      per-tile format decision map (Fig. 9 style)
             --data <csv> --theta <θ,..> [--kernel ...] [--variant ...] [--tile <nb>]
+            [--precision-rule ...] [--f64-band <k>] [--f32-band <k>]
   scale     simulated Fugaku-scale run (Figs. 7/10/11 style)
             --n <size> --nodes <p> [--nb <tile>] [--corr weak|medium|strong|st-strong]
             [--variant dense|fp32|mp|mp-tlr]
             [--metrics <json>]  (write the event replay's kernel census)
   serve     long-lived prediction service with a cached factor
             --data <csv> --theta <θ,..> [--kernel ...] [--variant ...] [--tile <nb>]
+            [--precision-rule ...] [--f64-band <k>] [--f32-band <k>]
             [--name <model>] [--addr <host:port>] [--solvers <k>] [--max-batch <points>]
             [--queue-points <budget>]  (shed predicts past this backlog)
             [--max-models <k>] [--model-ttl <seconds>]  (registry LRU/TTL eviction)
-            [--shards <k>] [--standbys <k>]  (persistent warm worker fleet)
+            [--workers <w>] [--shards <k>] [--standbys <k>]  (persistent warm worker fleet)
             [--metrics <json>]  (write the server metrics after shutdown)
             protocol: newline-delimited JSON over TCP, see README;
             stop with {\"op\":\"shutdown\"} (drains in-flight batches)
-  worker    one shard of a --shards factorization (started automatically;
+  worker    one shard of a sharded factorization (started automatically;
             external machines may dial a fleet's registration address)
             --connect <host:port>  (supervisor registration address)
             [--handshake-timeout <s>] [--idle-timeout <s>]  (liveness budgets)
   bayes     posterior sampling over the covariance parameters (MCMC)
-            --data <csv> --start <θ,..> [--kernel ...] [--variant ...]
+            --data <csv> --start <θ,..> [--kernel ...] [--variant ...] [--tile <nb>]
+            [--precision-rule ...] [--f64-band <k>] [--f32-band <k>]
             [--iterations <k>] [--burn-in <k>] [--seed <s>]
+            [--workers <w>] [--shards <k>] [--standbys <k>]
+
+  --precision-rule band stores tile (i,j) in FP64 when |i-j| < --f64-band,
+  else in FP32 when |i-j| < --f32-band, else in FP16 (defaults 3 and 8).
+  Every command rejects a flag it does not list.
 
 ENVIRONMENT:
   XGS_PRECHECK=1  run the pre-execution DAG/shard-plan safety checks
@@ -137,8 +147,18 @@ fn parse_variant(args: &Args) -> Result<Variant, CmdError> {
     }
 }
 
+/// A count flag, which must be at least `min`.
+fn at_least(args: &Args, key: &str, default: usize, min: usize) -> Result<usize, CmdError> {
+    match args.usize_or(key, default)? {
+        v if v < min => Err(CmdError::Arg(ArgError(format!(
+            "--{key} must be at least {min}"
+        )))),
+        v => Ok(v),
+    }
+}
+
 fn tile_config(args: &Args, variant: Variant, n: usize) -> Result<TlrConfig, CmdError> {
-    let nb = args.usize_or("tile", TlrConfig::default_tile_size(n))?;
+    let nb = at_least(args, "tile", TlrConfig::default_tile_size(n), 1)?;
     let mut cfg = TlrConfig::new(variant, nb);
     match args.str_or("precision-rule", "adaptive").as_str() {
         "adaptive" => {}
@@ -212,7 +232,7 @@ fn factor_engine(args: &Args) -> Result<FactorEngine, CmdError> {
 /// `simulate` — synthesize a dataset and write it to CSV.
 pub fn cmd_simulate(args: &Args) -> Result<String, CmdError> {
     let family = parse_family(args)?;
-    let n = args.usize_or("n", 1000)?;
+    let n = at_least(args, "n", 1000, 1)?;
     let slots = args.usize_or("slots", 1)?;
     let domain = args.f64_or("domain", 1.0)?;
     let seed = args.usize_or("seed", 0)? as u64;
@@ -270,7 +290,7 @@ pub fn cmd_fit(args: &Args) -> Result<String, CmdError> {
             initial_step: 0.35,
         }),
         "pso" => FitOptimizer::ParticleSwarm(PsoOptions {
-            particles: args.usize_or("particles", 12)?,
+            particles: at_least(args, "particles", 12, 2)?,
             iterations: (max_evals / 12).max(1),
             ..Default::default()
         }),
@@ -445,9 +465,9 @@ pub fn cmd_maps(args: &Args) -> Result<String, CmdError> {
 
 /// `scale` — paper-scale projection.
 pub fn cmd_scale(args: &Args) -> Result<String, CmdError> {
-    let n = args.usize_or("n", 1_000_000)?;
-    let nodes = args.usize_or("nodes", 2048)?;
-    let nb = args.usize_or("nb", 800)?;
+    let n = at_least(args, "n", 1_000_000, 1)?;
+    let nodes = at_least(args, "nodes", 2048, 1)?;
+    let nb = at_least(args, "nb", 800, 1)?;
     let corr = match args.str_or("corr", "weak").as_str() {
         "weak" => Correlation::Weak,
         "medium" => Correlation::Medium,
@@ -591,9 +611,10 @@ pub fn cmd_bayes(args: &Args) -> Result<String, CmdError> {
     check_theta(family, &start, "start")?;
     let cfg = tile_config(args, variant, ds.locs.len())?;
     let model = FlopKernelModel::for_tile(cfg.tile_size);
+    let burn_in = args.usize_or("burn-in", 100)?;
     let opts = McmcOptions {
-        iterations: args.usize_or("iterations", 500)?,
-        burn_in: args.usize_or("burn-in", 100)?,
+        iterations: at_least(args, "iterations", 500, burn_in.saturating_add(1))?,
+        burn_in,
         seed: args.usize_or("seed", 0xBA7E5)? as u64,
         engine: factor_engine(args)?,
         ..Default::default()
@@ -650,22 +671,78 @@ pub fn cmd_worker(args: &Args) -> Result<String, CmdError> {
     Ok(format!("worker drained after {executed} tasks\n"))
 }
 
+type Command = fn(&Args) -> Result<String, CmdError>;
+
+/// Every subcommand with the flags it reads (those of [`tile_config`] and
+/// [`factor_engine`] included); [`run`] rejects any other.
+const COMMANDS: [(&str, Command, &str); 8] = [
+    (
+        "simulate",
+        cmd_simulate,
+        "kernel n slots domain seed params out",
+    ),
+    (
+        "fit",
+        cmd_fit,
+        "kernel variant data max-evals optimizer particles start metrics se \
+         tile precision-rule f64-band f32-band workers shards standbys",
+    ),
+    (
+        "predict",
+        cmd_predict,
+        "kernel variant data targets theta uncertainty metrics out \
+         tile precision-rule f64-band f32-band workers shards standbys",
+    ),
+    (
+        "maps",
+        cmd_maps,
+        "kernel variant data theta tile precision-rule f64-band f32-band",
+    ),
+    ("scale", cmd_scale, "n nodes nb corr variant metrics"),
+    (
+        "serve",
+        cmd_serve,
+        "kernel variant data theta name model-ttl max-models addr solvers max-batch \
+         queue-points metrics tile precision-rule f64-band f32-band workers shards standbys",
+    ),
+    (
+        "worker",
+        cmd_worker,
+        "connect handshake-timeout idle-timeout",
+    ),
+    (
+        "bayes",
+        cmd_bayes,
+        "kernel variant data start iterations burn-in seed \
+         tile precision-rule f64-band f32-band workers shards standbys",
+    ),
+];
+
+/// The subcommand `args` names, once every flag given is one it reads.
+fn command(args: &Args) -> Result<Command, CmdError> {
+    let Some((name, command, flags)) = COMMANDS.iter().find(|c| c.0 == args.command) else {
+        return Err(CmdError::Arg(ArgError(format!(
+            "unknown command '{}'\n\n{USAGE}",
+            args.command
+        ))));
+    };
+    match args
+        .flags()
+        .find(|f| !flags.split_whitespace().any(|r| r == *f))
+    {
+        Some(flag) => Err(CmdError::Arg(ArgError(format!(
+            "{name} takes no --{flag} (see `exageostat help`)"
+        )))),
+        None => Ok(*command),
+    }
+}
+
 /// Dispatch.
 pub fn run(args: &Args) -> Result<String, CmdError> {
-    match args.command.as_str() {
-        "simulate" => cmd_simulate(args),
-        "fit" => cmd_fit(args),
-        "predict" => cmd_predict(args),
-        "maps" => cmd_maps(args),
-        "scale" => cmd_scale(args),
-        "serve" => cmd_serve(args),
-        "worker" => cmd_worker(args),
-        "bayes" => cmd_bayes(args),
-        "help" | "--help" | "-h" => Ok(USAGE.to_string()),
-        other => Err(CmdError::Arg(ArgError(format!(
-            "unknown command '{other}'\n\n{USAGE}"
-        )))),
+    if matches!(args.command.as_str(), "help" | "--help" | "-h") {
+        return Ok(USAGE.to_string());
     }
+    command(args)?(args)
 }
 
 #[cfg(test)]
@@ -952,6 +1029,142 @@ mod tests {
         )))
         .unwrap();
         assert!(out.contains("90% CI"), "{out}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected() {
+        let err = |cmd: &str| match run(&argv(cmd)) {
+            Err(CmdError::Arg(e)) => e.0,
+            other => panic!("expected a usage error for '{cmd}', got {other:?}"),
+        };
+        let e = err("simulate --n 50 --params 1.0,0.1,0.5 --out s.csv --sead 9 --bogus");
+        assert!(e.contains("--bogus") || e.contains("--sead"), "{e}");
+        assert_eq!(e.lines().count(), 1, "{e}");
+        // A flag another command reads is still foreign here.
+        assert!(err("scale --n 1000 --tile 50").contains("--tile"));
+        for (name, ..) in COMMANDS {
+            assert!(err(&format!("{name} --frobnicate 1")).contains("--frobnicate"));
+        }
+    }
+
+    /// The `--flag`s one command's USAGE entry names.
+    fn usage_flags(name: &str) -> Vec<&'static str> {
+        let head = format!("  {name} ");
+        let mut lines = USAGE.lines().skip_while(|l| !l.starts_with(&head));
+        let first = lines.next().unwrap();
+        let entry = std::iter::once(first).chain(lines.take_while(|l| l.starts_with("    ")));
+        let mut flags: Vec<&str> = entry
+            .flat_map(|l| l.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-')))
+            .filter_map(|w| w.strip_prefix("--"))
+            .collect();
+        flags.sort_unstable();
+        flags.dedup();
+        flags
+    }
+
+    #[test]
+    fn usage_names_exactly_the_flags_each_command_reads() {
+        for (name, _, flags) in COMMANDS {
+            let mut reads: Vec<&str> = flags.split_whitespace().collect();
+            reads.sort_unstable();
+            assert_eq!(usage_flags(name), reads, "USAGE entry of {name}");
+        }
+    }
+
+    #[test]
+    fn ci_and_fleet_invocations_pass_the_flag_check() {
+        let ci = include_str!("../../.github/workflows/ci.yml");
+        let mut lines = ci.lines();
+        let mut checked = 0;
+        while let Some(line) = lines.next() {
+            let Some((_, rest)) = line.split_once("target/release/exageostat ") else {
+                continue;
+            };
+            let mut call = rest.to_string();
+            while call.ends_with('\\') {
+                call.pop();
+                call.push_str(lines.next().unwrap());
+            }
+            let words: Vec<String> = call
+                .split_whitespace()
+                .take_while(|w| *w != "&")
+                .map(|w| w.trim_matches('"').to_string())
+                .collect();
+            let args = Args::parse(&words).unwrap();
+            assert!(command(&args).is_ok(), "CI runs `exageostat {call}`");
+            checked += 1;
+        }
+        assert!(checked >= 10, "only {checked} invocations found in CI");
+        // The argv `xgs-fleet` starts each worker with.
+        assert!(command(&argv("worker --connect 127.0.0.1:4741")).is_ok());
+    }
+
+    /// `cmd` fails with a usage error naming `flag`, not a panic.
+    fn assert_usage_error(cmd: &str, flag: &str) {
+        match run(&argv(cmd)) {
+            Err(CmdError::Arg(e)) => assert!(e.0.contains(flag), "{cmd}: {e}"),
+            other => panic!("expected a usage error for '{cmd}', got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn zero_tile_is_a_usage_error() {
+        let dir = std::env::temp_dir().join(format!("xgs-zero-tile-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let d = dir.join("d.csv");
+        let ds = d.to_str().unwrap();
+        run(&argv(&format!(
+            "simulate --n 40 --params 1.0,0.1,0.5 --out {ds}"
+        )))
+        .unwrap();
+        let theta = "--theta 1.0,0.1,0.5 --tile 0";
+        for cmd in [
+            format!("fit --data {ds} --tile 0"),
+            format!("predict --data {ds} --targets {ds} {theta}"),
+            format!("maps --data {ds} {theta}"),
+            format!("serve --data {ds} {theta} --addr 127.0.0.1:0"),
+            format!("bayes --data {ds} --start 1.0,0.1,0.5 --tile 0"),
+        ] {
+            assert_usage_error(&cmd, "--tile");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn zero_nb_is_a_usage_error() {
+        assert_usage_error("scale --n 1000 --nodes 4 --nb 0", "--nb");
+    }
+
+    #[test]
+    fn zero_n_is_a_usage_error() {
+        assert_usage_error("scale --n 0 --nodes 4", "--n");
+        assert_usage_error("simulate --n 0 --params 1.0,0.1,0.5 --out x.csv", "--n");
+    }
+
+    #[test]
+    fn zero_nodes_is_a_usage_error() {
+        assert_usage_error("scale --n 1000 --nodes 0", "--nodes");
+    }
+
+    #[test]
+    fn too_few_particles_or_kept_draws_is_a_usage_error() {
+        let dir = std::env::temp_dir().join(format!("xgs-few-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let d = dir.join("d.csv");
+        let ds = d.to_str().unwrap();
+        run(&argv(&format!(
+            "simulate --n 40 --params 1.0,0.1,0.5 --out {ds}"
+        )))
+        .unwrap();
+        assert_usage_error(
+            &format!("fit --data {ds} --optimizer pso --particles 1"),
+            "--particles",
+        );
+        assert_usage_error(
+            &format!("bayes --data {ds} --start 1.0,0.1,0.5 --iterations 10 --burn-in 10"),
+            "--iterations",
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
