@@ -404,9 +404,10 @@ mod tests {
     fn event_and_analytic_engines_agree_at_handoff() {
         // Same configuration through both engines near the handoff NT.
         let c = cfg(150 * 800, 256, Correlation::Medium, SolverVariant::DenseF64);
-        assert!(project(&c).event_simulated);
-        let (ev, _, _) = event_makespan(&c, &c.profile());
-        let (an, _) = analytic_makespan(&c, &c.profile());
+        let profile = c.profile();
+        assert!(profile.nt <= EVENT_SIM_MAX_NT);
+        let (ev, _, _) = event_makespan(&c, &profile);
+        let (an, _) = analytic_makespan(&c, &profile);
         let ratio = ev / an;
         assert!(
             (0.7..1.4).contains(&ratio),
