@@ -231,7 +231,6 @@ pub fn pso() {
             optimizer: FitOptimizer::ParticleSwarm(PsoOptions {
                 particles,
                 iterations: 4,
-                parallel: true,
                 ..Default::default()
             }),
             start: Some(vec![1.0, 0.4, 0.5]),

@@ -203,14 +203,12 @@ fn tile_size_panel(n: usize) {
     println!("per-tile overheads; the paper picks 800 (Fig. 7) to 2700 (Fig. 9).");
 }
 
-/// The parallel factorization with the schedule validator off, sampled
-/// (`validate_every` 64 and 8) and exhaustive (1), with the pre-execution
-/// graph checker forced on, and with the dynamic vector-clock race checker
-/// (`xgs_runtime::race`, normally debug-only) forced on, all over the same
-/// matrix. The validator pays two atomic ticks per task endpoint plus a
-/// post-run edge walk; the race checker a global-mutex clock join per
-/// declared access. So the overhead should be flat in stride until the
-/// edge walk dominates.
+/// The parallel factorization with the schedule validator off and on, with
+/// the pre-execution graph checker forced on, and with the dynamic
+/// vector-clock race checker (`xgs_runtime::race`, normally debug-only)
+/// forced on, all over the same matrix. The validator pays one atomic tick
+/// per task endpoint plus a post-run edge walk; the race checker a
+/// global-mutex clock join per declared access.
 pub fn validator_overhead() {
     let (n, nb, reps): (usize, usize, usize) = (3000, 64, 3);
     let workers = xgs_runtime::logical_cores();
@@ -229,16 +227,16 @@ pub fn validator_overhead() {
         precheck: false,
         ..ExecOptions::default()
     };
-    let validate_every = |every| ExecOptions {
-        validate: true,
-        validate_every: every,
-        ..base
-    };
-    let configs: [(&str, ExecOptions, bool); 6] = [
+    let configs: [(&str, ExecOptions, bool); 4] = [
         ("validate off", base, false),
-        ("validate every 64", validate_every(64), false),
-        ("validate every 8", validate_every(8), false),
-        ("validate every 1", validate_every(1), false),
+        (
+            "validate on",
+            ExecOptions {
+                validate: true,
+                ..base
+            },
+            false,
+        ),
         (
             "precheck only",
             ExecOptions {
@@ -251,8 +249,8 @@ pub fn validator_overhead() {
     ];
 
     println!(
-        "{:>18} | {:>10} {:>12} {:>12} {:>10}",
-        "config", "median s", "edges chk", "edges skip", "vs off"
+        "{:>18} | {:>10} {:>12} {:>10}",
+        "config", "median s", "edges chk", "vs off"
     );
     let mut baseline = 0.0f64;
     for (label, opts, race_on) in configs {
@@ -262,7 +260,6 @@ pub fn validator_overhead() {
         xgs_runtime::race::set_enabled(Some(race_on));
         let mut secs = Vec::with_capacity(reps);
         let mut checked = 0u64;
-        let mut skipped = 0u64;
         for _ in 0..reps {
             let f = std::sync::Arc::new(TiledFactor::from_matrix(SymTileMatrix::generate(
                 &kernel,
@@ -273,9 +270,8 @@ pub fn validator_overhead() {
             let ((res, report), s) = timed(|| f.factorize_parallel_opts(workers, opts));
             res.expect("benchmark matrix is SPD");
             secs.push(s);
-            if let Some(v) = report.metrics.and_then(|m| m.validation) {
+            if let Some(v) = report.validation {
                 checked = v.edges_checked;
-                skipped = v.edges_skipped;
             }
         }
         let (_, median, _) = quartiles(&mut secs);
@@ -287,12 +283,12 @@ pub fn validator_overhead() {
         } else {
             "-".to_string()
         };
-        println!("{label:>18} | {median:>10.3} {checked:>12} {skipped:>12} {delta:>10}");
+        println!("{label:>18} | {median:>10.3} {checked:>12} {delta:>10}");
     }
     xgs_runtime::race::set_enabled(None);
     let races = xgs_runtime::race::race_count();
     println!(
-        "\nrecording = two relaxed-ordering ticks per sampled task; the edge walk\n\
+        "\nrecording = two relaxed-ordering ticks per task; the edge walk\n\
          runs once post-factorization on the coordinator thread. The race-check\n\
          row pays a global-mutex vector-clock join per declared task access\n\
          ({races} race(s) detected — expected 0).\n"

@@ -4,7 +4,7 @@ use crate::task::{tasks, Task};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use xgs_runtime::{execute_opts, Access, DataId, ExecOptions, ExecReport, TaskGraph};
+use xgs_runtime::{execute_opts, Access, DataId, ExecOptions, MetricsReport, TaskGraph};
 use xgs_tile::{SymTileMatrix, Tile, TileLayout};
 
 /// Factorization failure.
@@ -154,24 +154,24 @@ impl TiledFactor {
     ///
     /// Builds the dataflow DAG (same dependence structure PaRSEC derives
     /// from its PTG) and executes it with `workers` worker loops on the
-    /// shared pool (`xgs_runtime::execute_opts`). Returns the
-    /// execution report alongside the factorization result.
+    /// shared pool (`xgs_runtime::execute_opts`). Returns the run's
+    /// metrics alongside the factorization result.
     pub fn factorize_parallel(
         self: &Arc<Self>,
         workers: usize,
-    ) -> (Result<(), FactorError>, ExecReport) {
+    ) -> (Result<(), FactorError>, MetricsReport) {
         // Default options: schedule validation on under `cfg(debug_assertions)`
-        // (so every test factorization is checked), metrics always on.
+        // (so every test factorization is checked).
         self.factorize_parallel_opts(workers, ExecOptions::default())
     }
 
     /// [`factorize_parallel`](TiledFactor::factorize_parallel) with explicit
-    /// runtime options (tracing, schedule validation, precheck, metrics).
+    /// runtime options (tracing, schedule validation, precheck).
     pub fn factorize_parallel_opts(
         self: &Arc<Self>,
         workers: usize,
         opts: ExecOptions,
-    ) -> (Result<(), FactorError>, ExecReport) {
+    ) -> (Result<(), FactorError>, MetricsReport) {
         let nt = self.nt();
         let mut g = TaskGraph::new();
         // Earliest failed pivot (global index); `usize::MAX` while none.
@@ -359,19 +359,18 @@ mod tests {
             },
         );
         res.unwrap();
-        let m = report.metrics.as_ref().expect("metrics on by default");
-        let v = m.validation.expect("validator was requested");
+        let v = report.validation.expect("validator was requested");
         // 6x6 tiles. Right-looking tile Cholesky carries RAW (kernel reads
         // the panel/diagonal) and WAW (updates then factor) hazards; WAR
         // never occurs because each tile's last write precedes all reads.
         assert!(v.raw_edges > 0 && v.waw_edges > 0, "{v:?}");
         assert_eq!(v.war_edges, 0, "{v:?}");
-        let kinds: Vec<&str> = m.kernels.iter().map(|k| k.kind).collect();
+        let kinds: Vec<&str> = report.kernels.iter().map(|k| k.kind).collect();
         for kind in ["potrf", "trsm", "syrk", "gemm"] {
             assert!(kinds.contains(&kind), "missing kernel stats for {kind}");
         }
         assert_eq!(
-            m.kernels.iter().map(|k| k.count).sum::<u64>() as usize,
+            report.kernels.iter().map(|k| k.count).sum::<u64>() as usize,
             report.tasks
         );
         // Tile coordinates flow into the trace: the first potrf is (0,0)

@@ -1,7 +1,7 @@
 //! Coordinator side: reader threads, the bookkeeping of a run in flight,
 //! and the drive loop that walks [`steps`](super::plan::steps).
 
-use super::plan::{build_shard_plan, canonical_tasks, Step, TaskMeta};
+use super::plan::{build_shard_plan, canonical_tasks, grid_shape, Step, TaskMeta};
 use super::proto::{
     count_wire_conversion, decode_done, decode_heartbeat, decode_tile_header, encode_heartbeat,
     encode_hello, encode_task, encode_tile_frame, DoneFrame, TaskFrame, WireCensus,
@@ -357,12 +357,12 @@ impl TiledFactor {
         source: &mut dyn ReplacementSource,
     ) -> Result<ShardReport, ShardError> {
         let workers = streams.len();
-        let (p, q) = (opts.grid_p, opts.grid_q);
-        if p * q != workers || workers == 0 {
-            return Err(ShardError::Protocol(format!(
-                "grid {p}x{q} does not match {workers} workers"
-            )));
+        if workers == 0 {
+            return Err(ShardError::Protocol(
+                "a sharded factorization needs at least one worker".into(),
+            ));
         }
+        let (p, q) = grid_shape(workers);
         let t0 = Instant::now();
         let conv0 = conversion_counts();
 
@@ -480,7 +480,6 @@ impl TiledFactor {
         if drive.recoveries == 0 {
             debug_assert_eq!(sent_tasks, census);
         }
-        report.worker_tasks = census;
         report.metrics.conversions = conversion_counts().since(&conv0);
 
         // The frames the plan budgeted are the frames the wire carried —
@@ -622,6 +621,5 @@ fn run_steps(
             wire: wire.to_stats(),
             ..MetricsReport::default()
         },
-        worker_tasks: Vec::new(), // stamped by the caller from the census
     })
 }

@@ -135,12 +135,10 @@ impl From<FactorError> for ShardError {
     }
 }
 
-/// How a sharded factorization is driven.
+/// How a sharded factorization is driven. The process grid is not an
+/// option: it is always [`grid_shape`] of the worker count.
 #[derive(Clone, Copy, Debug)]
 pub struct ShardOptions {
-    /// Process grid: `grid_p * grid_q` must equal the worker count.
-    pub grid_p: usize,
-    pub grid_q: usize,
     /// Wall-clock budget for the whole factorization, including the
     /// end-of-run census. On expiry the coordinator aborts with
     /// [`ShardError::Timeout`] rather than hanging on a wedged worker.
@@ -161,13 +159,11 @@ pub struct ShardOptions {
     pub precheck: bool,
 }
 
-impl ShardOptions {
-    /// Near-square grid for `workers` processes, generous deadline.
-    pub fn for_workers(workers: usize) -> ShardOptions {
-        let (grid_p, grid_q) = grid_shape(workers);
+impl Default for ShardOptions {
+    /// A generous deadline; validation and precheck default as in the
+    /// shared-memory executor.
+    fn default() -> ShardOptions {
         ShardOptions {
-            grid_p,
-            grid_q,
             deadline: Duration::from_secs(120),
             validate: cfg!(debug_assertions),
             precheck: precheck_env_default(),
@@ -179,12 +175,10 @@ impl ShardOptions {
 #[derive(Clone, Debug)]
 pub struct ShardReport {
     /// Same schema as the in-process executor's metrics: per-kernel stats
-    /// from worker-reported task timings, per-worker busy/task counters.
+    /// from worker-reported task timings, per-worker busy/task counters
+    /// (every surviving worker's end-of-run `HEARTBEAT` echo was verified
+    /// against the TASK frames the coordinator sent it).
     pub metrics: MetricsReport,
-    /// Tasks per worker under the block-cyclic census of the DAG; every
-    /// surviving worker's end-of-run `HEARTBEAT` echo was verified
-    /// against the TASK frames the coordinator sent it.
-    pub worker_tasks: Vec<u64>,
 }
 
 /// Anything that can run a sharded factorization for the higher layers

@@ -71,14 +71,14 @@ fn retire(streams: Vec<TcpStream>, handles: impl IntoIterator<Item = WorkerHandl
 /// Factorize `f` over `streams` with no replacements, asserting hazard
 /// edges and the frame plan even in release.
 fn run(f: &mut TiledFactor, streams: &mut Vec<TcpStream>) -> Result<ShardReport, ShardError> {
-    f.factorize_elastic(streams, &forced(streams.len()), &mut NoReplacement)
+    f.factorize_elastic(streams, &forced(), &mut NoReplacement)
 }
 
-fn forced(shards: usize) -> ShardOptions {
+fn forced() -> ShardOptions {
     ShardOptions {
         validate: true,
         precheck: true,
-        ..ShardOptions::for_workers(shards)
+        ..ShardOptions::default()
     }
 }
 
@@ -135,8 +135,14 @@ fn sharded_matches_sequential_bitwise_in_process() {
         let nt = seq.nt();
         let total = nt + nt * (nt - 1) / 2 + nt * (nt * nt - 1) / 6;
         assert_eq!(report.metrics.tasks, total);
-        assert_eq!(report.worker_tasks.iter().sum::<u64>() as usize, total);
-        let idle = report.worker_tasks.contains(&0);
+        let per_worker: Vec<u64> = report
+            .metrics
+            .worker_stats
+            .iter()
+            .map(|w| w.tasks)
+            .collect();
+        assert_eq!(per_worker.iter().sum::<u64>() as usize, total);
+        let idle = per_worker.contains(&0);
         assert_eq!(idle, shards > nt * (nt + 1) / 2, "idle workers");
         let v = report.metrics.validation.expect("validation forced on");
         assert_eq!(v.war_edges, 0);
@@ -403,7 +409,7 @@ fn elastic_recovery_mid_panel_stays_bitwise() {
         let (mut streams, handles) = local_grid(4, Some(MID_PANEL));
         let mut source = LocalRespawn::new(origin);
         let report = shd
-            .factorize_elastic(&mut streams, &forced(4), &mut source)
+            .factorize_elastic(&mut streams, &forced(), &mut source)
             .unwrap();
         retire(streams, handles.into_iter().chain(source.handles));
 
@@ -439,7 +445,7 @@ fn repeated_deaths_still_recover() {
         disconnect: true,
     });
     let report = shd
-        .factorize_elastic(&mut streams, &ShardOptions::for_workers(4), &mut source)
+        .factorize_elastic(&mut streams, &ShardOptions::default(), &mut source)
         .unwrap();
     retire(streams, handles.into_iter().chain(source.handles));
     assert_eq!(

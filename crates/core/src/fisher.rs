@@ -245,7 +245,6 @@ mod tests {
             f.factorize_seq()?;
             Ok(xgs_cholesky::ShardReport {
                 metrics: Default::default(),
-                worker_tasks: Vec::new(),
             })
         }
 

@@ -10,7 +10,7 @@
 use std::sync::Arc;
 use xgs_cholesky::{logdet, solve_lower, ShardBackend, ShardError, TiledFactor};
 use xgs_covariance::{CovarianceKernel, Location};
-use xgs_runtime::ExecReport;
+use xgs_runtime::MetricsReport;
 use xgs_tile::{KernelTimeModel, SymTileMatrix, TlrConfig};
 
 /// Which execution backend factorizes Σ(θ).
@@ -51,8 +51,9 @@ pub struct LikelihoodReport {
     pub quad: f64,
     /// The Cholesky factor of Σ(θ).
     pub factor: Arc<TiledFactor>,
-    /// Runtime report when the parallel engine ran.
-    pub exec: Option<ExecReport>,
+    /// What the task runtime or the fleet observed (`None` for the
+    /// sequential engine).
+    pub metrics: Option<MetricsReport>,
     /// Matrix storage footprint under the variant's formats, bytes.
     pub footprint_bytes: usize,
     /// Footprint the same tiled matrix would need fully dense in FP64.
@@ -61,7 +62,7 @@ pub struct LikelihoodReport {
 
 /// Evaluate the log-likelihood with Σ(θ) factorized on `engine`. Every
 /// engine produces bitwise-identical factors; they differ only in where
-/// the tile kernels run and in what the [`ExecReport`] observes. The
+/// the tile kernels run and in what the [`MetricsReport`] observes. The
 /// in-process engines fail only numerically ([`ShardError::Factor`]).
 pub fn log_likelihood_engine(
     kernel: &dyn CovarianceKernel,
@@ -77,7 +78,7 @@ pub fn log_likelihood_engine(
     let matrix = SymTileMatrix::generate(kernel, locs, *cfg, model);
     let footprint = matrix.footprint_bytes();
     let dense_footprint = matrix.dense_f64_footprint_bytes();
-    let (factor, exec) = match engine {
+    let (factor, metrics) = match engine {
         FactorEngine::Sequential => {
             let mut f = TiledFactor::from_matrix(matrix);
             f.factorize_seq()?;
@@ -91,24 +92,10 @@ pub fn log_likelihood_engine(
         }
         FactorEngine::Sharded(runner) => {
             let mut f = TiledFactor::from_matrix(matrix);
+            // Busy time is worker-process compute time as reported in
+            // DONEs.
             let rep = runner.factorize(&mut f)?;
-            // Same report shape as the threaded engine, so metrics-hungry
-            // callers (fit --metrics, the server) work unchanged. Busy
-            // time is worker-process compute time as reported in DONEs.
-            let exec = ExecReport {
-                wall_seconds: rep.metrics.wall_seconds,
-                tasks: rep.metrics.tasks,
-                workers: rep.metrics.workers,
-                busy_seconds: rep
-                    .metrics
-                    .worker_stats
-                    .iter()
-                    .map(|w| w.busy_seconds)
-                    .collect(),
-                trace: Vec::new(),
-                metrics: Some(rep.metrics),
-            };
-            (Arc::new(f), Some(exec))
+            (Arc::new(f), Some(rep.metrics))
         }
     };
 
@@ -123,7 +110,7 @@ pub fn log_likelihood_engine(
         logdet: ld,
         quad,
         factor,
-        exec,
+        metrics,
         footprint_bytes: footprint,
         dense_footprint_bytes: dense_footprint,
     })
@@ -194,11 +181,11 @@ mod tests {
             log_likelihood_engine(&kernel, &locs, &z, &cfg, &model, &FactorEngine::Threads(4))
                 .unwrap();
         assert_eq!(seq.llh, par.llh, "engines must agree bitwise");
-        let exec = par.exec.expect("parallel engine reports");
         // The runtime's observability layer rides along: metrics always,
         // schedule validation by default under debug_assertions only.
-        let m = exec.metrics.expect("metrics on by default");
-        assert_eq!(m.tasks, exec.tasks);
+        let m = par.metrics.expect("parallel engine reports");
+        let nt = locs.len().div_ceil(cfg.tile_size);
+        assert_eq!(m.tasks, nt + nt * (nt - 1) / 2 + nt * (nt * nt - 1) / 6);
         if cfg!(debug_assertions) {
             assert!(m.validation.expect("validated in debug").edges_checked > 0);
         } else {

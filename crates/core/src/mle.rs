@@ -141,7 +141,7 @@ pub fn fit(
         let kernel = family.kernel(&theta);
         match evaluate_with_pd_fallback(kernel.as_ref(), locs, z, cfg, model, engine, &outcomes) {
             Ok(r) => {
-                if let Some(m) = r.exec.as_ref().and_then(|e| e.metrics.as_ref()) {
+                if let Some(m) = &r.metrics {
                     let mut acc = outcomes.lock();
                     acc.factorizations += 1;
                     match acc.metrics.as_mut() {
@@ -377,7 +377,6 @@ mod tests {
         let pso = PsoOptions {
             particles: 6,
             iterations: 6,
-            parallel: true,
             ..Default::default()
         };
         let opts = FitOptions {

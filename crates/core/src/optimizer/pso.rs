@@ -26,10 +26,6 @@ pub struct PsoOptions {
     pub c2: f64,
     /// RNG seed (deterministic runs).
     pub seed: u64,
-    /// Evaluate particles in parallel (each evaluation may itself be a full
-    /// tile Cholesky, so this is the paper's "embarrassingly parallel"
-    /// outer level).
-    pub parallel: bool,
 }
 
 impl Default for PsoOptions {
@@ -41,7 +37,6 @@ impl Default for PsoOptions {
             c1: 1.49,
             c2: 1.49,
             seed: 0xC0FFEE,
-            parallel: true,
         }
     }
 }
@@ -57,7 +52,10 @@ pub struct PsoResult {
 }
 
 /// Minimize `f` over the box `bounds` (per-dimension `(lo, hi)` in the
-/// *unconstrained/transformed* space).
+/// *unconstrained/transformed* space). Each iteration's particles are
+/// evaluated in parallel on the current pool (each evaluation may itself
+/// be a full tile Cholesky, so this is the paper's "embarrassingly
+/// parallel" outer level).
 pub fn particle_swarm(
     f: impl Fn(&[f64]) -> f64 + Sync,
     bounds: &[(f64, f64)],
@@ -95,11 +93,7 @@ pub fn particle_swarm(
         .collect();
 
     let mut evals = 0usize;
-    let mut fvals: Vec<f64> = if opts.parallel {
-        pos.par_iter().map(|x| eval(x)).collect()
-    } else {
-        pos.iter().map(|x| eval(x)).collect()
-    };
+    let mut fvals: Vec<f64> = pos.par_iter().map(|x| eval(x)).collect();
     evals += opts.particles;
 
     let mut pbest = pos.clone();
@@ -128,11 +122,7 @@ pub fn particle_swarm(
         // The "single tightly-connected MLEs ... synchronized in a loose
         // manner at each iteration": all particle evaluations run
         // independently, then the global best is reduced.
-        fvals = if opts.parallel {
-            pos.par_iter().map(|x| eval(x)).collect()
-        } else {
-            pos.iter().map(|x| eval(x)).collect()
-        };
+        fvals = pos.par_iter().map(|x| eval(x)).collect();
         evals += opts.particles;
         for p in 0..opts.particles {
             if fvals[p] < pbest_f[p] {
@@ -199,22 +189,8 @@ mod tests {
     fn deterministic_under_seed() {
         let bounds = vec![(-1.0, 1.0); 2];
         let obj = |x: &[f64]| (x[0] * x[0] + x[1] * x[1] - 0.3f64).abs();
-        let a = particle_swarm(
-            obj,
-            &bounds,
-            &PsoOptions {
-                parallel: false,
-                ..Default::default()
-            },
-        );
-        let b = particle_swarm(
-            obj,
-            &bounds,
-            &PsoOptions {
-                parallel: false,
-                ..Default::default()
-            },
-        );
+        let a = particle_swarm(obj, &bounds, &PsoOptions::default());
+        let b = particle_swarm(obj, &bounds, &PsoOptions::default());
         assert_eq!(a.x, b.x);
         assert_eq!(a.f, b.f);
     }
@@ -222,25 +198,16 @@ mod tests {
     #[test]
     fn parallel_matches_sequential_given_same_seed() {
         // Objective is pure, so parallel evaluation must not change the
-        // trajectory (RNG draws happen sequentially either way).
+        // trajectory (RNG draws happen sequentially either way): a 1-thread
+        // pool is the sequential reference.
         let bounds = vec![(-3.0, 3.0); 2];
         let obj = |x: &[f64]| (x[0] - 0.7).powi(2) + (x[1] - 0.2).powi(2);
-        let seq = particle_swarm(
-            obj,
-            &bounds,
-            &PsoOptions {
-                parallel: false,
-                ..Default::default()
-            },
-        );
-        let par = particle_swarm(
-            obj,
-            &bounds,
-            &PsoOptions {
-                parallel: true,
-                ..Default::default()
-            },
-        );
+        let seq = rayon::ThreadPoolBuilder::new()
+            .num_threads(1)
+            .build()
+            .unwrap()
+            .install(|| particle_swarm(obj, &bounds, &PsoOptions::default()));
+        let par = particle_swarm(obj, &bounds, &PsoOptions::default());
         assert_eq!(seq.x, par.x);
     }
 

@@ -302,8 +302,10 @@ impl ShardBackend for Supervisor {
             streams.push(m.stream.try_clone().map_err(spawn_err)?);
         }
 
-        let mut opts = ShardOptions::for_workers(inner.cfg.workers);
-        opts.deadline = inner.cfg.deadline;
+        let opts = ShardOptions {
+            deadline: inner.cfg.deadline,
+            ..ShardOptions::default()
+        };
         let mut source = FleetSource {
             inner,
             pool: &mut pool,

@@ -11,19 +11,20 @@
 //! sequential insertion order while exploiting all available concurrency —
 //! the runtime contract the paper's solver is built on.
 //!
-//! That contract is *checked*, not assumed: every run records per-task
-//! start/end sequence numbers, and [`crate::validate`] re-derives the
-//! hazard edges from the declared accesses and asserts the schedule
+//! That contract is *checked*, not assumed: a validated run records
+//! per-task start/end sequence numbers, and [`crate::validate`] re-derives
+//! the hazard edges from the declared accesses and asserts the schedule
 //! respected each one. Validation is on by default in debug builds (so
 //! every `cargo test` execution is validated) and opt-in in release via
-//! [`ExecOptions::validate`]. Runs also aggregate a [`MetricsReport`]
-//! (per-kernel timings, queue depth, worker balance, conversion traffic).
+//! [`ExecOptions::validate`]. Every run returns a [`MetricsReport`]
+//! (per-kernel timings, queue depth, worker balance, conversion traffic,
+//! and the per-task trace when asked for).
 
 use crate::convert::conversion_counts;
 use crate::graph::{Access, TaskGraph, TaskId};
 use crate::metrics::{KernelStats, MetricsReport, QueueDepthStats, WorkerStats};
 use crate::stats::TraceEvent;
-use crate::validate::{check_schedule, describe_violations, TaskOrder, UNRECORDED};
+use crate::validate::{check_schedule, describe_violations, TaskOrder};
 use parking_lot::{Condvar, Mutex};
 use rayon::prelude::*;
 use std::collections::{BinaryHeap, HashMap};
@@ -31,78 +32,16 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 
-/// Outcome of a graph execution.
-#[derive(Clone, Debug)]
-pub struct ExecReport {
-    /// Wall-clock seconds for the whole graph.
-    pub wall_seconds: f64,
-    /// Number of tasks executed.
-    pub tasks: usize,
-    /// Worker count used.
-    pub workers: usize,
-    /// Per-worker busy seconds.
-    pub busy_seconds: Vec<f64>,
-    /// Execution trace (one event per task) when tracing was requested.
-    pub trace: Vec<TraceEvent>,
-    /// Aggregated execution metrics (when [`ExecOptions::metrics`] was on,
-    /// the default).
-    pub metrics: Option<MetricsReport>,
-}
-
-impl ExecReport {
-    /// Load imbalance: `max(busy) / mean(busy)` (1.0 = perfectly
-    /// balanced).
-    ///
-    /// NaN-free by construction: when no busy time was recorded (empty
-    /// graph, or all tasks were too fast to measure) the ratio is
-    /// undefined and the *balanced* sentinel `1.0` is returned.
-    pub fn imbalance(&self) -> f64 {
-        let max = self.busy_seconds.iter().cloned().fold(0.0f64, f64::max);
-        let mean = self.busy_seconds.iter().sum::<f64>() / self.busy_seconds.len().max(1) as f64;
-        if mean > 0.0 {
-            max / mean
-        } else {
-            1.0
-        }
-    }
-
-    /// Parallel efficiency: total busy time / (wall * workers).
-    ///
-    /// NaN-free by construction: if the denominator is zero (a graph so
-    /// small the wall clock did not advance) there was no opportunity to
-    /// waste worker time and the ideal sentinel `1.0` is returned; a
-    /// positive wall with zero busy time yields `0.0` naturally.
-    pub fn efficiency(&self) -> f64 {
-        let busy: f64 = self.busy_seconds.iter().sum();
-        let denom = self.wall_seconds * self.workers as f64;
-        if denom > 0.0 {
-            busy / denom
-        } else {
-            1.0
-        }
-    }
-}
-
 /// Execution knobs for [`execute_opts`].
 #[derive(Clone, Copy, Debug)]
 pub struct ExecOptions {
-    /// Record per-task start/end times into [`ExecReport::trace`].
+    /// Record per-task start/end times into [`MetricsReport::trace`].
     pub trace: bool,
     /// Run the post-hoc schedule validator ([`crate::validate`]) and panic
     /// on any violated hazard edge. Defaults to on in debug builds (every
     /// test execution is checked) and off in release; set explicitly to
     /// force either way.
     pub validate: bool,
-    /// Sampling stride for the validator's sequence recording: only every
-    /// `k`-th task (by insertion index) draws and stores its start/end
-    /// ticks; hazard edges with an unsampled endpoint are skipped and
-    /// censused in [`crate::validate::ValidationSummary::edges_skipped`].
-    /// `1` (the default) records everything; larger strides trade coverage
-    /// for less contention on the global tick counter in release-mode
-    /// validated runs. `0` is treated as `1`.
-    pub validate_every: usize,
-    /// Aggregate a [`MetricsReport`] onto the report (cheap; default on).
-    pub metrics: bool,
     /// Run the pre-execution graph checker (`xgs-analysis`) before any
     /// worker starts: cycle detection over the dependency lists, and a
     /// cross-check that the statically derived hazard-edge set is
@@ -119,8 +58,6 @@ impl Default for ExecOptions {
         ExecOptions {
             trace: false,
             validate: cfg!(debug_assertions),
-            validate_every: 1,
-            metrics: true,
             precheck: precheck_env_default(),
         }
     }
@@ -214,8 +151,8 @@ struct Shared {
     queue: Mutex<QueueState>,
     available: Condvar,
     remaining: AtomicUsize,
-    /// Global event counter behind the validator's total order; every task
-    /// start and end draws one tick.
+    /// Global event counter behind the validator's total order; in a
+    /// validated run every task start and end draws one tick.
     seq: AtomicU64,
 }
 
@@ -233,7 +170,7 @@ struct WorkerScratch {
 /// `workers` means on the shared pool.
 ///
 /// `trace` records per-task start/end times (adds a little overhead).
-pub fn execute(graph: TaskGraph, workers: usize, trace: bool) -> ExecReport {
+pub fn execute(graph: TaskGraph, workers: usize, trace: bool) -> MetricsReport {
     execute_opts(
         graph,
         workers,
@@ -245,7 +182,7 @@ pub fn execute(graph: TaskGraph, workers: usize, trace: bool) -> ExecReport {
 }
 
 /// Execute a task graph with full control over tracing, schedule
-/// validation, and metrics collection.
+/// validation and the pre-execution graph check.
 ///
 /// `workers` is the number of worker *loops*, not of threads: the loops
 /// run as one batch on the current `rayon` pool, so at most pool + 1 of
@@ -262,7 +199,7 @@ pub fn execute(graph: TaskGraph, workers: usize, trace: bool) -> ExecReport {
 /// schedule violated a hazard edge — that is a runtime bug, never a user
 /// error, so it is fatal by design.
 #[allow(clippy::needless_range_loop)]
-pub fn execute_opts(graph: TaskGraph, workers: usize, opts: ExecOptions) -> ExecReport {
+pub fn execute_opts(graph: TaskGraph, workers: usize, opts: ExecOptions) -> MetricsReport {
     let workers = if workers == 0 {
         crate::logical_cores()
     } else {
@@ -327,16 +264,14 @@ pub fn execute_opts(graph: TaskGraph, workers: usize, opts: ExecOptions) -> Exec
         remaining: AtomicUsize::new(n),
         seq: AtomicU64::new(0),
     };
-    // Per-task (start_seq, end_seq) slots; every task runs exactly once so
-    // each slot is written once. Relaxed suffices: both draws sit inside
-    // the happens-before chain the dependency release already establishes,
-    // and a single atomic's modification order is consistent with it.
-    // Slots start at the UNRECORDED sentinel: a task the sampling stride
-    // passes over simply never writes, and the validator skips its edges.
-    let validate_every = opts.validate_every.max(1);
+    // Per-task (start_seq, end_seq) slots, only for a validated run; every
+    // task runs exactly once so each slot is written once. Relaxed
+    // suffices: both draws sit inside the happens-before chain the
+    // dependency release already establishes, and a single atomic's
+    // modification order is consistent with it.
     let order: Vec<(AtomicU64, AtomicU64)> = if opts.validate {
         (0..n)
-            .map(|_| (AtomicU64::new(UNRECORDED), AtomicU64::new(UNRECORDED)))
+            .map(|_| (AtomicU64::new(0), AtomicU64::new(0)))
             .collect()
     } else {
         Vec::new()
@@ -376,15 +311,11 @@ pub fn execute_opts(graph: TaskGraph, workers: usize, opts: ExecOptions) -> Exec
                         shared.available.wait(&mut q);
                     }
                 };
-                // Sampled recording: unsampled tasks skip both tick
-                // draws entirely (their slots keep the UNRECORDED
-                // sentinel), so the counter costs nothing for them.
-                let sampled = task.id.0 % validate_every == 0;
-                let start_seq = if sampled {
-                    shared.seq.fetch_add(1, Ordering::Relaxed)
-                } else {
-                    UNRECORDED
-                };
+                // Only a validated run draws ticks: the counter costs an
+                // unvalidated run nothing.
+                let start_seq = opts
+                    .validate
+                    .then(|| shared.seq.fetch_add(1, Ordering::Relaxed));
                 // Race model: inherit the per-datum edges this task's
                 // predecessors released, then declare the accesses.
                 // Acquires must precede the access checks — the edge
@@ -429,23 +360,20 @@ pub fn execute_opts(graph: TaskGraph, workers: usize, opts: ExecOptions) -> Exec
                 // The end tick must be drawn before dependents are
                 // released, or a successor could legitimately start
                 // "before" its predecessor finished.
-                if sampled {
+                if let Some(start_seq) = start_seq {
                     let end_seq = shared.seq.fetch_add(1, Ordering::Relaxed);
-                    if let Some((s, e)) = order.get(task.id.0) {
-                        s.store(start_seq, Ordering::Relaxed);
-                        e.store(end_seq, Ordering::Relaxed);
-                    }
+                    let (s, e) = &order[task.id.0];
+                    s.store(start_seq, Ordering::Relaxed);
+                    e.store(end_seq, Ordering::Relaxed);
                 }
                 scratch.busy += t1 - t0;
                 scratch.tasks += 1;
                 let kind = kinds[task.id.0];
-                if opts.metrics {
-                    scratch
-                        .kernels
-                        .entry(kind)
-                        .or_insert_with(|| KernelStats::new(kind))
-                        .record(t1 - t0);
-                }
+                scratch
+                    .kernels
+                    .entry(kind)
+                    .or_insert_with(|| KernelStats::new(kind))
+                    .record(t1 - t0);
                 if opts.trace {
                     scratch.trace.push(TraceEvent {
                         task: task.id,
@@ -528,55 +456,44 @@ pub fn execute_opts(graph: TaskGraph, workers: usize, opts: ExecOptions) -> Exec
         None
     };
 
-    let busy_seconds: Vec<f64> = scratches.iter().map(|s| s.busy).collect();
-    let mut trace_events: Vec<TraceEvent> = Vec::new();
+    let mut trace: Vec<TraceEvent> = Vec::new();
     if opts.trace {
         for s in &mut scratches {
-            trace_events.append(&mut s.trace);
+            trace.append(&mut s.trace);
         }
-        trace_events.sort_by(|a, b| a.start.total_cmp(&b.start));
+        trace.sort_by(|a, b| a.start.total_cmp(&b.start));
     }
 
-    let metrics = opts.metrics.then(|| {
-        let mut kernels: HashMap<&'static str, KernelStats> = HashMap::new();
-        for s in &scratches {
-            for (kind, ks) in &s.kernels {
-                kernels
-                    .entry(kind)
-                    .or_insert_with(|| KernelStats::new(kind))
-                    .merge(ks);
-            }
+    let mut kernels: HashMap<&'static str, KernelStats> = HashMap::new();
+    for s in &scratches {
+        for (kind, ks) in &s.kernels {
+            kernels
+                .entry(kind)
+                .or_insert_with(|| KernelStats::new(kind))
+                .merge(ks);
         }
-        let mut kernels: Vec<KernelStats> = kernels.into_values().collect();
-        kernels.sort_by(|a, b| b.total_seconds.total_cmp(&a.total_seconds));
-        MetricsReport {
-            wall_seconds: wall,
-            tasks: n,
-            workers,
-            kernels,
-            queue_depth: shared.queue.into_inner().depth,
-            worker_stats: scratches
-                .iter()
-                .map(|s| WorkerStats {
-                    busy_seconds: s.busy,
-                    tasks: s.tasks,
-                    parks: s.parks,
-                })
-                .collect(),
-            conversions: conversion_counts().since(&conversions_before),
-            wire: Vec::new(),
-            validation,
-            pool: None,
-        }
-    });
-
-    ExecReport {
+    }
+    let mut kernels: Vec<KernelStats> = kernels.into_values().collect();
+    kernels.sort_by(|a, b| b.total_seconds.total_cmp(&a.total_seconds));
+    MetricsReport {
         wall_seconds: wall,
         tasks: n,
         workers,
-        busy_seconds,
-        trace: trace_events,
-        metrics,
+        kernels,
+        queue_depth: shared.queue.into_inner().depth,
+        worker_stats: scratches
+            .iter()
+            .map(|s| WorkerStats {
+                busy_seconds: s.busy,
+                tasks: s.tasks,
+                parks: s.parks,
+            })
+            .collect(),
+        conversions: conversion_counts().since(&conversions_before),
+        wire: Vec::new(),
+        validation,
+        pool: None,
+        trace,
     }
 }
 
@@ -712,32 +629,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_busy_report_has_sentinel_ratios() {
-        // Hand-built report: positive wall, no recorded busy time.
-        let r = ExecReport {
-            wall_seconds: 1.0,
-            tasks: 0,
-            workers: 4,
-            busy_seconds: vec![0.0; 4],
-            trace: Vec::new(),
-            metrics: None,
-        };
-        assert_eq!(r.imbalance(), 1.0);
-        assert_eq!(r.efficiency(), 0.0);
-        // And the fully degenerate case: zero wall, zero workers.
-        let z = ExecReport {
-            wall_seconds: 0.0,
-            tasks: 0,
-            workers: 0,
-            busy_seconds: Vec::new(),
-            trace: Vec::new(),
-            metrics: None,
-        };
-        assert_eq!(z.imbalance(), 1.0);
-        assert_eq!(z.efficiency(), 1.0);
-    }
-
-    #[test]
     fn single_worker_report_is_balanced() {
         let mut g = TaskGraph::new();
         for i in 0..20 {
@@ -801,7 +692,7 @@ mod tests {
                 },
             );
         }
-        let r = execute_opts(
+        let m = execute_opts(
             g,
             3,
             ExecOptions {
@@ -809,7 +700,6 @@ mod tests {
                 ..ExecOptions::default()
             },
         );
-        let m = r.metrics.expect("metrics on by default");
         assert_eq!(m.tasks, 40);
         assert_eq!(m.workers, 3);
         assert_eq!(m.worker_stats.len(), 3);
@@ -827,26 +717,9 @@ mod tests {
     }
 
     #[test]
-    fn metrics_opt_out_leaves_report_lean() {
-        let mut g = TaskGraph::new();
-        g.insert("t", vec![Access::write(DataId(0))], 0, 0.0, || {});
-        let r = execute_opts(
-            g,
-            1,
-            ExecOptions {
-                metrics: false,
-                validate: false,
-                ..ExecOptions::default()
-            },
-        );
-        assert!(r.metrics.is_none());
-    }
-
-    #[test]
-    fn sampled_validation_skips_edges_but_passes() {
-        // A write chain over one datum: 99 consecutive WAW edges. With a
-        // stride of 3, consecutive tasks are never both sampled, so every
-        // edge lands in edges_skipped; the run must still pass cleanly.
+    fn validation_checks_every_edge() {
+        // A write chain over one datum: 99 consecutive WAW edges, every
+        // one checked.
         let mut g = TaskGraph::new();
         for _ in 0..100u64 {
             g.insert("w", vec![Access::write(DataId(0))], 0, 0.0, || {});
@@ -856,51 +729,11 @@ mod tests {
             4,
             ExecOptions {
                 validate: true,
-                validate_every: 3,
                 ..ExecOptions::default()
             },
         );
-        let v = r.metrics.unwrap().validation.unwrap();
-        assert_eq!(v.edges_checked, 0);
-        assert_eq!(v.edges_skipped, 99);
-
-        // Stride 1 through the same machinery checks everything.
-        let mut g = TaskGraph::new();
-        for _ in 0..100u64 {
-            g.insert("w", vec![Access::write(DataId(0))], 0, 0.0, || {});
-        }
-        let r = execute_opts(
-            g,
-            4,
-            ExecOptions {
-                validate: true,
-                validate_every: 1,
-                ..ExecOptions::default()
-            },
-        );
-        let v = r.metrics.unwrap().validation.unwrap();
-        assert_eq!(v.edges_checked, 99);
-        assert_eq!(v.edges_skipped, 0);
-    }
-
-    #[test]
-    fn validate_every_zero_is_treated_as_one() {
-        let mut g = TaskGraph::new();
-        for i in 0..10u64 {
-            g.insert("t", vec![Access::write(DataId(i % 2))], 0, 0.0, || {});
-        }
-        let r = execute_opts(
-            g,
-            2,
-            ExecOptions {
-                validate: true,
-                validate_every: 0,
-                ..ExecOptions::default()
-            },
-        );
-        let v = r.metrics.unwrap().validation.unwrap();
-        assert_eq!(v.edges_skipped, 0);
-        assert_eq!(v.edges_checked, 8);
+        let v = r.validation.unwrap();
+        assert_eq!((v.edges_checked, v.waw_edges), (99, 99));
     }
 
     #[test]
@@ -928,7 +761,7 @@ mod tests {
                     ..ExecOptions::default()
                 },
             );
-            let v = r.metrics.unwrap().validation.unwrap();
+            let v = r.validation.unwrap();
             assert!(v.edges_checked > 0, "{workers} workers: no edges checked");
         }
     }

@@ -11,8 +11,9 @@
 //!   order, exactly like a superscalar/dataflow runtime unrolling a DAG.
 //! * [`exec`] — the DAG executor: a critical-path priority heap drained by
 //!   worker loops that run on the shared `rayon` pool (no threads of its
-//!   own), with per-loop execution traces (busy time, task counts,
-//!   imbalance).
+//!   own), reporting each run as one [`MetricsReport`] (per-kernel and
+//!   per-loop busy time, task counts, imbalance, and the per-task trace
+//!   when asked for).
 //! * [`convert`] — global counters for the on-demand precision conversions
 //!   ("PaRSEC will move and convert on-the-fly the operands ... to match
 //!   the precision at the receiver side").
@@ -35,7 +36,7 @@ pub use convert::{conversion_counts, count_conversion, reset_conversion_counts, 
 pub use distsim::{
     block_cyclic_owner, simulate, simulate_with_metrics, MachineSpec, SimResult, SimTask,
 };
-pub use exec::{execute, execute_opts, precheck_env_default, ExecOptions, ExecReport};
+pub use exec::{execute, execute_opts, precheck_env_default, ExecOptions};
 pub use graph::{Access, AccessMode, DataId, TaskGraph, TaskId};
 pub use json::{escape_json, parse_json, JsonError, JsonValue};
 pub use metrics::{
@@ -47,10 +48,10 @@ pub use shard::{
     read_frame, task_census, write_frame, FrameError, WireReader, WireWriter, FRAME_HEADER_BYTES,
     MAX_FRAME_BYTES,
 };
-pub use stats::{chrome_trace_json, kind_summary, TraceEvent};
+pub use stats::{chrome_trace_json, TraceEvent};
 pub use validate::{
     check_schedule, crosscheck_static_edges, derived_edges, Hazard, TaskOrder, ValidationSummary,
-    Violation, UNRECORDED,
+    Violation,
 };
 
 /// The one shared logical-core probe.

@@ -5,14 +5,16 @@
 //! saturation), how evenly the adaptive tile formats load the workers, and
 //! how much precision-conversion traffic the format mix generates. This
 //! module aggregates those signals during a [`crate::exec`] run into a
-//! [`MetricsReport`] that serializes to JSON next to the Chrome trace
-//! export ([`crate::stats::chrome_trace_json`]).
+//! [`MetricsReport`], the one record of a run: it serializes to JSON, and
+//! its optional per-task trace exports as a Chrome trace
+//! ([`crate::stats::chrome_trace_json`]).
 //!
 //! Collection is cheap by construction: workers accumulate into
 //! thread-local scratch merged once at the end, and queue depth is sampled
 //! inside the queue mutex that is already held.
 
 use crate::convert::ConversionCounts;
+use crate::stats::TraceEvent;
 use crate::validate::ValidationSummary;
 
 /// Number of log-scale duration buckets in [`TimeHistogram`].
@@ -21,7 +23,8 @@ pub const HIST_BUCKETS: usize = 24;
 /// Log₂-scale histogram of task durations.
 ///
 /// Bucket 0 holds durations under 1 µs; bucket `i >= 1` holds
-/// `[2^(i-1), 2^i)` µs; the last bucket is open-ended (≈ 84 min and up).
+/// `[2^(i-1), 2^i)` µs; the last bucket is open-ended (2^22 µs ≈ 4.2 s
+/// and up).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TimeHistogram {
     pub buckets: [u64; HIST_BUCKETS],
@@ -168,7 +171,9 @@ pub struct PoolCounters {
     pub parks: u64,
 }
 
-/// Everything the runtime observed about one graph execution.
+/// Everything the runtime observed about one graph execution: the record
+/// [`crate::execute`] returns, and the shape sharded runs and distsim
+/// projections report in too.
 #[derive(Clone, Debug, Default)]
 pub struct MetricsReport {
     pub wall_seconds: f64,
@@ -189,9 +194,49 @@ pub struct MetricsReport {
     /// Present when intra-kernel parallel work ran on the shared
     /// work-stealing pool during the measured region.
     pub pool: Option<PoolCounters>,
+    /// One event per task, sorted by start time, when
+    /// [`ExecOptions::trace`](crate::ExecOptions::trace) was on; empty
+    /// otherwise. [`MetricsReport::to_json`] leaves it out and
+    /// [`MetricsReport::merge`] does not combine it; export it with
+    /// [`chrome_trace_json`](crate::chrome_trace_json).
+    pub trace: Vec<TraceEvent>,
 }
 
 impl MetricsReport {
+    /// Load imbalance: `max(busy) / mean(busy)` over
+    /// [`worker_stats`](MetricsReport::worker_stats) (1.0 = perfectly
+    /// balanced).
+    ///
+    /// NaN-free by construction: when no busy time was recorded (empty
+    /// graph, or all tasks were too fast to measure) the ratio is
+    /// undefined and the *balanced* sentinel `1.0` is returned.
+    pub fn imbalance(&self) -> f64 {
+        let busy = self.worker_stats.iter().map(|w| w.busy_seconds);
+        let max = busy.clone().fold(0.0f64, f64::max);
+        let mean = busy.sum::<f64>() / self.worker_stats.len().max(1) as f64;
+        if mean > 0.0 {
+            max / mean
+        } else {
+            1.0
+        }
+    }
+
+    /// Parallel efficiency: total busy time / (wall * workers).
+    ///
+    /// NaN-free by construction: if the denominator is zero (a graph so
+    /// small the wall clock did not advance) there was no opportunity to
+    /// waste worker time and the ideal sentinel `1.0` is returned; a
+    /// positive wall with zero busy time yields `0.0` naturally.
+    pub fn efficiency(&self) -> f64 {
+        let busy: f64 = self.worker_stats.iter().map(|w| w.busy_seconds).sum();
+        let denom = self.wall_seconds * self.workers as f64;
+        if denom > 0.0 {
+            busy / denom
+        } else {
+            1.0
+        }
+    }
+
     /// Accumulate another run's metrics into this one (e.g. to summarize
     /// all factorizations of an MLE optimization). Wall time, task counts,
     /// conversions, and validation censuses add; per-kernel and per-worker
@@ -297,7 +342,6 @@ impl MetricsReport {
                 ("raw_edges", v.raw_edges.into()),
                 ("war_edges", v.war_edges.into()),
                 ("waw_edges", v.waw_edges.into()),
-                ("edges_skipped", v.edges_skipped.into()),
             ])
         });
         let pool = self.pool.as_ref().map_or(J::Null, |p| {
@@ -484,7 +528,6 @@ impl MetricsReport {
                     raw_edges: count(v.get("raw_edges")),
                     war_edges: count(v.get("war_edges")),
                     waw_edges: count(v.get("waw_edges")),
-                    edges_skipped: count(v.get("edges_skipped")),
                 });
             }
             _ => {}
@@ -570,6 +613,23 @@ mod tests {
     }
 
     #[test]
+    fn zero_busy_report_has_sentinel_ratios() {
+        // Positive wall, no recorded busy time.
+        let r = MetricsReport {
+            wall_seconds: 1.0,
+            workers: 4,
+            worker_stats: vec![WorkerStats::default(); 4],
+            ..MetricsReport::default()
+        };
+        assert_eq!(r.imbalance(), 1.0);
+        assert_eq!(r.efficiency(), 0.0);
+        // And the fully degenerate case: zero wall, zero workers.
+        let z = MetricsReport::default();
+        assert_eq!(z.imbalance(), 1.0);
+        assert_eq!(z.efficiency(), 1.0);
+    }
+
+    #[test]
     fn queue_depth_mean_is_sample_weighted() {
         let mut q = QueueDepthStats::default();
         q.sample(2);
@@ -592,19 +652,28 @@ mod tests {
                 raw_edges: 2,
                 war_edges: 1,
                 waw_edges: 1,
-                edges_skipped: 3,
             }),
             ..MetricsReport::default()
         };
         let mut k = KernelStats::new("trsm");
         k.record(1e-3);
         m.kernels.push(k);
+        // The per-task trace is the Chrome export's, not the JSON's.
+        m.trace.push(TraceEvent {
+            task: crate::graph::TaskId(0),
+            kind: "trsm",
+            coords: Some((1, 0)),
+            worker: 1,
+            start: 0.0,
+            end: 1e-3,
+        });
         let json = m.to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"kind\":\"trsm\""));
         assert!(json.contains("\"edges_checked\":4"));
         assert!(json.contains("\"worker\":1"));
         assert!(json.contains("\"histogram_log2us\":["));
+        assert!(!json.contains("trace") && !json.contains("\"tile\""));
         // Balanced braces — cheap structural sanity for the hand-rolled JSON.
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
@@ -711,7 +780,6 @@ mod tests {
                 raw_edges: 6,
                 war_edges: 3,
                 waw_edges: 1,
-                edges_skipped: 7,
             }),
             pool: Some(PoolCounters {
                 workers: 4,

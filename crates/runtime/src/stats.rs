@@ -1,4 +1,5 @@
-//! Execution traces and schedule statistics.
+//! Per-task execution traces ([`crate::MetricsReport::trace`]) and their
+//! Chrome Tracing export.
 
 use crate::graph::TaskId;
 
@@ -50,22 +51,6 @@ pub fn chrome_trace_json(trace: &[TraceEvent]) -> String {
     out
 }
 
-/// Aggregate per-kind timing from a trace: `(kind, count, total_seconds)`.
-pub fn kind_summary(trace: &[TraceEvent]) -> Vec<(&'static str, usize, f64)> {
-    let mut out: Vec<(&'static str, usize, f64)> = Vec::new();
-    for e in trace {
-        match out.iter_mut().find(|(k, _, _)| *k == e.kind) {
-            Some((_, c, t)) => {
-                *c += 1;
-                *t += e.duration();
-            }
-            None => out.push((e.kind, 1, e.duration())),
-        }
-    }
-    out.sort_by(|a, b| b.2.total_cmp(&a.2));
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -109,17 +94,5 @@ mod tests {
     #[test]
     fn chrome_trace_empty() {
         assert_eq!(chrome_trace_json(&[]), "[\n]");
-    }
-
-    #[test]
-    fn summary_groups_and_sorts() {
-        let trace = vec![
-            ev(0, "gemm", 0, 0.0, 2.0),
-            ev(1, "trsm", 1, 0.0, 1.0),
-            ev(2, "gemm", 0, 2.0, 5.0),
-        ];
-        let s = kind_summary(&trace);
-        assert_eq!(s[0], ("gemm", 2, 5.0));
-        assert_eq!(s[1], ("trsm", 1, 1.0));
     }
 }

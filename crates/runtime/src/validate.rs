@@ -9,10 +9,13 @@
 //! compares them against per-task start/end sequence numbers recorded
 //! during execution.
 //!
-//! An edge `pred -> succ` is respected iff `pred` finished before `succ`
-//! started: `end_seq(pred) < start_seq(succ)`. Sequence numbers come from
-//! a single atomic counter, so they give a total order on observable
-//! start/end events regardless of wall-clock resolution.
+//! An edge `pred -> succ` is respected iff both tasks were stamped and
+//! `pred` finished before `succ` started: `end_seq(pred) < start_seq(succ)`.
+//! Sequence numbers come from a single atomic counter, so they give a total
+//! order on observable start/end events regardless of wall-clock
+//! resolution, and every stamped task has `start_seq < end_seq`; a task
+//! whose record does not (the `(0, 0)` default) never ran under the
+//! recorder, so every edge touching it is a violation.
 //!
 //! The executor runs this check automatically in debug builds (i.e. under
 //! `cargo test`) and on request in release builds — see
@@ -21,35 +24,15 @@
 use crate::graph::{Access, AccessMode, DataId, TaskId};
 use std::collections::HashMap;
 
-/// Sentinel sequence value marking a task whose order was *not* recorded
-/// (sampled validation, [`crate::exec::ExecOptions::validate_every`]).
-/// Edges with an unrecorded endpoint are skipped and counted in
-/// [`ValidationSummary::edges_skipped`].
-pub const UNRECORDED: u64 = u64::MAX;
-
 /// When each task started and ended, in ticks of one global counter.
 ///
 /// Both fields are draws from the same atomic counter, so all starts and
 /// ends across all workers are totally ordered and `start_seq < end_seq`
-/// for every executed task.
+/// for every executed task. The default `(0, 0)` is an unstamped task.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct TaskOrder {
     pub start_seq: u64,
     pub end_seq: u64,
-}
-
-impl TaskOrder {
-    /// An unrecorded (sampled-out) task.
-    pub fn unrecorded() -> TaskOrder {
-        TaskOrder {
-            start_seq: UNRECORDED,
-            end_seq: UNRECORDED,
-        }
-    }
-
-    pub fn is_recorded(&self) -> bool {
-        self.start_seq != UNRECORDED && self.end_seq != UNRECORDED
-    }
 }
 
 /// Hazard class of a dependency edge.
@@ -94,9 +77,6 @@ pub struct ValidationSummary {
     pub raw_edges: u64,
     pub war_edges: u64,
     pub waw_edges: u64,
-    /// Edges not checked because one endpoint's order was unrecorded
-    /// (sampled validation mode).
-    pub edges_skipped: u64,
 }
 
 impl ValidationSummary {
@@ -106,7 +86,6 @@ impl ValidationSummary {
         self.raw_edges += other.raw_edges;
         self.war_edges += other.war_edges;
         self.waw_edges += other.waw_edges;
-        self.edges_skipped += other.edges_skipped;
     }
 }
 
@@ -128,19 +107,17 @@ pub fn check_schedule(
 
     let mut summary = ValidationSummary::default();
     let mut violations = Vec::new();
+    let stamped = |o: &TaskOrder| o.start_seq < o.end_seq;
 
     for_each_edge(accesses, |pred, succ, data, hazard| {
-        if !order[pred.0].is_recorded() || !order[succ.0].is_recorded() {
-            summary.edges_skipped += 1;
-            return;
-        }
         summary.edges_checked += 1;
         match hazard {
             Hazard::Raw => summary.raw_edges += 1,
             Hazard::War => summary.war_edges += 1,
             Hazard::Waw => summary.waw_edges += 1,
         }
-        if order[pred.0].end_seq >= order[succ.0].start_seq {
+        let (p, s) = (&order[pred.0], &order[succ.0]);
+        if !(stamped(p) && stamped(s) && p.end_seq < s.start_seq) {
             violations.push(Violation {
                 pred,
                 succ,
@@ -404,49 +381,20 @@ mod tests {
     }
 
     #[test]
-    fn sampled_mode_at_k1_still_catches_reversed_order() {
-        // validate_every = 1 records every task — the sampling machinery is
-        // in the path, but nothing is skipped and a reversed RAW edge is
-        // still fatal.
+    fn unstamped_predecessor_is_rejected() {
+        // The reader is stamped after where the writer would have ended,
+        // but the writer was never stamped: the edge cannot be proven, so
+        // it is a violation, not an edge to skip.
         let accesses = vec![w(4), r(4)];
-        let order = serial_order(2, &[1, 0]);
-        assert!(order.iter().all(|o| o.is_recorded()));
+        let mut order = serial_order(2, &[0, 1]);
+        order[0] = TaskOrder::default();
         let violations = check_schedule(&accesses, &order).unwrap_err();
         assert_eq!(violations.len(), 1);
         assert_eq!(violations[0].hazard, Hazard::Raw);
-    }
-
-    #[test]
-    fn unrecorded_endpoints_skip_edges_but_keep_counting() {
-        // Chain w -> r -> w over one datum, middle task sampled out: both
-        // the RAW edge into it and the WAR edge out of it are skipped, the
-        // rest still checked.
-        let accesses = vec![w(2), r(2), w(2)];
-        let mut order = serial_order(3, &[0, 1, 2]);
-        order[1] = TaskOrder::unrecorded();
-        let s = check_schedule(&accesses, &order).unwrap();
-        assert_eq!(s.edges_skipped, 2, "RAW 0->1 and WAR 1->2");
-        assert_eq!(s.edges_checked, 1, "WAW 0->2 survives");
-        assert_eq!(s.waw_edges, 1);
-
-        // A reversed edge between two *recorded* tasks is still caught even
-        // when other tasks are sampled out.
-        let accesses = vec![w(2), r(2), w(5), r(5)];
-        let mut order = serial_order(4, &[0, 1, 3, 2]); // 3 before 2: RAW violation
-        order[0] = TaskOrder::unrecorded();
-        let violations = check_schedule(&accesses, &order).unwrap_err();
-        assert!(violations
-            .iter()
-            .any(|v| v.pred == TaskId(2) && v.succ == TaskId(3)));
-    }
-
-    #[test]
-    fn fully_unrecorded_run_skips_everything() {
-        let accesses = vec![w(0), r(0), w(0)];
-        let order = vec![TaskOrder::unrecorded(); 3];
-        let s = check_schedule(&accesses, &order).unwrap();
-        assert_eq!(s.edges_checked, 0);
-        assert_eq!(s.edges_skipped, 3);
+        assert_eq!(
+            (violations[0].pred, violations[0].succ),
+            (TaskId(0), TaskId(1))
+        );
     }
 
     #[test]

@@ -63,7 +63,7 @@ proptest! {
                 workers,
                 ExecOptions { validate: true, ..ExecOptions::default() },
             );
-            let v = r.metrics.unwrap().validation.unwrap();
+            let v = r.validation.unwrap();
             prop_assert!(
                 v.edges_checked >= 1,
                 "{workers} workers: seeded RAW edge missing from census"

@@ -12,12 +12,12 @@
 //! Two robustness properties live here:
 //!
 //! * **Backpressure** — the queue carries a total-points budget; once the
-//!   backlog reaches it, [`BatchQueue::push`] refuses new work so the
+//!   backlog reaches it, `BatchQueue::push` refuses new work so the
 //!   handler can shed the request with a `retry_after_ms` hint instead of
-//!   queueing unboundedly ([`PushError::Overloaded`]).
-//! * **Out-of-order delivery** — jobs carry a [`Responder`] that posts
+//!   queueing unboundedly (`PushError::Overloaded`).
+//! * **Out-of-order delivery** — jobs carry a `Responder` that posts
 //!   the *formatted* response line (id attached) to the event loop's
-//!   [`CompletionHub`] under the connection's key, so answers flow back
+//!   `CompletionHub` under the connection's key, so answers flow back
 //!   whenever their batch completes, independent of request order on the
 //!   connection.
 

@@ -30,7 +30,7 @@
 //! held at a time, they must be acquired in this order (and a single
 //! rank must never be re-acquired while held):
 //!
-//! 1. [`batch::BatchQueue`] `inner` — queue state, shortest hold times;
+//! 1. `batch::BatchQueue` `inner` — queue state, shortest hold times;
 //! 2. [`registry::ModelRegistry`] `models` — the model table, held
 //!    across factor lookups;
 //! 3. `server::Shared` `metrics` — the counters, innermost because every

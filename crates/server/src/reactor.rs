@@ -4,9 +4,9 @@
 //! One thread owns the listener and all connection sockets (nonblocking),
 //! parked in `epoll_wait` via the `polling` shim. Readiness events drive
 //! bounded line-buffered reads, request dispatch through
-//! [`handle_request`], and per-connection outbound queues drained on
+//! `handle_request`, and per-connection outbound queues drained on
 //! writability. Solver and `load` threads never touch a socket: a finished
-//! [`Reply`] goes to the [`CompletionHub`], which wakes the loop through
+//! `Reply` goes to the `CompletionHub`, which wakes the loop through
 //! the poller's eventfd; the loop drains the hub, records latency, queues
 //! the bytes on the owning connections, and flushes each connection it
 //! touched once — a pipelining client's replies leave in one `write`, not
@@ -31,7 +31,7 @@
 //!
 //! Health counters (`ready_event`, `wakeup`, `partial_write`,
 //! `open_conns_hwm`) are flushed into
-//! [`ServerMetrics`](crate::server::ServerMetrics) once per loop
+//! `server::ServerMetrics` once per loop
 //! iteration; see the metrics docs in `server.rs`.
 
 use std::collections::HashMap;

@@ -7,7 +7,7 @@
 //!   requests, length-capped ([`MAX_LINE_BYTES`]): a client streaming
 //!   bytes without a newline gets one error response and a closed
 //!   connection instead of an unbounded buffer. Each line goes through
-//!   [`handle_request`]: `predict` submits a [`Job`](crate::batch::Job) to
+//!   `handle_request`: `predict` submits a `batch::Job` to
 //!   the batch queue *without blocking*, `load` factorizes on its own
 //!   thread (at most [`MAX_LOADS_IN_FLIGHT`] at a time), everything else
 //!   is answered on the spot.

@@ -15,7 +15,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 use xgs_cholesky::TiledFactor;
-use xgs_runtime::{chrome_trace_json, kind_summary, ExecOptions};
+use xgs_runtime::{chrome_trace_json, ExecOptions};
 
 fn build_matrix() -> SymTileMatrix {
     let mut rng = StdRng::seed_from_u64(12);
@@ -57,8 +57,11 @@ fn main() {
     );
 
     println!("\nper-kernel budget:");
-    for (kind, count, total) in kind_summary(&report.trace) {
-        println!("  {kind:<6} x{count:<5} {total:>8.3}s total");
+    for k in &report.kernels {
+        println!(
+            "  {:<6} x{:<5} {:>8.3}s total",
+            k.kind, k.count, k.total_seconds
+        );
     }
     let path = "target/cholesky_trace.json";
     std::fs::write(path, chrome_trace_json(&report.trace)).expect("write trace");

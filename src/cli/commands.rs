@@ -424,11 +424,7 @@ pub fn cmd_predict(args: &Args) -> Result<String, CmdError> {
             mspe(&pred.mean, truth)
         ));
     }
-    write_metrics(
-        args,
-        rep.exec.as_ref().and_then(|e| e.metrics.as_ref()),
-        &mut summary,
-    )?;
+    write_metrics(args, rep.metrics.as_ref(), &mut summary)?;
     if let Some(out) = args.get("out") {
         let mut cols: Vec<(&str, &[f64])> = vec![("pred", &pred.mean)];
         if let Some(u) = &pred.uncertainty {

@@ -2,7 +2,7 @@
 //! geostatistics stack. Run `exageostat help` for usage.
 
 use exageostat_rs::cli::args::Args;
-use exageostat_rs::cli::commands;
+use exageostat_rs::cli::commands::{self, CmdError};
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -21,7 +21,12 @@ fn main() {
         Ok(report) => println!("{report}"),
         Err(e) => {
             eprintln!("error: {e}");
-            std::process::exit(1);
+            // A usage error exits 2 wherever it is found, like a parse
+            // error above; a run that failed exits 1.
+            std::process::exit(match e {
+                CmdError::Arg(_) => 2,
+                CmdError::Io(_) | CmdError::Run(_) => 1,
+            });
         }
     }
 }

@@ -232,7 +232,8 @@ proptest! {
         for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
             prop_assert!(x.to_bits() == y.to_bits(), "params {:?}: {x} vs {y}", params);
         }
-        prop_assert_eq!(rep.worker_tasks.iter().sum::<u64>() as usize, rep.metrics.tasks);
+        let executed: u64 = rep.metrics.worker_stats.iter().map(|w| w.tasks).sum();
+        prop_assert_eq!(executed as usize, rep.metrics.tasks);
     }
 
     #[test]

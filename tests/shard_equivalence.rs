@@ -119,7 +119,11 @@ fn sharded_factor_is_bitwise_equal_across_process_grids() {
         let dag_tasks = nt + nt * (nt - 1) / 2 + nt * (nt * nt - 1) / 6;
         assert_eq!(rep.metrics.tasks, dag_tasks, "{context}");
         assert_eq!(
-            rep.worker_tasks.iter().sum::<u64>() as usize,
+            rep.metrics
+                .worker_stats
+                .iter()
+                .map(|w| w.tasks)
+                .sum::<u64>() as usize,
             dag_tasks,
             "{context}: per-worker census must sum to the DAG"
         );
@@ -521,8 +525,6 @@ fn half_written_tile_frame_times_out_instead_of_hanging() {
 
     let mut f = TiledFactor::from_matrix(matrix(120, 40, 17, Variant::DenseF64));
     let opts = ShardOptions {
-        grid_p: 1,
-        grid_q: 1,
         deadline: Duration::from_secs(2),
         validate: false,
         precheck: true,
