@@ -603,7 +603,7 @@ fn run_steps(
         .collect();
     kernels.sort_by(|a, b| b.total_seconds.total_cmp(&a.total_seconds));
     // Fleet lifecycle events ride the same kernel-stats schema (count +
-    // seconds), trailing the compute kernels, so `metrics_diff
+    // seconds), trailing the compute kernels, so `exageostat metrics-diff
     // --assert-counts worker_death,panel_replay` can hold a chaos run to
     // an exact recovery profile.
     kernels.extend(drive.events.iter().filter(|e| e.count > 0).copied());

@@ -24,8 +24,8 @@ use xgs_tile::TileLayout;
 /// Largest near-square factorization of `workers` (`p <= sqrt(w)`). It is
 /// also `xgs-perfmodel`'s process grid, so a sharded run and a
 /// `scale --nodes` projection of the same worker count land on the same
-/// `p x q` grid (that equality is what lets `metrics_diff` compare their
-/// per-worker task counts).
+/// `p x q` grid (that equality is what lets `exageostat metrics-diff`
+/// compare their per-worker task counts).
 pub fn grid_shape(workers: usize) -> (usize, usize) {
     let w = workers.max(1);
     let mut p = (w as f64).sqrt() as usize;
@@ -215,7 +215,7 @@ pub(super) fn canonical_tasks(f: &TiledFactor, p: usize, q: usize) -> CanonicalT
 /// per-worker HELLO and the end-of-run HEARTBEAT ping/echo census over
 /// the block-cyclic owner map, with TILE frame sizes from `meta`'s
 /// per-tile formats ([`tile_wire_frame_bytes`]). For static formats this
-/// equals the measured census byte-for-byte — `metrics_diff
+/// equals the measured census byte-for-byte — `exageostat metrics-diff
 /// --assert-wire-equal tile` holds a real run to it in CI; with TLR
 /// storage the ranks drift during the trailing update and the TILE
 /// *bytes* are an estimate (the frame counts stay exact).

@@ -67,18 +67,20 @@ impl PipelineReport {
         for n in names {
             out.push_str(&format!(",{n}"));
         }
-        out.push_str(",log-likelihood,MSPE,footprint-MB,fit-seconds\n");
+        out.push_str(",log-likelihood,MSPE,footprint-MB,fit-seconds,evals,converged\n");
         for row in &self.rows {
             out.push_str(row.variant.name());
             for v in &row.fit.theta {
                 out.push_str(&format!(",{v:.4}"));
             }
             out.push_str(&format!(
-                ",{:.4},{:.4},{:.1},{:.2}\n",
+                ",{:.4},{:.4},{:.1},{:.2},{},{}\n",
                 row.fit.llh,
                 row.mspe,
                 row.footprint_bytes as f64 / 1e6,
-                row.fit_seconds
+                row.fit_seconds,
+                row.fit.evals,
+                if row.fit.converged { "yes" } else { "no" }
             ));
         }
         out
@@ -238,6 +240,14 @@ mod tests {
         let table = report.render(ModelFamily::MaternSpace);
         assert!(table.contains("dense-fp64"));
         assert!(table.contains("mp-dense-tlr"));
+        assert!(table.lines().next().unwrap().ends_with(",evals,converged"));
+        for (line, row) in table.lines().skip(1).zip(&report.rows) {
+            let converged = if row.fit.converged { "yes" } else { "no" };
+            assert!(
+                line.ends_with(&format!(",{},{converged}", row.fit.evals)),
+                "{line}"
+            );
+        }
     }
 
     #[test]

@@ -36,7 +36,7 @@
 //! already records `worker_death` / `panel_replay` / `standby_promote`
 //! events, and the supervisor adds a `worker_join` row counting
 //! admissions (initial spawns, dial-ins, mid-run replacements) since the
-//! previous report, so `metrics_diff` can assert on recovery behavior.
+//! previous report, so `exageostat metrics-diff` can assert on recovery behavior.
 
 use std::collections::VecDeque;
 use std::io;
@@ -71,6 +71,10 @@ pub enum Launch {
     Threads(WorkerOptions),
 }
 
+/// Budget for one launched worker to connect and complete the
+/// `JOIN`/`ASSIGN` handshake.
+const SPAWN_DEADLINE: Duration = Duration::from_secs(30);
+
 /// Supervisor configuration.
 #[derive(Clone, Debug)]
 pub struct FleetConfig {
@@ -83,9 +87,6 @@ pub struct FleetConfig {
     pub standbys: usize,
     /// Wall-clock budget per factorization (recovery included).
     pub deadline: Duration,
-    /// Budget for one worker to connect and complete the `JOIN`/`ASSIGN`
-    /// handshake.
-    pub spawn_deadline: Duration,
     /// Monitor cadence for idle-member heartbeats and dial-in admission.
     pub heartbeat_every: Duration,
     /// How long an idle member may sit on a heartbeat echo before the
@@ -115,7 +116,6 @@ impl FleetConfig {
             workers: workers.max(1),
             standbys: 0,
             deadline: Duration::from_secs(120),
-            spawn_deadline: Duration::from_secs(30),
             heartbeat_every: Duration::from_secs(5),
             heartbeat_timeout: Duration::from_secs(2),
             respawn: true,
@@ -426,8 +426,8 @@ impl FleetState {
                 None
             }
         };
-        let stream = accept_within(inner, cfg.spawn_deadline, child.as_mut())?;
-        self.admit(stream, child, standby, cfg.spawn_deadline)
+        let stream = accept_within(inner, SPAWN_DEADLINE, child.as_mut())?;
+        self.admit(stream, child, standby, SPAWN_DEADLINE)
     }
 
     /// Register the worker on `stream` under the next member id: the

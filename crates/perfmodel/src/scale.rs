@@ -183,8 +183,8 @@ pub fn project(cfg: &ScaleConfig) -> Projection {
 
 /// [`project`], additionally returning the per-kernel census of the event
 /// replay as a [`MetricsReport`] (the same JSON schema the shared-memory
-/// executor and the prediction server export, so `metrics_diff` can compare
-/// a projection against a measured run). `None` when the configuration is
+/// executor and the prediction server export, so `exageostat
+/// metrics-diff` can compare a projection against a measured run). `None` when the configuration is
 /// routed to the analytic engine, which has no task-level breakdown.
 pub fn project_with_metrics(cfg: &ScaleConfig) -> (Projection, Option<MetricsReport>) {
     let (p, mut metrics) = run_engine(cfg);
@@ -192,7 +192,7 @@ pub fn project_with_metrics(cfg: &ScaleConfig) -> (Projection, Option<MetricsRep
         // Closed-form frame census of the sharded protocol under this
         // profile's formats: a real sharded run of the same grid must
         // measure exactly these TILE frames/bytes when formats are static
-        // (`metrics_diff --assert-wire-equal tile`).
+        // (`metrics-diff --assert-wire-equal tile`).
         m.wire = xgs_cholesky::project_wire_census(&cfg.profile(), cfg.n, cfg.nb, cfg.nodes);
     }
     (p, metrics)

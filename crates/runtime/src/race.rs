@@ -26,7 +26,7 @@
 //! On/off: enabled by default under `debug_assertions` (every `cargo
 //! test` execution is checked); opt-in for release builds with `XGS_RACE=1`
 //! in the environment; [`set_enabled`] overrides both (used by
-//! `xgs-paper validator-overhead` to measure the checker's cost).
+//! `exageostat paper validator-overhead` to measure the checker's cost).
 //!
 //! [`set_mutation_drop_completion_edge`] deliberately drops the pool's
 //! chunk-completion edge so the integration test can prove the checker

@@ -22,7 +22,7 @@
 //! Everything is `std::net`, threads and the in-tree `polling` shim; JSON
 //! goes through the hand-rolled reader/writers in `xgs-runtime`. See the
 //! repository README ("Prediction service protocol") for the wire grammar
-//! and the `loadgen` binary for a replay client.
+//! and `exageostat loadgen` (over [`loadgen`]) for a replay client.
 //!
 //! # Lock order
 //!

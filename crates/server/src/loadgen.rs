@@ -24,8 +24,8 @@
 //! completion ever changes results.
 //!
 //! The generator never panics on server misbehaviour: refused (shed),
-//! expired (deadline) and failed requests are counted separately and the
-//! binary turns unexpected ones into a nonzero exit. A reply that cannot
+//! expired (deadline) and failed requests are counted separately and
+//! `exageostat loadgen` turns unexpected ones into a nonzero exit. A reply that cannot
 //! be attributed, or a reply line longer than four times the server's
 //! [`MAX_LINE_BYTES`], fails its connection's remaining requests.
 
@@ -158,7 +158,7 @@ impl LoadgenReport {
 
     /// Machine-readable dump; when the server metrics were fetched they are
     /// embedded verbatim under `"server"` (same schema as every other
-    /// `--metrics` export, so `metrics_diff` can digest it).
+    /// `--metrics` export, so `exageostat metrics-diff` can digest it).
     pub fn to_json(&self) -> String {
         let loadgen = JsonValue::object([
             ("sent", self.sent.into()),

@@ -112,14 +112,14 @@ impl Default for ServerConfig {
 }
 
 /// Server-side counters, exported as the shared [`MetricsReport`] JSON
-/// schema so `metrics_diff` can compare service runs with factorization
-/// runs. Kernel kinds: `request` (end-to-end request latency), `solve`
-/// (per-batch multi-RHS query time), `batch_size` (batch size recorded as
-/// `points · 1e-6` "seconds", i.e. the log₂-µs histogram buckets read as
-/// log₂-points), `load` (model factorization+cache time), `shed` (overload
-/// refusals, the "duration" being the advertised retry_after), `deadline`
-/// (requests expired at dequeue, the "duration" being how late they were),
-/// `evict` (registry evictions, count only).
+/// schema so `exageostat metrics-diff` can compare service runs with
+/// factorization runs. Kernel kinds: `request` (end-to-end request
+/// latency), `solve` (per-batch multi-RHS query time), `batch_size` (batch
+/// size recorded as `points · 1e-6` "seconds", i.e. the log₂-µs histogram
+/// buckets read as log₂-points), `load` (model factorization+cache time),
+/// `shed` (overload refusals, the "duration" being the advertised
+/// retry_after), `deadline` (requests expired at dequeue, the "duration"
+/// being how late they were), `evict` (registry evictions, count only).
 ///
 /// The event loop additionally exports count-only kinds: `ready_event`
 /// (epoll readiness events processed), `wakeup` (eventfd notifies from

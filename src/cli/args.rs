@@ -2,11 +2,15 @@
 
 use std::collections::BTreeMap;
 
-/// Parsed command line: a subcommand plus `--key value` flags.
+/// Parsed command line: a command path plus `--key value` flags and
+/// `--switch`es.
 #[derive(Clone, Debug, Default)]
 pub struct Args {
+    /// One word, or two where the command table nests (`paper fig9`),
+    /// separated by a space.
     pub command: String,
-    flags: BTreeMap<String, String>,
+    /// Each flag with its value; `None` for one given bare.
+    flags: BTreeMap<String, Option<String>>,
 }
 
 /// Parse errors carry a human-oriented message.
@@ -22,39 +26,41 @@ impl std::fmt::Display for ArgError {
 impl std::error::Error for ArgError {}
 
 impl Args {
-    /// Parse `argv[1..]`: first token is the subcommand, the rest
-    /// `--key value` pairs (`--key` alone is a boolean `true`).
+    /// Parse `argv[1..]`: the command path — a first word, and a second
+    /// where the command table nests under the first — then `--key value`
+    /// pairs and bare `--switch`es. A flag given twice is an error.
     pub fn parse(argv: &[String]) -> Result<Args, ArgError> {
-        let mut it = argv.iter();
-        let command = it
+        let mut it = argv.iter().peekable();
+        let mut command = it
             .next()
             .ok_or_else(|| ArgError("missing subcommand".into()))?
             .clone();
+        if crate::cli::commands::nests(&command) {
+            if let Some(word) = it.next_if(|w| !w.starts_with("--")) {
+                command = format!("{command} {word}");
+            }
+        }
         let mut flags = BTreeMap::new();
-        let rest: Vec<&String> = it.collect();
-        let mut i = 0;
-        while i < rest.len() {
-            let key = rest[i]
+        while let Some(word) = it.next() {
+            let key = word
                 .strip_prefix("--")
-                .ok_or_else(|| ArgError(format!("expected --flag, got '{}'", rest[i])))?;
-            if i + 1 < rest.len() && !rest[i + 1].starts_with("--") {
-                flags.insert(key.to_string(), rest[i + 1].clone());
-                i += 2;
-            } else {
-                flags.insert(key.to_string(), "true".to_string());
-                i += 1;
+                .ok_or_else(|| ArgError(format!("expected --flag, got '{word}'")))?;
+            let value = it.next_if(|v| !v.starts_with("--")).cloned();
+            if flags.insert(key.to_string(), value).is_some() {
+                return Err(ArgError(format!("--{key} given more than once")));
             }
         }
         Ok(Args { command, flags })
     }
 
-    /// Every flag given, without its `--`.
-    pub fn flags(&self) -> impl Iterator<Item = &str> {
-        self.flags.keys().map(String::as_str)
+    /// Every flag given, without its `--`, with its value if it has one.
+    pub fn flags(&self) -> impl Iterator<Item = (&str, Option<&str>)> {
+        self.flags.iter().map(|(k, v)| (k.as_str(), v.as_deref()))
     }
 
+    /// The value of `--key`, if given one.
     pub fn get(&self, key: &str) -> Option<&str> {
-        self.flags.get(key).map(String::as_str)
+        self.flags.get(key)?.as_deref()
     }
 
     pub fn str_or(&self, key: &str, default: &str) -> String {
@@ -79,8 +85,9 @@ impl Args {
         }
     }
 
+    /// Whether the switch `--key` was given.
     pub fn bool(&self, key: &str) -> bool {
-        matches!(self.get(key), Some("true") | Some("1") | Some("yes"))
+        self.flags.contains_key(key)
     }
 
     /// Comma-separated float list.
@@ -154,5 +161,21 @@ mod tests {
     #[test]
     fn rejects_positional_garbage() {
         assert!(Args::parse(&argv("fit stray")).is_err());
+    }
+
+    #[test]
+    fn a_second_word_only_where_the_table_nests() {
+        let a = Args::parse(&argv("paper table1 --metrics m.json")).unwrap();
+        assert_eq!(a.command, "paper table1");
+        assert_eq!(a.get("metrics"), Some("m.json"));
+        assert_eq!(Args::parse(&argv("paper")).unwrap().command, "paper");
+        assert!(Args::parse(&argv("paper fig9 stray")).is_err());
+    }
+
+    #[test]
+    fn a_repeated_flag_is_an_error() {
+        let e = Args::parse(&argv("fit --tile 64 --data d.csv --tile 128")).unwrap_err();
+        assert!(e.0.contains("--tile"), "{e}");
+        assert!(Args::parse(&argv("fit --se --se")).is_err());
     }
 }

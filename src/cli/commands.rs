@@ -5,7 +5,7 @@
 //! stdout).
 
 use crate::cli::args::{ArgError, Args};
-use crate::cli::io;
+use crate::cli::{io, metrics_diff, paper};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -22,12 +22,19 @@ use xgs_tile::{
     decision_heatmap, FlopKernelModel, PrecisionRule, SymTileMatrix, TlrConfig, Variant,
 };
 
-/// Top-level command error.
+/// Top-level command error. A usage error ([`CmdError::Arg`]) exits 2,
+/// every other variant 1.
 #[derive(Debug)]
 pub enum CmdError {
     Arg(ArgError),
     Io(io::IoError),
     Run(String),
+    /// The command ran and has its report, which fails a check (a failed
+    /// request, an unmet assertion): the report prints as on success.
+    Failed {
+        report: String,
+        why: String,
+    },
 }
 
 impl std::fmt::Display for CmdError {
@@ -35,7 +42,7 @@ impl std::fmt::Display for CmdError {
         match self {
             CmdError::Arg(e) => write!(f, "{e}"),
             CmdError::Io(e) => write!(f, "{e}"),
-            CmdError::Run(m) => f.write_str(m),
+            CmdError::Run(m) | CmdError::Failed { why: m, .. } => f.write_str(m),
         }
     }
 }
@@ -54,7 +61,9 @@ impl From<io::IoError> for CmdError {
     }
 }
 
-pub const USAGE: &str = "\
+/// The commands and their flags; [`usage`] appends the paper jobs and the
+/// environment.
+const USAGE: &str = "\
 exageostat — geostatistical modeling & prediction with the MP+TLR tile Cholesky
 
 USAGE: exageostat <command> [--flag value ...]
@@ -104,10 +113,29 @@ COMMANDS:
             [--precision-rule ...] [--f64-band <k>] [--f32-band <k>]
             [--iterations <k>] [--burn-in <k>] [--seed <s>]
             [--workers <w>] [--shards <k>] [--standbys <k>]
+  loadgen   replay a seeded query stream against a running serve
+            [--addr <host:port>] [--model <name>] [--requests <k>] [--conns <k>]
+            [--points <k>] [--uncertainty] [--seed <s>] [--domain <d>] [--rate <req/s>]
+            [--concurrency-per-conn <k>] [--deadline-ms <ms>] [--connect-timeout <s>]
+            [--overload]  (shed replies expected)  [--shutdown]  (drain the server after)
+            [--metrics <json>]  (write the client and server metrics)
+            exits 1 on a failed request, or a shed or expired one not expected
+  metrics-diff  compare two runtime metrics reports kernel by kernel
+            --baseline <json> --candidate <json>
+            [--assert-counts <kind,..>] [--assert-wire-equal <kind,..>]
+            [--assert-wire-below <kind,..>] [--expect-count <kind=N,..>]
+            [--expect-min <kind=N,..>] [--assert-checksum-equal]
+            exits 1 on a failed assertion
+  paper     regenerate one table or figure of the paper at the size its
+            results/<name>.txt records: paper <name>, where <name> is
+";
 
+/// After the paper jobs.
+const USAGE_TAIL: &str = "
   --precision-rule band stores tile (i,j) in FP64 when |i-j| < --f64-band,
   else in FP32 when |i-j| < --f32-band, else in FP16 (defaults 3 and 8).
-  Every command rejects a flag it does not list.
+  Every command rejects a flag it does not list, and a flag given twice.
+  A usage error exits 2; a failed run, request or assertion exits 1.
 
 ENVIRONMENT:
   XGS_PRECHECK=1  run the pre-execution DAG/shard-plan safety checks
@@ -117,6 +145,16 @@ ENVIRONMENT:
                   fault injection: the fleet member with ASSIGNed id M
                   SIGKILLs itself at the named point (chaos tests only).
 ";
+
+/// `exageostat help`: every command with its flags, the paper jobs listed
+/// from the paper job table.
+pub fn usage() -> String {
+    let mut out = String::from(USAGE);
+    for (name, summary, _) in paper::JOBS {
+        out.push_str(&format!("              {name:<19} {summary}\n"));
+    }
+    out + USAGE_TAIL
+}
 
 fn parse_family(args: &Args) -> Result<ModelFamily, CmdError> {
     match args.str_or("kernel", "matern").as_str() {
@@ -179,7 +217,7 @@ fn tile_config(args: &Args, variant: Variant, n: usize) -> Result<TlrConfig, Cmd
 
 /// `--metrics <path>`: dump a runtime metrics report as JSON, or note why
 /// there is none (the sequential engine collects nothing).
-fn write_metrics(
+pub(crate) fn write_metrics(
     args: &Args,
     metrics: Option<&xgs_runtime::MetricsReport>,
     out: &mut String,
@@ -330,8 +368,12 @@ pub fn cmd_fit(args: &Args) -> Result<String, CmdError> {
         out.push_str(&format!("  {name:<18} = {v:.6}\n"));
     }
     out.push_str(&format!(
-        "  log-likelihood     = {:.4}\n  evaluations        = {}\n  wall seconds       = {:.2}\n",
-        r.llh, r.evals, secs
+        "  log-likelihood     = {:.4}\n  evaluations        = {}\n  converged          = {}\n  \
+         wall seconds       = {:.2}\n",
+        r.llh,
+        r.evals,
+        if r.converged { "yes" } else { "no" },
+        secs
     ));
     if let Some(m) = &r.metrics {
         out.push_str(&format!(
@@ -667,11 +709,65 @@ pub fn cmd_worker(args: &Args) -> Result<String, CmdError> {
     Ok(format!("worker drained after {executed} tasks\n"))
 }
 
-type Command = fn(&Args) -> Result<String, CmdError>;
+/// `loadgen` — replay a seeded query stream against a running `serve` and
+/// report throughput and latency. A failed request, or a shed or expired
+/// one the flags do not expect (`--overload`, `--deadline-ms`), fails the
+/// run; an unresolvable address is a usage error.
+pub fn cmd_loadgen(args: &Args) -> Result<String, CmdError> {
+    let d = xgs_server::LoadgenConfig::default();
+    let connect_timeout = args.f64_or("connect-timeout", d.connect_timeout.as_secs_f64())?;
+    let cfg = xgs_server::LoadgenConfig {
+        addr: args.str_or("addr", &d.addr),
+        model: args.str_or("model", &d.model),
+        requests: args.usize_or("requests", d.requests)?,
+        conns: args.usize_or("conns", d.conns)?,
+        points: args.usize_or("points", d.points)?,
+        rate: args.f64_or("rate", d.rate)?,
+        uncertainty: args.bool("uncertainty"),
+        seed: args.usize_or("seed", d.seed as usize)? as u64,
+        domain: args.f64_or("domain", d.domain)?,
+        connect_timeout: std::time::Duration::try_from_secs_f64(connect_timeout).map_err(|_| {
+            ArgError(format!(
+                "--connect-timeout must be a duration in seconds, got {connect_timeout}"
+            ))
+        })?,
+        shutdown: args.bool("shutdown"),
+        concurrency_per_conn: args.usize_or("concurrency-per-conn", d.concurrency_per_conn)?,
+        deadline_ms: args.usize_or("deadline-ms", d.deadline_ms as usize)? as u64,
+        overload: args.bool("overload"),
+    };
+    let report = xgs_server::loadgen::run(&cfg).map_err(|e| CmdError::Arg(ArgError(e)))?;
+    let mut out = report.summary();
+    if let Some(path) = args.get("metrics") {
+        std::fs::write(path, report.to_json())
+            .map_err(|e| CmdError::Run(format!("could not write metrics to {path}: {e}")))?;
+        out.push_str(&format!("\nwrote metrics to {path}"));
+    }
+    let shed = if cfg.overload { 0 } else { report.shed };
+    let expired = if cfg.deadline_ms > 0 {
+        0
+    } else {
+        report.expired
+    };
+    if report.errors + shed + expired > 0 {
+        return Err(CmdError::Failed {
+            report: out,
+            why: format!(
+                "{} failed, {shed} shed and {expired} expired requests",
+                report.errors
+            ),
+        });
+    }
+    Ok(out)
+}
 
-/// Every subcommand with the flags it reads (those of [`tile_config`] and
-/// [`factor_engine`] included); [`run`] rejects any other.
-const COMMANDS: [(&str, Command, &str); 8] = [
+/// A command path's job: its report, printed by `main` unless empty.
+pub type Command = fn(&Args) -> Result<String, CmdError>;
+
+/// Every top-level command with the flags it reads (those of
+/// [`tile_config`] and [`factor_engine`] included); [`run`] rejects any
+/// other. A switch, a flag given without a value, ends in `!`.
+const COMMANDS: [(&str, Command, &str); 10] = [
     (
         "simulate",
         cmd_simulate,
@@ -680,13 +776,13 @@ const COMMANDS: [(&str, Command, &str); 8] = [
     (
         "fit",
         cmd_fit,
-        "kernel variant data max-evals optimizer particles start metrics se \
+        "kernel variant data max-evals optimizer particles start metrics se! \
          tile precision-rule f64-band f32-band workers shards standbys",
     ),
     (
         "predict",
         cmd_predict,
-        "kernel variant data targets theta uncertainty metrics out \
+        "kernel variant data targets theta uncertainty! metrics out \
          tile precision-rule f64-band f32-band workers shards standbys",
     ),
     (
@@ -712,31 +808,72 @@ const COMMANDS: [(&str, Command, &str); 8] = [
         "kernel variant data start iterations burn-in seed \
          tile precision-rule f64-band f32-band workers shards standbys",
     ),
+    (
+        "loadgen",
+        cmd_loadgen,
+        "addr model requests conns points uncertainty! seed domain rate \
+         concurrency-per-conn deadline-ms connect-timeout overload! shutdown! metrics",
+    ),
+    (
+        "metrics-diff",
+        metrics_diff::cmd_metrics_diff,
+        "baseline candidate assert-counts assert-wire-equal assert-wire-below \
+         expect-count expect-min assert-checksum-equal!",
+    ),
 ];
 
-/// The subcommand `args` names, once every flag given is one it reads.
+/// Every command path with its job and the flags it reads: the top-level
+/// [`COMMANDS`], then `paper <name>` for each of [`paper::JOBS`].
+fn paths() -> impl Iterator<Item = (String, Command, &'static str)> {
+    let top = COMMANDS.map(|(path, job, flags)| (path.to_string(), job, flags));
+    let paper = paper::JOBS.map(|(name, summary, job)| {
+        let takes_metrics = summary.ends_with(paper::METRICS_OPTION);
+        (
+            format!("paper {name}"),
+            job,
+            if takes_metrics { "metrics" } else { "" },
+        )
+    });
+    top.into_iter().chain(paper)
+}
+
+/// Whether `word` is the first word of two-word command paths.
+pub(crate) fn nests(word: &str) -> bool {
+    paths().any(|(path, ..)| path.split_once(' ').is_some_and(|(head, _)| head == word))
+}
+
+/// The job of the command path `args` names, once every flag given is
+/// one it reads.
 fn command(args: &Args) -> Result<Command, CmdError> {
-    let Some((name, command, flags)) = COMMANDS.iter().find(|c| c.0 == args.command) else {
-        return Err(CmdError::Arg(ArgError(format!(
-            "unknown command '{}'\n\n{USAGE}",
-            args.command
-        ))));
+    let Some((name, command, flags)) = paths().find(|c| c.0 == args.command) else {
+        let what = if nests(&args.command) {
+            format!("'{}' needs a second word", args.command)
+        } else {
+            format!("unknown command '{}'", args.command)
+        };
+        return Err(CmdError::Arg(ArgError(format!("{what}\n\n{}", usage()))));
     };
-    match args
-        .flags()
-        .find(|f| !flags.split_whitespace().any(|r| r == *f))
-    {
-        Some(flag) => Err(CmdError::Arg(ArgError(format!(
-            "{name} takes no --{flag} (see `exageostat help`)"
-        )))),
-        None => Ok(*command),
+    for (flag, value) in args.flags() {
+        let spec = flags
+            .split_whitespace()
+            .find(|r| r.trim_end_matches('!') == flag);
+        let problem = match (spec.map(|r| r.ends_with('!')), value) {
+            (None, _) => format!("{name} takes no --{flag}"),
+            (Some(true), Some(v)) => format!("--{flag} is a switch and takes no value, got '{v}'"),
+            (Some(false), None) => format!("--{flag} needs a value"),
+            _ => continue,
+        };
+        return Err(CmdError::Arg(ArgError(format!(
+            "{problem} (see `exageostat help`)"
+        ))));
     }
+    Ok(command)
 }
 
 /// Dispatch.
 pub fn run(args: &Args) -> Result<String, CmdError> {
     if matches!(args.command.as_str(), "help" | "--help" | "-h") {
-        return Ok(USAGE.to_string());
+        return Ok(usage());
     }
     command(args)?(args)
 }
@@ -1039,20 +1176,38 @@ mod tests {
         assert_eq!(e.lines().count(), 1, "{e}");
         // A flag another command reads is still foreign here.
         assert!(err("scale --n 1000 --tile 50").contains("--tile"));
-        for (name, ..) in COMMANDS {
+        for (name, ..) in paths() {
             assert!(err(&format!("{name} --frobnicate 1")).contains("--frobnicate"));
         }
+        // A switch takes no value and any other flag needs one.
+        assert!(err("fit --se yes").contains("--se"));
+        assert!(err("paper table1 --metrics").contains("--metrics"));
     }
 
-    /// The `--flag`s one command's USAGE entry names.
-    fn usage_flags(name: &str) -> Vec<&'static str> {
-        let head = format!("  {name} ");
-        let mut lines = USAGE.lines().skip_while(|l| !l.starts_with(&head));
+    /// The `--flag`s the usage entry of a command path names, a switch
+    /// (written `[--switch]`) with the table's `!`: the command's lines,
+    /// or for `paper <name>` the job's line.
+    fn usage_flags(path: &str) -> Vec<String> {
+        let (head, job) = match path.split_once(' ') {
+            Some((head, job)) => (head, Some(job)),
+            None => (path, None),
+        };
+        let text = usage();
+        let mut lines = text
+            .lines()
+            .skip_while(|l| !l.starts_with(&format!("  {head} ")));
         let first = lines.next().unwrap();
-        let entry = std::iter::once(first).chain(lines.take_while(|l| l.starts_with("    ")));
-        let mut flags: Vec<&str> = entry
-            .flat_map(|l| l.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-')))
-            .filter_map(|w| w.strip_prefix("--"))
+        let entry = std::iter::once(first)
+            .chain(lines.take_while(|l| l.starts_with("    ")))
+            .filter(|l| job.is_none() || l.split_whitespace().next() == job);
+        let mut flags: Vec<String> = entry
+            .flat_map(|l| l.split("--").skip(1))
+            .map(|w| {
+                let end = w.find(|c: char| !(c.is_ascii_alphanumeric() || c == '-'));
+                let (name, rest) = w.split_at(end.unwrap_or(w.len()));
+                let switch = if rest.starts_with(']') { "!" } else { "" };
+                format!("{name}{switch}")
+            })
             .collect();
         flags.sort_unstable();
         flags.dedup();
@@ -1061,11 +1216,59 @@ mod tests {
 
     #[test]
     fn usage_names_exactly_the_flags_each_command_reads() {
-        for (name, _, flags) in COMMANDS {
+        for (path, _, flags) in paths() {
             let mut reads: Vec<&str> = flags.split_whitespace().collect();
             reads.sort_unstable();
-            assert_eq!(usage_flags(name), reads, "USAGE entry of {name}");
+            assert_eq!(usage_flags(&path), reads, "usage entry of {path}");
         }
+    }
+
+    #[test]
+    fn an_unknown_or_missing_paper_job_is_a_usage_error() {
+        for cmd in ["paper table3", "paper"] {
+            match run(&argv(cmd)) {
+                Err(CmdError::Arg(e)) => assert!(e.0.contains(cmd), "{e}"),
+                other => panic!("expected a usage error for '{cmd}', got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn only_table1_takes_metrics_and_it_needs_a_path() {
+        for bad in [
+            "paper table1 --metrics",
+            "paper table1 --metrics --verbose",
+            "paper table1 --verbose",
+            "paper table2 --metrics m.json",
+            "paper fig9 --quick",
+        ] {
+            let parsed = Args::parse(&bad.split_whitespace().map(String::from).collect::<Vec<_>>());
+            assert!(
+                parsed.map_or(true, |a| command(&a).is_err()),
+                "{bad} parsed"
+            );
+        }
+        let a = argv("paper table1 --metrics m.json");
+        assert!(command(&a).is_ok());
+        assert_eq!(a.get("metrics"), Some("m.json"));
+    }
+
+    #[test]
+    fn every_paper_job_is_unique_and_listed_in_usage() {
+        let text = usage();
+        for (i, (name, ..)) in paper::JOBS.iter().enumerate() {
+            assert!(
+                paper::JOBS[i + 1..].iter().all(|j| j.0 != *name),
+                "{name} listed twice"
+            );
+            assert!(
+                text.lines()
+                    .any(|l| l.split_whitespace().next() == Some(name)),
+                "{name} missing from usage"
+            );
+            assert!(command(&argv(&format!("paper {name}"))).is_ok());
+        }
+        assert_eq!(paper::JOBS.len(), 13);
     }
 
     #[test]
@@ -1084,14 +1287,14 @@ mod tests {
             }
             let words: Vec<String> = call
                 .split_whitespace()
-                .take_while(|w| *w != "&")
+                .take_while(|w| !matches!(*w, "&" | ">"))
                 .map(|w| w.trim_matches('"').to_string())
                 .collect();
             let args = Args::parse(&words).unwrap();
             assert!(command(&args).is_ok(), "CI runs `exageostat {call}`");
             checked += 1;
         }
-        assert!(checked >= 10, "only {checked} invocations found in CI");
+        assert!(checked >= 31, "only {checked} invocations found in CI");
         // The argv `xgs-fleet` starts each worker with.
         assert!(command(&argv("worker --connect 127.0.0.1:4741")).is_ok());
     }

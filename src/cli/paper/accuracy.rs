@@ -1,7 +1,9 @@
 //! The accuracy studies: Tables I and II (one modeling → prediction
 //! pipeline each), the Fig. 6 estimate boxplots and PSO weak scaling.
 
-use xgs_bench::{quartiles, sites, timed, write_metrics};
+use super::{quartiles, sites, timed};
+use crate::cli::args::Args;
+use crate::cli::commands::{write_metrics, CmdError};
 use xgs_core::mle::FitOptimizer;
 use xgs_core::{
     fit, run_pipeline, FactorEngine, FitOptions, ModelFamily, NelderMeadOptions, PipelineConfig,
@@ -79,8 +81,8 @@ pub const TABLE_II: Table = Table {
 };
 
 /// Table I or II; `--metrics` writes the runtime metrics merged over every
-/// factorization of every variant's fit.
-pub fn table(t: &Table, metrics: Option<&str>) {
+/// factorization of every variant's fit, and the report says where.
+pub fn table(t: &Table, args: &Args) -> Result<String, CmdError> {
     let cfg = PipelineConfig {
         family: t.family,
         true_params: t.truth.to_vec(),
@@ -131,19 +133,16 @@ pub fn table(t: &Table, metrics: Option<&str>) {
         }
     }
 
-    if let Some(path) = metrics {
-        let mut merged: Option<xgs_runtime::MetricsReport> = None;
-        for m in report.rows.iter().filter_map(|r| r.fit.metrics.as_ref()) {
-            match merged.as_mut() {
-                Some(total) => total.merge(m),
-                None => merged = Some(m.clone()),
-            }
-        }
-        match merged {
-            Some(m) => write_metrics(path, &m),
-            None => eprintln!("--metrics: no runtime metrics collected (sequential engine)"),
+    let mut merged: Option<xgs_runtime::MetricsReport> = None;
+    for m in report.rows.iter().filter_map(|r| r.fit.metrics.as_ref()) {
+        match merged.as_mut() {
+            Some(total) => total.merge(m),
+            None => merged = Some(m.clone()),
         }
     }
+    let mut note = String::new();
+    write_metrics(args, merged.as_ref(), &mut note)?;
+    Ok(note.trim_end().to_string())
 }
 
 /// Fig. 6: quartiles of the Matérn estimates over replicated synthetic

@@ -2,7 +2,7 @@
 //! design choices DESIGN.md calls out, and what the schedule validator
 //! and race checker cost the factorization.
 
-use xgs_bench::{quartiles, sites, timed};
+use super::{quartiles, sites, timed};
 use xgs_cholesky::TiledFactor;
 use xgs_covariance::{covariance_matrix, Matern, MaternParams};
 use xgs_perfmodel::{footprint_bytes, Correlation, TileFormatProfile};
@@ -209,14 +209,18 @@ fn tile_size_panel(n: usize) {
 /// forced on, all over the same matrix. The validator pays one atomic tick
 /// per task endpoint plus a post-run edge walk; the race checker a
 /// global-mutex clock join per declared access.
+///
+/// One untimed warm-up factorization first, then the four configurations
+/// round-robin, so drift on the host lands on every row alike; each row
+/// reports its median and interquartile range over the rounds.
 pub fn validator_overhead() {
-    let (n, nb, reps): (usize, usize, usize) = (3000, 64, 3);
+    let (n, nb, rounds): (usize, usize, usize) = (3000, 64, 9);
     let workers = xgs_runtime::logical_cores();
     let nt = n.div_ceil(nb);
     let tasks = nt + nt * (nt - 1) / 2 + nt * (nt * nt - 1) / 6;
     println!(
         "-- validator overhead sweep: n = {n}, nb = {nb} (NT = {nt}, {tasks} tasks), \
-         {workers} workers, {reps} reps --"
+         {workers} workers, 1 warm-up + {rounds} round-robin rounds --"
     );
 
     let locs = sites(n, 14.0, 3);
@@ -247,50 +251,57 @@ pub fn validator_overhead() {
         ),
         ("race check on", base, true),
     ];
-
-    println!(
-        "{:>18} | {:>10} {:>12} {:>10}",
-        "config", "median s", "edges chk", "vs off"
-    );
-    let mut baseline = 0.0f64;
-    for (label, opts, race_on) in configs {
-        // Pin the race checker per config so the release-build default
-        // (off) cannot leak an `XGS_RACE` environment setting into the
-        // baseline rows.
+    // One factorization under `opts`, the race checker pinned so the
+    // release-build default (off) cannot leak an `XGS_RACE` environment
+    // setting into the baseline rows: (seconds, edges checked).
+    let factor = |opts: ExecOptions, race_on: bool| {
         xgs_runtime::race::set_enabled(Some(race_on));
-        let mut secs = Vec::with_capacity(reps);
-        let mut checked = 0u64;
-        for _ in 0..reps {
-            let f = std::sync::Arc::new(TiledFactor::from_matrix(SymTileMatrix::generate(
-                &kernel,
-                &locs,
-                TlrConfig::new(Variant::DenseF64, nb),
-                &model,
-            )));
-            let ((res, report), s) = timed(|| f.factorize_parallel_opts(workers, opts));
-            res.expect("benchmark matrix is SPD");
-            secs.push(s);
-            if let Some(v) = report.validation {
-                checked = v.edges_checked;
-            }
+        let f = std::sync::Arc::new(TiledFactor::from_matrix(SymTileMatrix::generate(
+            &kernel,
+            &locs,
+            TlrConfig::new(Variant::DenseF64, nb),
+            &model,
+        )));
+        let ((res, report), s) = timed(|| f.factorize_parallel_opts(workers, opts));
+        res.expect("benchmark matrix is SPD");
+        (s, report.validation.map_or(0, |v| v.edges_checked))
+    };
+
+    factor(base, false);
+    let mut secs = vec![Vec::with_capacity(rounds); configs.len()];
+    let mut checked = vec![0u64; configs.len()];
+    for _ in 0..rounds {
+        for (c, &(_, opts, race_on)) in configs.iter().enumerate() {
+            let (s, edges) = factor(opts, race_on);
+            secs[c].push(s);
+            checked[c] = edges;
         }
-        let (_, median, _) = quartiles(&mut secs);
-        if label == "validate off" {
-            baseline = median;
-        }
-        let delta = if baseline > 0.0 {
-            format!("{:+.1}%", (median / baseline - 1.0) * 100.0)
-        } else {
-            "-".to_string()
-        };
-        println!("{label:>18} | {median:>10.3} {checked:>12} {delta:>10}");
     }
     xgs_runtime::race::set_enabled(None);
+
+    println!(
+        "{:>18} | {:>10} {:>10} {:>12} {:>10}",
+        "config", "median s", "IQR s", "edges chk", "vs off"
+    );
+    let mut baseline = 0.0f64;
+    for (c, (label, ..)) in configs.iter().enumerate() {
+        let (q1, median, q3) = quartiles(&mut secs[c]);
+        if c == 0 {
+            baseline = median;
+        }
+        println!(
+            "{label:>18} | {median:>10.3} {:>10.3} {:>12} {:>+9.1}%",
+            q3 - q1,
+            checked[c],
+            (median / baseline - 1.0) * 100.0
+        );
+    }
     let races = xgs_runtime::race::race_count();
     println!(
         "\nrecording = two relaxed-ordering ticks per task; the edge walk\n\
          runs once post-factorization on the coordinator thread. The race-check\n\
          row pays a global-mutex vector-clock join per declared task access\n\
-         ({races} race(s) detected — expected 0).\n"
+         ({races} race(s) detected — expected 0). A row resolves when its\n\
+         distance from the off row exceeds both rows' IQR.\n"
     );
 }

@@ -1,7 +1,7 @@
 //! The kernel figures, timed on this machine: Fig. 5 (dense vs TLR GEMM)
 //! and Fig. 8 (SHGEMM vs SGEMM vs DGEMM).
 
-use xgs_bench::{best_of_3, random_buffer};
+use super::{best_of_3, random_buffer};
 use xgs_kernels::{gemm, gemm_flops, shgemm, Half, Precision, Real, Trans};
 use xgs_linalg::{LowRank, Matrix};
 use xgs_perfmodel::A64fxKernelModel;

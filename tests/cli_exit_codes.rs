@@ -1,5 +1,6 @@
 //! The `exageostat` binary's exit codes: a usage error exits 2 whether
-//! `Args::parse` or a subcommand finds it, and a run that fails exits 1.
+//! `Args::parse` or a subcommand finds it, and a run, request or assertion
+//! that fails exits 1.
 
 use std::process::Command;
 
@@ -30,6 +31,34 @@ fn usage_errors_exit_2_and_failed_runs_exit_1() {
     assert_eq!(exit_code(&["fit", "--tile", "0", "--data", data]), 2);
     // A dataset that cannot be read is a failed run, not a usage error.
     assert_eq!(exit_code(&["fit", "--data", "/nonexistent.csv"]), 1);
+    // A flag given twice, a stray word, a paper job that does not exist.
+    assert_eq!(
+        exit_code(&["fit", "--tile", "64", "--data", data, "--tile", "128"]),
+        2
+    );
+    assert_eq!(exit_code(&["fit", "stray", "--data", data]), 2);
+    assert_eq!(exit_code(&["paper", "fig12"]), 2);
 
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn loadgen_and_metrics_diff_exit_as_documented() {
+    // An address that does not parse is a usage error; no lookup is made.
+    assert_eq!(exit_code(&["loadgen", "--addr", "127.0.0.1:notaport"]), 2);
+    assert_eq!(exit_code(&["loadgen", "--connect-timeout", "-1"]), 2);
+    // A server that never accepts: every request fails, and the summary
+    // still prints on stdout.
+    let out = Command::new(EXE)
+        .args(["loadgen", "--addr", "127.0.0.1:1", "--requests", "2"])
+        .args(["--conns", "1", "--connect-timeout", "0.2"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("2 errors"), "{stdout}");
+    // A report that cannot be read is a failed run.
+    let m = "/nonexistent.json";
+    let diff = ["metrics-diff", "--baseline", m, "--candidate", m];
+    assert_eq!(exit_code(&diff), 1);
 }

@@ -1,6 +1,6 @@
 //! End-to-end smoke test of the prediction service: an in-process server
 //! on a loopback port, hammered by the load generator. Mirrors the CI
-//! smoke step (which drives the `exageostat serve` + `loadgen` binaries
+//! smoke step (which drives `exageostat serve` and `exageostat loadgen`
 //! over a real process boundary) so the same guarantees are checked in
 //! `cargo test` without process management:
 //!
