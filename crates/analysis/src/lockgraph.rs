@@ -9,10 +9,11 @@
 //! in three steps over the existing token stream (no new parser):
 //!
 //! 1. **Function index.** Every `fn` item is scanned once, recording its
-//!    lock acquisitions (`.lock()` and `.wait()` receivers, with the set of
-//!    locks held at that point — guard tracking reuses the same discipline
-//!    the old intra-procedural rule enforced: `let`-bound guards live to
-//!    end of block or `drop(g)`, temporaries to end of statement) and its
+//!    lock acquisitions (`.lock()`, `.wait()`, and reader–writer
+//!    `.read()` / `.write()` receivers, with the set of locks held at that
+//!    point — guard tracking reuses the same discipline the old
+//!    intra-procedural rule enforced: `let`-bound guards live to end of
+//!    block or `drop(g)`, temporaries to end of statement) and its
 //!    outgoing calls (free calls, `path::calls`, and `self.method()` calls,
 //!    each with the held set at the call site). Lock identity is
 //!    `crate::receiver` — the last field name before `.lock()` — so
@@ -157,11 +158,11 @@ fn crate_of(path: &str) -> String {
         .to_string()
 }
 
-/// Resolve the receiver of `.lock()` / `.wait()`: the nearest field or
-/// binding name walking the dotted chain backwards, seeing through tuple
-/// indices (`self.idle.0.lock()` -> `idle`) and index expressions
-/// (`self.slots[i].lock()` -> `slots`). Returns `None` for receivers with
-/// no stable name (call results, literals).
+/// Resolve the receiver of an acquisition (`.lock()`, `.read()`, ...): the
+/// nearest field or binding name walking the dotted chain backwards, seeing
+/// through tuple indices (`self.idle.0.lock()` -> `idle`) and index
+/// expressions (`self.slots[i].lock()` -> `slots`). Returns `None` for
+/// receivers with no stable name (call results, literals).
 fn receiver_of(sig: &[Sig<'_>], mut k: usize) -> Option<String> {
     loop {
         match sig[k].kind {
@@ -196,6 +197,18 @@ fn receiver_of(sig: &[Sig<'_>], mut k: usize) -> Option<String> {
             _ => return None,
         }
     }
+}
+
+/// Whether the method name at `sig[j]` (after a `.`) acquires a lock:
+/// `.lock()`, `.wait(..)`, or a reader–writer guard's no-argument
+/// `.read()` / `.write()`. `io::Read::read(&mut buf)` and
+/// `io::Write::write(buf)` take an argument and are not acquisitions.
+fn is_acquisition(sig: &[Sig<'_>], j: usize) -> bool {
+    let open = sig.get(j + 1).is_some_and(|n| n.is_punct(b'('));
+    let no_args = open && sig.get(j + 2).is_some_and(|n| n.is_punct(b')'));
+    let s = &sig[j];
+    (open && (s.is_ident(b"lock") || s.is_ident(b"wait")))
+        || (no_args && (s.is_ident(b"read") || s.is_ident(b"write")))
 }
 
 /// Scan one file into function definitions. Mirrors the guard-holding
@@ -287,9 +300,12 @@ fn scan_file(path: &str, src: &[u8]) -> Vec<FnDef> {
                 if sig.get(k).is_some_and(|s| s.is_ident(b"mut")) {
                     k += 1;
                 }
-                let ctor = sig
-                    .get(k + 1)
-                    .is_some_and(|n| n.is_punct(b'(') || n.is_punct(b':'));
+                // `let x: T = ..` binds `x`; `let a::B(x) = ..` does not.
+                let path_sep = |i: usize| {
+                    sig.get(i).is_some_and(|n| n.is_punct(b':'))
+                        && sig.get(i + 1).is_some_and(|n| n.is_punct(b':'))
+                };
+                let ctor = sig.get(k + 1).is_some_and(|n| n.is_punct(b'(')) || path_sep(k + 1);
                 stmt_let = if in_cond || ctor {
                     None
                 } else {
@@ -304,26 +320,28 @@ fn scan_file(path: &str, src: &[u8]) -> Vec<FnDef> {
                 if let Some(v) = sig.get(j + 2) {
                     held.retain(|h| h.var.as_deref() != Some(v.text));
                 }
-            } else if (s.is_ident(b"lock") || s.is_ident(b"wait"))
-                && j >= 2
-                && sig[j - 1].is_punct(b'.')
-                && sig.get(j + 1).is_some_and(|n| n.is_punct(b'('))
-            {
+            } else if j >= 2 && sig[j - 1].is_punct(b'.') && is_acquisition(&sig, j) {
                 if let Some(recv) = receiver_of(&sig, j - 2) {
                     let node = format!("{krate}::{recv}");
                     // `.wait()` receivers join the graph as acquisition
                     // targets but do not hold anything afterwards.
-                    let holds = s.is_ident(b"lock");
+                    let holds = !s.is_ident(b"wait");
                     def.acquires.push(Acq {
                         lock: node.clone(),
                         line: idx.line(s.start),
                         held: held.iter().map(|h| h.node.clone()).collect(),
                     });
+                    // A guard inside a call argument or closure is a
+                    // temporary of that subexpression, unless it is the
+                    // subexpression's whole value (`.read())`): then it
+                    // escapes into the statement's binding, as in
+                    // `let gs: Vec<_> = ids.map(|i| m[i].read()).collect();`.
+                    let escapes = sig.get(j + 3).is_some_and(|n| n.is_punct(b')'));
                     if holds {
                         held.push(Held {
                             node,
                             depth,
-                            var: if stmt_paren == 0 {
+                            var: if stmt_paren == 0 || escapes {
                                 stmt_let.clone()
                             } else {
                                 None
@@ -784,6 +802,51 @@ mod tests {
         // The graph itself still records the edge — only reporting is
         // suppressed, so `--json` consumers can see audited edges.
         assert!(!an.edges.is_empty());
+    }
+
+    #[test]
+    fn reader_writer_guards_are_acquisitions() {
+        let fs = files(&[(
+            "crates/t/src/lib.rs",
+            "fn f(&self) { let w = self.tiles.write(); let r = self.norms.read(); }",
+        )]);
+        let an = analyze_files(&fs);
+        assert_eq!(an.edges.len(), 1, "{:?}", an.edges);
+        assert_eq!(an.edges[0].from, "t::tiles");
+        assert_eq!(an.edges[0].to, "t::norms");
+    }
+
+    #[test]
+    fn io_read_and_write_with_arguments_are_not_acquisitions() {
+        let fs = files(&[(
+            "crates/t/src/lib.rs",
+            "fn f(&self) { let g = self.inner.lock(); let n = file.read(&mut b); \
+             sock.write(&buf); }",
+        )]);
+        let an = analyze_files(&fs);
+        assert!(an.edges.is_empty(), "{:?}", an.edges);
+    }
+
+    #[test]
+    fn guards_collected_into_a_typed_binding_stay_held() {
+        // The tile factor's shape: shared guards gathered into a `Vec`,
+        // then an exclusive guard on the same lock family.
+        let fs = files(&[(
+            "crates/t/src/lib.rs",
+            "fn run(&self) {\n    \
+             let reads: Vec<_> = ids.map(|r| self.tiles[r].read()).collect();\n    \
+             let target = self.tiles[w].write();\n}",
+        )]);
+        let an = analyze_files(&fs);
+        assert_eq!(an.cycles.len(), 1, "{:?}", an.edges);
+        assert_eq!(an.cycles[0].locks, ["t::tiles", "t::tiles"]);
+        // A guard used inside the closure does not escape it.
+        let used = files(&[(
+            "crates/t/src/lib.rs",
+            "fn f(&self) { let n: usize = ids.map(|r| self.tiles[r].read().len()).sum(); \
+             let g = self.tiles[0].write(); }",
+        )]);
+        assert!(analyze_files(&used).edges.is_empty());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The tiled factorization object and its two execution engines.
 
 use crate::task::{tasks, Task};
-use parking_lot::Mutex;
+use parking_lot::RwLock;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use xgs_runtime::{execute_opts, Access, DataId, ExecOptions, MetricsReport, TaskGraph};
@@ -31,12 +31,15 @@ impl std::error::Error for FactorError {}
 
 /// A tiled Cholesky factor in progress / completed.
 ///
-/// Tiles live behind per-tile mutexes so the task runtime can mutate them
-/// concurrently; the DAG guarantees exclusive access, making the locks
-/// uncontended.
+/// Each tile sits behind its own reader–writer lock: readers share; the
+/// DAG keeps writers alone. Tasks that only read the same panel tile (the
+/// GEMMs of one step reading `L_jk`) run at the same time, as they do under
+/// PaRSEC, and concurrent solves against a finished factor never queue
+/// behind each other. The task graph orders every write after the reads
+/// and writes before it, so no guard waits inside a factorization.
 pub struct TiledFactor {
     pub(crate) layout: TileLayout,
-    pub(crate) tiles: Vec<Mutex<Tile>>,
+    pub(crate) tiles: Vec<RwLock<Tile>>,
     /// Absolute low-rank rounding tolerance per stored tile, frozen at
     /// generation (`tlr_tolerance * ||A_ij||_F`).
     pub(crate) tols: Vec<f64>,
@@ -58,7 +61,7 @@ impl TiledFactor {
                 let tol = (tol_rel * t.norm_fro())
                     .max(floor * 1e-6)
                     .max(f64::MIN_POSITIVE);
-                (Mutex::new(t), tol)
+                (RwLock::new(t), tol)
             })
             .unzip();
         TiledFactor {
@@ -86,12 +89,12 @@ impl TiledFactor {
 
     /// Clone stored tile `(i, j)` (i >= j).
     pub fn tile_clone(&self, i: usize, j: usize) -> Tile {
-        self.tiles[self.layout.stored_index(i, j)].lock().clone()
+        self.tiles[self.layout.stored_index(i, j)].read().clone()
     }
 
     /// Run a closure against stored tile `(i, j)`.
     pub fn with_tile<R>(&self, i: usize, j: usize, f: impl FnOnce(&Tile) -> R) -> R {
-        f(&self.tiles[self.layout.stored_index(i, j)].lock())
+        f(&self.tiles[self.layout.stored_index(i, j)].read())
     }
 
     /// Reconstruct the full factor `L` as a dense matrix (tests/small
@@ -128,16 +131,16 @@ impl TiledFactor {
         acc
     }
 
-    /// Run one task against the stored tiles: lock what it reads and what
-    /// it writes, then [`Task::run`]. A POTRF failure comes back as the
-    /// global pivot index.
+    /// Run one task against the stored tiles: take shared guards on what it
+    /// reads and an exclusive guard on what it writes, then [`Task::run`].
+    /// A POTRF failure comes back as the global pivot index.
     pub(crate) fn run(&self, t: Task) -> Result<(), FactorError> {
         let stored = |(i, j): (u32, u32)| self.layout.stored_index(i as usize, j as usize);
-        let reads: Vec<_> = t.reads().map(|r| self.tiles[stored(r)].lock()).collect();
+        let reads: Vec<_> = t.reads().map(|r| self.tiles[stored(r)].read()).collect();
         let operands: Vec<&Tile> = reads.iter().map(|guard| &**guard).collect();
         let written = stored(t.written());
-        // xgs-lint: allow(lock-cycle): the caller's order (sequential loop or DAG) gives this task exclusive access to its tiles; stored_index is injective and written() is never among reads(), so the locks are distinct and uncontended
-        let mut target = self.tiles[written].lock();
+        // xgs-lint: allow(lock-cycle): shared read guards never wait on each other, and the caller's order (sequential loop or DAG) puts every write to a tile after the tasks that read it before, so no other task holds the written tile; stored_index is injective and written() is never among reads(), so this exclusive guard is on a tile this task does not already hold
+        let mut target = self.tiles[written].write();
         t.run(&mut target, &operands, self.tols[written])
             .map_err(|e| FactorError::NotPositiveDefinite {
                 pivot: self.layout.tile_range(t.k as usize).start + e.pivot,
@@ -314,7 +317,7 @@ mod tests {
         let mut f = TiledFactor::from_matrix(m);
         {
             let idx = f.layout.stored_index(1, 1);
-            let mut t = f.tiles[idx].lock();
+            let mut t = f.tiles[idx].write();
             if let xgs_tile::TileStorage::Dense(d) = &mut t.storage {
                 d[(5, 5)] = -100.0;
             }
@@ -333,7 +336,7 @@ mod tests {
         let f = TiledFactor::from_matrix(m);
         {
             let idx = f.layout.stored_index(0, 0);
-            let mut t = f.tiles[idx].lock();
+            let mut t = f.tiles[idx].write();
             if let xgs_tile::TileStorage::Dense(d) = &mut t.storage {
                 d[(0, 0)] = -1.0;
             }
@@ -343,6 +346,74 @@ mod tests {
         assert_eq!(
             res.unwrap_err(),
             FactorError::NotPositiveDefinite { pivot: 0 }
+        );
+    }
+
+    /// Hold a shared guard on stored tile `(i, j)` on another thread, run
+    /// `probe` on this one, and report whether it finished within 5 s. The
+    /// holder is released either way, so a blocked probe fails the test
+    /// instead of hanging it.
+    fn finishes_beside_a_reader(
+        f: &Arc<TiledFactor>,
+        (i, j): (usize, usize),
+        probe: impl FnOnce(&TiledFactor) + Send + 'static,
+    ) -> bool {
+        use std::sync::mpsc;
+        use std::time::Duration;
+        let (held_tx, held_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let holder = {
+            let f = Arc::clone(f);
+            std::thread::spawn(move || {
+                f.with_tile(i, j, |_| {
+                    held_tx.send(()).unwrap();
+                    let _ = release_rx.recv();
+                })
+            })
+        };
+        held_rx.recv().unwrap();
+        let (done_tx, done_rx) = mpsc::channel();
+        let prober = {
+            let f = Arc::clone(f);
+            std::thread::spawn(move || {
+                probe(&f);
+                done_tx.send(()).unwrap();
+            })
+        };
+        let finished = done_rx.recv_timeout(Duration::from_secs(5)).is_ok();
+        release_tx.send(()).unwrap();
+        holder.join().unwrap();
+        prober.join().unwrap();
+        finished
+    }
+
+    #[test]
+    fn readers_of_one_tile_do_not_wait_on_each_other() {
+        let (m, _) = build(150, 50, Variant::DenseF64, 0.1);
+        let f = Arc::new(TiledFactor::from_matrix(m));
+        let finished = finishes_beside_a_reader(&f, (1, 0), |f| {
+            f.with_tile(1, 0, |t| t.norm_fro());
+        });
+        assert!(finished, "a second with_tile on a read tile blocked");
+    }
+
+    #[test]
+    fn a_gemm_runs_while_its_operand_is_read_elsewhere() {
+        let (m, _) = build(150, 50, Variant::DenseF64, 0.1);
+        let f = Arc::new(TiledFactor::from_matrix(m));
+        // GEMM(2, 1, 0) writes (2, 1) and reads (2, 0) and (1, 0): the
+        // panel tile L_10 that its sibling GEMMs of step 0 read too.
+        let gemm = Task {
+            kind: crate::task::Kernel::Gemm,
+            k: 0,
+            i: 2,
+            j: 1,
+        };
+        assert!(gemm.reads().any(|r| r == (1, 0)));
+        let finished = finishes_beside_a_reader(&f, (1, 0), move |f| f.run(gemm).unwrap());
+        assert!(
+            finished,
+            "a GEMM blocked on an operand another thread reads"
         );
     }
 

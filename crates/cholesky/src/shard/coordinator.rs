@@ -397,7 +397,7 @@ impl TiledFactor {
             // static formats (every stored tile dense) the byte budget is
             // exact too; TLR ranks drift during the trailing update, so
             // there the bytes are only an estimate and stay unchecked.
-            let dense = self.tiles.iter().all(|t| t.lock().is_dense());
+            let dense = self.tiles.iter().all(|t| t.read().is_dense());
             planned_tiles = Some((summary.tile_frames, dense.then_some(summary.tile_bytes)));
         }
 
@@ -575,7 +575,7 @@ fn run_steps(
                 .map_err(|e| ShardError::Protocol(e.to_string()))?;
             let tile = decode_tile(body).map_err(|e| ShardError::Protocol(e.to_string()))?;
             count_wire_conversion(&tile, false);
-            *f.tiles[layout.stored_index(i, j)].lock() = tile;
+            *f.tiles[layout.stored_index(i, j)].write() = tile;
         }
     }
 

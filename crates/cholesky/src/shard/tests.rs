@@ -155,7 +155,7 @@ fn sharded_indefinite_fails_with_global_pivot() {
     let mut f = build(150, 50, Variant::DenseF64);
     {
         let idx = f.layout.stored_index(1, 1);
-        let mut t = f.tiles[idx].lock();
+        let mut t = f.tiles[idx].write();
         if let xgs_tile::TileStorage::Dense(d) = &mut t.storage {
             d[(5, 5)] = -100.0;
         }

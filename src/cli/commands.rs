@@ -215,27 +215,73 @@ fn tile_config(args: &Args, variant: Variant, n: usize) -> Result<TlrConfig, Cmd
     Ok(cfg)
 }
 
-/// `--metrics <path>`: dump a runtime metrics report as JSON, or note why
-/// there is none (the sequential engine collects nothing).
+/// The `--metrics <path>` file, created before the command does any work
+/// so that an unwritable path fails at once instead of after the run. A
+/// run that fails leaves it empty.
+pub(crate) struct MetricsFile {
+    path: String,
+    file: std::fs::File,
+}
+
+fn metrics_error(path: &str, e: std::io::Error) -> CmdError {
+    CmdError::Run(format!("could not write metrics to {path}: {e}"))
+}
+
+/// Create the `--metrics` file, when the flag is given, for
+/// [`write_metrics`].
+pub(crate) fn open_metrics(args: &Args) -> Result<Option<MetricsFile>, CmdError> {
+    let Some(path) = args.get("metrics") else {
+        return Ok(None);
+    };
+    let file = std::fs::File::create(path).map_err(|e| metrics_error(path, e))?;
+    Ok(Some(MetricsFile {
+        path: path.to_string(),
+        file,
+    }))
+}
+
+/// A run's `--metrics` report: what it is and its JSON, or the note that
+/// says why the run has none.
+pub(crate) type MetricsJson = Result<(&'static str, String), &'static str>;
+
+/// Write the run's report into the `--metrics` file opened before the run
+/// and say so on a line of its own in `out`. A run without a report
+/// removes the file again and adds the note instead. `report` is only
+/// built when the file was asked for.
 pub(crate) fn write_metrics(
-    args: &Args,
-    metrics: Option<&xgs_runtime::MetricsReport>,
+    file: Option<MetricsFile>,
+    report: impl FnOnce() -> MetricsJson,
     out: &mut String,
 ) -> Result<(), CmdError> {
-    let Some(path) = args.get("metrics") else {
+    use std::io::Write;
+    let Some(MetricsFile { path, mut file }) = file else {
         return Ok(());
     };
-    match metrics {
-        Some(m) => {
-            std::fs::write(path, m.to_json())
-                .map_err(|e| CmdError::Run(format!("could not write metrics to {path}: {e}")))?;
-            out.push_str(&format!("wrote runtime metrics to {path}\n"));
+    if !out.is_empty() && !out.ends_with('\n') {
+        out.push('\n');
+    }
+    match report() {
+        Ok((what, json)) => {
+            file.write_all(json.as_bytes())
+                .map_err(|e| metrics_error(&path, e))?;
+            out.push_str(&format!("wrote {what} to {path}\n"));
         }
-        None => out.push_str(
-            "no runtime metrics to write: the sequential engine ran (use --workers != 1)\n",
-        ),
+        Err(note) => {
+            drop(file);
+            std::fs::remove_file(&path).map_err(|e| metrics_error(&path, e))?;
+            out.push_str(note);
+            out.push('\n');
+        }
     }
     Ok(())
+}
+
+/// The report of a run on the task runtime; the sequential engine
+/// collects none.
+pub(crate) fn runtime_metrics(metrics: Option<&xgs_runtime::MetricsReport>) -> MetricsJson {
+    metrics
+        .map(|m| ("runtime metrics", m.to_json()))
+        .ok_or("no runtime metrics to write: the sequential engine ran (use --workers != 1)")
 }
 
 /// `--shards N`: a persistent warm fleet (`xgs-fleet`) of N worker
@@ -348,6 +394,7 @@ pub fn cmd_fit(args: &Args) -> Result<String, CmdError> {
         engine: factor_engine(args)?,
     };
 
+    let metrics = open_metrics(args)?;
     let (r, secs) = {
         let t = std::time::Instant::now();
         let r = xgs_core::fit(family, &ds.locs, z, &cfg, &model, &opts);
@@ -400,7 +447,7 @@ pub fn cmd_fit(args: &Args) -> Result<String, CmdError> {
         "  lost PD            = {} evaluations retried at FP64, {} not positive definite there either\n",
         r.pd_retries, r.pd_failures
     ));
-    write_metrics(args, r.metrics.as_ref(), &mut out)?;
+    write_metrics(metrics, || runtime_metrics(r.metrics.as_ref()), &mut out)?;
     if args.bool("se") {
         match xgs_core::fisher_information(
             family,
@@ -443,6 +490,7 @@ pub fn cmd_predict(args: &Args) -> Result<String, CmdError> {
     let kernel = family.kernel(&theta);
 
     let engine = factor_engine(args)?;
+    let metrics = open_metrics(args)?;
     let rep = log_likelihood_engine(kernel.as_ref(), &train.locs, z, &cfg, &model, &engine)
         .map_err(|e| CmdError::Run(format!("factorization failed: {e}")))?;
     let pred = krige(
@@ -466,7 +514,11 @@ pub fn cmd_predict(args: &Args) -> Result<String, CmdError> {
             mspe(&pred.mean, truth)
         ));
     }
-    write_metrics(args, rep.metrics.as_ref(), &mut summary)?;
+    write_metrics(
+        metrics,
+        || runtime_metrics(rep.metrics.as_ref()),
+        &mut summary,
+    )?;
     if let Some(out) = args.get("out") {
         let mut cols: Vec<(&str, &[f64])> = vec![("pred", &pred.mean)];
         if let Some(u) = &pred.uncertainty {
@@ -528,6 +580,7 @@ pub fn cmd_scale(args: &Args) -> Result<String, CmdError> {
             ))))
         }
     };
+    let metrics_file = open_metrics(args)?;
     let (p, metrics) = project_with_metrics(&ScaleConfig::new(n, nb, nodes, corr, variant));
     let mut out = format!(
         "n = {n}, {nodes} modeled A64FX nodes, tile {nb}, {} correlation, {}:\n\
@@ -550,20 +603,18 @@ pub fn cmd_scale(args: &Args) -> Result<String, CmdError> {
             " | EXCEEDS aggregate node memory"
         }
     );
-    if let Some(path) = args.get("metrics") {
-        match &metrics {
-            Some(m) => {
-                std::fs::write(path, m.to_json()).map_err(|e| {
-                    CmdError::Run(format!("could not write metrics to {path}: {e}"))
-                })?;
-                out.push_str(&format!("\nwrote simulated kernel census to {path}"));
-            }
-            None => out.push_str(
-                "\nno metrics to write: the analytic engine has no task-level breakdown \
+    write_metrics(
+        metrics_file,
+        || {
+            metrics
+                .map(|m| ("simulated kernel census", m.to_json()))
+                .ok_or(
+                    "no metrics to write: the analytic engine has no task-level breakdown \
                  (reduce --n or --nb so NT fits the event window)",
-            ),
-        }
-    }
+                )
+        },
+        &mut out,
+    )?;
     Ok(out)
 }
 
@@ -585,6 +636,7 @@ pub fn cmd_serve(args: &Args) -> Result<String, CmdError> {
     let n = ds.locs.len();
 
     let engine = factor_engine(args)?;
+    let metrics = open_metrics(args)?;
     let (plan, llh) = xgs_server::build_plan_engine(family, &theta, &cfg, ds.locs, z, &engine)
         .map_err(CmdError::Run)?;
     let ttl = match args.f64_or("model-ttl", 0.0)? {
@@ -629,7 +681,7 @@ pub fn cmd_serve(args: &Args) -> Result<String, CmdError> {
         ));
     }
     out.push('\n');
-    write_metrics(args, Some(&report), &mut out)?;
+    write_metrics(metrics, || runtime_metrics(Some(&report)), &mut out)?;
     Ok(out)
 }
 
@@ -736,13 +788,10 @@ pub fn cmd_loadgen(args: &Args) -> Result<String, CmdError> {
         deadline_ms: args.usize_or("deadline-ms", d.deadline_ms as usize)? as u64,
         overload: args.bool("overload"),
     };
+    let metrics = open_metrics(args)?;
     let report = xgs_server::loadgen::run(&cfg).map_err(|e| CmdError::Arg(ArgError(e)))?;
     let mut out = report.summary();
-    if let Some(path) = args.get("metrics") {
-        std::fs::write(path, report.to_json())
-            .map_err(|e| CmdError::Run(format!("could not write metrics to {path}: {e}")))?;
-        out.push_str(&format!("\nwrote metrics to {path}"));
-    }
+    write_metrics(metrics, || Ok(("metrics", report.to_json())), &mut out)?;
     let shed = if cfg.overload { 0 } else { report.shed };
     let expired = if cfg.deadline_ms > 0 {
         0

@@ -3,7 +3,7 @@
 
 use super::{quartiles, sites, timed};
 use crate::cli::args::Args;
-use crate::cli::commands::{write_metrics, CmdError};
+use crate::cli::commands::{open_metrics, runtime_metrics, write_metrics, CmdError};
 use xgs_core::mle::FitOptimizer;
 use xgs_core::{
     fit, run_pipeline, FactorEngine, FitOptions, ModelFamily, NelderMeadOptions, PipelineConfig,
@@ -103,6 +103,7 @@ pub fn table(t: &Table, args: &Args) -> Result<String, CmdError> {
         },
         seed: t.seed,
     };
+    let metrics = open_metrics(args)?;
     println!("{}", t.heading);
     // The CLI's kernel-time model at this tile size: at demo-size tiles it
     // drops the memory-bound TLR penalty so the structure decision engages.
@@ -141,7 +142,7 @@ pub fn table(t: &Table, args: &Args) -> Result<String, CmdError> {
         }
     }
     let mut note = String::new();
-    write_metrics(args, merged.as_ref(), &mut note)?;
+    write_metrics(metrics, || runtime_metrics(merged.as_ref()), &mut note)?;
     Ok(note.trim_end().to_string())
 }
 

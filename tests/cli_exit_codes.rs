@@ -43,6 +43,41 @@ fn usage_errors_exit_2_and_failed_runs_exit_1() {
 }
 
 #[test]
+fn an_unwritable_metrics_path_fails_before_the_run() {
+    let dir = std::env::temp_dir().join(format!("xgs-exit-metrics-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let data = dir.join("data.csv");
+    std::fs::write(&data, "x,y,z\n0.1,0.2,0.3\n0.4,0.5,0.6\n0.7,0.8,0.9\n").unwrap();
+    let metrics = "/nonexistent/dir/m.json";
+    // `paper table1` prints its tables as it goes, so an empty stdout
+    // shows that no fit ran before the path was refused.
+    for args in [
+        &[
+            "fit",
+            "--data",
+            data.to_str().unwrap(),
+            "--metrics",
+            metrics,
+        ][..],
+        &["paper", "table1", "--metrics", metrics],
+    ] {
+        let out = Command::new(EXE).args(args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            out.stdout.is_empty(),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stdout)
+        );
+        assert!(
+            stderr.contains("could not write metrics"),
+            "{args:?}: {stderr}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn loadgen_and_metrics_diff_exit_as_documented() {
     // An address that does not parse is a usage error; no lookup is made.
     assert_eq!(exit_code(&["loadgen", "--addr", "127.0.0.1:notaport"]), 2);
