@@ -28,9 +28,9 @@ pub enum FactorEngine {
 }
 
 impl FactorEngine {
-    /// The one worker-count convention (`--workers`, `build_plan`,
-    /// `XGS_WORKERS`): 1 = sequential, anything else is the threaded
-    /// runtime (0 = one worker loop per core).
+    /// The one worker-count convention (`--workers`, `build_plan`): 1 =
+    /// sequential, anything else is the threaded runtime (0 = one worker
+    /// loop per core).
     pub fn from_workers(workers: usize) -> FactorEngine {
         if workers == 1 {
             FactorEngine::Sequential

@@ -4,9 +4,10 @@ use crate::optimizer::transform::ParamTransform;
 use xgs_covariance::{CovarianceKernel, GneitingSpaceTime, Matern, MaternParams, SpaceTimeParams};
 
 /// Which covariance model is being fitted.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ModelFamily {
     /// 2D space, Matérn: `θ = (σ², a, ν)` (paper Table I / Fig. 6).
+    #[default]
     MaternSpace,
     /// 2D space × time, Gneiting: `θ = (σ², a_s, ν, a_t, α, β)`
     /// (paper Table II / Fig. 11).
@@ -14,6 +15,29 @@ pub enum ModelFamily {
 }
 
 impl ModelFamily {
+    /// Every family, in the order the names are listed.
+    const ALL: [ModelFamily; 2] = [ModelFamily::MaternSpace, ModelFamily::GneitingSpaceTime];
+
+    /// The name `--kernel` and the server's `load` op take.
+    fn key(self) -> &'static str {
+        match self {
+            ModelFamily::MaternSpace => "matern",
+            ModelFamily::GneitingSpaceTime => "gneiting",
+        }
+    }
+
+    /// The family `matern` or `gneiting` names (`--kernel`, the `load`
+    /// op's `"kernel"`); the error lists every name.
+    pub fn parse(name: &str) -> Result<ModelFamily, String> {
+        Self::ALL
+            .into_iter()
+            .find(|f| f.key() == name)
+            .ok_or_else(|| {
+                let names = Self::ALL.map(Self::key).join("|");
+                format!("unknown kernel '{name}' ({names})")
+            })
+    }
+
     pub fn n_params(self) -> usize {
         match self {
             ModelFamily::MaternSpace => 3,
@@ -104,6 +128,17 @@ impl ModelFamily {
 mod tests {
     use super::*;
     use xgs_covariance::Location;
+
+    #[test]
+    fn every_family_name_round_trips() {
+        for f in ModelFamily::ALL {
+            assert_eq!(ModelFamily::parse(f.key()), Ok(f));
+        }
+        assert_eq!(
+            ModelFamily::parse("Matern"),
+            Err("unknown kernel 'Matern' (matern|gneiting)".to_string())
+        );
+    }
 
     #[test]
     fn matern_kernel_roundtrip() {

@@ -10,10 +10,7 @@ use crate::likelihood::log_likelihood_engine;
 use crate::mle::{fit, FitOptions, FitResult};
 use crate::model::ModelFamily;
 use crate::predict::{krige, mspe};
-use crate::synthetic::simulate_field;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use xgs_covariance::{jittered_grid, morton_order, spacetime_grid, Location};
+use crate::synthetic::{simulate_field, sites};
 use xgs_tile::{KernelTimeModel, TlrConfig, Variant};
 
 /// Pipeline configuration.
@@ -89,27 +86,8 @@ impl PipelineReport {
 
 /// Generate the dataset and run every variant through fit + predict.
 pub fn run_pipeline(cfg: &PipelineConfig, model: &dyn KernelTimeModel) -> PipelineReport {
-    // Locations: spatial jittered grid, replicated over time slots for the
-    // space-time family, Morton-ordered either way.
     let total = cfg.n_train + cfg.n_test;
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut all: Vec<Location> = match cfg.family {
-        ModelFamily::MaternSpace => jittered_grid(total, &mut rng),
-        ModelFamily::GneitingSpaceTime => {
-            let slots = cfg.time_slots.max(1);
-            let spatial = jittered_grid(total.div_ceil(slots), &mut rng);
-            let mut st = spacetime_grid(&spatial, slots);
-            st.truncate(total);
-            st
-        }
-    };
-    if cfg.domain_size != 1.0 {
-        for l in &mut all {
-            l.x *= cfg.domain_size;
-            l.y *= cfg.domain_size;
-        }
-    }
-    morton_order(&mut all);
+    let all = sites(cfg.family, total, cfg.time_slots, cfg.domain_size, cfg.seed);
 
     let true_kernel = cfg.family.kernel(&cfg.true_params);
     let zall = simulate_field(true_kernel.as_ref(), &all, cfg.seed + 1);

@@ -5,11 +5,40 @@
 //! parameters combinations have been used to generate synthetic datasets
 //! using the ExaGeoStat software"). Exact dense Cholesky is fine at the
 //! scales we materialize (the sampler is not the bottleneck under study).
+//! [`sites`] is the one site set every synthetic dataset is drawn at.
 
+use crate::model::ModelFamily;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use xgs_covariance::{covariance_matrix, CovarianceKernel, Location};
+use xgs_covariance::{
+    covariance_matrix, jittered_grid, morton_order, spacetime_grid, CovarianceKernel, Location,
+};
 use xgs_linalg::cholesky_in_place;
+
+/// `n` synthetic sites, deterministic in `seed`: a jittered grid on the
+/// unit square (for the space-time family, `n / slots` spatial sites
+/// replicated over `slots` time slots and cut to `n`; the spatial family
+/// ignores `slots`), scaled to a `domain`-wide square, then Morton-ordered.
+/// A wide domain keeps the paper's domain-to-range ratio at demo scale
+/// (see `PipelineConfig::domain_size`).
+pub fn sites(family: ModelFamily, n: usize, slots: usize, domain: f64, seed: u64) -> Vec<Location> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut locs = match family {
+        ModelFamily::MaternSpace => jittered_grid(n, &mut rng),
+        ModelFamily::GneitingSpaceTime => {
+            let slots = slots.max(1);
+            let mut st = spacetime_grid(&jittered_grid(n.div_ceil(slots), &mut rng), slots);
+            st.truncate(n);
+            st
+        }
+    };
+    for l in &mut locs {
+        l.x *= domain;
+        l.y *= domain;
+    }
+    morton_order(&mut locs);
+    locs
+}
 
 /// Draw one field realization at `locs` under `kernel`, deterministic in
 /// `seed`.
@@ -89,6 +118,45 @@ mod tests {
         let mut l = jittered_grid(n, &mut rng);
         morton_order(&mut l);
         l
+    }
+
+    /// `sites` draws exactly the sites the CLI, the pipeline and the paper
+    /// jobs drew before it was shared: the bits below were written by
+    /// `simulate --n 6 --domain 3 --seed 4` and by `simulate --kernel
+    /// gneiting --n 7 --slots 3 --domain 2 --seed 4` ahead of the change.
+    #[test]
+    fn sites_are_pinned_for_both_families() {
+        let bits = |locs: Vec<Location>| -> Vec<[u64; 3]> {
+            let bits = |l: &Location| [l.x.to_bits(), l.y.to_bits(), l.t.to_bits()];
+            locs.iter().map(bits).collect()
+        };
+        let matern = vec![
+            [0x3fe498d8b875775e, 0x3fe2b7d4e2dc00ec, 0],
+            [0x3ff9cceeda6a87de, 0x3febbf7daccbae9b, 0],
+            [0x3ff6f944c4025281, 0x3ff3ece9b241cdf8, 0],
+            [0x3fd343f04c4ef716, 0x3ffae3397acd146e, 0],
+            [0x3fccd8636075e77c, 0x4005adaa5e563a06, 0],
+            [0x3ff42d5a66c1443a, 0x40058e74112bc234, 0],
+        ];
+        assert_eq!(bits(sites(ModelFamily::MaternSpace, 6, 3, 3.0, 4)), matern);
+        // Three spatial sites over slots t = 1, 2, 3, cut to seven.
+        let [a, b, c] = [
+            [0x3fe498d8b875775e, 0x3fe2b7d4e2dc00ec],
+            [0x3ff39b0c6c0ebcf0, 0x3fe6b6a97958e81a],
+            [0x3fd343f04c4ef716, 0x3ffae3397acd146d],
+        ];
+        let [t1, t2, t3] = [1f64, 2.0, 3.0].map(f64::to_bits);
+        let gneiting = vec![
+            [a[0], a[1], t1],
+            [a[0], a[1], t2],
+            [b[0], b[1], t1],
+            [b[0], b[1], t2],
+            [c[0], c[1], t1],
+            [c[0], c[1], t2],
+            [a[0], a[1], t3],
+        ];
+        let st = sites(ModelFamily::GneitingSpaceTime, 7, 3, 2.0, 4);
+        assert_eq!(bits(st), gneiting);
     }
 
     #[test]

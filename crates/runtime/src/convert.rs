@@ -5,30 +5,49 @@
 //! to match the precision at the receiver side". The solver calls
 //! [`count_conversion`] every time it performs such a cast, so runs can
 //! report how much conversion traffic the adaptive format mix generated.
+//!
+//! Each conversion is counted twice: in the process-wide counters
+//! ([`conversion_counts`]) and in the converting thread's own, from which
+//! the executor attributes each task's conversions to the execution that
+//! ran it, however many executions share the process at once.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use xgs_kernels::Precision;
 
-static F64_TO_F32: AtomicU64 = AtomicU64::new(0);
-static F64_TO_F16: AtomicU64 = AtomicU64::new(0);
-static F32_TO_F64: AtomicU64 = AtomicU64::new(0);
-static F32_TO_F16: AtomicU64 = AtomicU64::new(0);
-static F16_TO_F32: AtomicU64 = AtomicU64::new(0);
-static F16_TO_F64: AtomicU64 = AtomicU64::new(0);
+/// The process-wide counters, in [`ConversionCounts`] field order.
+static COUNTS: [AtomicU64; 6] = [const { AtomicU64::new(0) }; 6];
+
+thread_local! {
+    /// What this thread has converted, in the same order.
+    static THREAD_COUNTS: Cell<[u64; 6]> = const { Cell::new([0; 6]) };
+}
 
 /// Record a conversion of `elements` scalars from `from` to `to`.
 /// Same-precision "conversions" are ignored.
 pub fn count_conversion(from: Precision, to: Precision, elements: u64) {
-    let counter = match (from, to) {
-        (Precision::F64, Precision::F32) => &F64_TO_F32,
-        (Precision::F64, Precision::F16) => &F64_TO_F16,
-        (Precision::F32, Precision::F64) => &F32_TO_F64,
-        (Precision::F32, Precision::F16) => &F32_TO_F16,
-        (Precision::F16, Precision::F32) => &F16_TO_F32,
-        (Precision::F16, Precision::F64) => &F16_TO_F64,
+    let slot = match (from, to) {
+        (Precision::F64, Precision::F32) => 0,
+        (Precision::F64, Precision::F16) => 1,
+        (Precision::F32, Precision::F64) => 2,
+        (Precision::F32, Precision::F16) => 3,
+        (Precision::F16, Precision::F32) => 4,
+        (Precision::F16, Precision::F64) => 5,
         _ => return,
     };
-    counter.fetch_add(elements, Ordering::Relaxed);
+    COUNTS[slot].fetch_add(elements, Ordering::Relaxed);
+    THREAD_COUNTS.with(|c| {
+        let mut counts = c.get();
+        counts[slot] += elements;
+        c.set(counts);
+    });
+}
+
+/// What the calling thread has converted so far, in [`ConversionCounts`]
+/// field order. Two readings around a task bound what that task converted,
+/// since a tile kernel converts on the thread that runs it.
+pub(crate) fn thread_conversion_counts() -> [u64; 6] {
+    THREAD_COUNTS.with(Cell::get)
 }
 
 /// Snapshot of all conversion counters (elements converted).
@@ -101,34 +120,45 @@ impl ConversionCounts {
     }
 }
 
-/// Read the current counters.
-pub fn conversion_counts() -> ConversionCounts {
-    ConversionCounts {
-        f64_to_f32: F64_TO_F32.load(Ordering::Relaxed),
-        f64_to_f16: F64_TO_F16.load(Ordering::Relaxed),
-        f32_to_f64: F32_TO_F64.load(Ordering::Relaxed),
-        f32_to_f16: F32_TO_F16.load(Ordering::Relaxed),
-        f16_to_f32: F16_TO_F32.load(Ordering::Relaxed),
-        f16_to_f64: F16_TO_F64.load(Ordering::Relaxed),
+impl From<[u64; 6]> for ConversionCounts {
+    /// Counts in field order.
+    fn from(c: [u64; 6]) -> ConversionCounts {
+        ConversionCounts {
+            f64_to_f32: c[0],
+            f64_to_f16: c[1],
+            f32_to_f64: c[2],
+            f32_to_f16: c[3],
+            f16_to_f32: c[4],
+            f16_to_f64: c[5],
+        }
     }
 }
 
-/// Zero all counters (start of a measured region).
+/// Read the process-wide counters: every conversion since the last
+/// [`reset_conversion_counts`], whichever run made it.
+pub fn conversion_counts() -> ConversionCounts {
+    COUNTS.each_ref().map(|c| c.load(Ordering::Relaxed)).into()
+}
+
+/// Zero the process-wide counters (start of a measured region).
 pub fn reset_conversion_counts() {
-    F64_TO_F32.store(0, Ordering::Relaxed);
-    F64_TO_F16.store(0, Ordering::Relaxed);
-    F32_TO_F64.store(0, Ordering::Relaxed);
-    F32_TO_F16.store(0, Ordering::Relaxed);
-    F16_TO_F32.store(0, Ordering::Relaxed);
-    F16_TO_F64.store(0, Ordering::Relaxed);
+    for c in &COUNTS {
+        c.store(0, Ordering::Relaxed);
+    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Held by every test in this crate that converts, so none adds to the
+    /// process-wide counters while [`counts_accumulate_and_reset`] reads
+    /// them.
+    pub(crate) static COUNTERS: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     #[test]
     fn counts_accumulate_and_reset() {
+        let _counters = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
         reset_conversion_counts();
         count_conversion(Precision::F64, Precision::F32, 100);
         count_conversion(Precision::F16, Precision::F64, 7);

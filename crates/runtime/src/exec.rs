@@ -20,7 +20,7 @@
 //! (per-kernel timings, queue depth, worker balance, conversion traffic,
 //! and the per-task trace when asked for).
 
-use crate::convert::conversion_counts;
+use crate::convert::thread_conversion_counts;
 use crate::graph::{Access, TaskGraph, TaskId};
 use crate::metrics::{KernelStats, MetricsReport, QueueDepthStats, WorkerStats};
 use crate::stats::TraceEvent;
@@ -163,6 +163,8 @@ struct WorkerScratch {
     parks: u64,
     kernels: HashMap<&'static str, KernelStats>,
     trace: Vec<TraceEvent>,
+    /// Elements its tasks converted, in `ConversionCounts` field order.
+    conversions: [u64; 6],
 }
 
 /// Execute a task graph with `workers` worker loops (0 = one per logical
@@ -206,7 +208,6 @@ pub fn execute_opts(graph: TaskGraph, workers: usize, opts: ExecOptions) -> Metr
         workers
     };
     let n = graph.len();
-    let conversions_before = conversion_counts();
     // Dynamic race checking (vector clocks over the declared dependency
     // edges): on in debug builds / under XGS_RACE=1. Each run namespaces
     // its per-datum edges and cells under a fresh scope id, retired after
@@ -293,6 +294,7 @@ pub fn execute_opts(graph: TaskGraph, workers: usize, opts: ExecOptions) -> Metr
                 parks: 0,
                 kernels: HashMap::new(),
                 trace: Vec::new(),
+                conversions: [0; 6],
             };
             'run: loop {
                 // Grab the best ready task or wait for one.
@@ -337,6 +339,7 @@ pub fn execute_opts(graph: TaskGraph, workers: usize, opts: ExecOptions) -> Metr
                     }
                 }
                 let t0 = start.elapsed().as_secs_f64();
+                let converted_before = thread_conversion_counts();
                 let f = closures[task.id.0].lock().take();
                 if let Some(Err(payload)) = f.map(|f| catch_unwind(AssertUnwindSafe(f))) {
                     // `remaining` can no longer reach zero. Abort under the
@@ -348,6 +351,17 @@ pub fn execute_opts(graph: TaskGraph, workers: usize, opts: ExecOptions) -> Metr
                     resume_unwind(payload);
                 }
                 let t1 = start.elapsed().as_secs_f64();
+                // A task converts on this thread only: tile kernels do not
+                // fork onto the pool.
+                let converted = thread_conversion_counts();
+                for ((sum, after), before) in scratch
+                    .conversions
+                    .iter_mut()
+                    .zip(converted)
+                    .zip(converted_before)
+                {
+                    *sum += after - before;
+                }
                 // Publish this task's effects on its data *before* any
                 // dependent can be released below — a successor that
                 // starts without this edge in its clock is exactly the
@@ -475,6 +489,12 @@ pub fn execute_opts(graph: TaskGraph, workers: usize, opts: ExecOptions) -> Metr
     }
     let mut kernels: Vec<KernelStats> = kernels.into_values().collect();
     kernels.sort_by(|a, b| b.total_seconds.total_cmp(&a.total_seconds));
+    let mut conversions = [0; 6];
+    for s in &scratches {
+        for (sum, c) in conversions.iter_mut().zip(s.conversions) {
+            *sum += c;
+        }
+    }
     MetricsReport {
         wall_seconds: wall,
         tasks: n,
@@ -489,7 +509,7 @@ pub fn execute_opts(graph: TaskGraph, workers: usize, opts: ExecOptions) -> Metr
                 parks: s.parks,
             })
             .collect(),
-        conversions: conversion_counts().since(&conversions_before),
+        conversions: conversions.into(),
         wire: Vec::new(),
         validation,
         pool: None,
@@ -523,6 +543,43 @@ mod tests {
         let report = execute(g, 4, false);
         assert_eq!(counter.load(AOrd::Relaxed), 500);
         assert_eq!(report.tasks, 500);
+    }
+
+    /// Two executions held inside their tasks at the same time by a
+    /// barrier each report only what their own task converted.
+    #[test]
+    fn overlapping_executions_count_only_their_own_conversions() {
+        use std::sync::Barrier;
+        use xgs_kernels::Precision;
+        let _counters = crate::convert::tests::COUNTERS
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        let started = Arc::new(Barrier::new(2));
+        let counted = Arc::new(Barrier::new(2));
+        let run = |elements: u64| {
+            let (started, counted) = (started.clone(), counted.clone());
+            std::thread::spawn(move || {
+                let mut g = TaskGraph::new();
+                g.insert(
+                    "convert",
+                    vec![Access::write(DataId(0))],
+                    0,
+                    0.0,
+                    move || {
+                        // Both executions have begun before either converts,
+                        // and both have converted before either ends.
+                        started.wait();
+                        crate::count_conversion(Precision::F64, Precision::F32, elements);
+                        counted.wait();
+                    },
+                );
+                execute(g, 1, false).conversions
+            })
+        };
+        let (a, b) = (run(100), run(7));
+        let (a, b) = (a.join().unwrap(), b.join().unwrap());
+        assert_eq!((a.f64_to_f32, a.total()), (100, 100));
+        assert_eq!((b.f64_to_f32, b.total()), (7, 7));
     }
 
     #[test]

@@ -183,8 +183,10 @@ pub struct MetricsReport {
     pub kernels: Vec<KernelStats>,
     pub queue_depth: QueueDepthStats,
     pub worker_stats: Vec<WorkerStats>,
-    /// Precision conversions performed during the run (delta of the
-    /// process-global [`crate::convert`] counters).
+    /// Precision conversions the run's tasks performed, each counted on
+    /// the thread that ran it (see [`crate::convert`]), so executions that
+    /// overlap do not count each other's. A sharded run reports the
+    /// coordinator's process-wide delta instead.
     pub conversions: ConversionCounts,
     /// Bytes-on-wire census per frame kind (sharded runs and distsim
     /// projections; empty for in-process executions).
@@ -409,10 +411,11 @@ impl MetricsReport {
     /// Parse a report back from its [`MetricsReport::to_json`] export.
     ///
     /// Missing fields default to zero/empty so the reader stays tolerant of
-    /// schema growth; structurally invalid documents are an error. Kernel
-    /// kinds are interned (the well-known names map to the static strings
-    /// the runtime itself uses; unknown kinds leak a one-off allocation,
-    /// which is fine for the report-analysis tools this feeds).
+    /// schema growth; structurally invalid documents are an error. Each
+    /// kernel and wire kind name is leaked into a `&'static str`, a few
+    /// bytes per kind per report: the one program reader,
+    /// `exageostat metrics-diff`, reads two reports and exits, so do not
+    /// call this in a loop that lives as long as a server.
     pub fn from_json(input: &str) -> Result<MetricsReport, crate::json::JsonError> {
         use crate::json::{parse_json, JsonValue};
 
@@ -422,41 +425,10 @@ impl MetricsReport {
         fn count(v: Option<&JsonValue>) -> u64 {
             v.and_then(JsonValue::as_u64).unwrap_or(0)
         }
-        fn intern_kind(name: &str) -> &'static str {
-            const KNOWN: &[&str] = &[
-                "potrf",
-                "trsm",
-                "syrk",
-                "gemm",
-                "generate",
-                "compress",
-                "convert",
-                "solve",
-                "batch_solve",
-                "batch_size",
-                "request",
-                "shed",
-                "deadline",
-                "evict",
-                "even",
-                "odd",
-                "hello",
-                "tile",
-                "task",
-                "done",
-                "join",
-                "heartbeat",
-                "assign",
-                "worker_join",
-                "worker_death",
-                "panel_replay",
-                "standby_promote",
-            ];
-            KNOWN
-                .iter()
-                .find(|k| **k == name)
-                .copied()
-                .unwrap_or_else(|| Box::leak(name.to_string().into_boxed_str()))
+        // Every kind name is leaked: see the doc above.
+        fn kind(v: Option<&JsonValue>) -> &'static str {
+            let name = v.and_then(JsonValue::as_str).unwrap_or("?");
+            Box::leak(name.to_string().into_boxed_str())
         }
 
         let doc = parse_json(input)?;
@@ -472,8 +444,7 @@ impl MetricsReport {
             .and_then(JsonValue::as_array)
             .unwrap_or(&[])
         {
-            let kind = intern_kind(k.get("kind").and_then(JsonValue::as_str).unwrap_or("?"));
-            let mut ks = KernelStats::new(kind);
+            let mut ks = KernelStats::new(kind(k.get("kind")));
             ks.count = count(k.get("count"));
             ks.total_seconds = num(k.get("total_seconds"));
             ks.max_seconds = num(k.get("max_seconds"));
@@ -523,7 +494,7 @@ impl MetricsReport {
 
         for w in doc.get("wire").and_then(JsonValue::as_array).unwrap_or(&[]) {
             report.wire.push(WireStats {
-                kind: intern_kind(w.get("kind").and_then(JsonValue::as_str).unwrap_or("?")),
+                kind: kind(w.get("kind")),
                 frames: count(w.get("frames")),
                 bytes: count(w.get("bytes")),
             });

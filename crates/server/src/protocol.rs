@@ -211,25 +211,9 @@ fn parse_load(obj: &std::collections::BTreeMap<String, JsonValue>) -> Result<Req
         .and_then(|m| m.as_str())
         .unwrap_or("default")
         .to_string();
-    let family = match obj
-        .get("kernel")
-        .and_then(|k| k.as_str())
-        .unwrap_or("matern")
-    {
-        "matern" => ModelFamily::MaternSpace,
-        "gneiting" => ModelFamily::GneitingSpaceTime,
-        other => return Err(format!("unknown kernel '{other}' (matern|gneiting)")),
-    };
-    let variant = match obj
-        .get("variant")
-        .and_then(|s| s.as_str())
-        .unwrap_or("mp-tlr")
-    {
-        "dense" => Variant::DenseF64,
-        "mp" => Variant::MpDense,
-        "mp-tlr" => Variant::MpDenseTlr,
-        other => return Err(format!("unknown variant '{other}' (dense|mp|mp-tlr)")),
-    };
+    let name_of = |key| obj.get(key).and_then(|v| v.as_str());
+    let family = name_of("kernel").map_or(Ok(ModelFamily::default()), ModelFamily::parse)?;
+    let variant = name_of("variant").map_or(Ok(Variant::default()), Variant::parse)?;
     let theta = parse_f64_list(obj.get("theta").ok_or("load needs 'theta'")?, "theta")?;
     if theta.len() != family.n_params() {
         return Err(format!(

@@ -154,11 +154,10 @@ pub fn build_plan(
     z: &[f64],
     workers: usize,
 ) -> Result<(Arc<PredictionPlan>, f64), String> {
-    let cfg = load_config(variant, tile, locs.len());
     build_plan_engine(
         family,
         theta,
-        &cfg,
+        &TlrConfig::for_sites(variant, tile, locs.len()),
         locs,
         z,
         &FactorEngine::from_workers(workers),
@@ -199,21 +198,11 @@ pub fn build_plan_from_request(
     build_plan_engine(
         req.family,
         &req.theta,
-        &load_config(req.variant, req.tile, req.locs.len()),
+        &TlrConfig::for_sites(req.variant, req.tile, req.locs.len()),
         req.locs.clone(),
         &req.z,
         engine,
     )
-}
-
-/// The tiled representation of a `load`: the variant's paper defaults,
-/// with `tile = 0` meaning the default tile for `n` sites.
-fn load_config(variant: Variant, tile: usize, n: usize) -> TlrConfig {
-    let nb = match tile {
-        0 => TlrConfig::default_tile_size(n),
-        nb => nb,
-    };
-    TlrConfig::new(variant, nb)
 }
 
 #[cfg(test)]

@@ -32,23 +32,49 @@ use xgs_kernels::Precision;
 use xgs_linalg::{BlockEntries, LowRank, Matrix};
 
 /// The three Cholesky variants benchmarked throughout the paper.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Variant {
     /// Reference: every tile dense FP64.
     DenseF64,
     /// Mixed-precision dense: FP64/FP32/FP16 tiles, all dense.
     MpDense,
     /// The paper's contribution: mixed precision + dense/TLR structure.
+    #[default]
     MpDenseTlr,
 }
 
 impl Variant {
+    /// Every variant, in the order the names are listed.
+    pub const ALL: [Variant; 3] = [Variant::DenseF64, Variant::MpDense, Variant::MpDenseTlr];
+
+    /// The name reports and tables print.
     pub fn name(self) -> &'static str {
         match self {
             Variant::DenseF64 => "dense-fp64",
             Variant::MpDense => "mp-dense",
             Variant::MpDenseTlr => "mp-dense-tlr",
         }
+    }
+
+    /// The name `--variant` and the server's `load` op take.
+    fn key(self) -> &'static str {
+        match self {
+            Variant::DenseF64 => "dense",
+            Variant::MpDense => "mp",
+            Variant::MpDenseTlr => "mp-tlr",
+        }
+    }
+
+    /// The variant `dense`, `mp` or `mp-tlr` names (`--variant`, the
+    /// `load` op's `"variant"`); the error lists every name.
+    pub fn parse(name: &str) -> Result<Variant, String> {
+        Self::ALL
+            .into_iter()
+            .find(|v| v.key() == name)
+            .ok_or_else(|| {
+                let names = Self::ALL.map(Self::key).join("|");
+                format!("unknown variant '{name}' ({names})")
+            })
     }
 }
 
@@ -95,6 +121,16 @@ impl TlrConfig {
     /// side, clamped to 32..=512.
     pub fn default_tile_size(n: usize) -> usize {
         (n / 10).clamp(32, 512)
+    }
+
+    /// [`TlrConfig::new`] for `n` sites at the caller's tile size, where
+    /// `tile = 0` (none named) picks [`TlrConfig::default_tile_size`].
+    pub fn for_sites(variant: Variant, tile: usize, n: usize) -> TlrConfig {
+        let nb = match tile {
+            0 => TlrConfig::default_tile_size(n),
+            nb => nb,
+        };
+        TlrConfig::new(variant, nb)
     }
 }
 
@@ -581,6 +617,30 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use xgs_covariance::{jittered_grid, morton_order, Matern, MaternParams};
+
+    #[test]
+    fn every_variant_name_round_trips() {
+        for v in Variant::ALL {
+            assert_eq!(Variant::parse(v.key()), Ok(v));
+        }
+        assert_eq!(
+            Variant::parse("mp-dense"),
+            Err("unknown variant 'mp-dense' (dense|mp|mp-tlr)".to_string())
+        );
+    }
+
+    #[test]
+    fn no_tile_named_is_the_default_tile() {
+        assert_eq!(
+            TlrConfig::for_sites(Variant::MpDense, 0, 1000).tile_size,
+            100
+        );
+        assert_eq!(TlrConfig::for_sites(Variant::MpDense, 0, 10).tile_size, 32);
+        assert_eq!(
+            TlrConfig::for_sites(Variant::MpDense, 64, 1000).tile_size,
+            64
+        );
+    }
 
     fn setup(n: usize, range: f64) -> (Matern, Vec<Location>) {
         let mut rng = StdRng::seed_from_u64(42);

@@ -6,16 +6,14 @@
 
 use crate::cli::args::{ArgError, Args};
 use crate::cli::{io, metrics_diff, paper};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::sync::Arc;
 use xgs_cholesky::{worker_loop_with, ChaosSpec, ShardBackend, WorkerOptions};
 use xgs_core::mle::{FitOptimizer, FitOptions};
 use xgs_core::{
-    krige, log_likelihood_engine, mspe, simulate_field, FactorEngine, ModelFamily,
+    krige, log_likelihood_engine, mspe, simulate_field, synthetic, FactorEngine, ModelFamily,
     NelderMeadOptions, PsoOptions,
 };
-use xgs_covariance::{jittered_grid, morton_order, spacetime_grid, CovarianceKernel};
+use xgs_covariance::Location;
 use xgs_fleet::{FleetConfig, Supervisor};
 use xgs_perfmodel::{project_with_metrics, Correlation, ScaleConfig, SolverVariant};
 use xgs_tile::{
@@ -156,33 +154,33 @@ pub fn usage() -> String {
     out + USAGE_TAIL
 }
 
-fn parse_family(args: &Args) -> Result<ModelFamily, CmdError> {
-    match args.str_or("kernel", "matern").as_str() {
-        "matern" => Ok(ModelFamily::MaternSpace),
-        "gneiting" => Ok(ModelFamily::GneitingSpaceTime),
-        other => Err(CmdError::Arg(ArgError(format!(
-            "unknown kernel '{other}' (matern|gneiting)"
-        )))),
-    }
+/// A name flag (`--kernel`, `--variant`) read by its type's parser; the
+/// type's default when it is not given.
+fn named<T: Default>(
+    args: &Args,
+    flag: &str,
+    parse: fn(&str) -> Result<T, String>,
+) -> Result<T, CmdError> {
+    let value = args.get(flag).map_or(Ok(T::default()), parse);
+    Ok(value.map_err(ArgError)?)
 }
 
-/// Validate a user-supplied parameter vector against the family's arity
-/// and parameter domain.
-fn check_theta(family: ModelFamily, theta: &[f64], flag: &str) -> Result<(), CmdError> {
+/// The θ flag `--{flag}`, checked against the family's arity and
+/// parameter domain; `None` when it is not given.
+fn theta(args: &Args, family: ModelFamily, flag: &str) -> Result<Option<Vec<f64>>, CmdError> {
+    let Some(theta) = args.f64_list(flag)? else {
+        return Ok(None);
+    };
     family
-        .check_domain(theta)
-        .map_err(|e| CmdError::Arg(ArgError(format!("--{flag} {e}"))))
+        .check_domain(&theta)
+        .map_err(|e| ArgError(format!("--{flag} {e}")))?;
+    Ok(Some(theta))
 }
 
-fn parse_variant(args: &Args) -> Result<Variant, CmdError> {
-    match args.str_or("variant", "mp-tlr").as_str() {
-        "dense" => Ok(Variant::DenseF64),
-        "mp" => Ok(Variant::MpDense),
-        "mp-tlr" => Ok(Variant::MpDenseTlr),
-        other => Err(CmdError::Arg(ArgError(format!(
-            "unknown variant '{other}' (dense|mp|mp-tlr)"
-        )))),
-    }
+/// [`theta`] for a flag the command requires.
+fn required_theta(args: &Args, family: ModelFamily, flag: &str) -> Result<Vec<f64>, CmdError> {
+    theta(args, family, flag)?
+        .ok_or_else(|| ArgError(format!("missing required flag --{flag}")).into())
 }
 
 /// A count flag, which must be at least `min`.
@@ -195,9 +193,14 @@ fn at_least(args: &Args, key: &str, default: usize, min: usize) -> Result<usize,
     }
 }
 
+/// The tile config for `n` sites: `--tile`, or the default tile when it is
+/// not given, and the precision rule.
 fn tile_config(args: &Args, variant: Variant, n: usize) -> Result<TlrConfig, CmdError> {
-    let nb = at_least(args, "tile", TlrConfig::default_tile_size(n), 1)?;
-    let mut cfg = TlrConfig::new(variant, nb);
+    let tile = match args.get("tile") {
+        None => 0,
+        Some(_) => at_least(args, "tile", 0, 1)?,
+    };
+    let mut cfg = TlrConfig::for_sites(variant, tile, n);
     match args.str_or("precision-rule", "adaptive").as_str() {
         "adaptive" => {}
         "band" => {
@@ -213,6 +216,47 @@ fn tile_config(args: &Args, variant: Variant, n: usize) -> Result<TlrConfig, Cmd
         }
     }
     Ok(cfg)
+}
+
+/// What `fit`, `predict`, `maps`, `serve` and `bayes` read alike.
+struct ModelInputs {
+    family: ModelFamily,
+    variant: Variant,
+    locs: Vec<Location>,
+    /// The data's `z` column; empty for a command that reads none.
+    z: Vec<f64>,
+    /// The command's required θ flag; empty for a command that has none.
+    theta: Vec<f64>,
+    cfg: TlrConfig,
+    model: FlopKernelModel,
+}
+
+/// Read `--kernel` and `--variant`, the `--data` sites with their `z`
+/// column when `z` is set, the required θ flag `--{theta}` when one is
+/// named, and the tile config with its kernel-time model.
+fn model_inputs(args: &Args, z: bool, theta: Option<&str>) -> Result<ModelInputs, CmdError> {
+    let family = named(args, "kernel", ModelFamily::parse)?;
+    let variant = named(args, "variant", Variant::parse)?;
+    let data = io::load(args.require("data")?)?;
+    let z = match (z, data.z) {
+        (false, _) => Vec::new(),
+        (true, Some(z)) => z,
+        (true, None) => return Err(CmdError::Run("dataset has no 'z' column".into())),
+    };
+    let theta = match theta {
+        Some(flag) => required_theta(args, family, flag)?,
+        None => Vec::new(),
+    };
+    let cfg = tile_config(args, variant, data.locs.len())?;
+    Ok(ModelInputs {
+        family,
+        variant,
+        locs: data.locs,
+        z,
+        theta,
+        cfg,
+        model: FlopKernelModel::for_tile(cfg.tile_size),
+    })
 }
 
 /// The `--metrics <path>` file, created before the command does any work
@@ -315,32 +359,15 @@ fn factor_engine(args: &Args) -> Result<FactorEngine, CmdError> {
 
 /// `simulate` — synthesize a dataset and write it to CSV.
 pub fn cmd_simulate(args: &Args) -> Result<String, CmdError> {
-    let family = parse_family(args)?;
+    let family = named(args, "kernel", ModelFamily::parse)?;
     let n = at_least(args, "n", 1000, 1)?;
     let slots = args.usize_or("slots", 1)?;
     let domain = args.f64_or("domain", 1.0)?;
     let seed = args.usize_or("seed", 0)? as u64;
-    let theta = args
-        .f64_list("params")?
-        .ok_or_else(|| ArgError("missing required flag --params".to_string()))?;
-    check_theta(family, &theta, "params")?;
+    let theta = required_theta(args, family, "params")?;
     let out = args.require("out")?;
 
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut locs = match family {
-        ModelFamily::MaternSpace => jittered_grid(n, &mut rng),
-        ModelFamily::GneitingSpaceTime => {
-            let spatial = jittered_grid(n.div_ceil(slots.max(1)), &mut rng);
-            let mut st = spacetime_grid(&spatial, slots.max(1));
-            st.truncate(n);
-            st
-        }
-    };
-    for l in &mut locs {
-        l.x *= domain;
-        l.y *= domain;
-    }
-    morton_order(&mut locs);
+    let locs = synthetic::sites(family, n, slots, domain, seed);
     let kernel = family.kernel(&theta);
     let z = simulate_field(kernel.as_ref(), &locs, seed + 1);
     io::save(
@@ -357,15 +384,7 @@ pub fn cmd_simulate(args: &Args) -> Result<String, CmdError> {
 
 /// `fit` — MLE on a CSV dataset.
 pub fn cmd_fit(args: &Args) -> Result<String, CmdError> {
-    let family = parse_family(args)?;
-    let variant = parse_variant(args)?;
-    let ds = io::load(args.require("data")?)?;
-    let z =
-        ds.z.as_ref()
-            .ok_or_else(|| CmdError::Run("dataset has no 'z' column to fit".into()))?;
-    let cfg = tile_config(args, variant, ds.locs.len())?;
-    let model = FlopKernelModel::for_tile(cfg.tile_size);
-
+    let m = model_inputs(args, true, None)?;
     let max_evals = args.usize_or("max-evals", 200)?;
     let optimizer = match args.str_or("optimizer", "nm").as_str() {
         "nm" => FitOptimizer::NelderMead(NelderMeadOptions {
@@ -384,32 +403,28 @@ pub fn cmd_fit(args: &Args) -> Result<String, CmdError> {
             ))))
         }
     };
-    let start = args.f64_list("start")?;
-    if let Some(st) = &start {
-        check_theta(family, st, "start")?;
-    }
     let opts = FitOptions {
         optimizer,
-        start,
+        start: theta(args, m.family, "start")?,
         engine: factor_engine(args)?,
     };
 
     let metrics = open_metrics(args)?;
     let (r, secs) = {
         let t = std::time::Instant::now();
-        let r = xgs_core::fit(family, &ds.locs, z, &cfg, &model, &opts);
+        let r = xgs_core::fit(m.family, &m.locs, &m.z, &m.cfg, &m.model, &opts);
         (r, t.elapsed().as_secs_f64())
     };
-    let names = family.param_names();
+    let names = m.family.param_names();
     let mut out = format!(
         "fitted {} ({} sites, variant {}, tile {}):\n",
-        match family {
+        match m.family {
             ModelFamily::MaternSpace => "Matérn space model",
             ModelFamily::GneitingSpaceTime => "Gneiting space-time model",
         },
-        ds.locs.len(),
-        variant.name(),
-        cfg.tile_size
+        m.locs.len(),
+        m.variant.name(),
+        m.cfg.tile_size
     );
     for (name, v) in names.iter().zip(&r.theta) {
         out.push_str(&format!("  {name:<18} = {v:.6}\n"));
@@ -450,11 +465,11 @@ pub fn cmd_fit(args: &Args) -> Result<String, CmdError> {
     write_metrics(metrics, || runtime_metrics(r.metrics.as_ref()), &mut out)?;
     if args.bool("se") {
         match xgs_core::fisher_information(
-            family,
-            &ds.locs,
-            z,
-            &cfg,
-            &model,
+            m.family,
+            &m.locs,
+            &m.z,
+            &m.cfg,
+            &m.model,
             &r.theta,
             5e-3,
             &opts.engine,
@@ -473,30 +488,18 @@ pub fn cmd_fit(args: &Args) -> Result<String, CmdError> {
 
 /// `predict` — kriging with optional uncertainty, written to CSV.
 pub fn cmd_predict(args: &Args) -> Result<String, CmdError> {
-    let family = parse_family(args)?;
-    let variant = parse_variant(args)?;
-    let train = io::load(args.require("data")?)?;
-    let z = train
-        .z
-        .as_ref()
-        .ok_or_else(|| CmdError::Run("training data has no 'z' column".into()))?;
+    let m = model_inputs(args, true, Some("theta"))?;
     let targets = io::load(args.require("targets")?)?;
-    let theta = args
-        .f64_list("theta")?
-        .ok_or_else(|| ArgError("missing required flag --theta".to_string()))?;
-    check_theta(family, &theta, "theta")?;
-    let cfg = tile_config(args, variant, train.locs.len())?;
-    let model = FlopKernelModel::for_tile(cfg.tile_size);
-    let kernel = family.kernel(&theta);
+    let kernel = m.family.kernel(&m.theta);
 
     let engine = factor_engine(args)?;
     let metrics = open_metrics(args)?;
-    let rep = log_likelihood_engine(kernel.as_ref(), &train.locs, z, &cfg, &model, &engine)
+    let rep = log_likelihood_engine(kernel.as_ref(), &m.locs, &m.z, &m.cfg, &m.model, &engine)
         .map_err(|e| CmdError::Run(format!("factorization failed: {e}")))?;
     let pred = krige(
         kernel.as_ref(),
-        &train.locs,
-        z,
+        &m.locs,
+        &m.z,
         &rep.factor,
         &targets.locs,
         args.bool("uncertainty"),
@@ -505,7 +508,7 @@ pub fn cmd_predict(args: &Args) -> Result<String, CmdError> {
     let mut summary = format!(
         "predicted {} targets from {} observations (llh at θ: {:.4})\n",
         targets.locs.len(),
-        train.locs.len(),
+        m.locs.len(),
         rep.llh
     );
     if let Some(truth) = &targets.z {
@@ -532,23 +535,15 @@ pub fn cmd_predict(args: &Args) -> Result<String, CmdError> {
 
 /// `maps` — render the decision heat-map for a dataset at given θ.
 pub fn cmd_maps(args: &Args) -> Result<String, CmdError> {
-    let family = parse_family(args)?;
-    let variant = parse_variant(args)?;
-    let ds = io::load(args.require("data")?)?;
-    let theta = args
-        .f64_list("theta")?
-        .ok_or_else(|| ArgError("missing required flag --theta".to_string()))?;
-    check_theta(family, &theta, "theta")?;
-    let cfg = tile_config(args, variant, ds.locs.len())?;
-    let model = FlopKernelModel::for_tile(cfg.tile_size);
-    let kernel: Box<dyn CovarianceKernel> = family.kernel(&theta);
-    let m = SymTileMatrix::generate(kernel.as_ref(), &ds.locs, cfg, &model);
-    let map = decision_heatmap(&m);
+    let m = model_inputs(args, false, Some("theta"))?;
+    let kernel = m.family.kernel(&m.theta);
+    let matrix = SymTileMatrix::generate(kernel.as_ref(), &m.locs, m.cfg, &m.model);
+    let map = decision_heatmap(&matrix);
     Ok(format!(
         "variant {}, tile {}, band_size_dense {}\n{}",
-        variant.name(),
-        cfg.tile_size,
-        m.band_size_dense,
+        m.variant.name(),
+        m.cfg.tile_size,
+        matrix.band_size_dense,
         map.render()
     ))
 }
@@ -621,24 +616,15 @@ pub fn cmd_scale(args: &Args) -> Result<String, CmdError> {
 /// `serve` — load a dataset, factorize once, and serve predictions until a
 /// client sends `{"op":"shutdown"}`.
 pub fn cmd_serve(args: &Args) -> Result<String, CmdError> {
-    let family = parse_family(args)?;
-    let variant = parse_variant(args)?;
-    let ds = io::load(args.require("data")?)?;
-    let z =
-        ds.z.as_ref()
-            .ok_or_else(|| CmdError::Run("training data has no 'z' column".into()))?;
-    let theta = args
-        .f64_list("theta")?
-        .ok_or_else(|| ArgError("missing required flag --theta".to_string()))?;
-    check_theta(family, &theta, "theta")?;
-    let cfg = tile_config(args, variant, ds.locs.len())?;
+    let m = model_inputs(args, true, Some("theta"))?;
     let name = args.str_or("name", "default");
-    let n = ds.locs.len();
+    let n = m.locs.len();
 
     let engine = factor_engine(args)?;
     let metrics = open_metrics(args)?;
-    let (plan, llh) = xgs_server::build_plan_engine(family, &theta, &cfg, ds.locs, z, &engine)
-        .map_err(CmdError::Run)?;
+    let (plan, llh) =
+        xgs_server::build_plan_engine(m.family, &m.theta, &m.cfg, m.locs, &m.z, &engine)
+            .map_err(CmdError::Run)?;
     let ttl = match args.f64_or("model-ttl", 0.0)? {
         t if t > 0.0 => Some(std::time::Duration::from_secs_f64(t)),
         _ => None,
@@ -649,13 +635,14 @@ pub fn cmd_serve(args: &Args) -> Result<String, CmdError> {
     ));
     registry.insert(&name, plan);
 
+    let d = xgs_server::ServerConfig::default();
     let server_cfg = xgs_server::ServerConfig {
         addr: args.str_or("addr", "127.0.0.1:4741"),
-        solvers: args.usize_or("solvers", 2)?,
-        max_batch_points: args.usize_or("max-batch", 4096)?,
-        max_queued_points: args.usize_or("queue-points", 1 << 16)?,
+        solvers: args.usize_or("solvers", d.solvers)?,
+        max_batch_points: args.usize_or("max-batch", d.max_batch_points)?,
+        max_queued_points: args.usize_or("queue-points", d.max_queued_points)?,
         engine,
-        ..xgs_server::ServerConfig::default()
+        ..d
     };
     let handle = xgs_server::serve(&server_cfg, registry)
         .map_err(|e| CmdError::Run(format!("could not bind {}: {e}", server_cfg.addr)))?;
@@ -664,8 +651,8 @@ pub fn cmd_serve(args: &Args) -> Result<String, CmdError> {
     eprintln!(
         "serving model '{name}' ({n} sites, llh {llh:.4}, variant {}, tile {}) on {} — \
          stop with {{\"op\":\"shutdown\"}}",
-        variant.name(),
-        cfg.tile_size,
+        m.variant.name(),
+        m.cfg.tile_size,
         handle.addr()
     );
     let report = handle.join();
@@ -689,18 +676,7 @@ pub fn cmd_serve(args: &Args) -> Result<String, CmdError> {
 /// extension).
 pub fn cmd_bayes(args: &Args) -> Result<String, CmdError> {
     use xgs_core::bayes::{posterior_sample, McmcOptions};
-    let family = parse_family(args)?;
-    let variant = parse_variant(args)?;
-    let ds = io::load(args.require("data")?)?;
-    let z =
-        ds.z.as_ref()
-            .ok_or_else(|| CmdError::Run("dataset has no 'z' column".into()))?;
-    let start = args
-        .f64_list("start")?
-        .ok_or_else(|| ArgError("missing required flag --start".to_string()))?;
-    check_theta(family, &start, "start")?;
-    let cfg = tile_config(args, variant, ds.locs.len())?;
-    let model = FlopKernelModel::for_tile(cfg.tile_size);
+    let m = model_inputs(args, true, Some("start"))?;
     let burn_in = args.usize_or("burn-in", 100)?;
     let opts = McmcOptions {
         iterations: at_least(args, "iterations", 500, burn_in.saturating_add(1))?,
@@ -709,7 +685,7 @@ pub fn cmd_bayes(args: &Args) -> Result<String, CmdError> {
         engine: factor_engine(args)?,
         ..Default::default()
     };
-    let r = posterior_sample(family, &ds.locs, z, &cfg, &model, &start, &opts)
+    let r = posterior_sample(m.family, &m.locs, &m.z, &m.cfg, &m.model, &m.theta, &opts)
         .map_err(CmdError::Run)?;
     let mut out = format!(
         "posterior from {} draws (acceptance {:.0}%):
@@ -717,7 +693,7 @@ pub fn cmd_bayes(args: &Args) -> Result<String, CmdError> {
         r.samples.len(),
         r.acceptance * 100.0
     );
-    for (i, name) in family.param_names().iter().enumerate() {
+    for (i, name) in m.family.param_names().iter().enumerate() {
         let (lo, hi) = r.ci90[i];
         out.push_str(&format!(
             "  {name:<18} mean {:.4}   90% CI [{lo:.4}, {hi:.4}]
@@ -814,7 +790,7 @@ pub fn cmd_loadgen(args: &Args) -> Result<String, CmdError> {
 pub type Command = fn(&Args) -> Result<String, CmdError>;
 
 /// Every top-level command with the flags it reads (those of
-/// [`tile_config`] and [`factor_engine`] included); [`run`] rejects any
+/// [`model_inputs`] and [`factor_engine`] included); [`run`] rejects any
 /// other. A switch, a flag given without a value, ends in `!`.
 const COMMANDS: [(&str, Command, &str); 10] = [
     (
@@ -1231,6 +1207,31 @@ mod tests {
         // A switch takes no value and any other flag needs one.
         assert!(err("fit --se yes").contains("--se"));
         assert!(err("paper table1 --metrics").contains("--metrics"));
+    }
+
+    /// `--kernel`/`--variant` and the `load` op's `"kernel"`/`"variant"`
+    /// go through one parser each, so a bad name fails with one text.
+    #[test]
+    fn the_cli_and_the_load_op_reject_a_bad_name_alike() {
+        for key in ["kernel", "variant"] {
+            let cli = match run(&argv(&format!("fit --data absent.csv --{key} frob"))) {
+                Err(CmdError::Arg(e)) => e.0,
+                other => panic!("expected a usage error for --{key}, got {other:?}"),
+            };
+            let load = format!(
+                "{{\"op\":\"load\",\"{key}\":\"frob\",\"theta\":[1.0,0.1,0.5],\
+                 \"locs\":[[0.5,0.5]],\"z\":[1.0]}}"
+            );
+            let wire = match xgs_server::parse_request(&load) {
+                Err(failure) => failure.error,
+                Ok(_) => panic!("a load with {key} 'frob' parsed"),
+            };
+            assert_eq!(cli, wire);
+            assert!(
+                wire.starts_with(&format!("unknown {key} 'frob' (")),
+                "{wire}"
+            );
+        }
     }
 
     /// The `--flag`s the usage entry of a command path names, a switch

@@ -1,10 +1,11 @@
 //! The accuracy studies: Tables I and II (one modeling → prediction
 //! pipeline each), the Fig. 6 estimate boxplots and PSO weak scaling.
 
-use super::{quartiles, sites, timed};
+use super::{quartiles, timed};
 use crate::cli::args::Args;
 use crate::cli::commands::{open_metrics, runtime_metrics, write_metrics, CmdError};
 use xgs_core::mle::FitOptimizer;
+use xgs_core::synthetic::sites;
 use xgs_core::{
     fit, run_pipeline, FactorEngine, FitOptions, ModelFamily, NelderMeadOptions, PipelineConfig,
     PsoOptions,
@@ -91,7 +92,7 @@ pub fn table(t: &Table, args: &Args) -> Result<String, CmdError> {
         time_slots: t.time_slots,
         domain_size: t.domain_size,
         tile_size: t.tile_size,
-        variants: vec![Variant::DenseF64, Variant::MpDense, Variant::MpDenseTlr],
+        variants: Variant::ALL.to_vec(),
         fit: FitOptions {
             optimizer: FitOptimizer::NelderMead(NelderMeadOptions {
                 max_evals: t.max_evals,
@@ -157,7 +158,6 @@ pub fn fig6() {
     let domain = 4.0;
     let nb = (n / 6).max(32);
     let model = FlopKernelModel::for_tile(nb);
-    let variants = [Variant::DenseF64, Variant::MpDense, Variant::MpDenseTlr];
 
     println!("Fig. 6 reproduction: {reps} synthetic datasets x {n} locations (paper: 100 x 50K)\n");
 
@@ -172,11 +172,11 @@ pub fn fig6() {
             "{:>14} {:>12} | {:>8} {:>8} {:>8}",
             "variant", "parameter", "q1", "median", "q3"
         );
-        for variant in variants {
+        for variant in Variant::ALL {
             let cfg = TlrConfig::new(variant, nb);
             let mut est: Vec<Vec<f64>> = vec![Vec::new(); 3];
             for rep in 0..reps {
-                let locs = sites(n, domain, 1000 + rep as u64);
+                let locs = sites(ModelFamily::MaternSpace, n, 1, domain, 1000 + rep as u64);
                 let z = xgs_core::simulate_field(&Matern::new(truth), &locs, 5000 + rep as u64);
                 let opts = FitOptions {
                     optimizer: FitOptimizer::NelderMead(NelderMeadOptions {
@@ -192,7 +192,7 @@ pub fn fig6() {
                     est[k].push(*v);
                 }
             }
-            for (k, name) in ["variance", "range", "smoothness"].iter().enumerate() {
+            for (k, name) in ModelFamily::MaternSpace.param_names().iter().enumerate() {
                 let (q1, q2, q3) = quartiles(&mut est[k]);
                 println!(
                     "{:>14} {:>12} | {:>8.3} {:>8.3} {:>8.3}",
@@ -215,7 +215,7 @@ pub fn fig6() {
 /// whose only loss is the end-of-iteration reduction.
 pub fn pso() {
     let n = 400;
-    let locs = sites(n, 4.0, 21);
+    let locs = sites(ModelFamily::MaternSpace, n, 1, 4.0, 21);
     let truth = MaternParams::new(1.0, 0.4, 0.5);
     let z = xgs_core::simulate_field(&Matern::new(truth), &locs, 3);
     let cfg = TlrConfig::new(Variant::MpDenseTlr, (n / 6).max(32));

@@ -2,8 +2,10 @@
 //! design choices DESIGN.md calls out, and what the schedule validator
 //! and race checker cost the factorization.
 
-use super::{quartiles, sites, timed};
+use super::{quartiles, timed};
 use xgs_cholesky::TiledFactor;
+use xgs_core::synthetic::sites;
+use xgs_core::ModelFamily;
 use xgs_covariance::{covariance_matrix, Matern, MaternParams};
 use xgs_perfmodel::{footprint_bytes, Correlation, TileFormatProfile};
 use xgs_runtime::ExecOptions;
@@ -69,7 +71,7 @@ fn paper_scale_panel() {
 fn measured_panel() {
     let n = 2048;
     let nb = 64;
-    let locs = sites(n, 1.0, 9);
+    let locs = sites(ModelFamily::MaternSpace, n, 1, 1.0, 9);
     // The paper's tiles are 2700 wide, where the calibrated A64FX model puts
     // the Fig. 5 crossover at rank ~200 = nb/13.5. At nb = 64 that crossover
     // is rank ~5, which no real covariance tile beats, so the model for
@@ -114,7 +116,7 @@ pub fn ablations() {
 
 fn precision_rule_panel(n: usize) {
     println!("-- ablation 1: adaptive norm rule vs band rule (n = {n}, tile 64) --");
-    let locs = sites(n, 14.0, 3);
+    let locs = sites(ModelFamily::MaternSpace, n, 1, 14.0, 3);
     let kernel = Matern::new(MaternParams::new(0.67, 0.17, 0.44));
     let exact = covariance_matrix(&kernel, &locs);
     let model = FlopKernelModel::for_tile(64);
@@ -152,7 +154,7 @@ fn precision_rule_panel(n: usize) {
 
 fn tolerance_panel(n: usize) {
     println!("-- ablation 2: TLR tolerance sweep (n = {n}, tile 64, paper uses 1e-8) --");
-    let locs = sites(n, 14.0, 5);
+    let locs = sites(ModelFamily::MaternSpace, n, 1, 14.0, 5);
     let kernel = Matern::new(MaternParams::new(0.67, 0.17, 0.44));
     let exact = covariance_matrix(&kernel, &locs);
     let model = FlopKernelModel::for_tile(64);
@@ -179,7 +181,7 @@ fn tolerance_panel(n: usize) {
 
 fn tile_size_panel(n: usize) {
     println!("-- ablation 3: tile size sweep (n = {n}, MP+dense/TLR) --");
-    let locs = sites(n, 14.0, 7);
+    let locs = sites(ModelFamily::MaternSpace, n, 1, 14.0, 7);
     let kernel = Matern::new(MaternParams::new(0.67, 0.17, 0.44));
     println!(
         "{:>6} {:>5} | {:>12} {:>12} {:>12}",
@@ -223,7 +225,7 @@ pub fn validator_overhead() {
          {workers} workers, 1 warm-up + {rounds} round-robin rounds --"
     );
 
-    let locs = sites(n, 14.0, 3);
+    let locs = sites(ModelFamily::MaternSpace, n, 1, 14.0, 3);
     let kernel = Matern::new(MaternParams::new(0.67, 0.17, 0.44));
     let model = FlopKernelModel::for_tile(nb);
     let base = ExecOptions {

@@ -18,9 +18,6 @@ mod kernels;
 mod scale;
 
 use crate::cli::commands::{CmdError, Command};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use xgs_covariance::{jittered_grid, morton_order, Location};
 
 /// The summary suffix of a job that takes `--metrics <path>`, so the usage
 /// text lists exactly what the flag check accepts.
@@ -81,21 +78,6 @@ fn printed(job: fn()) -> Result<String, CmdError> {
     Ok(String::new())
 }
 
-/// Deterministic Morton-ordered site set, optionally on a widened domain
-/// (see `PipelineConfig::domain_size`).
-fn sites(n: usize, domain: f64, seed: u64) -> Vec<Location> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut locs = jittered_grid(n, &mut rng);
-    if domain != 1.0 {
-        for l in &mut locs {
-            l.x *= domain;
-            l.y *= domain;
-        }
-    }
-    morton_order(&mut locs);
-    locs
-}
-
 /// Column-major random buffer for kernel benchmarks.
 fn random_buffer(len: usize, seed: u64) -> Vec<f64> {
     let mut state = seed | 1;
@@ -149,10 +131,12 @@ mod tests {
         assert_eq!(q3, 4.0);
     }
 
+    /// The jobs' site sets widen with their domain.
     #[test]
     fn sites_scale_with_domain() {
-        let a = sites(100, 1.0, 3);
-        let b = sites(100, 5.0, 3);
+        use xgs_core::{synthetic::sites, ModelFamily::MaternSpace};
+        let a = sites(MaternSpace, 100, 1, 1.0, 3);
+        let b = sites(MaternSpace, 100, 1, 5.0, 3);
         let max_a = a.iter().map(|l| l.x.max(l.y)).fold(0.0f64, f64::max);
         let max_b = b.iter().map(|l| l.x.max(l.y)).fold(0.0f64, f64::max);
         assert!(max_b > 4.0 * max_a);
