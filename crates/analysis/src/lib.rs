@@ -18,8 +18,9 @@
 //!   cyclic graph or an unsatisfiable tile transfer is a diagnostic at
 //!   submission time rather than a hang at 3 a.m.
 //!
-//! The crate has zero dependencies on purpose: `xgs-runtime` and
-//! `xgs-cholesky` depend on it, which keeps the checks an independent
+//! The crate's one dependency is `xgs-json` (zero dependencies itself),
+//! which writes the lint reports. `xgs-runtime` and `xgs-cholesky` depend
+//! on this crate, not the reverse, which keeps the checks an independent
 //! implementation (a genuine cross-check) and lets the lint build even
 //! when the rest of the workspace doesn't.
 

@@ -18,6 +18,7 @@
 //! separators; the scoping predicates live next to each rule below.
 
 use crate::lexer::{lex, LineIndex, Token, TokenKind};
+use xgs_json::Writer;
 
 /// Name + one-line summary for every rule, in reporting order.
 pub const RULES: &[(&str, &str)] = &[
@@ -265,119 +266,85 @@ fn lint_file_as(path: &str, src: &[u8], test_file: bool) -> FileLint {
     }
 }
 
-/// The machine-readable report, in the workspace's hand-rolled JSON
-/// schema (see README "Static analysis"): scanned-file count, justified
-/// allow count, the rule table, a per-rule finding histogram (rules with
-/// zero findings are omitted, in [`RULES`] order), and one object per
-/// finding.
+/// The machine-readable report, in the workspace's JSON schema (see
+/// README "Static analysis"): scanned-file count, justified allow count,
+/// the rule table, a per-rule finding histogram (rules with zero findings
+/// are omitted, in [`RULES`] order), and one object per finding.
 pub fn report_json(files: usize, justified_allows: usize, findings: &[Finding]) -> String {
-    let mut s = String::with_capacity(256 + findings.len() * 96);
-    s.push_str("{\"files\":");
-    s.push_str(&files.to_string());
-    s.push_str(",\"allows\":");
-    s.push_str(&justified_allows.to_string());
-    s.push_str(",\"rules\":[");
-    for (i, (name, _)) in RULES.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push('"');
-        s.push_str(name);
-        s.push('"');
+    let mut w = Writer::new();
+    w.begin_object();
+    w.key("files").u64(files as u64);
+    w.key("allows").u64(justified_allows as u64);
+    w.key("rules").begin_array();
+    for (name, _) in RULES {
+        w.string(name);
     }
-    s.push_str("],\"histogram\":{");
-    let mut first = true;
+    w.end_array();
+    w.key("histogram").begin_object();
     for (name, _) in RULES {
         let n = findings.iter().filter(|f| f.rule == *name).count();
-        if n == 0 {
-            continue;
+        if n > 0 {
+            w.key(name).u64(n as u64);
         }
-        if !first {
-            s.push(',');
-        }
-        first = false;
-        s.push('"');
-        s.push_str(name);
-        s.push_str("\":");
-        s.push_str(&n.to_string());
     }
-    s.push_str("},\"findings\":[");
-    for (i, f) in findings.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str("{\"rule\":\"");
-        s.push_str(f.rule);
-        s.push_str("\",\"path\":");
-        json_string(&f.path, &mut s);
-        s.push_str(",\"line\":");
-        s.push_str(&f.line.to_string());
-        s.push_str(",\"col\":");
-        s.push_str(&f.col.to_string());
-        s.push_str(",\"message\":");
-        json_string(&f.message, &mut s);
-        s.push('}');
+    w.end_object();
+    w.key("findings").begin_array();
+    for f in findings {
+        w.begin_object();
+        w.key("rule").string(f.rule);
+        w.key("path").string(&f.path);
+        w.key("line").u64(f.line as u64);
+        w.key("col").u64(f.col as u64);
+        w.key("message").string(&f.message);
+        w.end_object();
     }
-    s.push_str("]}");
-    s
+    w.end_array().end_object();
+    w.finish()
 }
 
 /// Minimal SARIF 2.1.0 report: one run, one `xgs-lint` driver with every
 /// rule in [`RULES`], one result per finding. Enough for the standard
-/// ingestion paths (code-scanning uploads, SARIF viewers) without pulling
-/// a serializer into the zero-dependency crate.
+/// ingestion paths (code-scanning uploads, SARIF viewers).
 pub fn report_sarif(findings: &[Finding]) -> String {
-    let mut s = String::with_capacity(1024 + findings.len() * 192);
-    s.push_str(
-        "{\"$schema\":\"https://json.schemastore.org/sarif-2.1.0.json\",\"version\":\"2.1.0\",\"runs\":[{\"tool\":{\"driver\":{\"name\":\"xgs-lint\",\"rules\":[",
-    );
-    for (i, (name, summary)) in RULES.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str("{\"id\":\"");
-        s.push_str(name);
-        s.push_str("\",\"shortDescription\":{\"text\":");
-        json_string(summary, &mut s);
-        s.push_str("}}");
+    let mut w = Writer::new();
+    w.begin_object();
+    w.key("$schema")
+        .string("https://json.schemastore.org/sarif-2.1.0.json");
+    w.key("version").string("2.1.0");
+    w.key("runs").begin_array().begin_object();
+    w.key("tool").begin_object();
+    w.key("driver").begin_object();
+    w.key("name").string("xgs-lint");
+    w.key("rules").begin_array();
+    for (name, summary) in RULES {
+        w.begin_object();
+        w.key("id").string(name);
+        w.key("shortDescription").begin_object();
+        w.key("text").string(summary);
+        w.end_object().end_object();
     }
-    s.push_str("]}},\"results\":[");
-    for (i, f) in findings.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str("{\"ruleId\":\"");
-        s.push_str(f.rule);
-        s.push_str("\",\"level\":\"error\",\"message\":{\"text\":");
-        json_string(&f.message, &mut s);
-        s.push_str("},\"locations\":[{\"physicalLocation\":{\"artifactLocation\":{\"uri\":");
-        json_string(&f.path, &mut s);
-        s.push_str("},\"region\":{\"startLine\":");
-        s.push_str(&f.line.to_string());
-        s.push_str(",\"startColumn\":");
-        s.push_str(&f.col.to_string());
-        s.push_str("}}}]}");
+    w.end_array().end_object().end_object();
+    w.key("results").begin_array();
+    for f in findings {
+        w.begin_object();
+        w.key("ruleId").string(f.rule);
+        w.key("level").string("error");
+        w.key("message").begin_object();
+        w.key("text").string(&f.message);
+        w.end_object();
+        w.key("locations").begin_array().begin_object();
+        w.key("physicalLocation").begin_object();
+        w.key("artifactLocation").begin_object();
+        w.key("uri").string(&f.path);
+        w.end_object();
+        w.key("region").begin_object();
+        w.key("startLine").u64(f.line as u64);
+        w.key("startColumn").u64(f.col as u64);
+        w.end_object().end_object().end_object().end_array();
+        w.end_object();
     }
-    s.push_str("]}]}");
-    s
-}
-
-fn json_string(v: &str, out: &mut String) {
-    out.push('"');
-    for c in v.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+    w.end_array().end_object().end_array().end_object();
+    w.finish()
 }
 
 // ---------------------------------------------------------------- scoping

@@ -1,16 +1,19 @@
-//! A small hand-rolled JSON reader and writer.
+//! The workspace's one JSON reader and one JSON writer.
 //!
-//! The workspace ships no external dependencies, so machine-readable
-//! output is built as a [`JsonValue`] and written by
-//! [`JsonValue::to_json_string`] — the metrics, loadgen, projection and
-//! bench result dumps all go through it, so string escaping and the
-//! non-finite → `null` rule live in one place. The *reader* is a strict
-//! recursive-descent parser over the JSON grammar (RFC 8259) minus one
-//! liberty: numbers are parsed as `f64` only, which every producer in this
-//! repository satisfies. The `xgs-server` wire protocol and the
-//! `metrics-diff` tool parse with it.
+//! The workspace ships no external dependencies, so JSON is hand-rolled
+//! here, in a leaf crate every other crate can use. Every JSON document
+//! the workspace writes comes out of one streaming [`Writer`]: the server's
+//! replies, loadgen's requests and report, the metrics export, the Chrome
+//! trace, `results/fig10.json` and xgs-lint's JSON and SARIF reports. So
+//! string escaping and the non-finite → `null` rule live in one place.
+//! [`JsonValue::to_json_string`] is a walk over the same writer. The
+//! *reader* is a strict recursive-descent parser over the JSON grammar
+//! (RFC 8259) minus one liberty: numbers are parsed as `f64` only, which
+//! every producer in this repository satisfies. The `xgs-server` wire
+//! protocol and the `metrics-diff` tool parse with it.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 /// A parsed JSON document.
 #[derive(Clone, Debug, PartialEq)]
@@ -124,55 +127,173 @@ impl JsonValue {
         matches!(self, JsonValue::Null)
     }
 
-    /// Serialize back to compact JSON. Numbers use Rust's shortest
-    /// round-trip `f64` formatting, so parse → serialize → parse is
-    /// lossless (the server relies on this to re-embed sub-documents).
+    /// Serialize back to compact JSON through [`Writer::value`]. Numbers
+    /// use Rust's shortest round-trip `f64` formatting, so parse →
+    /// serialize → parse is lossless.
     pub fn to_json_string(&self) -> String {
-        let mut out = String::new();
-        self.write_json(&mut out);
-        out
+        let mut w = Writer::new();
+        w.value(self);
+        w.finish()
+    }
+}
+
+/// A streaming JSON writer: each call appends one token to a `String`,
+/// with no tree built in between. Commas are placed from the last byte
+/// written, so the writer keeps no per-container state. Every call
+/// returns the writer, so members chain: `w.key("ok").bool(true)`.
+#[derive(Default)]
+pub struct Writer {
+    out: String,
+    /// Open containers.
+    depth: usize,
+    /// The outermost container is an array written one item per line
+    /// ([`Writer::begin_array_lines`]).
+    lines: bool,
+}
+
+impl Writer {
+    pub fn new() -> Writer {
+        Writer::default()
     }
 
-    fn write_json(&self, out: &mut String) {
-        match self {
-            JsonValue::Null => out.push_str("null"),
-            JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            // JSON has no NaN/Infinity literals; `n.to_string()` would emit
-            // them verbatim and corrupt the document, so non-finite numbers
-            // serialize as null (the only lossless-ish option RFC 8259
-            // leaves us).
-            JsonValue::Number(n) if !n.is_finite() => out.push_str("null"),
-            JsonValue::Number(n) => out.push_str(&n.to_string()),
-            JsonValue::String(s) => {
-                out.push('"');
-                out.push_str(&escape_json(s));
-                out.push('"');
-            }
+    /// The document written so far.
+    pub fn finish(self) -> String {
+        self.out
+    }
+
+    /// Comma (unless this is the first item of its container or the
+    /// value of a key), then the line break of a one-item-per-line array.
+    fn item(&mut self) -> &mut Writer {
+        if !matches!(self.out.as_bytes().last(), None | Some(b'[' | b'{' | b':')) {
+            self.out.push(',');
+        }
+        if self.lines && self.depth == 1 {
+            self.out.push_str("\n  ");
+        }
+        self
+    }
+
+    fn open(&mut self, bracket: char) -> &mut Writer {
+        self.item().out.push(bracket);
+        self.depth += 1;
+        self
+    }
+
+    fn close(&mut self, bracket: char) -> &mut Writer {
+        self.depth -= 1;
+        if self.lines && self.depth == 0 {
+            self.out.push('\n');
+        }
+        self.out.push(bracket);
+        self
+    }
+
+    pub fn begin_object(&mut self) -> &mut Writer {
+        self.open('{')
+    }
+
+    pub fn end_object(&mut self) -> &mut Writer {
+        self.close('}')
+    }
+
+    pub fn begin_array(&mut self) -> &mut Writer {
+        self.open('[')
+    }
+
+    /// Open the document as an array with each item on its own line,
+    /// indented two spaces, and the closing `]` on a line of its own (an
+    /// empty one reads `[\n]`). Only the outermost container may be one.
+    pub fn begin_array_lines(&mut self) -> &mut Writer {
+        debug_assert_eq!(self.depth, 0, "only the outermost array goes by lines");
+        self.lines = true;
+        self.begin_array()
+    }
+
+    pub fn end_array(&mut self) -> &mut Writer {
+        self.close(']')
+    }
+
+    /// An object member's key; the next call writes its value.
+    pub fn key(&mut self, key: &str) -> &mut Writer {
+        escape(&mut self.item().out, key);
+        self.out.push(':');
+        self
+    }
+
+    pub fn string(&mut self, s: &str) -> &mut Writer {
+        escape(&mut self.item().out, s);
+        self
+    }
+
+    /// Shortest round-trip `Display`, so the reader gets the same bits
+    /// back. JSON has no NaN or infinity literals, so a non-finite value
+    /// is written as `null`.
+    pub fn f64(&mut self, x: f64) -> &mut Writer {
+        if !x.is_finite() {
+            return self.null();
+        }
+        let _ = write!(self.item().out, "{x}");
+        self
+    }
+
+    pub fn u64(&mut self, n: u64) -> &mut Writer {
+        let _ = write!(self.item().out, "{n}");
+        self
+    }
+
+    pub fn bool(&mut self, b: bool) -> &mut Writer {
+        self.item().out.push_str(if b { "true" } else { "false" });
+        self
+    }
+
+    pub fn null(&mut self) -> &mut Writer {
+        self.item().out.push_str("null");
+        self
+    }
+
+    /// A whole [`JsonValue`], object members in key order.
+    pub fn value(&mut self, v: &JsonValue) -> &mut Writer {
+        match v {
+            JsonValue::Null => self.null(),
+            JsonValue::Bool(b) => self.bool(*b),
+            JsonValue::Number(n) => self.f64(*n),
+            JsonValue::String(s) => self.string(s),
             JsonValue::Array(items) => {
-                out.push('[');
-                for (i, v) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    v.write_json(out);
+                self.begin_array();
+                for item in items {
+                    self.value(item);
                 }
-                out.push(']');
+                self.end_array()
             }
             JsonValue::Object(members) => {
-                out.push('{');
-                for (i, (k, v)) in members.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('"');
-                    out.push_str(&escape_json(k));
-                    out.push_str("\":");
-                    v.write_json(out);
+                self.begin_object();
+                for (k, v) in members {
+                    self.key(k).value(v);
                 }
-                out.push('}');
+                self.end_object()
             }
         }
     }
+}
+
+/// Write `s` as a quoted JSON string: `"`, `\` and the control
+/// characters escaped, everything else copied through.
+fn escape(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
 }
 
 /// Parse error with the byte offset where parsing failed.
@@ -280,60 +401,57 @@ impl<'a> Parser<'a> {
     }
 
     fn object(&mut self) -> Result<JsonValue, JsonError> {
-        self.expect(b'{')?;
-        self.descend()?;
         let mut members = BTreeMap::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            self.depth -= 1;
-            return Ok(JsonValue::Object(members));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let v = self.value()?;
-            members.insert(key, v);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    self.depth -= 1;
-                    return Ok(JsonValue::Object(members));
-                }
-                _ => return Err(self.err("expected ',' or '}' in object")),
-            }
-        }
+        self.container(b'{', b'}', "object", |p| {
+            let key = p.string()?;
+            p.skip_ws();
+            p.expect(b':')?;
+            p.skip_ws();
+            members.insert(key, p.value()?);
+            Ok(())
+        })?;
+        Ok(JsonValue::Object(members))
     }
 
     fn array(&mut self) -> Result<JsonValue, JsonError> {
-        self.expect(b'[')?;
-        self.descend()?;
         let mut items = Vec::new();
+        self.container(b'[', b']', "array", |p| {
+            items.push(p.value()?);
+            Ok(())
+        })?;
+        Ok(JsonValue::Array(items))
+    }
+
+    /// One bracketed, comma-separated container; `member` reads each
+    /// member (an array item, or an object's key and value).
+    fn container(
+        &mut self,
+        open: u8,
+        close: u8,
+        what: &str,
+        mut member: impl FnMut(&mut Self) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        self.expect(open)?;
+        self.descend()?;
         self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            self.depth -= 1;
-            return Ok(JsonValue::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    self.depth -= 1;
-                    return Ok(JsonValue::Array(items));
+        if self.peek() != Some(close) {
+            loop {
+                self.skip_ws();
+                member(self)?;
+                self.skip_ws();
+                match self.peek() {
+                    Some(b',') => self.pos += 1,
+                    Some(c) if c == close => break,
+                    _ => {
+                        let close = close as char;
+                        return Err(self.err(&format!("expected ',' or '{close}' in {what}")));
+                    }
                 }
-                _ => return Err(self.err("expected ',' or ']' in array")),
             }
         }
+        self.pos += 1;
+        self.depth -= 1;
+        Ok(())
     }
 
     fn string(&mut self) -> Result<String, JsonError> {
@@ -434,24 +552,6 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// Escape a string for embedding in hand-rolled JSON output (the writer
-/// counterpart used by the server protocol).
-pub fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -485,10 +585,71 @@ mod tests {
     }
 
     #[test]
+    fn writer_places_commas_keys_and_lines() {
+        let mut w = Writer::new();
+        w.begin_object();
+        w.key("a").begin_array().u64(1).f64(-2.5).null().end_array();
+        w.key("b").begin_object().end_object();
+        w.key("c")
+            .begin_array()
+            .begin_array()
+            .end_array()
+            .bool(true)
+            .end_array();
+        w.key("d").string("x");
+        w.end_object();
+        assert_eq!(
+            w.finish(),
+            r#"{"a":[1,-2.5,null],"b":{},"c":[[],true],"d":"x"}"#
+        );
+
+        let mut w = Writer::new();
+        w.begin_array_lines();
+        w.begin_object()
+            .key("k")
+            .begin_array()
+            .u64(1)
+            .u64(2)
+            .end_array()
+            .end_object();
+        w.string("s");
+        w.end_array();
+        assert_eq!(w.finish(), "[\n  {\"k\":[1,2]},\n  \"s\"\n]");
+        let mut w = Writer::new();
+        w.begin_array_lines().end_array();
+        assert_eq!(w.finish(), "[\n]");
+    }
+
+    #[test]
+    fn every_control_character_is_escaped() {
+        for c in (0u32..0x80)
+            .chain([0xe9, 0x2192, 0x1f600])
+            .filter_map(char::from_u32)
+        {
+            let s = format!("a{c}b");
+            let mut w = Writer::new();
+            w.string(&s);
+            let text = w.finish();
+            let want = match c {
+                '"' => "\\\"".to_string(),
+                '\\' => "\\\\".to_string(),
+                '\n' => "\\n".to_string(),
+                '\r' => "\\r".to_string(),
+                '\t' => "\\t".to_string(),
+                c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32),
+                c => c.to_string(),
+            };
+            assert_eq!(text, format!("\"a{want}b\""));
+            assert_eq!(parse_json(&text).unwrap().as_str(), Some(s.as_str()));
+        }
+    }
+
+    #[test]
     fn string_escapes_round_trip() {
         let original = "line1\nline2\t\"quoted\" \\ slash → unicode";
-        let encoded = format!("\"{}\"", escape_json(original));
-        let parsed = parse_json(&encoded).unwrap();
+        let mut w = Writer::new();
+        w.string(original);
+        let parsed = parse_json(&w.finish()).unwrap();
         assert_eq!(parsed.as_str(), Some(original));
         // \u escapes, including a surrogate pair.
         let v = parse_json(r#""\u0041\u00e9\ud83d\ude00""#).unwrap();
@@ -571,29 +732,5 @@ mod tests {
         let v = parse_json(text).unwrap();
         let re = v.to_json_string();
         assert_eq!(parse_json(&re).unwrap(), v);
-    }
-
-    #[test]
-    fn parses_own_metrics_export() {
-        // The reader must accept what MetricsReport::to_json emits.
-        let mut m = crate::metrics::MetricsReport {
-            wall_seconds: 1.25,
-            tasks: 7,
-            workers: 2,
-            worker_stats: vec![Default::default(); 2],
-            ..Default::default()
-        };
-        let mut k = crate::metrics::KernelStats::new("gemm");
-        k.record(3.5e-4);
-        m.kernels.push(k);
-        let v = parse_json(&m.to_json()).unwrap();
-        assert_eq!(v.get("tasks").unwrap().as_u64(), Some(7));
-        assert_eq!(
-            v.get("kernels").unwrap().as_array().unwrap()[0]
-                .get("kind")
-                .unwrap()
-                .as_str(),
-            Some("gemm")
-        );
     }
 }

@@ -25,7 +25,6 @@ pub mod convert;
 pub mod distsim;
 pub mod exec;
 pub mod graph;
-pub mod json;
 pub mod metrics;
 pub mod race;
 pub mod shard;
@@ -38,7 +37,6 @@ pub use distsim::{
 };
 pub use exec::{execute, execute_opts, precheck_env_default, ExecOptions};
 pub use graph::{Access, AccessMode, DataId, TaskGraph, TaskId};
-pub use json::{escape_json, parse_json, JsonError, JsonValue};
 pub use metrics::{
     KernelStats, MetricsReport, PoolCounters, QueueDepthStats, TimeHistogram, WireStats,
     WorkerStats,
@@ -53,6 +51,8 @@ pub use validate::{
     check_schedule, crosscheck_static_edges, derived_edges, Hazard, TaskOrder, ValidationSummary,
     Violation,
 };
+pub use xgs_json as json;
+pub use xgs_json::{parse_json, JsonError, JsonValue};
 
 /// The one shared logical-core probe.
 ///

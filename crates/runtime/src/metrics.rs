@@ -308,10 +308,16 @@ impl MetricsReport {
     }
 
     /// Serialize to a JSON object (schema documented in the repository
-    /// README under "Metrics JSON"), written by
-    /// [`JsonValue::to_json_string`](crate::json::JsonValue::to_json_string):
-    /// a non-finite value reads `null`, never `NaN`.
+    /// README under "Metrics JSON"): [`MetricsReport::to_json_value`]
+    /// written by the one JSON writer, so a non-finite value reads `null`,
+    /// never `NaN`.
     pub fn to_json(&self) -> String {
+        self.to_json_value().to_json_string()
+    }
+
+    /// The report as a JSON value, for documents that embed it (the
+    /// server's `metrics` reply).
+    pub fn to_json_value(&self) -> crate::json::JsonValue {
         use crate::json::JsonValue as J;
         let kernels = self.kernels.iter().map(|k| {
             J::object([
@@ -405,7 +411,6 @@ impl MetricsReport {
             ("validation", validation),
             ("pool", pool),
         ])
-        .to_json_string()
     }
 
     /// Parse a report back from its [`MetricsReport::to_json`] export.
@@ -530,6 +535,60 @@ impl MetricsReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::parse_json;
+
+    #[test]
+    fn parses_own_metrics_export() {
+        // The reader must accept what MetricsReport::to_json emits.
+        let mut m = MetricsReport {
+            wall_seconds: 1.25,
+            tasks: 7,
+            workers: 2,
+            worker_stats: vec![Default::default(); 2],
+            ..Default::default()
+        };
+        let mut k = KernelStats::new("gemm");
+        k.record(3.5e-4);
+        m.kernels.push(k);
+        let v = parse_json(&m.to_json()).unwrap();
+        assert_eq!(v.get("tasks").unwrap().as_u64(), Some(7));
+        assert_eq!(
+            v.get("kernels").unwrap().as_array().unwrap()[0]
+                .get("kind")
+                .unwrap()
+                .as_str(),
+            Some("gemm")
+        );
+    }
+
+    #[test]
+    fn export_bytes_are_pinned() {
+        // The bytes the export had before it moved onto the streaming
+        // writer: key order, number spelling and `null` members.
+        let mut m = MetricsReport {
+            wall_seconds: 1.5,
+            tasks: 3,
+            workers: 1,
+            worker_stats: vec![Default::default(); 1],
+            ..Default::default()
+        };
+        let mut k = KernelStats::new("request");
+        k.record(2.5e-4);
+        m.kernels.push(k);
+        assert_eq!(
+            m.to_json(),
+            "{\"conversions\":{\"bytes\":{\"f16_to_f32\":0,\"f16_to_f64\":0,\"f32_to_f16\":0,\
+             \"f32_to_f64\":0,\"f64_to_f16\":0,\"f64_to_f32\":0,\"total\":0},\"demotions\":0,\
+             \"f16_to_f32\":0,\"f16_to_f64\":0,\"f32_to_f16\":0,\"f32_to_f64\":0,\"f64_to_f16\":0,\
+             \"f64_to_f32\":0,\"promotions\":0,\"total\":0},\"kernels\":[{\"count\":1,\
+             \"histogram_log2us\":[0,0,0,0,0,0,0,0,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0],\
+             \"kind\":\"request\",\"max_seconds\":0.00025,\"mean_seconds\":0.00025,\
+             \"min_seconds\":0.00025,\"total_seconds\":0.00025}],\"pool\":null,\
+             \"queue_depth\":{\"max\":0,\"mean\":0,\"samples\":0},\"tasks\":3,\
+             \"validation\":null,\"wall_seconds\":1.5,\"wire\":[],\"worker_stats\":\
+             [{\"busy_seconds\":0,\"parks\":0,\"tasks\":0,\"worker\":0}],\"workers\":1}"
+        );
+    }
 
     #[test]
     fn histogram_bucket_boundaries() {

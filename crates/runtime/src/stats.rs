@@ -29,31 +29,35 @@ impl TraceEvent {
 /// event, giving the Gantt view the paper uses to discuss load imbalance
 /// under the adaptive formats.
 pub fn chrome_trace_json(trace: &[TraceEvent]) -> String {
-    let mut out = String::from("[\n");
-    for (i, e) in trace.iter().enumerate() {
-        let tile = match e.coords {
-            Some((r, c)) => format!(", \"tile\": [{r}, {c}]"),
-            None => String::new(),
-        };
-        out.push_str(&format!(
-            "  {{\"name\": \"{}\", \"cat\": \"task\", \"ph\": \"X\", \"ts\": {:.3}, \
-             \"dur\": {:.3}, \"pid\": 1, \"tid\": {}, \"args\": {{\"task\": {}{}}}}}{}\n",
-            e.kind,
-            e.start * 1e6,
-            e.duration() * 1e6,
-            e.worker,
-            e.task.0,
-            tile,
-            if i + 1 == trace.len() { "" } else { "," }
-        ));
+    // Timestamps in µs, rounded to the nanosecond.
+    let us = |seconds: f64| (seconds * 1e9).round() / 1e3;
+    let mut w = crate::json::Writer::new();
+    w.begin_array_lines();
+    for e in trace {
+        w.begin_object();
+        w.key("name").string(e.kind);
+        w.key("cat").string("task");
+        w.key("ph").string("X");
+        w.key("ts").f64(us(e.start));
+        w.key("dur").f64(us(e.duration()));
+        w.key("pid").u64(1);
+        w.key("tid").u64(e.worker as u64);
+        w.key("args").begin_object();
+        w.key("task").u64(e.task.0 as u64);
+        if let Some((r, c)) = e.coords {
+            w.key("tile").begin_array();
+            w.u64(r.into()).u64(c.into()).end_array();
+        }
+        w.end_object().end_object();
     }
-    out.push(']');
-    out
+    w.end_array();
+    w.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::{parse_json, JsonValue};
 
     fn ev(task: usize, kind: &'static str, worker: usize, start: f64, end: f64) -> TraceEvent {
         TraceEvent {
@@ -79,20 +83,27 @@ mod tests {
             },
             ev(1, "gemm", 1, 0.2e-3, 1.0e-3),
         ];
-        let json = chrome_trace_json(&trace);
-        assert!(json.starts_with('['));
-        assert!(json.ends_with(']'));
-        assert!(json.contains("\"name\": \"potrf\""));
-        assert!(json.contains("\"tile\": [3, 3]"));
-        assert!(json.contains("\"tid\": 1"));
-        // Two events, one comma between them.
-        assert_eq!(json.matches("\"ph\": \"X\"").count(), 2);
+        let v = parse_json(&chrome_trace_json(&trace)).unwrap();
+        let events = v.as_array().unwrap();
+        // Two complete ("X") events.
+        assert_eq!(events.len(), 2);
+        assert!(events
+            .iter()
+            .all(|e| e.get("ph").unwrap().as_str() == Some("X")));
+        assert_eq!(events[0].get("name").unwrap().as_str(), Some("potrf"));
+        let tile = |e: &JsonValue| e.get("args").unwrap().get("tile").cloned();
+        assert_eq!(
+            tile(&events[0]),
+            Some(JsonValue::Array(vec![3.0.into(), 3.0.into()]))
+        );
+        assert_eq!(events[1].get("tid").unwrap().as_u64(), Some(1));
         // The coordinate-less event carries no tile annotation.
-        assert_eq!(json.matches("\"tile\"").count(), 1);
+        assert_eq!(tile(&events[1]), None);
     }
 
     #[test]
     fn chrome_trace_empty() {
-        assert_eq!(chrome_trace_json(&[]), "[\n]");
+        let v = parse_json(&chrome_trace_json(&[])).unwrap();
+        assert_eq!(v.as_array().map(<[_]>::len), Some(0));
     }
 }

@@ -147,8 +147,7 @@ pub fn derived_edges(accesses: &[Vec<Access>]) -> Vec<(TaskId, TaskId, DataId, H
 }
 
 /// Cross-check [`derived_edges`] against `xgs_analysis::hazard_edges`,
-/// the deliberately independent re-implementation in the zero-dependency
-/// analysis crate. The two walk the same access lists with separately
+/// the deliberately independent re-implementation in the analysis crate. The two walk the same access lists with separately
 /// written code; element-wise equality (same edges, same order, same
 /// hazard classes) is the executor's pre-flight proof that the static
 /// and dynamic views of the graph agree.

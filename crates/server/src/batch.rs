@@ -16,7 +16,7 @@
 //!   handler can shed the request with a `retry_after_ms` hint instead of
 //!   queueing unboundedly (`PushError::Overloaded`).
 //! * **Out-of-order delivery** — jobs carry a `Responder` that posts
-//!   the *formatted* response line (id attached) to the event loop's
+//!   the *written* response line (id attached) to the event loop's
 //!   `CompletionHub` under the connection's key, so answers flow back
 //!   whenever their batch completes, independent of request order on the
 //!   connection.
@@ -29,8 +29,9 @@ use parking_lot::{Condvar, Mutex};
 use xgs_core::PredictionPlan;
 use xgs_covariance::Location;
 
-use crate::protocol::{predict_response, with_id};
+use crate::protocol::Response;
 use crate::reactor::CompletionHub;
+use xgs_runtime::JsonValue;
 
 /// One response line headed back to a connection, paired with the request
 /// arrival time (the event loop records end-to-end latency as it drains
@@ -51,8 +52,8 @@ pub(crate) struct Reply {
 /// hung up mid-flight still has its reply pushed, so the loop records it
 /// for latency and drain accounting.
 pub(crate) struct Responder {
-    /// Serialized id to echo (`None` = request carried no id).
-    pub id: Option<String>,
+    /// The request's id, to echo (`None` = it carried none).
+    pub id: Option<JsonValue>,
     pub hub: Arc<CompletionHub>,
     /// Poll key of the connection the request arrived on.
     pub conn: usize,
@@ -60,15 +61,14 @@ pub(crate) struct Responder {
 }
 
 impl Responder {
-    /// Send a response body (a JSON object literal).
-    pub fn send(self, body: String, err: bool) {
-        let line = with_id(self.id.as_deref(), body);
+    /// Write the response, id first, and hand it to the hub.
+    pub fn send(self, response: Response) {
         self.hub.push(
             self.conn,
             Reply {
-                line,
+                line: response.line(self.id.as_ref()),
                 t0: self.t0,
-                err,
+                err: response.is_error(),
             },
         );
     }
@@ -233,17 +233,16 @@ pub(crate) fn solve_batch(batch: Vec<Job>) -> (usize, f64, f64) {
     let mut offset = 0;
     for job in batch {
         let k = job.points.len();
-        let body = predict_response(
-            &result.mean[offset..offset + k],
-            result
+        job.resp.send(Response::Predict {
+            mean: &result.mean[offset..offset + k],
+            uncertainty: result
                 .uncertainty
                 .as_deref()
                 .map(|u| &u[offset..offset + k]),
-            total,
-            n_requests,
-        );
+            batch_points: total,
+            batch_requests: n_requests,
+        });
         offset += k;
-        job.resp.send(body, false);
     }
     (total, solve_seconds, max_wait)
 }

@@ -20,7 +20,8 @@
 //! memory or the stack.
 //!
 //! Everything is `std::net`, threads and the in-tree `polling` shim; JSON
-//! goes through the hand-rolled reader/writers in `xgs-runtime`. See the
+//! goes through the workspace's one reader and streaming writer
+//! (`xgs-json`, re-exported as [`xgs_runtime::json`]). See the
 //! repository README ("Prediction service protocol") for the wire grammar
 //! and `exageostat loadgen` (over [`loadgen`]) for a replay client.
 //!

@@ -38,6 +38,7 @@ use std::time::{Duration, Instant};
 use polling::{Event, Events, Poller};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use xgs_runtime::json::Writer;
 use xgs_runtime::{parse_json, JsonValue};
 
 use crate::server::MAX_LINE_BYTES;
@@ -219,27 +220,33 @@ fn hash_bits(acc: u64, x: f64) -> u64 {
     (acc ^ x.to_bits()).wrapping_mul(0x100000001b3)
 }
 
+/// Request `seq` of a connection's stream, newline included.
 fn build_request(cfg: &LoadgenConfig, rng: &mut StdRng, seq: usize) -> String {
-    let pts: String = (0..cfg.points)
-        .map(|_| {
-            format!(
-                "[{},{}]",
-                rng.random_range(0.0..cfg.domain),
-                rng.random_range(0.0..cfg.domain)
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",");
-    let deadline = if cfg.deadline_ms > 0 {
-        format!(",\"deadline_ms\":{}", cfg.deadline_ms)
-    } else {
-        String::new()
-    };
-    format!(
-        "{{\"op\":\"predict\",\"id\":{seq},\"model\":\"{}\",\"points\":[{pts}],\
-         \"uncertainty\":{}{deadline}}}\n",
-        cfg.model, cfg.uncertainty
-    )
+    let mut w = Writer::new();
+    w.begin_object();
+    w.key("op").string("predict");
+    w.key("id").u64(seq as u64);
+    w.key("model").string(&cfg.model);
+    w.key("points").begin_array();
+    for _ in 0..cfg.points {
+        let x = rng.random_range(0.0..cfg.domain);
+        let y = rng.random_range(0.0..cfg.domain);
+        w.begin_array().f64(x).f64(y).end_array();
+    }
+    w.end_array();
+    w.key("uncertainty").bool(cfg.uncertainty);
+    if cfg.deadline_ms > 0 {
+        w.key("deadline_ms").u64(cfg.deadline_ms);
+    }
+    w.end_object();
+    w.finish() + "\n"
+}
+
+/// A request line that carries only its op.
+fn op_line(op: &str) -> String {
+    let mut w = Writer::new();
+    w.begin_object().key("op").string(op).end_object();
+    w.finish() + "\n"
 }
 
 /// The run's census, folded over every connection.
@@ -317,12 +324,12 @@ fn fetch_metrics_and_shutdown(cfg: &LoadgenConfig) -> Option<JsonValue> {
     let ctl = connect_with_retry(&cfg.addr, Duration::from_secs(2)).ok()?;
     let mut reader = BufReader::new(&ctl);
     let server_metrics = (&ctl)
-        .write_all(b"{\"op\":\"metrics\"}\n")
+        .write_all(op_line("metrics").as_bytes())
         .ok()
         .and_then(|()| read_reply(&mut reader))
         .and_then(|v| v.get("metrics").cloned());
     if cfg.shutdown {
-        let _ = (&ctl).write_all(b"{\"op\":\"shutdown\"}\n");
+        let _ = (&ctl).write_all(op_line("shutdown").as_bytes());
         let _ = read_reply(&mut reader);
     }
     server_metrics
@@ -666,6 +673,33 @@ mod tests {
     }
 
     #[test]
+    fn report_json_keeps_its_bytes() {
+        let r = LoadgenReport {
+            sent: 10,
+            errors: 1,
+            shed: 2,
+            expired: 1,
+            elapsed: 0.5,
+            throughput: 20.0,
+            p50_ms: 1.25,
+            p95_ms: 2.0,
+            p99_ms: 3.0,
+            max_ms: 4.0,
+            checksum: 0xdeadbeef,
+            connect_failures: 3,
+            peak_conns: 7,
+            server_metrics: Some(parse_json("{\"tasks\":10,\"w\":[1.5,null]}").unwrap()),
+        };
+        assert_eq!(
+            r.to_json(),
+            "{\"loadgen\":{\"checksum\":\"00000000deadbeef\",\"connect_failures\":3,\
+             \"elapsed_seconds\":0.5,\"errors\":1,\"expired\":1,\"max_ms\":4,\"p50_ms\":1.25,\
+             \"p95_ms\":2,\"p99_ms\":3,\"peak_conns\":7,\"sent\":10,\"shed\":2,\
+             \"throughput_rps\":20},\"server\":{\"tasks\":10,\"w\":[1.5,null]}}"
+        );
+    }
+
+    #[test]
     fn open_loop_counts_connect_failures_without_aborting() {
         // Nothing listens on port 1: every connect attempt fails. The run
         // must still return a report — failures counted, the whole request
@@ -797,6 +831,44 @@ mod tests {
         let no_deadline =
             build_request(&LoadgenConfig::default(), &mut StdRng::seed_from_u64(9), 0);
         assert!(!no_deadline.contains("deadline_ms"));
+    }
+
+    #[test]
+    fn request_lines_keep_their_bytes() {
+        // The bytes of seed 7's lines when they were assembled by hand.
+        let cfg = LoadgenConfig {
+            points: 2,
+            uncertainty: true,
+            deadline_ms: 250,
+            ..LoadgenConfig::default()
+        };
+        assert_eq!(
+            build_request(&cfg, &mut StdRng::seed_from_u64(7), 7),
+            "{\"op\":\"predict\",\"id\":7,\"model\":\"default\",\"points\":\
+             [[0.05536043647833311,0.17211585444811772],[0.7175761283586594,0.42720981929150526]],\
+             \"uncertainty\":true,\"deadline_ms\":250}\n"
+        );
+        let cfg = LoadgenConfig {
+            points: 1,
+            ..LoadgenConfig::default()
+        };
+        assert_eq!(
+            build_request(&cfg, &mut StdRng::seed_from_u64(7), 0),
+            "{\"op\":\"predict\",\"id\":0,\"model\":\"default\",\"points\":\
+             [[0.05536043647833311,0.17211585444811772]],\"uncertainty\":false}\n"
+        );
+        assert_eq!(op_line("metrics"), "{\"op\":\"metrics\"}\n");
+    }
+
+    #[test]
+    fn model_names_are_escaped() {
+        let cfg = LoadgenConfig {
+            model: "a\"b\\c".to_string(),
+            ..LoadgenConfig::default()
+        };
+        let line = build_request(&cfg, &mut StdRng::seed_from_u64(7), 0);
+        let v = parse_json(line.trim_end()).unwrap();
+        assert_eq!(v.get("model").unwrap().as_str(), Some("a\"b\\c"));
     }
 
     #[test]

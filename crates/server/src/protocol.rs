@@ -2,12 +2,12 @@
 //!
 //! Newline-delimited JSON over TCP: each request is one JSON object on one
 //! line, each response is one JSON object on one line. The grammar is
-//! documented in the repository README ("Prediction service protocol");
-//! parsing reuses the hand-rolled [`xgs_runtime::json`] reader so the
-//! server stays dependency-free.
+//! documented in the repository README ("Prediction service protocol").
+//! Requests are read and every [`Response`] is written with
+//! [`xgs_runtime::json`], so the server stays dependency-free.
 //!
 //! Requests may carry an optional client-assigned `"id"` (string or finite
-//! number) that is echoed verbatim in the matching response. Because the
+//! number) that is echoed as the first member of the matching response. Because the
 //! server answers a connection's requests out of order (`predict` runs on
 //! the solver pool while `ping`/`metrics` are answered inline), a client
 //! that pipelines more than one request at a time must tag them with ids
@@ -16,9 +16,11 @@
 //! answers with a timeout error instead of running the solve.
 
 use crate::server::MAX_TILES_PER_SIDE;
+use std::collections::BTreeMap;
 use xgs_core::ModelFamily;
 use xgs_covariance::Location;
-use xgs_runtime::{escape_json, parse_json, JsonValue};
+use xgs_runtime::json::Writer;
+use xgs_runtime::{parse_json, JsonValue, MetricsReport};
 use xgs_tile::Variant;
 
 /// Hard cap on the serialized length of a client-assigned `id` (the server
@@ -43,11 +45,10 @@ pub enum Request {
     Predict(PredictRequest),
 }
 
-/// A parsed request plus its correlation id (already serialized back to
-/// JSON text, ready to echo).
+/// A parsed request plus its correlation id, echoed as is.
 #[derive(Debug)]
 pub struct Envelope {
-    pub id: Option<String>,
+    pub id: Option<JsonValue>,
     pub req: Request,
 }
 
@@ -55,7 +56,7 @@ pub struct Envelope {
 /// so even error responses stay correlatable on a multiplexed connection.
 #[derive(Debug)]
 pub struct ParseFailure {
-    pub id: Option<String>,
+    pub id: Option<JsonValue>,
     pub error: String,
 }
 
@@ -128,21 +129,21 @@ fn parse_f64_list(v: &JsonValue, what: &str) -> Result<Vec<f64>, String> {
         .collect()
 }
 
-/// Serialize a request's `"id"` member back to JSON text for echoing.
-/// Only strings and finite numbers are accepted as ids.
-fn parse_id(obj: &std::collections::BTreeMap<String, JsonValue>) -> Result<Option<String>, String> {
+/// A request's `"id"` member, to echo. Only strings and finite numbers
+/// are accepted as ids, at most [`MAX_ID_LEN`] bytes as written.
+fn parse_id(obj: &BTreeMap<String, JsonValue>) -> Result<Option<JsonValue>, String> {
     let Some(id) = obj.get("id") else {
         return Ok(None);
     };
-    let text = match id {
-        JsonValue::String(s) => format!("\"{}\"", escape_json(s)),
-        JsonValue::Number(n) if n.is_finite() => n.to_string(),
+    match id {
+        JsonValue::String(_) => {}
+        JsonValue::Number(n) if n.is_finite() => {}
         _ => return Err("'id' must be a string or a finite number".to_string()),
-    };
-    if text.len() > MAX_ID_LEN {
+    }
+    if id.to_json_string().len() > MAX_ID_LEN {
         return Err(format!("'id' longer than {MAX_ID_LEN} bytes"));
     }
-    Ok(Some(text))
+    Ok(Some(id.clone()))
 }
 
 /// Parse one request line. Failures are client-facing ([`ParseFailure`]
@@ -175,7 +176,7 @@ pub fn parse_request(line: &str) -> Result<Envelope, ParseFailure> {
     Ok(Envelope { id, req })
 }
 
-fn parse_predict(obj: &std::collections::BTreeMap<String, JsonValue>) -> Result<Request, String> {
+fn parse_predict(obj: &BTreeMap<String, JsonValue>) -> Result<Request, String> {
     let model = obj
         .get("model")
         .and_then(|m| m.as_str())
@@ -205,7 +206,7 @@ fn parse_predict(obj: &std::collections::BTreeMap<String, JsonValue>) -> Result<
     }))
 }
 
-fn parse_load(obj: &std::collections::BTreeMap<String, JsonValue>) -> Result<Request, String> {
+fn parse_load(obj: &BTreeMap<String, JsonValue>) -> Result<Request, String> {
     let name = obj
         .get("name")
         .and_then(|m| m.as_str())
@@ -259,78 +260,106 @@ fn parse_load(obj: &std::collections::BTreeMap<String, JsonValue>) -> Result<Req
     }))
 }
 
-/// Prepend the echoed `"id"` member to a response body (`body` must be a
-/// JSON object literal, which every response in this module is).
-pub fn with_id(id: Option<&str>, body: String) -> String {
-    match id {
-        None => body,
-        Some(id) => format!("{{\"id\":{id},{}", &body[1..]),
+/// Every reply the server writes. [`Response::line`] renders one.
+#[derive(Debug)]
+pub enum Response<'a> {
+    /// A solved `predict`: this request's slice of its batch, and the
+    /// batch's size.
+    Predict {
+        mean: &'a [f64],
+        uncertainty: Option<&'a [f64]>,
+        batch_points: usize,
+        batch_requests: usize,
+    },
+    /// The request failed; the message says why.
+    Error(&'a str),
+    /// Overload shedding: refused *before* queueing, with a hint for when
+    /// capacity should be back.
+    Shed {
+        retry_after_ms: u64,
+    },
+    /// A model was factorized and cached.
+    Load {
+        name: &'a str,
+        n_train: usize,
+        llh: f64,
+    },
+    /// The loaded models, `(name, training points)`.
+    Models(&'a [(String, usize)]),
+    Ping {
+        uptime_seconds: f64,
+    },
+    Metrics(&'a MetricsReport),
+    /// The answer to `shutdown`: the server drains.
+    Draining,
+}
+
+impl Response<'_> {
+    /// Whether this is an `{"ok":false,…}` reply (the error census).
+    pub fn is_error(&self) -> bool {
+        matches!(self, Response::Error(_) | Response::Shed { .. })
     }
-}
 
-/// `{"ok":false,"error":...}` envelope.
-pub fn error_response(msg: &str) -> String {
-    format!("{{\"ok\":false,\"error\":\"{}\"}}", escape_json(msg))
-}
-
-/// Overload-shedding response: the request was refused *before* queueing,
-/// with a hint for when capacity should be back.
-pub fn shed_response(retry_after_ms: u64) -> String {
-    format!(
-        "{{\"ok\":false,\"error\":\"server overloaded, retry later\",\
-         \"retry_after_ms\":{retry_after_ms}}}"
-    )
-}
-
-fn join_f64(xs: &[f64]) -> String {
-    // `{}` (shortest round-trip formatting) keeps the wire value bit-exact
-    // when the client parses it back — the smoke tests checksum on this.
-    // JSON has no NaN or infinity: those go out as `null`.
-    xs.iter()
-        .map(|x| {
-            if x.is_finite() {
-                x.to_string()
-            } else {
-                "null".to_string()
+    /// The reply line, without its newline: the echoed id first, then
+    /// `ok`, then the members of the variant.
+    pub fn line(&self, id: Option<&JsonValue>) -> String {
+        let mut w = Writer::new();
+        w.begin_object();
+        if let Some(id) = id {
+            w.key("id").value(id);
+        }
+        w.key("ok").bool(!self.is_error());
+        match *self {
+            Response::Predict {
+                mean,
+                uncertainty,
+                batch_points,
+                batch_requests,
+            } => {
+                numbers(w.key("mean"), mean);
+                if let Some(u) = uncertainty {
+                    numbers(w.key("uncertainty"), u);
+                }
+                w.key("batch").begin_object();
+                w.key("points").u64(batch_points as u64);
+                w.key("requests").u64(batch_requests as u64).end_object()
             }
-        })
-        .collect::<Vec<_>>()
-        .join(",")
-}
-
-/// Successful predict response.
-pub fn predict_response(
-    mean: &[f64],
-    uncertainty: Option<&[f64]>,
-    batch_points: usize,
-    batched_requests: usize,
-) -> String {
-    let mut s = format!("{{\"ok\":true,\"mean\":[{}]", join_f64(mean));
-    if let Some(u) = uncertainty {
-        s.push_str(&format!(",\"uncertainty\":[{}]", join_f64(u)));
+            Response::Error(message) => w.key("error").string(message),
+            Response::Shed { retry_after_ms } => {
+                w.key("error").string("server overloaded, retry later");
+                w.key("retry_after_ms").u64(retry_after_ms)
+            }
+            Response::Load { name, n_train, llh } => {
+                w.key("name").string(name);
+                w.key("n_train").u64(n_train as u64);
+                w.key("llh").f64(llh)
+            }
+            Response::Models(models) => {
+                w.key("models").begin_array();
+                for (name, n_train) in models {
+                    w.begin_object().key("name").string(name);
+                    w.key("n_train").u64(*n_train as u64).end_object();
+                }
+                w.end_array()
+            }
+            Response::Ping { uptime_seconds } => w.key("uptime_seconds").f64(uptime_seconds),
+            Response::Metrics(report) => w.key("metrics").value(&report.to_json_value()),
+            Response::Draining => w.key("draining").bool(true),
+        };
+        w.end_object();
+        w.finish()
     }
-    s.push_str(&format!(
-        ",\"batch\":{{\"points\":{batch_points},\"requests\":{batched_requests}}}}}"
-    ));
-    s
 }
 
-/// Successful load response.
-pub fn load_response(name: &str, n_train: usize, llh: f64) -> String {
-    format!(
-        "{{\"ok\":true,\"name\":\"{}\",\"n_train\":{n_train},\"llh\":{llh}}}",
-        escape_json(name)
-    )
-}
-
-/// Successful models listing.
-pub fn models_response(models: &[(String, usize)]) -> String {
-    let items = models
-        .iter()
-        .map(|(name, n)| format!("{{\"name\":\"{}\",\"n_train\":{n}}}", escape_json(name)))
-        .collect::<Vec<_>>()
-        .join(",");
-    format!("{{\"ok\":true,\"models\":[{items}]}}")
+/// An array of numbers. Shortest round-trip formatting keeps the wire
+/// value bit-exact when the client parses it back — the smoke tests
+/// checksum on this.
+fn numbers(w: &mut Writer, xs: &[f64]) {
+    w.begin_array();
+    for &x in xs {
+        w.f64(x);
+    }
+    w.end_array();
 }
 
 #[cfg(test)]
@@ -378,17 +407,22 @@ mod tests {
         }
     }
 
+    /// The id a request carried, as it is echoed.
+    fn echoed(id: Option<JsonValue>) -> Option<String> {
+        id.map(|id| id.to_json_string())
+    }
+
     #[test]
     fn ids_are_parsed_and_echoed_even_on_errors() {
         let e = parse_request("{\"op\":\"ping\",\"id\":\"req-7\"}").unwrap();
-        assert_eq!(e.id.as_deref(), Some("\"req-7\""));
+        assert_eq!(echoed(e.id).as_deref(), Some("\"req-7\""));
         let e = parse_request("{\"op\":\"ping\",\"id\":42}").unwrap();
-        assert_eq!(e.id.as_deref(), Some("42"));
+        assert_eq!(echoed(e.id).as_deref(), Some("42"));
         assert!(parse_request("{\"op\":\"ping\"}").unwrap().id.is_none());
 
         // A bad op still yields the id so the error can be correlated.
         let f = parse_request("{\"op\":\"nope\",\"id\":9}").unwrap_err();
-        assert_eq!(f.id.as_deref(), Some("9"));
+        assert_eq!(echoed(f.id).as_deref(), Some("9"));
         // Structurally bad ids are themselves an error (without an echo).
         let f = parse_request("{\"op\":\"ping\",\"id\":[1]}").unwrap_err();
         assert!(f.id.is_none());
@@ -396,12 +430,16 @@ mod tests {
         let long = format!("{{\"op\":\"ping\",\"id\":\"{}\"}}", "x".repeat(4096));
         assert!(parse_request(&long).unwrap_err().error.contains("longer"));
 
-        // with_id splices the echo into every response shape.
-        let tagged = with_id(Some("\"req-7\""), error_response("nope"));
+        // The echo leads every response shape.
+        let id = JsonValue::from("req-7");
+        let tagged = Response::Error("nope").line(Some(&id));
         let v = parse_json(&tagged).unwrap();
         assert_eq!(v.get("id").unwrap().as_str(), Some("req-7"));
         assert_eq!(v.get("ok").unwrap().as_bool(), Some(false));
-        assert_eq!(with_id(None, "{\"ok\":true}".into()), "{\"ok\":true}");
+        assert_eq!(
+            Response::Draining.line(None),
+            "{\"ok\":true,\"draining\":true}"
+        );
     }
 
     #[test]
@@ -455,31 +493,165 @@ mod tests {
         }
     }
 
+    fn predict<'a>(mean: &'a [f64], uncertainty: Option<&'a [f64]>) -> Response<'a> {
+        Response::Predict {
+            mean,
+            uncertainty,
+            batch_points: 1,
+            batch_requests: 1,
+        }
+    }
+
     #[test]
     fn responses_are_valid_json() {
+        let models = [("a".to_string(), 10), ("b".to_string(), 20)];
+        let x = JsonValue::from("x");
         for s in [
-            predict_response(&[1.5, -0.25], Some(&[0.1, 0.2]), 7, 2),
-            predict_response(&[1.0], None, 1, 1),
-            error_response("bad \"thing\""),
-            shed_response(120),
-            load_response("m", 100, -42.5),
-            models_response(&[("a".into(), 10), ("b".into(), 20)]),
-            with_id(Some("\"x\""), predict_response(&[1.0], None, 1, 1)),
+            Response::Predict {
+                mean: &[1.5, -0.25],
+                uncertainty: Some(&[0.1, 0.2]),
+                batch_points: 7,
+                batch_requests: 2,
+            }
+            .line(None),
+            predict(&[1.0], None).line(None),
+            Response::Error("bad \"thing\"").line(None),
+            Response::Shed {
+                retry_after_ms: 120,
+            }
+            .line(None),
+            Response::Load {
+                name: "m",
+                n_train: 100,
+                llh: -42.5,
+            }
+            .line(None),
+            Response::Models(&models).line(None),
+            predict(&[1.0], None).line(Some(&x)),
         ] {
             parse_json(&s).unwrap_or_else(|e| panic!("{s}: {e}"));
         }
-        let shed = parse_json(&shed_response(120)).unwrap();
+        let shed = Response::Shed {
+            retry_after_ms: 120,
+        };
+        let shed = parse_json(&shed.line(None)).unwrap();
         assert_eq!(shed.get("retry_after_ms").unwrap().as_u64(), Some(120));
     }
 
     #[test]
     fn float_wire_format_round_trips_bitwise() {
         let xs = [1.0 / 3.0, f64::MIN_POSITIVE, 1e300, -0.0, 123456.789012345];
-        let s = predict_response(&xs, None, 1, 1);
+        let s = predict(&xs, None).line(None);
         let v = parse_json(&s).unwrap();
         let mean = v.get("mean").unwrap().as_array().unwrap();
         for (a, b) in xs.iter().zip(mean) {
             assert_eq!(a.to_bits(), b.as_f64().unwrap().to_bits());
+        }
+    }
+
+    #[test]
+    fn every_reply_keeps_its_bytes() {
+        // The bytes each reply had when it was assembled by hand.
+        let (s, n) = (JsonValue::from("x"), JsonValue::from(42.0));
+        let models = [("a".to_string(), 10), ("b".to_string(), 20)];
+        let mut report = MetricsReport {
+            wall_seconds: 1.5,
+            tasks: 3,
+            workers: 1,
+            worker_stats: vec![Default::default(); 1],
+            ..Default::default()
+        };
+        let mut request = xgs_runtime::KernelStats::new("request");
+        request.record(2.5e-4);
+        report.kernels.push(request);
+        let cases = [
+            (
+                Response::Predict {
+                    mean: &[1.5, -0.25],
+                    uncertainty: Some(&[0.1, 0.2]),
+                    batch_points: 7,
+                    batch_requests: 2,
+                }
+                .line(Some(&s)),
+                "{\"id\":\"x\",\"ok\":true,\"mean\":[1.5,-0.25],\"uncertainty\":[0.1,0.2],\
+                 \"batch\":{\"points\":7,\"requests\":2}}",
+            ),
+            (
+                predict(&[1.0], None).line(None),
+                "{\"ok\":true,\"mean\":[1],\"batch\":{\"points\":1,\"requests\":1}}",
+            ),
+            (
+                Response::Predict {
+                    mean: &[f64::NAN, 2.0, f64::INFINITY],
+                    uncertainty: None,
+                    batch_points: 3,
+                    batch_requests: 1,
+                }
+                .line(Some(&n)),
+                "{\"id\":42,\"ok\":true,\"mean\":[null,2,null],\
+                 \"batch\":{\"points\":3,\"requests\":1}}",
+            ),
+            (
+                Response::Error("bad \"thing\"").line(None),
+                "{\"ok\":false,\"error\":\"bad \\\"thing\\\"\"}",
+            ),
+            (
+                Response::Error("tab\there\\ nl\n ctl\u{1}").line(Some(&JsonValue::from(-1.5))),
+                "{\"id\":-1.5,\"ok\":false,\"error\":\"tab\\there\\\\ nl\\n ctl\\u0001\"}",
+            ),
+            (
+                Response::Shed {
+                    retry_after_ms: 120,
+                }
+                .line(None),
+                "{\"ok\":false,\"error\":\"server overloaded, retry later\",\"retry_after_ms\":120}",
+            ),
+            (
+                Response::Load {
+                    name: "m",
+                    n_train: 100,
+                    llh: -42.5,
+                }
+                .line(None),
+                "{\"ok\":true,\"name\":\"m\",\"n_train\":100,\"llh\":-42.5}",
+            ),
+            (
+                Response::Models(&models).line(None),
+                "{\"ok\":true,\"models\":[{\"name\":\"a\",\"n_train\":10},\
+                 {\"name\":\"b\",\"n_train\":20}]}",
+            ),
+            (
+                Response::Models(&[]).line(None),
+                "{\"ok\":true,\"models\":[]}",
+            ),
+            (
+                Response::Ping {
+                    uptime_seconds: 12.375,
+                }
+                .line(Some(&JsonValue::from("p"))),
+                "{\"id\":\"p\",\"ok\":true,\"uptime_seconds\":12.375}",
+            ),
+            (
+                Response::Draining.line(Some(&JsonValue::from(3.0))),
+                "{\"id\":3,\"ok\":true,\"draining\":true}",
+            ),
+            (
+                Response::Metrics(&report).line(Some(&JsonValue::from("m"))),
+                "{\"id\":\"m\",\"ok\":true,\"metrics\":{\"conversions\":{\"bytes\":\
+                 {\"f16_to_f32\":0,\"f16_to_f64\":0,\"f32_to_f16\":0,\"f32_to_f64\":0,\
+                 \"f64_to_f16\":0,\"f64_to_f32\":0,\"total\":0},\"demotions\":0,\"f16_to_f32\":0,\
+                 \"f16_to_f64\":0,\"f32_to_f16\":0,\"f32_to_f64\":0,\"f64_to_f16\":0,\
+                 \"f64_to_f32\":0,\"promotions\":0,\"total\":0},\"kernels\":[{\"count\":1,\
+                 \"histogram_log2us\":[0,0,0,0,0,0,0,0,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0],\
+                 \"kind\":\"request\",\"max_seconds\":0.00025,\"mean_seconds\":0.00025,\
+                 \"min_seconds\":0.00025,\"total_seconds\":0.00025}],\"pool\":null,\
+                 \"queue_depth\":{\"max\":0,\"mean\":0,\"samples\":0},\"tasks\":3,\
+                 \"validation\":null,\"wall_seconds\":1.5,\"wire\":[],\"worker_stats\":\
+                 [{\"busy_seconds\":0,\"parks\":0,\"tasks\":0,\"worker\":0}],\"workers\":1}}",
+            ),
+        ];
+        for (got, want) in cases {
+            assert_eq!(got, want);
         }
     }
 
@@ -581,13 +753,13 @@ mod tests {
                               \"locs\":[[0.0,{x}]],\"z\":[{x}]}}"),
                 _ => format!("{{\"id\":{id},\"op\":\"predict\",\"points\":{x}}}"),
             };
-            let echoed = match parse_request(&line) {
-                Ok(e) => e.id,
+            let echo = match parse_request(&line) {
+                Ok(e) => echoed(e.id),
                 // Not JSON at all (`NaN`, `Infinity`): no id could be read.
                 Err(f) if f.error.starts_with("bad JSON") => Some(id.to_string()),
-                Err(f) => f.id,
+                Err(f) => echoed(f.id),
             };
-            prop_assert!(echoed == Some(id.to_string()), "{} lost its id", line);
+            prop_assert!(echo == Some(id.to_string()), "{} lost its id", line);
         }
     }
 }

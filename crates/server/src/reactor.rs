@@ -44,8 +44,8 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 use polling::{Event, Events, Poller};
 
-use crate::batch::Reply;
-use crate::protocol::error_response;
+use crate::batch::{Reply, Responder};
+use crate::protocol::Response;
 use crate::server::{handle_request, ServerConfig, Shared, MAX_LINE_BYTES};
 
 /// Poll key of the listening socket; connections get keys from 1 up.
@@ -402,14 +402,15 @@ impl Reactor {
             conn.inbuf = Vec::new();
             conn.discarding = Some(Instant::now() + DISCARD_PATIENCE);
         }
-        self.hub.push(
-            key,
-            Reply {
-                line: error_response(&format!("request line exceeds {MAX_LINE_BYTES} bytes")),
-                t0: Instant::now(),
-                err: true,
-            },
-        );
+        let responder = Responder {
+            id: None,
+            hub: self.hub.clone(),
+            conn: key,
+            t0: Instant::now(),
+        };
+        responder.send(Response::Error(&format!(
+            "request line exceeds {MAX_LINE_BYTES} bytes"
+        )));
     }
 
     fn dispatch_line(&mut self, key: usize, raw: &[u8]) {

@@ -41,12 +41,10 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 use xgs_core::FactorEngine;
-use xgs_runtime::{KernelStats, MetricsReport, QueueDepthStats, WorkerStats};
+use xgs_runtime::{JsonValue, KernelStats, MetricsReport, QueueDepthStats, WorkerStats};
 
 use crate::batch::{solve_batch, BatchQueue, Job, PushError, Responder};
-use crate::protocol::{
-    error_response, load_response, models_response, parse_request, shed_response, Request,
-};
+use crate::protocol::{parse_request, Request, Response};
 use crate::reactor::{CompletionHub, Reactor};
 use crate::registry::{build_plan_from_request, ModelRegistry};
 
@@ -331,7 +329,7 @@ fn solver_loop(shared: &Shared, id: usize) {
         }
         for job in expired {
             job.resp
-                .send(error_response("deadline_ms exceeded before solve"), true);
+                .send(Response::Error("deadline_ms exceeded before solve"));
         }
         if live.is_empty() {
             shared.metrics.lock().queue_depth.sample(depth);
@@ -379,13 +377,13 @@ fn load_retry_after_ms(m: &ServerMetrics) -> u64 {
 /// Refuse a request before it costs anything: one `shed` row, one response
 /// carrying the retry hint.
 fn shed(shared: &Shared, resp: Responder, retry_after: impl FnOnce(&ServerMetrics) -> u64) {
-    let retry = {
+    let retry_after_ms = {
         let mut m = shared.metrics.lock();
         let retry = retry_after(&m);
         m.shed.record(retry as f64 * 1e-3);
         retry
     };
-    resp.send(shed_response(retry), true);
+    resp.send(Response::Shed { retry_after_ms });
 }
 
 /// Parse and dispatch one request line that arrived on connection `conn`
@@ -395,7 +393,7 @@ fn shed(shared: &Shared, resp: Responder, retry_after: impl FnOnce(&ServerMetric
 /// loop keeps the connection's pending count raised until then, so the
 /// drain invariant holds across the thread hop.
 pub(crate) fn handle_request(shared: &Arc<Shared>, line: &str, t0: Instant, conn: usize) {
-    let responder = |id: Option<String>| Responder {
+    let responder = |id: Option<JsonValue>| Responder {
         id,
         hub: shared.hub.clone(),
         conn,
@@ -403,22 +401,19 @@ pub(crate) fn handle_request(shared: &Arc<Shared>, line: &str, t0: Instant, conn
     };
     let envelope = match parse_request(line) {
         Ok(e) => e,
-        Err(f) => return responder(f.id).send(error_response(&f.error), true),
+        Err(f) => return responder(f.id).send(Response::Error(&f.error)),
     };
     let resp = responder(envelope.id);
     match envelope.req {
         Request::Ping => {
-            let up = shared.metrics.lock().started.elapsed().as_secs_f64();
-            resp.send(format!("{{\"ok\":true,\"uptime_seconds\":{up}}}"), false);
+            let uptime_seconds = shared.metrics.lock().started.elapsed().as_secs_f64();
+            resp.send(Response::Ping { uptime_seconds });
         }
-        Request::Models => resp.send(models_response(&shared.registry.list()), false),
-        Request::Metrics => resp.send(
-            format!("{{\"ok\":true,\"metrics\":{}}}", shared.report().to_json()),
-            false,
-        ),
+        Request::Models => resp.send(Response::Models(&shared.registry.list())),
+        Request::Metrics => resp.send(Response::Metrics(&shared.report())),
         Request::Shutdown => {
             request_shutdown(shared);
-            resp.send("{\"ok\":true,\"draining\":true}".to_string(), false);
+            resp.send(Response::Draining);
         }
         Request::Load(load) => {
             if shared.loads_in_flight.fetch_add(1, Ordering::Relaxed) >= MAX_LOADS_IN_FLIGHT {
@@ -439,16 +434,20 @@ pub(crate) fn handle_request(shared: &Arc<Shared>, line: &str, t0: Instant, conn
                             .lock()
                             .load
                             .record(t_load.elapsed().as_secs_f64());
-                        resp.send(load_response(&load.name, n, llh), false);
+                        resp.send(Response::Load {
+                            name: &load.name,
+                            n_train: n,
+                            llh,
+                        });
                     }
-                    Err(e) => resp.send(error_response(&e), true),
+                    Err(e) => resp.send(Response::Error(&e)),
                 }
             });
         }
         Request::Predict(p) => {
             let Some(plan) = shared.registry.get(&p.model) else {
                 let msg = format!("unknown model '{}'", p.model);
-                return resp.send(error_response(&msg), true);
+                return resp.send(Response::Error(&msg));
             };
             let deadline = p.deadline_ms.map(|ms| t0 + Duration::from_millis(ms));
             let job = Job {
@@ -469,8 +468,7 @@ pub(crate) fn handle_request(shared: &Arc<Shared>, line: &str, t0: Instant, conn
                     shed(shared, job.resp, |m| retry_after_ms(m, queued_points));
                 }
                 Err((job, PushError::Closed)) => {
-                    job.resp
-                        .send(error_response("server is shutting down"), true);
+                    job.resp.send(Response::Error("server is shutting down"));
                 }
             }
         }

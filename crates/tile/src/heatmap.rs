@@ -1,10 +1,11 @@
 //! Decision heat-maps: the per-tile precision/structure pictures of Fig. 9.
 
 use crate::matrix::SymTileMatrix;
-use crate::tile::TileStorage;
+use crate::tile::{Tile, TileStorage};
 use xgs_kernels::Precision;
 
-/// Per-tile decision code for rendering.
+/// A tile's format: its structure and storage precision, the five classes
+/// the heat-maps draw and [`SymTileMatrix::census`] counts.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Cell {
     DenseF64,
@@ -15,6 +16,17 @@ pub enum Cell {
 }
 
 impl Cell {
+    /// The format of `t`. Low-rank tiles below FP64 all count as FP32.
+    pub fn of(t: &Tile) -> Cell {
+        match (&t.storage, t.precision) {
+            (TileStorage::Dense(_), Precision::F64) => Cell::DenseF64,
+            (TileStorage::Dense(_), Precision::F32) => Cell::DenseF32,
+            (TileStorage::Dense(_), Precision::F16) => Cell::DenseF16,
+            (TileStorage::LowRank(_), Precision::F64) => Cell::LowRankF64,
+            (TileStorage::LowRank(_), _) => Cell::LowRankF32,
+        }
+    }
+
     /// Single-character glyph used in the text rendering.
     pub fn glyph(self) -> char {
         match self {
@@ -43,14 +55,7 @@ pub fn decision_heatmap(m: &SymTileMatrix) -> DecisionMap {
     let mut cells = vec![Cell::DenseF64; nt * nt];
     for j in 0..nt {
         for i in j..nt {
-            let t = m.tile(i, j);
-            let cell = match (&t.storage, t.precision) {
-                (TileStorage::Dense(_), Precision::F64) => Cell::DenseF64,
-                (TileStorage::Dense(_), Precision::F32) => Cell::DenseF32,
-                (TileStorage::Dense(_), Precision::F16) => Cell::DenseF16,
-                (TileStorage::LowRank(_), Precision::F64) => Cell::LowRankF64,
-                (TileStorage::LowRank(_), _) => Cell::LowRankF32,
-            };
+            let cell = Cell::of(m.tile(i, j));
             cells[i * nt + j] = cell;
             cells[j * nt + i] = cell;
         }

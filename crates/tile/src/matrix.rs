@@ -24,8 +24,9 @@ use crate::decisions::{
     crossover_rank, precision_for_tile_with_rule, tile_prefers_dense, KernelTimeModel,
     PrecisionRule,
 };
+use crate::heatmap::Cell;
 use crate::layout::TileLayout;
-use crate::tile::{Tile, TileStorage};
+use crate::tile::Tile;
 use rayon::prelude::*;
 use xgs_covariance::{cov_block, CovarianceKernel, Location};
 use xgs_kernels::Precision;
@@ -386,17 +387,14 @@ impl SymTileMatrix {
 
     /// Count tiles by (structure, precision) — the data behind Fig. 9.
     pub fn census(&self) -> TileCensus {
-        let mut c = TileCensus::default();
-        for t in &self.tiles {
-            match (&t.storage, t.precision) {
-                (TileStorage::Dense(_), Precision::F64) => c.dense_f64 += 1,
-                (TileStorage::Dense(_), Precision::F32) => c.dense_f32 += 1,
-                (TileStorage::Dense(_), Precision::F16) => c.dense_f16 += 1,
-                (TileStorage::LowRank(_), Precision::F64) => c.lr_f64 += 1,
-                (TileStorage::LowRank(_), _) => c.lr_f32 += 1,
-            }
+        let count = |cell| self.tiles.iter().filter(|t| Cell::of(t) == cell).count();
+        TileCensus {
+            dense_f64: count(Cell::DenseF64),
+            dense_f32: count(Cell::DenseF32),
+            dense_f16: count(Cell::DenseF16),
+            lr_f64: count(Cell::LowRankF64),
+            lr_f32: count(Cell::LowRankF32),
         }
-        c
     }
 }
 
@@ -614,6 +612,7 @@ impl TileCensus {
 mod tests {
     use super::*;
     use crate::decisions::FlopKernelModel;
+    use crate::tile::TileStorage;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use xgs_covariance::{jittered_grid, morton_order, Matern, MaternParams};

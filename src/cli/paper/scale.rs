@@ -3,6 +3,7 @@
 //! their `results/` files are reproduced byte for byte.
 
 use xgs_perfmodel::{project, Correlation, Projection, ScaleConfig, SolverVariant};
+use xgs_runtime::json::Writer;
 use xgs_runtime::JsonValue;
 
 /// The paper's Fig. 7 and Fig. 10/11 tile size.
@@ -106,7 +107,8 @@ fn time_column(v: SolverVariant) -> &'static str {
 /// `results/fig10.json` for plotting.
 pub fn scale(fig: Figure) {
     let (panels, cases, variants) = fig.constants();
-    let mut json = Vec::new();
+    let mut json = Writer::new();
+    json.begin_array_lines();
     let mut speedups = Vec::new();
     if let Figure::SpaceTime = fig {
         println!("space-time (strong correlation) Cholesky on modeled Fugaku nodes, tile {NB}\n");
@@ -140,7 +142,7 @@ pub fn scale(fig: Figure) {
             let mut row = format!("{n:>10} {nodes:>7} |");
             for (&v, q) in variants.iter().zip(&p) {
                 row += &format!(" {:>11.1}", q.makespan);
-                json.push(JsonValue::object([
+                json.value(&JsonValue::object([
                     ("correlation", corr.name().into()),
                     ("n", n.into()),
                     ("nodes", nodes.into()),
@@ -175,9 +177,9 @@ pub fn scale(fig: Figure) {
             println!(
                 "gain shrinks with stronger correlation (higher ranks, fewer low-precision tiles)."
             );
-            let rows: Vec<String> = json.iter().map(JsonValue::to_json_string).collect();
+            json.end_array();
             let path = "results/fig10.json";
-            let body = format!("[\n  {}\n]\n", rows.join(",\n  "));
+            let body = json.finish() + "\n";
             if std::fs::create_dir_all("results").is_ok() && std::fs::write(path, body).is_ok() {
                 eprintln!("(wrote {path})");
             }
