@@ -13,11 +13,9 @@ use crate::factor::{FactorError, TiledFactor};
 use crate::task::Kernel;
 use std::collections::HashMap;
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::Arc;
 use std::time::Instant;
-use xgs_runtime::shard::{read_frame, write_frame, FrameError};
+use xgs_runtime::shard::{set_stall_timeout, FrameError, FrameReader, Outbox, BATCH_BYTES};
 use xgs_runtime::{
     check_schedule, conversion_counts, crosscheck_static_edges, task_census, KernelStats,
     MetricsReport, TaskOrder, WorkerStats,
@@ -44,23 +42,29 @@ pub(super) enum Event {
     },
 }
 
-/// Reader thread: drain one worker's frames into the event channel. Exits
-/// on stop or on connection loss (reported as `Lost`). Each thread sends
-/// at most one `Lost`, always as its final event — the coordinator relies
-/// on that to run at most one recovery per worker incarnation, with every
-/// pre-death frame already processed.
-pub(super) fn reader_thread(
-    worker: usize,
-    mut stream: TcpStream,
-    tx: Sender<Event>,
-    stop: Arc<AtomicBool>,
-) {
+/// Reader thread: drain one worker's frames into the event channel. Ends
+/// after forwarding the worker's `HEARTBEAT` echo — the census reply is
+/// the last frame a run reads, and nothing else can ask the worker for a
+/// frame while the run holds the connection — or on connection loss
+/// (reported as `Lost`; a failed run shuts the sockets down to get
+/// there). Each thread sends at most one `Lost`, always as its final
+/// event — the coordinator relies on that to run at most one recovery per
+/// worker incarnation, with every pre-death frame already processed.
+pub(super) fn reader_thread(worker: usize, stream: TcpStream, tx: Sender<Event>) {
     let bad = |what: &str, e: FrameError| Event::Lost {
         from: worker,
         detail: format!("bad {what} frame: {e}"),
     };
+    if let Err(e) = set_stall_timeout(&stream, None) {
+        let _ = tx.send(Event::Lost {
+            from: worker,
+            detail: e.to_string(),
+        });
+        return;
+    }
+    let mut frames = FrameReader::new(stream);
     loop {
-        let ev = match read_frame(&mut stream, None, Some(&stop)) {
+        let ev = match frames.read_frame() {
             Ok((K_TILE, payload)) => Event::Tile { payload },
             Ok((K_HEARTBEAT, payload)) => match decode_heartbeat(&payload) {
                 Ok((_nonce, Some(tasks))) => Event::Heartbeat {
@@ -84,14 +88,18 @@ pub(super) fn reader_thread(
                 from: worker,
                 detail: format!("unexpected frame kind {other} from worker"),
             },
-            Err(FrameError::Stopped) => return,
             Err(e) => Event::Lost {
                 from: worker,
                 detail: e.to_string(),
             },
         };
-        let last = matches!(ev, Event::Lost { .. });
+        let echo = matches!(ev, Event::Heartbeat { .. });
+        let last = echo || matches!(ev, Event::Lost { .. });
         if tx.send(ev).is_err() || last {
+            debug_assert!(
+                !echo || frames.buffered() == 0,
+                "worker {worker} sent bytes after its census echo"
+            );
             return;
         }
     }
@@ -236,6 +244,10 @@ pub(super) struct Coordinator<'a> {
     /// Frames/bytes sent to workers (HELLO, TILE seeds/forwards, TASK,
     /// HEARTBEAT pings).
     census: WireCensus,
+    /// Per-worker frames not yet written: [`Coordinator::send`] queues,
+    /// and a worker's queue goes out in one write once it holds
+    /// [`BATCH_BYTES`] and before every wait ([`wait_until`]).
+    pub outbox: Vec<Outbox>,
     /// Per-worker emission log (current incarnation), the replay source
     /// on recovery: the `Seed`/`Forward`/`Task` steps sent to it, in
     /// order. Everything needed to rebuild the frames is re-derivable —
@@ -249,7 +261,7 @@ pub(super) struct Coordinator<'a> {
     pub sent_tasks: Vec<u64>,
     /// Tasks dispatched so far, globally (recovery-plan input).
     pub dispatched: Vec<bool>,
-    /// Workers whose socket failed a write: subsequent writes are
+    /// Workers whose socket failed a write: subsequent frames are
     /// swallowed (but still logged) until the reader surfaces the death
     /// as a `Lost` event and recovery swaps the stream. The frames are in
     /// the log, so the replay covers them.
@@ -257,14 +269,27 @@ pub(super) struct Coordinator<'a> {
 }
 
 impl Coordinator<'_> {
-    /// A failed write does not fail the run here: the worker's reader
-    /// thread delivers the authoritative `Lost` event (after any frames
-    /// the worker got out before dying), and recovery — or the
-    /// no-replacement error path — runs from `wait_until`. Until then the
-    /// stream is write-dead and frames land only in the log.
+    /// Queue a frame for `worker`, writing its queue out once it holds
+    /// [`BATCH_BYTES`]. A failed write does not fail the run here: the
+    /// worker's reader thread delivers the authoritative `Lost` event
+    /// (after any frames the worker got out before dying), and recovery —
+    /// or the no-replacement error path — runs from `wait_until`. Until
+    /// then the stream is write-dead and frames land only in the log.
     pub(super) fn send(&mut self, worker: usize, kind: u8, payload: &[u8]) {
         self.census.record(kind, payload.len());
-        if !self.dead[worker] && write_frame(&mut self.streams[worker], kind, payload).is_err() {
+        if !self.dead[worker] {
+            self.outbox[worker].push(kind, payload);
+            if self.outbox[worker].len() >= BATCH_BYTES {
+                self.flush(worker);
+            }
+        }
+    }
+
+    fn flush(&mut self, worker: usize) {
+        if self.outbox[worker]
+            .flush_to(&mut self.streams[worker])
+            .is_err()
+        {
             self.dead[worker] = true;
         }
     }
@@ -294,6 +319,11 @@ fn wait_until(
     mut pred: impl FnMut(&Drive) -> bool,
 ) -> Result<(), ShardError> {
     while !pred(drive) {
+        // Nothing queued may wait behind the wait: the events it awaits
+        // can depend on it.
+        for w in 0..co.outbox.len() {
+            co.flush(w);
+        }
         let remaining = co.deadline.saturating_duration_since(Instant::now());
         if remaining.is_zero() {
             return Err(ShardError::Timeout { phase });
@@ -402,26 +432,30 @@ impl TiledFactor {
         }
 
         // Spin up reader threads over cloned handles; writes stay on the
-        // original streams in this thread.
-        let stop = Arc::new(AtomicBool::new(false));
+        // original streams in this thread. Clone every handle before any
+        // reader starts, so a failed clone leaves no reader behind.
+        let clones = streams
+            .iter()
+            .map(|s| {
+                let _ = s.set_nodelay(true);
+                s.try_clone()
+            })
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(|e| ShardError::Spawn(e.to_string()))?;
         // Reader threads must never block sending into the coordinator,
         // which may itself be blocked writing to a worker — a bounded
         // fan-in channel here can deadlock the whole run. Depth is bounded
         // in practice by frames in flight (one publish + one DONE per task).
         // xgs-lint: allow(no-unbounded-channel-send): bounding would deadlock; see above
         let (tx, rx) = channel();
-        let mut readers = Vec::with_capacity(workers);
-        for (w, s) in streams.iter().enumerate() {
-            let _ = s.set_nodelay(true);
-            let clone = s
-                .try_clone()
-                .map_err(|e| ShardError::Spawn(e.to_string()))?;
-            let tx = tx.clone();
-            let stop = Arc::clone(&stop);
-            readers.push(std::thread::spawn(move || {
-                reader_thread(w, clone, tx, stop)
-            }));
-        }
+        let mut readers: Vec<_> = clones
+            .into_iter()
+            .enumerate()
+            .map(|(w, clone)| {
+                let tx = tx.clone();
+                std::thread::spawn(move || reader_thread(w, clone, tx))
+            })
+            .collect();
 
         let mut drive = Drive::new(total, workers);
         let mut co = Coordinator {
@@ -429,6 +463,7 @@ impl TiledFactor {
             rx,
             deadline: t0 + opts.deadline,
             census: WireCensus::default(),
+            outbox: (0..workers).map(|_| Outbox::default()).collect(),
             sent_log: vec![Vec::new(); workers],
             sent_tasks: vec![0; workers],
             dispatched: vec![false; total],
@@ -438,7 +473,6 @@ impl TiledFactor {
             source,
             readers: &mut readers,
             tx,
-            stop: Arc::clone(&stop),
             publisher: canon.publisher,
             grid: (p, q),
         };
@@ -446,10 +480,10 @@ impl TiledFactor {
         let result = run_steps(self, &mut co, &mut drive, &mut rec, &meta, p, q);
         drop(rec);
 
-        // Reader threads never outlive the run: the stop flag unblocks
-        // them while the sockets stay open for the next factorization.
-        // Sockets are torn down only when this run failed.
-        stop.store(true, Ordering::Release);
+        // Reader threads never outlive the run. On success each one has
+        // returned at its worker's census echo (or at its death), and the
+        // sockets stay open for the next factorization; a failed run tears
+        // the sockets down, which ends the rest.
         if result.is_err() {
             for s in co.streams.iter() {
                 let _ = s.shutdown(std::net::Shutdown::Both);
@@ -525,6 +559,16 @@ impl TiledFactor {
     }
 }
 
+/// The run's numerical failure, once a worker has reported one.
+fn pivot_failure(drive: &Drive) -> Result<(), ShardError> {
+    match drive.failed {
+        Some(pivot) => Err(ShardError::Factor(FactorError::NotPositiveDefinite {
+            pivot,
+        })),
+        None => Ok(()),
+    }
+}
+
 /// The drive loop, separated so `factorize_elastic` can run the teardown
 /// on every exit path: HELLO, the [`steps`](super::plan::steps) walk,
 /// drain, gather, and the end-of-run census.
@@ -557,15 +601,16 @@ fn run_steps(
                 wait_until(f, co, drive, rec, meta, phase, |d| {
                     d.failed.is_some() || d.done[from..to].iter().all(|&done| done)
                 })?;
-                if let Some(pivot) = drive.failed {
-                    return Err(ShardError::Factor(FactorError::NotPositiveDefinite {
-                        pivot,
-                    }));
-                }
+                pivot_failure(drive)?;
             }
         }
     }
-    wait_until(f, co, drive, rec, meta, "drain", |d| d.done_count == total)?;
+    // A failed pivot ends the drain too: with the lookahead, work that
+    // depends on a POTRF can be on the wire with no barrier behind it.
+    wait_until(f, co, drive, rec, meta, "drain", |d| {
+        d.failed.is_some() || d.done_count == total
+    })?;
+    pivot_failure(drive)?;
 
     // Gather: every stored tile's final write is a published POTRF (diag)
     // or TRSM (panel) output, so the tile map now holds the whole factor.

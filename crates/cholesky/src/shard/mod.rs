@@ -21,14 +21,29 @@
 //! what we hand to the same hazard-edge validator that checks the
 //! shared-memory executor.
 //!
-//! The tasks, their order and their kernels are [`crate::task`]'s — the
-//! plan numbers [`panel_tasks`](crate::task::panel_tasks) and adds what
-//! only the wire needs (seeds, forwards, barriers, publish flags), a
-//! `TASK` frame carries a [`Task`](crate::task::Task), and the worker
-//! executes it with [`Task::run`](crate::task::Task::run) — so per-tile
-//! kernel invocation order is identical to
-//! [`TiledFactor::factorize_seq`] and the sharded factor is **bitwise**
-//! equal to the single-process one (asserted by `tests/shard_equivalence`).
+//! The tasks and their kernels are [`crate::task`]'s — the plan takes
+//! [`panel_tasks`](crate::task::panel_tasks), opens each panel one step
+//! early (a one-panel lookahead: the next POTRF and, where no forward
+//! stands in between, its TRSMs go ahead of the bulk of the trailing
+//! update), numbers the tasks in that order and adds what only the wire
+//! needs (seeds, forwards, publish flags, and a barrier only where
+//! forwards follow it). A `TASK` frame carries a
+//! [`Task`](crate::task::Task), and the worker executes it with
+//! [`Task::run`](crate::task::Task::run). Every tile still sees its
+//! writes in step order, so per-tile kernel invocation order is identical
+//! to [`TiledFactor::factorize_seq`] and the sharded factor is
+//! **bitwise** equal to the single-process one (asserted by
+//! `tests/shard_equivalence`).
+//!
+//! Frames travel in batches: the coordinator queues each worker's frames
+//! and writes them with one `write_all` once 64 KiB are queued and before
+//! every wait; a worker queues its replies and writes them after a
+//! publishing task, after a `HEARTBEAT` echo and before any read that
+//! would block. Both ends read through one buffered
+//! [`FrameReader`](xgs_runtime::FrameReader). One reader thread per
+//! worker serves a run, and it ends at that worker's census echo — the
+//! last frame a run reads — or at the connection's loss; a failed run
+//! shuts its sockets down, which ends them all.
 //!
 //! There is one way to run a sharded factorization: a fleet of registered
 //! workers that stays warm between runs. The `xgs-fleet` supervisor
@@ -73,8 +88,8 @@
 //! stream, so the recovered factor stays bitwise-equal to sequential.
 //!
 //! Layout: `proto` (frame vocabulary and codecs), `plan` (the one step
-//! sequence — `crate::task`'s walk plus the wire's seeds, forwards and
-//! barriers — and everything derived from it), `worker` (handshake and
+//! sequence — `crate::task`'s tasks in lookahead order plus the wire's
+//! seeds, forwards and barriers — and everything derived from it), `worker` (handshake and
 //! worker loop), `coordinator` (drive loop), `recover` (replay).
 
 mod coordinator;

@@ -62,10 +62,24 @@ pub(super) enum Step {
 
 /// The emission sequence of a right-looking tile Cholesky over an
 /// `nt x nt` tile grid on a `p x q` block-cyclic process grid: the
-/// initial distribution, then per step the POTRF, `L_kk` forwards, the
-/// panel TRSMs, panel forwards, and the trailing update. Task ids count
-/// up in emission order, which is [`TiledFactor::factorize_seq`]'s
-/// per-tile kernel order.
+/// initial distribution, panel 0, then per step `k` its trailing update
+/// with panel `k + 1` opened one step early (a one-panel lookahead):
+///
+/// 1. step `k`'s updates of column `k + 1`, the tiles panel `k + 1`
+///    factors;
+/// 2. `POTRF(k + 1)`;
+/// 3. when `L(k+1, k+1)` has no forward targets (its owner runs every
+///    TRSM of the panel, as on any `1 x q` grid), the panel's TRSMs and
+///    then the rest of step `k`'s update; otherwise the rest of the
+///    update first, then the POTRF barrier, the `L(k+1, k+1)` forwards and
+///    the TRSMs;
+/// 4. the TRSM barrier and the panel forwards, when there are any.
+///
+/// So the next panel is queued ahead of the bulk of the trailing update
+/// on its owner's FIFO stream, and a [`Step::Barrier`] is emitted only
+/// where forwards follow it. Each tile still sees its writes in ascending
+/// step order, which is [`TiledFactor::factorize_seq`]'s per-tile kernel
+/// order; task ids count up in emission order.
 pub(super) fn steps(nt: usize, p: usize, q: usize) -> impl Iterator<Item = Step> {
     let seeds = (0..nt).flat_map(move |j| {
         (j..nt).map(move |i| Step::Seed {
@@ -74,61 +88,96 @@ pub(super) fn steps(nt: usize, p: usize, q: usize) -> impl Iterator<Item = Step>
             to: block_cyclic_owner(i, j, p, q),
         })
     });
-    let panels = (0..nt)
+    let walk = (0..nt)
         .scan(0usize, move |next_id, k| {
-            Some(panel_steps(k, nt, p, q, next_id))
+            let mut w = Walk {
+                out: Vec::new(),
+                next_id,
+            };
+            if k == 0 {
+                w.panel(0, nt, p, q, Vec::new());
+            }
+            if k + 1 < nt {
+                let (column, rest): (Vec<Task>, Vec<Task>) = panel_tasks(nt, k)
+                    .filter(|t| matches!(t.kind, Kernel::Syrk | Kernel::Gemm))
+                    .partition(|t| t.j as usize == k + 1);
+                w.tasks(column);
+                w.panel(k + 1, nt, p, q, rest);
+            }
+            Some(w.out)
         })
         .flatten();
-    seeds.chain(panels)
+    seeds.chain(walk)
 }
 
-/// Step `k` of [`steps`]: [`panel_tasks`] numbered from `*next_id`, with
-/// the barriers and forwards the wire needs between its three phases.
-fn panel_steps(k: usize, nt: usize, p: usize, q: usize, next_id: &mut usize) -> Vec<Step> {
-    // Ids of this step's POTRF and (one past) its last TRSM.
-    let potrf = *next_id;
-    let trsm_end = potrf + (nt - k);
-    let mut out = Vec::new();
-    // POTRF and TRSM publish: their write is the tile's final one (and
-    // the step's operand); the trailing update's is not.
-    let mut tasks = panel_tasks(nt, k).map(|at| {
-        let id = *next_id;
-        *next_id += 1;
-        let publish = matches!(at.kind, Kernel::Potrf | Kernel::Trsm);
-        Step::Task { id, at, publish }
-    });
-    let forward = |out: &mut Vec<Step>, i: usize, targets: Vec<usize>| {
-        let (i, j) = (i as u32, k as u32);
-        out.extend(targets.into_iter().map(|to| Step::Forward { i, j, to }));
-    };
+/// [`steps`] under construction: the items emitted so far and the next
+/// task id.
+struct Walk<'a> {
+    out: Vec<Step>,
+    next_id: &'a mut usize,
+}
 
-    out.extend(tasks.by_ref().take(1));
-    out.push(Step::Barrier {
-        phase: "potrf",
-        from: potrf,
-        to: potrf + 1,
-    });
-    // Forward L_kk to every *other* owner of a TRSM in this panel, then
-    // release the TRSMs.
-    forward(&mut out, k, kk_forward_targets(k, nt, p, q));
-    out.extend(tasks.by_ref().take(trsm_end - potrf - 1));
-    if trsm_end > potrf + 1 {
-        out.push(Step::Barrier {
-            phase: "trsm",
-            from: potrf + 1,
-            to: trsm_end,
-        });
+impl Walk<'_> {
+    /// Emit `tasks` in order, numbered from the next id. POTRF and TRSM
+    /// publish: their write is the tile's final one (and the step's
+    /// operand); the trailing update's is not.
+    fn tasks(&mut self, tasks: impl IntoIterator<Item = Task>) -> std::ops::Range<usize> {
+        let from = *self.next_id;
+        for at in tasks {
+            let publish = matches!(at.kind, Kernel::Potrf | Kernel::Trsm);
+            self.out.push(Step::Task {
+                id: *self.next_id,
+                at,
+                publish,
+            });
+            *self.next_id += 1;
+        }
+        from..*self.next_id
     }
-    // Forward each finished panel (r, k) to every other worker that
-    // consumes it this step.
-    for r in k + 1..nt {
-        forward(&mut out, r, panel_forward_targets(k, r, nt, p, q));
+
+    fn forward(&mut self, (i, j): (usize, usize), targets: Vec<usize>) {
+        let (i, j) = (i as u32, j as u32);
+        self.out
+            .extend(targets.into_iter().map(|to| Step::Forward { i, j, to }));
     }
-    // Release the trailing update; no barrier — the next step's POTRF is
-    // ordered behind these on its owner's FIFO stream, and their DONEs
-    // drain while later steps run.
-    out.extend(tasks);
-    out
+
+    /// Panel `k` (items 2–4 of [`steps`]), with `rest`, the previous
+    /// step's update outside column `k`, placed behind the TRSMs or ahead
+    /// of the POTRF barrier.
+    fn panel(&mut self, k: usize, nt: usize, p: usize, q: usize, rest: Vec<Task>) {
+        let mut panel = panel_tasks(nt, k);
+        let potrf = self.tasks(panel.by_ref().take(1));
+        let trsms: Vec<Task> = panel.take(nt - k - 1).collect();
+        let kk_targets = kk_forward_targets(k, nt, p, q);
+        let trsm_ids = if kk_targets.is_empty() {
+            let ids = self.tasks(trsms);
+            self.tasks(rest);
+            ids
+        } else {
+            self.tasks(rest);
+            self.out.push(Step::Barrier {
+                phase: "potrf",
+                from: potrf.start,
+                to: potrf.end,
+            });
+            self.forward((k, k), kk_targets);
+            self.tasks(trsms)
+        };
+        let forwards: Vec<_> = (k + 1..nt)
+            .map(|r| (r, panel_forward_targets(k, r, nt, p, q)))
+            .filter(|(_, targets)| !targets.is_empty())
+            .collect();
+        if !forwards.is_empty() {
+            self.out.push(Step::Barrier {
+                phase: "trsm",
+                from: trsm_ids.start,
+                to: trsm_ids.end,
+            });
+        }
+        for (r, targets) in forwards {
+            self.forward((r, k), targets);
+        }
+    }
 }
 
 /// `owners` in first-occurrence order, without `home` and duplicates.
@@ -305,5 +354,60 @@ pub(super) fn build_shard_plan(
         workers: p * q,
         tasks,
         events,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::shard::tests::build;
+    use xgs_tile::Variant;
+
+    fn key(t: &Task) -> (u32, u8, u32, u32) {
+        (t.k, t.kind as u8, t.i, t.j)
+    }
+
+    /// The lookahead walk on every grid shape the suites use: each task of
+    /// the loop nest exactly once, numbered in emission order, each tile's
+    /// writes in ascending step order, a barrier only where forwards
+    /// follow (so none for POTRF on a `1 x q` grid), and a plan the
+    /// checker accepts.
+    #[test]
+    fn the_lookahead_walk_keeps_per_tile_order_and_passes_the_checker() {
+        for (p, q) in [(1, 1), (1, 2), (2, 2), (2, 3)] {
+            for nt in 1..=7 {
+                let walk: Vec<Step> = steps(nt, p, q).collect();
+                let mut emitted = Vec::new();
+                let mut last_step: HashMap<(u32, u32), u32> = HashMap::new();
+                for (pos, step) in walk.iter().enumerate() {
+                    match *step {
+                        Step::Task { id, at, .. } => {
+                            assert_eq!(id, emitted.len(), "{p}x{q} nt={nt}: ids count up");
+                            emitted.push(at);
+                            if let Some(prev) = last_step.insert(at.written(), at.k) {
+                                assert!(prev < at.k, "{p}x{q} nt={nt}: {at:?} after step {prev}");
+                            }
+                        }
+                        Step::Barrier { phase, .. } => {
+                            assert!(
+                                matches!(walk.get(pos + 1), Some(Step::Forward { .. })),
+                                "{p}x{q} nt={nt}: {phase} barrier guards no forward"
+                            );
+                            assert!(p > 1 || phase != "potrf", "{p}x{q} nt={nt}");
+                        }
+                        Step::Seed { .. } | Step::Forward { .. } => {}
+                    }
+                }
+                let mut want: Vec<Task> = crate::task::tasks(nt).collect();
+                want.sort_by_key(key);
+                emitted.sort_by_key(key);
+                assert_eq!(emitted, want, "{p}x{q} nt={nt}");
+
+                let f = build(nt * 8, 8, Variant::DenseF64);
+                let canon = canonical_tasks(&f, p, q);
+                xgs_analysis::check_shard_plan(&build_shard_plan(&f, &canon.meta, p, q))
+                    .unwrap_or_else(|e| panic!("{p}x{q} nt={nt}: {e}"));
+            }
+        }
     }
 }

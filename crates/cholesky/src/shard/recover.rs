@@ -11,9 +11,7 @@ use super::ShardError;
 use crate::factor::TiledFactor;
 use std::collections::{HashMap, HashSet};
 use std::net::TcpStream;
-use std::sync::atomic::AtomicBool;
 use std::sync::mpsc::Sender;
-use std::sync::Arc;
 use std::time::Instant;
 use xgs_analysis::RecoveryEvent;
 
@@ -55,7 +53,6 @@ pub(super) struct RecoveryCtx<'s> {
     pub source: &'s mut dyn ReplacementSource,
     pub readers: &'s mut Vec<std::thread::JoinHandle<()>>,
     pub tx: Sender<Event>,
-    pub stop: Arc<AtomicBool>,
     /// [`CanonicalTasks::publisher`](super::plan::CanonicalTasks).
     pub publisher: HashMap<(u32, u32), usize>,
     /// `(p, q)`.
@@ -93,6 +90,9 @@ pub(super) fn recover(
         return Ok(());
     }
     co.dead[lost] = true;
+    // Frames queued for the dead incarnation are in its log; the replay
+    // below re-sends what the replacement needs.
+    co.outbox[lost].clear();
     if drive.done_count == meta.len() {
         // Death during gather/census: every task is done and every final
         // tile is already published — record the death, skip the worker
@@ -173,9 +173,9 @@ pub(super) fn recover(
     co.dead[lost] = false;
     co.sent_tasks[lost] = 0;
     let _ = co.streams[lost].set_nodelay(true);
-    let (tx, stop) = (rec.tx.clone(), Arc::clone(&rec.stop));
+    let tx = rec.tx.clone();
     rec.readers.push(match co.streams[lost].try_clone() {
-        Ok(clone) => std::thread::spawn(move || reader_thread(lost, clone, tx, stop)),
+        Ok(clone) => std::thread::spawn(move || reader_thread(lost, clone, tx)),
         // Treat an uncloneable replacement as instantly dead: the
         // synthetic Lost re-enters recovery for another replacement.
         Err(e) => std::thread::spawn(move || {

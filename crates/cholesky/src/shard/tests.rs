@@ -2,25 +2,27 @@
 //! real loopback sockets. Fleet-level behaviour (process launch, standby
 //! promotion, monitor) is tested in `xgs-fleet` and `tests/shard_equivalence`.
 
+use super::coordinator::seed_payload;
 use super::coordinator::{reader_thread, Event};
 use super::plan::{build_shard_plan, canonical_tasks, steps, Step};
-use super::proto::{K_ASSIGN, K_HEARTBEAT, K_HELLO, K_JOIN};
+use super::proto::{
+    decode_done, encode_done, encode_heartbeat, encode_hello, encode_task, DoneFrame, TaskFrame,
+    K_ASSIGN, K_DONE, K_HEARTBEAT, K_HELLO, K_JOIN, K_TASK, K_TILE,
+};
 use super::*;
 use crate::dag::UniformMeta;
 use crate::task::Kernel;
 use rand::SeedableRng;
 use std::io;
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::AtomicBool;
-use std::sync::Arc;
 use std::thread::JoinHandle;
 use xgs_covariance::{jittered_grid, morton_order, Matern, MaternParams};
 use xgs_kernels::Precision;
-use xgs_runtime::shard::{read_frame, write_frame, WireWriter};
+use xgs_runtime::shard::{read_frame, write_frame, Outbox, WireWriter};
 use xgs_runtime::{block_cyclic_owner, task_census, WireStats};
 use xgs_tile::{FlopKernelModel, PrecisionRule, SymTileMatrix, TlrConfig, Variant};
 
-fn build(n: usize, nb: usize, variant: Variant) -> TiledFactor {
+pub(super) fn build(n: usize, nb: usize, variant: Variant) -> TiledFactor {
     build_with_config(n, TlrConfig::new(variant, nb))
 }
 
@@ -390,9 +392,10 @@ impl ReplacementSource for LocalRespawn {
 }
 
 /// Member 3 owns tiles (1,1), (3,1) and (3,3) on the 2x2 grid; dying on
-/// receipt of its fourth TASK — the step-1 POTRF — leaves
-/// completed-but-unpublished trailing work to replay while the
-/// coordinator is blocked on that very panel.
+/// receipt of its fourth TASK — step 0's SYRK(3,3), which the lookahead
+/// queues right behind the step-1 POTRF — leaves completed-but-unpublished
+/// trailing work to replay while the coordinator is blocked on that very
+/// panel.
 const MID_PANEL: ChaosSpec = ChaosSpec {
     member: 3,
     trigger: ChaosTrigger::TaskStart(3),
@@ -504,8 +507,7 @@ fn short_heartbeat_echo_is_a_bad_frame_not_a_zero_census() {
     let mut worker_side = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
     let (coordinator_side, _) = listener.accept().unwrap();
     let (tx, rx) = std::sync::mpsc::channel();
-    let stop = Arc::new(AtomicBool::new(false));
-    let reader = std::thread::spawn(move || reader_thread(5, coordinator_side, tx, stop));
+    let reader = std::thread::spawn(move || reader_thread(5, coordinator_side, tx));
     write_frame(&mut worker_side, K_HEARTBEAT, &[1, 2, 3, 4]).unwrap();
     match rx.recv_timeout(Duration::from_secs(5)).unwrap() {
         Event::Lost { from: 5, detail } => {
@@ -515,6 +517,82 @@ fn short_heartbeat_echo_is_a_bad_frame_not_a_zero_census() {
     }
     reader.join().unwrap();
     assert!(rx.try_recv().is_err(), "Lost is the reader's final event");
+}
+
+/// The census echo is the last frame of a run: the reader forwards it and
+/// returns, with the socket still open for the next factorization.
+#[test]
+fn reader_returns_at_the_census_echo_on_an_open_socket() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let mut worker_side = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+    let (coordinator_side, _) = listener.accept().unwrap();
+    let (tx, rx) = std::sync::mpsc::channel();
+    let reader = std::thread::spawn(move || reader_thread(2, coordinator_side, tx));
+    let done = DoneFrame {
+        task_id: 0,
+        kind: Kernel::Potrf,
+        ok: true,
+        pivot: 0,
+        elapsed: 0.0,
+    };
+    let mut out = Outbox::default();
+    out.push(K_DONE, &encode_done(&done));
+    out.push(K_HEARTBEAT, &encode_heartbeat(2, Some(1)));
+    out.flush_to(&mut worker_side).unwrap();
+    let wait = Duration::from_secs(5);
+    assert!(matches!(
+        rx.recv_timeout(wait).unwrap(),
+        Event::Done { from: 2, .. }
+    ));
+    assert!(matches!(
+        rx.recv_timeout(wait).unwrap(),
+        Event::Heartbeat { from: 2, tasks: 1 }
+    ));
+    // The reader's sender is dropped when it returns.
+    assert!(matches!(
+        rx.recv_timeout(wait),
+        Err(std::sync::mpsc::RecvTimeoutError::Disconnected)
+    ));
+    reader.join().unwrap();
+    // The worker's end is still open and usable.
+    write_frame(&mut worker_side, K_HEARTBEAT, &7u64.to_le_bytes()).unwrap();
+}
+
+/// Replies are batched but never held back: a worker handed N tasks that
+/// publish nothing, in one write, answers all N before it waits for more.
+#[test]
+fn worker_sends_every_done_before_it_blocks() {
+    const N: u64 = 50;
+    let f = build(100, 50, Variant::DenseF64);
+    let (mut sup, handle) = admit_local(0, None);
+    let mut out = Outbox::default();
+    out.push(K_HELLO, &encode_hello(0, &f.layout, 1, 1));
+    for (i, j) in [(1, 0), (1, 1)] {
+        out.push(K_TILE, &seed_payload(&f, i, j));
+    }
+    let syrk = crate::task::Task {
+        kind: Kernel::Syrk,
+        k: 0,
+        i: 1,
+        j: 1,
+    };
+    for id in 0..N {
+        let frame = TaskFrame {
+            id,
+            at: syrk,
+            tol: 0.0,
+            publish: false,
+        };
+        out.push(K_TASK, &encode_task(&frame));
+    }
+    out.flush_to(&mut sup).unwrap();
+    for id in 0..N {
+        let (kind, payload) = read_frame(&mut sup, Some(Duration::from_secs(5)))
+            .unwrap_or_else(|e| panic!("DONE {id} of {N} never came: {e}"));
+        assert_eq!(kind, K_DONE);
+        assert_eq!(decode_done(&payload).unwrap().task_id, id);
+    }
+    retire(vec![sup], [handle]);
 }
 
 #[test]
@@ -561,7 +639,7 @@ fn join_decoding_is_forward_compatible_and_version_gated() {
     write_frame(&mut worker_side, K_JOIN, &w.buf).unwrap();
     let info = admit_worker(&mut sup_side, 7, true, Duration::from_secs(5)).unwrap();
     assert_eq!((info.cores, info.precisions), (8, 0b111));
-    let (kind, _) = read_frame(&mut worker_side, Some(Duration::from_secs(5)), None).unwrap();
+    let (kind, _) = read_frame(&mut worker_side, Some(Duration::from_secs(5))).unwrap();
     assert_eq!(kind, K_ASSIGN);
 
     // An old worker — version 2, which still drained over SHUTDOWN/BYE —
@@ -598,7 +676,7 @@ fn hello_accepts_trailing_bytes_and_rejects_old_version() {
     h.put_u64(0xFEED); // future field
     write_frame(&mut sup, K_HELLO, &h.buf).unwrap();
     write_frame(&mut sup, K_HEARTBEAT, &7u64.to_le_bytes()).unwrap();
-    let (kind, echo) = read_frame(&mut sup, Some(Duration::from_secs(5)), None).unwrap();
+    let (kind, echo) = read_frame(&mut sup, Some(Duration::from_secs(5))).unwrap();
     assert_eq!((kind, echo.len()), (K_HEARTBEAT, 16));
     retire(vec![sup], [handle]);
 

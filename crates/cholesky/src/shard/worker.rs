@@ -14,7 +14,9 @@ use std::io;
 use std::net::TcpStream;
 use std::process::Command;
 use std::time::{Duration, Instant};
-use xgs_runtime::shard::{read_frame, write_frame, FrameError};
+use xgs_runtime::shard::{
+    read_frame, set_stall_timeout, write_frame, FrameError, FrameReader, Outbox,
+};
 use xgs_tile::wire::{decode_tile, encode_tile};
 use xgs_tile::Tile;
 
@@ -126,8 +128,15 @@ impl Default for WorkerOptions {
 /// The worker is deliberately dumb: it has no view of the DAG and trusts
 /// the coordinator's stream order for operand availability — which the
 /// coordinator guarantees by forwarding operands before dependent tasks on
-/// the same FIFO stream.
-pub fn worker_loop_with(mut stream: TcpStream, opts: WorkerOptions) -> io::Result<u64> {
+/// the same FIFO stream. Once a POTRF has failed it runs nothing more
+/// until the next `HELLO`, like the in-process engines: the run is lost,
+/// and later tasks would only compute on the failed tile.
+///
+/// Replies are batched: `DONE`s queue up while more frames are already
+/// buffered, and everything queued is written after a publishing task,
+/// after a `HEARTBEAT` echo and before any read that would block — the
+/// worker never waits with a reply unsent.
+pub fn worker_loop_with(stream: TcpStream, opts: WorkerOptions) -> io::Result<u64> {
     let _ = stream.set_nodelay(true);
 
     // Registration: advertise capabilities, wait (bounded) for the grid
@@ -138,8 +147,12 @@ pub fn worker_loop_with(mut stream: TcpStream, opts: WorkerOptions) -> io::Resul
         // Every build of this binary supports all three emulated widths.
         precisions: 0b111,
     };
-    write_frame(&mut stream, K_JOIN, &encode_join(&join))?;
-    let member_id = match read_frame(&mut stream, Some(opts.handshake_timeout), None) {
+    write_frame(&mut &stream, K_JOIN, &encode_join(&join))?;
+    set_stall_timeout(&stream, Some(opts.handshake_timeout))?;
+    // One reader for the connection's life: it may already hold the
+    // frames that follow ASSIGN.
+    let mut frames = FrameReader::new(&stream);
+    let member_id = match frames.read_frame() {
         Ok((K_ASSIGN, payload)) => {
             let assign = decode_assign(&payload).map_err(proto_err)?;
             check_version("supervisor", "worker", assign.version).map_err(proto_err)?;
@@ -162,15 +175,21 @@ pub fn worker_loop_with(mut stream: TcpStream, opts: WorkerOptions) -> io::Resul
         Err(e) => return Err(io::Error::other(e.to_string())),
     };
     let chaos = opts.chaos.filter(|c| c.member == member_id);
+    set_stall_timeout(&stream, opts.idle_timeout)?;
 
+    let mut outbox = Outbox::default();
     let mut store: HashMap<(u32, u32), Tile> = HashMap::new();
     let mut nb: usize = 0;
     let mut executed: u64 = 0;
+    let mut failed = false;
     // Lifetime task counter: chaos triggers count across `HELLO` resets so
     // a spec fires at most once per process even in multi-run fleets.
     let mut lifetime_executed: u64 = 0;
     loop {
-        let (kind, payload) = match read_frame(&mut stream, opts.idle_timeout, None) {
+        if !frames.frame_ready() {
+            outbox.flush_to(&mut &stream)?;
+        }
+        let (kind, payload) = match frames.read_frame() {
             Ok(f) => f,
             // Coordinator vanished: exit quietly, nothing to clean up.
             Err(FrameError::Closed) => return Ok(executed),
@@ -192,6 +211,7 @@ pub fn worker_loop_with(mut stream: TcpStream, opts: WorkerOptions) -> io::Resul
                 nb = hello.nb as usize;
                 store.clear();
                 executed = 0;
+                failed = false;
             }
             K_TILE => {
                 let (at, body) = decode_tile_header(&payload).map_err(proto_err)?;
@@ -209,6 +229,9 @@ pub fn worker_loop_with(mut stream: TcpStream, opts: WorkerOptions) -> io::Resul
                     return Ok(executed);
                 }
                 let task = decode_task(&payload).map_err(proto_err)?;
+                if failed {
+                    continue;
+                }
                 let (at, written) = (task.at, task.at.written());
                 let mut target = store
                     .remove(&written)
@@ -233,20 +256,26 @@ pub fn worker_loop_with(mut stream: TcpStream, opts: WorkerOptions) -> io::Resul
                 if let Err(e) = at.run(&mut target, &operands, task.tol) {
                     done.ok = false;
                     done.pivot = e.pivot as u64;
+                    failed = true;
                 }
                 done.elapsed = t0.elapsed().as_secs_f64();
 
-                if task.publish && done.ok {
+                let publish = task.publish && done.ok;
+                if publish {
                     let frame = encode_tile_frame(written.0, written.1, |buf| {
                         encode_tile(&target, buf);
                     });
                     count_wire_conversion(&target, true);
-                    write_frame(&mut stream, K_TILE, &frame)?;
+                    outbox.push(K_TILE, &frame);
                 }
                 store.insert(written, target);
                 executed += 1;
-                write_frame(&mut stream, K_DONE, &encode_done(&done))?;
+                outbox.push(K_DONE, &encode_done(&done));
                 lifetime_executed += 1;
+                // A published tile is what other workers wait on.
+                if publish {
+                    outbox.flush_to(&mut &stream)?;
+                }
             }
             K_HEARTBEAT => {
                 if let Some(c) = chaos.filter(|c| c.trigger == ChaosTrigger::Drain) {
@@ -254,8 +283,8 @@ pub fn worker_loop_with(mut stream: TcpStream, opts: WorkerOptions) -> io::Resul
                     return Ok(executed);
                 }
                 let (nonce, _) = decode_heartbeat(&payload).map_err(proto_err)?;
-                let echo = encode_heartbeat(nonce, Some(executed));
-                write_frame(&mut stream, K_HEARTBEAT, &echo)?;
+                outbox.push(K_HEARTBEAT, &encode_heartbeat(nonce, Some(executed)));
+                outbox.flush_to(&mut &stream)?;
             }
             K_JOIN | K_ASSIGN => {
                 return Err(proto_err(
@@ -278,7 +307,7 @@ pub fn admit_worker(
     standby: bool,
     deadline: Duration,
 ) -> Result<JoinInfo, ShardError> {
-    let info = match read_frame(stream, Some(deadline), None) {
+    let info = match read_frame(stream, Some(deadline)) {
         Ok((K_JOIN, payload)) => {
             let info = decode_join(&payload)
                 .map_err(|e| ShardError::Protocol(format!("bad JOIN frame: {e}")))?;

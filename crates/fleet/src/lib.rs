@@ -492,7 +492,7 @@ fn probe(m: &mut Member, timeout: Duration) -> bool {
         return false;
     }
     matches!(
-        read_frame(&mut m.stream, Some(timeout), None),
+        read_frame(&mut m.stream, Some(timeout)),
         Ok((kind, echo)) if kind == K_HEARTBEAT && echo.len() >= 8
     )
 }

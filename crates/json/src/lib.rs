@@ -225,14 +225,21 @@ impl Writer {
         self
     }
 
-    /// Shortest round-trip `Display`, so the reader gets the same bits
-    /// back. JSON has no NaN or infinity literals, so a non-finite value
-    /// is written as `null`.
+    /// Shortest round-trip digits, so the reader gets the same bits back:
+    /// plain decimal in between, exponent form (`1e300`, `2.5e-8`) for
+    /// magnitudes of at least 1e21 or below 1e-7, so no number takes more
+    /// than 24 bytes. JSON has no NaN or infinity literals, so a
+    /// non-finite value is written as `null`.
     pub fn f64(&mut self, x: f64) -> &mut Writer {
         if !x.is_finite() {
             return self.null();
         }
-        let _ = write!(self.item().out, "{x}");
+        let out = &mut self.item().out;
+        let _ = if x != 0.0 && !(1e-7..1e21).contains(&x.abs()) {
+            write!(out, "{x:e}")
+        } else {
+            write!(out, "{x}")
+        };
         self
     }
 
@@ -716,6 +723,28 @@ mod tests {
         assert_eq!(inf.as_f64(), Some(f64::INFINITY));
         // …and round-trip to null rather than to an invalid document.
         assert_eq!(inf.to_json_string(), "null");
+    }
+
+    #[test]
+    fn extreme_magnitudes_use_the_exponent_form_and_round_trip() {
+        for (x, text) in [
+            (1e300, "1e300"),
+            (-1e21, "-1e21"),
+            (2.5e-8, "2.5e-8"),
+            (f64::MIN_POSITIVE, "2.2250738585072014e-308"),
+            (f64::MAX, "1.7976931348623157e308"),
+            (5e-324, "5e-324"),
+            // The plain range keeps its plain digits.
+            (1e-7, "0.0000001"),
+            (9.999999999999999e20, "999999999999999900000"),
+            (-0.0, "-0"),
+            (0.5, "0.5"),
+        ] {
+            let s = JsonValue::Number(x).to_json_string();
+            assert_eq!(s, text);
+            let back = parse_json(&s).unwrap().as_f64().unwrap();
+            assert_eq!(back.to_bits(), x.to_bits(), "{text}");
+        }
     }
 
     #[test]

@@ -43,8 +43,8 @@ pub use metrics::{
 };
 pub use race::{race_count, take_races, Race};
 pub use shard::{
-    read_frame, task_census, write_frame, FrameError, WireReader, WireWriter, FRAME_HEADER_BYTES,
-    MAX_FRAME_BYTES,
+    read_frame, task_census, write_frame, FrameError, FrameReader, Outbox, WireReader, WireWriter,
+    FRAME_HEADER_BYTES, MAX_FRAME_BYTES,
 };
 pub use stats::{chrome_trace_json, TraceEvent};
 pub use validate::{

@@ -418,6 +418,10 @@ mod tests {
         assert_eq!(echoed(e.id).as_deref(), Some("\"req-7\""));
         let e = parse_request("{\"op\":\"ping\",\"id\":42}").unwrap();
         assert_eq!(echoed(e.id).as_deref(), Some("42"));
+        // An id of extreme magnitude is echoed as it was written, not
+        // refused for the length of its plain-decimal expansion.
+        let e = parse_request("{\"op\":\"ping\",\"id\":1e300}").unwrap();
+        assert_eq!(echoed(e.id).as_deref(), Some("1e300"));
         assert!(parse_request("{\"op\":\"ping\"}").unwrap().id.is_none());
 
         // A bad op still yields the id so the error can be correlated.

@@ -3,7 +3,9 @@
 //! request line the server reads) return `Ok` or `Err` — never panic — on
 //! byte soup and on every truncation and single-byte splice of valid
 //! encodings, and no allocation either makes exceeds what the input's
-//! length can back.
+//! length can back. The shard transport's buffered `FrameReader` returns
+//! the same frames however the bytes are split across reads, and names
+//! every way a stream can end.
 //!
 //! The allocation bound is measured, not assumed: this test binary's
 //! global allocator records the largest single request each thread makes.
@@ -12,7 +14,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use exageostat_rs::prelude::*;
-use exageostat_rs::runtime::MetricsReport;
+use exageostat_rs::runtime::{FrameError, FrameReader, MetricsReport, Outbox, MAX_FRAME_BYTES};
 use exageostat_rs::tile::{decode_tile, encode_tile, Tile};
 use proptest::prelude::*;
 
@@ -177,4 +179,130 @@ proptest! {
         };
         json_case(&bytes)?;
     }
+}
+
+/// A peer whose bytes arrive in the given chunks, one chunk (or what the
+/// reader's buffer takes of it) per `read`, then EOF. Counts the reads.
+struct Chunks {
+    chunks: std::collections::VecDeque<Vec<u8>>,
+    reads: std::rc::Rc<Cell<usize>>,
+}
+
+impl Chunks {
+    fn new(chunks: impl IntoIterator<Item = Vec<u8>>) -> Chunks {
+        Chunks {
+            chunks: chunks.into_iter().filter(|c| !c.is_empty()).collect(),
+            reads: Default::default(),
+        }
+    }
+}
+
+impl std::io::Read for Chunks {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.reads.set(self.reads.get() + 1);
+        let Some(front) = self.chunks.front_mut() else {
+            return Ok(0);
+        };
+        let n = front.len().min(buf.len());
+        buf[..n].copy_from_slice(&front[..n]);
+        front.drain(..n);
+        if front.is_empty() {
+            self.chunks.pop_front();
+        }
+        Ok(n)
+    }
+}
+
+fn frames(list: &[(u8, Vec<u8>)]) -> Vec<u8> {
+    let mut out = Outbox::default();
+    let mut bytes = Vec::new();
+    for (kind, payload) in list {
+        out.push(*kind, payload);
+    }
+    out.flush_to(&mut bytes).unwrap();
+    bytes
+}
+
+/// Read frames until the stream ends; the end must be a clean close.
+fn read_all(reader: &mut FrameReader<Chunks>) -> Vec<(u8, Vec<u8>)> {
+    let mut got = Vec::new();
+    loop {
+        match reader.read_frame() {
+            Ok(frame) => got.push(frame),
+            Err(FrameError::Closed) => return got,
+            Err(e) => panic!("stream of whole frames ended with {e}"),
+        }
+    }
+}
+
+#[test]
+fn frame_reader_is_split_invariant_and_names_every_end() {
+    // Small frames, split at every byte and fed one byte per read.
+    let small = vec![(4u8, b"done".to_vec()), (8, Vec::new()), (2, vec![7u8; 13])];
+    let bytes = frames(&small);
+    for cut in 0..=bytes.len() {
+        let chunks = [bytes[..cut].to_vec(), bytes[cut..].to_vec()];
+        assert_eq!(read_all(&mut FrameReader::new(Chunks::new(chunks))), small);
+    }
+    let bytewise = bytes.iter().map(|&b| vec![b]);
+    assert_eq!(
+        read_all(&mut FrameReader::new(Chunks::new(bytewise))),
+        small
+    );
+
+    // Several frames in one read: one syscall serves them all.
+    let peer = Chunks::new([bytes.clone()]);
+    let reads = std::rc::Rc::clone(&peer.reads);
+    let mut reader = FrameReader::new(peer);
+    for want in &small {
+        assert_eq!(&reader.read_frame().unwrap(), want);
+    }
+    assert_eq!((reads.get(), reader.buffered()), (1, 0));
+    assert!(matches!(reader.read_frame(), Err(FrameError::Closed)));
+
+    // A payload larger than the buffer, cut around the header, the buffer
+    // size and the end.
+    let big = vec![
+        (2u8, (0..70_000u32).map(|i| i as u8).collect::<Vec<_>>()),
+        (4, vec![1]),
+    ];
+    let bytes = frames(&big);
+    for cut in [1, 4, 5, 6, 65_535, 65_536, 65_537, 70_004, 70_005, 70_006] {
+        let chunks = [bytes[..cut].to_vec(), bytes[cut..].to_vec()];
+        assert_eq!(
+            read_all(&mut FrameReader::new(Chunks::new(chunks))),
+            big,
+            "cut {cut}"
+        );
+    }
+
+    // Truncation mid-header and mid-payload says how far the frame got.
+    let mut header = 100u32.to_le_bytes().to_vec();
+    header.push(2);
+    for (stream, want) in [
+        (header[..2].to_vec(), (5, 2)),
+        ([header.clone(), b"abc".to_vec()].concat(), (100, 3)),
+    ] {
+        match FrameReader::new(Chunks::new([stream])).read_frame() {
+            Err(FrameError::Truncated { expected, got }) => assert_eq!((expected, got), want),
+            other => panic!("expected Truncated, got {other:?}"),
+        }
+    }
+    // A body promised past the buffer and cut short is truncated too.
+    let mut long = 100_000u32.to_le_bytes().to_vec();
+    long.push(2);
+    long.extend_from_slice(&[0; 10]);
+    match FrameReader::new(Chunks::new([long])).read_frame() {
+        Err(FrameError::Truncated { expected, got }) => assert_eq!((expected, got), (100_000, 10)),
+        other => panic!("expected Truncated, got {other:?}"),
+    }
+
+    // An oversized announcement is refused before anything is allocated
+    // for it.
+    let mut huge = ((MAX_FRAME_BYTES + 1) as u32).to_le_bytes().to_vec();
+    huge.push(2);
+    let mut reader = FrameReader::new(Chunks::new([huge]));
+    let (result, peak) = peak_during(|| reader.read_frame());
+    assert!(matches!(result, Err(FrameError::TooLarge { len }) if len == MAX_FRAME_BYTES + 1));
+    assert!(peak < 1024, "{peak}-byte allocation for a refused frame");
 }

@@ -505,7 +505,7 @@ fn half_written_tile_frame_times_out_instead_of_hanging() {
         let mut s = srv;
         loop {
             let Ok((kind, _payload)) =
-                xgs_runtime::read_frame(&mut s, Some(Duration::from_secs(60)), None)
+                xgs_runtime::read_frame(&mut s, Some(Duration::from_secs(60)))
             else {
                 return;
             };
