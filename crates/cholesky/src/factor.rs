@@ -29,6 +29,31 @@ impl std::fmt::Display for FactorError {
 
 impl std::error::Error for FactorError {}
 
+/// The tolerance a dense tile carries: no kernel reads it.
+pub(crate) const DENSE_TOL: f64 = 0.0;
+
+/// Each stored tile's absolute low-rank rounding tolerance:
+/// `tol_rel ||A_ij||_F`, floored at `1e-6 tol_rel ||A||_F / NT` and at the
+/// smallest normal number, for a low-rank tile; [`DENSE_TOL`] for a dense
+/// one, whose norm is never taken.
+pub(crate) fn low_rank_tolerances(
+    tiles: &[Tile],
+    tol_rel: f64,
+    global_norm: f64,
+    nt: usize,
+) -> Vec<f64> {
+    let floor = tol_rel * global_norm / nt as f64;
+    tiles
+        .iter()
+        .map(|t| match t.is_dense() {
+            true => DENSE_TOL,
+            false => (tol_rel * t.norm_fro())
+                .max(floor * 1e-6)
+                .max(f64::MIN_POSITIVE),
+        })
+        .collect()
+}
+
 /// A tiled Cholesky factor in progress / completed.
 ///
 /// Each tile sits behind its own reader–writer lock: readers share; the
@@ -41,7 +66,9 @@ pub struct TiledFactor {
     pub(crate) layout: TileLayout,
     pub(crate) tiles: Vec<RwLock<Tile>>,
     /// Absolute low-rank rounding tolerance per stored tile, frozen at
-    /// generation (`tlr_tolerance * ||A_ij||_F`).
+    /// generation (`tlr_tolerance * ||A_ij||_F`, see [`low_rank_tolerances`]).
+    /// Only `gemm_update`'s low-rank arm and the shard plan's `TASK` frames
+    /// read it; a dense tile carries [`DENSE_TOL`].
     pub(crate) tols: Vec<f64>,
     pub band_size_dense: usize,
 }
@@ -51,24 +78,13 @@ impl TiledFactor {
     /// factorization.
     pub fn from_matrix(m: SymTileMatrix) -> TiledFactor {
         let layout = m.layout();
-        let tol_rel = m.config.tlr_tolerance;
-        let band = m.band_size_dense;
-        let floor = tol_rel * m.global_norm / layout.nt() as f64;
-        let (tiles, tols): (Vec<_>, Vec<_>) = m
-            .tiles
-            .into_iter()
-            .map(|t| {
-                let tol = (tol_rel * t.norm_fro())
-                    .max(floor * 1e-6)
-                    .max(f64::MIN_POSITIVE);
-                (RwLock::new(t), tol)
-            })
-            .unzip();
+        let tols =
+            low_rank_tolerances(&m.tiles, m.config.tlr_tolerance, m.global_norm, layout.nt());
         TiledFactor {
             layout,
-            tiles,
+            tiles: m.tiles.into_iter().map(RwLock::new).collect(),
             tols,
-            band_size_dense: band,
+            band_size_dense: m.band_size_dense,
         }
     }
 
