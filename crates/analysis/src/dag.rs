@@ -247,17 +247,22 @@ where
 }
 
 /// Closed-form kernel counts of the right-looking tile Cholesky DAG on an
-/// `nt × nt` tile grid.
+/// `nt × nt` tile grid, and of the generation in front of it in a model
+/// op's graph.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct KernelCensus {
     pub potrf: u64,
     pub trsm: u64,
     pub syrk: u64,
     pub gemm: u64,
+    /// `GEN` tasks: one per stored tile in a model op, none in a factor.
+    pub gen: u64,
+    /// `DECIDE` joins: one in a model op whose variant decides formats.
+    pub decide: u64,
 }
 
 impl KernelCensus {
-    /// The closed form: `nt` POTRFs, `nt(nt-1)/2` TRSMs and SYRKs,
+    /// The factorization alone: `nt` POTRFs, `nt(nt-1)/2` TRSMs and SYRKs,
     /// `nt(nt-1)(nt-2)/6` GEMMs — total `nt + nt(nt-1)/2 + nt(nt²-1)/6`.
     pub fn expected(nt: usize) -> KernelCensus {
         let nt = nt as u64;
@@ -266,11 +271,36 @@ impl KernelCensus {
             trsm: nt * nt.saturating_sub(1) / 2,
             syrk: nt * nt.saturating_sub(1) / 2,
             gemm: nt * nt.saturating_sub(1) * nt.saturating_sub(2) / 6,
+            gen: 0,
+            decide: 0,
+        }
+    }
+
+    /// One model op: the factorization's counts, `nt(nt+1)/2` GENs, and
+    /// one DECIDE when the variant `decides` formats (none for dense FP64).
+    pub fn model_op(nt: usize, decides: bool) -> KernelCensus {
+        let n = nt as u64;
+        KernelCensus {
+            gen: n * (n + 1) / 2,
+            decide: decides as u64,
+            ..KernelCensus::expected(nt)
         }
     }
 
     pub fn total(&self) -> u64 {
-        self.potrf + self.trsm + self.syrk + self.gemm
+        self.potrf + self.trsm + self.syrk + self.gemm + self.gen + self.decide
+    }
+
+    /// Every count with its kind name, in the order checks report them.
+    fn rows(&self) -> [(&'static str, u64); 6] {
+        [
+            ("potrf", self.potrf),
+            ("trsm", self.trsm),
+            ("syrk", self.syrk),
+            ("gemm", self.gemm),
+            ("gen", self.gen),
+            ("decide", self.decide),
+        ]
     }
 }
 
@@ -280,11 +310,31 @@ pub fn check_cholesky_census<'a>(
     kinds: impl IntoIterator<Item = &'a str>,
     nt: usize,
 ) -> Result<KernelCensus, GraphError> {
+    check_census(kinds, KernelCensus::expected(nt), nt)
+}
+
+/// Count the kinds of a model op's graph (the factor's four, `"gen"` and
+/// `"decide"`) and compare against [`KernelCensus::model_op`].
+pub fn check_model_op_census<'a>(
+    kinds: impl IntoIterator<Item = &'a str>,
+    nt: usize,
+    decides: bool,
+) -> Result<KernelCensus, GraphError> {
+    check_census(kinds, KernelCensus::model_op(nt, decides), nt)
+}
+
+fn check_census<'a>(
+    kinds: impl IntoIterator<Item = &'a str>,
+    want: KernelCensus,
+    nt: usize,
+) -> Result<KernelCensus, GraphError> {
     let mut got = KernelCensus {
         potrf: 0,
         trsm: 0,
         syrk: 0,
         gemm: 0,
+        gen: 0,
+        decide: 0,
     };
     let mut other = 0u64;
     for k in kinds {
@@ -293,17 +343,14 @@ pub fn check_cholesky_census<'a>(
             "trsm" => got.trsm += 1,
             "syrk" => got.syrk += 1,
             "gemm" => got.gemm += 1,
+            "gen" => got.gen += 1,
+            "decide" => got.decide += 1,
             _ => other += 1,
         }
     }
-    let want = KernelCensus::expected(nt);
-    for (kind, g, w) in [
-        ("potrf", got.potrf, want.potrf),
-        ("trsm", got.trsm, want.trsm),
-        ("syrk", got.syrk, want.syrk),
-        ("gemm", got.gemm, want.gemm),
-        ("unknown-kind", other, 0),
-    ] {
+    let rows = got.rows().into_iter().zip(want.rows());
+    let rows = rows.map(|((kind, g), (_, w))| (kind, g, w));
+    for (kind, g, w) in rows.chain([("unknown-kind", other, 0)]) {
         if g != w {
             return Err(GraphError::Census {
                 kind,
@@ -1018,6 +1065,50 @@ mod tests {
             check_cholesky_census(short.iter().copied(), 5),
             Err(GraphError::Census { kind: "potrf", .. })
         ));
+        // A GEN is foreign to a factor-only graph.
+        let with_gen: Vec<&str> = kinds.iter().copied().chain(["gen"]).collect();
+        assert!(matches!(
+            check_cholesky_census(with_gen.iter().copied(), 5),
+            Err(GraphError::Census { kind: "gen", .. })
+        ));
+    }
+
+    #[test]
+    fn model_op_census_pins_gen_and_decide() {
+        let nt = 5;
+        let factor: Vec<&str> = [("potrf", 5), ("trsm", 10), ("syrk", 10), ("gemm", 10)]
+            .iter()
+            .flat_map(|&(k, count)| vec![k; count])
+            .collect();
+        let op = |gens: usize, decides: usize| -> Vec<&str> {
+            let mut kinds = vec!["gen"; gens];
+            kinds.extend(vec!["decide"; decides]);
+            kinds.extend(&factor);
+            kinds
+        };
+        let want = KernelCensus::model_op(nt, true);
+        assert_eq!((want.gen, want.decide, want.total()), (15, 1, 51));
+        assert_eq!(check_model_op_census(op(15, 1), nt, true), Ok(want));
+        assert!(check_model_op_census(op(15, 0), nt, false).is_ok());
+        // One GEN missing, on either kind of variant.
+        for decides in [false, true] {
+            assert_eq!(
+                check_model_op_census(op(14, decides as usize), nt, decides),
+                Err(GraphError::Census {
+                    kind: "gen",
+                    got: 14,
+                    want: 15,
+                    nt
+                })
+            );
+        }
+        // A DECIDE on dense FP64, or none where formats are decided.
+        for (decides, count) in [(false, 1), (true, 0)] {
+            assert!(matches!(
+                check_model_op_census(op(15, count), nt, decides),
+                Err(GraphError::Census { kind: "decide", .. })
+            ));
+        }
     }
 
     #[test]

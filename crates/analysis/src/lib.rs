@@ -30,10 +30,10 @@ pub mod lockgraph;
 pub mod rules;
 
 pub use dag::{
-    block_cyclic_owner, check_acyclic, check_cholesky_census, check_recovery_plan,
-    check_shard_plan, hazard_edges, AccessSpec, Edge, GraphError, HazardKind, KernelCensus,
-    PlanError, PlanEvent, PlanSummary, PlanTask, RecoveryEvent, RecoveryPlan, RecoverySummary,
-    ShardPlan,
+    block_cyclic_owner, check_acyclic, check_cholesky_census, check_model_op_census,
+    check_recovery_plan, check_shard_plan, hazard_edges, AccessSpec, Edge, GraphError, HazardKind,
+    KernelCensus, PlanError, PlanEvent, PlanSummary, PlanTask, RecoveryEvent, RecoveryPlan,
+    RecoverySummary, ShardPlan,
 };
 pub use lockgraph::{analyze_files, Analysis, Cycle, Site};
 pub use rules::{

@@ -1,11 +1,15 @@
-//! The tiled factorization object and its two execution engines.
+//! The tiled factorization object and its two execution engines, and the
+//! threaded engine's model op: generation and factorization as one task
+//! graph ([`TiledFactor::generate_and_factorize`]).
 
-use crate::task::{tasks, Task};
-use parking_lot::RwLock;
+use crate::task::{op_tasks, tasks, OpTask, Task};
+use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+use xgs_kernels::Precision;
+use xgs_linalg::Matrix;
 use xgs_runtime::{execute_opts, Access, DataId, ExecOptions, MetricsReport, TaskGraph};
-use xgs_tile::{SymTileMatrix, Tile, TileLayout};
+use xgs_tile::{Generated, SymTileMatrix, Tile, TileGen, TileLayout};
 
 /// Factorization failure.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -136,28 +140,53 @@ impl TiledFactor {
         full
     }
 
+    /// Stored index of tile `(i, j)` as tasks name it.
+    fn stored(&self, (i, j): (u32, u32)) -> usize {
+        self.layout.stored_index(i as usize, j as usize)
+    }
+
     /// Per-task access list over the stored tiles: the reads in
     /// kernel-argument order, then the write. What the task graph orders
     /// by and the hazard validator re-derives edges from.
     pub(crate) fn accesses(&self, t: Task) -> Vec<Access> {
-        let data =
-            |(i, j): (u32, u32)| DataId(self.layout.stored_index(i as usize, j as usize) as u64);
+        let data = |at| DataId(self.stored(at) as u64);
         let mut acc: Vec<Access> = t.reads().map(|r| Access::read(data(r))).collect();
         acc.push(Access::write(data(t.written())));
         acc
     }
 
+    /// The accesses of one task of a model op's graph: a `GEN` writes its
+    /// tile, `DECIDE` writes every tile, and a factor task as
+    /// [`accesses`](TiledFactor::accesses).
+    fn op_accesses(&self, t: OpTask) -> Vec<Access> {
+        match t {
+            OpTask::Gen { i, j } => vec![Access::write(DataId(self.stored((i, j)) as u64))],
+            OpTask::Decide => (0..self.tiles.len() as u64)
+                .map(|idx| Access::write(DataId(idx)))
+                .collect(),
+            OpTask::Factor(t) => self.accesses(t),
+        }
+    }
+
     /// Run one task against the stored tiles: take shared guards on what it
-    /// reads and an exclusive guard on what it writes, then [`Task::run`].
-    /// A POTRF failure comes back as the global pivot index.
+    /// reads and an exclusive guard on what it writes, then [`Task::run`]
+    /// with the written tile's frozen tolerance. A POTRF failure comes back
+    /// as the global pivot index.
     pub(crate) fn run(&self, t: Task) -> Result<(), FactorError> {
-        let stored = |(i, j): (u32, u32)| self.layout.stored_index(i as usize, j as usize);
-        let reads: Vec<_> = t.reads().map(|r| self.tiles[stored(r)].read()).collect();
+        self.run_at(t, self.tols[self.stored(t.written())])
+    }
+
+    /// [`run`](TiledFactor::run) with the written tile's tolerance `tol`.
+    fn run_at(&self, t: Task, tol: f64) -> Result<(), FactorError> {
+        let reads: Vec<_> = t
+            .reads()
+            .map(|r| self.tiles[self.stored(r)].read())
+            .collect();
         let operands: Vec<&Tile> = reads.iter().map(|guard| &**guard).collect();
-        let written = stored(t.written());
+        let written = self.stored(t.written());
         // xgs-lint: allow(lock-cycle): shared read guards never wait on each other, and the caller's order (sequential loop or DAG) puts every write to a tile after the tasks that read it before, so no other task holds the written tile; stored_index is injective and written() is never among reads(), so this exclusive guard is on a tile this task does not already hold
         let mut target = self.tiles[written].write();
-        t.run(&mut target, &operands, self.tols[written])
+        t.run(&mut target, &operands, tol)
             .map_err(|e| FactorError::NotPositiveDefinite {
                 pivot: self.layout.tile_range(t.k as usize).start + e.pivot,
             })
@@ -191,46 +220,191 @@ impl TiledFactor {
         workers: usize,
         opts: ExecOptions,
     ) -> (Result<(), FactorError>, MetricsReport) {
-        let nt = self.nt();
-        let mut g = TaskGraph::new();
-        // Earliest failed pivot (global index); `usize::MAX` while none.
-        let failed = Arc::new(AtomicUsize::new(usize::MAX));
+        let state = OpState::new(self.as_ref(), None);
+        let report = state.execute(tasks(self.nt()).map(OpTask::Factor), workers, opts);
+        (state.finish().0, report)
+    }
 
-        for t in tasks(nt) {
-            let me = Arc::clone(self);
-            let failed = Arc::clone(&failed);
-            g.insert_at(
-                t.kind.name(),
-                t.written(),
-                self.accesses(t),
-                t.priority(nt),
-                move || {
-                    if failed.load(Ordering::Acquire) != usize::MAX {
-                        return;
-                    }
-                    if let Err(FactorError::NotPositiveDefinite { pivot }) = me.run(t) {
-                        // Keep the earliest pivot for determinism.
-                        failed.fetch_min(pivot, Ordering::AcqRel);
-                    }
-                },
-            );
+    /// One model op on the runtime: generate Σ with `gen` and factor it as
+    /// one task graph ([`op_tasks`]). Each `GEN` is a task beside the
+    /// factor's, so the Cholesky starts on the first tiles generated: under
+    /// dense FP64 POTRF(0) waits on `GEN(0, 0)` alone, and under MP and
+    /// MP+TLR every factor task waits on the one `DECIDE` join. The factor
+    /// is bitwise [`from_matrix`](TiledFactor::from_matrix) of
+    /// [`SymTileMatrix::generate`] factorized by any engine.
+    pub fn generate_and_factorize(
+        gen: &TileGen<'_>,
+        workers: usize,
+        opts: ExecOptions,
+    ) -> OpFactor {
+        let layout = gen.layout();
+        let stored = layout.stored_tiles();
+        let empty = || RwLock::new(Tile::dense(Matrix::zeros(0, 0), Precision::F64));
+        let mut factor = TiledFactor {
+            layout,
+            tiles: (0..stored).map(|_| empty()).collect(),
+            tols: vec![DENSE_TOL; stored],
+            band_size_dense: gen.config().band_size_dense.unwrap_or(1),
+        };
+        let state = OpState::new(&factor, Some(gen));
+        let metrics = state.execute(op_tasks(layout.nt(), gen.decides()), workers, opts);
+        let (result, decided) = state.finish();
+        let dense_footprint_bytes = layout.dense_f64_bytes();
+        let footprint_bytes = match decided {
+            Some(d) => {
+                factor.tols = d.tols;
+                factor.band_size_dense = d.band_size_dense;
+                d.footprint_bytes
+            }
+            None => dense_footprint_bytes,
+        };
+        OpFactor {
+            factor,
+            result,
+            metrics,
+            footprint_bytes,
+            dense_footprint_bytes,
         }
+    }
+}
 
-        // Static gate ahead of thread spawn: the built DAG's per-kernel
-        // counts must match the closed form for `nt` (the executor's own
-        // precheck then covers acyclicity and hazard edges).
+/// One model op's factor, as [`TiledFactor::generate_and_factorize`]
+/// leaves it.
+pub struct OpFactor {
+    pub factor: TiledFactor,
+    /// `Err` when a POTRF lost positive definiteness.
+    pub result: Result<(), FactorError>,
+    /// The run of the whole graph, generation included.
+    pub metrics: MetricsReport,
+    /// The generated matrix's footprint under its formats
+    /// (`SymTileMatrix::footprint_bytes`).
+    pub footprint_bytes: usize,
+    /// The same matrix fully dense in FP64.
+    pub dense_footprint_bytes: usize,
+}
+
+/// What `DECIDE` settles for the factor besides its tiles.
+struct Decided {
+    tols: Vec<f64>,
+    band_size_dense: usize,
+    footprint_bytes: usize,
+}
+
+/// The state the tasks of one graph share; each task borrows it.
+struct OpState<'a> {
+    factor: &'a TiledFactor,
+    /// What the `GEN` and `DECIDE` tasks run; `None` in a factor-only graph.
+    gen: Option<&'a TileGen<'a>>,
+    /// Each `GEN`'s tile and norm, waiting on `DECIDE` (MP and MP+TLR).
+    staged: Vec<Mutex<Option<Generated>>>,
+    decided: OnceLock<Decided>,
+    /// Earliest failed pivot (global index); `usize::MAX` while none.
+    failed: AtomicUsize,
+}
+
+impl<'a> OpState<'a> {
+    fn new(factor: &'a TiledFactor, gen: Option<&'a TileGen<'a>>) -> OpState<'a> {
+        let staged = match gen {
+            Some(gen) if gen.decides() => {
+                (0..factor.tiles.len()).map(|_| Mutex::new(None)).collect()
+            }
+            _ => Vec::new(),
+        };
+        OpState {
+            factor,
+            gen,
+            staged,
+            decided: OnceLock::new(),
+            failed: AtomicUsize::new(usize::MAX),
+        }
+    }
+
+    /// Build the graph of `ops` over the factor's tiles and execute it.
+    fn execute(
+        &self,
+        ops: impl Iterator<Item = OpTask>,
+        workers: usize,
+        opts: ExecOptions,
+    ) -> MetricsReport {
+        let nt = self.factor.nt();
+        let mut g = TaskGraph::new();
+        for t in ops {
+            let (kind, accesses, priority) = (t.name(), self.factor.op_accesses(t), t.priority(nt));
+            let run = move || self.run(t);
+            match t.coords() {
+                Some(at) => g.insert_at(kind, at, accesses, priority, run),
+                None => g.insert(kind, accesses, priority, 0.0, run),
+            };
+        }
+        // Static gate ahead of execution: the built DAG's per-kind counts
+        // must match the closed form for `nt` (the executor's own precheck
+        // then covers acyclicity and hazard edges).
         if opts.precheck {
-            if let Err(e) = xgs_analysis::check_cholesky_census(g.task_kinds(), nt) {
+            let census = match self.gen {
+                None => xgs_analysis::check_cholesky_census(g.task_kinds(), nt),
+                Some(gen) => xgs_analysis::check_model_op_census(g.task_kinds(), nt, gen.decides()),
+            };
+            if let Err(e) = census {
                 panic!("cholesky DAG precheck: {e}");
             }
         }
+        execute_opts(g, workers, opts)
+    }
 
-        let report = execute_opts(g, workers, opts);
-        let res = match failed.load(Ordering::Acquire) {
+    /// One task's body. Every task after a failed POTRF returns at once; a
+    /// POTRF runs only after `DECIDE`, so `DECIDE` finds every `GEN`'s tile.
+    fn run(&self, t: OpTask) {
+        if self.failed.load(Ordering::Acquire) != usize::MAX {
+            return;
+        }
+        let f = self.factor;
+        let gen = || self.gen.expect("generation tasks need their TileGen");
+        match t {
+            OpTask::Gen { i, j } => {
+                let idx = f.stored((i, j));
+                let (i, j) = (i as usize, j as usize);
+                match gen().decides() {
+                    true => *self.staged[idx].lock() = Some(gen().tile(i, j)),
+                    false => *f.tiles[idx].write() = gen().dense_f64_tile(i, j),
+                }
+            }
+            OpTask::Decide => {
+                let gens = self.staged.iter().map(|slot| slot.lock().take());
+                let gens = gens.map(|g| g.expect("DECIDE follows every GEN"));
+                let m = gen().decide(gens.collect());
+                let tol_rel = m.config.tlr_tolerance;
+                let decided = Decided {
+                    tols: low_rank_tolerances(&m.tiles, tol_rel, m.global_norm, m.nt()),
+                    band_size_dense: m.band_size_dense,
+                    footprint_bytes: m.footprint_bytes(),
+                };
+                for (slot, tile) in f.tiles.iter().zip(m.tiles) {
+                    *slot.write() = tile;
+                }
+                // The one DECIDE of the graph sets it.
+                let _ = self.decided.set(decided);
+            }
+            OpTask::Factor(t) => {
+                let written = f.stored(t.written());
+                let tol = match self.decided.get() {
+                    Some(d) => d.tols[written],
+                    None => f.tols[written],
+                };
+                if let Err(FactorError::NotPositiveDefinite { pivot }) = f.run_at(t, tol) {
+                    // Keep the earliest pivot for determinism.
+                    self.failed.fetch_min(pivot, Ordering::AcqRel);
+                }
+            }
+        }
+    }
+
+    /// The factorization's outcome and what `DECIDE` settled.
+    fn finish(self) -> (Result<(), FactorError>, Option<Decided>) {
+        let result = match self.failed.into_inner() {
             usize::MAX => Ok(()),
             pivot => Err(FactorError::NotPositiveDefinite { pivot }),
         };
-        (res, report)
+        (result, self.decided.into_inner())
     }
 }
 
@@ -240,7 +414,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use xgs_covariance::{jittered_grid, morton_order, Matern, MaternParams};
-    use xgs_tile::{FlopKernelModel, TlrConfig, Variant};
+    use xgs_tile::{FlopKernelModel, TileGen, TlrConfig, Variant};
 
     fn build(
         n: usize,
@@ -469,5 +643,186 @@ mod tests {
             .iter()
             .filter(|e| e.kind == "gemm")
             .all(|e| matches!(e.coords, Some((i, j)) if i > j)));
+    }
+
+    // ---- One model op as one graph: GEN, DECIDE and the factor.
+
+    use crate::task::{op_tasks, Kernel, OpTask};
+    use std::collections::BTreeSet;
+    use xgs_covariance::{CovarianceKernel, Location};
+
+    fn sites(n: usize) -> Vec<Location> {
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut locs = jittered_grid(n, &mut rng);
+        morton_order(&mut locs);
+        locs
+    }
+
+    fn tlr_friendly() -> FlopKernelModel {
+        FlopKernelModel {
+            dense_rate: 45.0e9,
+            mem_factor: 1.0,
+        }
+    }
+
+    #[test]
+    fn generation_joins_the_factor_graph_where_its_data_does() {
+        let locs = sites(300);
+        let (kernel, model) = (
+            Matern::new(MaternParams::new(1.0, 0.03, 0.5)),
+            tlr_friendly(),
+        );
+        for variant in Variant::ALL {
+            let cfg = TlrConfig::new(variant, 50);
+            let gen = TileGen::new(&kernel, &locs, cfg, &model);
+            let f = TiledFactor::from_matrix(SymTileMatrix::generate(&kernel, &locs, cfg, &model));
+            let nt = f.nt();
+            let ops: Vec<OpTask> = op_tasks(nt, gen.decides()).collect();
+            let accesses: Vec<Vec<Access>> = ops.iter().map(|&t| f.op_accesses(t)).collect();
+            let mut preds = vec![BTreeSet::new(); ops.len()];
+            let mut succs = vec![Vec::new(); ops.len()];
+            for (p, s, _, _) in xgs_runtime::derived_edges(&accesses) {
+                preds[s.0].insert(p.0);
+                succs[p.0].push(s.0);
+            }
+            let at = |t: OpTask| ops.iter().position(|&o| o == t).unwrap();
+            let potrf0 = at(OpTask::Factor(Task {
+                kind: Kernel::Potrf,
+                k: 0,
+                i: 0,
+                j: 0,
+            }));
+            let gen00 = at(OpTask::Gen { i: 0, j: 0 });
+            let gens: BTreeSet<usize> = (0..ops.len())
+                .filter(|&t| matches!(ops[t], OpTask::Gen { .. }))
+                .collect();
+            assert!(gens.iter().all(|&t| preds[t].is_empty()), "{variant:?}");
+            if !gen.decides() {
+                assert_eq!(variant, Variant::DenseF64);
+                assert!(!ops.contains(&OpTask::Decide));
+                assert_eq!(preds[potrf0], BTreeSet::from([gen00]));
+                continue;
+            }
+            let decide = at(OpTask::Decide);
+            assert_eq!(preds[decide], gens, "{variant:?}: DECIDE follows every GEN");
+            // Everything reachable from DECIDE (edges run forward in
+            // insertion order).
+            let mut after = vec![false; ops.len()];
+            after[decide] = true;
+            for t in decide..ops.len() {
+                if after[t] {
+                    for &s in &succs[t] {
+                        after[s] = true;
+                    }
+                }
+            }
+            for (t, op) in ops.iter().enumerate() {
+                let OpTask::Factor(task) = op else { continue };
+                let off_diagonal = task.reads().chain([task.written()]).any(|(i, j)| i != j);
+                if off_diagonal {
+                    assert!(after[t], "{variant:?}: {task:?} does not follow DECIDE");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_traced_model_op_shows_generation_by_tile() {
+        let locs = sites(200);
+        let kernel = Matern::new(MaternParams::new(1.0, 0.05, 0.5));
+        let (cfg, model) = (TlrConfig::new(Variant::MpDenseTlr, 50), tlr_friendly());
+        let gen = TileGen::new(&kernel, &locs, cfg, &model);
+        let opts = ExecOptions {
+            trace: true,
+            ..Default::default()
+        };
+        let op = TiledFactor::generate_and_factorize(&gen, 2, opts);
+        op.result.unwrap();
+        let count = |kind| {
+            let row = op.metrics.kernels.iter().find(|k| k.kind == kind);
+            row.map_or(0, |k| k.count)
+        };
+        assert_eq!((count("gen"), count("decide"), count("potrf")), (10, 1, 4));
+        assert_eq!(op.metrics.tasks, 10 + 1 + 20);
+        let json = xgs_runtime::chrome_trace_json(&op.metrics.trace);
+        let events = match xgs_runtime::parse_json(&json).unwrap() {
+            xgs_runtime::JsonValue::Array(events) => events,
+            other => panic!("not an array: {other:?}"),
+        };
+        let tiles: BTreeSet<(u64, u64)> = events
+            .iter()
+            .filter(|e| e.get("name").and_then(|n| n.as_str()) == Some("gen"))
+            .map(|e| {
+                let tile = e
+                    .get("args")
+                    .and_then(|a| a.get("tile"))
+                    .expect("GEN names its tile");
+                let at = |k: usize| tile.as_array().and_then(|t| t[k].as_u64()).unwrap();
+                (at(0), at(1))
+            })
+            .collect();
+        let want: BTreeSet<(u64, u64)> = (0..4).flat_map(|j| (j..4).map(move |i| (i, j))).collect();
+        assert_eq!(tiles, want);
+        let decide: Vec<_> = events
+            .iter()
+            .filter(|e| e.get("name").and_then(|n| n.as_str()) == Some("decide"))
+            .collect();
+        assert_eq!(decide.len(), 1);
+        assert!(decide[0].get("args").unwrap().get("tile").is_none());
+    }
+
+    /// A kernel that counts the single entries `cov` evaluates: generation
+    /// reads entries that way only to check a low-rank tile against its
+    /// exact block.
+    struct Counting<K> {
+        base: K,
+        exact: AtomicUsize,
+    }
+
+    impl<K: CovarianceKernel> CovarianceKernel for Counting<K> {
+        fn cov(&self, a: &Location, b: &Location) -> f64 {
+            self.exact.fetch_add(1, Ordering::Relaxed);
+            self.base.cov(a, b)
+        }
+        fn cov_column(&self, rows: &[Location], col: &Location, out: &mut [f64]) {
+            self.base.cov_column(rows, col, out);
+        }
+        fn variance(&self) -> f64 {
+            self.base.variance()
+        }
+        fn n_params(&self) -> usize {
+            self.base.n_params()
+        }
+    }
+
+    #[test]
+    fn the_graph_checks_every_low_rank_tile_as_generate_does() {
+        let locs = sites(400);
+        let kernel = Counting {
+            base: Matern::new(MaternParams::new(1.0, 0.01, 0.5)),
+            exact: AtomicUsize::new(0),
+        };
+        let (cfg, model) = (TlrConfig::new(Variant::MpDenseTlr, 50), tlr_friendly());
+        let phased = SymTileMatrix::generate(&kernel, &locs, cfg, &model);
+        let checked = kernel.exact.swap(0, Ordering::Relaxed);
+        let gen = TileGen::new(&kernel, &locs, cfg, &model);
+        let op = TiledFactor::generate_and_factorize(&gen, 2, ExecOptions::default());
+        op.result.unwrap();
+        assert_eq!(kernel.exact.load(Ordering::Relaxed), checked);
+        let low_rank = phased.tiles.iter().filter(|t| !t.is_dense()).count();
+        assert!(low_rank > 0, "no low-rank tile to check");
+        if cfg!(debug_assertions) {
+            // At least every tile still low-rank, read whole.
+            let entries: usize = (phased.tiles.iter())
+                .filter(|t| !t.is_dense())
+                .map(|t| t.rows() * t.cols())
+                .sum();
+            assert!(
+                checked >= entries,
+                "{checked} exact reads, {entries} low-rank entries"
+            );
+        } else {
+            assert_eq!(checked, 0, "the exact check is a debug-build check");
+        }
     }
 }

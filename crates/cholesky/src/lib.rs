@@ -27,7 +27,7 @@ pub mod solve;
 pub mod task;
 
 pub use dag::{cholesky_dag, DagOptions, DagStats};
-pub use factor::{FactorError, TiledFactor};
+pub use factor::{FactorError, OpFactor, TiledFactor};
 pub use shard::{
     admit_worker, grid_shape, project_wire_census, tile_wire_frame_bytes, worker_loop_with,
     ChaosSpec, JoinInfo, NoReplacement, ReplacementOrigin, ReplacementSource, ReplacementWorker,

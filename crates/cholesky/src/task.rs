@@ -7,6 +7,10 @@
 //! module; none of them carries a loop nest or a kernel dispatch of its
 //! own, so the order below *is* the per-tile kernel order every bitwise
 //! suite pins.
+//!
+//! A model op's graph ([`op_tasks`]) puts the generation in front: one
+//! `GEN(i, j)` per stored tile and, for the variants that decide formats,
+//! one `DECIDE` join, then the factorization's tasks.
 
 use crate::kernels::{gemm_update, potrf_diag, syrk_diag, trsm_panel};
 use xgs_kernels::PotrfError;
@@ -115,6 +119,65 @@ pub fn tasks(nt: usize) -> impl Iterator<Item = Task> {
     (0..nt).flat_map(move |k| panel_tasks(nt, k))
 }
 
+/// One task of a model op's graph ([`op_tasks`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum OpTask {
+    /// Form stored tile `(i, j)` from the kernel (`TileGen::tile`).
+    Gen { i: u32, j: u32 },
+    /// Join every `GEN` and decide each tile's format (`TileGen::decide`).
+    Decide,
+    /// A task of the factorization.
+    Factor(Task),
+}
+
+impl OpTask {
+    /// Kind name: the metrics row and the `xgs-analysis` census key.
+    pub fn name(&self) -> &'static str {
+        match self {
+            OpTask::Gen { .. } => "gen",
+            OpTask::Decide => "decide",
+            OpTask::Factor(t) => t.kind.name(),
+        }
+    }
+
+    /// The tile the task writes, which traces carry; `DECIDE` writes every
+    /// tile and names none.
+    pub fn coords(&self) -> Option<(u32, u32)> {
+        match self {
+            OpTask::Gen { i, j } => Some((*i, *j)),
+            OpTask::Decide => None,
+            OpTask::Factor(t) => Some(t.written()),
+        }
+    }
+
+    /// Scheduling priority on an `nt x nt` grid. `GEN(i, j)` ranks just
+    /// above step `i`'s POTRF: row `i` of the lower triangle is what
+    /// POTRF(i) needs, so generation runs one row ahead of the factor and
+    /// the factor's ready tasks of earlier steps go first. `DECIDE` is the
+    /// only task ready when it is.
+    pub fn priority(&self, nt: usize) -> i64 {
+        match self {
+            OpTask::Gen { i, .. } => (((nt - *i as usize) as i64) << 8) + 4,
+            OpTask::Decide => i64::MAX,
+            OpTask::Factor(t) => t.priority(nt),
+        }
+    }
+}
+
+/// Every task of one model op on an `nt x nt` grid, in insertion order:
+/// each `GEN` in stored-index order (column by column), the `DECIDE` join
+/// when the variant `decides` formats, then the factorization ([`tasks`]).
+pub fn op_tasks(nt: usize, decides: bool) -> impl Iterator<Item = OpTask> {
+    let gens = (0..nt).flat_map(move |j| {
+        (j..nt).map(move |i| OpTask::Gen {
+            i: i as u32,
+            j: j as u32,
+        })
+    });
+    gens.chain(decides.then_some(OpTask::Decide))
+        .chain(tasks(nt).map(OpTask::Factor))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -160,6 +223,44 @@ mod tests {
                     Kernel::Gemm => 0,
                 };
                 assert_eq!(t.priority(nt), prio_base + rank, "{t:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_model_op_is_its_gens_its_decide_and_the_factor() {
+        for nt in 1..=6 {
+            for decides in [false, true] {
+                let op: Vec<OpTask> = op_tasks(nt, decides).collect();
+                let gens = nt * (nt + 1) / 2;
+                for (idx, t) in op[..gens].iter().enumerate() {
+                    let OpTask::Gen { i, j } = *t else {
+                        panic!("nt={nt}: task {idx} is {t:?}")
+                    };
+                    let layout = xgs_tile::TileLayout::new(nt, 1);
+                    assert_eq!(layout.stored_index(i as usize, j as usize), idx);
+                    // One row ahead: above step i's POTRF, below every
+                    // task of step i - 1.
+                    let potrf = Task {
+                        kind: Kernel::Potrf,
+                        k: i,
+                        i,
+                        j: i,
+                    };
+                    assert!(t.priority(nt) > potrf.priority(nt));
+                    let step_before = ((nt + 1 - i as usize) as i64) << 8;
+                    assert!(i == 0 || t.priority(nt) < step_before);
+                }
+                let rest = &op[gens..];
+                let factor = match (decides, rest.first()) {
+                    (true, Some(OpTask::Decide)) => &rest[1..],
+                    (false, _) => rest,
+                    (true, first) => panic!("nt={nt}: {first:?} where DECIDE belongs"),
+                };
+                let want: Vec<OpTask> = tasks(nt).map(OpTask::Factor).collect();
+                assert_eq!(factor, &want[..], "nt={nt}");
+                xgs_analysis::check_model_op_census(op.iter().map(|t| t.name()), nt, decides)
+                    .unwrap_or_else(|e| panic!("nt={nt}: {e}"));
             }
         }
     }

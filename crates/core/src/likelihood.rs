@@ -6,12 +6,20 @@
 //! decisions), tile-Cholesky it in the chosen variant, take the
 //! log-determinant off the factored diagonal, and a forward solve for the
 //! quadratic form `‖L^{-1}Z‖²`.
+//!
+//! On the threaded engine generation and factorization are one task graph
+//! (`TiledFactor::generate_and_factorize`): each tile is a `GEN` task, the
+//! format decisions are one `DECIDE` task that the factor's tasks on
+//! off-diagonal tiles wait on (none under dense FP64), and the Cholesky
+//! starts on the first tiles generated. The sequential and sharded engines
+//! generate the whole matrix first (`SymTileMatrix::generate`, the same
+//! `GEN` and `DECIDE` bodies), then factor it.
 
 use std::sync::Arc;
 use xgs_cholesky::{logdet, solve_lower, ShardBackend, ShardError, TiledFactor};
 use xgs_covariance::{CovarianceKernel, Location};
-use xgs_runtime::MetricsReport;
-use xgs_tile::{KernelTimeModel, SymTileMatrix, TlrConfig};
+use xgs_runtime::{ExecOptions, MetricsReport};
+use xgs_tile::{KernelTimeModel, SymTileMatrix, TileGen, TlrConfig};
 
 /// Which execution backend factorizes Σ(θ).
 #[derive(Clone, Debug)]
@@ -19,7 +27,7 @@ pub enum FactorEngine {
     /// In-process, single-threaded reference loop.
     Sequential,
     /// In-process task runtime with this many worker loops on the shared
-    /// pool (0 = one per core).
+    /// pool (0 = one per core); generation runs in the factor's graph.
     Threads(usize),
     /// Multi-process 2D block-cyclic sharding on the backend's fleet:
     /// the `xgs-fleet` supervisor keeps its workers warm between
@@ -75,27 +83,28 @@ pub fn log_likelihood_engine(
     let n = locs.len();
     assert_eq!(z.len(), n, "observation vector must match locations");
 
-    let matrix = SymTileMatrix::generate(kernel, locs, *cfg, model);
-    let footprint = matrix.footprint_bytes();
-    let dense_footprint = matrix.dense_f64_footprint_bytes();
-    let (factor, metrics) = match engine {
-        FactorEngine::Sequential => {
-            let mut f = TiledFactor::from_matrix(matrix);
-            f.factorize_seq()?;
-            (Arc::new(f), None)
-        }
+    let (factor, metrics, footprint, dense_footprint) = match engine {
         FactorEngine::Threads(workers) => {
-            let f = Arc::new(TiledFactor::from_matrix(matrix));
-            let (res, report) = f.factorize_parallel(*workers);
-            res?;
-            (f, Some(report))
+            let gen = TileGen::new(kernel, locs, *cfg, model);
+            let op = TiledFactor::generate_and_factorize(&gen, *workers, ExecOptions::default());
+            op.result?;
+            let (footprint, dense) = (op.footprint_bytes, op.dense_footprint_bytes);
+            (Arc::new(op.factor), Some(op.metrics), footprint, dense)
         }
-        FactorEngine::Sharded(runner) => {
+        FactorEngine::Sequential | FactorEngine::Sharded(_) => {
+            let matrix = SymTileMatrix::generate(kernel, locs, *cfg, model);
+            let (footprint, dense) = (matrix.footprint_bytes(), matrix.dense_f64_footprint_bytes());
             let mut f = TiledFactor::from_matrix(matrix);
-            // Busy time is worker-process compute time as reported in
-            // DONEs.
-            let rep = runner.factorize(&mut f)?;
-            (Arc::new(f), Some(rep.metrics))
+            let metrics = match engine {
+                // Busy time is worker-process compute time as reported in
+                // DONEs.
+                FactorEngine::Sharded(runner) => Some(runner.factorize(&mut f)?.metrics),
+                _ => {
+                    f.factorize_seq()?;
+                    None
+                }
+            };
+            (Arc::new(f), metrics, footprint, dense)
         }
     };
 
@@ -184,12 +193,65 @@ mod tests {
         // The runtime's observability layer rides along: metrics always,
         // schedule validation by default under debug_assertions only.
         let m = par.metrics.expect("parallel engine reports");
+        // The factor's kernels keep their closed form; generation adds one
+        // GEN per stored tile and, under MP, one DECIDE.
         let nt = locs.len().div_ceil(cfg.tile_size);
-        assert_eq!(m.tasks, nt + nt * (nt - 1) / 2 + nt * (nt * nt - 1) / 6);
+        let count = |kind| {
+            m.kernels
+                .iter()
+                .find(|k| k.kind == kind)
+                .map_or(0, |k| k.count)
+        };
+        let census = ["potrf", "trsm", "syrk", "gemm", "gen", "decide"].map(count);
+        let (trsm, gemm) = (nt * (nt - 1) / 2, nt * (nt - 1) * (nt - 2) / 6);
+        let gens = nt * (nt + 1) / 2;
+        assert_eq!(census, [nt, trsm, trsm, gemm, gens, 1].map(|c| c as u64));
+        assert_eq!(
+            m.tasks,
+            nt + nt * (nt - 1) / 2 + nt * (nt * nt - 1) / 6 + gens + 1
+        );
         if cfg!(debug_assertions) {
             assert!(m.validation.expect("validated in debug").edges_checked > 0);
         } else {
             assert!(m.validation.is_none(), "validator is opt-in in release");
+        }
+    }
+
+    #[test]
+    fn one_graph_is_bitwise_the_phased_path() {
+        // The threaded engine generates inside the factor's graph; the
+        // sequential one generates, then factors. Every variant, weak and
+        // strong correlation, one to four worker loops.
+        let (_, locs, z) = setup(240);
+        let model = FlopKernelModel {
+            dense_rate: 45.0e9,
+            mem_factor: 1.0,
+        };
+        for range in [0.02, 0.3] {
+            let kernel = Matern::new(MaternParams::new(1.0, range, 0.5));
+            for variant in Variant::ALL {
+                let cfg = TlrConfig::new(variant, 40);
+                let phased = log_likelihood_engine(&kernel, &locs, &z, &cfg, &model, SEQ).unwrap();
+                for workers in [1, 2, 4] {
+                    let engine = FactorEngine::Threads(workers);
+                    let one =
+                        log_likelihood_engine(&kernel, &locs, &z, &cfg, &model, &engine).unwrap();
+                    let what = format!("{variant:?}, range {range}, {workers} workers");
+                    let bits = |r: &LikelihoodReport| [r.llh, r.logdet, r.quad].map(f64::to_bits);
+                    assert_eq!(bits(&one), bits(&phased), "{what}");
+                    let factor = |r: &LikelihoodReport| {
+                        let l = r.factor.to_dense_lower();
+                        l.as_slice()
+                            .iter()
+                            .map(|x| x.to_bits())
+                            .collect::<Vec<u64>>()
+                    };
+                    assert!(factor(&one) == factor(&phased), "{what}: factors differ");
+                    assert_eq!(one.factor.band_size_dense, phased.factor.band_size_dense);
+                    assert_eq!(one.footprint_bytes, phased.footprint_bytes, "{what}");
+                    assert_eq!(one.dense_footprint_bytes, phased.dense_footprint_bytes);
+                }
+            }
         }
     }
 

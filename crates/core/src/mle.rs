@@ -326,10 +326,19 @@ mod tests {
         assert!(r.factorizations > 0);
         assert!(r.factorizations <= r.evals);
         let m = r.metrics.expect("parallel engine collects metrics");
-        // 4x4 tiles, 20 tasks per factorization, one factorization per
-        // successful evaluation.
-        assert_eq!(m.tasks, 20 * r.factorizations);
-        assert!(m.kernels.iter().any(|k| k.kind == "potrf"));
+        // 4x4 tiles, one factorization per successful evaluation: 20
+        // factor tasks (4 POTRFs, 6 TRSMs and SYRKs, 4 GEMMs), 10 GENs and
+        // one DECIDE each.
+        let count = |kind| {
+            m.kernels
+                .iter()
+                .find(|k| k.kind == kind)
+                .map_or(0, |k| k.count)
+        };
+        let census = ["potrf", "trsm", "syrk", "gemm", "gen", "decide"].map(count);
+        let per = [4, 6, 6, 4, 10, 1].map(|c| c * r.factorizations as u64);
+        assert_eq!(census, per);
+        assert_eq!(m.tasks, 31 * r.factorizations);
         // The validator defaults on under debug_assertions only, so this
         // test means different things in `cargo test` vs `--release`.
         if cfg!(debug_assertions) {

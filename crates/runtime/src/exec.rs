@@ -172,7 +172,7 @@ struct WorkerScratch {
 /// `workers` means on the shared pool.
 ///
 /// `trace` records per-task start/end times (adds a little overhead).
-pub fn execute(graph: TaskGraph, workers: usize, trace: bool) -> MetricsReport {
+pub fn execute(graph: TaskGraph<'_>, workers: usize, trace: bool) -> MetricsReport {
     execute_opts(
         graph,
         workers,
@@ -201,7 +201,7 @@ pub fn execute(graph: TaskGraph, workers: usize, trace: bool) -> MetricsReport {
 /// schedule violated a hazard edge — that is a runtime bug, never a user
 /// error, so it is fatal by design.
 #[allow(clippy::needless_range_loop)]
-pub fn execute_opts(graph: TaskGraph, workers: usize, opts: ExecOptions) -> MetricsReport {
+pub fn execute_opts(graph: TaskGraph<'_>, workers: usize, opts: ExecOptions) -> MetricsReport {
     let workers = if workers == 0 {
         crate::logical_cores()
     } else {
@@ -215,7 +215,7 @@ pub fn execute_opts(graph: TaskGraph, workers: usize, opts: ExecOptions) -> Metr
     let race_scope = crate::race::enabled().then(crate::race::new_scope);
 
     // Unpack the graph into shared, lock-free-readable structures.
-    let mut closures: Vec<Option<Box<dyn FnOnce() + Send>>> = Vec::with_capacity(n);
+    let mut closures: Vec<Option<Box<dyn FnOnce() + Send + '_>>> = Vec::with_capacity(n);
     let mut dependents: Vec<Vec<TaskId>> = Vec::with_capacity(n);
     let mut kinds: Vec<&'static str> = Vec::with_capacity(n);
     let mut coords: Vec<Option<(u32, u32)>> = Vec::with_capacity(n);
@@ -252,7 +252,7 @@ pub fn execute_opts(graph: TaskGraph, workers: usize, opts: ExecOptions) -> Metr
     // Closures must be callable from any worker; wrap in per-task Mutex-free
     // Option slots guarded by the DAG's exclusivity (each task runs once).
     #[allow(clippy::type_complexity)]
-    let closures: Vec<Mutex<Option<Box<dyn FnOnce() + Send>>>> =
+    let closures: Vec<Mutex<Option<Box<dyn FnOnce() + Send + '_>>>> =
         closures.into_iter().map(Mutex::new).collect();
 
     let shared = Shared {
@@ -352,7 +352,8 @@ pub fn execute_opts(graph: TaskGraph, workers: usize, opts: ExecOptions) -> Metr
                 }
                 let t1 = start.elapsed().as_secs_f64();
                 // A task converts on this thread only: tile kernels do not
-                // fork onto the pool.
+                // fork onto the pool, and the one task that does (a model
+                // op's DECIDE, forming tiles) converts nothing.
                 let converted = thread_conversion_counts();
                 for ((sum, after), before) in scratch
                     .conversions
@@ -604,10 +605,32 @@ mod tests {
     }
 
     #[test]
+    fn tasks_borrow_the_callers_data() {
+        // No `Arc`: the tasks borrow locals that outlive the execution.
+        let cells: Vec<AtomicU64> = (0..4).map(|_| AtomicU64::new(0)).collect();
+        let step = 5u64;
+        let mut g = TaskGraph::new();
+        for (i, cell) in cells.iter().enumerate() {
+            let step = &step;
+            g.insert(
+                "add",
+                vec![Access::write(DataId(i as u64))],
+                0,
+                0.0,
+                move || {
+                    cell.fetch_add(*step, AOrd::SeqCst);
+                },
+            );
+        }
+        assert_eq!(execute(g, 2, false).tasks, 4);
+        assert!(cells.iter().all(|c| c.load(AOrd::SeqCst) == 5));
+    }
+
+    #[test]
     fn parallel_matches_sequential_result() {
         // Random DAG over 16 data cells doing deterministic arithmetic:
         // result must equal the 1-worker execution.
-        fn build(values: Arc<Vec<AtomicU64>>) -> TaskGraph {
+        fn build(values: Arc<Vec<AtomicU64>>) -> TaskGraph<'static> {
             let mut g = TaskGraph::new();
             let mut seed = 12345u64;
             for _ in 0..400 {

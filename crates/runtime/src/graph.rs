@@ -6,6 +6,10 @@
 //! dependencies, which is sufficient for any execution order the executor
 //! picks to be equivalent to the sequential one — the same "separation of
 //! concerns" contract StarPU/PaRSEC give the paper's solver.
+//!
+//! A graph's tasks may borrow for its lifetime `'a`: the executor returns
+//! only after every task has run, so a task can read the covariance kernel
+//! and the sites of the model op that built the graph without an `Arc`.
 
 use std::collections::HashMap;
 
@@ -48,12 +52,12 @@ impl Access {
     }
 }
 
-pub(crate) struct TaskNode {
+pub(crate) struct TaskNode<'a> {
     pub kind: &'static str,
     /// Tile coordinates `(i, j)` for kernels that act on a tile; carried
     /// into traces and validator diagnostics.
     pub coords: Option<(u32, u32)>,
-    pub closure: Option<Box<dyn FnOnce() + Send>>,
+    pub closure: Option<Box<dyn FnOnce() + Send + 'a>>,
     /// Tasks that must run after this one.
     pub dependents: Vec<TaskId>,
     /// Number of unmet dependencies.
@@ -64,18 +68,18 @@ pub(crate) struct TaskNode {
     pub accesses: Vec<Access>,
 }
 
-/// A dependency graph under construction.
+/// A dependency graph under construction, whose tasks may borrow for `'a`.
 #[derive(Default)]
-pub struct TaskGraph {
-    pub(crate) tasks: Vec<TaskNode>,
+pub struct TaskGraph<'a> {
+    pub(crate) tasks: Vec<TaskNode<'a>>,
     /// Last task that wrote each datum.
     last_writer: HashMap<DataId, TaskId>,
     /// Tasks that read each datum since its last write.
     readers: HashMap<DataId, Vec<TaskId>>,
 }
 
-impl TaskGraph {
-    pub fn new() -> TaskGraph {
+impl<'a> TaskGraph<'a> {
+    pub fn new() -> TaskGraph<'a> {
         TaskGraph::default()
     }
 
@@ -98,7 +102,7 @@ impl TaskGraph {
         accesses: Vec<Access>,
         priority: i64,
         _cost: f64,
-        closure: impl FnOnce() + Send + 'static,
+        closure: impl FnOnce() + Send + 'a,
     ) -> TaskId {
         self.insert_task(kind, None, accesses, priority, closure)
     }
@@ -112,7 +116,7 @@ impl TaskGraph {
         coords: (u32, u32),
         accesses: Vec<Access>,
         priority: i64,
-        closure: impl FnOnce() + Send + 'static,
+        closure: impl FnOnce() + Send + 'a,
     ) -> TaskId {
         self.insert_task(kind, Some(coords), accesses, priority, closure)
     }
@@ -123,7 +127,7 @@ impl TaskGraph {
         coords: Option<(u32, u32)>,
         accesses: Vec<Access>,
         priority: i64,
-        closure: impl FnOnce() + Send + 'static,
+        closure: impl FnOnce() + Send + 'a,
     ) -> TaskId {
         let id = TaskId(self.tasks.len());
         let mut n_deps = 0usize;

@@ -38,7 +38,7 @@ fn random_accesses(seed: u64, tasks: usize) -> Vec<Vec<Access>> {
     out
 }
 
-fn graph_from(accesses: &[Vec<Access>]) -> TaskGraph {
+fn graph_from(accesses: &[Vec<Access>]) -> TaskGraph<'static> {
     let mut g = TaskGraph::new();
     for (i, accs) in accesses.iter().enumerate() {
         // Mixed priorities exercise the heap ordering.

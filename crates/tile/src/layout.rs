@@ -64,6 +64,20 @@ impl TileLayout {
         let nt = self.nt();
         j * nt - j * j.saturating_sub(1) / 2 + (i - j)
     }
+
+    /// Every stored tile `(i, j)`, in [`stored_index`](TileLayout::stored_index)
+    /// order.
+    pub fn stored_coords(&self) -> impl Iterator<Item = (usize, usize)> {
+        let nt = self.nt();
+        (0..nt).flat_map(move |j| (j..nt).map(move |i| (i, j)))
+    }
+
+    /// Bytes of the stored (lower) half held dense in FP64.
+    pub fn dense_f64_bytes(&self) -> usize {
+        self.stored_coords()
+            .map(|(i, j)| self.tile_dim(i) * self.tile_dim(j) * 8)
+            .sum()
+    }
 }
 
 #[cfg(test)]
@@ -109,6 +123,11 @@ mod tests {
             }
         }
         assert!(seen.iter().all(|&s| s));
+        let coords: Vec<(usize, usize)> = l.stored_coords().collect();
+        assert_eq!(coords.len(), l.stored_tiles());
+        for (idx, &(i, j)) in coords.iter().enumerate() {
+            assert_eq!(l.stored_index(i, j), idx);
+        }
     }
 
     #[test]

@@ -35,7 +35,7 @@ pub use decisions::{
 };
 pub use heatmap::{decision_heatmap, DecisionMap};
 pub use layout::TileLayout;
-pub use matrix::{SymTileMatrix, TileCensus, TlrConfig, Variant};
+pub use matrix::{Generated, SymTileMatrix, TileCensus, TileGen, TlrConfig, Variant};
 pub use tile::{Tile, TileStorage};
 pub use wire::{
     decode_tile, dense_payload_len, encode_tile, encoded_len, low_rank_payload_len, wire_elements,

@@ -1,12 +1,15 @@
 //! The symmetric tiled covariance matrix and its generation pipeline.
 //!
-//! Generation follows the paper's order of operations: tiles are generated
-//! (in parallel) from the covariance kernel, the global Frobenius norm is
-//! accumulated tile-by-tile *during* generation ("a copy of the global
-//! matrix need not be stored"), then the precision-aware and
-//! structure-aware decisions assign each tile its format, "right after the
-//! generation/compression of the matrix and just before the Cholesky
-//! factorization starts".
+//! Generation follows the paper's order of operations and is cut into the
+//! tasks of a model op's graph ([`TileGen`]). Each `GEN(i, j)` forms one
+//! tile from the covariance kernel with its Frobenius norm, so the global
+//! norm is accumulated tile by tile ("a copy of the global matrix need not
+//! be stored"). One `DECIDE` join then sums the norms in stored-index
+//! order and makes the precision-aware and structure-aware decisions that
+//! assign each tile its format. In the threaded engine GEN and DECIDE are
+//! tasks of the factor's DAG, and every factor task on an off-diagonal
+//! tile waits on DECIDE. Dense FP64 has no decisions and no DECIDE.
+//! [`SymTileMatrix::generate`] runs every GEN in parallel, then DECIDE.
 //!
 //! The dense variants form every tile with [`cov_block`]. The TLR variant
 //! forms only the diagonal tiles that way: an off-diagonal tile is
@@ -17,7 +20,7 @@
 //! ([`crossover_rank`]): a tile that needs more crosses is past the rank at
 //! which any tile is stored low-rank, so it is formed densely instead and
 //! enters Algorithm 2 at crossover + 1. A low-rank tile that the band or
-//! the structure rule turns dense is formed densely after the decisions.
+//! the structure rule turns dense is formed densely by DECIDE.
 
 use crate::band::auto_tune_band_size;
 use crate::decisions::{
@@ -148,27 +151,87 @@ pub struct SymTileMatrix {
     pub config: TlrConfig,
 }
 
-impl SymTileMatrix {
-    /// Generate the tiled covariance matrix for `locs` under `kernel`.
-    ///
+/// One model's tile generation, cut into the tasks of its graph:
+/// [`TileGen::tile`] is `GEN(i, j)` and [`TileGen::decide`] the one
+/// `DECIDE` join. [`SymTileMatrix::generate`] runs every GEN in parallel
+/// and then DECIDE; the threaded engine of `xgs-cholesky` runs the same two
+/// bodies as tasks of the factor's DAG.
+pub struct TileGen<'a> {
+    kernel: &'a dyn CovarianceKernel,
+    locs: &'a [Location],
+    config: TlrConfig,
+    model: &'a dyn KernelTimeModel,
+    layout: TileLayout,
+    /// MP+TLR only: which stored tiles share a site ([`shares_a_site`]).
+    shared: Vec<bool>,
+}
+
+impl<'a> TileGen<'a> {
+    /// Generation of the tiled covariance of `locs` under `kernel`.
     /// `model` drives the structure-aware decision and the TLR rank cap
     /// (ignored for the dense variants).
-    pub fn generate(
-        kernel: &dyn CovarianceKernel,
-        locs: &[Location],
+    pub fn new(
+        kernel: &'a dyn CovarianceKernel,
+        locs: &'a [Location],
         config: TlrConfig,
-        model: &dyn KernelTimeModel,
-    ) -> SymTileMatrix {
-        let n = locs.len();
-        let layout = TileLayout::new(n, config.tile_size);
-        let nt = layout.nt();
-        let indices: Vec<(usize, usize)> =
-            (0..nt).flat_map(|j| (j..nt).map(move |i| (i, j))).collect();
-        let sites = |i: usize, j: usize| (&locs[layout.tile_range(i)], &locs[layout.tile_range(j)]);
-        let block = |i: usize, j: usize| {
-            let (rows, cols) = sites(i, j);
-            cov_block(kernel, rows, cols)
+        model: &'a dyn KernelTimeModel,
+    ) -> TileGen<'a> {
+        let layout = TileLayout::new(locs.len(), config.tile_size);
+        let shared = match config.variant {
+            Variant::MpDenseTlr => shares_a_site(locs, layout),
+            _ => Vec::new(),
         };
+        TileGen {
+            kernel,
+            locs,
+            config,
+            model,
+            layout,
+            shared,
+        }
+    }
+
+    #[inline]
+    pub fn layout(&self) -> TileLayout {
+        self.layout
+    }
+
+    #[inline]
+    pub fn config(&self) -> TlrConfig {
+        self.config
+    }
+
+    /// Whether the tiles wait on a DECIDE join. Dense FP64 decides nothing:
+    /// [`TileGen::dense_f64_tile`] forms each tile as the factor takes it.
+    pub fn decides(&self) -> bool {
+        self.config.variant != Variant::DenseF64
+    }
+
+    fn sites(&self, i: usize, j: usize) -> (&'a [Location], &'a [Location]) {
+        let locs = self.locs;
+        (
+            &locs[self.layout.tile_range(i)],
+            &locs[self.layout.tile_range(j)],
+        )
+    }
+
+    /// Tile `(i, j)` of the covariance, dense.
+    fn block(&self, i: usize, j: usize) -> Matrix {
+        let (rows, cols) = self.sites(i, j);
+        cov_block(self.kernel, rows, cols)
+    }
+
+    /// `GEN(i, j)` of dense FP64, where no decision reads a norm: the tile
+    /// [`TileGen::tile`] forms, already in its final format and with no
+    /// norm taken.
+    pub fn dense_f64_tile(&self, i: usize, j: usize) -> Tile {
+        Tile::dense(self.block(i, j), Precision::F64)
+    }
+
+    /// `GEN(i, j)`: tile `(i, j)` from the kernel, with its norm. Only the
+    /// TLR variant compresses, and only off the diagonal (and off a pinned
+    /// band, which stays dense whatever the ranks).
+    pub fn tile(&self, i: usize, j: usize) -> Generated {
         let dense = |b: Matrix| {
             let norm = b.norm_fro();
             Generated {
@@ -177,53 +240,46 @@ impl SymTileMatrix {
                 rank: None,
             }
         };
-
-        // Pass 1 (parallel): every tile from the kernel, with its norm.
-        // Only the TLR variant compresses, and only off the diagonal (and
-        // off a pinned band, which stays dense whatever the ranks).
-        let gens: Vec<Generated> = match config.variant {
-            Variant::MpDenseTlr => {
-                let shared = shares_a_site(locs, layout);
-                let pinned = config.band_size_dense.unwrap_or(1);
-                let rel_tol = config.tlr_tolerance;
-                indices
-                    .par_iter()
-                    .map(|&(i, j)| {
-                        if i == j || i.abs_diff(j) < pinned {
-                            return dense(block(i, j));
-                        }
-                        let (rows, cols) = sites(i, j);
-                        let cap = crossover_rank(model, rows.len().min(cols.len()));
-                        let low_rank = |lr: LowRank, norm| Generated {
-                            rank: Some(lr.rank()),
-                            tile: Payload::LowRank(lr),
-                            norm,
-                        };
-                        let past_cap = |b| Generated {
-                            rank: Some(cap + 1),
-                            ..dense(b)
-                        };
-                        if shared[layout.stored_index(i, j)] {
-                            let b = block(i, j);
-                            let norm = b.norm_fro();
-                            let lr = LowRank::compress_full(&b, rel_tol * norm, cap + CAP_SLACK);
-                            return match lr.filter(|lr| lr.rank() <= cap) {
-                                Some(lr) => low_rank(lr, norm),
-                                None => past_cap(b),
-                            };
-                        }
-                        match compress_entries(kernel, rows, cols, rel_tol, cap) {
-                            Some((lr, norm)) => low_rank(lr, norm),
-                            None => past_cap(block(i, j)),
-                        }
-                    })
-                    .collect()
-            }
-            _ => indices
-                .par_iter()
-                .map(|&(i, j)| dense(block(i, j)))
-                .collect(),
+        let pinned = self.config.band_size_dense.unwrap_or(1);
+        if self.config.variant != Variant::MpDenseTlr || i == j || i.abs_diff(j) < pinned {
+            return dense(self.block(i, j));
+        }
+        let (rows, cols) = self.sites(i, j);
+        let rel_tol = self.config.tlr_tolerance;
+        let cap = crossover_rank(self.model, rows.len().min(cols.len()));
+        let low_rank = |lr: LowRank, norm| Generated {
+            rank: Some(lr.rank()),
+            tile: Payload::LowRank(lr),
+            norm,
         };
+        let past_cap = |b| Generated {
+            rank: Some(cap + 1),
+            ..dense(b)
+        };
+        if self.shared[self.layout.stored_index(i, j)] {
+            let b = self.block(i, j);
+            let norm = b.norm_fro();
+            let lr = LowRank::compress_full(&b, rel_tol * norm, cap + CAP_SLACK);
+            return match lr.filter(|lr| lr.rank() <= cap) {
+                Some(lr) => low_rank(lr, norm),
+                None => past_cap(b),
+            };
+        }
+        match compress_entries(self.kernel, rows, cols, rel_tol, cap) {
+            Some((lr, norm)) => low_rank(lr, norm),
+            None => past_cap(self.block(i, j)),
+        }
+    }
+
+    /// `DECIDE`: join every tile's `GEN` (in stored-index order) into the
+    /// matrix. Sums the global norm in that order, tunes the dense band
+    /// (Algorithm 2), assigns each tile its precision and structure, and
+    /// forms densely the low-rank tiles that turned dense.
+    pub fn decide(&self, gens: Vec<Generated>) -> SymTileMatrix {
+        let (config, layout, model) = (self.config, self.layout, self.model);
+        let nt = layout.nt();
+        let indices: Vec<(usize, usize)> = layout.stored_coords().collect();
+        assert_eq!(gens.len(), indices.len(), "one GEN per stored tile");
         // Tile-by-tile global norm accumulation (off-diagonal counted twice:
         // the matrix is symmetric and we store only the lower half).
         let mut sq = 0.0f64;
@@ -239,9 +295,15 @@ impl SymTileMatrix {
             at.par_iter().for_each(|&idx| {
                 if let Payload::LowRank(lr) = &gens[idx].tile {
                     let (i, j) = indices[idx];
-                    let (rows, cols) = sites(i, j);
-                    let err =
-                        error_past_tolerance(kernel, rows, cols, lr, config.tlr_tolerance, budget);
+                    let (rows, cols) = self.sites(i, j);
+                    let err = error_past_tolerance(
+                        self.kernel,
+                        rows,
+                        cols,
+                        lr,
+                        config.tlr_tolerance,
+                        budget,
+                    );
                     assert!(err.is_none(), "tile ({i},{j}), rank {}: {err:?}", lr.rank());
                 }
             });
@@ -300,7 +362,7 @@ impl SymTileMatrix {
             .collect();
         let mut formed = turned_dense
             .par_iter()
-            .map(|&idx| block(indices[idx].0, indices[idx].1))
+            .map(|&idx| self.block(indices[idx].0, indices[idx].1))
             .collect::<Vec<Matrix>>()
             .into_iter();
 
@@ -322,6 +384,25 @@ impl SymTileMatrix {
             band_size_dense: band,
             config,
         }
+    }
+}
+
+impl SymTileMatrix {
+    /// Generate the tiled covariance matrix for `locs` under `kernel`:
+    /// every `GEN` of [`TileGen`] in parallel, then its `DECIDE`.
+    ///
+    /// `model` drives the structure-aware decision and the TLR rank cap
+    /// (ignored for the dense variants).
+    pub fn generate(
+        kernel: &dyn CovarianceKernel,
+        locs: &[Location],
+        config: TlrConfig,
+        model: &dyn KernelTimeModel,
+    ) -> SymTileMatrix {
+        let gen = TileGen::new(kernel, locs, config, model);
+        let indices: Vec<(usize, usize)> = gen.layout().stored_coords().collect();
+        let gens = indices.par_iter().map(|&(i, j)| gen.tile(i, j)).collect();
+        gen.decide(gens)
     }
 
     #[inline]
@@ -354,14 +435,7 @@ impl SymTileMatrix {
 
     /// Footprint of the same matrix stored fully dense in FP64 (lower half).
     pub fn dense_f64_footprint_bytes(&self) -> usize {
-        let nt = self.nt();
-        let mut total = 0usize;
-        for j in 0..nt {
-            for i in j..nt {
-                total += self.layout.tile_dim(i) * self.layout.tile_dim(j) * 8;
-            }
-        }
-        total
+        self.layout.dense_f64_bytes()
     }
 
     /// Reconstruct the full dense matrix (tests / small problems only).
@@ -398,8 +472,8 @@ impl SymTileMatrix {
     }
 }
 
-/// A tile as generation's first pass left it.
-struct Generated {
+/// A tile as its `GEN` left it: what [`TileGen::decide`] joins.
+pub struct Generated {
     tile: Payload,
     /// Exact `||A_ij||_F` of a dense tile; `||U V^T||_F` of the crosses of
     /// a low-rank one.

@@ -1,10 +1,12 @@
 //! Inspecting the dynamic runtime: the execution trace and load balance of
-//! a real MP+TLR factorization.
+//! one MP+TLR model op, whose tiles are generated as tasks of the
+//! factorization's own graph.
 //!
 //! Writes the run's Chrome-Tracing JSON (`target/cholesky_trace.json`,
 //! loadable in `chrome://tracing` or Perfetto) and prints its per-kernel
-//! time budget — the observability PaRSEC gives the paper's §VII
-//! discussions of load imbalance.
+//! time budget — generation (`gen`, `decide`) beside the factor's kernels,
+//! the observability PaRSEC gives the paper's §VII discussions of load
+//! imbalance.
 //!
 //! ```text
 //! cargo run --release --example runtime_trace
@@ -13,11 +15,11 @@
 use exageostat_rs::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::Arc;
 use xgs_cholesky::TiledFactor;
 use xgs_runtime::{chrome_trace_json, ExecOptions};
+use xgs_tile::TileGen;
 
-fn build_matrix() -> SymTileMatrix {
+fn main() {
     let mut rng = StdRng::seed_from_u64(12);
     let mut locs = jittered_grid(1024, &mut rng);
     for l in &mut locs {
@@ -27,28 +29,22 @@ fn build_matrix() -> SymTileMatrix {
     morton_order(&mut locs);
     let kernel = Matern::new(MaternParams::new(1.0, 0.17, 0.5));
     let cfg = TlrConfig::new(Variant::MpDenseTlr, 64);
-    SymTileMatrix::generate(
-        &kernel,
-        &locs,
-        cfg,
-        &FlopKernelModel::for_tile(cfg.tile_size),
-    )
-}
-
-fn main() {
-    let f = Arc::new(TiledFactor::from_matrix(build_matrix()));
-    let nt = f.nt();
-    let (res, report) = f.factorize_parallel_opts(
+    let model = FlopKernelModel::for_tile(cfg.tile_size);
+    let gen = TileGen::new(&kernel, &locs, cfg, &model);
+    let op = TiledFactor::generate_and_factorize(
+        &gen,
         0,
         ExecOptions {
             trace: true,
             ..Default::default()
         },
     );
-    res.unwrap();
+    op.result.unwrap();
+    let report = op.metrics;
     println!(
-        "factorized NT = {nt} tiles: {} tasks on {} workers in {:.3}s \
+        "generated and factorized NT = {} tiles: {} tasks on {} workers in {:.3}s \
          (efficiency {:.0}%, imbalance {:.2})",
+        op.factor.nt(),
         report.tasks,
         report.workers,
         report.wall_seconds,

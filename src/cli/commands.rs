@@ -438,10 +438,18 @@ pub fn cmd_fit(args: &Args) -> Result<String, CmdError> {
         secs
     ));
     if let Some(m) = &r.metrics {
+        // Generation's tasks (one GEN per tile, one DECIDE join) ride in
+        // the threaded engine's graphs; the fleet's report has none.
+        let generate: u64 = (m.kernels.iter())
+            .filter(|k| matches!(k.kind, "gen" | "decide"))
+            .map(|k| k.count)
+            .sum();
         out.push_str(&format!(
-            "  runtime            = {} factorizations, {} tasks on {} workers{}\n",
+            "  runtime            = {} factorizations, {} tasks ({} generate, {} factor) on {} workers{}\n",
             r.factorizations,
             m.tasks,
+            generate,
+            m.tasks as u64 - generate,
             m.workers,
             match &m.validation {
                 Some(v) => format!(", {} hazard edges validated", v.edges_checked),

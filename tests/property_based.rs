@@ -339,7 +339,7 @@ proptest! {
     fn runtime_schedules_random_dags_sequentially_consistently(seed in 0u64..10_000) {
         use std::sync::atomic::{AtomicU64, Ordering};
         use std::sync::Arc;
-        fn build(seed: u64, cells: Arc<Vec<AtomicU64>>) -> TaskGraph {
+        fn build(seed: u64, cells: Arc<Vec<AtomicU64>>) -> TaskGraph<'static> {
             let mut g = TaskGraph::new();
             let mut s = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
             for _ in 0..120 {
