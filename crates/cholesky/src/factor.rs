@@ -5,7 +5,7 @@
 use crate::task::{op_tasks, tasks, OpTask, Task};
 use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 use xgs_kernels::Precision;
 use xgs_linalg::Matrix;
 use xgs_runtime::{execute_opts, Access, DataId, ExecOptions, MetricsReport, TaskGraph};
@@ -204,10 +204,7 @@ impl TiledFactor {
     /// from its PTG) and executes it with `workers` worker loops on the
     /// shared pool (`xgs_runtime::execute_opts`). Returns the run's
     /// metrics alongside the factorization result.
-    pub fn factorize_parallel(
-        self: &Arc<Self>,
-        workers: usize,
-    ) -> (Result<(), FactorError>, MetricsReport) {
+    pub fn factorize_parallel(&self, workers: usize) -> (Result<(), FactorError>, MetricsReport) {
         // Default options: schedule validation on under `cfg(debug_assertions)`
         // (so every test factorization is checked).
         self.factorize_parallel_opts(workers, ExecOptions::default())
@@ -216,11 +213,11 @@ impl TiledFactor {
     /// [`factorize_parallel`](TiledFactor::factorize_parallel) with explicit
     /// runtime options (tracing, schedule validation, precheck).
     pub fn factorize_parallel_opts(
-        self: &Arc<Self>,
+        &self,
         workers: usize,
         opts: ExecOptions,
     ) -> (Result<(), FactorError>, MetricsReport) {
-        let state = OpState::new(self.as_ref(), None);
+        let state = OpState::new(self, None);
         let report = state.execute(tasks(self.nt()).map(OpTask::Factor), workers, opts);
         (state.finish().0, report)
     }
@@ -413,6 +410,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::sync::Arc;
     use xgs_covariance::{jittered_grid, morton_order, Matern, MaternParams};
     use xgs_tile::{FlopKernelModel, TileGen, TlrConfig, Variant};
 

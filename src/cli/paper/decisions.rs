@@ -258,12 +258,12 @@ pub fn validator_overhead() {
     // setting into the baseline rows: (seconds, edges checked).
     let factor = |opts: ExecOptions, race_on: bool| {
         xgs_runtime::race::set_enabled(Some(race_on));
-        let f = std::sync::Arc::new(TiledFactor::from_matrix(SymTileMatrix::generate(
+        let f = TiledFactor::from_matrix(SymTileMatrix::generate(
             &kernel,
             &locs,
             TlrConfig::new(Variant::DenseF64, nb),
             &model,
-        )));
+        ));
         let ((res, report), s) = timed(|| f.factorize_parallel_opts(workers, opts));
         res.expect("benchmark matrix is SPD");
         (s, report.validation.map_or(0, |v| v.edges_checked))
