@@ -15,6 +15,11 @@
 //! HiCMA shapes: TRSM solves against the `V` factor; GEMM forms low-rank
 //! products (compressing a dense x dense one with full-pivot ACA) and adds
 //! them with QR+SVD rounding.
+//!
+//! Low-rank operands stay factored wherever the receiver is FP64: `SYRK`
+//! applies `U (V^T V) U^T`, and `GEMM` into an FP64 dense tile subtracts the
+//! factored product `X Y^T` with inner dimension its rank. Only FP32/FP16
+//! dense receivers materialize a low-rank operand (see [`dense_value`]).
 
 use std::borrow::Cow;
 use xgs_kernels::{gemm, mixed, syrk_lower_notrans, Precision, Trans};
@@ -135,21 +140,23 @@ pub fn gemm_update(a_ik: &Tile, b_jk: &Tile, c_ij: &mut Tile, tol: f64) {
     note_operand_conversion(a_ik, p);
     note_operand_conversion(b_jk, p);
     match &mut c_ij.storage {
-        TileStorage::Dense(c) => gemm_into_dense(a_ik, b_jk, c, p),
+        TileStorage::Dense(c) => {
+            // FP64 trims nothing and a stored FP32/FP16 operand promotes
+            // exactly, so the factored product is the materialized value;
+            // only the summation order differs.
+            let prod = if p == Precision::F64 {
+                factored_product(a_ik, b_jk)
+            } else {
+                None
+            };
+            match prod {
+                Some(prod) => gemm_factored_into_dense(&prod, c),
+                None => gemm_into_dense(a_ik, b_jk, c, p),
+            }
+        }
         TileStorage::LowRank(c_lr) => {
             // Form the product as a low-rank object, then rounded-add.
-            let prod: LowRank = match (&a_ik.storage, &b_jk.storage) {
-                (TileStorage::LowRank(a), TileStorage::LowRank(b)) => a.matmul_lr_transposed(b),
-                // (U V^T) B^T = U (B V)^T.
-                (TileStorage::LowRank(a), TileStorage::Dense(b)) => LowRank {
-                    u: a.u.clone(),
-                    v: b.matmul(&a.v),
-                },
-                // A (U V^T)^T = A V U^T = (A V) U^T.
-                (TileStorage::Dense(a), TileStorage::LowRank(b)) => LowRank {
-                    u: a.matmul(&b.v),
-                    v: b.u.clone(),
-                },
+            let prod = factored_product(a_ik, b_jk).unwrap_or_else(|| {
                 // Dense x dense hitting a low-rank tile: form the dense
                 // product and compress it with full-pivot ACA, whose
                 // `||A B^T - U V^T||_F <= tol` is the bound a truncated
@@ -160,12 +167,10 @@ pub fn gemm_update(a_ik: &Tile, b_jk: &Tile, c_ij: &mut Tile, tol: f64) {
                 // Jacobi SVD of that 100 x 100 rank-deficient product
                 // costs about 50 ms, so 9 such calls were 87 % of the
                 // factor; ACA costs one pass over the product per cross.
-                (TileStorage::Dense(a), TileStorage::Dense(b)) => {
-                    let ab = a.matmul_t(b);
-                    let (u, v) = xgs_linalg::aca(&ab, tol, ab.rows().min(ab.cols()));
-                    LowRank { u, v }
-                }
-            };
+                let ab = dense_value(a_ik).matmul_t(&dense_value(b_jk));
+                let (u, v) = xgs_linalg::aca(&ab, tol, ab.rows().min(ab.cols()));
+                LowRank { u, v }
+            });
             // A rank-0 product leaves the tile as it is: `add_rounded`
             // would return a clone of it, and `enforce_precision` is
             // idempotent on a tile that has already been rounded to its
@@ -179,19 +184,63 @@ pub fn gemm_update(a_ik: &Tile, b_jk: &Tile, c_ij: &mut Tile, tol: f64) {
     }
 }
 
+/// The product `A_ik B_jk^T` as `X Y^T` when either operand is low-rank,
+/// `None` for dense x dense. The inner dimension is the smaller rank of
+/// the low-rank operands.
+fn factored_product(a_ik: &Tile, b_jk: &Tile) -> Option<LowRank> {
+    match (&a_ik.storage, &b_jk.storage) {
+        (TileStorage::LowRank(a), TileStorage::LowRank(b)) => Some(a.matmul_lr_transposed(b)),
+        // (U V^T) B^T = U (B V)^T.
+        (TileStorage::LowRank(a), TileStorage::Dense(b)) => Some(LowRank {
+            u: a.u.clone(),
+            v: b.matmul(&a.v),
+        }),
+        // A (U V^T)^T = A V U^T = (A V) U^T.
+        (TileStorage::Dense(a), TileStorage::LowRank(b)) => Some(LowRank {
+            u: a.matmul(&b.v),
+            v: b.u.clone(),
+        }),
+        (TileStorage::Dense(_), TileStorage::Dense(_)) => None,
+    }
+}
+
 /// The logical dense value of an operand tile: the payload itself when it
 /// is dense, the reconstruction when it is low-rank.
 ///
-/// Low-rank operands are deliberately *materialized* rather than applied as
-/// `U (B V)^T` fast paths: precision emulation trims/demotes the logical
-/// tile value the kernel consumes, and the materialized block is exactly
-/// that value. (A production port on real low-precision hardware would use
-/// the factored forms; here fidelity of the rounding semantics wins.)
+/// Only FP32/FP16 dense receivers materialize a low-rank operand: their
+/// precision emulation trims/demotes the logical tile value the kernel
+/// consumes, and the materialized block is exactly that value. FP64
+/// receivers take the factored product instead, as `syrk_diag` does.
 fn dense_value(t: &Tile) -> Cow<'_, Matrix> {
     match &t.storage {
         TileStorage::Dense(m) => Cow::Borrowed(m),
         TileStorage::LowRank(lr) => Cow::Owned(lr.reconstruct()),
     }
+}
+
+/// FP64 dense receiver, factored product: `C <- C - X Y^T`, one GEMM of
+/// inner dimension `rank`. A rank-0 product leaves `C` untouched.
+fn gemm_factored_into_dense(prod: &LowRank, c: &mut Matrix) {
+    let (m, n) = c.shape();
+    let k = prod.rank();
+    if k == 0 {
+        return;
+    }
+    gemm(
+        Trans::No,
+        Trans::Yes,
+        m,
+        n,
+        k,
+        -1.0,
+        prod.u.as_slice(),
+        m,
+        prod.v.as_slice(),
+        n,
+        1.0,
+        c.as_mut_slice(),
+        m,
+    );
 }
 
 /// Dense-receiver GEMM in the receiver's precision.
@@ -414,6 +463,114 @@ mod tests {
         let c = xgs_runtime::conversion_counts();
         assert!(c.f64_to_f32 >= 36, "A should be demoted: {c:?}");
         assert!(c.f16_to_f32 >= 36, "B should be promoted: {c:?}");
+    }
+
+    /// Operands of one FP64 dense-receiver update: `m x nb` and `n x nb`
+    /// panel tiles stored at `p`, low-rank (rank 7 and 5) where asked.
+    fn panel_operands(lr_a: bool, lr_b: bool, p: Precision) -> (Tile, Tile) {
+        let (m, n, nb) = (40, 30, 36);
+        let operand = |lowrank: bool, rows: usize, k: usize, seed: u64| {
+            if lowrank {
+                let lr = LowRank {
+                    u: rnd(rows, k, seed),
+                    v: rnd(nb, k, seed + 1),
+                };
+                Tile::low_rank(lr, p)
+            } else {
+                Tile::dense(rnd(rows, nb, seed), p)
+            }
+        };
+        (operand(lr_a, m, 7, 80), operand(lr_b, n, 5, 90))
+    }
+
+    const LOW_RANK_COMBOS: [(bool, bool, &str); 3] = [
+        (true, true, "lr-lr"),
+        (true, false, "lr-dense"),
+        (false, true, "dense-lr"),
+    ];
+
+    #[test]
+    fn fp64_dense_receiver_takes_factored_operands() {
+        // The factored product computes the materialized value in FP64 (a
+        // stored FP32 factor promotes exactly); only the summation order
+        // differs, so the two agree to a few ulps of the terms summed:
+        // ‖err‖_F <= 1e-13 (‖C0‖_F + ‖A‖_F ‖B‖_F).
+        for p in [Precision::F64, Precision::F32] {
+            for (lr_a, lr_b, label) in LOW_RANK_COMBOS {
+                let (ta, tb) = panel_operands(lr_a, lr_b, p);
+                let c0 = rnd(40, 30, 100);
+                let mut tc = Tile::dense(c0.clone(), Precision::F64);
+                gemm_update(&ta, &tb, &mut tc, 1e-12);
+                let (a, b) = (ta.to_dense(), tb.to_dense());
+                let oracle = c0.add_scaled(-1.0, &a.matmul_t(&b));
+                let err = tc.to_dense().add_scaled(-1.0, &oracle).norm_fro();
+                let scale = c0.norm_fro() + a.norm_fro() * b.norm_fro();
+                assert!(
+                    err <= 1e-13 * scale,
+                    "{label} {p:?}: err {err}, scale {scale}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn rank_zero_operand_leaves_an_fp64_dense_receiver_bitwise() {
+        let (ta, tb) = panel_operands(true, false, Precision::F64);
+        let zero = |rows: usize| Tile::low_rank(LowRank::zero(rows, 36), Precision::F64);
+        let c0 = Tile::dense(rnd(40, 30, 101), Precision::F64);
+        for (a, b, label) in [
+            (&zero(40), &tb, "zero-dense"),
+            (&ta, &zero(30), "lr-zero"),
+            (&zero(40), &zero(30), "zero-zero"),
+        ] {
+            let mut c = c0.clone();
+            gemm_update(a, b, &mut c, 1e-12);
+            assert_eq!(bits(&c), bits(&c0), "{label}");
+        }
+    }
+
+    #[test]
+    fn factored_updates_count_the_same_conversions() {
+        // Each operand stored off the receiver's FP64 counts its stored
+        // elements once, as on the materialized path: the count is taken
+        // before the product is formed. One task per call, so the
+        // execution's report holds exactly that call's conversions.
+        let mut cases = Vec::new();
+        for p in [Precision::F64, Precision::F32] {
+            for (lr_a, lr_b, label) in LOW_RANK_COMBOS {
+                let (ta, tb) = panel_operands(lr_a, lr_b, p);
+                cases.push((ta, tb, format!("{label} {p:?}")));
+            }
+        }
+        // Low-rank tiles are FP64/FP32 only; an FP16 operand is dense.
+        let (lr, _) = panel_operands(true, false, Precision::F32);
+        let (_, f16) = panel_operands(false, false, Precision::F16);
+        cases.push((lr, f16, "lr F32 - dense F16".into()));
+        for (ta, tb, label) in cases {
+            let stored = |t: &Tile| match &t.storage {
+                TileStorage::Dense(m) => (m.rows() * m.cols()) as u64,
+                TileStorage::LowRank(lr) => lr.storage_len() as u64,
+            };
+            let mut expected = xgs_runtime::ConversionCounts::default();
+            for t in [&ta, &tb] {
+                match t.precision {
+                    Precision::F32 => expected.f32_to_f64 += stored(t),
+                    Precision::F16 => expected.f16_to_f64 += stored(t),
+                    Precision::F64 => {}
+                }
+            }
+            let mut tc = Tile::dense(rnd(40, 30, 102), Precision::F64);
+            let mut g = xgs_runtime::TaskGraph::new();
+            g.insert(
+                "gemm",
+                vec![xgs_runtime::Access::write(xgs_runtime::DataId(0))],
+                0,
+                0.0,
+                || gemm_update(&ta, &tb, &mut tc, 1e-12),
+            );
+            let report = xgs_runtime::execute(g, 1, false);
+            assert_eq!(report.conversions, expected, "{label}");
+        }
     }
 
     /// Near-field operands of a `field`-shaped factor (1,600 jittered sites

@@ -38,6 +38,25 @@ fn build_with_config(n: usize, cfg: TlrConfig) -> TiledFactor {
     TiledFactor::from_matrix(SymTileMatrix::generate(&kernel, &locs, cfg, &model))
 }
 
+/// The benchmark's `field` shape at `n` sites: a 14 x 14 square in Morton
+/// order at θ = (0.67, 0.17, 0.44).
+fn build_field(n: usize, nb: usize, variant: Variant) -> TiledFactor {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+    let mut locs = jittered_grid(n, &mut rng);
+    for l in &mut locs {
+        l.x *= 14.0;
+        l.y *= 14.0;
+    }
+    morton_order(&mut locs);
+    let kernel = Matern::new(MaternParams::new(0.67, 0.17, 0.44));
+    let model = FlopKernelModel {
+        dense_rate: 45.0e9,
+        mem_factor: 1.0,
+    };
+    let cfg = TlrConfig::new(variant, nb);
+    TiledFactor::from_matrix(SymTileMatrix::generate(&kernel, &locs, cfg, &model))
+}
+
 type WorkerHandle = JoinHandle<io::Result<u64>>;
 
 /// Connect-and-admit: one in-process worker thread behind a registered
@@ -99,6 +118,28 @@ fn wire_row(wire: &[WireStats], kind: &str) -> (u64, u64) {
         .map_or((0, 0), |s| (s.frames, s.bytes))
 }
 
+/// How many trailing updates of `f` write an FP64 dense off-diagonal tile
+/// from at least one low-rank operand: the updates `gemm_update` applies
+/// as a factored product. Tile structure and precision are fixed at
+/// generation, so `f` may be factored or not.
+fn fp64_dense_updates_with_low_rank_operand(f: &TiledFactor) -> usize {
+    let nt = f.nt();
+    let low_rank = |i: usize, j: usize| f.with_tile(i, j, |t| !t.is_dense());
+    let mut updates = 0;
+    for k in 0..nt {
+        for j in k + 1..nt {
+            for i in j + 1..nt {
+                let fp64_dense =
+                    f.with_tile(i, j, |t| t.is_dense() && t.precision == Precision::F64);
+                if fp64_dense && (low_rank(i, k) || low_rank(j, k)) {
+                    updates += 1;
+                }
+            }
+        }
+    }
+    updates
+}
+
 #[test]
 fn grid_shape_matches_perfmodel_process_grid() {
     assert_eq!(grid_shape(1), (1, 1));
@@ -150,6 +191,23 @@ fn sharded_matches_sequential_bitwise_in_process() {
         assert_eq!(v.war_edges, 0);
         assert!(v.raw_edges > 0);
     }
+
+    // The unit-square TLR case above stores no FP64 dense off-diagonal
+    // tile next to a low-rank one. The benchmark's `field` shape does, so
+    // the workers run the factored dense-receiver GEMM here.
+    let mut seq = build_field(400, 50, Variant::MpDenseTlr);
+    let factored = fp64_dense_updates_with_low_rank_operand(&seq);
+    assert!(factored > 0, "no FP64 dense tile takes a low-rank operand");
+    seq.factorize_seq().unwrap();
+    let mut shd = build_field(400, 50, Variant::MpDenseTlr);
+    let (mut streams, handles) = local_grid(2, None);
+    run(&mut shd, &mut streams).unwrap();
+    retire(streams, handles);
+    assert_eq!(
+        seq.to_dense_lower().as_slice(),
+        shd.to_dense_lower().as_slice(),
+        "sharded factor must be bitwise equal ({factored} factored dense updates)"
+    );
 }
 
 #[test]

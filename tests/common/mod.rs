@@ -62,3 +62,25 @@ pub fn subnormal_f32_updates(f: &TiledFactor) -> usize {
     }
     updates
 }
+
+/// How many trailing updates `C_ij -= L_ik L_jkᵀ` of `f` write an FP64
+/// dense off-diagonal tile from at least one low-rank operand: the updates
+/// the GEMM kernel applies as a factored product. Tile structure and
+/// precision are fixed at generation, so `f` may be factored or not.
+pub fn fp64_dense_updates_with_low_rank_operand(f: &TiledFactor) -> usize {
+    let nt = f.nt();
+    let low_rank = |i: usize, j: usize| f.with_tile(i, j, |t| !t.is_dense());
+    let mut updates = 0;
+    for k in 0..nt {
+        for j in k + 1..nt {
+            for i in j + 1..nt {
+                let fp64_dense =
+                    f.with_tile(i, j, |t| t.is_dense() && t.precision == Precision::F64);
+                if fp64_dense && (low_rank(i, k) || low_rank(j, k)) {
+                    updates += 1;
+                }
+            }
+        }
+    }
+    updates
+}

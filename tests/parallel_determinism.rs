@@ -129,6 +129,11 @@ fn tile_cholesky_factor_is_bitwise_identical_across_pool_sizes() {
                 &model,
             );
             let mut f = TiledFactor::from_matrix(m);
+            // The factored dense-receiver GEMM runs in this factor.
+            assert!(
+                common::fp64_dense_updates_with_low_rank_operand(&f) > 0,
+                "no FP64 dense tile takes a low-rank operand"
+            );
             f.factorize_seq().expect("SPD");
             f.to_dense_lower()
         })

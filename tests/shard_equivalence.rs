@@ -70,8 +70,9 @@ fn assert_bitwise_equal(a: &Matrix, b: &Matrix, context: &str) {
 /// reproduces the sequential single-process factor bit for bit, and
 /// executes exactly the full DAG's task census. Each fleet has no
 /// standbys and is dropped at scope exit — spawn-per-run — and must leave
-/// no worker process behind. The far-field row's FP32 tasks run flushed
-/// in whichever worker process owns them.
+/// no worker process behind. The far-field rows' FP32 tasks run flushed
+/// in whichever worker process owns them, and the TLR row's FP64 dense
+/// tiles take low-rank operands as factored products.
 #[test]
 fn sharded_factor_is_bitwise_equal_across_process_grids() {
     use Sites::{Far, Unit};
@@ -83,6 +84,7 @@ fn sharded_factor_is_bitwise_equal_across_process_grids() {
         (150, 40, 6, Variant::DenseF64, Unit), // 4x4 tiles on a 2x3 grid
         (130, 70, 4, Variant::MpDense, Unit),  // 2x2 tiles on a 2x2 grid: some workers idle
         (400, 50, 4, Variant::MpDense, Far),   // far field on a 2x2 grid: subnormal f32 products
+        (600, 75, 2, Variant::MpDenseTlr, Far), // TLR on a 1x2 grid: factored dense updates
     ];
     for &(n, nb, shards, variant, sites) in shapes {
         let context = format!("n={n} nb={nb} shards={shards} {variant:?} {sites:?}");
@@ -96,6 +98,12 @@ fn sharded_factor_is_bitwise_equal_across_process_grids() {
             assert!(
                 common::subnormal_f32_updates(&reference) > 0,
                 "{context}: no FP32 update reaches the subnormal range"
+            );
+        }
+        if variant == Variant::MpDenseTlr {
+            assert!(
+                common::fp64_dense_updates_with_low_rank_operand(&reference) > 0,
+                "{context}: no FP64 dense tile takes a low-rank operand"
             );
         }
 
