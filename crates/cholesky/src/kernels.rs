@@ -19,7 +19,7 @@
 //! Low-rank operands stay factored wherever the receiver is FP64: `SYRK`
 //! applies `U (V^T V) U^T`, and `GEMM` into an FP64 dense tile subtracts the
 //! factored product `X Y^T` with inner dimension its rank. Only FP32/FP16
-//! dense receivers materialize a low-rank operand (see [`dense_value`]).
+//! dense receivers materialize a low-rank operand (see `dense_value`).
 
 use std::borrow::Cow;
 use xgs_kernels::{gemm, mixed, syrk_lower_notrans, Precision, Trans};

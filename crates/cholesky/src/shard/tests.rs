@@ -27,33 +27,23 @@ pub(super) fn build(n: usize, nb: usize, variant: Variant) -> TiledFactor {
 }
 
 fn build_with_config(n: usize, cfg: TlrConfig) -> TiledFactor {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(11);
-    let mut locs = jittered_grid(n, &mut rng);
-    morton_order(&mut locs);
-    let kernel = Matern::new(MaternParams::new(1.0, 0.05, 0.5));
-    let model = FlopKernelModel {
-        dense_rate: 45.0e9,
-        mem_factor: 1.0,
-    };
-    TiledFactor::from_matrix(SymTileMatrix::generate(&kernel, &locs, cfg, &model))
+    build_on(n, 1.0, MaternParams::new(1.0, 0.05, 0.5), cfg)
 }
 
-/// The benchmark's `field` shape at `n` sites: a 14 x 14 square in Morton
-/// order at θ = (0.67, 0.17, 0.44).
-fn build_field(n: usize, nb: usize, variant: Variant) -> TiledFactor {
+/// `n` jittered sites on `[0, domain]²` in Morton order, Matérn `params`.
+fn build_on(n: usize, domain: f64, params: MaternParams, cfg: TlrConfig) -> TiledFactor {
     let mut rng = rand::rngs::StdRng::seed_from_u64(11);
     let mut locs = jittered_grid(n, &mut rng);
     for l in &mut locs {
-        l.x *= 14.0;
-        l.y *= 14.0;
+        l.x *= domain;
+        l.y *= domain;
     }
     morton_order(&mut locs);
-    let kernel = Matern::new(MaternParams::new(0.67, 0.17, 0.44));
+    let kernel = Matern::new(params);
     let model = FlopKernelModel {
         dense_rate: 45.0e9,
         mem_factor: 1.0,
     };
-    let cfg = TlrConfig::new(variant, nb);
     TiledFactor::from_matrix(SymTileMatrix::generate(&kernel, &locs, cfg, &model))
 }
 
@@ -193,13 +183,18 @@ fn sharded_matches_sequential_bitwise_in_process() {
     }
 
     // The unit-square TLR case above stores no FP64 dense off-diagonal
-    // tile next to a low-rank one. The benchmark's `field` shape does, so
-    // the workers run the factored dense-receiver GEMM here.
-    let mut seq = build_field(400, 50, Variant::MpDenseTlr);
+    // tile next to a low-rank one. The benchmark's `field` shape (a
+    // 14 x 14 square at θ = (0.67, 0.17, 0.44)) does, so the workers run
+    // the factored dense-receiver GEMM here.
+    let field = || {
+        let params = MaternParams::new(0.67, 0.17, 0.44);
+        build_on(400, 14.0, params, TlrConfig::new(Variant::MpDenseTlr, 50))
+    };
+    let mut seq = field();
     let factored = fp64_dense_updates_with_low_rank_operand(&seq);
     assert!(factored > 0, "no FP64 dense tile takes a low-rank operand");
     seq.factorize_seq().unwrap();
-    let mut shd = build_field(400, 50, Variant::MpDenseTlr);
+    let mut shd = field();
     let (mut streams, handles) = local_grid(2, None);
     run(&mut shd, &mut streams).unwrap();
     retire(streams, handles);
